@@ -17,7 +17,6 @@ from .dynamics import (
 from .gait import GaitConfig, Gains, Side, cycloid_swing, leg_ik, track_joints
 from .metrics import CoTReport, SweepRow, cot, rmse, velocity_sweep
 from .rolling import (
-    ContactState,
     FootShape,
     effective_radius,
     lowest_point,
@@ -43,7 +42,7 @@ __all__ = [
     "assemble_sagittal", "sagittal_accel", "assemble_frontal", "frontal_accel",
     "TerrainParams", "IntrusionKinematics", "PenetrationRecord",
     "local_stress", "sagittal_forces", "lateral_force", "calibrate",
-    "FootShape", "ContactState", "lowest_point", "orientation_angle",
+    "FootShape", "lowest_point", "orientation_angle",
     "rolling_angle", "velocity_angle", "effective_radius",
     "GaitConfig", "Gains", "Side", "cycloid_swing", "leg_ik", "track_joints",
     "SimConfig", "SimRecord", "Trajectory", "run", "step",

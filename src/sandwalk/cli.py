@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -49,18 +48,15 @@ def _manifest(out: Path, cfg, outputs: dict, summary: dict) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
+# flags that set a configuration key; they take precedence over --set
+_FLAG_KEYS = {"terrain": "sim.terrain_mode", "velocity": "gait.v_target",
+              "seed": "sim.seed", "decimation": "sim.decimation"}
+
+
 def _load_cfg(args) -> simulation.SimConfig:
-    overrides = list(args.set or [])
-    cfg = cfgmod.load_config(args.config, overrides)
-    if getattr(args, "terrain", None):
-        cfg = replace(cfg, terrain_mode=args.terrain)
-    if getattr(args, "velocity", None) is not None:
-        cfg = replace(cfg, gait=replace(cfg.gait, v_target=args.velocity))
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "decimation", None) is not None:
-        cfg = replace(cfg, decimation=args.decimation)
-    return cfg
+    flags = [f"{key}={getattr(args, flag)}" for flag, key in _FLAG_KEYS.items()
+             if getattr(args, flag, None) is not None]
+    return cfgmod.load_config(args.config, [*(args.set or []), *flags])
 
 
 def _cmd_simulate(args) -> int:
@@ -74,15 +70,15 @@ def _cmd_simulate(args) -> int:
     settle = min(cfg.gait.cycle_period, 0.5 * cfg.duration)
     report = metrics.cot(traj, t_start=settle)
     summary = {
-        "records": len(traj.records),
-        "final_com_x": traj.records[-1].com_x,
+        "records": len(traj),
+        "final_com_x": float(traj.column("com_x")[-1]),
         "cot": report.cot,
         "cot_decoupled": report.cot_decoupled,
         "distance": report.distance,
     }
     _manifest(out, cfg, {"trajectory_csv": csv_path, "trajectory_json": json_path},
               summary)
-    print(f"wrote {csv_path} ({len(traj.records)} records), "
+    print(f"wrote {csv_path} ({len(traj)} records), "
           f"cot={report.cot:.4f} over {report.distance:.3f} m")
     return 0
 
@@ -126,7 +122,7 @@ def _cmd_sweep(args) -> int:
     return 0 if failed == 0 else 4
 
 
-def _read_penetration_csv(path, expected_header: str, direction: str):
+def _read_penetration_csv(path, expected_header: str):
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -139,10 +135,7 @@ def _read_penetration_csv(path, expected_header: str, direction: str):
             if not row or not "".join(row).strip():
                 continue
             try:
-                records.append(tr.PenetrationRecord(
-                    displacement=float(row[0]), force=float(row[1]),
-                    direction=direction,
-                ))
+                records.append(tr.PenetrationRecord(float(row[0]), float(row[1])))
             except (IndexError, ValueError) as exc:
                 raise cfgmod.ConfigError(f"{path}:{lineno}: malformed row") from exc
     return records
@@ -151,9 +144,8 @@ def _read_penetration_csv(path, expected_header: str, direction: str):
 def _cmd_calibrate(args) -> int:
     out = _out_dir(args)
     cfg = _load_cfg(args)
-    vertical = _read_penetration_csv(args.vertical_csv, "depth_m,force_N", "vertical")
-    horizontal = _read_penetration_csv(args.horizontal_csv, "disp_m,force_N",
-                                       "horizontal")
+    vertical = _read_penetration_csv(args.vertical_csv, "depth_m,force_N")
+    horizontal = _read_penetration_csv(args.horizontal_csv, "disp_m,force_N")
     result = tr.calibrate(vertical, horizontal, cfg.terrain,
                           plate_width=args.plate_width,
                           plate_depth=args.plate_depth)

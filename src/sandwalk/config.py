@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
+from operator import attrgetter
 
 from . import dynamics as dyn
 from . import gait as gt
@@ -25,52 +25,59 @@ class ConfigError(ValueError):
     """Malformed configuration file or unknown/invalid key."""
 
 
-# key -> (type, description); the single source of accepted keys
-CONFIG_KEYS: dict[str, tuple[type, str]] = {
-    "sim.dt": (float, "integration step [s]"),
-    "sim.duration": (float, "simulated time [s]"),
-    "sim.integrator": (str, "semi_implicit | rk4"),
-    "sim.terrain_mode": (str, "granular | rigid"),
-    "sim.decimation": (int, "log every n-th step"),
-    "sim.seed": (int, "seed for the initial-state jitter"),
-    "sim.initial_jitter": (float, "initial joint offset amplitude [rad]"),
-    "sim.h_com": (float, "CoM height for dimensionless speed [m]"),
-    "sim.r_eff_cap": (float, "effective-radius log saturation [m]"),
-    "gait.cycle_period": (float, "full gait cycle [s]"),
-    "gait.duty": (float, "stance fraction"),
-    "gait.swing_height": (float, "swing apex clearance [m]"),
-    "gait.v_target": (float, "commanded forward speed [m/s]"),
-    "gait.hip_height": (float, "hip reference height above surface [m]"),
-    "gait.trunk_ref": (float, "trunk posture reference [rad]"),
-    "terrain.phi_s_deg": (float, "internal friction angle [deg]"),
-    "terrain.zeta": (float, "local stress scaling factor"),
-    "terrain.lambda": (float, "bulldozing saturation length [m]"),
-    "terrain.rho": (float, "bulk density [kg/m^3]"),
-    "terrain.width": (float, "foot width [m]"),
-    "terrain.sand_level": (float, "surface height [m]"),
-    "terrain.alpha_scale": (float, "media stiffness multiplier"),
-    "robot.m_b": (float, "trunk mass [kg]"),
-    "robot.m_t": (float, "thigh mass [kg]"),
-    "robot.m_c": (float, "calf mass [kg]"),
-    "robot.l_t": (float, "thigh length [m]"),
-    "robot.l_c": (float, "calf length [m]"),
-    "robot.l_b": (float, "hip to trunk CoM [m]"),
-    "robot.a_1": (float, "hip to thigh CoM [m]"),
-    "robot.a_2": (float, "knee to calf CoM [m]"),
-    "robot.g": (float, "gravity [m/s^2]"),
-    "robot.foot_radius": (float, "sole radius [m]"),
-    "frontal.m_1": (float, "stance leg mass [kg]"),
-    "frontal.m_2": (float, "swing leg mass [kg]"),
-    "frontal.l_1": (float, "contact to stance hip [m]"),
-    "frontal.d_1": (float, "contact to stance-leg CoM [m]"),
-    "frontal.d_2": (float, "swing hip to swing-leg CoM [m]"),
-    "frontal.b": (float, "hip spacing [m]"),
-    "control.torque_limit": (float, "actuator torque saturation [N m]"),
+# key -> (SimConfig attribute path, description); the single source of
+# accepted keys.  Types and defaults are those of the SimConfig dataclasses.
+CONFIG_KEYS: dict[str, tuple[str, str]] = {
+    "sim.dt": ("dt", "integration step [s]"),
+    "sim.duration": ("duration", "simulated time [s]"),
+    "sim.integrator": ("integrator", "semi_implicit | rk4"),
+    "sim.terrain_mode": ("terrain_mode", "granular | rigid"),
+    "sim.decimation": ("decimation", "log every n-th step"),
+    "sim.seed": ("seed", "seed for the initial-state jitter"),
+    "sim.initial_jitter": ("initial_jitter", "initial joint offset amplitude [rad]"),
+    "sim.h_com": ("h_com", "CoM height for dimensionless speed [m]"),
+    "sim.r_eff_cap": ("r_eff_cap", "effective-radius log saturation [m]"),
+    "gait.cycle_period": ("gait.cycle_period", "full gait cycle [s]"),
+    "gait.duty": ("gait.duty", "stance fraction"),
+    "gait.swing_height": ("gait.swing_height", "swing apex clearance [m]"),
+    "gait.v_target": ("gait.v_target", "commanded forward speed [m/s]"),
+    "gait.hip_height": ("gait.hip_height", "hip reference height above surface [m]"),
+    "gait.trunk_ref": ("gait.trunk_ref", "trunk posture reference [rad]"),
+    "terrain.phi_s_deg": ("terrain.phi_s", "internal friction angle [deg]"),
+    "terrain.zeta": ("terrain.zeta", "local stress scaling factor"),
+    "terrain.lambda": ("terrain.lam", "bulldozing saturation length [m]"),
+    "terrain.width": ("terrain.width", "foot width [m]"),
+    "terrain.sand_level": ("terrain.sand_level", "surface height [m]"),
+    "terrain.alpha_scale": ("terrain.alpha_scale", "media stiffness multiplier"),
+    "robot.m_b": ("sagittal.m_b", "trunk mass [kg]"),
+    "robot.m_t": ("sagittal.m_t", "thigh mass [kg]"),
+    "robot.m_c": ("sagittal.m_c", "calf mass [kg]"),
+    "robot.l_t": ("sagittal.l_t", "thigh length [m]"),
+    "robot.l_c": ("sagittal.l_c", "calf length [m]"),
+    "robot.l_b": ("sagittal.l_b", "hip to trunk CoM [m]"),
+    "robot.a_1": ("sagittal.a_1", "hip to thigh CoM [m]"),
+    "robot.a_2": ("sagittal.a_2", "knee to calf CoM [m]"),
+    "robot.g": ("sagittal.g", "gravity [m/s^2]"),
+    "robot.foot_radius": ("foot_radius", "sole radius [m]"),
+    "frontal.m_1": ("frontal.m_1", "stance leg mass [kg]"),
+    "frontal.m_2": ("frontal.m_2", "swing leg mass [kg]"),
+    "frontal.l_1": ("frontal.l_1", "contact to stance hip [m]"),
+    "frontal.d_1": ("frontal.d_1", "contact to stance-leg CoM [m]"),
+    "frontal.d_2": ("frontal.d_2", "swing hip to swing-leg CoM [m]"),
+    "frontal.b": ("frontal.b", "hip spacing [m]"),
+    "control.torque_limit": ("gains.torque_limit", "actuator torque saturation [N m]"),
 }
 
+# the one key whose file value (degrees) differs from its field (radians)
+_DEGREES_KEY = "terrain.phi_s_deg"
 
-def _coerce(key: str, raw) -> object:
-    typ, _ = CONFIG_KEYS[key]
+
+def _coerce(key: str, raw, where: str = "") -> object:
+    """Value of a known key converted to its field type; ``where`` prefixes
+    the diagnostics with the input location."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"{where}unknown configuration key '{key}'")
+    typ = type(_DEFAULTS[key])
     try:
         if typ is int:
             if isinstance(raw, str):
@@ -82,24 +89,22 @@ def _coerce(key: str, raw) -> object:
             return float(raw)
         return str(raw).strip()
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value for '{key}': {raw!r}") from exc
+        raise ConfigError(f"{where}invalid value for '{key}': {raw!r}") from exc
+
+
+def _parse_pair(pair: str, where: str = "") -> tuple[str, object]:
+    """(key, value) of one 'key = value' text pair."""
+    if "=" not in pair:
+        raise ConfigError(f"{where}expected 'key = value', got '{pair}'")
+    key, _, value = pair.partition("=")
+    return key.strip(), _coerce(key.strip(), value, where)
 
 
 def _parse_text(path) -> dict:
-    flat: dict[str, object] = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown configuration key '{key}'")
-            flat[key] = _coerce(key, value)
-    return flat
+        lines = [line.split("#", 1)[0].strip() for line in fh]
+    return dict(_parse_pair(line, f"{path}:{lineno}: ")
+                for lineno, line in enumerate(lines, start=1) if line)
 
 
 def _parse_json(path) -> dict:
@@ -115,10 +120,7 @@ def _parse_json(path) -> dict:
             for k, v in node.items():
                 visit(f"{prefix}.{k}" if prefix else str(k), v)
         else:
-            key = prefix
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}: unknown configuration key '{key}'")
-            flat[key] = _coerce(key, node)
+            flat[prefix] = _coerce(prefix, node, f"{path}: ")
 
     visit("", data)
     return flat
@@ -126,88 +128,33 @@ def _parse_json(path) -> dict:
 
 def parse_overrides(pairs) -> dict:
     """'key=value' strings into a validated flat dict."""
-    flat: dict[str, object] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"override '{pair}' is not of the form key=value")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown configuration key '{key}'")
-        flat[key] = _coerce(key, value)
-    return flat
+    return dict(_parse_pair(pair) for pair in pairs or [])
 
 
 def build_config(flat: dict) -> simulation.SimConfig:
-    """SimConfig from a validated flat key dict (missing keys -> defaults)."""
-    for key in flat:
+    """SimConfig from a validated flat key dict (missing keys -> defaults).
+
+    Unset frontal keys are derived from the robot keys (derived_frontal).
+    """
+    parts = {part: {} for part in ("", "gait", "terrain", "sagittal", "frontal", "gains")}
+    for key, value in flat.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
-
-    def get(key, default):
-        return flat.get(key, default)
+        part, _, name = CONFIG_KEYS[key][0].rpartition(".")
+        parts[part][name] = math.radians(value) if key == _DEGREES_KEY else value
 
     try:
-        gait = gt.GaitConfig(
-            cycle_period=get("gait.cycle_period", 0.4),
-            duty=get("gait.duty", 0.5),
-            swing_height=get("gait.swing_height", 0.10),
-            v_target=get("gait.v_target", 0.2),
-            hip_height=get("gait.hip_height", 0.34),
-            trunk_ref=get("gait.trunk_ref", 0.0),
-        )
-        terrain = tr.TerrainParams(
-            phi_s=math.radians(get("terrain.phi_s_deg", 38.0)),
-            zeta=get("terrain.zeta", 1.36),
-            lam=get("terrain.lambda", 0.03),
-            rho=get("terrain.rho", 1660.0),
-            width=get("terrain.width", 0.05),
-            sand_level=get("terrain.sand_level", 0.0),
-            alpha_scale=get("terrain.alpha_scale", 8.0),
-        )
-        sagittal = dyn.SagittalParams(
-            m_b=get("robot.m_b", 5.0),
-            m_t=get("robot.m_t", 1.0),
-            m_c=get("robot.m_c", 0.5),
-            l_t=get("robot.l_t", 0.14),
-            l_c=get("robot.l_c", 0.28),
-            l_b=get("robot.l_b", 0.15),
-            a_1=get("robot.a_1", 0.07),
-            a_2=get("robot.a_2", 0.13),
-            g=get("robot.g", 9.81),
-        )
-        frontal = dyn.FrontalParams(
-            m_b=sagittal.m_b,
-            m_1=get("frontal.m_1", sagittal.m_t + sagittal.m_c),
-            m_2=get("frontal.m_2", sagittal.m_t + sagittal.m_c),
-            l_1=get("frontal.l_1", sagittal.l_t + sagittal.l_c
-                    + get("robot.foot_radius", 0.04)),
-            d_1=get("frontal.d_1", 0.5 * (sagittal.l_t + sagittal.l_c)),
-            d_2=get("frontal.d_2", 0.20),
-            b=get("frontal.b", 0.12),
-            g=sagittal.g,
-        )
-        gains = gt.Gains(torque_limit=get("control.torque_limit", 60.0))
+        gait = gt.GaitConfig(**parts["gait"])
+        terrain = tr.TerrainParams(**parts["terrain"])
+        sagittal = dyn.SagittalParams(**parts["sagittal"])
+        foot_radius = parts[""].get("foot_radius", _DEFAULTS["robot.foot_radius"])
+        frontal = simulation.derived_frontal(sagittal, foot_radius, **parts["frontal"])
+        gains = gt.Gains(**parts["gains"])
         return simulation.SimConfig(
-            dt=get("sim.dt", 1e-3),
-            duration=get("sim.duration", 2.4),
-            integrator=get("sim.integrator", "semi_implicit"),
-            terrain_mode=get("sim.terrain_mode", "granular"),
-            decimation=get("sim.decimation", 1),
-            seed=get("sim.seed", 0),
-            initial_jitter=get("sim.initial_jitter", 2e-3),
-            foot_radius=get("robot.foot_radius", 0.04),
-            h_com=get("sim.h_com", 0.40),
-            r_eff_cap=get("sim.r_eff_cap", 10.0),
-            gait=gait,
-            terrain=terrain,
-            sagittal=sagittal,
-            frontal=frontal,
-            gains=gains,
+            **parts[""], gait=gait, terrain=terrain, sagittal=sagittal,
+            frontal=frontal, gains=gains,
         )
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
@@ -215,58 +162,20 @@ def load_config(path=None, overrides=None) -> simulation.SimConfig:
     """Configuration from an optional file plus key=value overrides."""
     flat: dict[str, object] = {}
     if path is not None:
-        text = str(path)
-        if text.endswith(".json"):
-            flat.update(_parse_json(path))
-        else:
-            flat.update(_parse_text(path))
+        parse = _parse_json if str(path).endswith(".json") else _parse_text
+        flat.update(parse(path))
     flat.update(parse_overrides(overrides))
     return build_config(flat)
 
 
 def flatten_config(cfg: simulation.SimConfig) -> dict:
     """Effective configuration as the flat key dict."""
-    return {
-        "sim.dt": cfg.dt,
-        "sim.duration": cfg.duration,
-        "sim.integrator": cfg.integrator,
-        "sim.terrain_mode": cfg.terrain_mode,
-        "sim.decimation": cfg.decimation,
-        "sim.seed": cfg.seed,
-        "sim.initial_jitter": cfg.initial_jitter,
-        "sim.h_com": cfg.h_com,
-        "sim.r_eff_cap": cfg.r_eff_cap,
-        "gait.cycle_period": cfg.gait.cycle_period,
-        "gait.duty": cfg.gait.duty,
-        "gait.swing_height": cfg.gait.swing_height,
-        "gait.v_target": cfg.gait.v_target,
-        "gait.hip_height": cfg.gait.hip_height,
-        "gait.trunk_ref": cfg.gait.trunk_ref,
-        "terrain.phi_s_deg": math.degrees(cfg.terrain.phi_s),
-        "terrain.zeta": cfg.terrain.zeta,
-        "terrain.lambda": cfg.terrain.lam,
-        "terrain.rho": cfg.terrain.rho,
-        "terrain.width": cfg.terrain.width,
-        "terrain.sand_level": cfg.terrain.sand_level,
-        "terrain.alpha_scale": cfg.terrain.alpha_scale,
-        "robot.m_b": cfg.sagittal.m_b,
-        "robot.m_t": cfg.sagittal.m_t,
-        "robot.m_c": cfg.sagittal.m_c,
-        "robot.l_t": cfg.sagittal.l_t,
-        "robot.l_c": cfg.sagittal.l_c,
-        "robot.l_b": cfg.sagittal.l_b,
-        "robot.a_1": cfg.sagittal.a_1,
-        "robot.a_2": cfg.sagittal.a_2,
-        "robot.g": cfg.sagittal.g,
-        "robot.foot_radius": cfg.foot_radius,
-        "frontal.m_1": cfg.frontal.m_1,
-        "frontal.m_2": cfg.frontal.m_2,
-        "frontal.l_1": cfg.frontal.l_1,
-        "frontal.d_1": cfg.frontal.d_1,
-        "frontal.d_2": cfg.frontal.d_2,
-        "frontal.b": cfg.frontal.b,
-        "control.torque_limit": cfg.gains.torque_limit,
-    }
+    flat = {key: attrgetter(path)(cfg) for key, (path, _) in CONFIG_KEYS.items()}
+    flat[_DEGREES_KEY] = math.degrees(flat[_DEGREES_KEY])
+    return flat
+
+
+_DEFAULTS = flatten_config(simulation.SimConfig())
 
 
 def config_hash(cfg: simulation.SimConfig) -> str:
@@ -285,6 +194,3 @@ def write_config(path, flat: dict, header: str = "") -> None:
                 raise ConfigError(f"unknown configuration key '{key}'")
             fh.write(f"{key} = {flat[key]}\n")
 
-
-def apply_terrain_mode(cfg: simulation.SimConfig, mode: str) -> simulation.SimConfig:
-    return replace(cfg, terrain_mode=mode)

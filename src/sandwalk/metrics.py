@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -99,15 +101,11 @@ def cot(
     tw = t[mask]
 
     p_col = "power" if norm == "net" else "power_abs_joints"
-    p_act = np.abs(trajectory.column(p_col)[mask])
-    p_s = np.abs(trajectory.column("power_s")[mask])
-    p_f = np.abs(trajectory.column("power_f")[mask])
-    v_x = trajectory.column("com_vx")[mask]
-
-    energy = float(np.trapezoid(p_act, tw))
-    e_s = float(np.trapezoid(p_s, tw))
-    e_f = float(np.trapezoid(p_f, tw))
-    distance = float(np.trapezoid(v_x, tw))
+    energy, e_s, e_f = (
+        float(np.trapezoid(np.abs(trajectory.column(name)[mask]), tw))
+        for name in (p_col, "power_s", "power_f")
+    )
+    distance = float(np.trapezoid(trajectory.column("com_vx")[mask], tw))
     if distance < 1e-6:
         raise ZeroDistanceError(f"walking distance {distance:.3e} m below threshold")
     return CoTReport(
@@ -147,8 +145,9 @@ def resample_stance(
     """
     steps = trajectory.column("step_count").astype(int)
     phase = trajectory.column("stance_phase")
+    columns = np.column_stack([trajectory.column(name) for name in fields])
     grid = np.linspace(0.0, 1.0, n_points)
-    out = {name: [] for name in fields}
+    profiles = []
     last = steps.max()
     for k in np.unique(steps):
         if k < skip_steps or k == last:
@@ -158,12 +157,16 @@ def resample_stance(
         if ph.size < 4:
             continue
         order = np.argsort(ph)
-        for name in fields:
-            col = trajectory.column(name)[sel][order]
-            out[name].append(np.interp(grid, ph[order], col))
-    if any(len(v) == 0 for v in out.values()):
+        stance = columns[sel][order]
+        profiles.append([np.interp(grid, ph[order], col) for col in stance.T])
+    if not profiles:
         raise ValueError("no complete stance available for resampling")
-    return {name: np.mean(np.vstack(v), axis=0) for name, v in out.items()}
+    mean = np.mean(np.array(profiles), axis=0)
+    return dict(zip(fields, mean))
+
+
+# failures that count against a sweep cell; anything else is a defect and raises
+_CELL_ERRORS = (simulation.DivergenceError, ZeroDistanceError, ValueError)
 
 
 def _sweep_cell(cfg: simulation.SimConfig, settle: float):
@@ -182,7 +185,8 @@ def velocity_sweep(
 
     Repeats differ through the seeded initial-state jitter.  A failing run
     (divergence, zero distance) is counted in ``n_failed`` without aborting
-    the sweep.
+    the sweep; serial and parallel runs count the same failures.  At most
+    one worker process per cell is started; with one, cells run in-process.
     """
     velocities = list(velocities)
     if not velocities:
@@ -203,32 +207,27 @@ def velocity_sweep(
                 )
                 cells.append((v, terrain_mode, cfg))
 
-    results: dict[tuple[float, str], list[float]] = {}
-    failures: dict[tuple[float, str], int] = {}
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # CoT of each run of a (velocity, terrain) cell, None for a failed run
+    outcomes: dict[tuple[float, str], list] = {(v, m): [] for v, m, _ in cells}
+    workers = min(jobs, len(cells))
+    with ExitStack() as stack:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [(v, m, pool.submit(_sweep_cell, cfg, settle)) for v, m, cfg in cells]
-            for v, m, fut in futs:
-                key = (v, m)
-                try:
-                    results.setdefault(key, []).append(fut.result())
-                except Exception:
-                    failures[key] = failures.get(key, 0) + 1
-    else:
-        for v, m, cfg in cells:
-            key = (v, m)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            runs = [pool.submit(_sweep_cell, cfg, settle).result for _, _, cfg in cells]
+        else:
+            runs = [partial(_sweep_cell, cfg, settle) for _, _, cfg in cells]
+        for (v, m, _), run_cell in zip(cells, runs):
             try:
-                results.setdefault(key, []).append(_sweep_cell(cfg, settle))
-            except (simulation.DivergenceError, ZeroDistanceError, ValueError):
-                failures[key] = failures.get(key, 0) + 1
+                outcomes[(v, m)].append(run_cell())
+            except _CELL_ERRORS:
+                outcomes[(v, m)].append(None)
 
     rows = []
     for v in velocities:
         for m in terrains:
-            key = (v, m)
-            vals = results.get(key, [])
+            vals = [c for c in outcomes[(v, m)] if c is not None]
             rows.append(
                 SweepRow(
                     v_target=float(v),
@@ -238,7 +237,7 @@ def velocity_sweep(
                     cot_mean=float(np.mean(vals)) if vals else float("nan"),
                     cot_std=float(np.std(vals)) if vals else float("nan"),
                     n_ok=len(vals),
-                    n_failed=failures.get(key, 0),
+                    n_failed=len(outcomes[(v, m)]) - len(vals),
                 )
             )
     return rows

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FootShape",
-    "ContactState",
     "ContactOutsideSoleError",
     "NoRotationError",
     "GAMMA_UNDEFINED",
@@ -165,22 +163,6 @@ def _spline_eval(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq: float):
         - (m[i + 1] - m[i]) * h / 6
     )
     return float(val), float(der)
-
-
-@dataclass
-class ContactState:
-    """Stance-phase rolling bookkeeping."""
-
-    c0: tuple[float, float] = (0.0, 0.0)
-    c1: tuple[float, float] = (0.0, 0.0)
-    theta_r0: float = 0.0
-    theta_r1: float = 0.0
-    gamma: float = GAMMA_UNDEFINED
-    r_eff: float = float("nan")
-
-    @property
-    def delta_theta_r(self) -> float:
-        return self.theta_r1 - self.theta_r0
 
 
 def lowest_point(shape: FootShape, foot_pitch: float, tol: float = 1e-10):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from . import terrain as tr
 
 __all__ = [
     "SimConfig",
+    "derived_frontal",
     "SimRecord",
     "Trajectory",
     "WalkerState",
@@ -50,6 +52,11 @@ class DivergenceError(RuntimeError):
     def __init__(self, t: float, detail: str = ""):
         super().__init__(f"simulation diverged at t={t:.6f} s {detail}".rstrip())
         self.t = t
+        self.detail = detail
+
+    def __reduce__(self):
+        # rebuild from (t, detail), not from the message, across processes
+        return type(self), (self.t, self.detail)
 
 
 @dataclass(frozen=True)
@@ -68,10 +75,13 @@ class SimConfig:
     gait: gt.GaitConfig = field(default_factory=gt.GaitConfig)
     terrain: tr.TerrainParams = field(default_factory=tr.TerrainParams)
     sagittal: dyn.SagittalParams = field(default_factory=dyn.SagittalParams)
-    frontal: dyn.FrontalParams = field(default_factory=dyn.FrontalParams)
+    frontal: dyn.FrontalParams | None = None  # None: derived from sagittal
     gains: gt.Gains = field(default_factory=gt.Gains)
 
     def __post_init__(self) -> None:
+        if self.frontal is None:
+            frontal = derived_frontal(self.sagittal, self.foot_radius)
+            object.__setattr__(self, "frontal", frontal)
         if self.dt <= 0.0:
             raise ValueError("dt must be strictly positive")
         if self.duration < self.gait.cycle_period:
@@ -82,6 +92,19 @@ class SimConfig:
             raise ValueError(f"unknown terrain mode '{self.terrain_mode}'")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
+
+
+def derived_frontal(
+    sagittal: dyn.SagittalParams, foot_radius: float, **overrides
+) -> dyn.FrontalParams:
+    """Frontal-plane parameters of the same robot: each leg weighs m_t + m_c,
+    the stance leg reaches l_t + l_c + foot_radius with its CoM at mid-leg.
+    ``overrides`` replace individual derived values."""
+    leg_mass = sagittal.m_t + sagittal.m_c
+    leg_length = sagittal.l_t + sagittal.l_c
+    derived = dict(m_b=sagittal.m_b, m_1=leg_mass, m_2=leg_mass,
+                   l_1=leg_length + foot_radius, d_1=0.5 * leg_length, g=sagittal.g)
+    return dyn.FrontalParams(**{**derived, **overrides})
 
 
 # record layout; order is the stable CSV column order
@@ -99,102 +122,80 @@ SIM_RECORD_FIELDS = [
 ]
 
 
-@dataclass
-class SimRecord:
-    t: float = 0.0
-    stance_leg: str = "left"
-    stance_phase: float = 0.0
-    step_count: int = 0
-    q_s1: float = 0.0
-    q_s2: float = 0.0
-    q_s3: float = 0.0
-    q_s4: float = 0.0
-    q_s5: float = 0.0
-    dq_s1: float = 0.0
-    dq_s2: float = 0.0
-    dq_s3: float = 0.0
-    dq_s4: float = 0.0
-    dq_s5: float = 0.0
-    x_s: float = 0.0
-    y_s: float = 0.0
-    z_s: float = 0.0      # sinkage depth, positive down
-    dx_s: float = 0.0
-    dy_s: float = 0.0
-    dz_s: float = 0.0     # sinking rate, positive down
-    q_f1: float = 0.0
-    q_f2: float = 0.0
-    q_f3: float = 0.0
-    dq_f1: float = 0.0
-    dq_f2: float = 0.0
-    dq_f3: float = 0.0
-    tau_a1: float = 0.0
-    tau_a2: float = 0.0
-    tau_a3: float = 0.0
-    tau_a4: float = 0.0
-    tau_a5: float = 0.0
-    tau_a6: float = 0.0
-    f_x: float = 0.0
-    f_y: float = 0.0
-    f_z: float = 0.0
-    theta_r: float = 0.0
-    delta_theta_r: float = 0.0
-    gamma: float = float("nan")
-    r_eff: float = 0.0
-    power: float = 0.0
-    power_abs_joints: float = 0.0
-    power_s: float = 0.0
-    power_f: float = 0.0
-    com_x: float = 0.0
-    com_z: float = 0.0
-    com_vx: float = 0.0
-    com_vz: float = 0.0
-    hip_x: float = 0.0
-    hip_z: float = 0.0
+# stance_leg is stored as an index into this tuple
+_LEG_NAMES = ("left", "right")
+_FIELD_INDEX = {name: i for i, name in enumerate(SIM_RECORD_FIELDS)}
+_LEG = _FIELD_INDEX["stance_leg"]
+_STEP = _FIELD_INDEX["step_count"]
+
+#: One trajectory row, with ``stance_leg`` as "left"/"right" and
+#: ``step_count`` as int.  ``z_s`` is the sinkage depth and ``dz_s`` the
+#: sinking rate, both positive down.
+SimRecord = namedtuple("SimRecord", SIM_RECORD_FIELDS)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    records: list[SimRecord]
+    """Logged records as one ``(n_records, len(SIM_RECORD_FIELDS))`` float64
+    array; column j holds field ``SIM_RECORD_FIELDS[j]`` and ``stance_leg``
+    holds 0 (left) or 1 (right)."""
+
+    data: np.ndarray
     meta: dict
 
+    def __post_init__(self) -> None:
+        if self.data.ndim != 2 or self.data.shape[1] != len(SIM_RECORD_FIELDS):
+            raise ValueError(f"trajectory data of shape {self.data.shape} is not "
+                             f"(n_records, {len(SIM_RECORD_FIELDS)})")
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    @property
+    def records(self) -> list[SimRecord]:
+        """Row view, built on demand.  NaN cells share one object, so rows of
+        equal data compare equal (tuple equality tests identity first)."""
+        rows = self._rows(np.isnan(self.data), math.nan)
+        return [SimRecord._make(row) for row in rows]
+
+    def _rows(self, mask=None, fill=None) -> list[list]:
+        """Rows as lists of Python values, ``stance_leg`` as text and
+        ``step_count`` as int; cells where ``mask`` holds become ``fill``."""
+        rows = self.data.tolist()
+        for row in rows:
+            row[_LEG] = _LEG_NAMES[int(row[_LEG])]
+            row[_STEP] = int(row[_STEP])
+        if mask is not None:
+            for i, j in zip(*np.nonzero(mask)):
+                rows[i][j] = fill
+        return rows
+
     def column(self, name: str) -> np.ndarray:
-        if name not in SIM_RECORD_FIELDS:
-            raise KeyError(f"unknown trajectory field '{name}'")
+        """Read-only view of one numeric field."""
         if name == "stance_leg":
             raise KeyError("stance_leg is not numeric")
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
+        if name not in _FIELD_INDEX:
+            raise KeyError(f"unknown trajectory field '{name}'")
+        col = self.data[:, _FIELD_INDEX[name]]
+        col.flags.writeable = False
+        return col
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(SIM_RECORD_FIELDS) + "\n")
-            for r in self.records:
-                vals = []
-                for name in SIM_RECORD_FIELDS:
-                    v = getattr(r, name)
-                    if name == "stance_leg":
-                        vals.append(v)
-                    elif name == "step_count":
-                        vals.append(str(int(v)))
-                    else:
-                        vals.append(repr(float(v)))
-                fh.write(",".join(vals) + "\n")
+            # str of a Python float is its shortest round-trip repr
+            fh.writelines(",".join(map(str, row)) + "\n" for row in self._rows())
 
     def save_json(self, path) -> None:
-        def cell(value):
-            if isinstance(value, float) and not math.isfinite(value):
-                return None  # strict JSON has no NaN
-            return value
-
         payload = {
             "meta": self.meta,
             "columns": SIM_RECORD_FIELDS,
-            "records": [
-                [cell(getattr(r, name)) for name in SIM_RECORD_FIELDS]
-                for r in self.records
-            ],
+            # strict JSON has no NaN
+            "records": self._rows(~np.isfinite(self.data), None),
         }
+        # dumps runs the C encoder; dump streams through the Python one
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":
@@ -202,19 +203,18 @@ class Trajectory:
             header = fh.readline().strip().split(",")
             if header != SIM_RECORD_FIELDS:
                 raise ValueError(f"{path}: unexpected trajectory header")
-            records = []
-            for line in fh:
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
                 parts = line.rstrip("\n").split(",")
-                kwargs = {}
-                for name, raw in zip(SIM_RECORD_FIELDS, parts):
-                    if name == "stance_leg":
-                        kwargs[name] = raw
-                    elif name == "step_count":
-                        kwargs[name] = int(raw)
-                    else:
-                        kwargs[name] = float(raw)
-                records.append(SimRecord(**kwargs))
-        return cls(records=records, meta={"source": str(path)})
+                try:
+                    if len(parts) != len(SIM_RECORD_FIELDS):
+                        raise ValueError(f"{len(parts)} fields")
+                    parts[_LEG] = _LEG_NAMES.index(parts[_LEG])
+                    rows.append(list(map(float, parts)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
+        data = np.array(rows, dtype=float).reshape(-1, len(SIM_RECORD_FIELDS))
+        return cls(data=data, meta={"source": str(path)})
 
 
 @dataclass
@@ -444,23 +444,18 @@ _FRONT_FREE = [2, 3]             # lean and crossbar rows held, vertical imposed
 _DIRECTION_FLOOR = 0.05  # m/s; regularizes the stress direction switch at rest
 
 
-def _grf_granular(ws: WalkerState, cfg: SimConfig):
-    depth = max(0.0, -float(ws.q_s[6]))
-    dx = float(ws.dq_s[5])
-    dz = float(ws.dq_s[6])
+def _grf_granular(cfg: SimConfig, q_s, dq_s, q_f, dq_f):
+    depth = max(0.0, -float(q_s[6]))
+    dx = float(dq_s[5])
+    dz = float(dq_s[6])
     gamma = rl.velocity_angle(dx, dz)
     # Smooth the wedge-face orientation switch across zero horizontal rate:
     # evaluate both leading-face directions and blend by the horizontal
     # fraction, which removes the rest-state force discontinuity.
     hyp = math.hypot(dx, _DIRECTION_FLOOR)
     w = 0.5 * (1.0 + dx / hyp)
-    kin = tr.IntrusionKinematics(
-        depth=depth,
-        gamma=math.atan2(dz, hyp),
-        v_sagittal=(dx, dz),
-        v_frontal=(float(ws.dq_f[3]), dz),
-        y_slip=float(ws.q_f[3]),
-    )
+    kin = tr.IntrusionKinematics(depth=depth, gamma=math.atan2(dz, hyp),
+                                 y_slip=float(q_f[3]))
     fwd = tr.sagittal_forces(cfg.terrain, kin)
     kin.gamma = math.atan2(dz, -hyp)
     bwd = tr.sagittal_forces(cfg.terrain, kin)
@@ -469,19 +464,18 @@ def _grf_granular(ws: WalkerState, cfg: SimConfig):
         f_z=w * fwd.f_z + (1.0 - w) * bwd.f_z,
     )
     f_y = tr.lateral_force(cfg.terrain, kin)
-    return grf, f_y, gamma, depth
+    return grf, f_y, gamma
 
 
-def _accelerations(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
+def _accelerations(cfg: SimConfig, q_s, dq_s, q_f, dq_f, tau_s, tau_f):
     """Reduced constrained accelerations plus ground reaction forces."""
-    sag_state = dyn.SagittalState(ws.q_s, ws.dq_s)
-    d_s, c_s, g_s = dyn.assemble_sagittal(cfg.sagittal, sag_state)
-    rhs_s = -c_s @ ws.dq_s - g_s
+    d_s, c_s, g_s = dyn.assemble_sagittal(cfg.sagittal, dyn.SagittalState(q_s, dq_s))
+    rhs_s = -c_s @ dq_s - g_s
     rhs_s[:4] += tau_s
 
     qdd_s = np.zeros(7)
     if cfg.terrain_mode == "granular":
-        grf, f_y, gamma, depth = _grf_granular(ws, cfg)
+        grf, f_y, gamma = _grf_granular(cfg, q_s, dq_s, q_f, dq_f)
         rhs_s[5] += grf.f_x
         rhs_s[6] += grf.f_z
         idx = _SAG_FREE
@@ -490,18 +484,16 @@ def _accelerations(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
     else:
         idx = [0, 1, 2, 3]
         qdd_s[idx] = np.linalg.solve(d_s[np.ix_(idx, idx)], rhs_s[idx])
-        resid = d_s @ qdd_s + c_s @ ws.dq_s + g_s
+        resid = d_s @ qdd_s + c_s @ dq_s + g_s
         f_x = float(resid[5])
         f_z = float(resid[6])
         f_y = 0.0
         gamma = 0.0
-        depth = 0.0
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
     # lateral slip dynamic; the crossbar row residual is the holding torque
-    fr_state = dyn.FrontalState(ws.q_f, ws.dq_f)
-    d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, fr_state)
-    rhs_f = -c_f @ ws.dq_f - g_f
+    d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState(q_f, dq_f))
+    rhs_f = -c_f @ dq_f - g_f
     rhs_f[2] += tau_f[1]
     qdd_f = np.zeros(5)
     if cfg.terrain_mode == "granular":
@@ -513,39 +505,51 @@ def _accelerations(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
         qdd_f[4] = zdd
     else:
         qdd_f[2] = rhs_f[2] / d_f[2, 2]
-        resid = d_f @ qdd_f + c_f @ ws.dq_f + g_f
+        resid = d_f @ qdd_f + c_f @ dq_f + g_f
         f_y = float(resid[3])
     # crossbar holding torque (reported as the hip-pair torque demand)
-    tau_bar = float((d_f @ qdd_f + c_f @ ws.dq_f + g_f)[1])
+    tau_bar = float((d_f @ qdd_f + c_f @ dq_f + g_f)[1])
 
-    return qdd_s, qdd_f, f_x, f_y, f_z, gamma, depth, tau_bar
+    return qdd_s, qdd_f, f_x, f_y, f_z, gamma, tau_bar
+
+
+def _ode_step(method: str, q: np.ndarray, dq: np.ndarray, acc, dt: float):
+    """One step of q'' = acc(q, dq): symplectic Euler or classical RK4."""
+    if method == "semi_implicit":
+        dq = dq + acc(q, dq) * dt
+        return q + dq * dt, dq
+    if method != "rk4":
+        raise ValueError(f"unknown integrator '{method}'")
+    h = 0.5 * dt
+    k1q, k1v = dq, acc(q, dq)
+    k2q, k2v = dq + h * k1v, acc(q + h * k1q, dq + h * k1v)
+    k3q, k3v = dq + h * k2v, acc(q + h * k2q, dq + h * k2v)
+    k4q, k4v = dq + dt * k3v, acc(q + dt * k3q, dq + dt * k3v)
+    return (
+        q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
+        dq + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
+    )
 
 
 def _integrate(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
-    dt = cfg.dt
-    if cfg.integrator == "semi_implicit":
-        qdd_s, qdd_f, *forces = _accelerations(ws, cfg, tau_s, tau_f)
-        ws.dq_s += qdd_s * dt
-        ws.q_s += ws.dq_s * dt
-        ws.dq_f += qdd_f * dt
-        ws.q_f += ws.dq_f * dt
-    else:  # rk4 with torques held over the step
-        def deriv(q_s, dq_s, q_f, dq_f):
-            probe = copy.copy(ws)
-            probe.q_s, probe.dq_s, probe.q_f, probe.dq_f = q_s, dq_s, q_f, dq_f
-            qdd_s, qdd_f, *_ = _accelerations(probe, cfg, tau_s, tau_f)
-            return dq_s, qdd_s, dq_f, qdd_f
+    """Advance the state one step with the torques held; returns
+    (f_x, f_y, f_z, gamma, tau_bar) of the last state evaluated:
+    the step's start for semi_implicit, its end for rk4."""
+    forces = None
 
-        y = (ws.q_s, ws.dq_s, ws.q_f, ws.dq_f)
-        k1 = deriv(*y)
-        k2 = deriv(*(y[i] + 0.5 * dt * k1[i] for i in range(4)))
-        k3 = deriv(*(y[i] + 0.5 * dt * k2[i] for i in range(4)))
-        k4 = deriv(*(y[i] + dt * k3[i] for i in range(4)))
-        ws.q_s = y[0] + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        ws.dq_s = y[1] + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        ws.q_f = y[2] + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        ws.dq_f = y[3] + dt / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        qdd_s, qdd_f, *forces = _accelerations(ws, cfg, tau_s, tau_f)
+    def acc(q, dq):
+        nonlocal forces
+        qdd_s, qdd_f, *forces = _accelerations(
+            cfg, q[:7], dq[:7], q[7:], dq[7:], tau_s, tau_f
+        )
+        return np.concatenate((qdd_s, qdd_f))
+
+    q0 = np.concatenate((ws.q_s, ws.q_f))
+    dq0 = np.concatenate((ws.dq_s, ws.dq_f))
+    q, dq = _ode_step(cfg.integrator, q0, dq0, acc, cfg.dt)
+    if cfg.integrator == "rk4":
+        acc(q, dq)
+    ws.q_s, ws.q_f, ws.dq_s, ws.dq_f = q[:7], q[7:], dq[:7], dq[7:]
     # posture holds and mode clamps
     ws.q_s[4] = cfg.gait.trunk_ref
     ws.dq_s[4] = 0.0
@@ -562,6 +566,16 @@ def _integrate(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
     ws.q_f[4] = ws.q_s[6]
     ws.dq_f[4] = ws.dq_s[6]
     return forces
+
+
+def _contact_angle(ws: WalkerState, shape: rl.FootShape) -> float:
+    """Orientation angle theta_r of the stance-foot contact point; a contact
+    that leaves the sole ends the run as a divergence."""
+    try:
+        contact = rl.lowest_point(shape, float(ws.q_s[1]))
+    except rl.ContactOutsideSoleError as exc:
+        raise DivergenceError(ws.t, f"({exc})") from exc
+    return rl.orientation_angle(shape, contact)
 
 
 def _swap_stance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape) -> None:
@@ -592,12 +606,7 @@ def _swap_stance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape) -> None:
     ws.q_f = np.array([0.0, math.pi - p[1], -p[2], 0.0, ws.q_s[6]])
     ws.dq_f = np.array([0.0, -dp[1], -dp[2], 0.0, ws.dq_s[6]])
 
-    pitch = float(ws.q_s[1])
-    try:
-        xr, zr = rl.lowest_point(shape, pitch)
-    except rl.ContactOutsideSoleError as exc:
-        raise DivergenceError(ws.t, f"({exc})") from exc
-    ws.theta_r0 = rl.orientation_angle(shape, (xr, zr))
+    ws.theta_r0 = _contact_angle(ws, shape)
     ws.t_stance_start = ws.t
     ws.step_count += 1
     ws.prev_swing_height = float("inf")
@@ -610,14 +619,13 @@ def _swap_stance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape) -> None:
     ws.r_latch = min(max(r, 0.2 * r_max), r_max)
 
 
-def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape) -> SimRecord:
-    """One fixed step; returns the post-step record."""
+def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape, out: np.ndarray) -> None:
+    """One fixed step; writes the post-step record into the row ``out``."""
     tau_a, dq_a, tau_s, tau_f = _control(ws, cfg)
     # rates at the control instant, for consistent power accounting
     dq_s_act = ws.dq_s[:4].copy()
     dq_f_act = ws.dq_f[1:3].copy()
-    forces = _integrate(ws, cfg, tau_s, tau_f)
-    f_x, f_y, f_z, gamma, depth, tau_bar = forces
+    f_x, f_y, f_z, gamma, tau_bar = _integrate(ws, cfg, tau_s, tau_f)
     ws.t += cfg.dt
 
     # reported hip torques: crossbar holding demand plus the swing-side PD
@@ -631,12 +639,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape) -> SimRecord:
         raise DivergenceError(ws.t)
 
     # rolling bookkeeping on the stance foot
-    pitch = float(ws.q_s[1])
-    try:
-        xr, zr = rl.lowest_point(shape, pitch)
-    except rl.ContactOutsideSoleError as exc:
-        raise DivergenceError(ws.t, f"({exc})") from exc
-    theta_r = rl.orientation_angle(shape, (xr, zr))
+    theta_r = _contact_angle(ws, shape)
     d_theta = rl.rolling_angle(ws.theta_r0, theta_r)
     v_contact = (float(ws.dq_s[5]), float(ws.dq_s[6]))
     try:
@@ -654,32 +657,18 @@ def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape) -> SimRecord:
     hip = _hip(ws, cfg)
     phase = min(max((ws.t - ws.t_stance_start) / cfg.gait.stance_duration, 0.0), 1.0)
 
-    rec = SimRecord(
-        t=ws.t,
-        stance_leg=ws.stance.value,
-        stance_phase=phase,
-        step_count=ws.step_count,
-        q_s1=float(ws.q_s[0]), q_s2=float(ws.q_s[1]), q_s3=float(ws.q_s[2]),
-        q_s4=float(ws.q_s[3]), q_s5=float(ws.q_s[4]),
-        dq_s1=float(ws.dq_s[0]), dq_s2=float(ws.dq_s[1]), dq_s3=float(ws.dq_s[2]),
-        dq_s4=float(ws.dq_s[3]), dq_s5=float(ws.dq_s[4]),
-        x_s=float(ws.q_s[5]),
-        y_s=float(ws.q_f[3]),
-        z_s=max(0.0, -float(ws.q_s[6])),
-        dx_s=float(ws.dq_s[5]),
-        dy_s=float(ws.dq_f[3]),
-        dz_s=-float(ws.dq_s[6]),
-        q_f1=float(ws.q_f[0]), q_f2=float(ws.q_f[1]), q_f3=float(ws.q_f[2]),
-        dq_f1=float(ws.dq_f[0]), dq_f2=float(ws.dq_f[1]), dq_f3=float(ws.dq_f[2]),
-        tau_a1=float(tau_a[0]), tau_a2=float(tau_a[1]), tau_a3=float(tau_a[2]),
-        tau_a4=float(tau_a[3]), tau_a5=float(tau_a[4]), tau_a6=float(tau_a[5]),
-        f_x=float(f_x), f_y=float(f_y), f_z=float(f_z),
-        theta_r=theta_r, delta_theta_r=d_theta, gamma=gamma, r_eff=float(r_eff),
-        power=power, power_abs_joints=power_abs, power_s=power_s, power_f=power_f,
-        com_x=float(com[0]), com_z=float(com[1]),
-        com_vx=float(com_v[0]), com_vz=float(com_v[1]),
-        hip_x=float(hip[0]), hip_z=float(hip[1]),
-    )
+    q_s, dq_s, q_f, dq_f = (a.tolist() for a in (ws.q_s, ws.dq_s, ws.q_f, ws.dq_f))
+    out[:] = [  # SIM_RECORD_FIELDS order
+        ws.t, _LEG_NAMES.index(ws.stance.value), phase, ws.step_count,
+        *q_s[:5], *dq_s[:5],
+        q_s[5], q_f[3], max(0.0, -q_s[6]), dq_s[5], dq_f[3], -dq_s[6],
+        *q_f[:3], *dq_f[:3],
+        *tau_a.tolist(),
+        f_x, f_y, f_z,
+        theta_r, d_theta, gamma, r_eff,
+        power, power_abs, power_s, power_f,
+        *com.tolist(), *com_v.tolist(), *hip.tolist(),
+    ]
 
     # touchdown: crossing detector armed past the swing apex, forced at the
     # schedule boundary (swing timing known in advance)
@@ -691,15 +680,15 @@ def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape) -> SimRecord:
         _swap_stance(ws, cfg, shape)
     else:
         ws.prev_swing_height = swing_h
-    return rec
 
 
 def step(ws: WalkerState, cfg: SimConfig):
     """Advance a copy of the state by one step; returns (state', record)."""
     shape = rl.FootShape.semicylinder(cfg.foot_radius)
     out = copy.deepcopy(ws)
-    rec = _advance(out, cfg, shape)
-    return out, rec
+    row = np.empty((1, len(SIM_RECORD_FIELDS)))
+    _advance(out, cfg, shape, row[0])
+    return out, Trajectory(row, {}).records[0]
 
 
 def initial_state(cfg: SimConfig) -> WalkerState:
@@ -737,11 +726,12 @@ def run(cfg: SimConfig) -> Trajectory:
     ws = initial_state(cfg)
     shape = rl.FootShape.semicylinder(cfg.foot_radius)
     n_steps = int(round(cfg.duration / cfg.dt))
-    records = []
-    for k in range(1, n_steps + 1):
-        rec = _advance(ws, cfg, shape)
-        if k % cfg.decimation == 0:
-            records.append(rec)
+    # every step writes its decimation block's row, so a row ends up holding
+    # the block's last (logged) step; trailing steps of an incomplete block
+    # go to a spare row that is dropped
+    data = np.empty((n_steps // cfg.decimation + 1, len(SIM_RECORD_FIELDS)))
+    for k in range(n_steps):
+        _advance(ws, cfg, shape, data[k // cfg.decimation])
     meta = {
         "dt": cfg.dt,
         "duration": cfg.duration,
@@ -758,7 +748,7 @@ def run(cfg: SimConfig) -> Trajectory:
         "cycle_period": cfg.gait.cycle_period,
         "stance_duration": cfg.gait.stance_duration,
     }
-    return Trajectory(records=records, meta=meta)
+    return Trajectory(data[: n_steps // cfg.decimation], meta)
 
 
 def integrate_free(
@@ -782,16 +772,5 @@ def integrate_free(
     q = np.array(q0, dtype=float)
     dq = np.array(dq0, dtype=float)
     for _ in range(n_steps):
-        if method == "rk4":
-            k1q, k1v = dq, acc(q, dq)
-            k2q, k2v = dq + 0.5 * dt * k1v, acc(q + 0.5 * dt * k1q, dq + 0.5 * dt * k1v)
-            k3q, k3v = dq + 0.5 * dt * k2v, acc(q + 0.5 * dt * k2q, dq + 0.5 * dt * k2v)
-            k4q, k4v = dq + dt * k3v, acc(q + dt * k3q, dq + dt * k3v)
-            q = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-            dq = dq + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        elif method == "semi_implicit":
-            dq = dq + acc(q, dq) * dt
-            q = q + dq * dt
-        else:
-            raise ValueError(f"unknown integrator '{method}'")
+        q, dq = _ode_step(method, q, dq, acc, dt)
     return q, dq

@@ -74,7 +74,6 @@ class TerrainParams:
     phi_s: float = math.radians(38.0)  # internal friction angle [rad]
     zeta: float = 1.36                 # calibrated local-stress scaling factor
     lam: float = 0.03                  # bulldozing saturation length [m]
-    rho: float = 1660.0                # bulk density [kg/m^3]
     width: float = 0.05                # foot width [m]
     sand_level: float = 0.0            # surface height [m]
     alpha_scale: float = 8.0           # media stiffness relative to the generic table
@@ -87,8 +86,6 @@ class TerrainParams:
             raise ValueError("zeta must be strictly positive")
         if self.lam <= 0.0:
             raise ValueError("lam must be strictly positive")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be strictly positive")
         if self.width <= 0.0:
             raise ValueError("width must be strictly positive")
         if self.alpha_scale <= 0.0:
@@ -108,10 +105,7 @@ class IntrusionKinematics:
 
     depth: float = 0.0
     gamma: float = float("nan")
-    v_sagittal: tuple[float, float] = (0.0, 0.0)
-    v_frontal: tuple[float, float] = (0.0, 0.0)
     y_slip: float = 0.0
-    beta: float | None = None  # wedge face attack angle; None -> phi_s
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,6 @@ class PenetrationRecord:
 
     displacement: float  # depth [m] (vertical test) or travel [m] (horizontal)
     force: float         # [N]
-    direction: str = "vertical"
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,8 @@ def wedge_area(depth: float, phi_s: float) -> float:
 def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagittal:
     """Sagittal ground reaction force (F_x, F_z) on the stance foot.
 
-    F_j = zeta * alpha_j(beta, gamma) * W * z^2 / (2 tan phi_s).  Zero depth
+    F_j = zeta * alpha_j(phi_s, gamma) * W * z^2 / (2 tan phi_s): the wedge
+    face sits at the internal friction angle phi_s.  Zero depth
     gives zero force; the horizontal component opposes the slip direction
     and the vertical component opposes penetration (it turns tensile on the
     extraction branch).
@@ -207,7 +201,6 @@ def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagi
         raise ValueError("sinkage depth must be non-negative")
     if kin.depth == 0.0:
         return GrfSagittal(0.0, 0.0)
-    beta = terrain.phi_s if kin.beta is None else kin.beta
     # the wedge face rides the leading side of a symmetric foot, so fold the
     # motion into the positive-horizontal frame and sign the drag afterwards
     gamma = kin.gamma
@@ -219,7 +212,7 @@ def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagi
             sign = -1.0
             gamma = math.atan2(vz, -vx)
     a_x, a_z = local_stress(
-        beta, gamma, terrain.zeta, terrain.coefficients, terrain.alpha_scale
+        terrain.phi_s, gamma, terrain.zeta, terrain.coefficients, terrain.alpha_scale
     )
     geom = terrain.width * wedge_area(kin.depth, terrain.phi_s)
     return GrfSagittal(f_x=-sign * a_x * geom, f_z=a_z * geom)
@@ -295,12 +288,10 @@ def lateral_force(terrain: TerrainParams, kin: IntrusionKinematics) -> float:
 
 def _vertical_model(terrain: TerrainParams, depth: np.ndarray, plate_width: float) -> np.ndarray:
     """Plate force-depth law used for the vertical fit, at unit zeta."""
-    unit = replace(terrain, zeta=1.0)
-    kin = IntrusionKinematics(depth=1.0, gamma=-math.pi / 2)
-    a_x, a_z = local_stress(
-        unit.phi_s, kin.gamma, 1.0, unit.coefficients, unit.alpha_scale
+    _, a_z = local_stress(
+        terrain.phi_s, -math.pi / 2, 1.0, terrain.coefficients, terrain.alpha_scale
     )
-    k = a_z * plate_width / (2.0 * math.tan(unit.phi_s))
+    k = a_z * plate_width / (2.0 * math.tan(terrain.phi_s))
     return k * depth ** 2
 
 

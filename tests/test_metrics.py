@@ -11,22 +11,28 @@ from sandwalk.metrics import (
     rmse,
     velocity_sweep,
 )
-from sandwalk.sim import SimRecord, Trajectory
+from sandwalk.sim import SIM_RECORD_FIELDS, Trajectory
 from sandwalk.config import build_config
+
+
+def columnar_trajectory(meta, **columns):
+    """Trajectory whose named columns hold the given series, all others 0."""
+    n = len(columns["t"])
+    data = np.zeros((n, len(SIM_RECORD_FIELDS)))
+    for name, values in columns.items():
+        data[:, SIM_RECORD_FIELDS.index(name)] = values
+    return Trajectory(data, meta)
 
 
 def synthetic_trajectory(power, v_x, duration=1.0, dt=1e-3, t0=0.0,
                          robot_weight=2.0):
-    records = []
-    n = int(round(duration / dt))
-    for k in range(n + 1):
-        t = t0 + k * dt
-        records.append(SimRecord(
-            t=t, power=power, power_abs_joints=abs(power),
-            power_s=power, power_f=0.0, com_vx=v_x,
-            stance_phase=(k % 200) / 200.0, step_count=k // 200 + 1,
-        ))
-    return Trajectory(records=records, meta={"robot_weight": robot_weight})
+    k = np.arange(int(round(duration / dt)) + 1)
+    return columnar_trajectory(
+        {"robot_weight": robot_weight},
+        t=t0 + k * dt, power=power,
+        power_abs_joints=abs(power), power_s=power, power_f=0.0, com_vx=v_x,
+        stance_phase=(k % 200) / 200.0, step_count=k // 200 + 1,
+    )
 
 
 def test_cot_constant_power_case():
@@ -65,13 +71,11 @@ def test_cot_decimation_refinement():
     # sinusoidal |power|: the trapezoidal integral converges as the log
     # density increases
     def traj_at(dt):
-        records = []
-        for k in range(int(1.0 / dt) + 1):
-            t = k * dt
-            p = math_sin = np.sin(2 * np.pi * t) * 2.0
-            records.append(SimRecord(t=t, power=p, power_abs_joints=abs(p),
-                                     power_s=p, power_f=0.0, com_vx=1.0))
-        return Trajectory(records, {"robot_weight": 2.0})
+        t = np.array([k * dt for k in range(int(1.0 / dt) + 1)])
+        p = np.sin(2 * np.pi * t) * 2.0
+        return columnar_trajectory({"robot_weight": 2.0}, t=t, power=p,
+                                   power_abs_joints=np.abs(p), power_s=p,
+                                   power_f=0.0, com_vx=1.0)
 
     coarse = cot(traj_at(2e-3), robot_weight=2.0).cot
     fine = cot(traj_at(5e-4), robot_weight=2.0).cot
@@ -142,3 +146,22 @@ def test_velocity_sweep_sand_above_rigid():
     assert len(rows) == 4
     for v in (0.2, 0.3):
         assert by_cell[(v, "granular")] > by_cell[(v, "rigid")]
+
+
+def test_velocity_sweep_serial_matches_parallel():
+    base = build_config({"sim.duration": 0.8})
+    serial = velocity_sweep(base, [0.2, 0.3], repeats=1, jobs=1)
+    assert velocity_sweep(base, [0.2, 0.3], repeats=1, jobs=2) == serial
+    assert all(r.n_ok == 1 and r.n_failed == 0 for r in serial)
+
+
+def test_velocity_sweep_counts_divergence_in_both_paths():
+    from dataclasses import replace
+    from sandwalk.gait import Gains
+    wild = replace(build_config({"sim.duration": 0.8}),
+                   gains=Gains(kp=np.full(6, 4e5), kd=np.full(6, 4e4),
+                               torque_limit=1e9))
+    for jobs in (1, 2):
+        rows = velocity_sweep(wild, [0.2, 0.3], repeats=1,
+                              terrains=("granular",), jobs=jobs)
+        assert [(r.n_ok, r.n_failed) for r in rows] == [(0, 1), (0, 1)]

@@ -207,10 +207,3 @@ def test_contour_csv_ingestion(tmp_path):
 
     with pytest.raises(ValueError):
         FootShape.from_table(xs, -zs)  # concave contour
-
-
-def test_contact_state_bookkeeping():
-    from sandwalk.rolling import ContactState
-
-    state = ContactState(theta_r0=0.1, theta_r1=0.25)
-    assert state.delta_theta_r == pytest.approx(0.15)

@@ -235,14 +235,14 @@ def synthetic_records(terrain, zeta, lam, noise, rng, plate_width, plate_depth):
             IntrusionKinematics(depth=float(depth), gamma=DOWN),
         ).f_z
         f *= 1.0 + noise * rng.standard_normal()
-        vertical.append(PenetrationRecord(float(depth), float(f), "vertical"))
+        vertical.append(PenetrationRecord(float(depth), float(f)))
     horizontal = []
     for disp in np.linspace(0.004, 0.12, 20):
         f = abs(lateral_force(truth, IntrusionKinematics(depth=plate_depth,
                                                          gamma=DOWN,
                                                          y_slip=float(disp))))
         f *= 1.0 + noise * rng.standard_normal()
-        horizontal.append(PenetrationRecord(float(disp), float(f), "horizontal"))
+        horizontal.append(PenetrationRecord(float(disp), float(f)))
     return vertical, horizontal
 
 
