@@ -5,13 +5,11 @@ __version__ = "0.1.0"
 from .dynamics import (
     FrontalParams,
     FrontalState,
-    GrfFrontal,
     GrfSagittal,
     SagittalParams,
     SagittalState,
     assemble_frontal,
     assemble_sagittal,
-    frontal_accel,
     sagittal_accel,
 )
 from .gait import GaitConfig, Gains, Side, cycloid_swing, leg_ik, track_joints
@@ -38,8 +36,8 @@ from .terrain import (
 __all__ = [
     "__version__",
     "SagittalParams", "FrontalParams", "SagittalState", "FrontalState",
-    "GrfSagittal", "GrfFrontal",
-    "assemble_sagittal", "sagittal_accel", "assemble_frontal", "frontal_accel",
+    "GrfSagittal",
+    "assemble_sagittal", "sagittal_accel", "assemble_frontal",
     "TerrainParams", "IntrusionKinematics", "PenetrationRecord",
     "local_stress", "sagittal_forces", "lateral_force", "calibrate",
     "FootShape", "lowest_point", "orientation_angle",

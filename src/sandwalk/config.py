@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 from operator import attrgetter
 
 from . import dynamics as dyn
@@ -147,13 +148,13 @@ def build_config(flat: dict) -> simulation.SimConfig:
         gait = gt.GaitConfig(**parts["gait"])
         terrain = tr.TerrainParams(**parts["terrain"])
         sagittal = dyn.SagittalParams(**parts["sagittal"])
-        foot_radius = parts[""].get("foot_radius", _DEFAULTS["robot.foot_radius"])
-        frontal = simulation.derived_frontal(sagittal, foot_radius, **parts["frontal"])
         gains = gt.Gains(**parts["gains"])
-        return simulation.SimConfig(
-            **parts[""], gait=gait, terrain=terrain, sagittal=sagittal,
-            frontal=frontal, gains=gains,
-        )
+        cfg = simulation.SimConfig(
+            **parts[""], gait=gait, terrain=terrain, sagittal=sagittal, gains=gains)
+        if parts["frontal"]:
+            frontal = simulation.derived_frontal(sagittal, cfg.foot_radius, **parts["frontal"])
+            cfg = replace(cfg, frontal=frontal)
+        return cfg
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 

@@ -34,11 +34,9 @@ __all__ = [
     "SagittalState",
     "FrontalState",
     "GrfSagittal",
-    "GrfFrontal",
     "assemble_sagittal",
     "sagittal_accel",
     "assemble_frontal",
-    "frontal_accel",
     "sagittal_energy",
     "frontal_energy",
 ]
@@ -68,7 +66,7 @@ class SagittalParams:
     g: float = 9.81
 
     def __post_init__(self) -> None:
-        for name in ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2"):
+        for name in ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2", "g"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.a_1 > self.l_t:
@@ -190,14 +188,6 @@ class GrfSagittal:
     """Ground reaction force on the stance foot in the sagittal plane [N]."""
 
     f_x: float = 0.0
-    f_z: float = 0.0
-
-
-@dataclass(frozen=True)
-class GrfFrontal:
-    """Ground reaction force on the stance foot in the frontal plane [N]."""
-
-    f_y: float = 0.0
     f_z: float = 0.0
 
 
@@ -402,26 +392,6 @@ def assemble_frontal(params: FrontalParams, state: FrontalState):
     D, dD, G = _frontal_terms(params, state.q)
     C = _coriolis_from_partials(dD, state.dq)
     return D, C, G
-
-
-def frontal_accel(
-    params: FrontalParams,
-    state: FrontalState,
-    tau: np.ndarray,
-    grf: GrfFrontal,
-) -> np.ndarray:
-    """Forward dynamics of the frontal model.
-
-    ``tau`` holds the two hip torques and actuates coordinates 2-3
-    (B = [0 I2 0]^T); F_y and F_z load the slip and intrusion rows.
-    """
-    tau = _as_vector(tau, 2, "tau")
-    D, C, G = assemble_frontal(params, state)
-    rhs = -C @ state.dq - G
-    rhs[1:3] += tau
-    rhs[3] += grf.f_y
-    rhs[4] += grf.f_z
-    return np.linalg.solve(D, rhs)
 
 
 def frontal_energy(params: FrontalParams, state: FrontalState) -> tuple[float, float]:

@@ -38,7 +38,6 @@ __all__ = [
     "WalkerState",
     "DivergenceError",
     "detect_touchdown",
-    "surface_crossings",
     "initial_state",
     "step",
     "run",
@@ -79,11 +78,12 @@ class SimConfig:
     gains: gt.Gains = field(default_factory=gt.Gains)
 
     def __post_init__(self) -> None:
+        for name in ("dt", "foot_radius", "h_com"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be strictly positive")
         if self.frontal is None:
             frontal = derived_frontal(self.sagittal, self.foot_radius)
             object.__setattr__(self, "frontal", frontal)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be strictly positive")
         if self.duration < self.gait.cycle_period:
             raise ValueError("duration must cover at least one gait cycle")
         if self.integrator not in ("semi_implicit", "rk4"):
@@ -240,17 +240,6 @@ class WalkerState:
 def detect_touchdown(prev_height: float, height: float, sand_level: float = 0.0) -> bool:
     """True when the swing-foot height crosses the surface downward."""
     return prev_height > sand_level >= height
-
-
-def surface_crossings(heights, sand_level: float = 0.0):
-    """(index, direction) for every crossing in a height series."""
-    events = []
-    for i in range(1, len(heights)):
-        if heights[i - 1] > sand_level >= heights[i]:
-            events.append((i, "down"))
-        elif heights[i - 1] <= sand_level < heights[i]:
-            events.append((i, "up"))
-    return events
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +704,7 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     jitter = rng.uniform(-cfg.initial_jitter, cfg.initial_jitter, 4)
     ws.q_s[:4] += jitter
 
-    shape = rl.FootShape.semicylinder(cfg.foot_radius)
-    xr, zr = rl.lowest_point(shape, float(ws.q_s[1]))
-    ws.theta_r0 = rl.orientation_angle(shape, (xr, zr))
+    ws.theta_r0 = _contact_angle(ws, rl.FootShape.semicylinder(cfg.foot_radius))
     return ws
 
 

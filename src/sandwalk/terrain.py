@@ -33,7 +33,6 @@ __all__ = [
     "CalibrationError",
     "local_stress",
     "sagittal_forces",
-    "sagittal_forces_elements",
     "lateral_force",
     "bulldozing_stress",
     "calibrate",
@@ -216,44 +215,6 @@ def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagi
     )
     geom = terrain.width * wedge_area(kin.depth, terrain.phi_s)
     return GrfSagittal(f_x=-sign * a_x * geom, f_z=a_z * geom)
-
-
-def sagittal_forces_elements(
-    terrain: TerrainParams,
-    kin: IntrusionKinematics,
-    radius: float,
-    n_elements: int = 64,
-) -> GrfSagittal:
-    """Element-resolved force for a semi-cylindrical sole of given radius.
-
-    The submerged arc is split into at most ``n_elements`` flat elements;
-    each leading element contributes its local stress times local depth
-    times element area.  Slower but shape-aware alternative to the wedge
-    closed form.
-    """
-    if kin.depth < 0.0:
-        raise ValueError("sinkage depth must be non-negative")
-    depth = min(kin.depth, radius)
-    if depth == 0.0:
-        return GrfSagittal(0.0, 0.0)
-    n_elements = min(int(n_elements), 64)
-    psi_max = math.acos(1.0 - depth / radius)  # submerged half-arc
-    psi = np.linspace(-psi_max, psi_max, n_elements + 1)
-    mid = 0.5 * (psi[:-1] + psi[1:])
-    dl = radius * np.diff(psi)
-    local_depth = depth - radius * (1.0 - np.cos(mid))
-    f_x = 0.0
-    f_z = 0.0
-    for b, h, w in zip(mid, local_depth, dl):
-        if h <= 0.0:
-            continue
-        a_x, a_z = local_stress(
-            float(b), kin.gamma, terrain.zeta, terrain.coefficients, terrain.alpha_scale
-        )
-        da = terrain.width * w * h
-        f_x += -a_x * da
-        f_z += a_z * da
-    return GrfSagittal(f_x=float(f_x), f_z=float(f_z))
 
 
 def bulldozing_stress(terrain: TerrainParams) -> float:

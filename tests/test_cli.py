@@ -214,6 +214,12 @@ def test_sweep_rows_and_empty_list(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "empty velocity list" in captured.err
+    # a bad robot input is a configuration error, not a failed cell per run
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "bad"),
+               "--set", "robot.foot_radius=-0.01", "--repeats", "1", "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "invalid configuration: foot_radius must be strictly positive" in captured.err
 
 
 def test_version_flag(capsys):

@@ -6,13 +6,11 @@ import pytest
 from sandwalk.dynamics import (
     FrontalParams,
     FrontalState,
-    GrfFrontal,
     GrfSagittal,
     SagittalParams,
     SagittalState,
     assemble_frontal,
     assemble_sagittal,
-    frontal_accel,
     frontal_energy,
     sagittal_accel,
     sagittal_energy,
@@ -141,7 +139,6 @@ def test_static_vertical_support():
 def test_solve_matches_explicit_inverse():
     rng = np.random.default_rng(10)
     p = SagittalParams()
-    pf = FrontalParams()
     for _ in range(50):
         st = SagittalState(rng.uniform(-1, 1, 7), rng.uniform(-2, 2, 7))
         tau = rng.uniform(-5, 5, 4)
@@ -153,17 +150,6 @@ def test_solve_matches_explicit_inverse():
         rhs[5] += grf.f_x
         rhs[6] += grf.f_z
         assert np.abs(qdd - np.linalg.inv(d) @ rhs).max() < 1e-10
-
-        stf = FrontalState(rng.uniform(-1, 1, 5), rng.uniform(-2, 2, 5))
-        tf = rng.uniform(-5, 5, 2)
-        gf = GrfFrontal(*rng.uniform(-30, 30, 2))
-        qddf = frontal_accel(pf, stf, tf, gf)
-        df, cf, ggf = assemble_frontal(pf, stf)
-        rhsf = -cf @ stf.dq - ggf
-        rhsf[1:3] += tf
-        rhsf[3] += gf.f_y
-        rhsf[4] += gf.f_z
-        assert np.abs(qddf - np.linalg.inv(df) @ rhsf).max() < 1e-10
 
 
 def test_frontal_row_matches_closed_form():
@@ -187,25 +173,6 @@ def test_frontal_row_matches_closed_form():
         scale = max(1.0, abs(lhs[3]))
         worst = max(worst, abs(lhs[3] - lateral_row_closed_form(p, q, dq, qdd)) / scale)
     assert worst < 1e-9
-
-
-def test_frontal_torque_rows():
-    # hip torques act on coordinates 2-3 only
-    p = FrontalParams()
-    st = FrontalState(np.array([0.1, 1.4, -0.2, 0.0, 0.0]), np.zeros(5))
-    d, c, g = assemble_frontal(p, st)
-    base = frontal_accel(p, st, np.zeros(2), GrfFrontal())
-    tau = np.array([2.0, -1.0])
-    loaded = frontal_accel(p, st, tau, GrfFrontal())
-    expected = base + np.linalg.solve(d, np.array([0.0, tau[0], tau[1], 0.0, 0.0]))
-    assert np.abs(loaded - expected).max() < 1e-12
-
-
-def test_frontal_upright_symmetry():
-    p = FrontalParams()
-    st = FrontalState(np.array([0.0, np.pi / 2, 0.0, 0.0, 0.0]), np.zeros(5))
-    qdd = frontal_accel(p, st, np.zeros(2), GrfFrontal())
-    assert abs(qdd[3]) < 1e-12
 
 
 def test_frontal_force_step_frozen_angles():

@@ -16,20 +16,20 @@ from sandwalk.config import build_config, flatten_config
 
 TRAJECTORY_SHA256 = {
     ("granular", "semi_implicit"): (
-        "dced585e3ed1db05d44ad46ac2d67c39c5c69cca3467b0e018ec5c0d1ec1520d",
-        "a28b5516f6624538413e3cf69715159ba2b35bbbcba379af7e833aa568bc9bc1",
+        "2896686acb9e8e759f3ad14bb2859e25c97fae14bb9ee8bcc93fefc3ccd98787",
+        "5e4e3a6c6b68162087d2131878293956797b61b2ad847df64153b95f8f55ae48",
     ),
     ("granular", "rk4"): (
-        "692c72cf8642395de30705bfa617b4c91ee08ee4c737fb766748cfa016ec23a3",
-        "6e8b0da09bd60e7dc95dd399fd37133b8e7e32de93fb8f2e2769ccba4b9bab1e",
+        "b4f2492c872bd485d49ebba4d093b94ec4a72c4b4b0a7e2fbcfbda92e726dea6",
+        "d08c94a7d43f87c281a97bbc027f5dcf0c6ab84d6a327778d28ed3075395aa4f",
     ),
     ("rigid", "semi_implicit"): (
-        "55e9208b00fab2089b194c7cf1e0a74e2a55741738d4df78daabf1c7d4d06760",
-        "fdebed153a5e79ded2b7ea03bdec7b987a5431cd8e3238ccd1fddeea418b6dd9",
+        "976cb31d97796c3b2ec7f4c5c36a3f2ed9029c96fd19d5d09a76c5c03cbed7bc",
+        "15bad8882fbfe8827e2c855f5688d74e4891475dae9fbcd685cc79618666de38",
     ),
     ("rigid", "rk4"): (
-        "e0cd83a04e396b3790ba5c361252bd042714b368504374249d71ab550f590afa",
-        "cd1b76c6d6a53c66f5e94fa3a6f0ed28c3b764b08c32cc7e1665aaad77990dad",
+        "4c47457057c7278b32daa511a2a10af0b889abde5dca5d48227d20b505848a8f",
+        "e02d8bc9a23f6db34e16be3db69d5e4baffa900a973c43835eae5d61f5719c43",
     ),
 }
 

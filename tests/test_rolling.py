@@ -71,18 +71,15 @@ def test_semicylinder_contact_rotates_with_pitch(pitch):
 
 def test_contact_leaves_sole_raises():
     shape = FootShape.semicylinder(R)
-    with pytest.raises(ContactOutsideSoleError):
-        lowest_point(shape, 1.6)
-
-
-def test_tabulated_parabola_matches_circle_and_grid_search():
-    xs = np.linspace(-0.8 * R, 0.8 * R, 41)
-    zs = xs ** 2 / (2 * R)
-    shape = FootShape.from_table(xs, zs)
-    for pitch in (-0.2, -0.05, 0.1, 0.3):
-        x, _ = lowest_point(shape, pitch)
-        assert x == pytest.approx(R * math.tan(pitch), rel=1e-6, abs=1e-9)
-        assert abs(x - grid_golden_lowest(shape, pitch)) < 1e-8
+    # beyond a quarter turn, and pitches whose contact rounds onto the rim
+    for pitch in (1.6, -1.6, math.pi / 2, math.pi / 2 - 1e-12, -(math.pi / 2 - 1e-12),
+                  math.nan):
+        with pytest.raises(ContactOutsideSoleError):
+            lowest_point(shape, pitch)
+    # close to the rim but still on the sole
+    for pitch in (math.pi / 2 - 1e-4, -(math.pi / 2 - 1e-4)):
+        contact = lowest_point(shape, pitch)
+        assert abs(orientation_angle(shape, contact) - pitch) < 1e-9
 
 
 def test_semicylinder_lowest_matches_grid_search():
@@ -93,11 +90,9 @@ def test_semicylinder_lowest_matches_grid_search():
 
 
 def test_orientation_matches_finite_difference_slope():
-    xs = np.linspace(-0.8 * R, 0.8 * R, 41)
-    zs = xs ** 2 / (2 * R) + 0.1 * xs ** 4 / R ** 3 * R  # convex perturbation
-    shape = FootShape.from_table(xs, zs)
+    shape = FootShape.semicylinder(R)
     eps = 1e-7
-    for x in np.linspace(-0.6 * R, 0.6 * R, 9):
+    for x in np.linspace(-0.9 * R, 0.9 * R, 9):
         fd = (shape.value(x + eps) - shape.value(x - eps)) / (2 * eps)
         assert orientation_angle(shape, (x, shape.value(x))) == pytest.approx(
             math.atan(fd), abs=1e-6
@@ -178,32 +173,3 @@ def test_contact_world_position_continuous_in_pitch():
     world = np.array(world)
     steps = np.abs(np.diff(world, axis=0)).max(axis=1)
     assert steps.max() < R * (pitches[1] - pitches[0]) * 2.0
-
-
-def test_contour_csv_ingestion(tmp_path):
-    xs = np.linspace(-0.03, 0.03, 21)
-    zs = xs ** 2 / (2 * 0.05)
-    good = tmp_path / "contour.csv"
-    good.write_text(
-        "x_r_m,z_r_m\n"
-        + "\n".join(f"{float(x)!r},{float(z)!r}" for x, z in zip(xs, zs))
-        + "\n"
-    )
-    shape = FootShape.from_csv(good)
-    assert shape.kind == "tabulated"
-
-    bad_header = tmp_path / "bad_header.csv"
-    bad_header.write_text("x,z\n0,0\n")
-    with pytest.raises(ValueError, match="header"):
-        FootShape.from_csv(bad_header)
-
-    bad_row = tmp_path / "bad_row.csv"
-    bad_row.write_text("x_r_m,z_r_m\n0.0,0.0\noops,1\n")
-    with pytest.raises(ValueError, match="3"):
-        FootShape.from_csv(bad_row)
-
-    with pytest.raises(ValueError):
-        FootShape.from_table(xs[:10], zs[:10])  # too few samples
-
-    with pytest.raises(ValueError):
-        FootShape.from_table(xs, -zs)  # concave contour

@@ -51,16 +51,6 @@ def test_touchdown_detector_cases():
     assert sim.detect_touchdown(0.01, -0.001, 0.0)
     assert not sim.detect_touchdown(-0.001, -0.002, 0.0)
     assert not sim.detect_touchdown(0.02, 0.01, 0.0)
-    # one event per crossing on a scripted trajectory
-    heights = [0.05, 0.03, 0.01, -0.01, -0.02, -0.01, 0.01, 0.03]
-    events = sim.surface_crossings(heights, 0.0)
-    assert events == [(3, "down"), (6, "up")]
-    # grazing contact: touch then rise within one step
-    graze = [0.02, 0.01, 0.0, 0.01, 0.02]
-    events = sim.surface_crossings(graze, 0.0)
-    assert events == [(2, "down"), (3, "up")]
-    # no crossing, no event
-    assert sim.surface_crossings([0.05, 0.04, 0.03], 0.0) == []
 
 
 def test_intrusion_reset_each_stance():
@@ -157,6 +147,13 @@ def test_rk4_integrator_mode():
     traj = run_cfg(**{"sim.duration": 0.8, "sim.integrator": "rk4"})
     assert len(traj.records) == 800
     assert np.isfinite(traj.column("com_x")).all()
+
+
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_orientation_angle_is_calf_pitch(terrain_mode):
+    # the semicylinder contact sits at r sin(pitch), so theta_r is the pitch
+    traj = run_cfg(**{"sim.duration": 0.8, "sim.terrain_mode": terrain_mode})
+    assert np.abs(traj.column("theta_r") - traj.column("q_s2")).max() < 1e-12
 
 
 def test_semi_implicit_free_flight_stable():

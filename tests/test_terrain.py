@@ -16,7 +16,6 @@ from sandwalk.terrain import (
     lateral_force,
     local_stress,
     sagittal_forces,
-    sagittal_forces_elements,
 )
 
 DOWN = -math.pi / 2  # straight-down motion direction
@@ -287,18 +286,3 @@ def test_calibration_degenerate_data():
     bad = [PenetrationRecord(-0.01, 1.0)] + many[:-1]
     with pytest.raises(CalibrationError):
         calibrate(bad, many, nominal)
-
-
-def test_element_resolved_mode():
-    terrain = TerrainParams()
-    zero = sagittal_forces_elements(
-        terrain, IntrusionKinematics(depth=0.0, gamma=DOWN), radius=0.04
-    )
-    assert zero.f_x == 0.0 and zero.f_z == 0.0
-    kin = IntrusionKinematics(depth=0.02, gamma=DOWN)
-    shaped = sagittal_forces_elements(terrain, kin, radius=0.04)
-    wedge = sagittal_forces(terrain, kin)
-    assert shaped.f_z > 0.0
-    assert np.sign(shaped.f_z) == np.sign(wedge.f_z)
-    # same order of magnitude as the wedge fast path
-    assert 0.05 < shaped.f_z / wedge.f_z < 20.0
