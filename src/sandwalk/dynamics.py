@@ -24,7 +24,9 @@ riding mass M_s = m_b + m_t + m_c and depend on q1, q2, q5 alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +46,17 @@ __all__ = [
 
 def _rod_inertia(mass: float, length: float) -> float:
     return mass * length ** 2 / 12.0
+
+
+def _check(params, positive, non_negative) -> None:
+    """Range checks, written so that NaN fails them."""
+    for name in positive:
+        if not getattr(params, name) > 0.0:
+            raise ValueError(f"{name} must be strictly positive")
+    for name in non_negative:
+        v = getattr(params, name)
+        if v is not None and not v >= 0.0:
+            raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -66,17 +79,12 @@ class SagittalParams:
     g: float = 9.81
 
     def __post_init__(self) -> None:
-        for name in ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2", "g"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        _check(self, ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2", "g"),
+               ("i_b", "i_t", "i_c"))
         if self.a_1 > self.l_t:
             raise ValueError("a_1 must not exceed the thigh length")
         if self.a_2 > self.l_c:
             raise ValueError("a_2 must not exceed the calf length")
-        for name in ("i_b", "i_t", "i_c"):
-            v = getattr(self, name)
-            if v is not None and v < 0.0:
-                raise ValueError(f"{name} must be non-negative")
 
     @property
     def total_riding_mass(self) -> float:
@@ -94,6 +102,25 @@ class SagittalParams:
     @property
     def inertia_c(self) -> float:
         return self.i_c if self.i_c is not None else _rod_inertia(self.m_c, self.l_c)
+
+    @cached_property
+    def _constants(self):
+        """Configuration-independent terms: the constant diagonal of D, the
+        lever arms k1 (thigh), k2 (calf), kb (trunk), k12 (knee coupling) and
+        the riding weight M_s g."""
+        m_s = self.total_riding_mass
+        diag = np.diag([
+            self.m_t * self.a_1 ** 2 + self.m_c * self.l_t ** 2 + self.inertia_t,
+            self.m_c * self.a_2 ** 2 + self.inertia_c,
+            # swing links enter as pivoting inertias about their suspension
+            # points, without reaction on the contact coordinates
+            self.inertia_t + self.m_t * self.a_1 ** 2,
+            self.inertia_c + self.m_c * self.a_2 ** 2,
+            self.m_b * self.l_b ** 2 + self.inertia_b,
+            m_s, m_s,
+        ])
+        return (diag, self.m_t * self.a_1 + self.m_c * self.l_t, self.m_c * self.a_2,
+                self.m_b * self.l_b, self.m_c * self.l_t * self.a_2, m_s * self.g)
 
 
 @dataclass(frozen=True)
@@ -113,15 +140,10 @@ class FrontalParams:
     g: float = 9.81
 
     def __post_init__(self) -> None:
-        for name in ("m_b", "m_1", "m_2", "l_1", "d_1", "d_2", "b"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        _check(self, ("m_b", "m_1", "m_2", "l_1", "d_1", "d_2", "b", "g"),
+               ("i_1", "i_2", "i_bar"))
         if self.d_1 > self.l_1:
             raise ValueError("d_1 must not exceed the stance leg length")
-        for name in ("i_1", "i_2", "i_bar"):
-            v = getattr(self, name)
-            if v is not None and v < 0.0:
-                raise ValueError(f"{name} must be non-negative")
 
     @property
     def total_mass(self) -> float:
@@ -140,6 +162,23 @@ class FrontalParams:
     def inertia_bar(self) -> float:
         return self.i_bar if self.i_bar is not None else _rod_inertia(self.m_b, self.b)
 
+    @cached_property
+    def _constants(self):
+        """Configuration-independent terms: the constant diagonal of D, the
+        lever arms k1 (stance leg), k2 (crossbar), k3 (swing leg), the
+        couplings lean-crossbar, lean-swing and crossbar-swing, and M_f g."""
+        m_f = self.total_mass
+        diag = np.diag([
+            self.m_1 * self.d_1 ** 2 + (self.m_b + self.m_2) * self.l_1 ** 2 + self.inertia_1,
+            (0.25 * self.m_b + self.m_2) * self.b ** 2 + self.inertia_bar,
+            self.m_2 * self.d_2 ** 2 + self.inertia_2,
+            m_f, m_f,
+        ])
+        k2 = (0.5 * self.m_b + self.m_2) * self.b
+        return (diag, self.m_1 * self.d_1 + (self.m_b + self.m_2) * self.l_1, k2,
+                self.m_2 * self.d_2, k2 * self.l_1, self.m_2 * self.l_1 * self.d_2,
+                self.m_2 * self.b * self.d_2, m_f * self.g)
+
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
@@ -150,8 +189,18 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return v
 
 
+class _State:
+    @classmethod
+    def trusted(cls, q: np.ndarray, dq: np.ndarray):
+        """State over float arrays of the right shape that the caller built
+        itself (an integrator stage); skips the validating constructor."""
+        state = object.__new__(cls)
+        state.q, state.dq = q, dq
+        return state
+
+
 @dataclass
-class SagittalState:
+class SagittalState(_State):
     """Augmented sagittal coordinates and their rates.
 
     ``q = [q1 q2 q3 q4 q5 x_s z]``; z is the upward contact coordinate
@@ -172,7 +221,7 @@ class SagittalState:
 
 
 @dataclass
-class FrontalState:
+class FrontalState(_State):
     """Augmented frontal coordinates ``q = [p1 p2 p3 y_s z]`` and rates."""
 
     q: np.ndarray = field(default_factory=lambda: np.zeros(5))
@@ -191,76 +240,15 @@ class GrfSagittal:
     f_z: float = 0.0
 
 
-def _coriolis_from_partials(dD: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Coriolis matrix from Christoffel symbols of the first kind.
-
-    ``dD[k, i, j] = dD_ij/dq_k``.  The construction guarantees that
-    (dD/dt - 2C) is skew-symmetric.
-    """
-    t1 = np.einsum("kij,k->ij", dD, dq)
-    t2 = np.einsum("jik,k->ij", dD, dq)
-    t3 = np.einsum("ijk,k->ij", dD, dq)
-    return 0.5 * (t1 + t2 - t3)
-
+# Both planes share one structure: the diagonal of D is constant and each
+# off-diagonal D_ij depends on q_i and q_j alone.  The Christoffel
+# construction C_ij = 1/2 sum_k (dD_ij/dq_k + dD_ik/dq_j - dD_jk/dq_i) dq_k,
+# which makes dD/dt - 2C skew-symmetric, then reduces to
+# C_ij = (dD_ij/dq_j) dq_j for i != j and C_ii = 0.
 
 # ---------------------------------------------------------------------------
 # sagittal plane
 # ---------------------------------------------------------------------------
-
-def _sagittal_terms(p: SagittalParams, q: np.ndarray):
-    """Mass matrix, its configuration partials, and the gravity vector."""
-    s1, c1 = np.sin(q[0]), np.cos(q[0])
-    s2, c2 = np.sin(q[1]), np.cos(q[1])
-    s5, c5 = np.sin(q[4]), np.cos(q[4])
-    # composite lever arms of the riding masses
-    k1 = p.m_t * p.a_1 + p.m_c * p.l_t   # thigh angle
-    k2 = p.m_c * p.a_2                   # calf angle
-    kb = p.m_b * p.l_b                   # trunk angle
-    k12 = p.m_c * p.l_t * p.a_2
-    m_s = p.total_riding_mass
-
-    D = np.zeros((7, 7))
-    D[0, 0] = p.m_t * p.a_1 ** 2 + p.m_c * p.l_t ** 2 + p.inertia_t
-    D[1, 1] = p.m_c * p.a_2 ** 2 + p.inertia_c
-    # swing links enter as pivoting inertias about their suspension points,
-    # without reaction on the contact coordinates
-    D[2, 2] = p.inertia_t + p.m_t * p.a_1 ** 2
-    D[3, 3] = p.inertia_c + p.m_c * p.a_2 ** 2
-    D[4, 4] = p.m_b * p.l_b ** 2 + p.inertia_b
-    D[5, 5] = m_s
-    D[6, 6] = m_s
-    D[0, 1] = k12 * np.cos(q[0] - q[1])
-    D[0, 5] = -k1 * c1
-    D[0, 6] = k1 * s1
-    D[1, 5] = -k2 * c2
-    D[1, 6] = k2 * s2
-    D[4, 5] = kb * c5
-    D[4, 6] = -kb * s5
-    D = D + np.triu(D, 1).T
-
-    dD = np.zeros((7, 7, 7))
-    s12 = np.sin(q[0] - q[1])
-
-    def sym(k, i, j, v):
-        dD[k, i, j] = v
-        dD[k, j, i] = v
-
-    sym(0, 0, 1, -k12 * s12)
-    sym(0, 0, 5, k1 * s1)
-    sym(0, 0, 6, k1 * c1)
-    sym(1, 0, 1, k12 * s12)
-    sym(1, 1, 5, k2 * s2)
-    sym(1, 1, 6, k2 * c2)
-    sym(4, 4, 5, -kb * s5)
-    sym(4, 4, 6, -kb * c5)
-
-    G = np.zeros(7)
-    G[0] = p.g * k1 * s1
-    G[1] = p.g * k2 * s2
-    G[4] = -p.g * kb * s5
-    G[6] = m_s * p.g
-    return D, dD, G
-
 
 def assemble_sagittal(params: SagittalParams, state: SagittalState):
     """Inertia matrix D, Coriolis matrix C and gravity vector G.
@@ -271,8 +259,35 @@ def assemble_sagittal(params: SagittalParams, state: SagittalState):
     ``M_s z'' + h1 + h2 + h5 + M_s g``, both independent of the swing
     coordinates and of all rotational inertias.
     """
-    D, dD, G = _sagittal_terms(params, state.q)
-    C = _coriolis_from_partials(dD, state.dq)
+    q1, q2, _, _, q5, _, _ = state.q.tolist()
+    v1, v2, _, _, v5, _, _ = state.dq.tolist()
+    diag, k1, k2, kb, k12, weight = params._constants
+    s1, c1 = math.sin(q1), math.cos(q1)
+    s2, c2 = math.sin(q2), math.cos(q2)
+    s5, c5 = math.sin(q5), math.cos(q5)
+    p12 = k12 * math.sin(q1 - q2)  # dD_01/dq_2
+
+    D = diag.copy()
+    D[0, 1] = D[1, 0] = k12 * math.cos(q1 - q2)
+    D[0, 5] = D[5, 0] = -k1 * c1
+    D[0, 6] = D[6, 0] = k1 * s1
+    D[1, 5] = D[5, 1] = -k2 * c2
+    D[1, 6] = D[6, 1] = k2 * s2
+    D[4, 5] = D[5, 4] = kb * c5
+    D[4, 6] = D[6, 4] = -kb * s5
+
+    C = np.zeros((7, 7))
+    C[0, 1] = p12 * v2
+    C[1, 0] = -p12 * v1
+    C[5, 0] = k1 * s1 * v1
+    C[6, 0] = k1 * c1 * v1
+    C[5, 1] = k2 * s2 * v2
+    C[6, 1] = k2 * c2 * v2
+    C[5, 4] = -kb * s5 * v5
+    C[6, 4] = -kb * c5 * v5
+
+    g = params.g
+    G = np.array([g * k1 * s1, g * k2 * s2, 0.0, 0.0, -g * kb * s5, 0.0, weight])
     return D, C, G
 
 
@@ -304,7 +319,7 @@ def sagittal_energy(params: SagittalParams, state: SagittalState) -> tuple[float
     The potential is referenced to the configuration with all angles zero
     and the contact at its initial location.
     """
-    D, _, _ = _sagittal_terms(params, state.q)
+    D = assemble_sagittal(params, state)[0]
     kinetic = 0.5 * float(state.dq @ D @ state.dq)
     q = state.q
     z = q[6]
@@ -324,64 +339,6 @@ def sagittal_energy(params: SagittalParams, state: SagittalState) -> tuple[float
 # frontal plane
 # ---------------------------------------------------------------------------
 
-def _frontal_terms(p: FrontalParams, q: np.ndarray):
-    s1, c1 = np.sin(q[0]), np.cos(q[0])
-    s2, c2 = np.sin(q[1]), np.cos(q[1])
-    s3, c3 = np.sin(q[2]), np.cos(q[2])
-    # stance leg leans the hip toward -y for positive p1; crossbar points
-    # toward the swing hip; the swing leg hangs below its hip.
-    k1 = p.m_1 * p.d_1 + (p.m_b + p.m_2) * p.l_1
-    k2 = (0.5 * p.m_b + p.m_2) * p.b
-    k3 = p.m_2 * p.d_2
-    m_f = p.total_mass
-
-    D = np.zeros((5, 5))
-    D[0, 0] = p.m_1 * p.d_1 ** 2 + (p.m_b + p.m_2) * p.l_1 ** 2 + p.inertia_1
-    D[1, 1] = (0.25 * p.m_b + p.m_2) * p.b ** 2 + p.inertia_bar
-    D[2, 2] = p.m_2 * p.d_2 ** 2 + p.inertia_2
-    D[3, 3] = m_f
-    D[4, 4] = m_f
-    D[0, 1] = -k2 * p.l_1 * np.cos(q[0] + q[1])
-    D[0, 2] = -p.m_2 * p.l_1 * p.d_2 * np.cos(q[0] - q[2])
-    D[1, 2] = p.m_2 * p.b * p.d_2 * np.cos(q[1] + q[2])
-    D[0, 3] = -k1 * c1
-    D[0, 4] = -k1 * s1
-    D[1, 3] = k2 * c2
-    D[1, 4] = -k2 * s2
-    D[2, 3] = k3 * c3
-    D[2, 4] = k3 * s3
-    D = D + np.triu(D, 1).T
-
-    dD = np.zeros((5, 5, 5))
-
-    def sym(k, i, j, v):
-        dD[k, i, j] = v
-        dD[k, j, i] = v
-
-    s01 = np.sin(q[0] + q[1])
-    s02 = np.sin(q[0] - q[2])
-    s12 = np.sin(q[1] + q[2])
-    sym(0, 0, 1, k2 * p.l_1 * s01)
-    sym(1, 0, 1, k2 * p.l_1 * s01)
-    sym(0, 0, 2, p.m_2 * p.l_1 * p.d_2 * s02)
-    sym(2, 0, 2, -p.m_2 * p.l_1 * p.d_2 * s02)
-    sym(1, 1, 2, -p.m_2 * p.b * p.d_2 * s12)
-    sym(2, 1, 2, -p.m_2 * p.b * p.d_2 * s12)
-    sym(0, 0, 3, k1 * s1)
-    sym(0, 0, 4, -k1 * c1)
-    sym(1, 1, 3, -k2 * s2)
-    sym(1, 1, 4, -k2 * c2)
-    sym(2, 2, 3, -k3 * s3)
-    sym(2, 2, 4, k3 * c3)
-
-    G = np.zeros(5)
-    G[0] = -p.g * k1 * s1
-    G[1] = -p.g * k2 * s2
-    G[2] = p.g * k3 * s3
-    G[4] = m_f * p.g
-    return D, dD, G
-
-
 def assemble_frontal(params: FrontalParams, state: FrontalState):
     """Inertia, Coriolis and gravity terms of the frontal model.
 
@@ -389,14 +346,50 @@ def assemble_frontal(params: FrontalParams, state: FrontalState):
     ``M_f y_s'' + f1(p1) + f2(p2) + f3(p3)`` with the composite lever arms
     (m_1 d_1 + (m_b + m_2) l_1), (m_b/2 + m_2) b and m_2 d_2.
     """
-    D, dD, G = _frontal_terms(params, state.q)
-    C = _coriolis_from_partials(dD, state.dq)
+    q1, q2, q3, _, _ = state.q.tolist()
+    v1, v2, v3, _, _ = state.dq.tolist()
+    diag, k1, k2, k3, k12, k13, k23, weight = params._constants
+    s1, c1 = math.sin(q1), math.cos(q1)
+    s2, c2 = math.sin(q2), math.cos(q2)
+    s3, c3 = math.sin(q3), math.cos(q3)
+    # partials of the angle-angle couplings: dD_01/dq_2, dD_02/dq_1, dD_12/dq_3
+    p12 = k12 * math.sin(q1 + q2)
+    p13 = k13 * math.sin(q1 - q3)
+    p23 = -k23 * math.sin(q2 + q3)
+
+    D = diag.copy()
+    D[0, 1] = D[1, 0] = -k12 * math.cos(q1 + q2)
+    D[0, 2] = D[2, 0] = -k13 * math.cos(q1 - q3)
+    D[1, 2] = D[2, 1] = k23 * math.cos(q2 + q3)
+    D[0, 3] = D[3, 0] = -k1 * c1
+    D[0, 4] = D[4, 0] = -k1 * s1
+    D[1, 3] = D[3, 1] = k2 * c2
+    D[1, 4] = D[4, 1] = -k2 * s2
+    D[2, 3] = D[3, 2] = k3 * c3
+    D[2, 4] = D[4, 2] = k3 * s3
+
+    C = np.zeros((5, 5))
+    C[0, 1] = p12 * v2
+    C[1, 0] = p12 * v1
+    C[0, 2] = -p13 * v3
+    C[2, 0] = p13 * v1
+    C[1, 2] = p23 * v3
+    C[2, 1] = p23 * v2
+    C[3, 0] = k1 * s1 * v1
+    C[4, 0] = -k1 * c1 * v1
+    C[3, 1] = -k2 * s2 * v2
+    C[4, 1] = -k2 * c2 * v2
+    C[3, 2] = -k3 * s3 * v3
+    C[4, 2] = k3 * c3 * v3
+
+    g = params.g
+    G = np.array([-g * k1 * s1, -g * k2 * s2, g * k3 * s3, 0.0, weight])
     return D, C, G
 
 
 def frontal_energy(params: FrontalParams, state: FrontalState) -> tuple[float, float]:
     """(kinetic, potential) energy of the frontal model [J]."""
-    D, _, _ = _frontal_terms(params, state.q)
+    D = assemble_frontal(params, state)[0]
     kinetic = 0.5 * float(state.dq @ D @ state.dq)
     q = state.q
     z = q[4]

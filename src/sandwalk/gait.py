@@ -63,14 +63,16 @@ class GaitConfig:
     trunk_ref: float = 0.0      # trunk posture reference [rad]
 
     def __post_init__(self) -> None:
-        if self.cycle_period <= 0.0:
-            raise ValueError("cycle_period must be strictly positive")
+        # range checks are written so that NaN fails them
+        for name in ("cycle_period", "swing_height", "hip_height"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be strictly positive")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must lie in (0, 1)")
-        if self.swing_height <= 0.0:
-            raise ValueError("swing_height must be strictly positive")
-        if self.v_target < 0.0:
+        if not self.v_target >= 0.0:
             raise ValueError("v_target must be non-negative")
+        if not math.isfinite(self.trunk_ref):
+            raise ValueError("trunk_ref must be finite")
 
     @property
     def stance_duration(self) -> float:
@@ -99,8 +101,10 @@ class Gains:
         kd = np.asarray(self.kd, dtype=float)
         if kp.shape != (6,) or kd.shape != (6,):
             raise ValueError("gain vectors must have six entries")
-        if np.any(kp <= 0.0) or np.any(kd <= 0.0):
+        if not (np.all(kp > 0.0) and np.all(kd > 0.0)):
             raise ValueError("gains must be strictly positive")
+        if not self.torque_limit > 0.0:
+            raise ValueError("torque_limit must be strictly positive")
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
 

@@ -78,13 +78,16 @@ class SimConfig:
     gains: gt.Gains = field(default_factory=gt.Gains)
 
     def __post_init__(self) -> None:
-        for name in ("dt", "foot_radius", "h_com"):
-            if getattr(self, name) <= 0.0:
+        # range checks are written so that NaN fails them
+        for name in ("dt", "foot_radius", "h_com", "r_eff_cap"):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        if not self.initial_jitter >= 0.0:
+            raise ValueError("initial_jitter must be non-negative")
         if self.frontal is None:
             frontal = derived_frontal(self.sagittal, self.foot_radius)
             object.__setattr__(self, "frontal", frontal)
-        if self.duration < self.gait.cycle_period:
+        if not self.duration >= self.gait.cycle_period:
             raise ValueError("duration must cover at least one gait cycle")
         if self.integrator not in ("semi_implicit", "rk4"):
             raise ValueError(f"unknown integrator '{self.integrator}'")
@@ -426,80 +429,80 @@ def _control(ws: WalkerState, cfg: SimConfig):
 # dynamics right-hand side
 # ---------------------------------------------------------------------------
 
-_SAG_FREE = [0, 1, 2, 3, 5, 6]   # trunk row held
-_FRONT_FREE = [2, 3]             # lean and crossbar rows held, vertical imposed
+# Reduced solves: held rows (sagittal trunk, frontal lean and crossbar),
+# clamped rows (the contact coordinates on rigid ground) and the imposed
+# frontal vertical row drop out; the sagittal swing rows 2 and 3 carry only
+# their diagonal entry and divide out.  The rest goes to a dense solve: the
+# sagittal rows below (with the index pair of their block) and, on sand,
+# frontal rows 2 and 3.
+_SAG_ROWS = np.array([0, 1, 5, 6])
+_SAG_COUPLED = {"granular": (_SAG_ROWS, np.ix_(_SAG_ROWS, _SAG_ROWS)),
+                "rigid": (slice(0, 2), np.s_[:2, :2])}
 
 
 _DIRECTION_FLOOR = 0.05  # m/s; regularizes the stress direction switch at rest
 
 
-def _grf_granular(cfg: SimConfig, q_s, dq_s, q_f, dq_f):
-    depth = max(0.0, -float(q_s[6]))
-    dx = float(dq_s[5])
-    dz = float(dq_s[6])
+def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: float):
+    """(f_x, f_z, f_y, gamma) of the resistive terrain at the stance contact."""
     gamma = rl.velocity_angle(dx, dz)
     # Smooth the wedge-face orientation switch across zero horizontal rate:
     # evaluate both leading-face directions and blend by the horizontal
     # fraction, which removes the rest-state force discontinuity.
     hyp = math.hypot(dx, _DIRECTION_FLOOR)
     w = 0.5 * (1.0 + dx / hyp)
-    kin = tr.IntrusionKinematics(depth=depth, gamma=math.atan2(dz, hyp),
-                                 y_slip=float(q_f[3]))
+    kin = tr.IntrusionKinematics(depth=depth, gamma=math.atan2(dz, hyp), y_slip=y_slip)
     fwd = tr.sagittal_forces(cfg.terrain, kin)
     kin.gamma = math.atan2(dz, -hyp)
     bwd = tr.sagittal_forces(cfg.terrain, kin)
-    grf = dyn.GrfSagittal(
-        f_x=w * fwd.f_x + (1.0 - w) * bwd.f_x,
-        f_z=w * fwd.f_z + (1.0 - w) * bwd.f_z,
-    )
     f_y = tr.lateral_force(cfg.terrain, kin)
-    return grf, f_y, gamma
+    return (w * fwd.f_x + (1.0 - w) * bwd.f_x, w * fwd.f_z + (1.0 - w) * bwd.f_z,
+            f_y, gamma)
 
 
-def _accelerations(cfg: SimConfig, q_s, dq_s, q_f, dq_f, tau_s, tau_f):
-    """Reduced constrained accelerations plus ground reaction forces."""
-    d_s, c_s, g_s = dyn.assemble_sagittal(cfg.sagittal, dyn.SagittalState(q_s, dq_s))
-    rhs_s = -c_s @ dq_s - g_s
+def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f):
+    """Reduced constrained accelerations of the stacked state (7 sagittal
+    then 5 frontal coordinates) plus (f_x, f_y, f_z, gamma, tau_bar)."""
+    granular = cfg.terrain_mode == "granular"
+    q_s, dq_s, q_f, dq_f = q[:7], dq[:7], q[7:], dq[7:]
+    qdd = np.zeros(12)
+    qdd_s, qdd_f = qdd[:7], qdd[7:]
+
+    d_s, c_s, g_s = dyn.assemble_sagittal(cfg.sagittal, dyn.SagittalState.trusted(q_s, dq_s))
+    cdq_s = c_s @ dq_s
+    rhs_s = -cdq_s - g_s
     rhs_s[:4] += tau_s
-
-    qdd_s = np.zeros(7)
-    if cfg.terrain_mode == "granular":
-        grf, f_y, gamma = _grf_granular(cfg, q_s, dq_s, q_f, dq_f)
-        rhs_s[5] += grf.f_x
-        rhs_s[6] += grf.f_z
-        idx = _SAG_FREE
-        qdd_s[idx] = np.linalg.solve(d_s[np.ix_(idx, idx)], rhs_s[idx])
-        f_x, f_z = grf.f_x, grf.f_z
-    else:
-        idx = [0, 1, 2, 3]
-        qdd_s[idx] = np.linalg.solve(d_s[np.ix_(idx, idx)], rhs_s[idx])
-        resid = d_s @ qdd_s + c_s @ dq_s + g_s
-        f_x = float(resid[5])
-        f_z = float(resid[6])
-        f_y = 0.0
+    if granular:
+        _, _, _, _, _, dx, dz = dq_s.tolist()
+        f_x, f_z, f_y, gamma = _grf_granular(
+            cfg, max(0.0, -float(q_s[6])), dx, dz, float(q_f[3]))
+        rhs_s[5] += f_x
+        rhs_s[6] += f_z
+    rows, block = _SAG_COUPLED[cfg.terrain_mode]
+    qdd_s[rows] = np.linalg.solve(d_s[block], rhs_s[rows])
+    qdd_s[2:4] = rhs_s[2:4] / d_s.diagonal()[2:4]  # decoupled swing rows
+    if not granular:
+        # constraint forces read back off the clamped contact rows
+        f_x, f_z = (d_s[5:7] @ qdd_s + cdq_s[5:7] + g_s[5:7]).tolist()
         gamma = 0.0
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
     # lateral slip dynamic; the crossbar row residual is the holding torque
-    d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState(q_f, dq_f))
-    rhs_f = -c_f @ dq_f - g_f
+    d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState.trusted(q_f, dq_f))
+    cdq_f = c_f @ dq_f
+    rhs_f = -cdq_f - g_f
     rhs_f[2] += tau_f[1]
-    qdd_f = np.zeros(5)
-    if cfg.terrain_mode == "granular":
+    if granular:
         rhs_f[3] += f_y
-        zdd = qdd_s[6]
-        idx_f = _FRONT_FREE
-        rhs_sub = rhs_f[idx_f] - d_f[np.ix_(idx_f, [4])].ravel() * zdd
-        qdd_f[idx_f] = np.linalg.solve(d_f[np.ix_(idx_f, idx_f)], rhs_sub)
-        qdd_f[4] = zdd
+        qdd_f[4] = qdd_s[6]
+        qdd_f[2:4] = np.linalg.solve(d_f[2:4, 2:4], rhs_f[2:4] - d_f[2:4, 4] * qdd_f[4])
     else:
         qdd_f[2] = rhs_f[2] / d_f[2, 2]
-        resid = d_f @ qdd_f + c_f @ dq_f + g_f
-        f_y = float(resid[3])
+        f_y = float(d_f[3] @ qdd_f + cdq_f[3] + g_f[3])
     # crossbar holding torque (reported as the hip-pair torque demand)
-    tau_bar = float((d_f @ qdd_f + c_f @ dq_f + g_f)[1])
+    tau_bar = float(d_f[1] @ qdd_f + cdq_f[1] + g_f[1])
 
-    return qdd_s, qdd_f, f_x, f_y, f_z, gamma, tau_bar
+    return qdd, f_x, f_y, f_z, gamma, tau_bar
 
 
 def _ode_step(method: str, q: np.ndarray, dq: np.ndarray, acc, dt: float):
@@ -528,10 +531,12 @@ def _integrate(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
 
     def acc(q, dq):
         nonlocal forces
-        qdd_s, qdd_f, *forces = _accelerations(
-            cfg, q[:7], dq[:7], q[7:], dq[7:], tau_s, tau_f
-        )
-        return np.concatenate((qdd_s, qdd_f))
+        # one check per stage: a sum of squares is finite only if every entry
+        # is finite and below ~1e154, far past the divergence guard
+        if not (math.isfinite(q.dot(q)) and math.isfinite(dq.dot(dq))):
+            raise DivergenceError(ws.t, "(non-finite state in an integrator stage)")
+        qdd, *forces = _accelerations(cfg, q, dq, tau_s, tau_f)
+        return qdd
 
     q0 = np.concatenate((ws.q_s, ws.q_f))
     dq0 = np.concatenate((ws.dq_s, ws.dq_f))

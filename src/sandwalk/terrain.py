@@ -79,16 +79,14 @@ class TerrainParams:
     coefficients: RftCoefficients = field(default_factory=RftCoefficients)
 
     def __post_init__(self) -> None:
+        # range checks are written so that NaN fails them
         if not 0.0 < self.phi_s < math.pi / 2:
             raise ValueError("phi_s must lie in (0, pi/2)")
-        if self.zeta <= 0.0:
-            raise ValueError("zeta must be strictly positive")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be strictly positive")
-        if self.width <= 0.0:
-            raise ValueError("width must be strictly positive")
-        if self.alpha_scale <= 0.0:
-            raise ValueError("alpha_scale must be strictly positive")
+        for name in ("zeta", "lam", "width", "alpha_scale"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be strictly positive")
+        if not math.isfinite(self.sand_level):
+            raise ValueError("sand_level must be finite")
 
 
 @dataclass

@@ -222,6 +222,21 @@ def test_sweep_rows_and_empty_list(tmp_path, capsys):
     assert "invalid configuration: foot_radius must be strictly positive" in captured.err
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("sim.dt=nan", "dt must be strictly positive"),
+    ("robot.g=nan", "g must be strictly positive"),
+    ("control.torque_limit=-5", "torque_limit must be strictly positive"),
+    ("gait.hip_height=0", "hip_height must be strictly positive"),
+    ("sim.r_eff_cap=-1", "r_eff_cap must be strictly positive"),
+    ("sim.initial_jitter=-1", "initial_jitter must be non-negative"),
+])
+def test_simulate_rejects_bad_value_naming_the_field(tmp_path, capsys, setting, message):
+    rc = main(["simulate", "--set", setting, "--set", "sim.duration=0.4",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,8 +3,15 @@ out-of-range values are rejected when the configuration is built."""
 
 import pytest
 
-from sandwalk.config import ConfigError, build_config, flatten_config, load_config
+from sandwalk.config import CONFIG_KEYS, ConfigError, build_config, flatten_config, load_config
 from sandwalk.sim import SimConfig
+
+# NaN for every float key, plus the ranges of keys that had no check
+BAD_VALUES = [(key, "nan") for key, value in flatten_config(SimConfig()).items()
+              if isinstance(value, float)] + [
+    ("control.torque_limit", "-5"), ("control.torque_limit", "0"),
+    ("gait.hip_height", "0"), ("sim.r_eff_cap", "-1"), ("sim.initial_jitter", "-1"),
+]
 
 
 def test_simconfig_defaults_match_build_config():
@@ -18,4 +25,11 @@ def test_simconfig_defaults_match_build_config():
 @pytest.mark.parametrize("value", ["0", "-0.01"])
 def test_nonpositive_robot_and_com_inputs_rejected(key, field, value):
     with pytest.raises(ConfigError, match=f"invalid configuration: {field} must be"):
+        load_config(None, [f"{key}={value}"])
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES)
+def test_bad_value_rejected_naming_the_field(key, value):
+    field = CONFIG_KEYS[key][0].rpartition(".")[2]
+    with pytest.raises(ConfigError, match=f"invalid configuration: {field} must"):
         load_config(None, [f"{key}={value}"])

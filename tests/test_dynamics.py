@@ -66,6 +66,18 @@ def random_sagittal_params(rng):
     )
 
 
+def random_frontal_params(rng):
+    return FrontalParams(
+        m_b=rng.uniform(2, 8),
+        m_1=rng.uniform(0.5, 3),
+        m_2=rng.uniform(0.5, 3),
+        l_1=rng.uniform(0.3, 0.6),
+        d_1=rng.uniform(0.1, 0.29),
+        d_2=rng.uniform(0.1, 0.3),
+        b=rng.uniform(0.05, 0.2),
+    )
+
+
 def test_sagittal_rows_match_closed_forms():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -156,15 +168,7 @@ def test_frontal_row_matches_closed_form():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(1000):
-        p = FrontalParams(
-            m_b=rng.uniform(2, 8),
-            m_1=rng.uniform(0.5, 3),
-            m_2=rng.uniform(0.5, 3),
-            l_1=rng.uniform(0.3, 0.6),
-            d_1=rng.uniform(0.1, 0.29),
-            d_2=rng.uniform(0.1, 0.3),
-            b=rng.uniform(0.05, 0.2),
-        )
+        p = random_frontal_params(rng)
         q = rng.uniform(-1.5, 1.5, 5)
         dq = rng.uniform(-4, 4, 5)
         qdd = rng.uniform(-8, 8, 5)
@@ -209,6 +213,33 @@ def test_skew_symmetry(plane):
         d_dot = (d_plus - d_minus) / (2 * dt)
         s = d_dot - 2 * c
         assert np.abs(s + s.T).max() < 1e-6
+
+
+@pytest.mark.parametrize("plane", ["sagittal", "frontal"])
+def test_coriolis_matches_christoffel_of_numeric_partials(plane):
+    # every entry of C against C_ij = 1/2 sum_k (d_k D_ij + d_j D_ik - d_i D_jk) dq_k
+    # with dD from central differences of the assembled D
+    rng = np.random.default_rng(15)
+    h = 1e-6
+    if plane == "sagittal":
+        n, assemble, state, params = 7, assemble_sagittal, SagittalState, random_sagittal_params
+    else:
+        n, assemble, state, params = 5, assemble_frontal, FrontalState, random_frontal_params
+    for _ in range(50):
+        p = params(rng)
+        q = rng.uniform(-1.5, 1.5, n)
+        dq = rng.uniform(-4.0, 4.0, n)
+        d_d = np.empty((n, n, n))  # d_d[k, i, j] = dD_ij/dq_k
+        for k in range(n):
+            step = np.zeros(n)
+            step[k] = h
+            d_d[k] = (assemble(p, state(q + step, dq))[0]
+                      - assemble(p, state(q - step, dq))[0]) / (2 * h)
+        christoffel = 0.5 * (np.einsum("kij,k->ij", d_d, dq)
+                             + np.einsum("jik,k->ij", d_d, dq)
+                             - np.einsum("ijk,k->ij", d_d, dq))
+        _, c, _ = assemble(p, state(q, dq))
+        assert np.abs(c - christoffel).max() < 1e-6
 
 
 @pytest.mark.parametrize("plane", ["sagittal", "frontal"])

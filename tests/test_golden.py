@@ -16,12 +16,12 @@ from sandwalk.config import build_config, flatten_config
 
 TRAJECTORY_SHA256 = {
     ("granular", "semi_implicit"): (
-        "2896686acb9e8e759f3ad14bb2859e25c97fae14bb9ee8bcc93fefc3ccd98787",
-        "5e4e3a6c6b68162087d2131878293956797b61b2ad847df64153b95f8f55ae48",
+        "3cf6e9c23da5fca7a286ea4eca2614cf0bbaff73b77b419281240274d10e8d86",
+        "fe2c1adf7db9977d8fb1bd48dd79f3e741cf98f04ddbe01dfeabc66436e6393e",
     ),
     ("granular", "rk4"): (
-        "b4f2492c872bd485d49ebba4d093b94ec4a72c4b4b0a7e2fbcfbda92e726dea6",
-        "d08c94a7d43f87c281a97bbc027f5dcf0c6ab84d6a327778d28ed3075395aa4f",
+        "9e518aaf686a215be6e1448c55022e7e853a4bcb250eb03265246dd1aeede5c1",
+        "1164342f8b3a4e138f0ef4814c79c8e24cb29fd6a911037c02e584d26242b375",
     ),
     ("rigid", "semi_implicit"): (
         "976cb31d97796c3b2ec7f4c5c36a3f2ed9029c96fd19d5d09a76c5c03cbed7bc",

@@ -133,6 +133,21 @@ def test_divergence_guard():
     assert err.value.t > 0.0
 
 
+@pytest.mark.parametrize("integrator,rate", [
+    ("rk4", 1e150),           # finite at the step's start, overflows in stage 2
+    ("rk4", math.nan),
+    ("semi_implicit", math.nan),
+])
+def test_nonfinite_stage_is_divergence(integrator, rate):
+    cfg = build_config({"sim.integrator": integrator})
+    ws = sim.initial_state(cfg)
+    ws.dq_s[0] = rate
+    with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
+        sim.step(ws, cfg)
+    assert err.value.t == 0.0
+    assert "integrator stage" in str(err.value)
+
+
 def test_step_does_not_mutate_input():
     cfg = build_config({"sim.duration": 0.8})
     ws = sim.initial_state(cfg)
