@@ -93,9 +93,6 @@ def _cmd_sweep(args) -> int:
             raise cfgmod.ConfigError(f"bad velocity list '{args.velocities}'")
     else:
         velocities = list(_DEFAULT_VELOCITIES)
-    if not velocities:
-        print("error: empty velocity list", file=sys.stderr)
-        return 2
     rows = metrics.velocity_sweep(cfg, velocities, repeats=args.repeats,
                                   jobs=args.jobs)
     sweep_path = out / "sweep.csv"

@@ -89,7 +89,7 @@ def _coerce(key: str, raw, where: str = "") -> object:
         if typ is float:
             return float(raw)
         return str(raw).strip()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}invalid value for '{key}': {raw!r}") from exc
 
 
@@ -142,6 +142,9 @@ def build_config(flat: dict) -> simulation.SimConfig:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
         part, _, name = CONFIG_KEYS[key][0].rpartition(".")
+        # the range checks below let +-inf through (NaN fails them)
+        if isinstance(value, float) and math.isinf(value):
+            raise ConfigError(f"invalid configuration: {name} must be finite")
         parts[part][name] = math.radians(value) if key == _DEGREES_KEY else value
 
     try:

@@ -203,8 +203,7 @@ class _State:
 class SagittalState(_State):
     """Augmented sagittal coordinates and their rates.
 
-    ``q = [q1 q2 q3 q4 q5 x_s z]``; z is the upward contact coordinate
-    (``sinkage`` gives the positive-down depth).
+    ``q = [q1 q2 q3 q4 q5 x_s z]``; z is the upward contact coordinate.
     """
 
     q: np.ndarray = field(default_factory=lambda: np.zeros(7))
@@ -213,11 +212,6 @@ class SagittalState(_State):
     def __post_init__(self) -> None:
         self.q = _as_vector(self.q, 7, "q")
         self.dq = _as_vector(self.dq, 7, "dq")
-
-    @property
-    def sinkage(self) -> float:
-        """Depth of the contact below its initial location [m], >= 0."""
-        return max(0.0, -float(self.q[6]))
 
 
 @dataclass

@@ -190,7 +190,7 @@ def velocity_sweep(
     """
     velocities = list(velocities)
     if not velocities:
-        raise ValueError("velocity list must not be empty")
+        raise ValueError("empty velocity list")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     settle = base.gait.cycle_period  # drop the first cycle transient

@@ -190,15 +190,17 @@ class Trajectory:
             fh.writelines(",".join(map(str, row)) + "\n" for row in self._rows())
 
     def save_json(self, path) -> None:
-        payload = {
-            "meta": self.meta,
-            "columns": SIM_RECORD_FIELDS,
-            # strict JSON has no NaN
-            "records": self._rows(~np.isfinite(self.data), None),
-        }
-        # dumps runs the C encoder; dump streams through the Python one
+        head = json.dumps({"meta": self.meta, "columns": SIM_RECORD_FIELDS})
+        null = ~np.isfinite(self.data)  # strict JSON has no NaN
+        # dumps runs the C encoder (dump streams through the slower Python
+        # one); it encodes a block of rows at a time, so that the rows and
+        # their text never all exist as Python objects at once
         with open(path, "w") as fh:
-            fh.write(json.dumps(payload))
+            fh.write(head[:-1] + ', "records": [')
+            for i in range(0, len(self), 256):
+                block = Trajectory(self.data[i:i + 256], {})._rows(null[i:i + 256], None)
+                fh.write((", " if i else "") + json.dumps(block)[1:-1])
+            fh.write("]}")
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":
@@ -246,67 +248,38 @@ def detect_touchdown(prev_height: float, height: float, sand_level: float = 0.0)
 
 
 # ---------------------------------------------------------------------------
-# kinematic helpers (world frame)
+# kinematics (world frame)
 # ---------------------------------------------------------------------------
 
-def _u(theta: float) -> np.ndarray:
-    return np.array([math.sin(theta), math.cos(theta)])
+def _kinematics(ws: WalkerState, cfg: SimConfig):
+    """Forward kinematics through the stance leg: the (x, z) positions of the
+    hip, the swing-foot center and the whole-robot CoM, then their velocities.
 
-
-def _du(theta: float, dtheta: float) -> np.ndarray:
-    return np.array([math.cos(theta), -math.sin(theta)]) * dtheta
-
-
-def _anchor(ws: WalkerState) -> np.ndarray:
-    return ws.c0 + ws.q_s[5:7]
-
-
-def _hip(ws: WalkerState, cfg: SimConfig) -> np.ndarray:
+    Each link angle a enters through its direction (sin a, cos a), and the
+    positions are linear in these directions, so the velocities come from the
+    same chain applied to the direction rates (cos a, -sin a) da."""
     p = cfg.sagittal
-    center = _anchor(ws) + np.array([0.0, cfg.foot_radius])
-    return center + p.l_c * _u(ws.q_s[1]) + p.l_t * _u(ws.q_s[0])
-
-
-def _hip_vel(ws: WalkerState, cfg: SimConfig) -> np.ndarray:
-    p = cfg.sagittal
-    return (
-        ws.dq_s[5:7]
-        + p.l_c * _du(ws.q_s[1], ws.dq_s[1])
-        + p.l_t * _du(ws.q_s[0], ws.dq_s[0])
-    )
-
-
-def _swing_center(ws: WalkerState, cfg: SimConfig) -> np.ndarray:
-    p = cfg.sagittal
-    return _hip(ws, cfg) - p.l_t * _u(ws.q_s[2]) - p.l_c * _u(ws.q_s[3])
-
-
-def _swing_center_vel(ws: WalkerState, cfg: SimConfig) -> np.ndarray:
-    p = cfg.sagittal
-    return (
-        _hip_vel(ws, cfg)
-        - p.l_t * _du(ws.q_s[2], ws.dq_s[2])
-        - p.l_c * _du(ws.q_s[3], ws.dq_s[3])
-    )
-
-
-def _com(ws: WalkerState, cfg: SimConfig):
-    """Whole-robot CoM position and velocity from forward kinematics."""
-    p = cfg.sagittal
-    hip = _hip(ws, cfg)
-    hip_v = _hip_vel(ws, cfg)
-    q, dq = ws.q_s, ws.dq_s
     total = p.m_b + 2.0 * p.m_t + 2.0 * p.m_c
-    pos = p.m_b * (hip + p.l_b * _u(q[4]))
-    vel = p.m_b * (hip_v + p.l_b * _du(q[4], dq[4]))
-    for thigh, calf in ((0, 1), (2, 3)):
-        pos += p.m_t * (hip - p.a_1 * _u(q[thigh]))
-        vel += p.m_t * (hip_v - p.a_1 * _du(q[thigh], dq[thigh]))
-        pos += p.m_c * (hip - p.l_t * _u(q[thigh]) - p.a_2 * _u(q[calf]))
-        vel += p.m_c * (
-            hip_v - p.l_t * _du(q[thigh], dq[thigh]) - p.a_2 * _du(q[calf], dq[calf])
-        )
-    return pos / total, vel / total
+
+    def chain(base, u):
+        # one axis: base is the stance-foot center (or its rate), u[i] the
+        # axis component of link i's direction (or its rate)
+        hip = base + p.l_c * u[1] + p.l_t * u[0]
+        swing = hip - p.l_t * u[2] - p.l_c * u[3]
+        com = p.m_b * (hip + p.l_b * u[4])
+        for thigh, calf in ((0, 1), (2, 3)):
+            com += p.m_t * (hip - p.a_1 * u[thigh])
+            com += p.m_c * (hip - p.l_t * u[thigh] - p.a_2 * u[calf])
+        return hip, swing, com / total
+
+    q, dq, c0 = ws.q_s.tolist(), ws.dq_s.tolist(), ws.c0.tolist()
+    sin = [math.sin(a) for a in q[:5]]
+    cos = [math.cos(a) for a in q[:5]]
+    x = chain(c0[0] + q[5], sin)
+    z = chain(c0[1] + q[6] + cfg.foot_radius, cos)
+    vx = chain(dq[5], [c * w for c, w in zip(cos, dq)])
+    vz = chain(dq[6], [-s * w for s, w in zip(sin, dq)])
+    return (*zip(x, z), *zip(vx, vz))
 
 
 def _ik_clamped(l_t: float, l_c: float, target):
@@ -327,11 +300,15 @@ def _ik_clamped(l_t: float, l_c: float, target):
 # references and control
 # ---------------------------------------------------------------------------
 
-def _nominal_chord(cfg: SimConfig) -> float:
-    """Design vault chord: hip reference height over the foot center."""
-    r = cfg.gait.hip_height - cfg.foot_radius
+def _clamp_chord(cfg: SimConfig, r: float) -> float:
+    """Stance leg chord r clamped into [0.2, 1] of the 0.999-straight leg."""
     r_max = (cfg.sagittal.l_t + cfg.sagittal.l_c) * 0.999
     return min(max(r, 0.2 * r_max), r_max)
+
+
+def _stance_phase(ws: WalkerState, cfg: SimConfig, t: float) -> float:
+    """Fraction of the scheduled stance elapsed at time t, in [0, 1]."""
+    return min(max((t - ws.t_stance_start) / cfg.gait.stance_duration, 0.0), 1.0)
 
 
 def _model_refs(ws: WalkerState, cfg: SimConfig, t: float) -> np.ndarray:
@@ -349,9 +326,9 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float) -> np.ndarray:
     g = cfg.gait
     surface = cfg.terrain.sand_level
     t_half = g.stance_duration
-    phase = min(max((t - ws.t_stance_start) / t_half, 0.0), 1.0)
+    phase = _stance_phase(ws, cfg, t)
     length = g.step_length
-    r_nom = _nominal_chord(cfg)
+    r_nom = _clamp_chord(cfg, g.hip_height - cfg.foot_radius)  # design vault chord
     line_x = ws.line_x0 + g.v_target * t
 
     # stance leg: vault the hip along the line over the estimated contact
@@ -383,44 +360,36 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float) -> np.ndarray:
     return np.array([st_t, st_c, sw_t, sw_c, g.trunk_ref])
 
 
-_FRONTAL_POSTURE = np.array([0.0, math.pi / 2.0, 0.0])
+# (stance, swing) hip actuator rows of q_a by stance side
+_HIP_ROWS = {gt.Side.LEFT: (0, 3), gt.Side.RIGHT: (3, 0)}
+# hip actuator angles of the held frontal posture (p1, p2, p3) = (0, pi/2, 0)
+_HIP_POSTURE = gt.frontal_to_hip_angles((0.0, math.pi / 2.0, 0.0))
 
 
-def _actuation_refs(ws: WalkerState, cfg: SimConfig):
-    """Actuator reference angles and rates (schedule rate, geometry frozen)."""
-    delta = 1e-5
-    ref_now = _model_refs(ws, cfg, ws.t)
-    ref_prev = _model_refs(ws, cfg, ws.t - delta)
-    q_ref = gt.sagittal_angles_to_actuation(ref_now, ws.stance)
-    dq_ref = gt.sagittal_angles_to_actuation((ref_now - ref_prev) / delta, ws.stance)
-    hip_st, hip_sw = gt.frontal_to_hip_angles(_FRONTAL_POSTURE)
-    i_st, i_sw = (0, 3) if ws.stance is gt.Side.LEFT else (3, 0)
-    q_ref[i_st] = hip_st
-    q_ref[i_sw] = hip_sw
-    dq_ref[i_st] = 0.0
-    dq_ref[i_sw] = 0.0
-    return q_ref, dq_ref
-
-
-def _measured_actuation(ws: WalkerState):
-    q_a = gt.sagittal_angles_to_actuation(ws.q_s[:5], ws.stance)
-    dq_a = gt.sagittal_angles_to_actuation(ws.dq_s[:5], ws.stance)
-    hip_st, hip_sw = gt.frontal_to_hip_angles(ws.q_f[:3])
-    dhip_st = -ws.dq_f[0] + ws.dq_f[1]
-    dhip_sw = -ws.dq_f[1] + ws.dq_f[2]
-    i_st, i_sw = (0, 3) if ws.stance is gt.Side.LEFT else (3, 0)
-    q_a[i_st], q_a[i_sw] = hip_st, hip_sw
-    dq_a[i_st], dq_a[i_sw] = dhip_st, dhip_sw
+def _to_actuation(stance: gt.Side, q_s, dq_s, hips, dhips):
+    """Actuator angles and rates from the five sagittal angles and rates and
+    the (stance, swing) hip actuator angles and rates."""
+    q_a = gt.sagittal_angles_to_actuation(q_s, stance)
+    dq_a = gt.sagittal_angles_to_actuation(dq_s, stance)
+    i_st, i_sw = _HIP_ROWS[stance]
+    q_a[i_st], q_a[i_sw] = hips
+    dq_a[i_st], dq_a[i_sw] = dhips
     return q_a, dq_a
 
 
 def _control(ws: WalkerState, cfg: SimConfig):
-    """PD torques in actuation space and their planar-model images."""
-    q_ref, dq_ref = _actuation_refs(ws, cfg)
-    q_a, dq_a = _measured_actuation(ws)
+    """PD torques in actuation space and their planar-model images.  The
+    reference rates are the schedule rate, with the geometry frozen."""
+    delta = 1e-5
+    ref_now = _model_refs(ws, cfg, ws.t)
+    ref_rate = (ref_now - _model_refs(ws, cfg, ws.t - delta)) / delta
+    q_ref, dq_ref = _to_actuation(ws.stance, ref_now, ref_rate, _HIP_POSTURE, (0.0, 0.0))
+    dp = ws.dq_f  # rates of the hip angles -p1 + p2 and pi - p2 + p3
+    hips, dhips = gt.frontal_to_hip_angles(ws.q_f), (-dp[0] + dp[1], -dp[1] + dp[2])
+    q_a, dq_a = _to_actuation(ws.stance, ws.q_s[:5], ws.dq_s[:5], hips, dhips)
     tau_a = gt.track_joints(q_ref, dq_ref, q_a, dq_a, cfg.gains)
     tau_s = gt.actuation_torques_to_sagittal(tau_a, ws.stance)
-    i_st, i_sw = (0, 3) if ws.stance is gt.Side.LEFT else (3, 0)
+    i_st, i_sw = _HIP_ROWS[ws.stance]
     tau_f = np.array(gt.hip_torques_to_frontal(tau_a[i_st], tau_a[i_sw]))
     return tau_a, dq_a, tau_s, tau_f
 
@@ -562,9 +531,10 @@ def _integrate(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
     return forces
 
 
-def _contact_angle(ws: WalkerState, shape: rl.FootShape) -> float:
+def _contact_angle(ws: WalkerState, cfg: SimConfig) -> float:
     """Orientation angle theta_r of the stance-foot contact point; a contact
     that leaves the sole ends the run as a divergence."""
+    shape = rl.FootShape.semicylinder(cfg.foot_radius)
     try:
         contact = rl.lowest_point(shape, float(ws.q_s[1]))
     except rl.ContactOutsideSoleError as exc:
@@ -572,48 +542,38 @@ def _contact_angle(ws: WalkerState, shape: rl.FootShape) -> float:
     return rl.orientation_angle(shape, contact)
 
 
-def _swap_stance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape) -> None:
-    surface = cfg.terrain.sand_level
-    old_center = _anchor(ws) + np.array([0.0, cfg.foot_radius])
-    new_center = _swing_center(ws, cfg)
-    new_center_vel = _swing_center_vel(ws, cfg)
-
+def _swap_stance(ws: WalkerState, cfg: SimConfig, swing, swing_v) -> None:
+    """Touchdown: the swing foot, its center at ``swing`` moving at
+    ``swing_v``, becomes the stance foot."""
+    ws.liftoff = ws.c0 + ws.q_s[5:7] + (0.0, cfg.foot_radius)  # old stance-foot center
     ws.stance = ws.stance.other
-    ws.c0 = np.array([new_center[0], min(new_center[1] - cfg.foot_radius, surface)])
-    ws.liftoff = old_center
+    ws.c0 = np.array([swing[0], min(swing[1] - cfg.foot_radius, cfg.terrain.sand_level)])
     # relabel model coordinates: swing pair becomes the stance pair
     q = ws.q_s
     dq = ws.dq_s
     ws.q_s = np.array([q[2], q[3], q[0], q[1], q[4], 0.0, 0.0])
-    if cfg.terrain_mode == "granular":
-        # intrusion starts from rest vertically (the reset absorbs the
-        # contact-formation transient); the landing skid carries over
-        anchor_rate = np.array([new_center_vel[0], 0.0])
-    else:
-        anchor_rate = np.zeros(2)
-    ws.dq_s = np.array(
-        [dq[2], dq[3], dq[0], dq[1], dq[4], anchor_rate[0], anchor_rate[1]]
-    )
+    # on sand the intrusion starts from rest vertically (the reset absorbs
+    # the contact-formation transient); the landing skid carries over
+    slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0
+    ws.dq_s = np.array([dq[2], dq[3], dq[0], dq[1], dq[4], slip_rate, 0.0])
     # frontal relabel is a mirror about the new stance hip
     p = ws.q_f
     dp = ws.dq_f
     ws.q_f = np.array([0.0, math.pi - p[1], -p[2], 0.0, ws.q_s[6]])
     ws.dq_f = np.array([0.0, -dp[1], -dp[2], 0.0, ws.dq_s[6]])
 
-    ws.theta_r0 = _contact_angle(ws, shape)
+    ws.theta_r0 = _contact_angle(ws, cfg)
     ws.t_stance_start = ws.t
     ws.step_count += 1
     ws.prev_swing_height = float("inf")
 
     # latch the stance chord at touchdown
-    hip = _hip(ws, cfg)
-    center = ws.c0 + np.array([0.0, cfg.foot_radius])
-    r = float(np.linalg.norm(hip - center))
-    r_max = (cfg.sagittal.l_t + cfg.sagittal.l_c) * 0.999
-    ws.r_latch = min(max(r, 0.2 * r_max), r_max)
+    hip = np.array(_kinematics(ws, cfg)[0])
+    r = float(np.linalg.norm(hip - (ws.c0 + (0.0, cfg.foot_radius))))
+    ws.r_latch = _clamp_chord(cfg, r)
 
 
-def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape, out: np.ndarray) -> None:
+def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray) -> None:
     """One fixed step; writes the post-step record into the row ``out``."""
     tau_a, dq_a, tau_s, tau_f = _control(ws, cfg)
     # rates at the control instant, for consistent power accounting
@@ -623,7 +583,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape, out: np.ndarr
     ws.t += cfg.dt
 
     # reported hip torques: crossbar holding demand plus the swing-side PD
-    i_st, i_sw = (0, 3) if ws.stance is gt.Side.LEFT else (3, 0)
+    i_st, i_sw = _HIP_ROWS[ws.stance]
     tau_a = tau_a.copy()
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
     tau_f = np.array([tau_bar, tau_f[1]])
@@ -633,7 +593,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape, out: np.ndarr
         raise DivergenceError(ws.t)
 
     # rolling bookkeeping on the stance foot
-    theta_r = _contact_angle(ws, shape)
+    theta_r = _contact_angle(ws, cfg)
     d_theta = rl.rolling_angle(ws.theta_r0, theta_r)
     v_contact = (float(ws.dq_s[5]), float(ws.dq_s[6]))
     try:
@@ -647,9 +607,8 @@ def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape, out: np.ndarr
     power_s = float(tau_s @ dq_s_act)
     power_f = float(tau_f @ dq_f_act)
 
-    com, com_v = _com(ws, cfg)
-    hip = _hip(ws, cfg)
-    phase = min(max((ws.t - ws.t_stance_start) / cfg.gait.stance_duration, 0.0), 1.0)
+    hip, swing, com, _, swing_v, com_v = _kinematics(ws, cfg)
+    phase = _stance_phase(ws, cfg, ws.t)
 
     q_s, dq_s, q_f, dq_f = (a.tolist() for a in (ws.q_s, ws.dq_s, ws.q_f, ws.dq_f))
     out[:] = [  # SIM_RECORD_FIELDS order
@@ -661,34 +620,32 @@ def _advance(ws: WalkerState, cfg: SimConfig, shape: rl.FootShape, out: np.ndarr
         f_x, f_y, f_z,
         theta_r, d_theta, gamma, r_eff,
         power, power_abs, power_s, power_f,
-        *com.tolist(), *com_v.tolist(), *hip.tolist(),
+        *com, *com_v, *hip,
     ]
 
     # touchdown: crossing detector armed past the swing apex, forced at the
     # schedule boundary (swing timing known in advance)
-    swing_h = float(_swing_center(ws, cfg)[1]) - cfg.foot_radius
+    swing_h = swing[1] - cfg.foot_radius
     if phase >= 1.0 or (
         phase > 0.5
         and detect_touchdown(ws.prev_swing_height, swing_h, cfg.terrain.sand_level)
     ):
-        _swap_stance(ws, cfg, shape)
+        _swap_stance(ws, cfg, swing, swing_v)
     else:
         ws.prev_swing_height = swing_h
 
 
 def step(ws: WalkerState, cfg: SimConfig):
     """Advance a copy of the state by one step; returns (state', record)."""
-    shape = rl.FootShape.semicylinder(cfg.foot_radius)
     out = copy.deepcopy(ws)
     row = np.empty((1, len(SIM_RECORD_FIELDS)))
-    _advance(out, cfg, shape, row[0])
+    _advance(out, cfg, row[0])
     return out, Trajectory(row, {}).records[0]
 
 
 def initial_state(cfg: SimConfig) -> WalkerState:
     """On-reference starting state at the beginning of a left stance."""
     surface = cfg.terrain.sand_level
-    p = cfg.sagittal
     ws = WalkerState()
     ws.c0 = np.array([0.0, surface])
     ws.liftoff = np.array(
@@ -697,7 +654,7 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     ws.q_f = np.array([0.0, math.pi / 2.0, 0.0, 0.0, 0.0])
 
     ws.line_x0 = -0.5 * cfg.gait.step_length
-    ws.r_latch = _nominal_chord(cfg)
+    ws.r_latch = _clamp_chord(cfg, cfg.gait.hip_height - cfg.foot_radius)
 
     refs0 = _model_refs(ws, cfg, 0.0)
     refs1 = _model_refs(ws, cfg, 1e-5)
@@ -709,21 +666,20 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     jitter = rng.uniform(-cfg.initial_jitter, cfg.initial_jitter, 4)
     ws.q_s[:4] += jitter
 
-    ws.theta_r0 = _contact_angle(ws, rl.FootShape.semicylinder(cfg.foot_radius))
+    ws.theta_r0 = _contact_angle(ws, cfg)
     return ws
 
 
 def run(cfg: SimConfig) -> Trajectory:
     """Simulate for the configured duration; deterministic given the config."""
     ws = initial_state(cfg)
-    shape = rl.FootShape.semicylinder(cfg.foot_radius)
     n_steps = int(round(cfg.duration / cfg.dt))
     # every step writes its decimation block's row, so a row ends up holding
     # the block's last (logged) step; trailing steps of an incomplete block
     # go to a spare row that is dropped
     data = np.empty((n_steps // cfg.decimation + 1, len(SIM_RECORD_FIELDS)))
     for k in range(n_steps):
-        _advance(ws, cfg, shape, data[k // cfg.decimation])
+        _advance(ws, cfg, data[k // cfg.decimation])
     meta = {
         "dt": cfg.dt,
         "duration": cfg.duration,

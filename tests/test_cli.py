@@ -229,9 +229,11 @@ def test_sweep_rows_and_empty_list(tmp_path, capsys):
     ("gait.hip_height=0", "hip_height must be strictly positive"),
     ("sim.r_eff_cap=-1", "r_eff_cap must be strictly positive"),
     ("sim.initial_jitter=-1", "initial_jitter must be non-negative"),
+    ("sim.duration=inf", "duration must be finite"),
 ])
 def test_simulate_rejects_bad_value_naming_the_field(tmp_path, capsys, setting, message):
-    rc = main(["simulate", "--set", setting, "--set", "sim.duration=0.4",
+    # the setting comes last, so that it wins over the short duration
+    rc = main(["simulate", "--set", "sim.duration=0.4", "--set", setting,
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"invalid configuration: {message}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Simulation tests: modes, events, bookkeeping, determinism."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from sandwalk import dynamics as dyn
 from sandwalk import sim
 from sandwalk.config import build_config
-from sandwalk.gait import Gains
+from sandwalk.gait import Gains, leg_fk
 from sandwalk.metrics import cot
 
 
@@ -45,6 +46,38 @@ def test_record_count_and_decimation():
     assert len(traj.records) == 2000
     traj5 = run_cfg(**{"sim.duration": 2.0, "sim.decimation": 5})
     assert len(traj5.records) == 400
+
+
+def test_kinematics_closure_and_rates():
+    # hip, swing-foot center and CoM from the one forward-kinematics pass:
+    # each leg closes from the hip to its foot center, and each velocity is
+    # the central difference of its position along the rates
+    cfg = build_config({})
+    p = cfg.sagittal
+    rng = np.random.default_rng(2024)
+    h = 1e-6
+    worst_pos = worst_vel = 0.0
+    for _ in range(200):
+        ws = sim.WalkerState(
+            c0=np.array([rng.uniform(-1.0, 1.0), rng.uniform(-0.02, 0.02)]),
+            q_s=np.concatenate([rng.uniform(-1.0, 1.0, 5), rng.uniform(-0.05, 0.05, 2)]),
+            dq_s=rng.uniform(-3.0, 3.0, 7),
+        )
+        hip, swing, com, hip_v, swing_v, com_v = sim._kinematics(ws, cfg)
+        q = ws.q_s
+        stance_center = ws.c0 + q[5:7] + (0.0, cfg.foot_radius)
+        for leg, center in ((0, stance_center), (2, swing)):
+            foot = np.add(hip, leg_fk(p.l_t, p.l_c, q[leg], q[leg + 1]))
+            worst_pos = max(worst_pos, np.abs(foot - center).max())
+        ws.q_s = q + h * ws.dq_s
+        ahead = sim._kinematics(ws, cfg)[:3]
+        ws.q_s = q - h * ws.dq_s
+        behind = sim._kinematics(ws, cfg)[:3]
+        for vel, pos_a, pos_b in zip((hip_v, swing_v, com_v), ahead, behind):
+            fd = (np.subtract(pos_a, pos_b)) / (2.0 * h)
+            worst_vel = max(worst_vel, np.abs(fd - vel).max())
+    assert worst_pos < 1e-12
+    assert worst_vel < 1e-8
 
 
 def test_touchdown_detector_cases():
@@ -186,6 +219,23 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(loaded.records) == len(traj.records)
     assert loaded.records[10] == traj.records[10]
     assert loaded.records[-1].stance_leg in ("left", "right")
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 256, 257, 600])
+def test_trajectory_json_is_one_document(tmp_path, n_rows):
+    # rows are encoded a block at a time; the file must read as the one
+    # document {meta, columns, records} with non-finite values as null
+    data = np.random.default_rng(n_rows).uniform(size=(n_rows, len(sim.SIM_RECORD_FIELDS)))
+    data[:, 1] = data[:, 1] > 0.5  # stance_leg index
+    data[::7, 5] = math.nan
+    data[::11, 7] = math.inf
+    traj = sim.Trajectory(data, {"seed": 3})
+    traj.save_json(tmp_path / "traj.json")
+    text = (tmp_path / "traj.json").read_text()
+    assert text == json.dumps({"meta": traj.meta, "columns": sim.SIM_RECORD_FIELDS,
+                               "records": traj._rows(~np.isfinite(data), None)})
+    doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert len(doc["records"]) == n_rows
 
 
 def test_config_validation():
