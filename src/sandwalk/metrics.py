@@ -193,6 +193,10 @@ def velocity_sweep(
         raise ValueError("empty velocity list")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    from .config import build_config  # here, so that `import sandwalk` skips it
+
+    for v in velocities:  # each speed passes the checks of its config key
+        build_config({"gait.v_target": float(v)})
     settle = base.gait.cycle_period  # drop the first cycle transient
 
     cells = []

@@ -130,6 +130,7 @@ _LEG_NAMES = ("left", "right")
 _FIELD_INDEX = {name: i for i, name in enumerate(SIM_RECORD_FIELDS)}
 _LEG = _FIELD_INDEX["stance_leg"]
 _STEP = _FIELD_INDEX["step_count"]
+_BLOCK = 256  # rows per block of trajectory file I/O
 
 #: One trajectory row, with ``stance_leg`` as "left"/"right" and
 #: ``step_count`` as int.  ``z_s`` is the sinkage depth and ``dz_s`` the
@@ -183,32 +184,37 @@ class Trajectory:
         col.flags.writeable = False
         return col
 
+    def _blocks(self, mask=None, fill=None):
+        """(first row, ``_rows`` of the block) per block of rows, so that file
+        I/O never holds the whole trajectory as Python objects."""
+        for i in range(0, len(self), _BLOCK):
+            block = Trajectory(self.data[i:i + _BLOCK], {})
+            yield i, block._rows(None if mask is None else mask[i:i + _BLOCK], fill)
+
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(SIM_RECORD_FIELDS) + "\n")
             # str of a Python float is its shortest round-trip repr
-            fh.writelines(",".join(map(str, row)) + "\n" for row in self._rows())
+            for _, rows in self._blocks():
+                fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
     def save_json(self, path) -> None:
         head = json.dumps({"meta": self.meta, "columns": SIM_RECORD_FIELDS})
-        null = ~np.isfinite(self.data)  # strict JSON has no NaN
-        # dumps runs the C encoder (dump streams through the slower Python
-        # one); it encodes a block of rows at a time, so that the rows and
-        # their text never all exist as Python objects at once
+        # strict JSON has no NaN; dumps runs the C encoder (dump streams
+        # through the slower Python one)
         with open(path, "w") as fh:
             fh.write(head[:-1] + ', "records": [')
-            for i in range(0, len(self), 256):
-                block = Trajectory(self.data[i:i + 256], {})._rows(null[i:i + 256], None)
-                fh.write((", " if i else "") + json.dumps(block)[1:-1])
+            for i, rows in self._blocks(~np.isfinite(self.data), None):
+                fh.write((", " if i else "") + json.dumps(rows)[1:-1])
             fh.write("]}")
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":
+        blocks, rows = [], []
         with open(path, newline="") as fh:
             header = fh.readline().strip().split(",")
             if header != SIM_RECORD_FIELDS:
                 raise ValueError(f"{path}: unexpected trajectory header")
-            rows = []
             for lineno, line in enumerate(fh, start=2):
                 parts = line.rstrip("\n").split(",")
                 try:
@@ -218,8 +224,11 @@ class Trajectory:
                     rows.append(list(map(float, parts)))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
-        data = np.array(rows, dtype=float).reshape(-1, len(SIM_RECORD_FIELDS))
-        return cls(data=data, meta={"source": str(path)})
+                if len(rows) == _BLOCK:
+                    blocks.append(np.array(rows))
+                    rows = []
+        blocks.append(np.array(rows).reshape(-1, len(SIM_RECORD_FIELDS)))
+        return cls(data=np.concatenate(blocks), meta={"source": str(path)})
 
 
 @dataclass
@@ -282,18 +291,27 @@ def _kinematics(ws: WalkerState, cfg: SimConfig):
     return (*zip(x, z), *zip(vx, vz))
 
 
-def _ik_clamped(l_t: float, l_c: float, target):
-    """Leg IK with the target radius clamped into the reachable annulus."""
+def _ik_clamped(l_t: float, l_c: float, target, rate):
+    """Leg IK with the target radius clamped into the reachable annulus:
+    (thigh, calf) angles and their rates for a target moving at ``rate``."""
     dx, dz = target
+    vx, vz = rate
     r = math.hypot(dx, dz)
     r_max = (l_t + l_c) * (1.0 - 1e-4)
     r_min = abs(l_t - l_c) * (1.0 + 1e-4) + 1e-6
     if r < 1e-12:
         raise gt.UnreachableTargetError("foot target coincides with the hip")
     if r > r_max or r < r_min:
+        # the clamped target keeps the radius: only the tangential rate stays
         s = min(max(r, r_min), r_max) / r
+        radial = (dx * vx + dz * vz) / (r * r)
+        vx, vz = s * (vx - radial * dx), s * (vz - radial * dz)
         dx, dz = dx * s, dz * s
-    return gt.leg_ik(l_t, l_c, (dx, dz))
+    thigh, calf = gt.leg_ik(l_t, l_c, (dx, dz))
+    # invert the rate of target = -l_t (sin, cos)(thigh) - l_c (sin, cos)(calf)
+    st, ct, sc, cc = math.sin(thigh), math.cos(thigh), math.sin(calf), math.cos(calf)
+    knee = math.sin(thigh - calf)
+    return thigh, calf, (sc * vx + cc * vz) / (l_t * knee), -(st * vx + ct * vz) / (l_c * knee)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +329,10 @@ def _stance_phase(ws: WalkerState, cfg: SimConfig, t: float) -> float:
     return min(max((t - ws.t_stance_start) / cfg.gait.stance_duration, 0.0), 1.0)
 
 
-def _model_refs(ws: WalkerState, cfg: SimConfig, t: float) -> np.ndarray:
+def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
     """Reference absolute angles [stance thigh, stance calf, swing thigh,
-    swing calf, trunk] at time t.
+    swing calf, trunk] at time t, and their time derivatives with the
+    geometry (contact, latches) frozen.
 
     The stance hip reference tracks the commanded-velocity line in x (so
     contact slip is absorbed instead of re-vaulted) and recovers the leg
@@ -321,77 +340,88 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float) -> np.ndarray:
     per-step sinkage is regained without accumulating a crouch).  The swing
     foot tracks the cycloid between world-frame footfall targets planned
     against the nominal surface-level geometry.
+
+    The phase rate is 1/T_stance inside the stance and 0 where the phase is
+    clamped.  Every phase-driven term (chord recovery, cycloid, endpoint
+    blend) has zero slope at phase 0 and 1, so the rates there are the
+    one-sided derivative from either side.
     """
     p = cfg.sagittal
     g = cfg.gait
-    surface = cfg.terrain.sand_level
+    v = g.v_target
     t_half = g.stance_duration
     phase = _stance_phase(ws, cfg, t)
-    length = g.step_length
+    dphase = 1.0 / t_half if 0.0 < phase < 1.0 else 0.0
     r_nom = _clamp_chord(cfg, g.hip_height - cfg.foot_radius)  # design vault chord
-    line_x = ws.line_x0 + g.v_target * t
+    line_x = ws.line_x0 + v * t
 
     # stance leg: vault the hip along the line over the estimated contact
-    center = np.array(
-        [ws.c0[0] + ws.q_s[5], ws.c0[1] + ws.q_s[6] + cfg.foot_radius]
-    )
     u = min(phase / 0.6, 1.0)
     s_rec = u * u * (3.0 - 2.0 * u)  # C1 chord-recovery schedule
     r_ref = ws.r_latch + s_rec * (r_nom - ws.r_latch)
-    dx = line_x - center[0]
-    dx = min(max(dx, -0.55 * r_ref), 0.55 * r_ref)
-    hip_st = np.array([center[0] + dx, center[1] + math.sqrt(r_ref ** 2 - dx ** 2)])
-    st_t, st_c = _ik_clamped(p.l_t, p.l_c, center - hip_st)
+    dr_ref = 6.0 * u * (1.0 - u) / 0.6 * dphase * (r_nom - ws.r_latch)
+    reach = 0.55 * r_ref
+    dx = line_x - float(ws.c0[0] + ws.q_s[5])  # from the estimated contact
+    ddx = v if -reach <= dx <= reach else math.copysign(0.55, dx) * dr_ref
+    dx = min(max(dx, -reach), reach)
+    rise = math.sqrt(r_ref ** 2 - dx ** 2)
+    st_t, st_c, dst_t, dst_c = _ik_clamped(
+        p.l_t, p.l_c, (-dx, -rise), (-ddx, (dx * ddx - r_ref * dr_ref) / rise))
 
     # swing leg: cycloid from the latched liftoff point to the landing target
-    hip_ref = np.array([line_x, surface + cfg.foot_radius + r_nom])
-    land = np.array(
-        [ws.line_x0 + g.v_target * (ws.t_stance_start + t_half) + 0.5 * length,
-         surface + cfg.foot_radius]
-    )
-    travel = land[0] - ws.liftoff[0]
+    # (x, z), with the hip reference at (line_x, hip_z)
+    land_x = ws.line_x0 + v * (ws.t_stance_start + t_half) + 0.5 * g.step_length
+    land_z = cfg.terrain.sand_level + cfg.foot_radius
+    hip_z = land_z + r_nom
+    lift_x, lift_z = ws.liftoff.tolist()
+    travel = land_x - lift_x
     cx, cz = gt.cycloid_swing(phase, travel, g.swing_height)
+    w = 2.0 * math.pi * phase
     blend = phase * phase * (3.0 - 2.0 * phase)  # C1 blend of endpoint heights
-    target = np.array(
-        [ws.liftoff[0] + cx, (1.0 - blend) * ws.liftoff[1] + blend * land[1] + cz]
-    )
-    sw_t, sw_c = _ik_clamped(p.l_t, p.l_c, target - hip_ref)
+    dblend = 6.0 * phase * (1.0 - phase) * dphase
+    sw_t, sw_c, dsw_t, dsw_c = _ik_clamped(
+        p.l_t, p.l_c,
+        (lift_x + cx - line_x, (1.0 - blend) * lift_z + blend * land_z + cz - hip_z),
+        (travel * (1.0 - math.cos(w)) * dphase - v,
+         dblend * (land_z - lift_z) + g.swing_height * math.pi * math.sin(w) * dphase))
 
-    return np.array([st_t, st_c, sw_t, sw_c, g.trunk_ref])
+    return (st_t, st_c, sw_t, sw_c, g.trunk_ref), (dst_t, dst_c, dsw_t, dsw_c, 0.0)
 
 
-# (stance, swing) hip actuator rows of q_a by stance side
-_HIP_ROWS = {gt.Side.LEFT: (0, 3), gt.Side.RIGHT: (3, 0)}
+# Actuation maps of gait.sagittal_map_matrix and gait.frontal_to_hip_angles
+# as tables per stance side: actuator j of q_a reads x[PLUS[j]] - x[MINUS[j]]
+# of x = (stance thigh, stance calf, swing thigh, swing calf, trunk,
+# stance hip, swing hip, 0).  The sagittal torques are the transpose of the
+# thigh and calf rows, and the (stance, swing) hip rows read the hips.
+_ACTUATION = {
+    # PLUS, MINUS, (stance thigh, stance calf, swing thigh, swing calf), hips
+    gt.Side.LEFT: (np.array([5, 0, 1, 6, 2, 3]), np.array([7, 4, 0, 7, 4, 2]),
+                   (1, 2, 4, 5), (0, 3)),
+    gt.Side.RIGHT: (np.array([6, 2, 3, 5, 0, 1]), np.array([7, 4, 2, 7, 4, 0]),
+                    (4, 5, 1, 2), (3, 0)),
+}
 # hip actuator angles of the held frontal posture (p1, p2, p3) = (0, pi/2, 0)
 _HIP_POSTURE = gt.frontal_to_hip_angles((0.0, math.pi / 2.0, 0.0))
 
 
-def _to_actuation(stance: gt.Side, q_s, dq_s, hips, dhips):
-    """Actuator angles and rates from the five sagittal angles and rates and
-    the (stance, swing) hip actuator angles and rates."""
-    q_a = gt.sagittal_angles_to_actuation(q_s, stance)
-    dq_a = gt.sagittal_angles_to_actuation(dq_s, stance)
-    i_st, i_sw = _HIP_ROWS[stance]
-    q_a[i_st], q_a[i_sw] = hips
-    dq_a[i_st], dq_a[i_sw] = dhips
-    return q_a, dq_a
-
-
 def _control(ws: WalkerState, cfg: SimConfig):
-    """PD torques in actuation space and their planar-model images.  The
-    reference rates are the schedule rate, with the geometry frozen."""
-    delta = 1e-5
-    ref_now = _model_refs(ws, cfg, ws.t)
-    ref_rate = (ref_now - _model_refs(ws, cfg, ws.t - delta)) / delta
-    q_ref, dq_ref = _to_actuation(ws.stance, ref_now, ref_rate, _HIP_POSTURE, (0.0, 0.0))
-    dp = ws.dq_f  # rates of the hip angles -p1 + p2 and pi - p2 + p3
-    hips, dhips = gt.frontal_to_hip_angles(ws.q_f), (-dp[0] + dp[1], -dp[1] + dp[2])
-    q_a, dq_a = _to_actuation(ws.stance, ws.q_s[:5], ws.dq_s[:5], hips, dhips)
+    """PD torques in actuation space (with the measured actuator rates) and
+    their planar-model images."""
+    plus, minus, (st_t, st_c, sw_t, sw_c), (i_st, i_sw) = _ACTUATION[ws.stance]
+    refs, ref_rates = _model_refs(ws, cfg, ws.t)
+    dp = ws.dq_f.tolist()  # hip angle rates: -p1' + p2' and -p2' + p3'
+    x = np.array([
+        [*refs, *_HIP_POSTURE, 0.0],
+        [*ref_rates, 0.0, 0.0, 0.0],
+        [*ws.q_s[:5].tolist(), *gt.frontal_to_hip_angles(ws.q_f), 0.0],
+        [*ws.dq_s[:5].tolist(), -dp[0] + dp[1], -dp[1] + dp[2], 0.0],
+    ])
+    q_ref, dq_ref, q_a, dq_a = x.take(plus, axis=1) - x.take(minus, axis=1)
     tau_a = gt.track_joints(q_ref, dq_ref, q_a, dq_a, cfg.gains)
-    tau_s = gt.actuation_torques_to_sagittal(tau_a, ws.stance)
-    i_st, i_sw = _HIP_ROWS[ws.stance]
-    tau_f = np.array(gt.hip_torques_to_frontal(tau_a[i_st], tau_a[i_sw]))
-    return tau_a, dq_a, tau_s, tau_f
+    tau = tau_a.tolist()
+    tau_s = [tau[st_t] - tau[st_c], tau[st_c], tau[sw_t] - tau[sw_c], tau[sw_c]]
+    tau_f = gt.hip_torques_to_frontal(tau[i_st], tau[i_sw])
+    return tau, dq_a.tolist(), tau_s, tau_f
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +431,20 @@ def _control(ws: WalkerState, cfg: SimConfig):
 # Reduced solves: held rows (sagittal trunk, frontal lean and crossbar),
 # clamped rows (the contact coordinates on rigid ground) and the imposed
 # frontal vertical row drop out; the sagittal swing rows 2 and 3 carry only
-# their diagonal entry and divide out.  The rest goes to a dense solve: the
-# sagittal rows below (with the index pair of their block) and, on sand,
-# frontal rows 2 and 3.
+# their diagonal entry and divide out.  What stays coupled is sagittal rows
+# (0, 1, 5, 6) on sand, a dense 4x4 solve, and two 2x2 blocks solved in
+# closed form: sagittal rows (0, 1) on rigid ground, frontal rows (2, 3) on
+# sand.
 _SAG_ROWS = np.array([0, 1, 5, 6])
-_SAG_COUPLED = {"granular": (_SAG_ROWS, np.ix_(_SAG_ROWS, _SAG_ROWS)),
-                "rigid": (slice(0, 2), np.s_[:2, :2])}
+_SAG_BLOCK = np.ix_(_SAG_ROWS, _SAG_ROWS)
+
+
+def _solve2(m: np.ndarray, r) -> tuple[float, float]:
+    """Solution of the 2x2 system m x = r by Cramer's rule."""
+    (a, b), (c, d) = m.tolist()
+    r0, r1 = r
+    det = a * d - b * c
+    return (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
 
 
 _DIRECTION_FLOOR = 0.05  # m/s; regularizes the stress direction switch at rest
@@ -416,17 +454,14 @@ def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: fl
     """(f_x, f_z, f_y, gamma) of the resistive terrain at the stance contact."""
     gamma = rl.velocity_angle(dx, dz)
     # Smooth the wedge-face orientation switch across zero horizontal rate:
-    # evaluate both leading-face directions and blend by the horizontal
-    # fraction, which removes the rest-state force discontinuity.
+    # blend the forward- and backward-leading faces by the horizontal
+    # fraction w = (1 + dx/hyp)/2, which removes the rest-state force
+    # discontinuity.  The backward face mirrors the forward one (same f_z,
+    # opposite f_x), so the blend is (f_x dx/hyp, f_z) of the forward face.
     hyp = math.hypot(dx, _DIRECTION_FLOOR)
-    w = 0.5 * (1.0 + dx / hyp)
     kin = tr.IntrusionKinematics(depth=depth, gamma=math.atan2(dz, hyp), y_slip=y_slip)
     fwd = tr.sagittal_forces(cfg.terrain, kin)
-    kin.gamma = math.atan2(dz, -hyp)
-    bwd = tr.sagittal_forces(cfg.terrain, kin)
-    f_y = tr.lateral_force(cfg.terrain, kin)
-    return (w * fwd.f_x + (1.0 - w) * bwd.f_x, w * fwd.f_z + (1.0 - w) * bwd.f_z,
-            f_y, gamma)
+    return fwd.f_x * dx / hyp, fwd.f_z, tr.lateral_force(cfg.terrain, kin), gamma
 
 
 def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f):
@@ -441,16 +476,15 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f):
     cdq_s = c_s @ dq_s
     rhs_s = -cdq_s - g_s
     rhs_s[:4] += tau_s
+    qdd_s[2:4] = rhs_s[2:4] / d_s.diagonal()[2:4]  # decoupled swing rows
     if granular:
-        _, _, _, _, _, dx, dz = dq_s.tolist()
         f_x, f_z, f_y, gamma = _grf_granular(
-            cfg, max(0.0, -float(q_s[6])), dx, dz, float(q_f[3]))
+            cfg, max(0.0, -float(q_s[6])), *dq_s[5:7].tolist(), float(q_f[3]))
         rhs_s[5] += f_x
         rhs_s[6] += f_z
-    rows, block = _SAG_COUPLED[cfg.terrain_mode]
-    qdd_s[rows] = np.linalg.solve(d_s[block], rhs_s[rows])
-    qdd_s[2:4] = rhs_s[2:4] / d_s.diagonal()[2:4]  # decoupled swing rows
-    if not granular:
+        qdd_s[_SAG_ROWS] = np.linalg.solve(d_s[_SAG_BLOCK], rhs_s[_SAG_ROWS])
+    else:
+        qdd_s[:2] = _solve2(d_s[:2, :2], rhs_s[:2].tolist())
         # constraint forces read back off the clamped contact rows
         f_x, f_z = (d_s[5:7] @ qdd_s + cdq_s[5:7] + g_s[5:7]).tolist()
         gamma = 0.0
@@ -464,7 +498,7 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f):
     if granular:
         rhs_f[3] += f_y
         qdd_f[4] = qdd_s[6]
-        qdd_f[2:4] = np.linalg.solve(d_f[2:4, 2:4], rhs_f[2:4] - d_f[2:4, 4] * qdd_f[4])
+        qdd_f[2:4] = _solve2(d_f[2:4, 2:4], (rhs_f[2:4] - d_f[2:4, 4] * qdd_f[4]).tolist())
     else:
         qdd_f[2] = rhs_f[2] / d_f[2, 2]
         f_y = float(d_f[3] @ qdd_f + cdq_f[3] + g_f[3])
@@ -513,21 +547,13 @@ def _integrate(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
     if cfg.integrator == "rk4":
         acc(q, dq)
     ws.q_s, ws.q_f, ws.dq_s, ws.dq_f = q[:7], q[7:], dq[:7], dq[7:]
-    # posture holds and mode clamps
-    ws.q_s[4] = cfg.gait.trunk_ref
-    ws.dq_s[4] = 0.0
-    ws.q_f[0] = 0.0
-    ws.dq_f[0] = 0.0
-    ws.q_f[1] = math.pi / 2.0
-    ws.dq_f[1] = 0.0
+    # posture holds and mode clamps; the frontal vertical coordinate mirrors
+    # the sagittal one
+    ws.q_s[4], ws.dq_s[4] = cfg.gait.trunk_ref, 0.0
+    ws.q_f[:2], ws.dq_f[:2] = (0.0, math.pi / 2.0), 0.0
     if cfg.terrain_mode == "rigid":
-        ws.q_s[5:7] = 0.0
-        ws.dq_s[5:7] = 0.0
-        ws.q_f[3] = 0.0
-        ws.dq_f[3] = 0.0
-    # frontal vertical coordinate mirrors the sagittal one
-    ws.q_f[4] = ws.q_s[6]
-    ws.dq_f[4] = ws.dq_s[6]
+        ws.q_s[5:7] = ws.dq_s[5:7] = ws.q_f[3] = ws.dq_f[3] = 0.0
+    ws.q_f[4], ws.dq_f[4] = ws.q_s[6], ws.dq_s[6]
     return forces
 
 
@@ -549,16 +575,14 @@ def _swap_stance(ws: WalkerState, cfg: SimConfig, swing, swing_v) -> None:
     ws.stance = ws.stance.other
     ws.c0 = np.array([swing[0], min(swing[1] - cfg.foot_radius, cfg.terrain.sand_level)])
     # relabel model coordinates: swing pair becomes the stance pair
-    q = ws.q_s
-    dq = ws.dq_s
+    q, dq = ws.q_s, ws.dq_s
     ws.q_s = np.array([q[2], q[3], q[0], q[1], q[4], 0.0, 0.0])
     # on sand the intrusion starts from rest vertically (the reset absorbs
     # the contact-formation transient); the landing skid carries over
     slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0
     ws.dq_s = np.array([dq[2], dq[3], dq[0], dq[1], dq[4], slip_rate, 0.0])
     # frontal relabel is a mirror about the new stance hip
-    p = ws.q_f
-    dp = ws.dq_f
+    p, dp = ws.q_f, ws.dq_f
     ws.q_f = np.array([0.0, math.pi - p[1], -p[2], 0.0, ws.q_s[6]])
     ws.dq_f = np.array([0.0, -dp[1], -dp[2], 0.0, ws.dq_s[6]])
 
@@ -577,46 +601,45 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray) -> None:
     """One fixed step; writes the post-step record into the row ``out``."""
     tau_a, dq_a, tau_s, tau_f = _control(ws, cfg)
     # rates at the control instant, for consistent power accounting
-    dq_s_act = ws.dq_s[:4].copy()
-    dq_f_act = ws.dq_f[1:3].copy()
+    dq_s_act = ws.dq_s[:4].tolist()
+    dq_f_act = ws.dq_f[1:3].tolist()
     f_x, f_y, f_z, gamma, tau_bar = _integrate(ws, cfg, tau_s, tau_f)
     ws.t += cfg.dt
 
     # reported hip torques: crossbar holding demand plus the swing-side PD
-    i_st, i_sw = _HIP_ROWS[ws.stance]
-    tau_a = tau_a.copy()
+    i_st, i_sw = _ACTUATION[ws.stance][3]
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
-    tau_f = np.array([tau_bar, tau_f[1]])
+    tau_f = (tau_bar, tau_f[1])
 
+    # NaN fails the comparison too
     state = np.concatenate([ws.q_s, ws.dq_s, ws.q_f, ws.dq_f])
-    if not np.all(np.isfinite(state)) or np.any(np.abs(state) > cfg.divergence_limit):
+    if not np.abs(state).max() <= cfg.divergence_limit:
         raise DivergenceError(ws.t)
 
+    q_s, dq_s, q_f, dq_f = (a.tolist() for a in (ws.q_s, ws.dq_s, ws.q_f, ws.dq_f))
     # rolling bookkeeping on the stance foot
     theta_r = _contact_angle(ws, cfg)
     d_theta = rl.rolling_angle(ws.theta_r0, theta_r)
-    v_contact = (float(ws.dq_s[5]), float(ws.dq_s[6]))
     try:
-        r_eff = min(rl.effective_radius(v_contact, float(ws.dq_s[1])), cfg.r_eff_cap)
+        r_eff = min(rl.effective_radius((dq_s[5], dq_s[6]), dq_s[1]), cfg.r_eff_cap)
     except rl.NoRotationError:
         r_eff = cfg.r_eff_cap
 
     # powers in actuation space and per plane
-    power = float(tau_a @ dq_a)
-    power_abs = float(np.sum(np.abs(tau_a * dq_a)))
-    power_s = float(tau_s @ dq_s_act)
-    power_f = float(tau_f @ dq_f_act)
+    joint_powers = [t * w for t, w in zip(tau_a, dq_a)]
+    power = math.fsum(joint_powers)
+    power_abs = math.fsum(map(abs, joint_powers))
+    power_s = math.fsum(t * w for t, w in zip(tau_s, dq_s_act))
+    power_f = math.fsum(t * w for t, w in zip(tau_f, dq_f_act))
 
     hip, swing, com, _, swing_v, com_v = _kinematics(ws, cfg)
     phase = _stance_phase(ws, cfg, ws.t)
-
-    q_s, dq_s, q_f, dq_f = (a.tolist() for a in (ws.q_s, ws.dq_s, ws.q_f, ws.dq_f))
     out[:] = [  # SIM_RECORD_FIELDS order
         ws.t, _LEG_NAMES.index(ws.stance.value), phase, ws.step_count,
         *q_s[:5], *dq_s[:5],
         q_s[5], q_f[3], max(0.0, -q_s[6]), dq_s[5], dq_f[3], -dq_s[6],
         *q_f[:3], *dq_f[:3],
-        *tau_a.tolist(),
+        *tau_a,
         f_x, f_y, f_z,
         theta_r, d_theta, gamma, r_eff,
         power, power_abs, power_s, power_f,
@@ -648,19 +671,13 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     surface = cfg.terrain.sand_level
     ws = WalkerState()
     ws.c0 = np.array([0.0, surface])
-    ws.liftoff = np.array(
-        [-cfg.gait.step_length, surface + cfg.foot_radius]
-    )
+    ws.liftoff = np.array([-cfg.gait.step_length, surface + cfg.foot_radius])
     ws.q_f = np.array([0.0, math.pi / 2.0, 0.0, 0.0, 0.0])
 
     ws.line_x0 = -0.5 * cfg.gait.step_length
     ws.r_latch = _clamp_chord(cfg, cfg.gait.hip_height - cfg.foot_radius)
 
-    refs0 = _model_refs(ws, cfg, 0.0)
-    refs1 = _model_refs(ws, cfg, 1e-5)
-    ws.q_s[:5] = refs0
-    ws.dq_s[:5] = (refs1 - refs0) / 1e-5
-    ws.dq_s[4] = 0.0
+    ws.q_s[:5], ws.dq_s[:5] = _model_refs(ws, cfg, 0.0)
 
     rng = np.random.default_rng(cfg.seed)
     jitter = rng.uniform(-cfg.initial_jitter, cfg.initial_jitter, 4)

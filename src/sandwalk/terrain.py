@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,10 @@ class TerrainParams:
                 raise ValueError(f"{name} must be strictly positive")
         if not math.isfinite(self.sand_level):
             raise ValueError("sand_level must be finite")
+
+    @cached_property
+    def _bulldozing_stress(self) -> float:
+        return bulldozing_stress(self)
 
 
 @dataclass
@@ -235,7 +240,7 @@ def lateral_force(terrain: TerrainParams, kin: IntrusionKinematics) -> float:
     y = abs(kin.y_slip)
     if y == 0.0 or kin.depth == 0.0:
         return 0.0
-    a_y = bulldozing_stress(terrain)
+    a_y = terrain._bulldozing_stress
     g_z = 0.5 * kin.depth ** 2
     magnitude = terrain.lam * (1.0 - math.exp(-y / terrain.lam)) * a_y * g_z
     return -math.copysign(magnitude, kin.y_slip)

@@ -239,6 +239,20 @@ def test_simulate_rejects_bad_value_naming_the_field(tmp_path, capsys, setting, 
     assert f"invalid configuration: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("velocity,message", [
+    ("inf", "v_target must be finite"),
+    ("-inf", "v_target must be finite"),
+    ("nan", "v_target must be non-negative"),
+])
+def test_sweep_rejects_bad_velocity_before_any_cell(tmp_path, capsys, velocity, message):
+    out = tmp_path / "o"
+    rc = main(["sweep", f"--velocities=0.2,{velocity}", "--set", "sim.duration=0.4",
+               "--repeats", "1", "--jobs", "1", "--out", str(out)])
+    assert rc == 2
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

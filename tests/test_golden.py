@@ -16,20 +16,20 @@ from sandwalk.config import build_config, flatten_config
 
 TRAJECTORY_SHA256 = {
     ("granular", "semi_implicit"): (
-        "3cf6e9c23da5fca7a286ea4eca2614cf0bbaff73b77b419281240274d10e8d86",
-        "fe2c1adf7db9977d8fb1bd48dd79f3e741cf98f04ddbe01dfeabc66436e6393e",
+        "5b5ba48528b868db7fd1b1c5da1b88482f4351578dbe5610f73d05341b287316",
+        "b0f291598799a7812038f40ae59fb8e10a62eaefaae1bbb143ee142dec97ac7c",
     ),
     ("granular", "rk4"): (
-        "9e518aaf686a215be6e1448c55022e7e853a4bcb250eb03265246dd1aeede5c1",
-        "1164342f8b3a4e138f0ef4814c79c8e24cb29fd6a911037c02e584d26242b375",
+        "cbe10b9fb9481fcb171f4c5f08a7dfb001c38aa8294456792bcc3f77c7e81e9f",
+        "d474e41c9e57e0e5fb594eab40510a264747b8c09182e06cd3879a3ef520fc70",
     ),
     ("rigid", "semi_implicit"): (
-        "976cb31d97796c3b2ec7f4c5c36a3f2ed9029c96fd19d5d09a76c5c03cbed7bc",
-        "15bad8882fbfe8827e2c855f5688d74e4891475dae9fbcd685cc79618666de38",
+        "045c96535446c1b78f611b53b2355b5c4e47629eda02bc6626193dabe6364196",
+        "04d1d84da9cdecc747deb9f8d9a46b128d8e31f09451d59654174ce13da4940e",
     ),
     ("rigid", "rk4"): (
-        "4c47457057c7278b32daa511a2a10af0b889abde5dca5d48227d20b505848a8f",
-        "e02d8bc9a23f6db34e16be3db69d5e4baffa900a973c43835eae5d61f5719c43",
+        "0c9ee8743fca90c81b57ad2eb7e90c71f729e8d1a046fe486e425a35ff44ee1c",
+        "f74938eccb37b3cc029ff90b379a60b2c9b29f92d01a4581125f7808d3a30aba",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Simulation tests: modes, events, bookkeeping, determinism."""
 
+import copy
 import json
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from sandwalk import dynamics as dyn
+from sandwalk import gait as gt
 from sandwalk import sim
+from sandwalk import terrain as tr
 from sandwalk.config import build_config
 from sandwalk.gait import Gains, leg_fk
 from sandwalk.metrics import cot
@@ -247,3 +250,248 @@ def test_config_validation():
         sim.SimConfig(integrator="euler")
     with pytest.raises(ValueError):
         sim.SimConfig(terrain_mode="mud")
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 256, 257, 600])
+def test_trajectory_csv_blocks_equal_single_pass(tmp_path, n_rows):
+    # rows are written and read a block at a time; the file must equal the
+    # single-pass writer's and load back to the same data, NaN and inf included
+    data = np.random.default_rng(n_rows).uniform(-1.0, 1.0, (n_rows, len(sim.SIM_RECORD_FIELDS)))
+    data[:, 1] = data[:, 1] > 0.0  # stance_leg index
+    data[:, 3] = np.arange(n_rows) // 100  # step_count
+    data[::7, 5] = math.nan
+    data[::11, 7] = math.inf
+    data[::13, 8] = -math.inf
+    traj = sim.Trajectory(data, {})
+    traj.save_csv(tmp_path / "traj.csv")
+    single_pass = ",".join(sim.SIM_RECORD_FIELDS) + "\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in traj._rows())
+    assert (tmp_path / "traj.csv").read_text() == single_pass
+    loaded = sim.Trajectory.load_csv(tmp_path / "traj.csv")
+    assert loaded.data.shape == data.shape
+    assert np.array_equal(loaded.data, data, equal_nan=True)
+
+
+def test_trajectory_csv_malformed_row_names_its_line(tmp_path):
+    traj = sim.Trajectory(np.zeros((300, len(sim.SIM_RECORD_FIELDS))), {})
+    path = tmp_path / "traj.csv"
+    traj.save_csv(path)
+    lines = path.read_text().splitlines()
+    lines[280] = lines[280].replace("0.0", "zero", 1)  # row 280, past the first block
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"traj\.csv:281: malformed row"):
+        sim.Trajectory.load_csv(path)
+
+
+@pytest.mark.parametrize("stance", list(gt.Side))
+def test_control_tables_match_gait_maps(stance):
+    # the controller's index tables against the public gait maps they replace
+    cfg = build_config({})
+    rng = np.random.default_rng(3)
+    hip_rows = (0, 3) if stance is gt.Side.LEFT else (3, 0)
+
+    def actuation(q_s, hips):
+        q_a = gt.sagittal_angles_to_actuation(q_s, stance)
+        q_a[list(hip_rows)] = hips
+        return q_a
+
+    for _ in range(50):
+        ws = sim.initial_state(cfg)
+        ws.stance = stance
+        ws.q_s[:5] += rng.uniform(-0.3, 0.3, 5)
+        ws.dq_s[:5] = rng.uniform(-3.0, 3.0, 5)
+        ws.q_f[:3] += rng.uniform(-0.2, 0.2, 3)
+        ws.dq_f[:3] = rng.uniform(-2.0, 2.0, 3)
+        tau, dq_a, tau_s, tau_f = sim._control(ws, cfg)
+        refs, rates = sim._model_refs(ws, cfg, ws.t)
+        dp = ws.dq_f
+        expected_dq_a = actuation(ws.dq_s[:5], (-dp[0] + dp[1], -dp[1] + dp[2]))
+        expected_tau = gt.track_joints(
+            actuation(refs, sim._HIP_POSTURE), actuation(rates, (0.0, 0.0)),
+            actuation(ws.q_s[:5], gt.frontal_to_hip_angles(ws.q_f)), expected_dq_a, cfg.gains)
+        assert np.allclose(dq_a, expected_dq_a, rtol=0.0, atol=1e-12)
+        assert np.allclose(tau, expected_tau, rtol=0.0, atol=1e-9)
+        assert np.allclose(tau_s, gt.actuation_torques_to_sagittal(np.array(tau), stance),
+                           rtol=0.0, atol=1e-12)
+        assert tau_f == gt.hip_torques_to_frontal(tau[hip_rows[0]], tau[hip_rows[1]])
+
+
+def test_closed_form_2x2_solve_matches_lapack():
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(2000):
+        b = rng.uniform(-1.0, 1.0, (2, 2))
+        m = b @ b.T + 0.5 * np.eye(2)  # symmetric positive definite
+        r = rng.uniform(-10.0, 10.0, 2)
+        expected = np.linalg.solve(m, r)
+        got = np.array(sim._solve2(m, r.tolist()))
+        worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
+    assert worst < 1e-12
+
+
+def _random_stage(rng, granular):
+    q = np.concatenate([rng.uniform(-0.8, 0.8, 5), rng.uniform(-0.02, 0.02, 1),
+                        rng.uniform(-0.04, 0.0, 1) if granular else np.zeros(1),
+                        [0.0, math.pi / 2.0], rng.uniform(-0.3, 0.3, 1),
+                        rng.uniform(-0.01, 0.01, 1) if granular else np.zeros(1),
+                        np.zeros(1)])
+    q[11] = q[6]
+    dq = rng.uniform(-2.0, 2.0, 12)
+    dq[[4, 7, 8]] = 0.0
+    if not granular:
+        dq[[5, 6, 10]] = 0.0
+    dq[11] = dq[6]
+    return q, dq, list(rng.uniform(-20.0, 20.0, 4)), tuple(rng.uniform(-20.0, 20.0, 2))
+
+
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_reduced_2x2_rows_match_lapack(terrain_mode):
+    # the closed-form rows of the reduced system: sagittal (0, 1) on rigid
+    # ground, frontal (2, 3) on sand
+    cfg = build_config({"sim.terrain_mode": terrain_mode})
+    granular = terrain_mode == "granular"
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(300):
+        q, dq, tau_s, tau_f = _random_stage(rng, granular)
+        qdd, _, f_y, _, _, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f)
+        if granular:
+            d, c, g = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState(q[7:], dq[7:]))
+            rhs = -c @ dq[7:] - g
+            rhs[2] += tau_f[1]
+            rhs[3] += f_y
+            expected = np.linalg.solve(d[2:4, 2:4], rhs[2:4] - d[2:4, 4] * qdd[6])
+            got = qdd[9:11]
+        else:
+            d, c, g = dyn.assemble_sagittal(cfg.sagittal, dyn.SagittalState(q[:7], dq[:7]))
+            rhs = -c @ dq[:7] - g
+            rhs[:4] += tau_s
+            expected = np.linalg.solve(d[:2, :2], rhs[:2])
+            got = qdd[:2]
+        worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
+    assert worst < 1e-12
+
+
+def _one_sided_rates(ws, cfg, t, h):
+    """Three-point difference of the reference angles on one side of t: the
+    left for h > 0, the right for h < 0.  It is second order, because the
+    first-order difference carries an error of |f''| h / 2, about 2.4e-5
+    rad/s for h = 1e-7 at the swing apex."""
+    f0, f1, f2 = (np.array(sim._model_refs(ws, cfg, t - k * h)[0]) for k in range(3))
+    return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+
+
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_reference_rates_match_one_sided_difference(terrain_mode):
+    # the analytic reference rates against the left difference that the
+    # controller's finite difference took, at every control step of the
+    # default run; at a stance start the phase-driven terms are exactly 0,
+    # so the rates equal those of a walker whose stance clock has not started
+    cfg = build_config({"sim.terrain_mode": terrain_mode})
+    h = 1e-7
+    ws = sim.initial_state(cfg)
+    row = np.empty(len(sim.SIM_RECORD_FIELDS))
+    worst = 0.0
+    starts = 0
+    for _ in range(round(cfg.duration / cfg.dt)):
+        refs, rates = sim._model_refs(ws, cfg, ws.t)
+        worst = max(worst, np.abs(rates - _one_sided_rates(ws, cfg, ws.t, h)).max())
+        if ws.t == ws.t_stance_start:
+            starts += 1
+            assert np.abs(rates - _one_sided_rates(ws, cfg, ws.t, -h)).max() < 1e-5
+            held = copy.copy(ws)
+            held.t_stance_start = ws.t + 1.0
+            assert sim._model_refs(held, cfg, ws.t) == (refs, rates)
+        sim._advance(ws, cfg, row)
+    assert starts >= 10
+    assert worst < 1e-5
+
+
+def test_reference_rates_at_the_clamps(monkeypatch):
+    # states the default runs never reach: the stance hip clamped at its
+    # reach in front of and behind the contact while the chord grows or
+    # shrinks, and the leg IK targets clamped to the inner and outer radius
+    cfg = build_config({})
+    p = cfg.sagittal
+    radii = []
+    leg_ik = gt.leg_ik
+    monkeypatch.setattr(gt, "leg_ik", lambda l_t, l_c, target: (
+        radii.append(math.hypot(*target)), leg_ik(l_t, l_c, target))[1])
+    base = sim.initial_state(cfg)
+    for slip, r_latch, lift_x in [(0.3, 0.2, 0.0), (-0.3, 0.4, 0.0),
+                                  (0.0, 0.1, 0.0), (0.0, 0.3, -0.8)]:
+        ws = copy.deepcopy(base)
+        ws.q_s[5], ws.r_latch = slip, r_latch
+        ws.liftoff[0] += lift_x
+        for t in np.arange(0.01, 0.2, 0.01):
+            rates = sim._model_refs(ws, cfg, t)[1]
+            assert np.abs(rates - _one_sided_rates(ws, cfg, t, 1e-7)).max() < 1e-5
+    r_max = (p.l_t + p.l_c) * (1.0 - 1e-4)
+    r_min = abs(p.l_t - p.l_c) * (1.0 + 1e-4) + 1e-6
+    assert any(abs(r - r_max) < 1e-12 for r in radii)
+    assert any(abs(r - r_min) < 1e-12 for r in radii)
+
+
+def test_initial_rates_are_the_right_difference():
+    cfg = build_config({})
+    ws = sim.initial_state(cfg)
+    clean = sim.initial_state(build_config({"sim.initial_jitter": 0.0}))
+    assert np.abs(ws.dq_s[:5] - _one_sided_rates(clean, cfg, 0.0, -1e-7)).max() < 1e-5
+    assert ws.dq_s[4] == 0.0
+
+
+def test_merged_wedge_force_equals_two_face_blend():
+    # one forward-face evaluation against the blend of both faces it replaced
+    cfg = build_config({})
+    for depth in (0.0, 1e-4, 0.005, 0.02, 0.05):
+        for dx in (-0.8, -0.05, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.05, 0.8):
+            for dz in (-0.8, -0.05, 0.0, 0.05, 0.8):
+                hyp = math.hypot(dx, sim._DIRECTION_FLOOR)
+                w = 0.5 * (1.0 + dx / hyp)
+                kin = tr.IntrusionKinematics(depth=depth, gamma=math.atan2(dz, hyp))
+                fwd = tr.sagittal_forces(cfg.terrain, kin)
+                kin.gamma = math.atan2(dz, -hyp)
+                bwd = tr.sagittal_forces(cfg.terrain, kin)
+                old = (w * fwd.f_x + (1.0 - w) * bwd.f_x, w * fwd.f_z + (1.0 - w) * bwd.f_z)
+                f_x, f_z, f_y, _ = sim._grf_granular(cfg, depth, dx, dz, 0.01)
+                scale = math.hypot(*old)
+                assert abs(f_x - old[0]) <= 1e-9 * scale
+                assert abs(f_z - old[1]) <= 1e-9 * scale
+                assert f_y == tr.lateral_force(cfg.terrain, tr.IntrusionKinematics(
+                    depth=depth, y_slip=0.01))
+
+
+def _with_trunk_ref(cfg, value):
+    # GaitConfig rejects a non-finite trunk_ref, so set it past the check
+    gait = copy.copy(cfg.gait)
+    object.__setattr__(gait, "trunk_ref", value)
+    out = copy.copy(cfg)
+    object.__setattr__(out, "gait", gait)
+    return out
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e6])
+def test_divergence_guard_catches_held_coordinate(value):
+    # the trunk is posture-held after the integrator stages, so only the
+    # guard after the step sees it
+    cfg = build_config({})
+    ws = sim.initial_state(cfg)
+    with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
+        sim.step(ws, _with_trunk_ref(cfg, value))
+    assert err.value.t == pytest.approx(cfg.dt)
+    assert err.value.detail == ""
+
+
+def test_divergence_guard_catches_rate_above_limit():
+    cfg = build_config({})
+    ws = sim.initial_state(cfg)
+    ws.dq_s[0] = 2.0 * cfg.divergence_limit  # finite, so the stage checks pass
+    with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
+        sim.step(ws, cfg)
+    assert err.value.detail == ""
+
+
+def test_trunk_reference_above_limit_diverges():
+    with pytest.raises(sim.DivergenceError) as err:
+        run_cfg(**{"gait.trunk_ref": 2e6})
+    assert err.value.t == pytest.approx(1e-3)
