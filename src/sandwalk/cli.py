@@ -67,8 +67,7 @@ def _cmd_simulate(args) -> int:
     json_path = out / "trajectory.json"
     traj.save_csv(csv_path)
     traj.save_json(json_path)
-    settle = min(cfg.gait.cycle_period, 0.5 * cfg.duration)
-    report = metrics.cot(traj, t_start=settle)
+    report = metrics.cot(traj, t_start=metrics.settle_time(cfg))
     summary = {
         "records": len(traj),
         "final_com_x": float(traj.column("com_x")[-1]),

@@ -18,6 +18,7 @@ __all__ = [
     "cot",
     "rmse",
     "resample_stance",
+    "settle_time",
     "velocity_sweep",
     "dimensionless_velocity",
 ]
@@ -122,6 +123,11 @@ def cot(
     )
 
 
+def settle_time(cfg: simulation.SimConfig) -> float:
+    """Start of the CoT window: after the first gait cycle, or half of a shorter run."""
+    return min(cfg.gait.cycle_period, 0.5 * cfg.duration)
+
+
 def rmse(series_a, series_b) -> float:
     """Root-mean-square difference of two equal-length series."""
     a = np.asarray(series_a, dtype=float)
@@ -169,9 +175,9 @@ def resample_stance(
 _CELL_ERRORS = (simulation.DivergenceError, ZeroDistanceError, ValueError)
 
 
-def _sweep_cell(cfg: simulation.SimConfig, settle: float):
+def _sweep_cell(cfg: simulation.SimConfig):
     traj = simulation.run(cfg)
-    return cot(traj, t_start=settle).cot
+    return cot(traj, t_start=settle_time(cfg)).cot
 
 
 def velocity_sweep(
@@ -193,11 +199,12 @@ def velocity_sweep(
         raise ValueError("empty velocity list")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     from .config import build_config  # here, so that `import sandwalk` skips it
 
     for v in velocities:  # each speed passes the checks of its config key
         build_config({"gait.v_target": float(v)})
-    settle = base.gait.cycle_period  # drop the first cycle transient
 
     cells = []
     for v in velocities:
@@ -219,9 +226,9 @@ def velocity_sweep(
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            runs = [pool.submit(_sweep_cell, cfg, settle).result for _, _, cfg in cells]
+            runs = [pool.submit(_sweep_cell, cfg).result for _, _, cfg in cells]
         else:
-            runs = [partial(_sweep_cell, cfg, settle) for _, _, cfg in cells]
+            runs = [partial(_sweep_cell, cfg) for _, _, cfg in cells]
         for (v, m, _), run_cell in zip(cells, runs):
             try:
                 outcomes[(v, m)].append(run_cell())

@@ -17,11 +17,10 @@ constraint forces back off those rows.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,7 +69,6 @@ class SimConfig:
     foot_radius: float = 0.04
     h_com: float = 0.40                    # CoM height used for dimensionless speed [m]
     r_eff_cap: float = 10.0                # effective-radius saturation for logs [m]
-    divergence_limit: float = 1e6
     gait: gt.GaitConfig = field(default_factory=gt.GaitConfig)
     terrain: tr.TerrainParams = field(default_factory=tr.TerrainParams)
     sagittal: dyn.SagittalParams = field(default_factory=dyn.SagittalParams)
@@ -82,8 +80,9 @@ class SimConfig:
         for name in ("dt", "foot_radius", "h_com", "r_eff_cap"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if not self.initial_jitter >= 0.0:
-            raise ValueError("initial_jitter must be non-negative")
+        for name in ("initial_jitter", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.frontal is None:
             frontal = derived_frontal(self.sagittal, self.foot_radius)
             object.__setattr__(self, "frontal", frontal)
@@ -233,7 +232,7 @@ class Trajectory:
 
 @dataclass
 class WalkerState:
-    """Full mutable simulation state."""
+    """Full simulation state; a step rebinds its fields, never writing into its arrays."""
 
     t: float = 0.0
     stance: gt.Side = gt.Side.LEFT
@@ -243,7 +242,6 @@ class WalkerState:
     theta_r0: float = 0.0
     liftoff: np.ndarray = field(default_factory=lambda: np.zeros(2))
     prev_swing_height: float = float("inf")
-    line_x0: float = 0.0        # origin of the commanded-progress line
     r_latch: float = 0.0        # stance leg chord latched at touchdown [m]
     q_s: np.ndarray = field(default_factory=lambda: np.zeros(7))
     dq_s: np.ndarray = field(default_factory=lambda: np.zeros(7))
@@ -353,7 +351,8 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
     phase = _stance_phase(ws, cfg, t)
     dphase = 1.0 / t_half if 0.0 < phase < 1.0 else 0.0
     r_nom = _clamp_chord(cfg, g.hip_height - cfg.foot_radius)  # design vault chord
-    line_x = ws.line_x0 + v * t
+    line_x0 = -0.5 * g.step_length  # origin of the commanded-progress line
+    line_x = line_x0 + v * t
 
     # stance leg: vault the hip along the line over the estimated contact
     u = min(phase / 0.6, 1.0)
@@ -370,7 +369,7 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
 
     # swing leg: cycloid from the latched liftoff point to the landing target
     # (x, z), with the hip reference at (line_x, hip_z)
-    land_x = ws.line_x0 + v * (ws.t_stance_start + t_half) + 0.5 * g.step_length
+    land_x = line_x0 + v * (ws.t_stance_start + t_half) + 0.5 * g.step_length
     land_z = cfg.terrain.sand_level + cfg.foot_radius
     hip_z = land_z + r_nom
     lift_x, lift_z = ws.liftoff.tolist()
@@ -400,8 +399,9 @@ _ACTUATION = {
     gt.Side.RIGHT: (np.array([6, 2, 3, 5, 0, 1]), np.array([7, 4, 2, 7, 4, 0]),
                     (4, 5, 1, 2), (3, 0)),
 }
-# hip actuator angles of the held frontal posture (p1, p2, p3) = (0, pi/2, 0)
-_HIP_POSTURE = gt.frontal_to_hip_angles((0.0, math.pi / 2.0, 0.0))
+# the held frontal posture (lean, crossbar) and its hip actuator angles
+_FRONTAL_POSTURE = (0.0, math.pi / 2.0)
+_HIP_POSTURE = gt.frontal_to_hip_angles((*_FRONTAL_POSTURE, 0.0))
 
 
 def _control(ws: WalkerState, cfg: SimConfig):
@@ -526,10 +526,13 @@ def _ode_step(method: str, q: np.ndarray, dq: np.ndarray, acc, dt: float):
     )
 
 
-def _integrate(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
-    """Advance the state one step with the torques held; returns
-    (f_x, f_y, f_z, gamma, tau_bar) of the last state evaluated:
-    the step's start for semi_implicit, its end for rk4."""
+def _flow(ws: WalkerState, cfg: SimConfig):
+    """Control, one ODE step with the torques held, and the posture holds.
+    Returns the control output, the rates at the control instant and
+    (f_x, f_y, f_z, gamma, tau_bar) at the step's start (rk4: its end)."""
+    control = _control(ws, cfg)
+    # rates at the control instant, for consistent power accounting
+    rates = ws.dq_s[:4].tolist(), ws.dq_f[1:3].tolist()
     forces = None
 
     def acc(q, dq):
@@ -538,23 +541,24 @@ def _integrate(ws: WalkerState, cfg: SimConfig, tau_s, tau_f):
         # is finite and below ~1e154, far past the divergence guard
         if not (math.isfinite(q.dot(q)) and math.isfinite(dq.dot(dq))):
             raise DivergenceError(ws.t, "(non-finite state in an integrator stage)")
-        qdd, *forces = _accelerations(cfg, q, dq, tau_s, tau_f)
+        qdd, *forces = _accelerations(cfg, q, dq, *control[2:])  # tau_s, tau_f
         return qdd
 
-    q0 = np.concatenate((ws.q_s, ws.q_f))
-    dq0 = np.concatenate((ws.dq_s, ws.dq_f))
-    q, dq = _ode_step(cfg.integrator, q0, dq0, acc, cfg.dt)
+    q, dq = _ode_step(cfg.integrator, np.concatenate((ws.q_s, ws.q_f)),
+                      np.concatenate((ws.dq_s, ws.dq_f)), acc, cfg.dt)
     if cfg.integrator == "rk4":
         acc(q, dq)
-    ws.q_s, ws.q_f, ws.dq_s, ws.dq_f = q[:7], q[7:], dq[:7], dq[7:]
+    q_s, q_f, dq_s, dq_f = q[:7], q[7:], dq[:7], dq[7:]
     # posture holds and mode clamps; the frontal vertical coordinate mirrors
     # the sagittal one
-    ws.q_s[4], ws.dq_s[4] = cfg.gait.trunk_ref, 0.0
-    ws.q_f[:2], ws.dq_f[:2] = (0.0, math.pi / 2.0), 0.0
+    q_s[4], dq_s[4] = cfg.gait.trunk_ref, 0.0
+    q_f[:2], dq_f[:2] = _FRONTAL_POSTURE, 0.0
     if cfg.terrain_mode == "rigid":
-        ws.q_s[5:7] = ws.dq_s[5:7] = ws.q_f[3] = ws.dq_f[3] = 0.0
-    ws.q_f[4], ws.dq_f[4] = ws.q_s[6], ws.dq_s[6]
-    return forces
+        q_s[5:7] = dq_s[5:7] = q_f[3] = dq_f[3] = 0.0
+    q_f[4], dq_f[4] = q_s[6], dq_s[6]
+    ws.t += cfg.dt
+    ws.q_s, ws.dq_s, ws.q_f, ws.dq_f = q_s, dq_s, q_f, dq_f
+    return control, rates, forces
 
 
 def _contact_angle(ws: WalkerState, cfg: SimConfig) -> float:
@@ -568,53 +572,15 @@ def _contact_angle(ws: WalkerState, cfg: SimConfig) -> float:
     return rl.orientation_angle(shape, contact)
 
 
-def _swap_stance(ws: WalkerState, cfg: SimConfig, swing, swing_v) -> None:
-    """Touchdown: the swing foot, its center at ``swing`` moving at
-    ``swing_v``, becomes the stance foot."""
-    ws.liftoff = ws.c0 + ws.q_s[5:7] + (0.0, cfg.foot_radius)  # old stance-foot center
-    ws.stance = ws.stance.other
-    ws.c0 = np.array([swing[0], min(swing[1] - cfg.foot_radius, cfg.terrain.sand_level)])
-    # relabel model coordinates: swing pair becomes the stance pair
-    q, dq = ws.q_s, ws.dq_s
-    ws.q_s = np.array([q[2], q[3], q[0], q[1], q[4], 0.0, 0.0])
-    # on sand the intrusion starts from rest vertically (the reset absorbs
-    # the contact-formation transient); the landing skid carries over
-    slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0
-    ws.dq_s = np.array([dq[2], dq[3], dq[0], dq[1], dq[4], slip_rate, 0.0])
-    # frontal relabel is a mirror about the new stance hip
-    p, dp = ws.q_f, ws.dq_f
-    ws.q_f = np.array([0.0, math.pi - p[1], -p[2], 0.0, ws.q_s[6]])
-    ws.dq_f = np.array([0.0, -dp[1], -dp[2], 0.0, ws.dq_s[6]])
-
-    ws.theta_r0 = _contact_angle(ws, cfg)
-    ws.t_stance_start = ws.t
-    ws.step_count += 1
-    ws.prev_swing_height = float("inf")
-
-    # latch the stance chord at touchdown
-    hip = np.array(_kinematics(ws, cfg)[0])
-    r = float(np.linalg.norm(hip - (ws.c0 + (0.0, cfg.foot_radius))))
-    ws.r_latch = _clamp_chord(cfg, r)
-
-
-def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray) -> None:
-    """One fixed step; writes the post-step record into the row ``out``."""
-    tau_a, dq_a, tau_s, tau_f = _control(ws, cfg)
-    # rates at the control instant, for consistent power accounting
-    dq_s_act = ws.dq_s[:4].tolist()
-    dq_f_act = ws.dq_f[1:3].tolist()
-    f_x, f_y, f_z, gamma, tau_bar = _integrate(ws, cfg, tau_s, tau_f)
-    ws.t += cfg.dt
-
+def _record(ws: WalkerState, cfg: SimConfig, control, rates, forces, out) -> tuple[float, float]:
+    """Write the post-step record into the row ``out``; returns the stance
+    phase and the swing-foot height, which the touchdown event reads."""
+    tau_a, dq_a, tau_s, tau_f = control
+    f_x, f_y, f_z, gamma, tau_bar = forces
     # reported hip torques: crossbar holding demand plus the swing-side PD
     i_st, i_sw = _ACTUATION[ws.stance][3]
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
     tau_f = (tau_bar, tau_f[1])
-
-    # NaN fails the comparison too
-    state = np.concatenate([ws.q_s, ws.dq_s, ws.q_f, ws.dq_f])
-    if not np.abs(state).max() <= cfg.divergence_limit:
-        raise DivergenceError(ws.t)
 
     q_s, dq_s, q_f, dq_f = (a.tolist() for a in (ws.q_s, ws.dq_s, ws.q_f, ws.dq_f))
     # rolling bookkeeping on the stance foot
@@ -629,10 +595,10 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray) -> None:
     joint_powers = [t * w for t, w in zip(tau_a, dq_a)]
     power = math.fsum(joint_powers)
     power_abs = math.fsum(map(abs, joint_powers))
-    power_s = math.fsum(t * w for t, w in zip(tau_s, dq_s_act))
-    power_f = math.fsum(t * w for t, w in zip(tau_f, dq_f_act))
+    power_s = math.fsum(t * w for t, w in zip(tau_s, rates[0]))
+    power_f = math.fsum(t * w for t, w in zip(tau_f, rates[1]))
 
-    hip, swing, com, _, swing_v, com_v = _kinematics(ws, cfg)
+    hip, swing, com, _, _, com_v = _kinematics(ws, cfg)
     phase = _stance_phase(ws, cfg, ws.t)
     out[:] = [  # SIM_RECORD_FIELDS order
         ws.t, _LEG_NAMES.index(ws.stance.value), phase, ws.step_count,
@@ -645,24 +611,57 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray) -> None:
         power, power_abs, power_s, power_f,
         *com, *com_v, *hip,
     ]
+    return phase, swing[1] - cfg.foot_radius
 
-    # touchdown: crossing detector armed past the swing apex, forced at the
-    # schedule boundary (swing timing known in advance)
-    swing_h = swing[1] - cfg.foot_radius
-    if phase >= 1.0 or (
-        phase > 0.5
-        and detect_touchdown(ws.prev_swing_height, swing_h, cfg.terrain.sand_level)
-    ):
-        _swap_stance(ws, cfg, swing, swing_v)
-    else:
-        ws.prev_swing_height = swing_h
+
+def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
+    """Touchdown jump map, pure in the pre-touchdown state ``ws``: the swing
+    pair becomes the stance pair, the frontal coordinates mirror about the new
+    stance hip, and the intrusion restarts under the swing foot, no higher than
+    the surface and vertically at rest (the reset absorbs the contact transient)."""
+    _, swing, _, _, swing_v, _ = _kinematics(ws, cfg)
+    q, dq, p, dp = ws.q_s, ws.dq_s, ws.q_f, ws.dq_f
+    slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0  # landing skid
+    new = replace(
+        ws, stance=ws.stance.other, t_stance_start=ws.t, step_count=ws.step_count + 1,
+        c0=np.array([swing[0], min(swing[1] - cfg.foot_radius, cfg.terrain.sand_level)]),
+        liftoff=ws.c0 + q[5:7] + (0.0, cfg.foot_radius),  # old stance-foot center
+        prev_swing_height=float("inf"),
+        q_s=np.array([q[2], q[3], q[0], q[1], q[4], 0.0, 0.0]),
+        dq_s=np.array([dq[2], dq[3], dq[0], dq[1], dq[4], slip_rate, 0.0]),
+        q_f=np.array([0.0, math.pi - p[1], -p[2], 0.0, 0.0]),
+        dq_f=np.array([0.0, -dp[1], -dp[2], 0.0, 0.0]))
+    new.theta_r0 = _contact_angle(new, cfg)
+    # latch the stance chord at touchdown
+    hip = np.array(_kinematics(new, cfg)[0])
+    new.r_latch = _clamp_chord(cfg, float(np.linalg.norm(hip - (new.c0 + (0.0, cfg.foot_radius)))))
+    return new
+
+
+_DIVERGENCE_LIMIT = 1e6  # largest |state entry| the step lets through
+
+
+def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray) -> WalkerState:
+    """One fixed step: flow, divergence guard, record into the row ``out``,
+    touchdown event and jump.  Returns ``ws`` advanced or the jumped state."""
+    signals = _flow(ws, cfg)
+    # divergence guard; NaN fails the comparison too
+    if not np.abs(np.concatenate([ws.q_s, ws.dq_s, ws.q_f, ws.dq_f])).max() <= _DIVERGENCE_LIMIT:
+        raise DivergenceError(ws.t)
+    phase, height = _record(ws, cfg, *signals, out)
+    # touchdown event: the swing-foot height crossing the surface, armed past
+    # the swing apex and forced at the schedule boundary
+    crossed = detect_touchdown(ws.prev_swing_height, height, cfg.terrain.sand_level)
+    if phase >= 1.0 or (phase > 0.5 and crossed):
+        return _jump(ws, cfg)
+    ws.prev_swing_height = height
+    return ws
 
 
 def step(ws: WalkerState, cfg: SimConfig):
     """Advance a copy of the state by one step; returns (state', record)."""
-    out = copy.deepcopy(ws)
     row = np.empty((1, len(SIM_RECORD_FIELDS)))
-    _advance(out, cfg, row[0])
+    out = _advance(replace(ws), cfg, row[0])  # a shallow copy
     return out, Trajectory(row, {}).records[0]
 
 
@@ -672,9 +671,7 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     ws = WalkerState()
     ws.c0 = np.array([0.0, surface])
     ws.liftoff = np.array([-cfg.gait.step_length, surface + cfg.foot_radius])
-    ws.q_f = np.array([0.0, math.pi / 2.0, 0.0, 0.0, 0.0])
-
-    ws.line_x0 = -0.5 * cfg.gait.step_length
+    ws.q_f = np.array([*_FRONTAL_POSTURE, 0.0, 0.0, 0.0])
     ws.r_latch = _clamp_chord(cfg, cfg.gait.hip_height - cfg.foot_radius)
 
     ws.q_s[:5], ws.dq_s[:5] = _model_refs(ws, cfg, 0.0)
@@ -696,7 +693,7 @@ def run(cfg: SimConfig) -> Trajectory:
     # go to a spare row that is dropped
     data = np.empty((n_steps // cfg.decimation + 1, len(SIM_RECORD_FIELDS)))
     for k in range(n_steps):
-        _advance(ws, cfg, data[k // cfg.decimation])
+        ws = _advance(ws, cfg, data[k // cfg.decimation])
     meta = {
         "dt": cfg.dt,
         "duration": cfg.duration,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sandwalk import metrics
 from sandwalk.cli import main
 from sandwalk.terrain import (
     IntrusionKinematics,
@@ -229,6 +230,7 @@ def test_sweep_rows_and_empty_list(tmp_path, capsys):
     ("gait.hip_height=0", "hip_height must be strictly positive"),
     ("sim.r_eff_cap=-1", "r_eff_cap must be strictly positive"),
     ("sim.initial_jitter=-1", "initial_jitter must be non-negative"),
+    ("sim.seed=-1", "seed must be non-negative"),
     ("sim.duration=inf", "duration must be finite"),
 ])
 def test_simulate_rejects_bad_value_naming_the_field(tmp_path, capsys, setting, message):
@@ -251,6 +253,35 @@ def test_sweep_rejects_bad_velocity_before_any_cell(tmp_path, capsys, velocity, 
     assert rc == 2
     assert f"invalid configuration: {message}" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--set", "sim.seed=-1", "--jobs", "1"], "invalid configuration: seed must be non-negative"),
+    (["--jobs", "0"], "jobs must be >= 1"),
+    (["--jobs", "-2"], "jobs must be >= 1"),
+])
+def test_sweep_rejects_bad_input_before_any_cell(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.setattr(metrics, "_sweep_cell", lambda cfg: pytest.fail("a cell ran"))
+    out = tmp_path / "o"
+    rc = main(["sweep", "--set", "sim.duration=0.8", "--velocities", "0.2",
+               "--repeats", "1", *args, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("duration", ["0.4", "0.8"])
+def test_sweep_cell_cot_equals_simulate_cot(tmp_path, duration):
+    # both commands start the CoT window at the same time, also for a run
+    # shorter than two gait cycles
+    settings = ["--set", f"sim.duration={duration}", "--seed", "2"]
+    assert main(["simulate", *settings, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["sweep", *settings, "--velocities", "0.2", "--repeats", "1",
+                 "--jobs", "1", "--out", str(tmp_path / "sweep")]) == 0
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert [r["cot_mean"] for r in rows if r["terrain"] == "granular"] == [
+        manifest["summary"]["cot"]]
 
 
 def test_version_flag(capsys):

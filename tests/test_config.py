@@ -11,6 +11,7 @@ BAD_VALUES = [(key, bad) for key, value in flatten_config(SimConfig()).items()
               if isinstance(value, float) for bad in ("nan", "inf", "-inf")] + [
     ("control.torque_limit", "-5"), ("control.torque_limit", "0"),
     ("gait.hip_height", "0"), ("sim.r_eff_cap", "-1"), ("sim.initial_jitter", "-1"),
+    ("sim.seed", "-1"),
 ]
 
 

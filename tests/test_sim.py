@@ -1,6 +1,7 @@
 """Simulation tests: modes, events, bookkeeping, determinism."""
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -184,6 +185,34 @@ def test_nonfinite_stage_is_divergence(integrator, rate):
     assert "integrator stage" in str(err.value)
 
 
+def _assert_same_state(a, b):
+    for f in dataclasses.fields(sim.WalkerState):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def _shares_no_array(a, b):
+    return not any(np.shares_memory(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(sim.WalkerState)
+                   if isinstance(getattr(a, f.name), np.ndarray))
+
+
+def _walk(terrain_mode, n_steps):
+    """(state before each step, state after it) of the default walker."""
+    cfg = build_config({"sim.terrain_mode": terrain_mode})
+    ws = sim.initial_state(cfg)
+    row = np.empty(len(sim.SIM_RECORD_FIELDS))
+    pairs = []
+    for _ in range(n_steps):
+        before = copy.deepcopy(ws)
+        ws = sim._advance(ws, cfg, row)
+        pairs.append((before, copy.deepcopy(ws)))
+    return cfg, pairs
+
+
 def test_step_does_not_mutate_input():
     cfg = build_config({"sim.duration": 0.8})
     ws = sim.initial_state(cfg)
@@ -192,6 +221,81 @@ def test_step_does_not_mutate_input():
     assert np.array_equal(ws.q_s, q_before)
     assert out.t == pytest.approx(cfg.dt)
     assert rec.t == pytest.approx(cfg.dt)
+    # a step that ends in a touchdown leaves every field and array of its
+    # input as it was too
+    cfg, pairs = _walk("granular", 200)
+    ws = next(before for before, after in pairs if after.step_count > before.step_count)
+    snapshot = copy.deepcopy(ws)
+    out, rec = sim.step(ws, cfg)
+    _assert_same_state(ws, snapshot)
+    assert _shares_no_array(out, ws)
+    assert out.step_count == rec.step_count + 1 == ws.step_count + 1
+    assert out.t_stance_start == out.t == rec.t
+
+
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
+    # the jump map on mid-swing states and on the states the touchdown
+    # event fired on; states are as the flow leaves them, before the jump
+    cfg, pairs = _walk(terrain_mode, 600)
+    r, level = cfg.foot_radius, cfg.terrain.sand_level
+    mid_swing = [after for _, after in pairs[::20]
+                 if 0.3 < sim._stance_phase(after, cfg, after.t) < 0.8]
+    pre_touchdown = []
+    for before, after in pairs:
+        if after.step_count > before.step_count:  # replay the flow the jump followed
+            sim._flow(before, cfg)
+            pre_touchdown.append(before)
+    assert len(mid_swing) >= 12 and len(pre_touchdown) == 3
+    clamped = 0
+    for ws in mid_swing + pre_touchdown:
+        snapshot = copy.deepcopy(ws)
+        new = sim._jump(ws, cfg)
+        _assert_same_state(ws, snapshot)
+        assert _shares_no_array(new, ws)
+        _, swing, _, _, swing_v, _ = sim._kinematics(ws, cfg)
+        q, dq, p, dp = ws.q_s, ws.dq_s, ws.q_f, ws.dq_f
+        # swing and stance pairs swap, the trunk carries over, the intrusion
+        # restarts from 0, at rest except for the landing skid on sand
+        assert new.stance is ws.stance.other
+        assert new.q_s.tolist() == [q[2], q[3], q[0], q[1], q[4], 0.0, 0.0]
+        slip = swing_v[0] if terrain_mode == "granular" else 0.0
+        assert new.dq_s.tolist() == [dq[2], dq[3], dq[0], dq[1], dq[4], slip, 0.0]
+        assert (slip != 0.0) == (terrain_mode == "granular")
+        # the frontal angles mirror about the new stance hip
+        assert new.q_f.tolist() == [0.0, math.pi - p[1], -p[2], 0.0, 0.0]
+        assert new.dq_f.tolist() == [0.0, -dp[1], -dp[2], 0.0, 0.0]
+        # the new contact sits under the landing foot, no higher than the sand
+        assert new.c0.tolist() == [swing[0], min(swing[1] - r, level)]
+        clamped += new.c0[1] == level
+        assert np.array_equal(new.liftoff, ws.c0 + q[5:7] + (0.0, r))
+        assert (new.t, new.t_stance_start, new.step_count) == (ws.t, ws.t, ws.step_count + 1)
+        assert new.prev_swing_height == math.inf
+        # the latches: the sole's contact angle is the calf pitch, and the
+        # chord runs from the hip to the new stance-foot center
+        assert abs(new.theta_r0 - new.q_s[1]) < 1e-12
+        chord = math.hypot(*leg_fk(cfg.sagittal.l_t, cfg.sagittal.l_c, q[2], q[3]))
+        assert abs(new.r_latch - sim._clamp_chord(cfg, chord)) < 1e-12
+    # mid-swing feet are above the sand; on sand the detected touchdowns
+    # land below it, and the forced rigid ones above it
+    assert clamped == len(mid_swing) + (3 if terrain_mode == "rigid" else 0)
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+@pytest.mark.parametrize("terrain_mode,touchdowns,phases", [
+    ("granular", 14, (0.82, 0.84)),  # detected mid-swing
+    ("rigid", 11, (1.0, 1.0)),       # forced at the schedule boundary
+])
+def test_touchdown_events_of_the_default_runs(terrain_mode, integrator, touchdowns, phases):
+    # the record is written before the jump: a touchdown row holds the
+    # pre-swap stance phase, and the next row the raised step count
+    traj = run_cfg(**{"sim.terrain_mode": terrain_mode, "sim.integrator": integrator})
+    steps = traj.column("step_count")
+    rows = np.flatnonzero(np.diff(steps))
+    assert len(rows) == touchdowns
+    assert np.all(np.diff(steps)[rows] == 1)
+    phase = traj.column("stance_phase")[rows]
+    assert np.all((phase >= phases[0] - 1e-9) & (phase <= phases[1] + 1e-9))
 
 
 def test_rk4_integrator_mode():
@@ -402,7 +506,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
             held = copy.copy(ws)
             held.t_stance_start = ws.t + 1.0
             assert sim._model_refs(held, cfg, ws.t) == (refs, rates)
-        sim._advance(ws, cfg, row)
+        ws = sim._advance(ws, cfg, row)
     assert starts >= 10
     assert worst < 1e-5
 
@@ -485,7 +589,7 @@ def test_divergence_guard_catches_held_coordinate(value):
 def test_divergence_guard_catches_rate_above_limit():
     cfg = build_config({})
     ws = sim.initial_state(cfg)
-    ws.dq_s[0] = 2.0 * cfg.divergence_limit  # finite, so the stage checks pass
+    ws.dq_s[0] = 2.0 * sim._DIVERGENCE_LIMIT  # finite, so the stage checks pass
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
         sim.step(ws, cfg)
     assert err.value.detail == ""
