@@ -203,14 +203,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=Path, default=None,
-                       help="configuration file (key=value text or JSON)")
+    def out(p):
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default $SANDWALK_OUT or ./out)")
+
+    def common(p, terrain=True):
+        p.add_argument("--config", type=Path, default=None,
+                       help="configuration file (key=value text or JSON)")
+        out(p)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration key")
-        p.add_argument("--terrain", choices=["granular", "rigid"], default=None)
+        if terrain:
+            p.add_argument("--terrain", choices=["granular", "rigid"], default=None)
         p.add_argument("--seed", type=int, default=None)
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
@@ -220,8 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--decimation", type=int, default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
+    # a sweep runs every cell on both terrains
     p_sweep = sub.add_parser("sweep", help="CoT over a velocity grid")
-    common(p_sweep)
+    common(p_sweep, terrain=False)
     p_sweep.add_argument("--velocities", type=str, default=None,
                          help="comma list [m/s], default 0.1..0.5")
     p_sweep.add_argument("--repeats", type=int, default=3)
@@ -237,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_cmp = sub.add_parser("compare", help="stance-phase RMSE between trajectories")
-    common(p_cmp)
+    out(p_cmp)
     p_cmp.add_argument("traj_a", type=Path)
     p_cmp.add_argument("traj_b", type=Path)
     p_cmp.add_argument("--fields", type=str, default=None,
@@ -258,7 +263,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (tr.CalibrationError, metrics.ZeroDistanceError, ValueError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -142,9 +142,6 @@ def build_config(flat: dict) -> simulation.SimConfig:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
         part, _, name = CONFIG_KEYS[key][0].rpartition(".")
-        # the range checks below let +-inf through (NaN fails them)
-        if isinstance(value, float) and math.isinf(value):
-            raise ConfigError(f"invalid configuration: {name} must be finite")
         parts[part][name] = math.radians(value) if key == _DEGREES_KEY else value
 
     try:

@@ -48,8 +48,17 @@ def _rod_inertia(mass: float, length: float) -> float:
     return mass * length ** 2 / 12.0
 
 
-def _check(params, positive, non_negative) -> None:
-    """Range checks, written so that NaN fails them."""
+def check_ranges(params, positive=(), non_negative=(), bounded=()) -> None:
+    """Range checks of float fields, written so that NaN fails them.
+
+    Every named field that is +-inf fails first, with "<name> must be
+    finite"; ``bounded`` fields get only that check, the caller tests the
+    rest of their range.  None (an optional field left unset) passes.
+    """
+    for name in (*positive, *non_negative, *bounded):
+        v = getattr(params, name)
+        if isinstance(v, float) and math.isinf(v):
+            raise ValueError(f"{name} must be finite")
     for name in positive:
         if not getattr(params, name) > 0.0:
             raise ValueError(f"{name} must be strictly positive")
@@ -79,8 +88,8 @@ class SagittalParams:
     g: float = 9.81
 
     def __post_init__(self) -> None:
-        _check(self, ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2", "g"),
-               ("i_b", "i_t", "i_c"))
+        check_ranges(self, ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2", "g"),
+                     ("i_b", "i_t", "i_c"))
         if self.a_1 > self.l_t:
             raise ValueError("a_1 must not exceed the thigh length")
         if self.a_2 > self.l_c:
@@ -125,7 +134,8 @@ class SagittalParams:
 
 @dataclass(frozen=True)
 class FrontalParams:
-    """Masses, geometry and inertias of the frontal three-link model."""
+    """Masses and geometry of the frontal three-link model.  The links are
+    slender rods, both legs l_1 long, the crossbar b long."""
 
     m_b: float = 5.0   # trunk mass [kg]
     m_1: float = 1.5   # stance leg mass [kg]
@@ -134,14 +144,10 @@ class FrontalParams:
     d_1: float = 0.23  # contact to stance-leg CoM [m]
     d_2: float = 0.20  # swing hip to swing-leg CoM [m]
     b: float = 0.12    # hip spacing [m]
-    i_1: float | None = None
-    i_2: float | None = None
-    i_bar: float | None = None
     g: float = 9.81
 
     def __post_init__(self) -> None:
-        _check(self, ("m_b", "m_1", "m_2", "l_1", "d_1", "d_2", "b", "g"),
-               ("i_1", "i_2", "i_bar"))
+        check_ranges(self, ("m_b", "m_1", "m_2", "l_1", "d_1", "d_2", "b", "g"))
         if self.d_1 > self.l_1:
             raise ValueError("d_1 must not exceed the stance leg length")
 
@@ -150,18 +156,6 @@ class FrontalParams:
         """M_f, trunk plus both legs."""
         return self.m_b + self.m_1 + self.m_2
 
-    @property
-    def inertia_1(self) -> float:
-        return self.i_1 if self.i_1 is not None else _rod_inertia(self.m_1, self.l_1)
-
-    @property
-    def inertia_2(self) -> float:
-        return self.i_2 if self.i_2 is not None else _rod_inertia(self.m_2, self.l_1)
-
-    @property
-    def inertia_bar(self) -> float:
-        return self.i_bar if self.i_bar is not None else _rod_inertia(self.m_b, self.b)
-
     @cached_property
     def _constants(self):
         """Configuration-independent terms: the constant diagonal of D, the
@@ -169,9 +163,10 @@ class FrontalParams:
         couplings lean-crossbar, lean-swing and crossbar-swing, and M_f g."""
         m_f = self.total_mass
         diag = np.diag([
-            self.m_1 * self.d_1 ** 2 + (self.m_b + self.m_2) * self.l_1 ** 2 + self.inertia_1,
-            (0.25 * self.m_b + self.m_2) * self.b ** 2 + self.inertia_bar,
-            self.m_2 * self.d_2 ** 2 + self.inertia_2,
+            self.m_1 * self.d_1 ** 2 + (self.m_b + self.m_2) * self.l_1 ** 2
+            + _rod_inertia(self.m_1, self.l_1),
+            (0.25 * self.m_b + self.m_2) * self.b ** 2 + _rod_inertia(self.m_b, self.b),
+            self.m_2 * self.d_2 ** 2 + _rod_inertia(self.m_2, self.l_1),
             m_f, m_f,
         ])
         k2 = (0.5 * self.m_b + self.m_2) * self.b

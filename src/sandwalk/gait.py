@@ -17,6 +17,8 @@ from enum import Enum
 
 import numpy as np
 
+from .dynamics import check_ranges
+
 __all__ = [
     "Side",
     "GaitConfig",
@@ -63,14 +65,10 @@ class GaitConfig:
     trunk_ref: float = 0.0      # trunk posture reference [rad]
 
     def __post_init__(self) -> None:
-        # range checks are written so that NaN fails them
-        for name in ("cycle_period", "swing_height", "hip_height"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        check_ranges(self, ("cycle_period", "swing_height", "hip_height"), ("v_target",),
+                     bounded=("duty",))
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must lie in (0, 1)")
-        if not self.v_target >= 0.0:
-            raise ValueError("v_target must be non-negative")
         if not math.isfinite(self.trunk_ref):
             raise ValueError("trunk_ref must be finite")
 
@@ -103,8 +101,7 @@ class Gains:
             raise ValueError("gain vectors must have six entries")
         if not (np.all(kp > 0.0) and np.all(kd > 0.0)):
             raise ValueError("gains must be strictly positive")
-        if not self.torque_limit > 0.0:
-            raise ValueError("torque_limit must be strictly positive")
+        check_ranges(self, ("torque_limit",))
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
 

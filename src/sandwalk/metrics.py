@@ -78,14 +78,13 @@ def cot(
     trajectory: simulation.Trajectory,
     robot_weight: float | None = None,
     t_start: float | None = None,
-    t_end: float | None = None,
     norm: str = "net",
 ) -> CoTReport:
     """Cost of transport E / (W_r d) by trapezoidal integration.
 
     E integrates the absolute mechanical power of the joint actuators and
-    d the forward CoM velocity over [t_start, t_end] (full trajectory when
-    omitted).  Raises ZeroDistanceError when d < 1e-6 m.
+    d the forward CoM velocity from t_start (the first record when
+    omitted) to the last record.  Raises ZeroDistanceError when d < 1e-6 m.
     """
     if norm not in ("net", "per_joint"):
         raise ValueError(f"unknown power norm '{norm}'")
@@ -95,8 +94,7 @@ def cot(
     if t.size < 2:
         raise ValueError("trajectory must hold at least two records")
     lo = t[0] if t_start is None else t_start
-    hi = t[-1] if t_end is None else t_end
-    mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
+    mask = t >= lo - 1e-12
     if int(mask.sum()) < 2:
         raise ValueError("time window selects fewer than two records")
     tw = t[mask]
@@ -141,11 +139,10 @@ def resample_stance(
     trajectory: simulation.Trajectory,
     fields: list[str],
     n_points: int = 101,
-    skip_steps: int = 1,
 ) -> dict[str, np.ndarray]:
     """Mean stance-phase profile (0..1 grid) of each field.
 
-    Each completed stance after the first ``skip_steps`` is linearly
+    Each completed stance after the first (settle-in) one is linearly
     interpolated onto the common phase grid; profiles are averaged across
     stances.  Raises ValueError when no complete stance is available.
     """
@@ -156,8 +153,8 @@ def resample_stance(
     profiles = []
     last = steps.max()
     for k in np.unique(steps):
-        if k < skip_steps or k == last:
-            continue  # settle-in stances and the trailing fragment
+        if k < 1 or k == last:
+            continue  # the settle-in stance and the trailing fragment
         sel = steps == k
         ph = phase[sel]
         if ph.size < 4:

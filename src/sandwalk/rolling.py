@@ -99,23 +99,23 @@ def rolling_angle(theta_r0: float, theta_r1: float) -> float:
     return theta_r1 - theta_r0
 
 
-def velocity_angle(dx: float, dz: float, eps: float = 1e-6) -> float:
+def velocity_angle(dx: float, dz: float) -> float:
     """Direction angle gamma = atan2(dz, dx) of the intrusion velocity.
 
     ``dz`` is the upward rate of the contact coordinate.  Below the speed
-    threshold the direction is undefined and GAMMA_UNDEFINED (NaN) is
-    returned.
+    threshold of 1e-6 m/s the direction is undefined and GAMMA_UNDEFINED
+    (NaN) is returned.
     """
-    if math.hypot(dx, dz) < eps:
+    if math.hypot(dx, dz) < 1e-6:
         return GAMMA_UNDEFINED
     return math.atan2(dz, dx)
 
 
-def effective_radius(v: tuple[float, float], dtheta_r: float, eps: float = 1e-4) -> float:
+def effective_radius(v: tuple[float, float], dtheta_r: float) -> float:
     """Effective rolling radius, contact speed over foot pitch rate.
 
-    Raises NoRotationError when |dtheta_r| < eps (pure translation).
+    Raises NoRotationError when |dtheta_r| < 1e-4 rad/s (pure translation).
     """
-    if abs(dtheta_r) < eps:
+    if abs(dtheta_r) < 1e-4:
         raise NoRotationError(f"pitch rate {dtheta_r:.2e} rad/s below threshold")
     return math.hypot(v[0], v[1]) / abs(dtheta_r)

@@ -76,13 +76,8 @@ class SimConfig:
     gains: gt.Gains = field(default_factory=gt.Gains)
 
     def __post_init__(self) -> None:
-        # range checks are written so that NaN fails them
-        for name in ("dt", "foot_radius", "h_com", "r_eff_cap"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        for name in ("initial_jitter", "seed"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+        dyn.check_ranges(self, ("dt", "foot_radius", "h_com", "r_eff_cap"),
+                         ("initial_jitter", "seed"), bounded=("duration",))
         if self.frontal is None:
             frontal = derived_frontal(self.sagittal, self.foot_radius)
             object.__setattr__(self, "frontal", frontal)

@@ -17,12 +17,11 @@ length scale lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import GrfSagittal
+from .dynamics import GrfSagittal, check_ranges
 
 __all__ = [
     "RftCoefficients",
@@ -77,21 +76,13 @@ class TerrainParams:
     width: float = 0.05                # foot width [m]
     sand_level: float = 0.0            # surface height [m]
     alpha_scale: float = 8.0           # media stiffness relative to the generic table
-    coefficients: RftCoefficients = field(default_factory=RftCoefficients)
 
     def __post_init__(self) -> None:
-        # range checks are written so that NaN fails them
+        check_ranges(self, ("zeta", "lam", "width", "alpha_scale"), bounded=("phi_s",))
         if not 0.0 < self.phi_s < math.pi / 2:
             raise ValueError("phi_s must lie in (0, pi/2)")
-        for name in ("zeta", "lam", "width", "alpha_scale"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
         if not math.isfinite(self.sand_level):
             raise ValueError("sand_level must be finite")
-
-    @cached_property
-    def _bulldozing_stress(self) -> float:
-        return bulldozing_stress(self)
 
 
 @dataclass
@@ -134,7 +125,6 @@ def local_stress(
     beta: float,
     gamma: float,
     zeta: float,
-    coefficients: RftCoefficients = GENERIC_RFT_COEFFICIENTS,
     scale: float = 1.0,
 ) -> tuple[float, float]:
     """Local stresses per unit depth (alpha_x, alpha_z) in N/m^3.
@@ -150,7 +140,7 @@ def local_stress(
         return 0.0, 0.0
     if math.isnan(gamma):
         g_pen = math.pi / 2  # static bearing at the penetration branch
-        a_z = _alpha_z(beta, g_pen, coefficients)
+        a_z = _alpha_z(beta, g_pen, GENERIC_RFT_COEFFICIENTS)
         return 0.0, zeta * scale * _STRESS_UNIT * a_z
     vx = math.cos(gamma)
     vz = math.sin(gamma)  # upward component
@@ -160,8 +150,8 @@ def local_stress(
         beta = -beta
         sign = -1.0
     g_pen = math.atan2(-vz, vx)  # positive when moving into the media
-    a_x = _alpha_x(beta, g_pen, coefficients)
-    a_z = _alpha_z(beta, g_pen, coefficients)
+    a_x = _alpha_x(beta, g_pen, GENERIC_RFT_COEFFICIENTS)
+    a_z = _alpha_z(beta, g_pen, GENERIC_RFT_COEFFICIENTS)
     k = zeta * scale * _STRESS_UNIT
     return sign * k * a_x, k * a_z
 
@@ -213,18 +203,14 @@ def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagi
         if vx < 0.0:
             sign = -1.0
             gamma = math.atan2(vz, -vx)
-    a_x, a_z = local_stress(
-        terrain.phi_s, gamma, terrain.zeta, terrain.coefficients, terrain.alpha_scale
-    )
+    a_x, a_z = local_stress(terrain.phi_s, gamma, terrain.zeta, terrain.alpha_scale)
     geom = terrain.width * wedge_area(kin.depth, terrain.phi_s)
     return GrfSagittal(f_x=-sign * a_x * geom, f_z=a_z * geom)
 
 
 def bulldozing_stress(terrain: TerrainParams) -> float:
     """Lateral stress per unit depth on the vertical foot side [N/m^3]."""
-    a_x, _ = local_stress(
-        math.pi / 2, 0.0, terrain.zeta, terrain.coefficients, terrain.alpha_scale
-    )
+    a_x, _ = local_stress(math.pi / 2, 0.0, terrain.zeta, terrain.alpha_scale)
     return abs(a_x)
 
 
@@ -240,7 +226,7 @@ def lateral_force(terrain: TerrainParams, kin: IntrusionKinematics) -> float:
     y = abs(kin.y_slip)
     if y == 0.0 or kin.depth == 0.0:
         return 0.0
-    a_y = terrain._bulldozing_stress
+    a_y = bulldozing_stress(terrain)
     g_z = 0.5 * kin.depth ** 2
     magnitude = terrain.lam * (1.0 - math.exp(-y / terrain.lam)) * a_y * g_z
     return -math.copysign(magnitude, kin.y_slip)
@@ -252,9 +238,7 @@ def lateral_force(terrain: TerrainParams, kin: IntrusionKinematics) -> float:
 
 def _vertical_model(terrain: TerrainParams, depth: np.ndarray, plate_width: float) -> np.ndarray:
     """Plate force-depth law used for the vertical fit, at unit zeta."""
-    _, a_z = local_stress(
-        terrain.phi_s, -math.pi / 2, 1.0, terrain.coefficients, terrain.alpha_scale
-    )
+    _, a_z = local_stress(terrain.phi_s, -math.pi / 2, 1.0, terrain.alpha_scale)
     k = a_z * plate_width / (2.0 * math.tan(terrain.phi_s))
     return k * depth ** 2
 

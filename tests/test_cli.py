@@ -58,6 +58,32 @@ def test_unknown_config_key_named(tmp_path, capsys):
     assert "sim.warp_speed" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{dir}"],
+    ["compare", "{dir}", "{dir}"],
+])
+def test_directory_in_place_of_a_file_is_an_error(tmp_path, capsys, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "a.csv", "b.csv", "--config", "run.cfg"],
+    ["compare", "a.csv", "b.csv", "--set", "sim.seed=1"],
+    ["compare", "a.csv", "b.csv", "--seed", "9"],
+    ["compare", "a.csv", "b.csv", "--terrain", "rigid"],
+    ["sweep", "--terrain", "rigid"],
+])
+def test_options_the_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    # compare reads no configuration; a sweep runs every cell on both terrains
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_terrain_override_flag(tmp_path):
     cfg = tmp_path / "run.cfg"
     write_config(cfg)

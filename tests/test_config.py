@@ -1,10 +1,15 @@
 """Configuration tests: defaults agree between SimConfig and the key table;
 out-of-range values are rejected when the configuration is built."""
 
+import dataclasses
+
 import pytest
 
 from sandwalk.config import CONFIG_KEYS, ConfigError, build_config, flatten_config, load_config
+from sandwalk.dynamics import FrontalParams, SagittalParams
+from sandwalk.gait import GaitConfig, Gains
 from sandwalk.sim import SimConfig
+from sandwalk.terrain import TerrainParams
 
 # NaN and +-inf for every float key, plus the ranges of keys that had no check
 BAD_VALUES = [(key, bad) for key, value in flatten_config(SimConfig()).items()
@@ -34,6 +39,21 @@ def test_bad_value_rejected_naming_the_field(key, value):
     field = CONFIG_KEYS[key][0].rpartition(".")[2]
     with pytest.raises(ConfigError, match=f"invalid configuration: {field} must"):
         load_config(None, [f"{key}={value}"])
+
+
+# every float field of each configuration object, config key or not
+FLOAT_FIELDS = [(cls, f.name)
+                for cls in (SimConfig, GaitConfig, Gains, TerrainParams, SagittalParams,
+                            FrontalParams)
+                for f in dataclasses.fields(cls) if "float" in str(f.type)]
+
+
+@pytest.mark.parametrize("cls,field", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, field in FLOAT_FIELDS])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_infinite_field_rejected_when_built_directly(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        cls(**{field: value})
 
 
 def test_json_infinity_for_integer_key_rejected(tmp_path):

@@ -122,7 +122,7 @@ def test_granular_stance_sinks_to_force_balance():
     # overshoot bound, both from the quadratic force law
     from sandwalk import terrain as tr
     k = (cfg.terrain.zeta * cfg.terrain.alpha_scale * 1e6
-         * tr._alpha_z(cfg.terrain.phi_s, math.pi / 2, cfg.terrain.coefficients)
+         * tr._alpha_z(cfg.terrain.phi_s, math.pi / 2, tr.GENERIC_RFT_COEFFICIENTS)
          * cfg.terrain.width / (2 * math.tan(cfg.terrain.phi_s)))
     z_eq = math.sqrt(weight / k)
     assert z_eq <= z[-1] <= 1.25 * math.sqrt(3.0) * z_eq

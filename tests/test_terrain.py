@@ -110,10 +110,7 @@ def wedge_quadrature(terrain, kin, n=8193):
     if vx < 0.0:
         sign = -1.0
         gamma = math.atan2(vz, -vx)
-    a_x, a_z = local_stress(
-        terrain.phi_s, gamma, terrain.zeta, terrain.coefficients,
-        terrain.alpha_scale,
-    )
+    a_x, a_z = local_stress(terrain.phi_s, gamma, terrain.zeta, terrain.alpha_scale)
     xi = np.linspace(0.0, kin.depth, n)
     width = (kin.depth - xi) / math.tan(terrain.phi_s)
     area = np.trapezoid(width, xi)
