@@ -34,13 +34,15 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _manifest(out: Path, cfg, outputs: dict, summary: dict) -> None:
+def _manifest(out: Path, cfg, outputs: dict, summary: dict, ran: dict | None = None) -> None:
+    """Write manifest.json; ``ran`` replaces the configuration keys that a
+    command varied with the list of values it ran."""
     payload = {
         "tool": "sandwalk",
         "version": __version__,
         "created_unix": time.time(),
         "config_hash": cfgmod.config_hash(cfg),
-        "config": cfgmod.flatten_config(cfg),
+        "config": {**cfgmod.flatten_config(cfg), **(ran or {})},
         "outputs": {k: str(v) for k, v in outputs.items()},
         "summary": summary,
     }
@@ -112,8 +114,12 @@ def _cmd_sweep(args) -> int:
             "n_failed": row.n_failed,
         } for row in rows], fh, indent=2)
     failed = sum(r.n_failed for r in rows)
+    # the cells override the base speed, terrain and seed
+    ran = {"gait.v_target": list(dict.fromkeys(r.v_target for r in rows)),
+           "sim.terrain_mode": list(dict.fromkeys(r.terrain for r in rows)),
+           "sim.seed": list(rows[0].seeds)}
     _manifest(out, cfg, {"sweep_csv": sweep_path, "sweep_json": json_path},
-              {"rows": len(rows), "failed_cells": failed})
+              {"rows": len(rows), "failed_cells": failed}, ran)
     print(f"wrote {sweep_path} ({len(rows)} rows, {failed} failed cells)")
     return 0 if failed == 0 else 4
 

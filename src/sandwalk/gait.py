@@ -248,17 +248,10 @@ def frontal_torques_to_hips(tau_f2: float, tau_f3: float) -> tuple[float, float]
     return tau_f2 + tau_f3, tau_f3
 
 
-def track_joints(
-    q_ref: np.ndarray,
-    dq_ref: np.ndarray,
-    q: np.ndarray,
-    dq: np.ndarray,
-    gains: Gains,
-) -> np.ndarray:
-    """PD joint tracking torque, saturated at the configured limit."""
-    q_ref = np.asarray(q_ref, dtype=float)
-    dq_ref = np.asarray(dq_ref, dtype=float)
-    q = np.asarray(q, dtype=float)
-    dq = np.asarray(dq, dtype=float)
-    tau = gains.kp * (q_ref - q) + gains.kd * (dq_ref - dq)
-    return np.clip(tau, -gains.torque_limit, gains.torque_limit)
+def track_joints(q_ref, dq_ref, q, dq, gains: Gains) -> list[float]:
+    """PD joint tracking torque of the six actuators, saturated at the
+    configured limit; a NaN torque stays NaN."""
+    limit = gains.torque_limit
+    return [min(max(kp * (r - x) + kd * (dr - v), -limit), limit)
+            for r, dr, x, v, kp, kd
+            in zip(q_ref, dq_ref, q, dq, gains.kp.tolist(), gains.kd.tolist())]

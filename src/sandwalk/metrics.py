@@ -65,6 +65,7 @@ class SweepRow:
     cot_std: float
     n_ok: int
     n_failed: int
+    seeds: tuple[int, ...]  # of the cell's runs, one per repeat
 
 
 def dimensionless_velocity(v: float, h_com: float, g: float = 9.81) -> float:
@@ -203,14 +204,15 @@ def velocity_sweep(
     for v in velocities:  # each speed passes the checks of its config key
         build_config({"gait.v_target": float(v)})
 
+    seeds = tuple(base.seed + rep for rep in range(repeats))
     cells = []
     for v in velocities:
         for terrain_mode in terrains:
-            for rep in range(repeats):
+            for seed in seeds:
                 cfg = replace(
                     base,
                     terrain_mode=terrain_mode,
-                    seed=base.seed + rep,
+                    seed=seed,
                     gait=replace(base.gait, v_target=float(v)),
                 )
                 cells.append((v, terrain_mode, cfg))
@@ -246,6 +248,7 @@ def velocity_sweep(
                     cot_std=float(np.std(vals)) if vals else float("nan"),
                     n_ok=len(vals),
                     n_failed=len(outcomes[(v, m)]) - len(vals),
+                    seeds=seeds,
                 )
             )
     return rows

@@ -383,16 +383,15 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
 
 
 # Actuation maps of gait.sagittal_map_matrix and gait.frontal_to_hip_angles
-# as tables per stance side: actuator j of q_a reads x[PLUS[j]] - x[MINUS[j]]
-# of x = (stance thigh, stance calf, swing thigh, swing calf, trunk,
-# stance hip, swing hip, 0).  The sagittal torques are the transpose of the
-# thigh and calf rows, and the (stance, swing) hip rows read the hips.
+# as tables per stance side: actuator j of q_a reads x[i] - x[k] for the
+# j-th pair (i, k), of x = (stance thigh, stance calf, swing thigh, swing
+# calf, trunk, stance hip, swing hip, 0).  The sagittal torques are the
+# transpose of the thigh and calf rows, and the (stance, swing) hip rows
+# read the hips.
 _ACTUATION = {
-    # PLUS, MINUS, (stance thigh, stance calf, swing thigh, swing calf), hips
-    gt.Side.LEFT: (np.array([5, 0, 1, 6, 2, 3]), np.array([7, 4, 0, 7, 4, 2]),
-                   (1, 2, 4, 5), (0, 3)),
-    gt.Side.RIGHT: (np.array([6, 2, 3, 5, 0, 1]), np.array([7, 4, 2, 7, 4, 0]),
-                    (4, 5, 1, 2), (3, 0)),
+    # pairs, (stance thigh, stance calf, swing thigh, swing calf), hips
+    gt.Side.LEFT: (((5, 7), (0, 4), (1, 0), (6, 7), (2, 4), (3, 2)), (1, 2, 4, 5), (0, 3)),
+    gt.Side.RIGHT: (((6, 7), (2, 4), (3, 2), (5, 7), (0, 4), (1, 0)), (4, 5, 1, 2), (3, 0)),
 }
 # the held frontal posture (lean, crossbar) and its hip actuator angles
 _FRONTAL_POSTURE = (0.0, math.pi / 2.0)
@@ -402,21 +401,19 @@ _HIP_POSTURE = gt.frontal_to_hip_angles((*_FRONTAL_POSTURE, 0.0))
 def _control(ws: WalkerState, cfg: SimConfig):
     """PD torques in actuation space (with the measured actuator rates) and
     their planar-model images."""
-    plus, minus, (st_t, st_c, sw_t, sw_c), (i_st, i_sw) = _ACTUATION[ws.stance]
+    pairs, (st_t, st_c, sw_t, sw_c), (i_st, i_sw) = _ACTUATION[ws.stance]
     refs, ref_rates = _model_refs(ws, cfg, ws.t)
     dp = ws.dq_f.tolist()  # hip angle rates: -p1' + p2' and -p2' + p3'
-    x = np.array([
+    q_ref, dq_ref, q_a, dq_a = ([x[i] - x[k] for i, k in pairs] for x in (
         [*refs, *_HIP_POSTURE, 0.0],
         [*ref_rates, 0.0, 0.0, 0.0],
-        [*ws.q_s[:5].tolist(), *gt.frontal_to_hip_angles(ws.q_f), 0.0],
-        [*ws.dq_s[:5].tolist(), -dp[0] + dp[1], -dp[1] + dp[2], 0.0],
-    ])
-    q_ref, dq_ref, q_a, dq_a = x.take(plus, axis=1) - x.take(minus, axis=1)
-    tau_a = gt.track_joints(q_ref, dq_ref, q_a, dq_a, cfg.gains)
-    tau = tau_a.tolist()
+        [*ws.q_s.tolist()[:5], *gt.frontal_to_hip_angles(ws.q_f), 0.0],
+        [*ws.dq_s.tolist()[:5], -dp[0] + dp[1], -dp[1] + dp[2], 0.0],
+    ))
+    tau = gt.track_joints(q_ref, dq_ref, q_a, dq_a, cfg.gains)
     tau_s = [tau[st_t] - tau[st_c], tau[st_c], tau[sw_t] - tau[sw_c], tau[sw_c]]
     tau_f = gt.hip_torques_to_frontal(tau[i_st], tau[i_sw])
-    return tau, dq_a.tolist(), tau_s, tau_f
+    return tau, dq_a, tau_s, tau_f
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +427,13 @@ def _control(ws: WalkerState, cfg: SimConfig):
 # (0, 1, 5, 6) on sand, a dense 4x4 solve, and two 2x2 blocks solved in
 # closed form: sagittal rows (0, 1) on rigid ground, frontal rows (2, 3) on
 # sand.
-_SAG_ROWS = np.array([0, 1, 5, 6])
+_SAG_ROWS = (0, 1, 5, 6)
 _SAG_BLOCK = np.ix_(_SAG_ROWS, _SAG_ROWS)
 
 
-def _solve2(m: np.ndarray, r) -> tuple[float, float]:
+def _solve2(m, r) -> tuple[float, float]:
     """Solution of the 2x2 system m x = r by Cramer's rule."""
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = m
     r0, r1 = r
     det = a * d - b * c
     return (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
@@ -461,44 +458,58 @@ def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: fl
 
 def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f):
     """Reduced constrained accelerations of the stacked state (7 sagittal
-    then 5 frontal coordinates) plus (f_x, f_y, f_z, gamma, tau_bar)."""
+    then 5 frontal coordinates) plus (f_x, f_y, f_z, gamma, tau_bar).
+
+    The assembled arrays are read into Python floats once.  The products
+    that sum several nonzero terms stay in numpy: a Python sum rounds some
+    of them differently, and the golden trajectories pin numpy's rounding."""
     granular = cfg.terrain_mode == "granular"
     q_s, dq_s, q_f, dq_f = q[:7], dq[:7], q[7:], dq[7:]
-    qdd = np.zeros(12)
-    qdd_s, qdd_f = qdd[:7], qdd[7:]
 
     d_s, c_s, g_s = dyn.assemble_sagittal(cfg.sagittal, dyn.SagittalState.trusted(q_s, dq_s))
-    cdq_s = c_s @ dq_s
-    rhs_s = -cdq_s - g_s
-    rhs_s[:4] += tau_s
-    qdd_s[2:4] = rhs_s[2:4] / d_s.diagonal()[2:4]  # decoupled swing rows
+    cdq_s = (c_s @ dq_s).tolist()
+    g_s = g_s.tolist()
+    rhs_s = [-c - g for c, g in zip(cdq_s, g_s)]
+    for i, t in enumerate(tau_s):
+        rhs_s[i] += t
+    d = d_s.tolist()
+    # the decoupled swing rows divide out
+    qdd_s = [0.0, 0.0, rhs_s[2] / d[2][2], rhs_s[3] / d[3][3], 0.0, 0.0, 0.0]
     if granular:
-        f_x, f_z, f_y, gamma = _grf_granular(
-            cfg, max(0.0, -float(q_s[6])), *dq_s[5:7].tolist(), float(q_f[3]))
+        x, v = q.tolist(), dq.tolist()
+        f_x, f_z, f_y, gamma = _grf_granular(cfg, max(0.0, -x[6]), v[5], v[6], x[10])
         rhs_s[5] += f_x
         rhs_s[6] += f_z
-        qdd_s[_SAG_ROWS] = np.linalg.solve(d_s[_SAG_BLOCK], rhs_s[_SAG_ROWS])
+        qdd_s[0], qdd_s[1], qdd_s[5], qdd_s[6] = np.linalg.solve(
+            d_s[_SAG_BLOCK], [rhs_s[i] for i in _SAG_ROWS]).tolist()
     else:
-        qdd_s[:2] = _solve2(d_s[:2, :2], rhs_s[:2].tolist())
-        # constraint forces read back off the clamped contact rows
-        f_x, f_z = (d_s[5:7] @ qdd_s + cdq_s[5:7] + g_s[5:7]).tolist()
+        qdd_s[:2] = _solve2((d[0][:2], d[1][:2]), rhs_s[:2])
+        # constraint forces read back off the clamped contact rows, where
+        # only the stance-leg rows 0 and 1 of qdd_s meet a nonzero D entry
+        f_x, f_z = (d[i][0] * qdd_s[0] + d[i][1] * qdd_s[1] + cdq_s[i] + g_s[i]
+                    for i in (5, 6))
         gamma = 0.0
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
     # lateral slip dynamic; the crossbar row residual is the holding torque
     d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState.trusted(q_f, dq_f))
-    cdq_f = c_f @ dq_f
-    rhs_f = -cdq_f - g_f
+    cdq_f = (c_f @ dq_f).tolist()
+    g_f = g_f.tolist()
+    rhs_f = [-c - g for c, g in zip(cdq_f, g_f)]
     rhs_f[2] += tau_f[1]
+    d = d_f.tolist()
+    qdd_f = [0.0] * 5
     if granular:
         rhs_f[3] += f_y
         qdd_f[4] = qdd_s[6]
-        qdd_f[2:4] = _solve2(d_f[2:4, 2:4], (rhs_f[2:4] - d_f[2:4, 4] * qdd_f[4]).tolist())
+        qdd_f[2:4] = _solve2((d[2][2:4], d[3][2:4]),
+                             [rhs_f[i] - d[i][4] * qdd_f[4] for i in (2, 3)])
     else:
-        qdd_f[2] = rhs_f[2] / d_f[2, 2]
-        f_y = float(d_f[3] @ qdd_f + cdq_f[3] + g_f[3])
+        qdd_f[2] = rhs_f[2] / d[2][2]
+        f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g_f[3]  # qdd_f holds only row 2
+    qdd = np.array(qdd_s + qdd_f)
     # crossbar holding torque (reported as the hip-pair torque demand)
-    tau_bar = float(d_f[1] @ qdd_f + cdq_f[1] + g_f[1])
+    tau_bar = float(d_f[1] @ qdd[7:]) + cdq_f[1] + g_f[1]
 
     return qdd, f_x, f_y, f_z, gamma, tau_bar
 
@@ -521,13 +532,16 @@ def _ode_step(method: str, q: np.ndarray, dq: np.ndarray, acc, dt: float):
     )
 
 
-def _flow(ws: WalkerState, cfg: SimConfig):
+def _flow(ws: WalkerState, cfg: SimConfig, logged: bool = True):
     """Control, one ODE step with the torques held, and the posture holds.
-    Returns the control output, the rates at the control instant and
-    (f_x, f_y, f_z, gamma, tau_bar) at the step's start (rk4: its end)."""
+    Returns the control output, the sagittal and frontal rate arrays at the
+    control instant and (f_x, f_y, f_z, gamma, tau_bar) at the step's start
+    (rk4: its end, from a fifth evaluation that only a ``logged`` step makes;
+    otherwise those of the last stage)."""
     control = _control(ws, cfg)
-    # rates at the control instant, for consistent power accounting
-    rates = ws.dq_s[:4].tolist(), ws.dq_f[1:3].tolist()
+    # the step rebinds the state's arrays, so these keep the rates at the
+    # control instant, for consistent power accounting
+    rates = ws.dq_s, ws.dq_f
     forces = None
 
     def acc(q, dq):
@@ -541,7 +555,7 @@ def _flow(ws: WalkerState, cfg: SimConfig):
 
     q, dq = _ode_step(cfg.integrator, np.concatenate((ws.q_s, ws.q_f)),
                       np.concatenate((ws.dq_s, ws.dq_f)), acc, cfg.dt)
-    if cfg.integrator == "rk4":
+    if logged and cfg.integrator == "rk4":
         acc(q, dq)
     q_s, q_f, dq_s, dq_f = q[:7], q[7:], dq[:7], dq[7:]
     # posture holds and mode clamps; the frontal vertical coordinate mirrors
@@ -567,19 +581,19 @@ def _contact_angle(ws: WalkerState, cfg: SimConfig) -> float:
     return rl.orientation_angle(shape, contact)
 
 
-def _record(ws: WalkerState, cfg: SimConfig, control, rates, forces, out) -> tuple[float, float]:
-    """Write the post-step record into the row ``out``; returns the stance
-    phase and the swing-foot height, which the touchdown event reads."""
+def _record(ws: WalkerState, cfg: SimConfig, control, rates, forces,
+            theta_r: float, kinematics, phase: float, out) -> None:
+    """Write the post-step record into the row ``out``, from the step's
+    contact angle, kinematics and stance phase."""
     tau_a, dq_a, tau_s, tau_f = control
     f_x, f_y, f_z, gamma, tau_bar = forces
     # reported hip torques: crossbar holding demand plus the swing-side PD
-    i_st, i_sw = _ACTUATION[ws.stance][3]
+    i_st, i_sw = _ACTUATION[ws.stance][2]
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
     tau_f = (tau_bar, tau_f[1])
 
     q_s, dq_s, q_f, dq_f = (a.tolist() for a in (ws.q_s, ws.dq_s, ws.q_f, ws.dq_f))
     # rolling bookkeeping on the stance foot
-    theta_r = _contact_angle(ws, cfg)
     d_theta = rl.rolling_angle(ws.theta_r0, theta_r)
     try:
         r_eff = min(rl.effective_radius((dq_s[5], dq_s[6]), dq_s[1]), cfg.r_eff_cap)
@@ -590,11 +604,10 @@ def _record(ws: WalkerState, cfg: SimConfig, control, rates, forces, out) -> tup
     joint_powers = [t * w for t, w in zip(tau_a, dq_a)]
     power = math.fsum(joint_powers)
     power_abs = math.fsum(map(abs, joint_powers))
-    power_s = math.fsum(t * w for t, w in zip(tau_s, rates[0]))
-    power_f = math.fsum(t * w for t, w in zip(tau_f, rates[1]))
+    power_s = math.fsum(t * w for t, w in zip(tau_s, rates[0][:4].tolist()))
+    power_f = math.fsum(t * w for t, w in zip(tau_f, rates[1][1:3].tolist()))
 
-    hip, swing, com, _, _, com_v = _kinematics(ws, cfg)
-    phase = _stance_phase(ws, cfg, ws.t)
+    hip, _, com, _, _, com_v = kinematics
     out[:] = [  # SIM_RECORD_FIELDS order
         ws.t, _LEG_NAMES.index(ws.stance.value), phase, ws.step_count,
         *q_s[:5], *dq_s[:5],
@@ -606,7 +619,6 @@ def _record(ws: WalkerState, cfg: SimConfig, control, rates, forces, out) -> tup
         power, power_abs, power_s, power_f,
         *com, *com_v, *hip,
     ]
-    return phase, swing[1] - cfg.foot_radius
 
 
 def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
@@ -636,16 +648,25 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
 _DIVERGENCE_LIMIT = 1e6  # largest |state entry| the step lets through
 
 
-def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray) -> WalkerState:
-    """One fixed step: flow, divergence guard, record into the row ``out``,
-    touchdown event and jump.  Returns ``ws`` advanced or the jumped state."""
-    signals = _flow(ws, cfg)
+def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None = None) -> WalkerState:
+    """One fixed step: flow, divergence guard, contact check, record into the
+    row ``out``, touchdown event and jump.  A step without a row (``out`` is
+    None) skips the record and, under rk4, the end-of-step force evaluation;
+    it makes every check and takes the same event.  Returns ``ws`` advanced
+    or the jumped state."""
+    signals = _flow(ws, cfg, logged=out is not None)
     # divergence guard; NaN fails the comparison too
-    if not np.abs(np.concatenate([ws.q_s, ws.dq_s, ws.q_f, ws.dq_f])).max() <= _DIVERGENCE_LIMIT:
+    state = (*ws.q_s.tolist(), *ws.dq_s.tolist(), *ws.q_f.tolist(), *ws.dq_f.tolist())
+    if not all(abs(x) <= _DIVERGENCE_LIMIT for x in state):
         raise DivergenceError(ws.t)
-    phase, height = _record(ws, cfg, *signals, out)
+    theta_r = _contact_angle(ws, cfg)  # a contact off the sole ends the run
+    kinematics = _kinematics(ws, cfg)
+    phase = _stance_phase(ws, cfg, ws.t)
+    if out is not None:
+        _record(ws, cfg, *signals, theta_r, kinematics, phase, out)
     # touchdown event: the swing-foot height crossing the surface, armed past
     # the swing apex and forced at the schedule boundary
+    height = kinematics[1][1] - cfg.foot_radius
     crossed = detect_touchdown(ws.prev_swing_height, height, cfg.terrain.sand_level)
     if phase >= 1.0 or (phase > 0.5 and crossed):
         return _jump(ws, cfg)
@@ -683,12 +704,12 @@ def run(cfg: SimConfig) -> Trajectory:
     """Simulate for the configured duration; deterministic given the config."""
     ws = initial_state(cfg)
     n_steps = int(round(cfg.duration / cfg.dt))
-    # every step writes its decimation block's row, so a row ends up holding
-    # the block's last (logged) step; trailing steps of an incomplete block
-    # go to a spare row that is dropped
-    data = np.empty((n_steps // cfg.decimation + 1, len(SIM_RECORD_FIELDS)))
-    for k in range(n_steps):
-        ws = _advance(ws, cfg, data[k // cfg.decimation])
+    # the last step of each decimation block writes the block's row; the
+    # trailing steps of an incomplete block write none
+    k = cfg.decimation
+    data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
+    for i in range(n_steps):
+        ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None)
     meta = {
         "dt": cfg.dt,
         "duration": cfg.duration,
@@ -705,7 +726,7 @@ def run(cfg: SimConfig) -> Trajectory:
         "cycle_period": cfg.gait.cycle_period,
         "stance_duration": cfg.gait.stance_duration,
     }
-    return Trajectory(data[: n_steps // cfg.decimation], meta)
+    return Trajectory(data, meta)
 
 
 def integrate_free(

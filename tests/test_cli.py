@@ -249,6 +249,34 @@ def test_sweep_rows_and_empty_list(tmp_path, capsys):
     assert "invalid configuration: foot_radius must be strictly positive" in captured.err
 
 
+def test_sweep_manifest_records_what_ran(tmp_path):
+    # the base config says rigid, speed 0.2 and seed 5; the cells ran both
+    # terrains, the listed speeds and one seed per repeat
+    out = tmp_path / "out"
+    rc = main(["sweep", "--set", "sim.terrain_mode=rigid", "--set", "sim.duration=0.4",
+               "--seed", "5", "--velocities", "0.3,0.1", "--repeats", "2", "--jobs", "1",
+               "--out", str(out)])
+    assert rc == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["sim.terrain_mode"] == ["granular", "rigid"]
+    assert config["gait.v_target"] == [0.3, 0.1]
+    assert config["sim.seed"] == [5, 6]
+    assert config["sim.duration"] == 0.4
+    rows = json.loads((out / "sweep.json").read_text())
+    assert [(r["velocity"], r["terrain"], r["n_ok"] + r["n_failed"]) for r in rows] == [
+        (0.3, "granular", 2), (0.3, "rigid", 2), (0.1, "granular", 2), (0.1, "rigid", 2)]
+
+
+def test_rk4_divergence_at_an_unlogged_step_exits_3(tmp_path, capsys, monkeypatch):
+    from test_sim import _inf_acceleration_at_call
+
+    _inf_acceleration_at_call(monkeypatch, 20)  # the fourth stage of step 5
+    rc = main(["simulate", "--set", "sim.integrator=rk4", "--decimation", "10",
+               "--set", "sim.duration=0.4", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "simulation diverged at t=0.005000 s" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("setting,message", [
     ("sim.dt=nan", "dt must be strictly positive"),
     ("robot.g=nan", "g must be strictly positive"),

@@ -157,6 +157,17 @@ def test_tracking_zero_error_and_saturation():
     assert np.allclose(sat, gains.torque_limit)
     with pytest.raises(ValueError):
         Gains(kp=np.zeros(6))
+    # the float loop equals the array form bit for bit, saturated and NaN
+    # entries included
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        q_ref, dq_ref, q, dq = rng.normal(0.0, [[0.5], [5.0], [0.5], [5.0]], (4, 6))
+        q[rng.integers(6)] = math.nan
+        tau = track_joints(*(x.tolist() for x in (q_ref, dq_ref, q, dq)), gains)
+        expected = np.clip(gains.kp * (q_ref - q) + gains.kd * (dq_ref - dq),
+                           -gains.torque_limit, gains.torque_limit)
+        assert np.array(tau).tobytes() == expected.tobytes()
+        assert np.isnan(tau).sum() == 1
 
 
 def test_step_response_matches_linear_system():

@@ -52,6 +52,50 @@ def test_record_count_and_decimation():
     assert len(traj5.records) == 400
 
 
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+def test_decimated_rows_are_the_undecimated_rows(integrator, terrain_mode):
+    # a decimated run logs the last step of each block; the steps between
+    # build no row (and under rk4 skip the end-of-step force evaluation),
+    # yet the rows it keeps are those of the undecimated run bit for bit
+    keys = {"sim.duration": 0.8, "sim.integrator": integrator,
+            "sim.terrain_mode": terrain_mode}
+    full = run_cfg(**keys).data
+    for k in (3, 10):  # 800 steps: a trailing partial block for k = 3
+        rows = run_cfg(**keys, **{"sim.decimation": k}).data
+        assert rows.shape == (800 // k, full.shape[1])
+        assert rows.tobytes() == full[k - 1::k].tobytes()
+
+
+def _inf_acceleration_at_call(monkeypatch, n):
+    """Make the n-th dynamics evaluation of the next run return an infinite
+    acceleration of the stance thigh (a finite state in, a non-finite one out)."""
+    accelerations = sim._accelerations
+    calls = iter(range(1, n + 1))
+
+    def acc(*args):
+        qdd, *forces = accelerations(*args)
+        if next(calls, None) == n:
+            qdd = qdd.copy()
+            qdd[0] = math.inf
+        return qdd, *forces
+
+    monkeypatch.setattr(sim, "_accelerations", acc)
+
+
+def test_nonfinite_end_of_an_unlogged_rk4_step_is_divergence(monkeypatch):
+    # with decimation 10, steps 1-4 make four evaluations each and are not
+    # logged; the fourth stage of step 5 (call 20) turns the end state
+    # infinite, no fifth evaluation reads it, and the guard after the step
+    # ends the run
+    cfg = build_config({"sim.integrator": "rk4", "sim.decimation": 10, "sim.duration": 0.4})
+    _inf_acceleration_at_call(monkeypatch, 20)
+    with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
+        sim.run(cfg)
+    assert err.value.t == pytest.approx(5 * cfg.dt)
+    assert err.value.detail == ""
+
+
 def test_kinematics_closure_and_rates():
     # hip, swing-foot center and CoM from the one forward-kinematics pass:
     # each leg closes from the hip to its foot center, and each velocity is
