@@ -201,6 +201,13 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, so that `taskset`
+    limits the sweep pool), or every CPU where the mask cannot be read."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sandwalk",
@@ -236,7 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--velocities", type=str, default=None,
                          help="comma list [m/s], default 0.1..0.5")
     p_sweep.add_argument("--repeats", type=int, default=3)
-    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_sweep.add_argument("--jobs", type=int, default=_usable_cpus(),
+                         help="worker processes (default: the CPUs this process may run on)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="fit terrain parameters from plate tests")

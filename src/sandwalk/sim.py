@@ -456,9 +456,35 @@ def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: fl
     return fwd.f_x * dx / hyp, fwd.f_z, tr.lateral_force(cfg.terrain, kin), gamma
 
 
-def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f):
+class _FrontalTerms:
+    """What a stage derives from ``dyn.assemble_frontal`` (D as rows, C dq and
+    G as lists, row 1 of D), kept for the last frontal configuration.  The
+    system depends only on the angles and rates q_f[:3], dq_f[:3], which hold
+    still between touchdowns, so a stage reassembles it only when their bytes
+    or the parameter object change.  The key is bytes, not floats: a
+    touchdown flips p3 between 0.0 and -0.0, and 0.0 == -0.0.  C dq reads
+    dq_f[3:] only through the zero columns 3 and 4 of C, and a product
+    accumulated from +0.0 has the same bytes for any finite entries there.
+    One per run."""
+
+    __slots__ = ("params", "key", "terms")
+
+    def __init__(self):
+        self.params = self.key = self.terms = None
+
+    def __call__(self, params: dyn.FrontalParams, q_f, dq_f):
+        key = q_f[:3].tobytes() + dq_f[:3].tobytes()
+        if params is not self.params or key != self.key:
+            d_f, c_f, g_f = dyn.assemble_frontal(params, dyn.FrontalState.trusted(q_f, dq_f))
+            self.params, self.key = params, key
+            self.terms = d_f.tolist(), (c_f @ dq_f).tolist(), g_f.tolist(), d_f[1]
+        return self.terms
+
+
+def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal=None):
     """Reduced constrained accelerations of the stacked state (7 sagittal
     then 5 frontal coordinates) plus (f_x, f_y, f_z, gamma, tau_bar).
+    ``frontal`` is the run's ``_FrontalTerms`` (None: a fresh one).
 
     The assembled arrays are read into Python floats once.  The products
     that sum several nonzero terms stay in numpy: a Python sum rounds some
@@ -492,12 +518,9 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f):
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
     # lateral slip dynamic; the crossbar row residual is the holding torque
-    d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState.trusted(q_f, dq_f))
-    cdq_f = (c_f @ dq_f).tolist()
-    g_f = g_f.tolist()
+    d, cdq_f, g_f, d_f1 = (frontal or _FrontalTerms())(cfg.frontal, q_f, dq_f)
     rhs_f = [-c - g for c, g in zip(cdq_f, g_f)]
     rhs_f[2] += tau_f[1]
-    d = d_f.tolist()
     qdd_f = [0.0] * 5
     if granular:
         rhs_f[3] += f_y
@@ -509,55 +532,61 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f):
         f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g_f[3]  # qdd_f holds only row 2
     qdd = np.array(qdd_s + qdd_f)
     # crossbar holding torque (reported as the hip-pair torque demand)
-    tau_bar = float(d_f[1] @ qdd[7:]) + cdq_f[1] + g_f[1]
+    tau_bar = float(d_f1 @ qdd[7:]) + cdq_f[1] + g_f[1]
 
     return qdd, f_x, f_y, f_z, gamma, tau_bar
 
 
-def _ode_step(method: str, q: np.ndarray, dq: np.ndarray, acc, dt: float):
-    """One step of q'' = acc(q, dq): symplectic Euler or classical RK4."""
+def _ode_step(method: str, y: np.ndarray, acc, dt: float) -> np.ndarray:
+    """One step of q'' = acc(y) on the stacked state y = (q, dq): symplectic
+    Euler or classical RK4 on the rate f(y) = (dq, acc(y)).  Each entry
+    meets the operations of the separate q and dq updates, in their order."""
+    n = len(y) // 2
     if method == "semi_implicit":
-        dq = dq + acc(q, dq) * dt
-        return q + dq * dt, dq
+        dq = y[n:] + acc(y) * dt
+        return np.concatenate((y[:n] + dq * dt, dq))
     if method != "rk4":
         raise ValueError(f"unknown integrator '{method}'")
+
+    def f(y):
+        return np.concatenate((y[n:], acc(y)))
+
     h = 0.5 * dt
-    k1q, k1v = dq, acc(q, dq)
-    k2q, k2v = dq + h * k1v, acc(q + h * k1q, dq + h * k1v)
-    k3q, k3v = dq + h * k2v, acc(q + h * k2q, dq + h * k2v)
-    k4q, k4v = dq + dt * k3v, acc(q + dt * k3q, dq + dt * k3v)
-    return (
-        q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
-        dq + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
-    )
+    k1 = f(y)
+    k2 = f(y + h * k1)
+    k3 = f(y + h * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _flow(ws: WalkerState, cfg: SimConfig, logged: bool = True):
+def _flow(ws: WalkerState, cfg: SimConfig, logged: bool = True, frontal=None):
     """Control, one ODE step with the torques held, and the posture holds.
-    Returns the control output, the sagittal and frontal rate arrays at the
-    control instant and (f_x, f_y, f_z, gamma, tau_bar) at the step's start
-    (rk4: its end, from a fifth evaluation that only a ``logged`` step makes;
-    otherwise those of the last stage)."""
+    Returns the stacked post-step state (q_s, q_f, dq_s, dq_f), the control
+    output, the sagittal and frontal rate arrays at the control instant and
+    (f_x, f_y, f_z, gamma, tau_bar) at the step's start (rk4: its end, from a
+    fifth evaluation that only a ``logged`` step makes; otherwise those of
+    the last stage).  ``frontal`` is the run's ``_FrontalTerms``."""
     control = _control(ws, cfg)
     # the step rebinds the state's arrays, so these keep the rates at the
     # control instant, for consistent power accounting
     rates = ws.dq_s, ws.dq_f
     forces = None
+    frontal = frontal or _FrontalTerms()
 
-    def acc(q, dq):
+    def acc(y):
         nonlocal forces
         # one check per stage: a sum of squares is finite only if every entry
         # is finite and below ~1e154, far past the divergence guard
-        if not (math.isfinite(q.dot(q)) and math.isfinite(dq.dot(dq))):
+        if not math.isfinite(y.dot(y)):
             raise DivergenceError(ws.t, "(non-finite state in an integrator stage)")
-        qdd, *forces = _accelerations(cfg, q, dq, *control[2:])  # tau_s, tau_f
+        qdd, *forces = _accelerations(cfg, y[:12], y[12:], *control[2:], frontal)
         return qdd
 
-    q, dq = _ode_step(cfg.integrator, np.concatenate((ws.q_s, ws.q_f)),
-                      np.concatenate((ws.dq_s, ws.dq_f)), acc, cfg.dt)
+    y = _ode_step(cfg.integrator, np.concatenate((ws.q_s, ws.q_f, ws.dq_s, ws.dq_f)),
+                  acc, cfg.dt)
     if logged and cfg.integrator == "rk4":
-        acc(q, dq)
-    q_s, q_f, dq_s, dq_f = q[:7], q[7:], dq[:7], dq[7:]
+        acc(y)
+    q_s, q_f, dq_s, dq_f = y[:7], y[7:12], y[12:19], y[19:]
     # posture holds and mode clamps; the frontal vertical coordinate mirrors
     # the sagittal one
     q_s[4], dq_s[4] = cfg.gait.trunk_ref, 0.0
@@ -567,7 +596,7 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool = True):
     q_f[4], dq_f[4] = q_s[6], dq_s[6]
     ws.t += cfg.dt
     ws.q_s, ws.dq_s, ws.q_f, ws.dq_f = q_s, dq_s, q_f, dq_f
-    return control, rates, forces
+    return y, control, rates, forces
 
 
 def _contact_angle(ws: WalkerState, cfg: SimConfig) -> float:
@@ -648,16 +677,17 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
 _DIVERGENCE_LIMIT = 1e6  # largest |state entry| the step lets through
 
 
-def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None = None) -> WalkerState:
+def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None = None,
+             frontal=None) -> WalkerState:
     """One fixed step: flow, divergence guard, contact check, record into the
     row ``out``, touchdown event and jump.  A step without a row (``out`` is
     None) skips the record and, under rk4, the end-of-step force evaluation;
-    it makes every check and takes the same event.  Returns ``ws`` advanced
-    or the jumped state."""
-    signals = _flow(ws, cfg, logged=out is not None)
-    # divergence guard; NaN fails the comparison too
-    state = (*ws.q_s.tolist(), *ws.dq_s.tolist(), *ws.q_f.tolist(), *ws.dq_f.tolist())
-    if not all(abs(x) <= _DIVERGENCE_LIMIT for x in state):
+    it makes every check and takes the same event.  ``frontal`` is the run's
+    ``_FrontalTerms`` (None: a fresh one).  Returns ``ws`` advanced or the
+    jumped state."""
+    y, *signals = _flow(ws, cfg, out is not None, frontal)
+    # divergence guard on the stacked state; NaN fails the comparison too
+    if not all(abs(x) <= _DIVERGENCE_LIMIT for x in y.tolist()):
         raise DivergenceError(ws.t)
     theta_r = _contact_angle(ws, cfg)  # a contact off the sole ends the run
     kinematics = _kinematics(ws, cfg)
@@ -708,8 +738,9 @@ def run(cfg: SimConfig) -> Trajectory:
     # trailing steps of an incomplete block write none
     k = cfg.decimation
     data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
+    frontal = _FrontalTerms()
     for i in range(n_steps):
-        ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None)
+        ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None, frontal)
     meta = {
         "dt": cfg.dt,
         "duration": cfg.duration,
@@ -744,11 +775,11 @@ def integrate_free(
     zero_tau = np.zeros(4)
     no_force = dyn.GrfSagittal()
 
-    def acc(q, dq):
-        return dyn.sagittal_accel(params, dyn.SagittalState(q, dq), zero_tau, no_force)
+    def acc(y):
+        return dyn.sagittal_accel(params, dyn.SagittalState(y[:7], y[7:]), zero_tau, no_force)
 
-    q = np.array(q0, dtype=float)
-    dq = np.array(dq0, dtype=float)
+    start = dyn.SagittalState(q0, dq0)
+    y = np.concatenate((start.q, start.dq))
     for _ in range(n_steps):
-        q, dq = _ode_step(method, q, dq, acc, dt)
-    return q, dq
+        y = _ode_step(method, y, acc, dt)
+    return y[:7], y[7:]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -322,6 +323,30 @@ def test_sweep_rejects_bad_input_before_any_cell(tmp_path, capsys, monkeypatch, 
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("affinity,cpu_count,jobs", [
+    ({0}, 30, 1),   # taskset -c 0 on a 30-CPU host
+    ({1, 3}, 4, 2),
+    (None, 3, 3),   # no affinity call on this platform
+    (None, None, 1),
+])
+def test_sweep_jobs_default_to_the_usable_cpus(tmp_path, monkeypatch, affinity, cpu_count, jobs):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    seen, velocity_sweep = [], metrics.velocity_sweep
+
+    def sweep(cfg, velocities, repeats, jobs):
+        seen.append(jobs)
+        return velocity_sweep(cfg, velocities, repeats=repeats, jobs=1)
+
+    monkeypatch.setattr(metrics, "velocity_sweep", sweep)
+    assert main(["sweep", "--set", "sim.duration=0.4", "--velocities", "0.2",
+                 "--repeats", "1", "--out", str(tmp_path)]) == 0
+    assert seen == [jobs]
 
 
 @pytest.mark.parametrize("duration", ["0.4", "0.8"])

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 
@@ -518,6 +519,140 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
             got = qdd[:2]
         worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
     assert worst < 1e-12
+
+
+def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
+    """Frontal rows of a stage from a fresh ``dyn.assemble_frontal``, with the
+    row arithmetic of a stage that reassembles at every call: the frontal
+    accelerations, f_y and tau_bar."""
+    q_f, dq_f = q[7:], dq[7:]
+    d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState.trusted(q_f, dq_f))
+    cdq_f = (c_f @ dq_f).tolist()
+    g_f = g_f.tolist()
+    rhs_f = [-c - g for c, g in zip(cdq_f, g_f)]
+    rhs_f[2] += tau_f[1]
+    d = d_f.tolist()
+    qdd_f = [0.0] * 5
+    if cfg.terrain_mode == "granular":
+        rhs_f[3] += f_y
+        qdd_f[4] = qdd_s[6]
+        qdd_f[2:4] = sim._solve2((d[2][2:4], d[3][2:4]),
+                                 [rhs_f[i] - d[i][4] * qdd_f[4] for i in (2, 3)])
+    else:
+        qdd_f[2] = rhs_f[2] / d[2][2]
+        f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g_f[3]
+    qdd = np.array(qdd_s + qdd_f)
+    return qdd, f_y, float(d_f[1] @ qdd[7:]) + cdq_f[1] + g_f[1]
+
+
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
+    # one _FrontalTerms across a stage sequence, as in a run: every stage's
+    # outputs are the bytes of a stage that reassembles; every seventh stage
+    # runs under other frontal parameters
+    configs = [build_config({"sim.terrain_mode": terrain_mode, "frontal.b": b})
+               for b in (0.2, 0.3)]
+    granular = terrain_mode == "granular"
+    frontal = sim._FrontalTerms()
+    rng = np.random.default_rng(3)
+    calls = itertools.count()
+
+    def stage(q, dq, tau_s, tau_f):
+        cfg = configs[next(calls) % 7 == 6]
+        qdd, _, f_y, _, _, tau_bar = sim._accelerations(cfg, q, dq, tau_s, tau_f, frontal)
+        ref_qdd, ref_f_y, ref_tau_bar = _frontal_reference(
+            cfg, q, dq, tau_f, qdd[:7].tolist(), f_y if granular else None)
+        got = np.array([*qdd, f_y, tau_bar]).tobytes()
+        assert got == np.array([*ref_qdd, ref_f_y, ref_tau_bar]).tobytes()
+        return got
+
+    p3_reached = 0
+    for i in range(60):
+        q, dq, tau_s, tau_f = _random_stage(rng, granular)
+        stage(q, dq, tau_s, tau_f)
+        # the same frontal angles and rates (a reuse) with a new sagittal
+        # state, torques, slip and sign of dq_f[3:]
+        q2, dq2, tau_s2, tau_f2 = _random_stage(rng, granular)
+        q2[7:10], dq2[7:10] = q[7:10], dq[7:10]
+        dq2[10:] *= -1.0
+        stage(q2, dq2, tau_s2, tau_f2)
+        # the same frontal angles at another swing-hip rate
+        dq2[9] = rng.uniform(-2.0, 2.0)
+        stage(q2, dq2, tau_s2, tau_f2)
+        # the held posture at rest, with p3 as 0.0 and then as -0.0 (a
+        # touchdown writes -p3) and the slip and vertical rates of both signs
+        # (they meet the zero columns of C); with a lean of -0.0, which the
+        # hold never writes, and -0.0 rates, every product of row 2 of C dq
+        # is -0.0
+        lean, rate = (0.0, -0.0)[i % 2], (0.0, -0.0)[i // 2 % 2]
+        out = []
+        for p3 in (0.0, -0.0):
+            for dy, dz in ((0.0, 0.3), (-0.0, -0.3)):
+                q2[7:10], dq2[7:12] = (lean, math.pi / 2.0, p3), (0.0, 0.0, rate, dy, dz)
+                out.append(stage(q2, dq2, tau_s2, (tau_f2[0], -0.0)))
+        p3_reached += out[0] != out[2]
+    # on rigid ground the sign of p3 reaches the output bytes (qdd_f[2]), so
+    # a key that merged 0.0 and -0.0 would fail above
+    assert granular or p3_reached > 0
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_frontal_dynamics_reassembled_only_around_touchdowns(monkeypatch, terrain_mode,
+                                                              integrator):
+    # the frontal angles and rates hold still between touchdowns; the jump
+    # writes -0.0 into p3 and the frontal rates, and the posture hold and the
+    # first stages of the next step write +0.0 back, so each touchdown brings
+    # at most 2 (semi-implicit) or 3 (rk4) new frontal configurations; the
+    # count does not depend on an earlier run in the process
+    cfg = build_config({"sim.duration": 0.8, "sim.terrain_mode": terrain_mode,
+                        "sim.integrator": integrator})
+    assemble, jump = dyn.assemble_frontal, sim._jump
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dyn, "assemble_frontal", counted("assemble", assemble))
+    monkeypatch.setattr(sim, "_jump", counted("jump", jump))
+    per_run = []
+    for _ in range(2):
+        calls.clear()
+        sim.run(cfg)
+        per_run.append((calls.count("assemble"), calls.count("jump")))
+    assert per_run[0] == per_run[1]
+    assemblies, touchdowns = per_run[0]
+    assert touchdowns >= 3
+    assert 1 <= assemblies <= 1 + (2 if integrator == "semi_implicit" else 3) * touchdowns
+
+
+@pytest.mark.parametrize("method", ["semi_implicit", "rk4"])
+def test_stacked_ode_step_is_the_textbook_step(method):
+    # the integrator on y = (q, dq) against the separate q and dq updates of
+    # the textbook, bit for bit, with a nonlinear coupled acceleration
+    def acc(q, dq):
+        return np.sin(q[::-1]) * dq - 0.3 * dq * np.abs(dq) + np.cos(np.roll(q, 1)) * 5.0
+
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        q, dq = rng.uniform(-2.0, 2.0, 12), rng.uniform(-5.0, 5.0, 12)
+        dt = rng.uniform(1e-4, 1e-2)
+        if method == "semi_implicit":
+            dq1 = dq + acc(q, dq) * dt
+            q1 = q + dq1 * dt
+        else:
+            h = 0.5 * dt
+            k1q, k1v = dq, acc(q, dq)
+            k2q, k2v = dq + h * k1v, acc(q + h * k1q, dq + h * k1v)
+            k3q, k3v = dq + h * k2v, acc(q + h * k2q, dq + h * k2v)
+            k4q, k4v = dq + dt * k3v, acc(q + dt * k3q, dq + dt * k3v)
+            q1 = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+            dq1 = dq + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y1 = sim._ode_step(method, np.concatenate((q, dq)), lambda y: acc(y[:12], y[12:]), dt)
+        assert y1.tobytes() == np.concatenate((q1, dq1)).tobytes()
 
 
 def _one_sided_rates(ws, cfg, t, h):
