@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -137,7 +138,10 @@ def _read_penetration_csv(path, expected_header: str):
             if not row or not "".join(row).strip():
                 continue
             try:
-                records.append(tr.PenetrationRecord(float(row[0]), float(row[1])))
+                cells = float(row[0]), float(row[1])
+                if not all(map(math.isfinite, cells)):
+                    raise ValueError("non-finite value")
+                records.append(tr.PenetrationRecord(*cells))
             except (IndexError, ValueError) as exc:
                 raise cfgmod.ConfigError(f"{path}:{lineno}: malformed row") from exc
     return records

@@ -1,12 +1,11 @@
-"""Gait references, actuation coordinate maps and joint tracking.
+"""Gait references, the actuation map and joint tracking.
 
 Actuation coordinates are the six joint motors, ``q_a = [hip_L, thigh_L,
 calf_L, hip_R, thigh_R, calf_R]`` as relative angles: thigh motors measure
 thigh-absolute minus trunk-absolute, calf (knee) motors calf-absolute minus
 thigh-absolute, and the two hip motors live in the frontal plane.  The
-planar models use absolute angles with the stance leg first, so the
-sagittal map S_s depends on which physical side is in stance but is a
-constant matrix for a fixed assignment.
+planar models use absolute angles with the stance leg first, so the map
+depends on which physical side is in stance.
 """
 
 from __future__ import annotations
@@ -26,14 +25,8 @@ __all__ = [
     "UnreachableTargetError",
     "cycloid_swing",
     "leg_ik",
-    "leg_fk",
-    "sagittal_map_matrix",
-    "sagittal_angles_to_actuation",
-    "actuation_to_sagittal_angles",
-    "actuation_torques_to_sagittal",
-    "sagittal_torques_to_actuation",
+    "ACTUATION",
     "frontal_to_hip_angles",
-    "hip_angles_to_frontal",
     "hip_torques_to_frontal",
     "frontal_torques_to_hips",
     "track_joints",
@@ -121,14 +114,6 @@ def cycloid_swing(phase: float, step_length: float, swing_height: float):
     return x, z
 
 
-def leg_fk(l_t: float, l_c: float, thigh: float, calf: float):
-    """Foot-center position relative to the hip for absolute link angles."""
-    return (
-        -l_t * math.sin(thigh) - l_c * math.sin(calf),
-        -l_t * math.cos(thigh) - l_c * math.cos(calf),
-    )
-
-
 def leg_ik(l_t: float, l_c: float, target: tuple[float, float]):
     """Absolute (thigh, calf) angles reaching a foot target below the hip.
 
@@ -156,70 +141,19 @@ def leg_ik(l_t: float, l_c: float, target: tuple[float, float]):
 # actuation <-> model coordinate maps
 # ---------------------------------------------------------------------------
 
-def _sagittal_rows(stance: Side):
-    """Actuator indices (thigh, calf) for the stance and swing legs."""
-    if stance is Side.LEFT:
-        return (1, 2), (4, 5)
-    return (4, 5), (1, 2)
-
-
-def sagittal_map_matrix(stance: Side) -> np.ndarray:
-    """Constant matrix S with q_a = S q_s for the 5 sagittal angles.
-
-    q_s = [stance thigh, stance calf, swing thigh, swing calf, trunk]
-    (absolute); hip actuator rows are zero (frontal-plane joints).
-    """
-    s = np.zeros((6, 5))
-    (st_t, st_c), (sw_t, sw_c) = _sagittal_rows(stance)
-    s[st_t, 0] = 1.0
-    s[st_t, 4] = -1.0
-    s[st_c, 0] = -1.0
-    s[st_c, 1] = 1.0
-    s[sw_t, 2] = 1.0
-    s[sw_t, 4] = -1.0
-    s[sw_c, 2] = -1.0
-    s[sw_c, 3] = 1.0
-    return s
-
-
-def sagittal_angles_to_actuation(q_s: np.ndarray, stance: Side) -> np.ndarray:
-    """Relative actuator angles from the five absolute sagittal angles."""
-    q_s = np.asarray(q_s, dtype=float)
-    return sagittal_map_matrix(stance) @ q_s
-
-
-def actuation_to_sagittal_angles(q_a: np.ndarray, trunk: float, stance: Side) -> np.ndarray:
-    """Absolute sagittal angles from actuator angles, given the trunk angle."""
-    q_a = np.asarray(q_a, dtype=float)
-    (st_t, st_c), (sw_t, sw_c) = _sagittal_rows(stance)
-    thigh_st = q_a[st_t] + trunk
-    calf_st = q_a[st_c] + thigh_st
-    thigh_sw = q_a[sw_t] + trunk
-    calf_sw = q_a[sw_c] + thigh_sw
-    return np.array([thigh_st, calf_st, thigh_sw, calf_sw, trunk])
-
-
-def actuation_torques_to_sagittal(tau_a: np.ndarray, stance: Side) -> np.ndarray:
-    """Generalized torques on the four actuated sagittal coordinates.
-
-    tau_s_i = sum_j (dq_a_j / dq_s_i) tau_a_j restricted to the actuated
-    rows (the trunk row is not actuated).
-    """
-    tau_a = np.asarray(tau_a, dtype=float)
-    full = sagittal_map_matrix(stance).T @ tau_a
-    return full[:4]
-
-
-def sagittal_torques_to_actuation(tau_s: np.ndarray, stance: Side) -> np.ndarray:
-    """Actuator torques realizing given sagittal generalized torques."""
-    tau_s = np.asarray(tau_s, dtype=float)
-    (st_t, st_c), (sw_t, sw_c) = _sagittal_rows(stance)
-    tau_a = np.zeros(6)
-    tau_a[st_t] = tau_s[0] + tau_s[1]
-    tau_a[st_c] = tau_s[1]
-    tau_a[sw_t] = tau_s[2] + tau_s[3]
-    tau_a[sw_c] = tau_s[3]
-    return tau_a
+# The sagittal actuation map per stance side, as index tables.  Actuator j
+# of q_a reads x[i] - x[k] for the j-th pair (i, k), of x = (stance thigh,
+# stance calf, swing thigh, swing calf, trunk, stance hip, swing hip, 0): a
+# thigh motor is its thigh minus the trunk, a calf motor its calf minus its
+# thigh, a hip motor its hip angle.  At the actuator indices (st_t, st_c,
+# sw_t, sw_c) the torques on the four actuated sagittal angles are the
+# transpose, (tau[st_t] - tau[st_c], tau[st_c], tau[sw_t] - tau[sw_c],
+# tau[sw_c]), and the (stance, swing) hip indices read the hips.
+ACTUATION = {
+    # pairs, (stance thigh, stance calf, swing thigh, swing calf), hips
+    Side.LEFT: (((5, 7), (0, 4), (1, 0), (6, 7), (2, 4), (3, 2)), (1, 2, 4, 5), (0, 3)),
+    Side.RIGHT: (((6, 7), (2, 4), (3, 2), (5, 7), (0, 4), (1, 0)), (4, 5, 1, 2), (3, 0)),
+}
 
 
 def frontal_to_hip_angles(q_f: np.ndarray) -> tuple[float, float]:
@@ -229,13 +163,6 @@ def frontal_to_hip_angles(q_f: np.ndarray) -> tuple[float, float]:
     """
     p1, p2, p3 = float(q_f[0]), float(q_f[1]), float(q_f[2])
     return -p1 + p2, math.pi - p2 + p3
-
-
-def hip_angles_to_frontal(q1: float, q4: float, p1: float) -> np.ndarray:
-    """Frontal absolute angles from the hip actuators, given the lean p1."""
-    p2 = q1 + p1
-    p3 = q4 - math.pi + p2
-    return np.array([p1, p2, p3])
 
 
 def hip_torques_to_frontal(tau1: float, tau4: float) -> tuple[float, float]:

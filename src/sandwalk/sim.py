@@ -38,7 +38,6 @@ __all__ = [
     "DivergenceError",
     "detect_touchdown",
     "initial_state",
-    "step",
     "run",
     "integrate_free",
 ]
@@ -244,7 +243,7 @@ class WalkerState:
     dq_f: np.ndarray = field(default_factory=lambda: np.zeros(5))
 
 
-def detect_touchdown(prev_height: float, height: float, sand_level: float = 0.0) -> bool:
+def detect_touchdown(prev_height: float, height: float, sand_level: float) -> bool:
     """True when the swing-foot height crosses the surface downward."""
     return prev_height > sand_level >= height
 
@@ -382,17 +381,7 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
     return (st_t, st_c, sw_t, sw_c, g.trunk_ref), (dst_t, dst_c, dsw_t, dsw_c, 0.0)
 
 
-# Actuation maps of gait.sagittal_map_matrix and gait.frontal_to_hip_angles
-# as tables per stance side: actuator j of q_a reads x[i] - x[k] for the
-# j-th pair (i, k), of x = (stance thigh, stance calf, swing thigh, swing
-# calf, trunk, stance hip, swing hip, 0).  The sagittal torques are the
-# transpose of the thigh and calf rows, and the (stance, swing) hip rows
-# read the hips.
-_ACTUATION = {
-    # pairs, (stance thigh, stance calf, swing thigh, swing calf), hips
-    gt.Side.LEFT: (((5, 7), (0, 4), (1, 0), (6, 7), (2, 4), (3, 2)), (1, 2, 4, 5), (0, 3)),
-    gt.Side.RIGHT: (((6, 7), (2, 4), (3, 2), (5, 7), (0, 4), (1, 0)), (4, 5, 1, 2), (3, 0)),
-}
+_ACTUATION = gt.ACTUATION  # bound once: a step pays for one dict index
 # the held frontal posture (lean, crossbar) and its hip actuator angles
 _FRONTAL_POSTURE = (0.0, math.pi / 2.0)
 _HIP_POSTURE = gt.frontal_to_hip_angles((*_FRONTAL_POSTURE, 0.0))
@@ -481,10 +470,10 @@ class _FrontalTerms:
         return self.terms
 
 
-def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal=None):
+def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal: _FrontalTerms):
     """Reduced constrained accelerations of the stacked state (7 sagittal
     then 5 frontal coordinates) plus (f_x, f_y, f_z, gamma, tau_bar).
-    ``frontal`` is the run's ``_FrontalTerms`` (None: a fresh one).
+    ``frontal`` is the run's ``_FrontalTerms``.
 
     The assembled arrays are read into Python floats once.  The products
     that sum several nonzero terms stay in numpy: a Python sum rounds some
@@ -518,7 +507,7 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal=None):
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
     # lateral slip dynamic; the crossbar row residual is the holding torque
-    d, cdq_f, g_f, d_f1 = (frontal or _FrontalTerms())(cfg.frontal, q_f, dq_f)
+    d, cdq_f, g_f, d_f1 = frontal(cfg.frontal, q_f, dq_f)
     rhs_f = [-c - g for c, g in zip(cdq_f, g_f)]
     rhs_f[2] += tau_f[1]
     qdd_f = [0.0] * 5
@@ -559,7 +548,7 @@ def _ode_step(method: str, y: np.ndarray, acc, dt: float) -> np.ndarray:
     return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _flow(ws: WalkerState, cfg: SimConfig, logged: bool = True, frontal=None):
+def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms):
     """Control, one ODE step with the torques held, and the posture holds.
     Returns the stacked post-step state (q_s, q_f, dq_s, dq_f), the control
     output, the sagittal and frontal rate arrays at the control instant and
@@ -571,7 +560,6 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool = True, frontal=None):
     # control instant, for consistent power accounting
     rates = ws.dq_s, ws.dq_f
     forces = None
-    frontal = frontal or _FrontalTerms()
 
     def acc(y):
         nonlocal forces
@@ -677,14 +665,13 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
 _DIVERGENCE_LIMIT = 1e6  # largest |state entry| the step lets through
 
 
-def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None = None,
-             frontal=None) -> WalkerState:
+def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
+             frontal: _FrontalTerms) -> WalkerState:
     """One fixed step: flow, divergence guard, contact check, record into the
     row ``out``, touchdown event and jump.  A step without a row (``out`` is
     None) skips the record and, under rk4, the end-of-step force evaluation;
     it makes every check and takes the same event.  ``frontal`` is the run's
-    ``_FrontalTerms`` (None: a fresh one).  Returns ``ws`` advanced or the
-    jumped state."""
+    ``_FrontalTerms``.  Returns ``ws`` advanced or the jumped state."""
     y, *signals = _flow(ws, cfg, out is not None, frontal)
     # divergence guard on the stacked state; NaN fails the comparison too
     if not all(abs(x) <= _DIVERGENCE_LIMIT for x in y.tolist()):
@@ -702,13 +689,6 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None = None,
         return _jump(ws, cfg)
     ws.prev_swing_height = height
     return ws
-
-
-def step(ws: WalkerState, cfg: SimConfig):
-    """Advance a copy of the state by one step; returns (state', record)."""
-    row = np.empty((1, len(SIM_RECORD_FIELDS)))
-    out = _advance(replace(ws), cfg, row[0])  # a shallow copy
-    return out, Trajectory(row, {}).records[0]
 
 
 def initial_state(cfg: SimConfig) -> WalkerState:

@@ -258,6 +258,10 @@ def calibrate(
     law at the given side-plate depth).  Requires at least five strictly
     positive-displacement records per direction and non-degenerate forces.
     """
+    width = nominal.width if plate_width is None else plate_width
+    for name, value in (("plate_width", width), ("plate_depth", plate_depth)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise CalibrationError(f"{name} must be finite and > 0, got {value!r}")
     if len(vertical) < 5 or len(horizontal) < 5:
         raise CalibrationError("need at least 5 records per direction")
     z = np.array([r.displacement for r in vertical], dtype=float)
@@ -269,7 +273,6 @@ def calibrate(
     if not np.any(f_v != 0.0) or not np.any(f_h != 0.0):
         raise CalibrationError("all-zero forces cannot constrain the fit")
 
-    width = nominal.width if plate_width is None else plate_width
     basis = _vertical_model(nominal, z, width)
     denom = float(basis @ basis)
     if denom <= 0.0:

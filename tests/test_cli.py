@@ -161,15 +161,31 @@ def test_calibrate_roundtrip(tmp_path):
 
 def test_calibrate_malformed_row_line_number(tmp_path, capsys):
     v_path, h_path = make_penetration_files(tmp_path)
-    broken = tmp_path / "broken.csv"
-    lines = v_path.read_text().splitlines()
-    lines[3] = "not_a_number,1.0"
-    broken.write_text("\n".join(lines) + "\n")
-    rc = main(["calibrate", str(broken), str(h_path), "--out",
-               str(tmp_path / "o")])
-    captured = capsys.readouterr()
+    # a cell that is not a number, a NaN depth and an infinite force
+    for vertical, row in ((True, "not_a_number,1.0"), (True, "nan,1.0"),
+                          (False, "0.05,inf")):
+        source = v_path if vertical else h_path
+        broken = tmp_path / "broken.csv"
+        lines = source.read_text().splitlines()
+        lines[3] = row
+        broken.write_text("\n".join(lines) + "\n")
+        paths = (broken, h_path) if vertical else (v_path, broken)
+        rc = main(["calibrate", *map(str, paths), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        # header is line 1
+        assert f"{broken}:4: malformed row" in captured.err, row
+
+
+@pytest.mark.parametrize("flag", ["--plate-width", "--plate-depth"])
+@pytest.mark.parametrize("value", ["0", "-0.02", "nan"])
+def test_calibrate_rejects_bad_plate_size(tmp_path, capsys, flag, value):
+    v_path, h_path = make_penetration_files(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["calibrate", str(v_path), str(h_path), "--out", str(out), flag, value])
     assert rc == 2
-    assert ":4" in captured.err  # header is line 1
+    assert f"{flag[2:].replace('-', '_')} must be finite and > 0" in capsys.readouterr().err
+    assert not (out / "terrain_calibrated.cfg").exists()
 
 
 def test_calibrate_missing_header(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Gait tests: cycloid, leg IK, coordinate maps, joint tracking."""
+"""Gait tests: cycloid, leg IK, the actuation map, joint tracking."""
 
 import math
 
@@ -6,24 +6,51 @@ import numpy as np
 import pytest
 
 from sandwalk.gait import (
+    ACTUATION,
     GaitConfig,
     Gains,
     Side,
     UnreachableTargetError,
-    actuation_to_sagittal_angles,
-    actuation_torques_to_sagittal,
     cycloid_swing,
     frontal_to_hip_angles,
     frontal_torques_to_hips,
-    hip_angles_to_frontal,
     hip_torques_to_frontal,
-    leg_fk,
     leg_ik,
-    sagittal_angles_to_actuation,
-    sagittal_map_matrix,
-    sagittal_torques_to_actuation,
     track_joints,
 )
+
+
+def leg_fk(l_t, l_c, thigh, calf):
+    """Foot-center position relative to the hip for absolute link angles."""
+    return (
+        -l_t * math.sin(thigh) - l_c * math.sin(calf),
+        -l_t * math.cos(thigh) - l_c * math.cos(calf),
+    )
+
+
+def sagittal_matrix(stance):
+    """The 6x5 matrix S with q_a = S q_s, q_s = (stance thigh, stance calf,
+    swing thigh, swing calf, trunk) absolute; the hip rows are zero."""
+    s = np.zeros((6, 5))
+    st_t, st_c, sw_t, sw_c = (1, 2, 4, 5) if stance is Side.LEFT else (4, 5, 1, 2)
+    for thigh, calf, leg in ((st_t, st_c, 0), (sw_t, sw_c, 2)):
+        s[thigh, leg], s[thigh, 4] = 1.0, -1.0  # thigh minus trunk
+        s[calf, leg + 1], s[calf, leg] = 1.0, -1.0  # calf minus thigh
+    return s
+
+
+def table_angles(stance, q_s, hips=(0.0, 0.0)):
+    """q_a of the table from the five sagittal angles and the (stance, swing)
+    hip angles."""
+    x = [*q_s, *hips, 0.0]
+    return np.array([x[i] - x[k] for i, k in ACTUATION[stance][0]])
+
+
+def table_torques(stance, tau_a):
+    """Torques on the four actuated sagittal angles from the table's rows."""
+    st_t, st_c, sw_t, sw_c = ACTUATION[stance][1]
+    return np.array([tau_a[st_t] - tau_a[st_c], tau_a[st_c],
+                     tau_a[sw_t] - tau_a[sw_c], tau_a[sw_c]])
 
 
 def test_cycloid_endpoints_and_apex():
@@ -90,46 +117,47 @@ def test_ik_knee_backward_branch():
 
 
 def test_sagittal_map_linearity_and_constance():
+    # the table's angle map is q_a = S q_s at any configuration, and the hip
+    # rows read the (stance, swing) hips at the table's hip indices
     rng = np.random.default_rng(22)
     for side in (Side.LEFT, Side.RIGHT):
-        s = sagittal_map_matrix(side)
-        assert np.allclose(sagittal_angles_to_actuation(np.zeros(5), side), 0.0)
-        # numeric Jacobian equals the constant matrix at any configuration
-        q0 = rng.uniform(-1, 1, 5)
-        eps = 1e-6
-        jac = np.zeros((6, 5))
-        for i in range(5):
-            dq = np.zeros(5)
-            dq[i] = eps
-            jac[:, i] = (
-                sagittal_angles_to_actuation(q0 + dq, side)
-                - sagittal_angles_to_actuation(q0 - dq, side)
-            ) / (2 * eps)
-        assert np.abs(jac - s).max() < 1e-9
+        s = sagittal_matrix(side)
+        i_st, i_sw = ACTUATION[side][2]
+        assert {i_st, i_sw} == {0, 3} and not s[[i_st, i_sw]].any()
+        for _ in range(100):
+            q_s, hips = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 2)
+            q_a = table_angles(side, q_s, hips)
+            expected = s @ q_s
+            expected[[i_st, i_sw]] = hips
+            assert np.abs(q_a - expected).max() < 1e-15
 
 
 def test_sagittal_roundtrip():
+    # the thigh and calf rows of the table's q_a and the trunk give back the
+    # five angles, and the table's torque rows are S^T tau_a on the actuated
+    # angles (the trunk row is not actuated)
     rng = np.random.default_rng(23)
     for side in (Side.LEFT, Side.RIGHT):
-        q_s = rng.uniform(-1, 1, 5)
-        q_a = sagittal_angles_to_actuation(q_s, side)
-        back = actuation_to_sagittal_angles(q_a, q_s[4], side)
-        assert np.abs(back - q_s).max() < 1e-12
-        tau_s = rng.uniform(-5, 5, 4)
-        tau_a = sagittal_torques_to_actuation(tau_s, side)
-        assert np.abs(actuation_torques_to_sagittal(tau_a, side) - tau_s).max() < 1e-12
+        s = sagittal_matrix(side)
+        rows = list(ACTUATION[side][1])
+        for _ in range(100):
+            q_s = rng.uniform(-1, 1, 5)
+            back = np.linalg.solve(np.vstack([s[rows], np.eye(5)[4]]),
+                                   [*table_angles(side, q_s)[rows], q_s[4]])
+            assert np.abs(back - q_s).max() < 1e-12
+            tau_a = rng.uniform(-10, 10, 6)
+            assert np.abs(table_torques(side, tau_a) - (s.T @ tau_a)[:4]).max() < 1e-12
 
 
 def test_power_invariance_on_actuated_subspace():
     rng = np.random.default_rng(24)
     for side in (Side.LEFT, Side.RIGHT):
-        s = sagittal_map_matrix(side)
         for _ in range(100):
             tau_a = rng.uniform(-10, 10, 6)
             dq_s = rng.uniform(-3, 3, 5)
             dq_s[4] = 0.0  # actuated subspace: trunk held
-            dq_a = s @ dq_s
-            tau_s = actuation_torques_to_sagittal(tau_a, side)
+            dq_a = table_angles(side, dq_s)
+            tau_s = table_torques(side, tau_a)
             assert tau_a @ dq_a == pytest.approx(tau_s @ dq_s[:4], rel=1e-12,
                                                  abs=1e-12)
 
@@ -141,10 +169,11 @@ def test_frontal_hip_relations():
     tf2, tf3 = hip_torques_to_frontal(2.0, 0.5)
     assert tf2 == pytest.approx(1.5)
     assert tf3 == pytest.approx(0.5)
-    # round trips
+    # round trips: the lean p1 recovers p2 = q1 + p1 and p3 = q4 - pi + p2
     p = np.array([0.05, 1.5, -0.2])
     q1, q4 = frontal_to_hip_angles(p)
-    assert np.allclose(hip_angles_to_frontal(q1, q4, p[0]), p)
+    p2 = q1 + p[0]
+    assert np.allclose([p2, q4 - math.pi + p2], p[1:])
     assert frontal_torques_to_hips(tf2, tf3) == pytest.approx((2.0, 0.5))
 
 

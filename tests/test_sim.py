@@ -14,12 +14,21 @@ from sandwalk import gait as gt
 from sandwalk import sim
 from sandwalk import terrain as tr
 from sandwalk.config import build_config
-from sandwalk.gait import Gains, leg_fk
-from sandwalk.metrics import cot
+from sandwalk.gait import Gains
+from sandwalk.metrics import cot, settle_time
+
+from test_gait import leg_fk, sagittal_matrix
 
 
 def run_cfg(**kw):
     return sim.run(build_config(kw))
+
+
+def _step(ws, cfg):
+    """One logged step from a shallow copy of ``ws``: (state', record)."""
+    row = np.empty(len(sim.SIM_RECORD_FIELDS))
+    out = sim._advance(dataclasses.replace(ws), cfg, row, sim._FrontalTerms())
+    return out, sim.Trajectory(row[None], {}).records[0]
 
 
 def test_rigid_mode_clamps_intrusion():
@@ -225,7 +234,7 @@ def test_nonfinite_stage_is_divergence(integrator, rate):
     ws = sim.initial_state(cfg)
     ws.dq_s[0] = rate
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
-        sim.step(ws, cfg)
+        _step(ws, cfg)
     assert err.value.t == 0.0
     assert "integrator stage" in str(err.value)
 
@@ -250,10 +259,11 @@ def _walk(terrain_mode, n_steps):
     cfg = build_config({"sim.terrain_mode": terrain_mode})
     ws = sim.initial_state(cfg)
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
+    frontal = sim._FrontalTerms()
     pairs = []
     for _ in range(n_steps):
         before = copy.deepcopy(ws)
-        ws = sim._advance(ws, cfg, row)
+        ws = sim._advance(ws, cfg, row, frontal)
         pairs.append((before, copy.deepcopy(ws)))
     return cfg, pairs
 
@@ -262,7 +272,7 @@ def test_step_does_not_mutate_input():
     cfg = build_config({"sim.duration": 0.8})
     ws = sim.initial_state(cfg)
     q_before = ws.q_s.copy()
-    out, rec = sim.step(ws, cfg)
+    out, rec = _step(ws, cfg)
     assert np.array_equal(ws.q_s, q_before)
     assert out.t == pytest.approx(cfg.dt)
     assert rec.t == pytest.approx(cfg.dt)
@@ -271,7 +281,7 @@ def test_step_does_not_mutate_input():
     cfg, pairs = _walk("granular", 200)
     ws = next(before for before, after in pairs if after.step_count > before.step_count)
     snapshot = copy.deepcopy(ws)
-    out, rec = sim.step(ws, cfg)
+    out, rec = _step(ws, cfg)
     _assert_same_state(ws, snapshot)
     assert _shares_no_array(out, ws)
     assert out.step_count == rec.step_count + 1 == ws.step_count + 1
@@ -289,7 +299,7 @@ def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
     pre_touchdown = []
     for before, after in pairs:
         if after.step_count > before.step_count:  # replay the flow the jump followed
-            sim._flow(before, cfg)
+            sim._flow(before, cfg, True, sim._FrontalTerms())
             pre_touchdown.append(before)
     assert len(mid_swing) >= 12 and len(pre_touchdown) == 3
     clamped = 0
@@ -434,13 +444,15 @@ def test_trajectory_csv_malformed_row_names_its_line(tmp_path):
 
 @pytest.mark.parametrize("stance", list(gt.Side))
 def test_control_tables_match_gait_maps(stance):
-    # the controller's index tables against the public gait maps they replace
+    # the controller's use of the actuation table against the matrix S of
+    # the gait tests: q_a = S q_s with the hips in their rows, tau_s = S^T tau
     cfg = build_config({})
     rng = np.random.default_rng(3)
-    hip_rows = (0, 3) if stance is gt.Side.LEFT else (3, 0)
+    s = sagittal_matrix(stance)
+    hip_rows = gt.ACTUATION[stance][2]
 
     def actuation(q_s, hips):
-        q_a = gt.sagittal_angles_to_actuation(q_s, stance)
+        q_a = s @ q_s
         q_a[list(hip_rows)] = hips
         return q_a
 
@@ -460,9 +472,39 @@ def test_control_tables_match_gait_maps(stance):
             actuation(ws.q_s[:5], gt.frontal_to_hip_angles(ws.q_f)), expected_dq_a, cfg.gains)
         assert np.allclose(dq_a, expected_dq_a, rtol=0.0, atol=1e-12)
         assert np.allclose(tau, expected_tau, rtol=0.0, atol=1e-9)
-        assert np.allclose(tau_s, gt.actuation_torques_to_sagittal(np.array(tau), stance),
-                           rtol=0.0, atol=1e-12)
+        assert np.allclose(tau_s, (s.T @ tau)[:4], rtol=0.0, atol=1e-12)
         assert tau_f == gt.hip_torques_to_frontal(tau[hip_rows[0]], tau[hip_rows[1]])
+
+
+@pytest.mark.parametrize("terrain_mode,coordinate,value,peak_y_s,peak_f_y", [
+    ("granular", ("q_f", 2), 0.02, 0.5902e-3, 0.9221),  # swing-leg angle p3
+    ("granular", ("dq_f", 3), 0.05, 4.921e-3, 7.033),   # lateral slip rate dy_s
+    ("rigid", ("q_f", 2), 0.02, 0.0, 27.96),            # slip clamped
+])
+def test_perturbed_frontal_plane_decays(terrain_mode, coordinate, value, peak_y_s, peak_f_y):
+    # the unperturbed gait never moves the frontal plane; a perturbed start
+    # of the default run moves it, the lateral force arrests the slip, the
+    # jump resets y_s at each touchdown, and both decay to 0 by the end.
+    # The frontal plane does not feed back into the sagittal one, so the CoT
+    # stays that of the unperturbed run (measured: within 1.2e-11 relative).
+    # Peaks are pinned to 1e-3 relative, the end states to 1e-15 absolute.
+    cfg = build_config({"sim.terrain_mode": terrain_mode})
+    ws = sim.initial_state(cfg)
+    getattr(ws, coordinate[0])[coordinate[1]] = value
+    data = np.empty((round(cfg.duration / cfg.dt), len(sim.SIM_RECORD_FIELDS)))
+    frontal = sim._FrontalTerms()
+    for row in data:
+        ws = sim._advance(ws, cfg, row, frontal)
+    traj = sim.Trajectory(data, {})
+    assert np.abs(traj.column("y_s")).max() == pytest.approx(peak_y_s, rel=1e-3)
+    assert np.abs(traj.column("f_y")).max() == pytest.approx(peak_f_y, rel=1e-3)
+    assert abs(traj.column("q_f3")[-1]) < 1e-15
+    assert abs(traj.column("y_s")[-1]) < 1e-15
+    unperturbed = sim.run(cfg)
+    t_start = settle_time(cfg)
+    expected = cot(unperturbed, t_start=t_start).cot
+    got = cot(traj, robot_weight=unperturbed.meta["robot_weight"], t_start=t_start).cot
+    assert got == pytest.approx(expected, rel=1e-9)
 
 
 def test_closed_form_2x2_solve_matches_lapack():
@@ -503,7 +545,8 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
     worst = 0.0
     for _ in range(300):
         q, dq, tau_s, tau_f = _random_stage(rng, granular)
-        qdd, _, f_y, _, _, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f)
+        qdd, _, f_y, _, _, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f,
+                                                  sim._FrontalTerms())
         if granular:
             d, c, g = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState(q[7:], dq[7:]))
             rhs = -c @ dq[7:] - g
@@ -674,6 +717,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
     h = 1e-7
     ws = sim.initial_state(cfg)
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
+    frontal = sim._FrontalTerms()
     worst = 0.0
     starts = 0
     for _ in range(round(cfg.duration / cfg.dt)):
@@ -685,7 +729,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
             held = copy.copy(ws)
             held.t_stance_start = ws.t + 1.0
             assert sim._model_refs(held, cfg, ws.t) == (refs, rates)
-        ws = sim._advance(ws, cfg, row)
+        ws = sim._advance(ws, cfg, row, frontal)
     assert starts >= 10
     assert worst < 1e-5
 
@@ -760,7 +804,7 @@ def test_divergence_guard_catches_held_coordinate(value):
     cfg = build_config({})
     ws = sim.initial_state(cfg)
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
-        sim.step(ws, _with_trunk_ref(cfg, value))
+        _step(ws, _with_trunk_ref(cfg, value))
     assert err.value.t == pytest.approx(cfg.dt)
     assert err.value.detail == ""
 
@@ -770,7 +814,7 @@ def test_divergence_guard_catches_rate_above_limit():
     ws = sim.initial_state(cfg)
     ws.dq_s[0] = 2.0 * sim._DIVERGENCE_LIMIT  # finite, so the stage checks pass
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
-        sim.step(ws, cfg)
+        _step(ws, cfg)
     assert err.value.detail == ""
 
 
