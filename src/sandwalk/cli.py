@@ -66,11 +66,12 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     cfg = _load_cfg(args)
     traj = simulation.run(cfg)
+    # before any file is written, so that a run without a CoT leaves none
+    report = metrics.cot(traj, t_start=metrics.settle_time(cfg))
     csv_path = out / "trajectory.csv"
     json_path = out / "trajectory.json"
     traj.save_csv(csv_path)
     traj.save_json(json_path)
-    report = metrics.cot(traj, t_start=metrics.settle_time(cfg))
     summary = {
         "records": len(traj),
         "final_com_x": float(traj.column("com_x")[-1]),
@@ -115,10 +116,11 @@ def _cmd_sweep(args) -> int:
             "n_failed": row.n_failed,
         } for row in rows], fh, indent=2)
     failed = sum(r.n_failed for r in rows)
-    # the cells override the base speed, terrain and seed
+    # the cells override the base speed, terrain, seed and decimation
     ran = {"gait.v_target": list(dict.fromkeys(r.v_target for r in rows)),
            "sim.terrain_mode": list(dict.fromkeys(r.terrain for r in rows)),
-           "sim.seed": list(rows[0].seeds)}
+           "sim.seed": list(rows[0].seeds),
+           "sim.decimation": 1}
     _manifest(out, cfg, {"sweep_csv": sweep_path, "sweep_json": json_path},
               {"rows": len(rows), "failed_cells": failed}, ran)
     print(f"wrote {sweep_path} ({len(rows)} rows, {failed} failed cells)")
@@ -182,12 +184,15 @@ def _cmd_compare(args) -> int:
               if args.fields else list(_DEFAULT_COMPARE_FIELDS))
     for f in fields:
         if f not in simulation.SIM_RECORD_FIELDS or f == "stance_leg":
-            print(f"error: unknown field name '{f}'", file=sys.stderr)
-            return 2
-    traj_a = simulation.Trajectory.load_csv(args.traj_a)
-    traj_b = simulation.Trajectory.load_csv(args.traj_b)
-    prof_a = metrics.resample_stance(traj_a, fields)
-    prof_b = metrics.resample_stance(traj_b, fields)
+            raise cfgmod.ConfigError(f"unknown field name '{f}'")
+    profiles = []
+    for path in (args.traj_a, args.traj_b):
+        traj = simulation.Trajectory.load_csv(path)
+        try:
+            profiles.append(metrics.resample_stance(traj, fields))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    prof_a, prof_b = profiles
     rmse_path = out / "rmse.csv"
     with open(rmse_path, "w", newline="") as fh:
         fh.write("field,rmse\n")
@@ -274,14 +279,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except cfgmod.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except simulation.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (tr.CalibrationError, metrics.ZeroDistanceError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, CalibrationError, ZeroDistanceError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from . import sim as simulation
+from .config import ConfigError
 
 __all__ = [
     "CoTReport",
@@ -32,28 +31,13 @@ class ZeroDistanceError(ValueError):
 class CoTReport:
     """Cost of transport over a trajectory window.
 
-    ``cot`` uses the actuation-space integrand, ``cot_decoupled`` the
-    per-plane form; ``energy_sagittal + energy_frontal`` equals the
-    decoupled energy exactly.  ``norm`` records whether the integrand was
-    the absolute net power ("net") or the sum of per-joint absolute powers
-    ("per_joint"); the decoupled form always integrates per-plane net
-    powers.
+    ``cot`` integrates the actuation-space power that ``norm`` selects,
+    ``cot_decoupled`` always the per-plane net powers.
     """
 
     cot: float
     cot_decoupled: float
-    energy: float
-    energy_sagittal: float
-    energy_frontal: float
     distance: float
-    robot_weight: float
-    t_start: float
-    t_end: float
-    norm: str = "net"
-
-    @property
-    def energy_decoupled(self) -> float:
-        return self.energy_sagittal + self.energy_frontal
 
 
 @dataclass(frozen=True)
@@ -111,14 +95,7 @@ def cot(
     return CoTReport(
         cot=energy / (robot_weight * distance),
         cot_decoupled=(e_s + e_f) / (robot_weight * distance),
-        energy=energy,
-        energy_sagittal=e_s,
-        energy_frontal=e_f,
         distance=distance,
-        robot_weight=robot_weight,
-        t_start=float(tw[0]),
-        t_end=float(tw[-1]),
-        norm=norm,
     )
 
 
@@ -152,7 +129,7 @@ def resample_stance(
     columns = np.column_stack([trajectory.column(name) for name in fields])
     grid = np.linspace(0.0, 1.0, n_points)
     profiles = []
-    last = steps.max()
+    last = steps.max(initial=0)  # 0 for a trajectory without rows
     for k in np.unique(steps):
         if k < 1 or k == last:
             continue  # the settle-in stance and the trailing fragment
@@ -173,9 +150,13 @@ def resample_stance(
 _CELL_ERRORS = (simulation.DivergenceError, ZeroDistanceError, ValueError)
 
 
-def _sweep_cell(cfg: simulation.SimConfig):
-    traj = simulation.run(cfg)
-    return cot(traj, t_start=settle_time(cfg)).cot
+def _sweep_cell(cfg: simulation.SimConfig) -> float | None:
+    """CoT of one sweep run, or None when the run fails in a counted way."""
+    try:
+        traj = simulation.run(cfg)
+        return cot(traj, t_start=settle_time(cfg)).cot
+    except _CELL_ERRORS:
+        return None
 
 
 def velocity_sweep(
@@ -189,8 +170,10 @@ def velocity_sweep(
 
     Repeats differ through the seeded initial-state jitter.  A failing run
     (divergence, zero distance) is counted in ``n_failed`` without aborting
-    the sweep; serial and parallel runs count the same failures.  At most
-    one worker process per cell is started; with one, cells run in-process.
+    the sweep; serial and parallel runs share one cell function, so they
+    count the same failures.  Every run logs each step (decimation 1), since
+    its CoT integrates the logged samples.  At most one worker process per
+    run is started; with one, runs go in-process.
     """
     velocities = list(velocities)
     if not velocities:
@@ -199,56 +182,40 @@ def velocity_sweep(
         raise ValueError("repeats must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    from .config import build_config  # here, so that `import sandwalk` skips it
-
-    for v in velocities:  # each speed passes the checks of its config key
-        build_config({"gait.v_target": float(v)})
 
     seeds = tuple(base.seed + rep for rep in range(repeats))
-    cells = []
-    for v in velocities:
-        for terrain_mode in terrains:
-            for seed in seeds:
-                cfg = replace(
-                    base,
-                    terrain_mode=terrain_mode,
-                    seed=seed,
-                    gait=replace(base.gait, v_target=float(v)),
-                )
-                cells.append((v, terrain_mode, cfg))
+    cells = [(float(v), terrain_mode) for v in velocities for terrain_mode in terrains]
+    try:  # each speed passes the checks of its config key before any run starts
+        configs = [replace(base, terrain_mode=terrain_mode, seed=seed, decimation=1,
+                           gait=replace(base.gait, v_target=v))
+                   for v, terrain_mode in cells for seed in seeds]
+    except ValueError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
-    # CoT of each run of a (velocity, terrain) cell, None for a failed run
-    outcomes: dict[tuple[float, str], list] = {(v, m): [] for v, m, _ in cells}
-    workers = min(jobs, len(cells))
-    with ExitStack() as stack:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            runs = [pool.submit(_sweep_cell, cfg).result for _, _, cfg in cells]
-        else:
-            runs = [partial(_sweep_cell, cfg) for _, _, cfg in cells]
-        for (v, m, _), run_cell in zip(cells, runs):
-            try:
-                outcomes[(v, m)].append(run_cell())
-            except _CELL_ERRORS:
-                outcomes[(v, m)].append(None)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_sweep_cell, configs))
+    else:
+        outcomes = list(map(_sweep_cell, configs))
 
     rows = []
-    for v in velocities:
-        for m in terrains:
-            vals = [c for c in outcomes[(v, m)] if c is not None]
-            rows.append(
-                SweepRow(
-                    v_target=float(v),
-                    dimensionless_v=dimensionless_velocity(float(v), base.h_com,
-                                                           base.sagittal.g),
-                    terrain=m,
-                    cot_mean=float(np.mean(vals)) if vals else float("nan"),
-                    cot_std=float(np.std(vals)) if vals else float("nan"),
-                    n_ok=len(vals),
-                    n_failed=len(outcomes[(v, m)]) - len(vals),
-                    seeds=seeds,
-                )
+    for i, (v, m) in enumerate(cells):
+        # CoT of each run of the cell, None for a failed run
+        runs = outcomes[i * repeats:(i + 1) * repeats]
+        vals = [c for c in runs if c is not None]
+        rows.append(
+            SweepRow(
+                v_target=v,
+                dimensionless_v=dimensionless_velocity(v, base.h_com, base.sagittal.g),
+                terrain=m,
+                cot_mean=float(np.mean(vals)) if vals else float("nan"),
+                cot_std=float(np.std(vals)) if vals else float("nan"),
+                n_ok=len(vals),
+                n_failed=len(runs) - len(vals),
+                seeds=seeds,
             )
+        )
     return rows

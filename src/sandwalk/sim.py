@@ -51,10 +51,6 @@ class DivergenceError(RuntimeError):
         self.t = t
         self.detail = detail
 
-    def __reduce__(self):
-        # rebuild from (t, detail), not from the message, across processes
-        return type(self), (self.t, self.detail)
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -9,6 +9,7 @@ import pytest
 
 from sandwalk import metrics
 from sandwalk.cli import main
+from sandwalk.sim import SIM_RECORD_FIELDS
 from sandwalk.terrain import (
     IntrusionKinematics,
     TerrainParams,
@@ -224,6 +225,34 @@ def test_compare_unknown_field(tmp_path, capsys):
     assert "bogus_field" in captured.err
 
 
+def test_simulate_without_a_cot_writes_no_file(tmp_path, capsys):
+    # 400 steps at decimation 500 log no record: no CoT, so no outputs
+    out = tmp_path / "o"
+    rc = main(["simulate", "--set", "sim.duration=0.4", "--decimation", "500",
+               "--out", str(out)])
+    assert rc == 2
+    assert "trajectory must hold at least two records" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("inputs,fields,message", [
+    (("empty.csv", "walk.csv"), None, "{dir}/empty.csv: no complete stance available"),
+    (("walk.csv", "empty.csv"), None, "{dir}/empty.csv: no complete stance available"),
+    (("walk.csv", "walk.csv"), "bogus", "unknown field name 'bogus'"),
+    (("walk.csv", "walk.csv"), "stance_leg", "unknown field name 'stance_leg'"),
+], ids=["rowless-first", "rowless-second", "bogus-field", "stance-leg-field"])
+def test_compare_rejects_before_writing(tmp_path, capsys, inputs, fields, message):
+    assert main(["simulate", "--set", "sim.duration=0.8", "--out", str(tmp_path)]) == 0
+    (tmp_path / "trajectory.csv").rename(tmp_path / "walk.csv")
+    (tmp_path / "empty.csv").write_text(",".join(SIM_RECORD_FIELDS) + "\n")
+    out = tmp_path / "cmp"
+    rc = main(["compare", *(str(tmp_path / name) for name in inputs), "--out", str(out),
+               *(["--fields", fields] if fields else [])])
+    assert rc == 2
+    assert "error: " + message.format(dir=tmp_path) in capsys.readouterr().err
+    assert not (out / "rmse.csv").exists()
+
+
 def test_compare_granular_vs_rigid_intrusion(tmp_path):
     cfg = tmp_path / "run.cfg"
     write_config(cfg, "sim.duration = 1.2\n")
@@ -267,17 +296,19 @@ def test_sweep_rows_and_empty_list(tmp_path, capsys):
 
 
 def test_sweep_manifest_records_what_ran(tmp_path):
-    # the base config says rigid, speed 0.2 and seed 5; the cells ran both
-    # terrains, the listed speeds and one seed per repeat
+    # the base config says rigid, speed 0.2, seed 5 and decimation 10; the
+    # cells ran both terrains, the listed speeds, one seed per repeat and
+    # decimation 1
     out = tmp_path / "out"
     rc = main(["sweep", "--set", "sim.terrain_mode=rigid", "--set", "sim.duration=0.4",
-               "--seed", "5", "--velocities", "0.3,0.1", "--repeats", "2", "--jobs", "1",
-               "--out", str(out)])
+               "--set", "sim.decimation=10", "--seed", "5", "--velocities", "0.3,0.1",
+               "--repeats", "2", "--jobs", "1", "--out", str(out)])
     assert rc == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert config["sim.terrain_mode"] == ["granular", "rigid"]
     assert config["gait.v_target"] == [0.3, 0.1]
     assert config["sim.seed"] == [5, 6]
+    assert config["sim.decimation"] == 1  # every cell logs each step
     assert config["sim.duration"] == 0.4
     rows = json.loads((out / "sweep.json").read_text())
     assert [(r["velocity"], r["terrain"], r["n_ok"] + r["n_failed"]) for r in rows] == [
