@@ -29,8 +29,9 @@ _DEFAULT_COMPARE_FIELDS = ["f_x", "f_y", "f_z", "x_s", "y_s", "z_s",
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("SANDWALK_OUT") or "out"
-    path = Path(out)
+    """The output directory, created; a command calls this just before it
+    writes its first file, so that a command that fails leaves none behind."""
+    path = Path(args.out or os.environ.get("SANDWALK_OUT") or "out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -63,15 +64,14 @@ def _load_cfg(args) -> simulation.SimConfig:
 
 
 def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
     cfg = _load_cfg(args)
     traj = simulation.run(cfg)
     # before any file is written, so that a run without a CoT leaves none
     report = metrics.cot(traj, t_start=metrics.settle_time(cfg))
+    out = _out_dir(args)
     csv_path = out / "trajectory.csv"
     json_path = out / "trajectory.json"
-    traj.save_csv(csv_path)
-    traj.save_json(json_path)
+    traj.save_csv(csv_path, json_path)
     summary = {
         "records": len(traj),
         "final_com_x": float(traj.column("com_x")[-1]),
@@ -87,7 +87,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    out = _out_dir(args)
     cfg = _load_cfg(args)
     if args.velocities is not None:
         try:
@@ -98,6 +97,7 @@ def _cmd_sweep(args) -> int:
         velocities = list(_DEFAULT_VELOCITIES)
     rows = metrics.velocity_sweep(cfg, velocities, repeats=args.repeats,
                                   jobs=args.jobs)
+    out = _out_dir(args)
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         fh.write("velocity,dimless_v,terrain,cot_mean,cot_std\n")
@@ -150,7 +150,6 @@ def _read_penetration_csv(path, expected_header: str):
 
 
 def _cmd_calibrate(args) -> int:
-    out = _out_dir(args)
     cfg = _load_cfg(args)
     vertical = _read_penetration_csv(args.vertical_csv, "depth_m,force_N")
     horizontal = _read_penetration_csv(args.horizontal_csv, "disp_m,force_N")
@@ -160,6 +159,7 @@ def _cmd_calibrate(args) -> int:
     flat = cfgmod.flatten_config(cfg)
     flat["terrain.zeta"] = result.zeta
     flat["terrain.lambda"] = result.lam
+    out = _out_dir(args)
     params_path = out / "terrain_calibrated.cfg"
     cfgmod.write_config(params_path, flat, header="calibrated terrain parameters")
     report_path = out / "calibration_report.json"
@@ -179,9 +179,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    out = _out_dir(args)
     fields = ([f.strip() for f in args.fields.split(",") if f.strip()]
-              if args.fields else list(_DEFAULT_COMPARE_FIELDS))
+              if args.fields is not None else list(_DEFAULT_COMPARE_FIELDS))
+    if not fields:
+        raise cfgmod.ConfigError(f"empty field list '{args.fields}'")
     for f in fields:
         if f not in simulation.SIM_RECORD_FIELDS or f == "stance_leg":
             raise cfgmod.ConfigError(f"unknown field name '{f}'")
@@ -193,6 +194,7 @@ def _cmd_compare(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     prof_a, prof_b = profiles
+    out = _out_dir(args)
     rmse_path = out / "rmse.csv"
     with open(rmse_path, "w", newline="") as fh:
         fh.write("field,rmse\n")

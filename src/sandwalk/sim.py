@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,29 +174,51 @@ class Trajectory:
         col.flags.writeable = False
         return col
 
-    def _blocks(self, mask=None, fill=None):
-        """(first row, ``_rows`` of the block) per block of rows, so that file
-        I/O never holds the whole trajectory as Python objects."""
-        for i in range(0, len(self), _BLOCK):
-            block = Trajectory(self.data[i:i + _BLOCK], {})
-            yield i, block._rows(None if mask is None else mask[i:i + _BLOCK], fill)
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(SIM_RECORD_FIELDS) + "\n")
-            # str of a Python float is its shortest round-trip repr
-            for _, rows in self._blocks():
-                fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    def save_csv(self, path, json_path=None) -> None:
+        """Write the rows to ``path`` as CSV and, given ``json_path``, to that
+        file as JSON too, from one formatting pass."""
+        with open(path, "w", newline="") as fh, (
+                open(json_path, "w") if json_path is not None else nullcontext()) as jh:
+            self._write(fh, jh)
 
     def save_json(self, path) -> None:
-        head = json.dumps({"meta": self.meta, "columns": SIM_RECORD_FIELDS})
-        # strict JSON has no NaN; dumps runs the C encoder (dump streams
-        # through the slower Python one)
-        with open(path, "w") as fh:
-            fh.write(head[:-1] + ', "records": [')
-            for i, rows in self._blocks(~np.isfinite(self.data), None):
-                fh.write((", " if i else "") + json.dumps(rows)[1:-1])
-            fh.write("]}")
+        """Write the one JSON document {meta, columns, records} to ``path``."""
+        with open(path, "w") as jh:
+            self._write(None, jh)
+
+    def _write(self, fh, jh) -> None:
+        """Format every value once and write each row's CSV line to ``fh`` and
+        its JSON record to ``jh`` (either may be None).  Rows become Python
+        values a block at a time and text a row at a time, so that neither
+        file is ever held whole."""
+        if fh is not None:
+            fh.write(",".join(SIM_RECORD_FIELDS) + "\n")
+        if jh is not None:
+            head = json.dumps({"meta": self.meta, "columns": SIM_RECORD_FIELDS})
+            jh.write(head[:-1] + ', "records": [')
+        sep = ""
+        for i in range(0, len(self), _BLOCK):
+            block = self.data[i:i + _BLOCK]
+            # strict JSON has no NaN or infinity
+            nonfinite = ~np.isfinite(block)
+            has_nonfinite = nonfinite.any(axis=1).tolist()
+            for r, row in enumerate(Trajectory(block, {})._rows()):
+                # repr of a Python float is its shortest round-trip text and,
+                # like repr of an int, the text json writes for it
+                text = list(map(repr, row))
+                text[_LEG] = row[_LEG]
+                if fh is not None:
+                    fh.write(",".join(text) + "\n")
+                if jh is None:
+                    continue
+                text[_LEG] = f'"{row[_LEG]}"'
+                if has_nonfinite[r]:
+                    for c in np.flatnonzero(nonfinite[r]):
+                        text[c] = "null"
+                jh.write(sep + "[" + ", ".join(text) + "]")
+                sep = ", "
+        if jh is not None:
+            jh.write("]}")
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":

@@ -232,7 +232,31 @@ def test_simulate_without_a_cot_writes_no_file(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert "trajectory must hold at least two records" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--set", "sim.duration=0.4", "--decimation", "500"],
+    ["compare", "a.csv", "b.csv", "--fields", "nope"],
+    ["sweep", "--set", "sim.seed=-1", "--jobs", "1"],
+], ids=["simulate-without-a-cot", "compare-unknown-field", "sweep-bad-seed"])
+def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv):
+    # the directory is created just before the first file is written
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields", [",", "", " , "])
+def test_compare_rejects_an_empty_field_list_before_reading(tmp_path, capsys, fields):
+    # the inputs do not exist: the field list is rejected before either is read
+    out = tmp_path / "out"
+    rc = main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+               "--fields", fields, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: empty field list '{fields}'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("inputs,fields,message", [

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from sandwalk import sim
+from sandwalk import cli, sim
 from sandwalk.config import build_config, flatten_config
 
 TRAJECTORY_SHA256 = {
@@ -75,8 +75,10 @@ ROBOT_ONLY_FRONTAL = {
 }
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _digests(out) -> tuple[str, str]:
+    """SHA-256 of trajectory.csv and trajectory.json in ``out``."""
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("trajectory.csv", "trajectory.json"))
 
 
 @pytest.mark.parametrize("terrain,integrator", sorted(TRAJECTORY_SHA256))
@@ -86,9 +88,16 @@ def test_trajectory_files_byte_identical(tmp_path, terrain, integrator):
                                  "sim.integrator": integrator}))
     traj.save_csv(tmp_path / "trajectory.csv")
     traj.save_json(tmp_path / "trajectory.json")
-    csv_sha, json_sha = TRAJECTORY_SHA256[(terrain, integrator)]
-    assert _sha256(tmp_path / "trajectory.csv") == csv_sha
-    assert _sha256(tmp_path / "trajectory.json") == json_sha
+    assert _digests(tmp_path) == TRAJECTORY_SHA256[(terrain, integrator)]
+
+
+@pytest.mark.parametrize("terrain,integrator", sorted(TRAJECTORY_SHA256))
+def test_simulate_command_writes_the_golden_files(tmp_path, terrain, integrator):
+    # the command writes both files from one formatting pass
+    assert cli.main(["simulate", "--set", "sim.duration=0.8", "--seed", "0",
+                     "--decimation", "1", "--terrain", terrain,
+                     "--set", f"sim.integrator={integrator}", "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path) == TRAJECTORY_SHA256[(terrain, integrator)]
 
 
 def test_flatten_default_config():

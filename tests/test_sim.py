@@ -400,6 +400,38 @@ def test_trajectory_json_is_one_document(tmp_path, n_rows):
     assert len(doc["records"]) == n_rows
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 256, 257, 600])
+def test_fused_writer_equals_each_writer_alone(tmp_path, n_rows):
+    # save_csv(csv, json) formats each value once for both files; each file
+    # must equal what its writer alone gives, and the JSON the json.dumps
+    # encoding of the document
+    data = np.random.default_rng(n_rows).uniform(-1.0, 1.0, (n_rows, len(sim.SIM_RECORD_FIELDS)))
+    data[:, 1] = np.arange(n_rows) % 3 == 0  # stance_leg index, both legs
+    data[:, 3] = np.arange(n_rows) // 100  # step_count
+    data[::7, 5] = math.nan
+    data[::11, 7] = math.inf
+    data[::13, 8] = -math.inf
+    data[::5, 9] = -0.0
+    traj = sim.Trajectory(data, {"seed": 3, "terrain": "granular"})
+    traj.save_csv(tmp_path / "both.csv", tmp_path / "both.json")
+    traj.save_csv(tmp_path / "alone.csv")
+    traj.save_json(tmp_path / "alone.json")
+    csv_text = (tmp_path / "both.csv").read_bytes()
+    json_text = (tmp_path / "both.json").read_text()
+    assert csv_text == (tmp_path / "alone.csv").read_bytes()
+    assert csv_text.decode() == ",".join(sim.SIM_RECORD_FIELDS) + "\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in traj._rows())
+    assert json_text == (tmp_path / "alone.json").read_text()
+    assert json_text == json.dumps({"meta": traj.meta, "columns": sim.SIM_RECORD_FIELDS,
+                                    "records": traj._rows(~np.isfinite(data), None)})
+    records = json.loads(json_text, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))["records"]
+    assert len(records) == n_rows
+    if n_rows > 1:
+        assert {row[1] for row in records} == {"left", "right"}
+    if n_rows:
+        assert b",inf,-inf,-0.0," in csv_text and ", null, null, -0.0, " in json_text
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         sim.SimConfig(dt=-1.0)
