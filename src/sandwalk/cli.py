@@ -28,10 +28,24 @@ _DEFAULT_COMPARE_FIELDS = ["f_x", "f_y", "f_z", "x_s", "y_s", "z_s",
                            "q_s1", "q_s2", "delta_theta_r"]
 
 
+def _out_path(args) -> Path:
+    """The output directory named by --out, $SANDWALK_OUT or ./out.  Raises
+    NotADirectoryError, before any work, when the path or the nearest of its
+    parents that exists is not a directory, so that it cannot be created."""
+    path = Path(args.out or os.environ.get("SANDWALK_OUT") or "out")
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise NotADirectoryError(f"cannot create output directory '{path}': "
+                                         f"'{existing}' is not a directory")
+            break
+    return path
+
+
 def _out_dir(args) -> Path:
     """The output directory, created; a command calls this just before it
     writes its first file, so that a command that fails leaves none behind."""
-    path = Path(args.out or os.environ.get("SANDWALK_OUT") or "out")
+    path = _out_path(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -280,6 +294,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _out_path(args)  # an output path that cannot be a directory fails first
         return args.func(args)
     except simulation.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

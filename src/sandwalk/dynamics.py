@@ -100,6 +100,11 @@ class SagittalParams:
         """M_s, the mass carried by the contact coordinates."""
         return self.m_b + self.m_t + self.m_c
 
+    @cached_property
+    def total_mass(self) -> float:
+        """Trunk plus both legs."""
+        return self.m_b + 2.0 * self.m_t + 2.0 * self.m_c
+
     @property
     def inertia_b(self) -> float:
         return self.i_b if self.i_b is not None else _rod_inertia(self.m_b, 2 * self.l_b)

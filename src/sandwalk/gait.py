@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -65,11 +66,11 @@ class GaitConfig:
         if not math.isfinite(self.trunk_ref):
             raise ValueError("trunk_ref must be finite")
 
-    @property
+    @cached_property
     def stance_duration(self) -> float:
         return self.cycle_period * self.duty
 
-    @property
+    @cached_property
     def step_length(self) -> float:
         """Spacing of consecutive footfalls, proportional to speed."""
         return self.v_target * self.stance_duration
@@ -88,15 +89,22 @@ class Gains:
     torque_limit: float = 60.0
 
     def __post_init__(self) -> None:
-        kp = np.asarray(self.kp, dtype=float)
-        kd = np.asarray(self.kd, dtype=float)
+        # read-only copies, so that the lists of _pd cannot go stale
+        kp = np.array(self.kp, dtype=float)
+        kd = np.array(self.kd, dtype=float)
         if kp.shape != (6,) or kd.shape != (6,):
             raise ValueError("gain vectors must have six entries")
         if not (np.all(kp > 0.0) and np.all(kd > 0.0)):
             raise ValueError("gains must be strictly positive")
         check_ranges(self, ("torque_limit",))
+        kp.flags.writeable = kd.flags.writeable = False
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
+
+    @cached_property
+    def _pd(self) -> tuple[list[float], list[float]]:
+        """(kp, kd) as lists of Python floats."""
+        return self.kp.tolist(), self.kd.tolist()
 
 
 def cycloid_swing(phase: float, step_length: float, swing_height: float):
@@ -179,6 +187,9 @@ def track_joints(q_ref, dq_ref, q, dq, gains: Gains) -> list[float]:
     """PD joint tracking torque of the six actuators, saturated at the
     configured limit; a NaN torque stays NaN."""
     limit = gains.torque_limit
-    return [min(max(kp * (r - x) + kd * (dr - v), -limit), limit)
-            for r, dr, x, v, kp, kd
-            in zip(q_ref, dq_ref, q, dq, gains.kp.tolist(), gains.kd.tolist())]
+    tau = []
+    for r, dr, x, v, kp, kd in zip(q_ref, dq_ref, q, dq, *gains._pd):
+        t = kp * (r - x) + kd * (dr - v)
+        # min(max(t, -limit), limit) for the positive limit, without the calls
+        tau.append(limit if t > limit else -limit if t < -limit else t)
+    return tau

@@ -22,6 +22,8 @@ import math
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -85,6 +87,24 @@ class SimConfig:
             raise ValueError(f"unknown terrain mode '{self.terrain_mode}'")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
+
+    @cached_property
+    def _sole(self) -> rl.FootShape:
+        """The stance foot's semicylindrical sole."""
+        return rl.FootShape.semicylinder(self.foot_radius)
+
+    @cached_property
+    def _reference(self):
+        """Per-run constants of the gait reference (see _model_refs): the leg
+        (l_t, l_c, r_min, r_max) with the annulus its IK targets are clamped
+        into, the design vault chord, the origin of the commanded-progress
+        line, half a step, and the landing and swing-hip heights."""
+        l_t, l_c = self.sagittal.l_t, self.sagittal.l_c
+        leg = (l_t, l_c, abs(l_t - l_c) * (1.0 + 1e-4) + 1e-6, (l_t + l_c) * (1.0 - 1e-4))
+        r_nom = _clamp_chord(self, self.gait.hip_height - self.foot_radius)
+        half_step = 0.5 * self.gait.step_length
+        land_z = self.terrain.sand_level + self.foot_radius
+        return leg, r_nom, -half_step, half_step, land_z, land_z + r_nom
 
 
 def derived_frontal(
@@ -271,45 +291,47 @@ def detect_touchdown(prev_height: float, height: float, sand_level: float) -> bo
 # kinematics (world frame)
 # ---------------------------------------------------------------------------
 
-def _kinematics(ws: WalkerState, cfg: SimConfig):
-    """Forward kinematics through the stance leg: the (x, z) positions of the
-    hip, the swing-foot center and the whole-robot CoM, then their velocities.
+def _kinematics(cfg: SimConfig, c0, q, dq):
+    """Forward kinematics through the stance leg, from the latched contact
+    ``c0`` and the sagittal coordinates ``q`` and rates ``dq`` as floats: the
+    (x, z) positions of the hip, the swing-foot center and the whole-robot
+    CoM, then their velocities.
 
     Each link angle a enters through its direction (sin a, cos a), and the
     positions are linear in these directions, so the velocities come from the
     same chain applied to the direction rates (cos a, -sin a) da."""
     p = cfg.sagittal
-    total = p.m_b + 2.0 * p.m_t + 2.0 * p.m_c
+    l_t, l_c, l_b, a_1, a_2 = p.l_t, p.l_c, p.l_b, p.a_1, p.a_2
+    m_b, m_t, m_c, total = p.m_b, p.m_t, p.m_c, p.total_mass
+    q1, q2, q3, q4, q5, x_s, z = q
+    v1, v2, v3, v4, v5, dx_s, dz = dq
+    s1, s2, s3, s4, s5 = math.sin(q1), math.sin(q2), math.sin(q3), math.sin(q4), math.sin(q5)
+    c1, c2, c3, c4, c5 = math.cos(q1), math.cos(q2), math.cos(q3), math.cos(q4), math.cos(q5)
+    axes = []
+    # one axis per pass: the stance-foot center (or its rate) and the axis
+    # component u_i of link i's direction (or its rate)
+    for base, u1, u2, u3, u4, u5 in (
+            (c0[0] + x_s, s1, s2, s3, s4, s5),
+            (c0[1] + z + cfg.foot_radius, c1, c2, c3, c4, c5),
+            (dx_s, c1 * v1, c2 * v2, c3 * v3, c4 * v4, c5 * v5),
+            (dz, -s1 * v1, -s2 * v2, -s3 * v3, -s4 * v4, -s5 * v5)):
+        hip = base + l_c * u2 + l_t * u1
+        com = (m_b * (hip + l_b * u5)
+               + m_t * (hip - a_1 * u1) + m_c * (hip - l_t * u1 - a_2 * u2)
+               + m_t * (hip - a_1 * u3) + m_c * (hip - l_t * u3 - a_2 * u4))
+        axes.append((hip, hip - l_t * u3 - l_c * u4, com / total))
+    (hx, sx, cx), (hz, sz, cz), (hvx, svx, cvx), (hvz, svz, cvz) = axes
+    return (hx, hz), (sx, sz), (cx, cz), (hvx, hvz), (svx, svz), (cvx, cvz)
 
-    def chain(base, u):
-        # one axis: base is the stance-foot center (or its rate), u[i] the
-        # axis component of link i's direction (or its rate)
-        hip = base + p.l_c * u[1] + p.l_t * u[0]
-        swing = hip - p.l_t * u[2] - p.l_c * u[3]
-        com = p.m_b * (hip + p.l_b * u[4])
-        for thigh, calf in ((0, 1), (2, 3)):
-            com += p.m_t * (hip - p.a_1 * u[thigh])
-            com += p.m_c * (hip - p.l_t * u[thigh] - p.a_2 * u[calf])
-        return hip, swing, com / total
 
-    q, dq, c0 = ws.q_s.tolist(), ws.dq_s.tolist(), ws.c0.tolist()
-    sin = [math.sin(a) for a in q[:5]]
-    cos = [math.cos(a) for a in q[:5]]
-    x = chain(c0[0] + q[5], sin)
-    z = chain(c0[1] + q[6] + cfg.foot_radius, cos)
-    vx = chain(dq[5], [c * w for c, w in zip(cos, dq)])
-    vz = chain(dq[6], [-s * w for s, w in zip(sin, dq)])
-    return (*zip(x, z), *zip(vx, vz))
-
-
-def _ik_clamped(l_t: float, l_c: float, target, rate):
+def _ik_clamped(leg, target, rate):
     """Leg IK with the target radius clamped into the reachable annulus:
-    (thigh, calf) angles and their rates for a target moving at ``rate``."""
+    (thigh, calf) angles and their rates for a target moving at ``rate``.
+    ``leg`` is (l_t, l_c, r_min, r_max), the link lengths and the annulus."""
+    l_t, l_c, r_min, r_max = leg
     dx, dz = target
     vx, vz = rate
     r = math.hypot(dx, dz)
-    r_max = (l_t + l_c) * (1.0 - 1e-4)
-    r_min = abs(l_t - l_c) * (1.0 + 1e-4) + 1e-6
     if r < 1e-12:
         raise gt.UnreachableTargetError("foot target coincides with the hip")
     if r > r_max or r < r_min:
@@ -357,45 +379,41 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
     blend) has zero slope at phase 0 and 1, so the rates there are the
     one-sided derivative from either side.
     """
-    p = cfg.sagittal
     g = cfg.gait
-    v = g.v_target
-    t_half = g.stance_duration
+    v, t_half, swing_height = g.v_target, g.stance_duration, g.swing_height
+    leg, r_nom, line_x0, half_step, land_z, hip_z = cfg._reference
+    r_latch = ws.r_latch
     phase = _stance_phase(ws, cfg, t)
     dphase = 1.0 / t_half if 0.0 < phase < 1.0 else 0.0
-    r_nom = _clamp_chord(cfg, g.hip_height - cfg.foot_radius)  # design vault chord
-    line_x0 = -0.5 * g.step_length  # origin of the commanded-progress line
-    line_x = line_x0 + v * t
+    line_x = line_x0 + v * t  # the commanded-progress line
 
     # stance leg: vault the hip along the line over the estimated contact
     u = min(phase / 0.6, 1.0)
     s_rec = u * u * (3.0 - 2.0 * u)  # C1 chord-recovery schedule
-    r_ref = ws.r_latch + s_rec * (r_nom - ws.r_latch)
-    dr_ref = 6.0 * u * (1.0 - u) / 0.6 * dphase * (r_nom - ws.r_latch)
+    r_ref = r_latch + s_rec * (r_nom - r_latch)
+    dr_ref = 6.0 * u * (1.0 - u) / 0.6 * dphase * (r_nom - r_latch)
     reach = 0.55 * r_ref
-    dx = line_x - float(ws.c0[0] + ws.q_s[5])  # from the estimated contact
+    dx = line_x - (ws.c0.item(0) + ws.q_s.item(5))  # from the estimated contact
     ddx = v if -reach <= dx <= reach else math.copysign(0.55, dx) * dr_ref
     dx = min(max(dx, -reach), reach)
     rise = math.sqrt(r_ref ** 2 - dx ** 2)
     st_t, st_c, dst_t, dst_c = _ik_clamped(
-        p.l_t, p.l_c, (-dx, -rise), (-ddx, (dx * ddx - r_ref * dr_ref) / rise))
+        leg, (-dx, -rise), (-ddx, (dx * ddx - r_ref * dr_ref) / rise))
 
     # swing leg: cycloid from the latched liftoff point to the landing target
     # (x, z), with the hip reference at (line_x, hip_z)
-    land_x = line_x0 + v * (ws.t_stance_start + t_half) + 0.5 * g.step_length
-    land_z = cfg.terrain.sand_level + cfg.foot_radius
-    hip_z = land_z + r_nom
+    land_x = line_x0 + v * (ws.t_stance_start + t_half) + half_step
     lift_x, lift_z = ws.liftoff.tolist()
     travel = land_x - lift_x
-    cx, cz = gt.cycloid_swing(phase, travel, g.swing_height)
+    cx, cz = gt.cycloid_swing(phase, travel, swing_height)
     w = 2.0 * math.pi * phase
     blend = phase * phase * (3.0 - 2.0 * phase)  # C1 blend of endpoint heights
     dblend = 6.0 * phase * (1.0 - phase) * dphase
     sw_t, sw_c, dsw_t, dsw_c = _ik_clamped(
-        p.l_t, p.l_c,
+        leg,
         (lift_x + cx - line_x, (1.0 - blend) * lift_z + blend * land_z + cz - hip_z),
         (travel * (1.0 - math.cos(w)) * dphase - v,
-         dblend * (land_z - lift_z) + g.swing_height * math.pi * math.sin(w) * dphase))
+         dblend * (land_z - lift_z) + swing_height * math.pi * math.sin(w) * dphase))
 
     return (st_t, st_c, sw_t, sw_c, g.trunk_ref), (dst_t, dst_c, dsw_t, dsw_c, 0.0)
 
@@ -411,13 +429,20 @@ def _control(ws: WalkerState, cfg: SimConfig):
     their planar-model images."""
     pairs, (st_t, st_c, sw_t, sw_c), (i_st, i_sw) = _ACTUATION[ws.stance]
     refs, ref_rates = _model_refs(ws, cfg, ws.t)
-    dp = ws.dq_f.tolist()  # hip angle rates: -p1' + p2' and -p2' + p3'
-    q_ref, dq_ref, q_a, dq_a = ([x[i] - x[k] for i, k in pairs] for x in (
-        [*refs, *_HIP_POSTURE, 0.0],
-        [*ref_rates, 0.0, 0.0, 0.0],
-        [*ws.q_s.tolist()[:5], *gt.frontal_to_hip_angles(ws.q_f), 0.0],
-        [*ws.dq_s.tolist()[:5], -dp[0] + dp[1], -dp[1] + dp[2], 0.0],
-    ))
+    q, dq, dp = ws.q_s.tolist(), ws.dq_s.tolist(), ws.dq_f.tolist()
+    # the gathered x of gait.ACTUATION: the five sagittal angles, the
+    # (stance, swing) hip angles and 0; the hip rates are -p1' + p2' and
+    # -p2' + p3'
+    x_ref = refs + _HIP_POSTURE + (0.0,)
+    x_rate = ref_rates + (0.0, 0.0, 0.0)
+    x = (*q[:5], *gt.frontal_to_hip_angles(ws.q_f.tolist()), 0.0)
+    x_v = (*dq[:5], -dp[0] + dp[1], -dp[1] + dp[2], 0.0)
+    q_ref, dq_ref, q_a, dq_a = [], [], [], []
+    for i, k in pairs:
+        q_ref.append(x_ref[i] - x_ref[k])
+        dq_ref.append(x_rate[i] - x_rate[k])
+        q_a.append(x[i] - x[k])
+        dq_a.append(x_v[i] - x_v[k])
     tau = gt.track_joints(q_ref, dq_ref, q_a, dq_a, cfg.gains)
     tau_s = [tau[st_t] - tau[st_c], tau[st_c], tau[sw_t] - tau[sw_c], tau[sw_c]]
     tau_f = gt.hip_torques_to_frontal(tau[i_st], tau[i_sw])
@@ -459,21 +484,21 @@ def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: fl
     # discontinuity.  The backward face mirrors the forward one (same f_z,
     # opposite f_x), so the blend is (f_x dx/hyp, f_z) of the forward face.
     hyp = math.hypot(dx, _DIRECTION_FLOOR)
-    kin = tr.IntrusionKinematics(depth=depth, gamma=math.atan2(dz, hyp), y_slip=y_slip)
+    kin = tr.IntrusionKinematics(depth, math.atan2(dz, hyp), y_slip)
     fwd = tr.sagittal_forces(cfg.terrain, kin)
     return fwd.f_x * dx / hyp, fwd.f_z, tr.lateral_force(cfg.terrain, kin), gamma
 
 
 class _FrontalTerms:
-    """What a stage derives from ``dyn.assemble_frontal`` (D as rows, C dq and
-    G as lists, row 1 of D), kept for the last frontal configuration.  The
-    system depends only on the angles and rates q_f[:3], dq_f[:3], which hold
-    still between touchdowns, so a stage reassembles it only when their bytes
-    or the parameter object change.  The key is bytes, not floats: a
-    touchdown flips p3 between 0.0 and -0.0, and 0.0 == -0.0.  C dq reads
-    dq_f[3:] only through the zero columns 3 and 4 of C, and a product
-    accumulated from +0.0 has the same bytes for any finite entries there.
-    One per run."""
+    """What a stage derives from ``dyn.assemble_frontal`` (D as rows, the
+    bias -C dq - G, C dq and G as lists, row 1 of D), kept for the last
+    frontal configuration.  The system depends only on the angles and rates
+    q_f[:3], dq_f[:3], which hold still between touchdowns, so a stage
+    reassembles it only when their bytes or the parameter object change.
+    The key is bytes, not floats: a touchdown flips p3 between 0.0 and
+    -0.0, and 0.0 == -0.0.  C dq reads dq_f[3:] only through the zero
+    columns 3 and 4 of C, and a product accumulated from +0.0 has the same
+    bytes for any finite entries there.  One per run."""
 
     __slots__ = ("params", "key", "terms")
 
@@ -484,8 +509,9 @@ class _FrontalTerms:
         key = q_f[:3].tobytes() + dq_f[:3].tobytes()
         if params is not self.params or key != self.key:
             d_f, c_f, g_f = dyn.assemble_frontal(params, dyn.FrontalState.trusted(q_f, dq_f))
+            cdq, g = (c_f @ dq_f).tolist(), g_f.tolist()
             self.params, self.key = params, key
-            self.terms = d_f.tolist(), (c_f @ dq_f).tolist(), g_f.tolist(), d_f[1]
+            self.terms = d_f.tolist(), [-c - gi for c, gi in zip(cdq, g)], cdq, g, d_f[1]
         return self.terms
 
 
@@ -497,48 +523,42 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal: _FrontalTerms):
     The assembled arrays are read into Python floats once.  The products
     that sum several nonzero terms stay in numpy: a Python sum rounds some
     of them differently, and the golden trajectories pin numpy's rounding."""
-    granular = cfg.terrain_mode == "granular"
-    q_s, dq_s, q_f, dq_f = q[:7], dq[:7], q[7:], dq[7:]
-
+    q_s, dq_s = q[:7], dq[:7]
     d_s, c_s, g_s = dyn.assemble_sagittal(cfg.sagittal, dyn.SagittalState.trusted(q_s, dq_s))
-    cdq_s = (c_s @ dq_s).tolist()
-    g_s = g_s.tolist()
-    rhs_s = [-c - g for c, g in zip(cdq_s, g_s)]
-    for i, t in enumerate(tau_s):
-        rhs_s[i] += t
-    d = d_s.tolist()
+    c0, c1, c2, c3, _, c5, c6 = (c_s @ dq_s).tolist()
+    g0, g1, g2, g3, _, g5, g6 = g_s.tolist()
+    t0, t1, t2, t3 = tau_s
+    # the actuated rows, then the contact rows; the held trunk row drops out
+    r0, r1, r2, r3 = -c0 - g0 + t0, -c1 - g1 + t1, -c2 - g2 + t2, -c3 - g3 + t3
+    r5, r6 = -c5 - g5, -c6 - g6
     # the decoupled swing rows divide out
-    qdd_s = [0.0, 0.0, rhs_s[2] / d[2][2], rhs_s[3] / d[3][3], 0.0, 0.0, 0.0]
-    if granular:
-        x, v = q.tolist(), dq.tolist()
-        f_x, f_z, f_y, gamma = _grf_granular(cfg, max(0.0, -x[6]), v[5], v[6], x[10])
-        rhs_s[5] += f_x
-        rhs_s[6] += f_z
-        qdd_s[0], qdd_s[1], qdd_s[5], qdd_s[6] = np.linalg.solve(
-            d_s[_SAG_BLOCK], [rhs_s[i] for i in _SAG_ROWS]).tolist()
+    a2, a3 = r2 / d_s.item(2, 2), r3 / d_s.item(3, 3)
+    if cfg.terrain_mode == "granular":
+        f_x, f_z, f_y, gamma = _grf_granular(
+            cfg, max(0.0, -q.item(6)), dq.item(5), dq.item(6), q.item(10))
+        a0, a1, a5, a6 = np.linalg.solve(d_s[_SAG_BLOCK], [r0, r1, r5 + f_x, r6 + f_z]).tolist()
     else:
-        qdd_s[:2] = _solve2((d[0][:2], d[1][:2]), rhs_s[:2])
+        d = d_s.tolist()
+        a0, a1 = _solve2((d[0][:2], d[1][:2]), (r0, r1))
+        a5 = a6 = 0.0
         # constraint forces read back off the clamped contact rows, where
-        # only the stance-leg rows 0 and 1 of qdd_s meet a nonzero D entry
-        f_x, f_z = (d[i][0] * qdd_s[0] + d[i][1] * qdd_s[1] + cdq_s[i] + g_s[i]
-                    for i in (5, 6))
+        # only the stance-leg rows 0 and 1 meet a nonzero D entry
+        f_x = d[5][0] * a0 + d[5][1] * a1 + c5 + g5
+        f_z = d[6][0] * a0 + d[6][1] * a1 + c6 + g6
         gamma = 0.0
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
     # lateral slip dynamic; the crossbar row residual is the holding torque
-    d, cdq_f, g_f, d_f1 = frontal(cfg.frontal, q_f, dq_f)
-    rhs_f = [-c - g for c, g in zip(cdq_f, g_f)]
-    rhs_f[2] += tau_f[1]
-    qdd_f = [0.0] * 5
-    if granular:
-        rhs_f[3] += f_y
-        qdd_f[4] = qdd_s[6]
-        qdd_f[2:4] = _solve2((d[2][2:4], d[3][2:4]),
-                             [rhs_f[i] - d[i][4] * qdd_f[4] for i in (2, 3)])
+    d, bias_f, cdq_f, g_f, d_f1 = frontal(cfg.frontal, q[7:], dq[7:])
+    rf2 = bias_f[2] + tau_f[1]
+    if cfg.terrain_mode == "granular":
+        p2, p3 = _solve2((d[2][2:4], d[3][2:4]),
+                         (rf2 - d[2][4] * a6, bias_f[3] + f_y - d[3][4] * a6))
     else:
-        qdd_f[2] = rhs_f[2] / d[2][2]
-        f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g_f[3]  # qdd_f holds only row 2
-    qdd = np.array(qdd_s + qdd_f)
+        p2, p3 = rf2 / d[2][2], 0.0
+        f_y = d[3][2] * p2 + cdq_f[3] + g_f[3]  # only row 2 accelerates
+    # the frontal vertical coordinate shares the sagittal one
+    qdd = np.array((a0, a1, a2, a3, 0.0, a5, a6, 0.0, 0.0, p2, p3, a6))
     # crossbar holding torque (reported as the hip-pair torque demand)
     tau_bar = float(d_f1 @ qdd[7:]) + cdq_f[1] + g_f[1]
 
@@ -575,6 +595,7 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms)
     fifth evaluation that only a ``logged`` step makes; otherwise those of
     the last stage).  ``frontal`` is the run's ``_FrontalTerms``."""
     control = _control(ws, cfg)
+    tau_s, tau_f = control[2:]
     # the step rebinds the state's arrays, so these keep the rates at the
     # control instant, for consistent power accounting
     rates = ws.dq_s, ws.dq_f
@@ -586,7 +607,7 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms)
         # is finite and below ~1e154, far past the divergence guard
         if not math.isfinite(y.dot(y)):
             raise DivergenceError(ws.t, "(non-finite state in an integrator stage)")
-        qdd, *forces = _accelerations(cfg, y[:12], y[12:], *control[2:], frontal)
+        qdd, *forces = _accelerations(cfg, y[:12], y[12:], tau_s, tau_f, frontal)
         return qdd
 
     y = _ode_step(cfg.integrator, np.concatenate((ws.q_s, ws.q_f, ws.dq_s, ws.dq_f)),
@@ -606,29 +627,30 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms)
     return y, control, rates, forces
 
 
-def _contact_angle(ws: WalkerState, cfg: SimConfig) -> float:
-    """Orientation angle theta_r of the stance-foot contact point; a contact
-    that leaves the sole ends the run as a divergence."""
-    shape = rl.FootShape.semicylinder(cfg.foot_radius)
+def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
+    """Orientation angle theta_r of the stance-foot contact point at a calf
+    pitch; a contact that leaves the sole ends the run, at time t, as a
+    divergence."""
+    shape = cfg._sole
     try:
-        contact = rl.lowest_point(shape, float(ws.q_s[1]))
+        contact = rl.lowest_point(shape, pitch)
     except rl.ContactOutsideSoleError as exc:
-        raise DivergenceError(ws.t, f"({exc})") from exc
+        raise DivergenceError(t, f"({exc})") from exc
     return rl.orientation_angle(shape, contact)
 
 
-def _record(ws: WalkerState, cfg: SimConfig, control, rates, forces,
+def _record(ws: WalkerState, cfg: SimConfig, state, control, rates, forces,
             theta_r: float, kinematics, phase: float, out) -> None:
-    """Write the post-step record into the row ``out``, from the step's
-    contact angle, kinematics and stance phase."""
+    """Write the post-step record into the row ``out``, from the stacked
+    post-step ``state`` as floats and the step's contact angle, kinematics
+    and stance phase."""
     tau_a, dq_a, tau_s, tau_f = control
     f_x, f_y, f_z, gamma, tau_bar = forces
     # reported hip torques: crossbar holding demand plus the swing-side PD
     i_st, i_sw = _ACTUATION[ws.stance][2]
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
-    tau_f = (tau_bar, tau_f[1])
 
-    q_s, dq_s, q_f, dq_f = (a.tolist() for a in (ws.q_s, ws.dq_s, ws.q_f, ws.dq_f))
+    q_s, q_f, dq_s, dq_f = state[:7], state[7:12], state[12:19], state[19:]
     # rolling bookkeeping on the stance foot
     d_theta = rl.rolling_angle(ws.theta_r0, theta_r)
     try:
@@ -637,15 +659,15 @@ def _record(ws: WalkerState, cfg: SimConfig, control, rates, forces,
         r_eff = cfg.r_eff_cap
 
     # powers in actuation space and per plane
-    joint_powers = [t * w for t, w in zip(tau_a, dq_a)]
+    joint_powers = list(map(mul, tau_a, dq_a))
     power = math.fsum(joint_powers)
     power_abs = math.fsum(map(abs, joint_powers))
-    power_s = math.fsum(t * w for t, w in zip(tau_s, rates[0][:4].tolist()))
-    power_f = math.fsum(t * w for t, w in zip(tau_f, rates[1][1:3].tolist()))
+    power_s = math.fsum(map(mul, tau_s, rates[0].tolist()))  # the first four rates
+    power_f = math.fsum(map(mul, (tau_bar, tau_f[1]), rates[1].tolist()[1:3]))
 
     hip, _, com, _, _, com_v = kinematics
     out[:] = [  # SIM_RECORD_FIELDS order
-        ws.t, _LEG_NAMES.index(ws.stance.value), phase, ws.step_count,
+        ws.t, _LEG_NAMES.index(ws.stance), phase, ws.step_count,
         *q_s[:5], *dq_s[:5],
         q_s[5], q_f[3], max(0.0, -q_s[6]), dq_s[5], dq_f[3], -dq_s[6],
         *q_f[:3], *dq_f[:3],
@@ -662,8 +684,8 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
     pair becomes the stance pair, the frontal coordinates mirror about the new
     stance hip, and the intrusion restarts under the swing foot, no higher than
     the surface and vertically at rest (the reset absorbs the contact transient)."""
-    _, swing, _, _, swing_v, _ = _kinematics(ws, cfg)
     q, dq, p, dp = ws.q_s, ws.dq_s, ws.q_f, ws.dq_f
+    _, swing, _, _, swing_v, _ = _kinematics(cfg, ws.c0.tolist(), q.tolist(), dq.tolist())
     slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0  # landing skid
     new = replace(
         ws, stance=ws.stance.other, t_stance_start=ws.t, step_count=ws.step_count + 1,
@@ -674,10 +696,11 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
         dq_s=np.array([dq[2], dq[3], dq[0], dq[1], dq[4], slip_rate, 0.0]),
         q_f=np.array([0.0, math.pi - p[1], -p[2], 0.0, 0.0]),
         dq_f=np.array([0.0, -dp[1], -dp[2], 0.0, 0.0]))
-    new.theta_r0 = _contact_angle(new, cfg)
+    new.theta_r0 = _contact_angle(cfg, new.q_s.item(1), new.t)
     # latch the stance chord at touchdown
-    hip = np.array(_kinematics(new, cfg)[0])
-    new.r_latch = _clamp_chord(cfg, float(np.linalg.norm(hip - (new.c0 + (0.0, cfg.foot_radius)))))
+    hip = _kinematics(cfg, new.c0.tolist(), new.q_s.tolist(), new.dq_s.tolist())[0]
+    new.r_latch = _clamp_chord(cfg, float(np.linalg.norm(
+        np.array(hip) - (new.c0 + (0.0, cfg.foot_radius)))))
     return new
 
 
@@ -692,14 +715,17 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
     it makes every check and takes the same event.  ``frontal`` is the run's
     ``_FrontalTerms``.  Returns ``ws`` advanced or the jumped state."""
     y, *signals = _flow(ws, cfg, out is not None, frontal)
+    state = y.tolist()  # the post-step values, read once
     # divergence guard on the stacked state; NaN fails the comparison too
-    if not all(abs(x) <= _DIVERGENCE_LIMIT for x in y.tolist()):
-        raise DivergenceError(ws.t)
-    theta_r = _contact_angle(ws, cfg)  # a contact off the sole ends the run
-    kinematics = _kinematics(ws, cfg)
+    for x in state:
+        if not abs(x) <= _DIVERGENCE_LIMIT:
+            raise DivergenceError(ws.t)
+    q_s = state[:7]
+    theta_r = _contact_angle(cfg, q_s[1], ws.t)  # a contact off the sole ends the run
+    kinematics = _kinematics(cfg, ws.c0.tolist(), q_s, state[12:19])
     phase = _stance_phase(ws, cfg, ws.t)
     if out is not None:
-        _record(ws, cfg, *signals, theta_r, kinematics, phase, out)
+        _record(ws, cfg, state, *signals, theta_r, kinematics, phase, out)
     # touchdown event: the swing-foot height crossing the surface, armed past
     # the swing apex and forced at the schedule boundary
     height = kinematics[1][1] - cfg.foot_radius
@@ -725,7 +751,7 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     jitter = rng.uniform(-cfg.initial_jitter, cfg.initial_jitter, 4)
     ws.q_s[:4] += jitter
 
-    ws.theta_r0 = _contact_angle(ws, cfg)
+    ws.theta_r0 = _contact_angle(cfg, ws.q_s.item(1), ws.t)
     return ws
 
 
@@ -749,10 +775,7 @@ def run(cfg: SimConfig) -> Trajectory:
         "seed": cfg.seed,
         "v_target": cfg.gait.v_target,
         "h_com": cfg.h_com,
-        "robot_weight": (
-            (cfg.sagittal.m_b + 2 * cfg.sagittal.m_t + 2 * cfg.sagittal.m_c)
-            * cfg.sagittal.g
-        ),
+        "robot_weight": cfg.sagittal.total_mass * cfg.sagittal.g,
         "cycle_period": cfg.gait.cycle_period,
         "stance_duration": cfg.gait.stance_duration,
     }

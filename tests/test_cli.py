@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from sandwalk import metrics
+from sandwalk import metrics, sim
 from sandwalk.cli import main
 from sandwalk.sim import SIM_RECORD_FIELDS
 from sandwalk.terrain import (
@@ -16,6 +16,8 @@ from sandwalk.terrain import (
     lateral_force,
     sagittal_forces,
 )
+
+from test_sim import assert_same_text
 
 
 def write_config(path, extra=""):
@@ -116,8 +118,8 @@ def test_byte_identical_reruns(tmp_path):
     out_b = tmp_path / "b"
     assert main(["simulate", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(out_b)]) == 0
-    assert (out_a / "trajectory.csv").read_bytes() == \
-        (out_b / "trajectory.csv").read_bytes()
+    assert_same_text((out_a / "trajectory.csv").read_bytes(),
+                     (out_b / "trajectory.csv").read_bytes())
 
 
 def make_penetration_files(tmp_path, zeta=1.36, lam=0.03):
@@ -438,3 +440,25 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--set", "sim.duration=0.8", "--velocities", "0.2", "--repeats", "1",
+     "--jobs", "1"],
+    ["simulate", "--set", "sim.duration=0.8"],
+    ["compare", "a.csv", "b.csv"],
+], ids=["sweep", "simulate", "compare"])
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "under-a-file"])
+def test_output_path_that_cannot_be_a_directory_fails_before_any_run(
+        tmp_path, capsys, monkeypatch, argv, inside):
+    # the inputs of compare do not exist: the output path fails first
+    monkeypatch.setattr(metrics, "_sweep_cell", lambda cfg: pytest.fail("a cell ran"))
+    monkeypatch.setattr(sim, "run", lambda cfg: pytest.fail("a run ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if inside else taken
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot create output directory '{out}': '{taken}' is not a directory\n")
+    assert taken.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [taken]

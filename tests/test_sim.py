@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -121,16 +122,16 @@ def test_kinematics_closure_and_rates():
             q_s=np.concatenate([rng.uniform(-1.0, 1.0, 5), rng.uniform(-0.05, 0.05, 2)]),
             dq_s=rng.uniform(-3.0, 3.0, 7),
         )
-        hip, swing, com, hip_v, swing_v, com_v = sim._kinematics(ws, cfg)
+        hip, swing, com, hip_v, swing_v, com_v = sim._kinematics(cfg, ws.c0, ws.q_s, ws.dq_s)
         q = ws.q_s
         stance_center = ws.c0 + q[5:7] + (0.0, cfg.foot_radius)
         for leg, center in ((0, stance_center), (2, swing)):
             foot = np.add(hip, leg_fk(p.l_t, p.l_c, q[leg], q[leg + 1]))
             worst_pos = max(worst_pos, np.abs(foot - center).max())
         ws.q_s = q + h * ws.dq_s
-        ahead = sim._kinematics(ws, cfg)[:3]
+        ahead = sim._kinematics(cfg, ws.c0, ws.q_s, ws.dq_s)[:3]
         ws.q_s = q - h * ws.dq_s
-        behind = sim._kinematics(ws, cfg)[:3]
+        behind = sim._kinematics(cfg, ws.c0, ws.q_s, ws.dq_s)[:3]
         for vel, pos_a, pos_b in zip((hip_v, swing_v, com_v), ahead, behind):
             fd = (np.subtract(pos_a, pos_b)) / (2.0 * h)
             worst_vel = max(worst_vel, np.abs(fd - vel).max())
@@ -308,7 +309,7 @@ def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
         new = sim._jump(ws, cfg)
         _assert_same_state(ws, snapshot)
         assert _shares_no_array(new, ws)
-        _, swing, _, _, swing_v, _ = sim._kinematics(ws, cfg)
+        _, swing, _, _, swing_v, _ = sim._kinematics(cfg, ws.c0, ws.q_s, ws.dq_s)
         q, dq, p, dp = ws.q_s, ws.dq_s, ws.q_f, ws.dq_f
         # swing and stance pairs swap, the trunk carries over, the intrusion
         # restarts from 0, at rest except for the landing skid on sand
@@ -383,6 +384,23 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert loaded.records[-1].stance_leg in ("left", "right")
 
 
+def assert_same_text(got, expected):
+    """Assert that two texts (str or bytes, up to about 1 MB) are equal, by
+    their SHA-256 digests; a mismatch reports the first differing line and a
+    short excerpt of it around the first differing character, where a diff of
+    the whole texts would take minutes."""
+    got, expected = (t.encode() if isinstance(t, str) else t for t in (got, expected))
+    if hashlib.sha256(got).digest() == hashlib.sha256(expected).digest():
+        return
+    a, b = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+    line = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    x, y = (lines[line] if line < len(lines) else b"" for lines in (a, b))
+    col = next((j for j, (u, v) in enumerate(zip(x, y)) if u != v), min(len(x), len(y)))
+    start = max(col - 40, 0)
+    pytest.fail(f"texts differ at line {line + 1}, character {col + 1}: "
+                f"{x[start:col + 40]!r} != {y[start:col + 40]!r}", pytrace=False)
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 256, 257, 600])
 def test_trajectory_json_is_one_document(tmp_path, n_rows):
     # rows are encoded a block at a time; the file must read as the one
@@ -394,8 +412,8 @@ def test_trajectory_json_is_one_document(tmp_path, n_rows):
     traj = sim.Trajectory(data, {"seed": 3})
     traj.save_json(tmp_path / "traj.json")
     text = (tmp_path / "traj.json").read_text()
-    assert text == json.dumps({"meta": traj.meta, "columns": sim.SIM_RECORD_FIELDS,
-                               "records": traj._rows(~np.isfinite(data), None)})
+    assert_same_text(text, json.dumps({"meta": traj.meta, "columns": sim.SIM_RECORD_FIELDS,
+                                       "records": traj._rows(~np.isfinite(data), None)}))
     doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
     assert len(doc["records"]) == n_rows
 
@@ -418,12 +436,12 @@ def test_fused_writer_equals_each_writer_alone(tmp_path, n_rows):
     traj.save_json(tmp_path / "alone.json")
     csv_text = (tmp_path / "both.csv").read_bytes()
     json_text = (tmp_path / "both.json").read_text()
-    assert csv_text == (tmp_path / "alone.csv").read_bytes()
-    assert csv_text.decode() == ",".join(sim.SIM_RECORD_FIELDS) + "\n" + "".join(
-        ",".join(map(str, row)) + "\n" for row in traj._rows())
-    assert json_text == (tmp_path / "alone.json").read_text()
-    assert json_text == json.dumps({"meta": traj.meta, "columns": sim.SIM_RECORD_FIELDS,
-                                    "records": traj._rows(~np.isfinite(data), None)})
+    assert_same_text(csv_text, (tmp_path / "alone.csv").read_bytes())
+    assert_same_text(csv_text, ",".join(sim.SIM_RECORD_FIELDS) + "\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in traj._rows()))
+    assert_same_text(json_text, (tmp_path / "alone.json").read_text())
+    assert_same_text(json_text, json.dumps({"meta": traj.meta, "columns": sim.SIM_RECORD_FIELDS,
+                                            "records": traj._rows(~np.isfinite(data), None)}))
     records = json.loads(json_text, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))["records"]
     assert len(records) == n_rows
     if n_rows > 1:
@@ -457,7 +475,7 @@ def test_trajectory_csv_blocks_equal_single_pass(tmp_path, n_rows):
     traj.save_csv(tmp_path / "traj.csv")
     single_pass = ",".join(sim.SIM_RECORD_FIELDS) + "\n" + "".join(
         ",".join(map(str, row)) + "\n" for row in traj._rows())
-    assert (tmp_path / "traj.csv").read_text() == single_pass
+    assert_same_text((tmp_path / "traj.csv").read_text(), single_pass)
     loaded = sim.Trajectory.load_csv(tmp_path / "traj.csv")
     assert loaded.data.shape == data.shape
     assert np.array_equal(loaded.data, data, equal_nan=True)
