@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -128,6 +129,7 @@ def _cmd_sweep(args) -> int:
             "cot_std": None if row.n_ok == 0 else row.cot_std,
             "n_ok": row.n_ok,
             "n_failed": row.n_failed,
+            "failures": [dataclasses.asdict(f) for f in row.failures],
         } for row in rows], fh, indent=2)
     failed = sum(r.n_failed for r in rows)
     # the cells override the base speed, terrain, seed and decimation

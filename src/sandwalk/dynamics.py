@@ -37,6 +37,7 @@ __all__ = [
     "FrontalState",
     "GrfSagittal",
     "assemble_sagittal",
+    "sagittal_matrices",
     "sagittal_accel",
     "assemble_frontal",
     "sagittal_energy",
@@ -119,11 +120,11 @@ class SagittalParams:
 
     @cached_property
     def _constants(self):
-        """Configuration-independent terms: the constant diagonal of D, the
-        lever arms k1 (thigh), k2 (calf), kb (trunk), k12 (knee coupling) and
-        the riding weight M_s g."""
+        """Configuration-independent terms: the constant diagonal of D as
+        floats, the lever arms k1 (thigh), k2 (calf), kb (trunk), k12 (knee
+        coupling) and the riding weight M_s g."""
         m_s = self.total_riding_mass
-        diag = np.diag([
+        diag = tuple(float(d) for d in (
             self.m_t * self.a_1 ** 2 + self.m_c * self.l_t ** 2 + self.inertia_t,
             self.m_c * self.a_2 ** 2 + self.inertia_c,
             # swing links enter as pivoting inertias about their suspension
@@ -132,7 +133,7 @@ class SagittalParams:
             self.inertia_c + self.m_c * self.a_2 ** 2,
             self.m_b * self.l_b ** 2 + self.inertia_b,
             m_s, m_s,
-        ])
+        ))
         return (diag, self.m_t * self.a_1 + self.m_c * self.l_t, self.m_c * self.a_2,
                 self.m_b * self.l_b, self.m_c * self.l_t * self.a_2, m_s * self.g)
 
@@ -244,8 +245,16 @@ class GrfSagittal:
 # sagittal plane
 # ---------------------------------------------------------------------------
 
-def assemble_sagittal(params: SagittalParams, state: SagittalState):
-    """Inertia matrix D, Coriolis matrix C and gravity vector G.
+def assemble_sagittal(params: SagittalParams, q, dq):
+    """Nonzero entries of the inertia matrix D, the Coriolis matrix C and
+    the gravity vector G as floats, from coordinates ``q`` and rates ``dq``
+    (float sequences; entries past the seventh are not read).
+
+    Returns ``(diag, d, c, g)``: ``diag`` the constant diagonal of D, one
+    tuple per parameter set; ``d`` the entries D01, D05, D06, D15, D16,
+    D45, D46, which D mirrors about its diagonal; ``c`` the entries C01,
+    C10, C50, C60, C51, C61, C54, C64; ``g`` all seven entries of G.  Every
+    other entry is zero.  ``sagittal_matrices`` scatters them into arrays.
 
     D is symmetric positive definite for positive rotational inertias; the
     slip row of ``D qdd + C dq + G`` is
@@ -253,36 +262,39 @@ def assemble_sagittal(params: SagittalParams, state: SagittalState):
     ``M_s z'' + h1 + h2 + h5 + M_s g``, both independent of the swing
     coordinates and of all rotational inertias.
     """
-    q1, q2, _, _, q5, _, _ = state.q.tolist()
-    v1, v2, _, _, v5, _, _ = state.dq.tolist()
+    q1, q2, q5 = q[0], q[1], q[4]
+    v1, v2, v5 = dq[0], dq[1], dq[4]
     diag, k1, k2, kb, k12, weight = params._constants
     s1, c1 = math.sin(q1), math.cos(q1)
     s2, c2 = math.sin(q2), math.cos(q2)
     s5, c5 = math.sin(q5), math.cos(q5)
     p12 = k12 * math.sin(q1 - q2)  # dD_01/dq_2
-
-    D = diag.copy()
-    D[0, 1] = D[1, 0] = k12 * math.cos(q1 - q2)
-    D[0, 5] = D[5, 0] = -k1 * c1
-    D[0, 6] = D[6, 0] = k1 * s1
-    D[1, 5] = D[5, 1] = -k2 * c2
-    D[1, 6] = D[6, 1] = k2 * s2
-    D[4, 5] = D[5, 4] = kb * c5
-    D[4, 6] = D[6, 4] = -kb * s5
-
-    C = np.zeros((7, 7))
-    C[0, 1] = p12 * v2
-    C[1, 0] = -p12 * v1
-    C[5, 0] = k1 * s1 * v1
-    C[6, 0] = k1 * c1 * v1
-    C[5, 1] = k2 * s2 * v2
-    C[6, 1] = k2 * c2 * v2
-    C[5, 4] = -kb * s5 * v5
-    C[6, 4] = -kb * c5 * v5
-
     g = params.g
-    G = np.array([g * k1 * s1, g * k2 * s2, 0.0, 0.0, -g * kb * s5, 0.0, weight])
-    return D, C, G
+    return (
+        diag,
+        (k12 * math.cos(q1 - q2), -k1 * c1, k1 * s1, -k2 * c2, k2 * s2, kb * c5, -kb * s5),
+        (p12 * v2, -p12 * v1, k1 * s1 * v1, k1 * c1 * v1, k2 * s2 * v2, k2 * c2 * v2,
+         -kb * s5 * v5, -kb * c5 * v5),
+        (g * k1 * s1, g * k2 * s2, 0.0, 0.0, -g * kb * s5, 0.0, weight),
+    )
+
+
+# (row, column) of each entry that assemble_sagittal returns in d and in c
+_SAG_D_AT = ((0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (4, 5), (4, 6))
+_SAG_C_AT = ((0, 1), (1, 0), (5, 0), (6, 0), (5, 1), (6, 1), (5, 4), (6, 4))
+
+
+def sagittal_matrices(params: SagittalParams, state: SagittalState):
+    """Inertia matrix D, Coriolis matrix C and gravity vector G as arrays,
+    from the entries of ``assemble_sagittal``."""
+    diag, d, c, g = assemble_sagittal(params, state.q.tolist(), state.dq.tolist())
+    D = np.diag(diag)
+    for (i, j), v in zip(_SAG_D_AT, d):
+        D[i, j] = D[j, i] = v
+    C = np.zeros((7, 7))
+    for (i, j), v in zip(_SAG_C_AT, c):
+        C[i, j] = v
+    return D, C, np.array(g)
 
 
 def sagittal_accel(
@@ -299,7 +311,7 @@ def sagittal_accel(
     (corrupt parameters).
     """
     tau = _as_vector(tau, 4, "tau")
-    D, C, G = assemble_sagittal(params, state)
+    D, C, G = sagittal_matrices(params, state)
     rhs = -C @ state.dq - G
     rhs[:4] += tau
     rhs[5] += grf.f_x
@@ -313,7 +325,7 @@ def sagittal_energy(params: SagittalParams, state: SagittalState) -> tuple[float
     The potential is referenced to the configuration with all angles zero
     and the contact at its initial location.
     """
-    D = assemble_sagittal(params, state)[0]
+    D = sagittal_matrices(params, state)[0]
     kinetic = 0.5 * float(state.dq @ D @ state.dq)
     q = state.q
     z = q[6]

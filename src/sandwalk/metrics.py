@@ -12,6 +12,7 @@ from .config import ConfigError
 
 __all__ = [
     "CoTReport",
+    "CellFailure",
     "SweepRow",
     "ZeroDistanceError",
     "cot",
@@ -41,6 +42,16 @@ class CoTReport:
 
 
 @dataclass(frozen=True)
+class CellFailure:
+    """Why a sweep run failed: the error's type name and message and, for a
+    divergence, the simulated time it was detected at [s]."""
+
+    error: str
+    message: str
+    t: float | None = None
+
+
+@dataclass(frozen=True)
 class SweepRow:
     v_target: float
     dimensionless_v: float
@@ -50,6 +61,7 @@ class SweepRow:
     n_ok: int
     n_failed: int
     seeds: tuple[int, ...]  # of the cell's runs, one per repeat
+    failures: tuple[CellFailure, ...]  # of the failed runs, in seed order
 
 
 def dimensionless_velocity(v: float, h_com: float, g: float = 9.81) -> float:
@@ -150,13 +162,14 @@ def resample_stance(
 _CELL_ERRORS = (simulation.DivergenceError, ZeroDistanceError, ValueError)
 
 
-def _sweep_cell(cfg: simulation.SimConfig) -> float | None:
-    """CoT of one sweep run, or None when the run fails in a counted way."""
+def _sweep_cell(cfg: simulation.SimConfig) -> float | CellFailure:
+    """CoT of one sweep run, or why the run failed in a counted way."""
     try:
         traj = simulation.run(cfg)
         return cot(traj, t_start=settle_time(cfg)).cot
-    except _CELL_ERRORS:
-        return None
+    except _CELL_ERRORS as exc:
+        t = exc.t if isinstance(exc, simulation.DivergenceError) else None
+        return CellFailure(type(exc).__name__, str(exc), t)
 
 
 def velocity_sweep(
@@ -169,10 +182,10 @@ def velocity_sweep(
     """CoT mean and spread per (velocity, terrain) cell.
 
     Repeats differ through the seeded initial-state jitter.  A failing run
-    (divergence, zero distance) is counted in ``n_failed`` without aborting
-    the sweep; serial and parallel runs share one cell function, so they
-    count the same failures.  Every run logs each step (decimation 1), since
-    its CoT integrates the logged samples.  At most one worker process per
+    (divergence, zero distance) is counted in ``n_failed`` and described in
+    ``failures`` without aborting the sweep; serial and parallel runs share
+    one cell function, so they record the same failures.  Every run logs
+    each step (decimation 1), since its CoT integrates the logged samples.  At most one worker process per
     run is started; with one, runs go in-process.
     """
     velocities = list(velocities)
@@ -203,9 +216,10 @@ def velocity_sweep(
 
     rows = []
     for i, (v, m) in enumerate(cells):
-        # CoT of each run of the cell, None for a failed run
+        # CoT of each run of the cell, or why it failed
         runs = outcomes[i * repeats:(i + 1) * repeats]
-        vals = [c for c in runs if c is not None]
+        failures = tuple(c for c in runs if isinstance(c, CellFailure))
+        vals = [c for c in runs if not isinstance(c, CellFailure)]
         rows.append(
             SweepRow(
                 v_target=v,
@@ -214,8 +228,9 @@ def velocity_sweep(
                 cot_mean=float(np.mean(vals)) if vals else float("nan"),
                 cot_std=float(np.std(vals)) if vals else float("nan"),
                 n_ok=len(vals),
-                n_failed=len(runs) - len(vals),
+                n_failed=len(failures),
                 seeds=seeds,
+                failures=failures,
             )
         )
     return rows

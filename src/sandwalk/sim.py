@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -460,8 +461,6 @@ def _control(ws: WalkerState, cfg: SimConfig):
 # (0, 1, 5, 6) on sand, a dense 4x4 solve, and two 2x2 blocks solved in
 # closed form: sagittal rows (0, 1) on rigid ground, frontal rows (2, 3) on
 # sand.
-_SAG_ROWS = (0, 1, 5, 6)
-_SAG_BLOCK = np.ix_(_SAG_ROWS, _SAG_ROWS)
 
 
 def _solve2(m, r) -> tuple[float, float]:
@@ -476,8 +475,7 @@ _DIRECTION_FLOOR = 0.05  # m/s; regularizes the stress direction switch at rest
 
 
 def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: float):
-    """(f_x, f_z, f_y, gamma) of the resistive terrain at the stance contact."""
-    gamma = rl.velocity_angle(dx, dz)
+    """(f_x, f_z, f_y) of the resistive terrain at the stance contact."""
     # Smooth the wedge-face orientation switch across zero horizontal rate:
     # blend the forward- and backward-leading faces by the horizontal
     # fraction w = (1 + dx/hyp)/2, which removes the rest-state force
@@ -486,7 +484,10 @@ def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: fl
     hyp = math.hypot(dx, _DIRECTION_FLOOR)
     kin = tr.IntrusionKinematics(depth, math.atan2(dz, hyp), y_slip)
     fwd = tr.sagittal_forces(cfg.terrain, kin)
-    return fwd.f_x * dx / hyp, fwd.f_z, tr.lateral_force(cfg.terrain, kin), gamma
+    return fwd.f_x * dx / hyp, fwd.f_z, tr.lateral_force(cfg.terrain, kin)
+
+
+_FRONTAL_KEY = struct.Struct("6d").pack
 
 
 class _FrontalTerms:
@@ -506,50 +507,68 @@ class _FrontalTerms:
         self.params = self.key = self.terms = None
 
     def __call__(self, params: dyn.FrontalParams, q_f, dq_f):
-        key = q_f[:3].tobytes() + dq_f[:3].tobytes()
+        """The terms at the frontal coordinates ``q_f`` and rates ``dq_f``
+        (lists of 5 floats)."""
+        key = _FRONTAL_KEY(*q_f[:3], *dq_f[:3])
         if params is not self.params or key != self.key:
+            q_f, dq_f = np.array(q_f), np.array(dq_f)
             d_f, c_f, g_f = dyn.assemble_frontal(params, dyn.FrontalState.trusted(q_f, dq_f))
             cdq, g = (c_f @ dq_f).tolist(), g_f.tolist()
             self.params, self.key = params, key
             self.terms = d_f.tolist(), [-c - gi for c, gi in zip(cdq, g)], cdq, g, d_f[1]
         return self.terms
 
+    def holding_torque(self, qdd_f) -> float:
+        """Crossbar row residual at the frontal accelerations ``qdd_f``, under
+        the last terms: the torque that holds the crossbar.  The 5-term
+        product stays in numpy, whose rounding the golden trajectories pin."""
+        _, _, cdq, g, d_f1 = self.terms
+        return float(d_f1 @ qdd_f) + cdq[1] + g[1]
+
+
+def _coriolis_rows(c, dq):
+    """Rows 0, 1, 5 and 6 of the sagittal C dq from the C entries ``c`` of
+    ``dyn.assemble_sagittal`` (rows 2 and 3 are zero, row 4 is held).
+    Each row is summed in numpy's order from +0.0, which gives the bytes of
+    numpy's ``C @ dq`` as long as dq[4] is +0.0: a row then has at most two
+    nonzero products.  The trunk hold writes +0.0 there and the trunk
+    acceleration is 0.0, so every integrator stage meets that."""
+    c01, c10, c50, c60, c51, c61, c54, c64 = c
+    v0, v1, v4 = dq[0], dq[1], dq[4]
+    return (0.0 + c01 * v1, 0.0 + c10 * v0, 0.0 + c50 * v0 + c51 * v1 + c54 * v4,
+            0.0 + c60 * v0 + c61 * v1 + c64 * v4)
+
 
 def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal: _FrontalTerms):
-    """Reduced constrained accelerations of the stacked state (7 sagittal
-    then 5 frontal coordinates) plus (f_x, f_y, f_z, gamma, tau_bar).
-    ``frontal`` is the run's ``_FrontalTerms``.
-
-    The assembled arrays are read into Python floats once.  The products
-    that sum several nonzero terms stay in numpy: a Python sum rounds some
-    of them differently, and the golden trajectories pin numpy's rounding."""
-    q_s, dq_s = q[:7], dq[:7]
-    d_s, c_s, g_s = dyn.assemble_sagittal(cfg.sagittal, dyn.SagittalState.trusted(q_s, dq_s))
-    c0, c1, c2, c3, _, c5, c6 = (c_s @ dq_s).tolist()
-    g0, g1, g2, g3, _, g5, g6 = g_s.tolist()
+    """Reduced constrained accelerations of the stacked state, as a list,
+    plus (f_x, f_y, f_z).  ``q`` and ``dq`` are lists of 12 floats (7
+    sagittal then 5 frontal coordinates) with dq[4] +0.0 (see
+    ``_coriolis_rows``); ``frontal`` is the run's ``_FrontalTerms``."""
+    (d00, d11, d22, d33, _, d55, d66), (d01, d05, d06, d15, d16, _, _), c, \
+        (g0, g1, _, _, _, g5, g6) = dyn.assemble_sagittal(cfg.sagittal, q, dq)
+    c0, c1, c5, c6 = _coriolis_rows(c, dq)
     t0, t1, t2, t3 = tau_s
     # the actuated rows, then the contact rows; the held trunk row drops out
-    r0, r1, r2, r3 = -c0 - g0 + t0, -c1 - g1 + t1, -c2 - g2 + t2, -c3 - g3 + t3
+    r0, r1 = -c0 - g0 + t0, -c1 - g1 + t1
     r5, r6 = -c5 - g5, -c6 - g6
-    # the decoupled swing rows divide out
-    a2, a3 = r2 / d_s.item(2, 2), r3 / d_s.item(3, 3)
+    # the decoupled swing rows, free of C and G, divide out
+    a2, a3 = t2 / d22, t3 / d33
     if cfg.terrain_mode == "granular":
-        f_x, f_z, f_y, gamma = _grf_granular(
-            cfg, max(0.0, -q.item(6)), dq.item(5), dq.item(6), q.item(10))
-        a0, a1, a5, a6 = np.linalg.solve(d_s[_SAG_BLOCK], [r0, r1, r5 + f_x, r6 + f_z]).tolist()
+        f_x, f_z, f_y = _grf_granular(cfg, max(0.0, -q[6]), dq[5], dq[6], q[10])
+        a0, a1, a5, a6 = np.linalg.solve(
+            [[d00, d01, d05, d06], [d01, d11, d15, d16], [d05, d15, d55, 0.0],
+             [d06, d16, 0.0, d66]], [r0, r1, r5 + f_x, r6 + f_z]).tolist()
     else:
-        d = d_s.tolist()
-        a0, a1 = _solve2((d[0][:2], d[1][:2]), (r0, r1))
+        a0, a1 = _solve2(((d00, d01), (d01, d11)), (r0, r1))
         a5 = a6 = 0.0
         # constraint forces read back off the clamped contact rows, where
         # only the stance-leg rows 0 and 1 meet a nonzero D entry
-        f_x = d[5][0] * a0 + d[5][1] * a1 + c5 + g5
-        f_z = d[6][0] * a0 + d[6][1] * a1 + c6 + g6
-        gamma = 0.0
+        f_x = d05 * a0 + d15 * a1 + c5 + g5
+        f_z = d06 * a0 + d16 * a1 + c6 + g6
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
-    # lateral slip dynamic; the crossbar row residual is the holding torque
-    d, bias_f, cdq_f, g_f, d_f1 = frontal(cfg.frontal, q[7:], dq[7:])
+    # lateral slip dynamic; the crossbar holding torque is left to the record
+    d, bias_f, cdq_f, g_f, _ = frontal(cfg.frontal, q[7:], dq[7:])
     rf2 = bias_f[2] + tau_f[1]
     if cfg.terrain_mode == "granular":
         p2, p3 = _solve2((d[2][2:4], d[3][2:4]),
@@ -558,73 +577,70 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal: _FrontalTerms):
         p2, p3 = rf2 / d[2][2], 0.0
         f_y = d[3][2] * p2 + cdq_f[3] + g_f[3]  # only row 2 accelerates
     # the frontal vertical coordinate shares the sagittal one
-    qdd = np.array((a0, a1, a2, a3, 0.0, a5, a6, 0.0, 0.0, p2, p3, a6))
-    # crossbar holding torque (reported as the hip-pair torque demand)
-    tau_bar = float(d_f1 @ qdd[7:]) + cdq_f[1] + g_f[1]
-
-    return qdd, f_x, f_y, f_z, gamma, tau_bar
+    return [a0, a1, a2, a3, 0.0, a5, a6, 0.0, 0.0, p2, p3, a6], f_x, f_y, f_z
 
 
-def _ode_step(method: str, y: np.ndarray, acc, dt: float) -> np.ndarray:
-    """One step of q'' = acc(y) on the stacked state y = (q, dq): symplectic
-    Euler or classical RK4 on the rate f(y) = (dq, acc(y)).  Each entry
-    meets the operations of the separate q and dq updates, in their order."""
+def _ode_step(method: str, y: list, acc, dt: float) -> list:
+    """One step of q'' = acc(y) on the stacked state y = (q, dq), a list of
+    floats: symplectic Euler or classical RK4 on the rate f(y) = (dq,
+    acc(y)), with ``acc`` returning a list.  Each entry meets the operations
+    of the separate q and dq updates, in their order."""
     n = len(y) // 2
     if method == "semi_implicit":
-        dq = y[n:] + acc(y) * dt
-        return np.concatenate((y[:n] + dq * dt, dq))
+        dq = [v + a * dt for v, a in zip(y[n:], acc(y))]
+        return [x + v * dt for x, v in zip(y[:n], dq)] + dq
     if method != "rk4":
         raise ValueError(f"unknown integrator '{method}'")
 
     def f(y):
-        return np.concatenate((y[n:], acc(y)))
+        return y[n:] + acc(y)
 
     h = 0.5 * dt
     k1 = f(y)
-    k2 = f(y + h * k1)
-    k3 = f(y + h * k2)
-    k4 = f(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = f([x + h * k for x, k in zip(y, k1)])
+    k3 = f([x + h * k for x, k in zip(y, k2)])
+    k4 = f([x + dt * k for x, k in zip(y, k3)])
+    w = dt / 6.0
+    return [x + w * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
 def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms):
     """Control, one ODE step with the torques held, and the posture holds.
-    Returns the stacked post-step state (q_s, q_f, dq_s, dq_f), the control
-    output, the sagittal and frontal rate arrays at the control instant and
-    (f_x, f_y, f_z, gamma, tau_bar) at the step's start (rk4: its end, from a
-    fifth evaluation that only a ``logged`` step makes; otherwise those of
-    the last stage).  ``frontal`` is the run's ``_FrontalTerms``."""
+    Returns the stacked post-step state (q_s, q_f, dq_s, dq_f) as a list,
+    the control output, the stacked state at the control instant and the
+    last evaluation: its stacked state and ``_accelerations``' output.
+    That is the step's start (rk4: its end, from a fifth evaluation that
+    only a ``logged`` step makes; otherwise the last stage).  ``frontal``
+    is the run's ``_FrontalTerms``."""
     control = _control(ws, cfg)
     tau_s, tau_f = control[2:]
-    # the step rebinds the state's arrays, so these keep the rates at the
-    # control instant, for consistent power accounting
-    rates = ws.dq_s, ws.dq_f
-    forces = None
+    start = np.concatenate((ws.q_s, ws.q_f, ws.dq_s, ws.dq_f)).tolist()
+    last = None
 
     def acc(y):
-        nonlocal forces
+        nonlocal last
         # one check per stage: a sum of squares is finite only if every entry
         # is finite and below ~1e154, far past the divergence guard
-        if not math.isfinite(y.dot(y)):
+        if not math.isfinite(sum(map(mul, y, y))):
             raise DivergenceError(ws.t, "(non-finite state in an integrator stage)")
-        qdd, *forces = _accelerations(cfg, y[:12], y[12:], tau_s, tau_f, frontal)
-        return qdd
+        last = y, *_accelerations(cfg, y[:12], y[12:], tau_s, tau_f, frontal)
+        return last[1]
 
-    y = _ode_step(cfg.integrator, np.concatenate((ws.q_s, ws.q_f, ws.dq_s, ws.dq_f)),
-                  acc, cfg.dt)
+    y = _ode_step(cfg.integrator, start, acc, cfg.dt)
     if logged and cfg.integrator == "rk4":
         acc(y)
-    q_s, q_f, dq_s, dq_f = y[:7], y[7:12], y[12:19], y[19:]
-    # posture holds and mode clamps; the frontal vertical coordinate mirrors
-    # the sagittal one
-    q_s[4], dq_s[4] = cfg.gait.trunk_ref, 0.0
-    q_f[:2], dq_f[:2] = _FRONTAL_POSTURE, 0.0
+        y = y.copy()  # the holds below leave the evaluated state as it was
+    # posture holds and mode clamps on (q_s, q_f, dq_s, dq_f) at offsets
+    # (0, 7, 12, 19); the frontal vertical coordinate mirrors the sagittal one
+    y[4], y[16] = cfg.gait.trunk_ref, 0.0
+    y[7], y[8], y[19], y[20] = *_FRONTAL_POSTURE, 0.0, 0.0
     if cfg.terrain_mode == "rigid":
-        q_s[5:7] = dq_s[5:7] = q_f[3] = dq_f[3] = 0.0
-    q_f[4], dq_f[4] = q_s[6], dq_s[6]
+        y[5] = y[6] = y[17] = y[18] = y[10] = y[22] = 0.0
+    y[11], y[23] = y[6], y[18]
     ws.t += cfg.dt
-    ws.q_s, ws.dq_s, ws.q_f, ws.dq_f = q_s, dq_s, q_f, dq_f
-    return y, control, rates, forces
+    arrays = np.array(y)
+    ws.q_s, ws.q_f, ws.dq_s, ws.dq_f = arrays[:7], arrays[7:12], arrays[12:19], arrays[19:]
+    return y, control, start, last
 
 
 def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
@@ -639,14 +655,18 @@ def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
     return rl.orientation_angle(shape, contact)
 
 
-def _record(ws: WalkerState, cfg: SimConfig, state, control, rates, forces,
-            theta_r: float, kinematics, phase: float, out) -> None:
+def _record(ws: WalkerState, cfg: SimConfig, state, control, start, last,
+            frontal: _FrontalTerms, theta_r: float, kinematics, phase: float, out) -> None:
     """Write the post-step record into the row ``out``, from the stacked
-    post-step ``state`` as floats and the step's contact angle, kinematics
-    and stance phase."""
+    post-step ``state`` as floats, the step's control output, its stacked
+    state ``start`` at the control instant, its ``last`` evaluation and the
+    run's ``frontal`` terms as that evaluation left them, and the step's
+    contact angle, kinematics and stance phase."""
     tau_a, dq_a, tau_s, tau_f = control
-    f_x, f_y, f_z, gamma, tau_bar = forces
+    y, qdd, f_x, f_y, f_z = last
+    gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
     # reported hip torques: crossbar holding demand plus the swing-side PD
+    tau_bar = frontal.holding_torque(qdd[7:])
     i_st, i_sw = _ACTUATION[ws.stance][2]
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
 
@@ -658,12 +678,13 @@ def _record(ws: WalkerState, cfg: SimConfig, state, control, rates, forces,
     except rl.NoRotationError:
         r_eff = cfg.r_eff_cap
 
-    # powers in actuation space and per plane
+    # powers in actuation space and per plane, with the rates at the control
+    # instant
     joint_powers = list(map(mul, tau_a, dq_a))
     power = math.fsum(joint_powers)
     power_abs = math.fsum(map(abs, joint_powers))
-    power_s = math.fsum(map(mul, tau_s, rates[0].tolist()))  # the first four rates
-    power_f = math.fsum(map(mul, (tau_bar, tau_f[1]), rates[1].tolist()[1:3]))
+    power_s = math.fsum(map(mul, tau_s, start[12:16]))
+    power_f = math.fsum(map(mul, (tau_bar, tau_f[1]), start[20:22]))
 
     hip, _, com, _, _, com_v = kinematics
     out[:] = [  # SIM_RECORD_FIELDS order
@@ -714,8 +735,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
     None) skips the record and, under rk4, the end-of-step force evaluation;
     it makes every check and takes the same event.  ``frontal`` is the run's
     ``_FrontalTerms``.  Returns ``ws`` advanced or the jumped state."""
-    y, *signals = _flow(ws, cfg, out is not None, frontal)
-    state = y.tolist()  # the post-step values, read once
+    state, *signals = _flow(ws, cfg, out is not None, frontal)
     # divergence guard on the stacked state; NaN fails the comparison too
     for x in state:
         if not abs(x) <= _DIVERGENCE_LIMIT:
@@ -725,7 +745,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
     kinematics = _kinematics(cfg, ws.c0.tolist(), q_s, state[12:19])
     phase = _stance_phase(ws, cfg, ws.t)
     if out is not None:
-        _record(ws, cfg, state, *signals, theta_r, kinematics, phase, out)
+        _record(ws, cfg, state, *signals, frontal, theta_r, kinematics, phase, out)
     # touchdown event: the swing-foot height crossing the surface, armed past
     # the swing apex and forced at the schedule boundary
     height = kinematics[1][1] - cfg.foot_radius
@@ -798,10 +818,11 @@ def integrate_free(
     no_force = dyn.GrfSagittal()
 
     def acc(y):
-        return dyn.sagittal_accel(params, dyn.SagittalState(y[:7], y[7:]), zero_tau, no_force)
+        state = dyn.SagittalState(y[:7], y[7:])
+        return dyn.sagittal_accel(params, state, zero_tau, no_force).tolist()
 
     start = dyn.SagittalState(q0, dq0)
-    y = np.concatenate((start.q, start.dq))
+    y = np.concatenate((start.q, start.dq)).tolist()
     for _ in range(n_steps):
         y = _ode_step(method, y, acc, dt)
-    return y[:7], y[7:]
+    return np.array(y[:7]), np.array(y[7:])

@@ -38,7 +38,7 @@ def test_criterion_01_row_consistency():
         q = rng.uniform(-1.5, 1.5, 7)
         dq = rng.uniform(-4, 4, 7)
         qdd = rng.uniform(-8, 8, 7)
-        d, c, g = dyn.assemble_sagittal(p, dyn.SagittalState(q, dq))
+        d, c, g = dyn.sagittal_matrices(p, dyn.SagittalState(q, dq))
         lhs = d @ qdd + c @ dq + g
         scale = max(1.0, abs(lhs[5]), abs(lhs[6]))
         worst = max(
@@ -80,10 +80,10 @@ def test_criterion_02_structural_properties():
     for _ in range(100):
         q = rng.uniform(-1.2, 1.2, 7)
         dq = rng.uniform(-2, 2, 7)
-        d, c, g = dyn.assemble_sagittal(p, dyn.SagittalState(q, dq))
+        d, c, g = dyn.sagittal_matrices(p, dyn.SagittalState(q, dq))
         min_eig = min(min_eig, np.linalg.eigvalsh(d).min())
-        dp, _, _ = dyn.assemble_sagittal(p, dyn.SagittalState(q + dq * fd, dq))
-        dm, _, _ = dyn.assemble_sagittal(p, dyn.SagittalState(q - dq * fd, dq))
+        dp, _, _ = dyn.sagittal_matrices(p, dyn.SagittalState(q + dq * fd, dq))
+        dm, _, _ = dyn.sagittal_matrices(p, dyn.SagittalState(q - dq * fd, dq))
         s = (dp - dm) / (2 * fd) - 2 * c
         worst_skew = max(worst_skew, np.abs(s + s.T).max())
         for i in range(7):

@@ -341,6 +341,29 @@ def test_sweep_manifest_records_what_ran(tmp_path):
         (0.3, "granular", 2), (0.3, "rigid", 2), (0.1, "granular", 2), (0.1, "rigid", 2)]
 
 
+def test_sweep_json_records_failures_alike_serial_and_parallel(tmp_path):
+    # a trunk reference past the divergence guard fails every run at its
+    # first step; sweep.json says why, the same under --jobs 1 and 2, and
+    # sweep.csv is unchanged by the record
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main(["sweep", "--set", "gait.trunk_ref=2e6", "--set", "sim.duration=0.4",
+                   "--velocities", "0.2,0.3", "--repeats", "2", "--jobs", jobs,
+                   "--out", str(out)])
+        assert rc == 4
+        texts.append(((out / "sweep.csv").read_text(), (out / "sweep.json").read_text()))
+    assert texts[0] == texts[1]
+    rows = json.loads(texts[0][1])
+    assert len(rows) == 4
+    for row in rows:
+        assert (row["n_ok"], row["n_failed"]) == (0, 2)
+        assert row["failures"] == 2 * [{"error": "DivergenceError",
+                                        "message": "simulation diverged at t=0.001000 s",
+                                        "t": 0.001}]
+    assert texts[0][0].splitlines()[1].endswith(",nan,nan")
+
+
 def test_rk4_divergence_at_an_unlogged_step_exits_3(tmp_path, capsys, monkeypatch):
     from test_sim import _inf_acceleration_at_call
 

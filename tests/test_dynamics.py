@@ -10,7 +10,7 @@ from sandwalk.dynamics import (
     SagittalParams,
     SagittalState,
     assemble_frontal,
-    assemble_sagittal,
+    sagittal_matrices,
     frontal_energy,
     sagittal_accel,
     sagittal_energy,
@@ -86,7 +86,7 @@ def test_sagittal_rows_match_closed_forms():
         q = rng.uniform(-1.5, 1.5, 7)
         dq = rng.uniform(-4.0, 4.0, 7)
         qdd = rng.uniform(-8.0, 8.0, 7)
-        d, c, g = assemble_sagittal(p, SagittalState(q, dq))
+        d, c, g = sagittal_matrices(p, SagittalState(q, dq))
         lhs = d @ qdd + c @ dq + g
         scale = max(1.0, abs(lhs[5]), abs(lhs[6]))
         worst = max(
@@ -103,7 +103,7 @@ def test_rows_independent_of_rotational_inertia():
     q = rng.uniform(-1.0, 1.0, 7)
     dq = rng.uniform(-2.0, 2.0, 7)
     qdd = rng.uniform(-4.0, 4.0, 7)
-    d, c, g = assemble_sagittal(p0, SagittalState(q, dq))
+    d, c, g = sagittal_matrices(p0, SagittalState(q, dq))
     lhs = d @ qdd + c @ dq + g
     assert abs(lhs[5] - slip_row_closed_form(p0, q, dq, qdd)) < 1e-10
     assert abs(lhs[6] - intrusion_row_closed_form(p0, q, dq, qdd)) < 1e-10
@@ -115,7 +115,7 @@ def test_inertia_matrix_spd_both_planes():
     pf = FrontalParams()
     for _ in range(200):
         st = SagittalState(rng.uniform(-1.5, 1.5, 7), rng.uniform(-2, 2, 7))
-        d, _, _ = assemble_sagittal(ps, st)
+        d, _, _ = sagittal_matrices(ps, st)
         assert np.allclose(d, d.T)
         assert np.linalg.eigvalsh(d).min() > 0.0
         stf = FrontalState(rng.uniform(-1.5, 1.5, 5), rng.uniform(-2, 2, 5))
@@ -126,7 +126,7 @@ def test_inertia_matrix_spd_both_planes():
 
 def test_gravity_vector_upright_configuration():
     p = SagittalParams()
-    _, _, g = assemble_sagittal(p, SagittalState(np.zeros(7), np.zeros(7)))
+    _, _, g = sagittal_matrices(p, SagittalState(np.zeros(7), np.zeros(7)))
     assert np.allclose(g[:6], 0.0)
     assert g[6] == pytest.approx(p.total_riding_mass * p.g)
 
@@ -156,7 +156,7 @@ def test_solve_matches_explicit_inverse():
         tau = rng.uniform(-5, 5, 4)
         grf = GrfSagittal(*rng.uniform(-30, 30, 2))
         qdd = sagittal_accel(p, st, tau, grf)
-        d, c, g = assemble_sagittal(p, st)
+        d, c, g = sagittal_matrices(p, st)
         rhs = -c @ st.dq - g
         rhs[:4] += tau
         rhs[5] += grf.f_x
@@ -200,9 +200,9 @@ def test_skew_symmetry(plane):
             p = SagittalParams()
             q = rng.uniform(-1, 1, 7)
             dq = rng.uniform(-2, 2, 7)
-            dp, c, _ = assemble_sagittal(p, SagittalState(q, dq))
-            d_plus, _, _ = assemble_sagittal(p, SagittalState(q + dq * dt, dq))
-            d_minus, _, _ = assemble_sagittal(p, SagittalState(q - dq * dt, dq))
+            dp, c, _ = sagittal_matrices(p, SagittalState(q, dq))
+            d_plus, _, _ = sagittal_matrices(p, SagittalState(q + dq * dt, dq))
+            d_minus, _, _ = sagittal_matrices(p, SagittalState(q - dq * dt, dq))
         else:
             p = FrontalParams()
             q = rng.uniform(-1, 1, 5)
@@ -222,7 +222,7 @@ def test_coriolis_matches_christoffel_of_numeric_partials(plane):
     rng = np.random.default_rng(15)
     h = 1e-6
     if plane == "sagittal":
-        n, assemble, state, params = 7, assemble_sagittal, SagittalState, random_sagittal_params
+        n, assemble, state, params = 7, sagittal_matrices, SagittalState, random_sagittal_params
     else:
         n, assemble, state, params = 5, assemble_frontal, FrontalState, random_frontal_params
     for _ in range(50):
@@ -251,7 +251,7 @@ def test_gravity_is_potential_gradient(plane):
             p = SagittalParams()
             n = 7
             q = rng.uniform(-1, 1, n)
-            _, _, g = assemble_sagittal(p, SagittalState(q, np.zeros(n)))
+            _, _, g = sagittal_matrices(p, SagittalState(q, np.zeros(n)))
             pot = lambda qq: sagittal_energy(p, SagittalState(qq, np.zeros(n)))[1]
         else:
             p = FrontalParams()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from sandwalk import metrics
 from sandwalk.metrics import (
+    CellFailure,
     ZeroDistanceError,
     cot,
     dimensionless_velocity,
@@ -162,6 +164,39 @@ def test_velocity_sweep_counts_divergence_in_both_paths():
         rows = velocity_sweep(wild, [0.2, 0.3], repeats=1,
                               terrains=("granular",), jobs=jobs)
         assert [(r.n_ok, r.n_failed) for r in rows] == [(0, 1), (0, 1)]
+
+
+def test_velocity_sweep_records_why_runs_failed_in_both_paths():
+    # the wild gains diverge in every run; both paths report when and why
+    from dataclasses import replace
+    from sandwalk.gait import Gains
+    wild = replace(build_config({"sim.duration": 0.8}),
+                   gains=Gains(kp=np.full(6, 4e5), kd=np.full(6, 4e4),
+                               torque_limit=1e9))
+    per_path = [velocity_sweep(wild, [0.2, 0.3], repeats=2, terrains=("granular",),
+                               jobs=jobs) for jobs in (1, 2)]
+    serial, parallel = ([(r.n_ok, r.n_failed, r.failures) for r in rows] for rows in per_path)
+    assert serial == parallel
+    for row in per_path[0]:
+        assert row.n_failed == len(row.failures) == 2
+        for failure in row.failures:
+            assert failure.error == "DivergenceError"
+            assert 0.0 < failure.t < 0.8
+            assert failure.message.startswith(f"simulation diverged at t={failure.t:.6f} s")
+    # a run without a failure records none
+    ok = velocity_sweep(build_config({"sim.duration": 0.8}), [0.2], repeats=1,
+                        terrains=("granular",))
+    assert ok[0].failures == ()
+
+
+def test_sweep_cell_failure_without_a_time(monkeypatch):
+    # a counted failure other than a divergence has no time
+    def no_distance(cfg):
+        raise ZeroDistanceError("walking distance 0.000e+00 m below threshold")
+
+    monkeypatch.setattr(metrics.simulation, "run", no_distance)
+    assert metrics._sweep_cell(build_config({})) == CellFailure(
+        "ZeroDistanceError", "walking distance 0.000e+00 m below threshold", None)
 
 
 def test_velocity_sweep_ignores_the_base_decimation():

@@ -195,7 +195,7 @@ def test_momentum_impulse_consistency():
         q = np.array([r.q_s1, r.q_s2, r.q_s3, r.q_s4, r.q_s5, r.x_s, -r.z_s])
         dq = np.array([r.dq_s1, r.dq_s2, r.dq_s3, r.dq_s4, r.dq_s5,
                        r.dx_s, -r.dz_s])
-        d, _, _ = dyn.assemble_sagittal(p, dyn.SagittalState(q, dq))
+        d, _, _ = dyn.sagittal_matrices(p, dyn.SagittalState(q, dq))
         return float((d @ dq)[5])
 
     dt = cfg.dt
@@ -582,7 +582,8 @@ def _random_stage(rng, granular):
     if not granular:
         dq[[5, 6, 10]] = 0.0
     dq[11] = dq[6]
-    return q, dq, list(rng.uniform(-20.0, 20.0, 4)), tuple(rng.uniform(-20.0, 20.0, 2))
+    return (q.tolist(), dq.tolist(), rng.uniform(-20.0, 20.0, 4).tolist(),
+            tuple(rng.uniform(-20.0, 20.0, 2).tolist()))
 
 
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
@@ -595,8 +596,7 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
     worst = 0.0
     for _ in range(300):
         q, dq, tau_s, tau_f = _random_stage(rng, granular)
-        qdd, _, f_y, _, _, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f,
-                                                  sim._FrontalTerms())
+        qdd, _, f_y, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f, sim._FrontalTerms())
         if granular:
             d, c, g = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState(q[7:], dq[7:]))
             rhs = -c @ dq[7:] - g
@@ -605,7 +605,7 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
             expected = np.linalg.solve(d[2:4, 2:4], rhs[2:4] - d[2:4, 4] * qdd[6])
             got = qdd[9:11]
         else:
-            d, c, g = dyn.assemble_sagittal(cfg.sagittal, dyn.SagittalState(q[:7], dq[:7]))
+            d, c, g = dyn.sagittal_matrices(cfg.sagittal, dyn.SagittalState(q[:7], dq[:7]))
             rhs = -c @ dq[:7] - g
             rhs[:4] += tau_s
             expected = np.linalg.solve(d[:2, :2], rhs[:2])
@@ -614,11 +614,55 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
     assert worst < 1e-12
 
 
+def test_float_stage_terms_are_the_bytes_of_the_dense_assembly(monkeypatch):
+    # the float D entries, G and C dq of a stage against the dense arrays
+    # and numpy's C @ dq, bit for bit, in the stage's domain: dq[4] = +0.0
+    # (the trunk hold), with +-0.0 mixed into q1, q2, q5, v1 and v2
+    p = build_config({}).sagittal
+    rng = np.random.default_rng(15)
+    n = 100_000
+    q, dq = rng.uniform(-1.5, 1.5, (n, 7)), rng.uniform(-4.0, 4.0, (n, 7))
+    for v, i in ((q, 0), (q, 1), (q, 4), (dq, 0), (dq, 1)):
+        signed_zero = rng.random(n) < 0.2
+        v[signed_zero, i] = np.where(rng.random(signed_zero.sum()) < 0.5, 0.0, -0.0)
+    dq[:, 4] = 0.0
+    # flat indices of the diagonal, of D01, D05, D06, D15, D16, D45, D46 and
+    # of their mirror images; the rows of C dq that a stage sums, then the
+    # zero rows 2 and 3
+    pairs = ((0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (4, 5), (4, 6))
+    d_at = [8 * i for i in range(7)] + [7 * i + j for i, j in pairs] + [7 * j + i for i, j in pairs]
+    cdq_at = [0, 1, 5, 6, 2, 3]
+    mismatches = []
+    for q_i, dq_i in zip(q, dq):
+        q_l, dq_l = q_i.tolist(), dq_i.tolist()
+        diag, d, c, g = dyn.assemble_sagittal(p, q_l, dq_l)
+        got = np.array((*diag, *d, *d, *g, *sim._coriolis_rows(c, dq_l), 0.0, 0.0))
+        dense_d, dense_c, dense_g = dyn.sagittal_matrices(p, dyn.SagittalState.trusted(q_i, dq_i))
+        expected = np.concatenate((dense_d.take(d_at), dense_g, (dense_c @ dq_i).take(cdq_at)))
+        if got.tobytes() != expected.tobytes():
+            mismatches.append((q_l, dq_l, list(map(float.hex, got.tolist())),
+                               list(map(float.hex, expected.tolist()))))
+    assert mismatches[:2] == []
+    # an rk4 run at decimation 10 meets the domain at every stage, four per
+    # step and a fifth on each logged step
+    assemble = dyn.assemble_sagittal
+    trunk_rates = []
+
+    def recorded(params, q, dq):
+        trunk_rates.append(dq[4])
+        return assemble(params, q, dq)
+
+    monkeypatch.setattr(dyn, "assemble_sagittal", recorded)
+    sim.run(build_config({"sim.integrator": "rk4", "sim.decimation": 10}))
+    assert len(trunk_rates) == 2400 * 4 + 240
+    assert set(map(float.hex, trunk_rates)) == {"0x0.0p+0"}
+
+
 def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
     """Frontal rows of a stage from a fresh ``dyn.assemble_frontal``, with the
     row arithmetic of a stage that reassembles at every call: the frontal
     accelerations, f_y and tau_bar."""
-    q_f, dq_f = q[7:], dq[7:]
+    q_f, dq_f = np.array(q[7:]), np.array(dq[7:])
     d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState.trusted(q_f, dq_f))
     cdq_f = (c_f @ dq_f).tolist()
     g_f = g_f.tolist()
@@ -652,9 +696,10 @@ def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
 
     def stage(q, dq, tau_s, tau_f):
         cfg = configs[next(calls) % 7 == 6]
-        qdd, _, f_y, _, _, tau_bar = sim._accelerations(cfg, q, dq, tau_s, tau_f, frontal)
+        qdd, _, f_y, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f, frontal)
+        tau_bar = frontal.holding_torque(qdd[7:])
         ref_qdd, ref_f_y, ref_tau_bar = _frontal_reference(
-            cfg, q, dq, tau_f, qdd[:7].tolist(), f_y if granular else None)
+            cfg, q, dq, tau_f, qdd[:7], f_y if granular else None)
         got = np.array([*qdd, f_y, tau_bar]).tobytes()
         assert got == np.array([*ref_qdd, ref_f_y, ref_tau_bar]).tobytes()
         return got
@@ -667,7 +712,7 @@ def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
         # state, torques, slip and sign of dq_f[3:]
         q2, dq2, tau_s2, tau_f2 = _random_stage(rng, granular)
         q2[7:10], dq2[7:10] = q[7:10], dq[7:10]
-        dq2[10:] *= -1.0
+        dq2[10:] = [-v for v in dq2[10:]]
         stage(q2, dq2, tau_s2, tau_f2)
         # the same frontal angles at another swing-hip rate
         dq2[9] = rng.uniform(-2.0, 2.0)
@@ -744,8 +789,9 @@ def test_stacked_ode_step_is_the_textbook_step(method):
             k4q, k4v = dq + dt * k3v, acc(q + dt * k3q, dq + dt * k3v)
             q1 = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
             dq1 = dq + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        y1 = sim._ode_step(method, np.concatenate((q, dq)), lambda y: acc(y[:12], y[12:]), dt)
-        assert y1.tobytes() == np.concatenate((q1, dq1)).tobytes()
+        y1 = sim._ode_step(method, [*q.tolist(), *dq.tolist()],
+                           lambda y: acc(np.array(y[:12]), np.array(y[12:])).tolist(), dt)
+        assert np.array(y1).tobytes() == np.concatenate((q1, dq1)).tobytes()
 
 
 def _one_sided_rates(ws, cfg, t, h):
@@ -830,7 +876,7 @@ def test_merged_wedge_force_equals_two_face_blend():
                 kin.gamma = math.atan2(dz, -hyp)
                 bwd = tr.sagittal_forces(cfg.terrain, kin)
                 old = (w * fwd.f_x + (1.0 - w) * bwd.f_x, w * fwd.f_z + (1.0 - w) * bwd.f_z)
-                f_x, f_z, f_y, _ = sim._grf_granular(cfg, depth, dx, dz, 0.01)
+                f_x, f_z, f_y = sim._grf_granular(cfg, depth, dx, dz, 0.01)
                 scale = math.hypot(*old)
                 assert abs(f_x - old[0]) <= 1e-9 * scale
                 assert abs(f_z - old[1]) <= 1e-9 * scale
