@@ -32,8 +32,8 @@ class ZeroDistanceError(ValueError):
 class CoTReport:
     """Cost of transport over a trajectory window.
 
-    ``cot`` integrates the actuation-space power that ``norm`` selects,
-    ``cot_decoupled`` always the per-plane net powers.
+    ``cot`` integrates the net actuation-space power, ``cot_decoupled``
+    the per-plane net powers.
     """
 
     cot: float
@@ -75,7 +75,6 @@ def cot(
     trajectory: simulation.Trajectory,
     robot_weight: float | None = None,
     t_start: float | None = None,
-    norm: str = "net",
 ) -> CoTReport:
     """Cost of transport E / (W_r d) by trapezoidal integration.
 
@@ -83,8 +82,6 @@ def cot(
     d the forward CoM velocity from t_start (the first record when
     omitted) to the last record.  Raises ZeroDistanceError when d < 1e-6 m.
     """
-    if norm not in ("net", "per_joint"):
-        raise ValueError(f"unknown power norm '{norm}'")
     if robot_weight is None:
         robot_weight = float(trajectory.meta["robot_weight"])
     t = trajectory.column("t")
@@ -96,10 +93,9 @@ def cot(
         raise ValueError("time window selects fewer than two records")
     tw = t[mask]
 
-    p_col = "power" if norm == "net" else "power_abs_joints"
     energy, e_s, e_f = (
         float(np.trapezoid(np.abs(trajectory.column(name)[mask]), tw))
-        for name in (p_col, "power_s", "power_f")
+        for name in ("power", "power_s", "power_f")
     )
     distance = float(np.trapezoid(trajectory.column("com_vx")[mask], tw))
     if distance < 1e-6:

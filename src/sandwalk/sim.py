@@ -266,21 +266,22 @@ class Trajectory:
 
 @dataclass
 class WalkerState:
-    """Full simulation state; a step rebinds its fields, never writing into its arrays."""
+    """Full simulation state; a step rebinds its fields, never writing into
+    ``y``.  ``y`` is the stacked state as 24 floats: the sagittal
+    coordinates q_s at 0-6, the frontal q_f at 7-11, then their rates dq_s
+    at 12-18 and dq_f at 19-23.  The latches ``c0`` and ``liftoff`` are
+    (x, z) float pairs."""
 
     t: float = 0.0
     stance: gt.Side = gt.Side.LEFT
     t_stance_start: float = 0.0
     step_count: int = 0
-    c0: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    c0: tuple[float, float] = (0.0, 0.0)
     theta_r0: float = 0.0
-    liftoff: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    liftoff: tuple[float, float] = (0.0, 0.0)
     prev_swing_height: float = float("inf")
     r_latch: float = 0.0        # stance leg chord latched at touchdown [m]
-    q_s: np.ndarray = field(default_factory=lambda: np.zeros(7))
-    dq_s: np.ndarray = field(default_factory=lambda: np.zeros(7))
-    q_f: np.ndarray = field(default_factory=lambda: np.zeros(5))
-    dq_f: np.ndarray = field(default_factory=lambda: np.zeros(5))
+    y: list[float] = field(default_factory=lambda: [0.0] * 24)
 
 
 def detect_touchdown(prev_height: float, height: float, sand_level: float) -> bool:
@@ -394,7 +395,7 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
     r_ref = r_latch + s_rec * (r_nom - r_latch)
     dr_ref = 6.0 * u * (1.0 - u) / 0.6 * dphase * (r_nom - r_latch)
     reach = 0.55 * r_ref
-    dx = line_x - (ws.c0.item(0) + ws.q_s.item(5))  # from the estimated contact
+    dx = line_x - (ws.c0[0] + ws.y[5])  # from the estimated contact
     ddx = v if -reach <= dx <= reach else math.copysign(0.55, dx) * dr_ref
     dx = min(max(dx, -reach), reach)
     rise = math.sqrt(r_ref ** 2 - dx ** 2)
@@ -404,7 +405,7 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
     # swing leg: cycloid from the latched liftoff point to the landing target
     # (x, z), with the hip reference at (line_x, hip_z)
     land_x = line_x0 + v * (ws.t_stance_start + t_half) + half_step
-    lift_x, lift_z = ws.liftoff.tolist()
+    lift_x, lift_z = ws.liftoff
     travel = land_x - lift_x
     cx, cz = gt.cycloid_swing(phase, travel, swing_height)
     w = 2.0 * math.pi * phase
@@ -430,14 +431,14 @@ def _control(ws: WalkerState, cfg: SimConfig):
     their planar-model images."""
     pairs, (st_t, st_c, sw_t, sw_c), (i_st, i_sw) = _ACTUATION[ws.stance]
     refs, ref_rates = _model_refs(ws, cfg, ws.t)
-    q, dq, dp = ws.q_s.tolist(), ws.dq_s.tolist(), ws.dq_f.tolist()
+    y = ws.y
     # the gathered x of gait.ACTUATION: the five sagittal angles, the
     # (stance, swing) hip angles and 0; the hip rates are -p1' + p2' and
     # -p2' + p3'
     x_ref = refs + _HIP_POSTURE + (0.0,)
     x_rate = ref_rates + (0.0, 0.0, 0.0)
-    x = (*q[:5], *gt.frontal_to_hip_angles(ws.q_f.tolist()), 0.0)
-    x_v = (*dq[:5], -dp[0] + dp[1], -dp[1] + dp[2], 0.0)
+    x = (*y[:5], *gt.frontal_to_hip_angles(y[7:10]), 0.0)
+    x_v = (*y[12:17], -y[19] + y[20], -y[20] + y[21], 0.0)
     q_ref, dq_ref, q_a, dq_a = [], [], [], []
     for i, k in pairs:
         q_ref.append(x_ref[i] - x_ref[k])
@@ -605,16 +606,16 @@ def _ode_step(method: str, y: list, acc, dt: float) -> list:
 
 
 def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms):
-    """Control, one ODE step with the torques held, and the posture holds.
-    Returns the stacked post-step state (q_s, q_f, dq_s, dq_f) as a list,
-    the control output, the stacked state at the control instant and the
-    last evaluation: its stacked state and ``_accelerations``' output.
-    That is the step's start (rk4: its end, from a fifth evaluation that
-    only a ``logged`` step makes; otherwise the last stage).  ``frontal``
-    is the run's ``_FrontalTerms``."""
+    """Control, one ODE step with the torques held, and the posture holds;
+    rebinds ``ws.y`` to the post-step state.  Returns the control output,
+    the stacked state at the control instant and the last evaluation: its
+    stacked state and ``_accelerations``' output.  That is the step's start
+    (rk4: its end, from a fifth evaluation that only a ``logged`` step
+    makes; otherwise the last stage).  ``frontal`` is the run's
+    ``_FrontalTerms``."""
     control = _control(ws, cfg)
     tau_s, tau_f = control[2:]
-    start = np.concatenate((ws.q_s, ws.q_f, ws.dq_s, ws.dq_f)).tolist()
+    start = ws.y
     last = None
 
     def acc(y):
@@ -638,9 +639,8 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms)
         y[5] = y[6] = y[17] = y[18] = y[10] = y[22] = 0.0
     y[11], y[23] = y[6], y[18]
     ws.t += cfg.dt
-    arrays = np.array(y)
-    ws.q_s, ws.q_f, ws.dq_s, ws.dq_f = arrays[:7], arrays[7:12], arrays[12:19], arrays[19:]
-    return y, control, start, last
+    ws.y = y
+    return control, start, last
 
 
 def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
@@ -655,13 +655,13 @@ def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
     return rl.orientation_angle(shape, contact)
 
 
-def _record(ws: WalkerState, cfg: SimConfig, state, control, start, last,
+def _record(ws: WalkerState, cfg: SimConfig, control, start, last,
             frontal: _FrontalTerms, theta_r: float, kinematics, phase: float, out) -> None:
-    """Write the post-step record into the row ``out``, from the stacked
-    post-step ``state`` as floats, the step's control output, its stacked
-    state ``start`` at the control instant, its ``last`` evaluation and the
-    run's ``frontal`` terms as that evaluation left them, and the step's
-    contact angle, kinematics and stance phase."""
+    """Write the post-step record of ``ws`` into the row ``out``, from the
+    step's control output, its stacked state ``start`` at the control
+    instant, its ``last`` evaluation and the run's ``frontal`` terms as that
+    evaluation left them, and the step's contact angle, kinematics and
+    stance phase."""
     tau_a, dq_a, tau_s, tau_f = control
     y, qdd, f_x, f_y, f_z = last
     gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
@@ -670,11 +670,11 @@ def _record(ws: WalkerState, cfg: SimConfig, state, control, start, last,
     i_st, i_sw = _ACTUATION[ws.stance][2]
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
 
-    q_s, q_f, dq_s, dq_f = state[:7], state[7:12], state[12:19], state[19:]
+    s = ws.y
     # rolling bookkeeping on the stance foot
     d_theta = rl.rolling_angle(ws.theta_r0, theta_r)
     try:
-        r_eff = min(rl.effective_radius((dq_s[5], dq_s[6]), dq_s[1]), cfg.r_eff_cap)
+        r_eff = min(rl.effective_radius((s[17], s[18]), s[13]), cfg.r_eff_cap)
     except rl.NoRotationError:
         r_eff = cfg.r_eff_cap
 
@@ -689,9 +689,9 @@ def _record(ws: WalkerState, cfg: SimConfig, state, control, start, last,
     hip, _, com, _, _, com_v = kinematics
     out[:] = [  # SIM_RECORD_FIELDS order
         ws.t, _LEG_NAMES.index(ws.stance), phase, ws.step_count,
-        *q_s[:5], *dq_s[:5],
-        q_s[5], q_f[3], max(0.0, -q_s[6]), dq_s[5], dq_f[3], -dq_s[6],
-        *q_f[:3], *dq_f[:3],
+        *s[:5], *s[12:17],
+        s[5], s[10], max(0.0, -s[6]), s[17], s[22], -s[18],
+        *s[7:10], *s[19:22],
         *tau_a,
         f_x, f_y, f_z,
         theta_r, d_theta, gamma, r_eff,
@@ -705,23 +705,23 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
     pair becomes the stance pair, the frontal coordinates mirror about the new
     stance hip, and the intrusion restarts under the swing foot, no higher than
     the surface and vertically at rest (the reset absorbs the contact transient)."""
-    q, dq, p, dp = ws.q_s, ws.dq_s, ws.q_f, ws.dq_f
-    _, swing, _, _, swing_v, _ = _kinematics(cfg, ws.c0.tolist(), q.tolist(), dq.tolist())
+    y, (c0_x, c0_z), r = ws.y, ws.c0, cfg.foot_radius
+    _, swing, _, _, swing_v, _ = _kinematics(cfg, ws.c0, y[:7], y[12:19])
     slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0  # landing skid
+    c0 = (swing[0], min(swing[1] - r, cfg.terrain.sand_level))
     new = replace(
         ws, stance=ws.stance.other, t_stance_start=ws.t, step_count=ws.step_count + 1,
-        c0=np.array([swing[0], min(swing[1] - cfg.foot_radius, cfg.terrain.sand_level)]),
-        liftoff=ws.c0 + q[5:7] + (0.0, cfg.foot_radius),  # old stance-foot center
+        c0=c0, liftoff=(c0_x + y[5], c0_z + y[6] + r),  # old stance-foot center
         prev_swing_height=float("inf"),
-        q_s=np.array([q[2], q[3], q[0], q[1], q[4], 0.0, 0.0]),
-        dq_s=np.array([dq[2], dq[3], dq[0], dq[1], dq[4], slip_rate, 0.0]),
-        q_f=np.array([0.0, math.pi - p[1], -p[2], 0.0, 0.0]),
-        dq_f=np.array([0.0, -dp[1], -dp[2], 0.0, 0.0]))
-    new.theta_r0 = _contact_angle(cfg, new.q_s.item(1), new.t)
+        y=[y[2], y[3], y[0], y[1], y[4], 0.0, 0.0,
+           0.0, math.pi - y[8], -y[9], 0.0, 0.0,
+           y[14], y[15], y[12], y[13], y[16], slip_rate, 0.0,
+           0.0, -y[20], -y[21], 0.0, 0.0])
+    new.theta_r0 = _contact_angle(cfg, new.y[1], new.t)
     # latch the stance chord at touchdown
-    hip = _kinematics(cfg, new.c0.tolist(), new.q_s.tolist(), new.dq_s.tolist())[0]
+    hip = _kinematics(cfg, c0, new.y[:7], new.y[12:19])[0]
     new.r_latch = _clamp_chord(cfg, float(np.linalg.norm(
-        np.array(hip) - (new.c0 + (0.0, cfg.foot_radius)))))
+        (hip[0] - c0[0], hip[1] - (c0[1] + r)))))
     return new
 
 
@@ -735,17 +735,17 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
     None) skips the record and, under rk4, the end-of-step force evaluation;
     it makes every check and takes the same event.  ``frontal`` is the run's
     ``_FrontalTerms``.  Returns ``ws`` advanced or the jumped state."""
-    state, *signals = _flow(ws, cfg, out is not None, frontal)
+    signals = _flow(ws, cfg, out is not None, frontal)
+    y = ws.y
     # divergence guard on the stacked state; NaN fails the comparison too
-    for x in state:
+    for x in y:
         if not abs(x) <= _DIVERGENCE_LIMIT:
             raise DivergenceError(ws.t)
-    q_s = state[:7]
-    theta_r = _contact_angle(cfg, q_s[1], ws.t)  # a contact off the sole ends the run
-    kinematics = _kinematics(cfg, ws.c0.tolist(), q_s, state[12:19])
+    theta_r = _contact_angle(cfg, y[1], ws.t)  # a contact off the sole ends the run
+    kinematics = _kinematics(cfg, ws.c0, y[:7], y[12:19])
     phase = _stance_phase(ws, cfg, ws.t)
     if out is not None:
-        _record(ws, cfg, state, *signals, frontal, theta_r, kinematics, phase, out)
+        _record(ws, cfg, *signals, frontal, theta_r, kinematics, phase, out)
     # touchdown event: the swing-foot height crossing the surface, armed past
     # the swing apex and forced at the schedule boundary
     height = kinematics[1][1] - cfg.foot_radius
@@ -759,19 +759,18 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
 def initial_state(cfg: SimConfig) -> WalkerState:
     """On-reference starting state at the beginning of a left stance."""
     surface = cfg.terrain.sand_level
-    ws = WalkerState()
-    ws.c0 = np.array([0.0, surface])
-    ws.liftoff = np.array([-cfg.gait.step_length, surface + cfg.foot_radius])
-    ws.q_f = np.array([*_FRONTAL_POSTURE, 0.0, 0.0, 0.0])
+    ws = WalkerState(c0=(0.0, surface),
+                     liftoff=(-cfg.gait.step_length, surface + cfg.foot_radius))
     ws.r_latch = _clamp_chord(cfg, cfg.gait.hip_height - cfg.foot_radius)
 
-    ws.q_s[:5], ws.dq_s[:5] = _model_refs(ws, cfg, 0.0)
+    q, dq = _model_refs(ws, cfg, 0.0)
 
     rng = np.random.default_rng(cfg.seed)
-    jitter = rng.uniform(-cfg.initial_jitter, cfg.initial_jitter, 4)
-    ws.q_s[:4] += jitter
+    jitter = rng.uniform(-cfg.initial_jitter, cfg.initial_jitter, 4).tolist()
+    q = [a + b for a, b in zip(q, jitter)] + [q[4]]
 
-    ws.theta_r0 = _contact_angle(cfg, ws.q_s.item(1), ws.t)
+    ws.y = [*q, 0.0, 0.0, *_FRONTAL_POSTURE, 0.0, 0.0, 0.0, *dq, 0.0, 0.0] + [0.0] * 5
+    ws.theta_r0 = _contact_angle(cfg, ws.y[1], ws.t)
     return ws
 
 

@@ -216,7 +216,7 @@ def test_criterion_08_cot_cross_form():
     cfg = build_config({"sim.duration": 1.6})  # seven stances
     traj = sim.run(cfg)
     steps = int(traj.column("step_count").max())
-    report = metrics.cot(traj, t_start=cfg.gait.cycle_period, norm="net")
+    report = metrics.cot(traj, t_start=cfg.gait.cycle_period)
     rel = abs(report.cot - report.cot_decoupled) / report.cot
     verdict(8, steps >= 5 and rel < 0.01,
             f"actuation vs decoupled CoT over a {steps}-step walk: "

@@ -1,8 +1,12 @@
 """Behaviour contract: pinned trajectory file digests and effective configs.
 
-The SHA-256 digests below hold for the numpy and libm they were recorded
-with (numpy 2.4, glibc, x86-64); another floating-point library may change
-the last bits of a value and so the bytes.  A change that alters numerics on
+The SHA-256 digests below hold for the numpy, libm and OpenBLAS kernel they
+were recorded with (numpy 2.4, glibc, x86-64, and the SkylakeX kernel that
+OpenBLAS's DYNAMIC_ARCH build picks on that host); another floating-point
+library may change the last bits of a value and so the bytes.  The granular
+cases go through numpy.linalg.solve, and under OPENBLAS_CORETYPE=Haswell or
+Prescott their digests differ; ``OPENBLAS_VERBOSE=2 python -c "import
+numpy"`` prints the kernel a host picks.  A change that alters numerics on
 purpose must regenerate these values and say so, with the size of the
 change; a refactor must leave them untouched.
 """

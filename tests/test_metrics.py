@@ -1,11 +1,15 @@
 """Metrics tests: cost of transport, RMSE, velocity sweep aggregation."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from sandwalk import metrics
 from sandwalk.metrics import (
     CellFailure,
+    SweepRow,
     ZeroDistanceError,
     cot,
     dimensionless_velocity,
@@ -154,6 +158,18 @@ def test_velocity_sweep_serial_matches_parallel():
     assert all(r.n_ok == 1 and r.n_failed == 0 for r in serial)
 
 
+def _assert_same_rows(a, b):
+    """Sweep rows equal field by field, with NaN equal to NaN: a cell whose
+    runs all failed has a NaN CoT mean and spread, so its row is unequal to
+    itself under ``==``."""
+    assert len(a) == len(b)
+    for row_a, row_b in zip(a, b):
+        for f in dataclasses.fields(SweepRow):
+            x, y = getattr(row_a, f.name), getattr(row_b, f.name)
+            both_nan = all(isinstance(v, float) and math.isnan(v) for v in (x, y))
+            assert x == y or both_nan, (row_a.v_target, row_a.terrain, f.name, x, y)
+
+
 def test_velocity_sweep_counts_divergence_in_both_paths():
     from dataclasses import replace
     from sandwalk.gait import Gains
@@ -175,10 +191,10 @@ def test_velocity_sweep_records_why_runs_failed_in_both_paths():
                                torque_limit=1e9))
     per_path = [velocity_sweep(wild, [0.2, 0.3], repeats=2, terrains=("granular",),
                                jobs=jobs) for jobs in (1, 2)]
-    serial, parallel = ([(r.n_ok, r.n_failed, r.failures) for r in rows] for rows in per_path)
-    assert serial == parallel
+    _assert_same_rows(*per_path)
     for row in per_path[0]:
         assert row.n_failed == len(row.failures) == 2
+        assert math.isnan(row.cot_mean) and math.isnan(row.cot_std)
         for failure in row.failures:
             assert failure.error == "DivergenceError"
             assert 0.0 < failure.t < 0.8

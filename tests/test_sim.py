@@ -117,21 +117,16 @@ def test_kinematics_closure_and_rates():
     h = 1e-6
     worst_pos = worst_vel = 0.0
     for _ in range(200):
-        ws = sim.WalkerState(
-            c0=np.array([rng.uniform(-1.0, 1.0), rng.uniform(-0.02, 0.02)]),
-            q_s=np.concatenate([rng.uniform(-1.0, 1.0, 5), rng.uniform(-0.05, 0.05, 2)]),
-            dq_s=rng.uniform(-3.0, 3.0, 7),
-        )
-        hip, swing, com, hip_v, swing_v, com_v = sim._kinematics(cfg, ws.c0, ws.q_s, ws.dq_s)
-        q = ws.q_s
-        stance_center = ws.c0 + q[5:7] + (0.0, cfg.foot_radius)
+        c0 = (rng.uniform(-1.0, 1.0), rng.uniform(-0.02, 0.02))
+        q = np.concatenate([rng.uniform(-1.0, 1.0, 5), rng.uniform(-0.05, 0.05, 2)])
+        dq = rng.uniform(-3.0, 3.0, 7)
+        hip, swing, com, hip_v, swing_v, com_v = sim._kinematics(cfg, c0, q.tolist(), dq.tolist())
+        stance_center = np.add(c0, q[5:7]) + (0.0, cfg.foot_radius)
         for leg, center in ((0, stance_center), (2, swing)):
             foot = np.add(hip, leg_fk(p.l_t, p.l_c, q[leg], q[leg + 1]))
             worst_pos = max(worst_pos, np.abs(foot - center).max())
-        ws.q_s = q + h * ws.dq_s
-        ahead = sim._kinematics(cfg, ws.c0, ws.q_s, ws.dq_s)[:3]
-        ws.q_s = q - h * ws.dq_s
-        behind = sim._kinematics(cfg, ws.c0, ws.q_s, ws.dq_s)[:3]
+        ahead = sim._kinematics(cfg, c0, (q + h * dq).tolist(), dq.tolist())[:3]
+        behind = sim._kinematics(cfg, c0, (q - h * dq).tolist(), dq.tolist())[:3]
         for vel, pos_a, pos_b in zip((hip_v, swing_v, com_v), ahead, behind):
             fd = (np.subtract(pos_a, pos_b)) / (2.0 * h)
             worst_vel = max(worst_vel, np.abs(fd - vel).max())
@@ -233,7 +228,7 @@ def test_divergence_guard():
 def test_nonfinite_stage_is_divergence(integrator, rate):
     cfg = build_config({"sim.integrator": integrator})
     ws = sim.initial_state(cfg)
-    ws.dq_s[0] = rate
+    ws.y[12] = rate  # dq_s[0]
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
         _step(ws, cfg)
     assert err.value.t == 0.0
@@ -242,17 +237,13 @@ def test_nonfinite_stage_is_divergence(integrator, rate):
 
 def _assert_same_state(a, b):
     for f in dataclasses.fields(sim.WalkerState):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            assert np.array_equal(x, y), f.name
-        else:
-            assert x == y, f.name
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
-def _shares_no_array(a, b):
-    return not any(np.shares_memory(getattr(a, f.name), getattr(b, f.name))
+def _shares_no_list(a, b):
+    return not any(getattr(a, f.name) is getattr(b, f.name)
                    for f in dataclasses.fields(sim.WalkerState)
-                   if isinstance(getattr(a, f.name), np.ndarray))
+                   if isinstance(getattr(a, f.name), list))
 
 
 def _walk(terrain_mode, n_steps):
@@ -272,21 +263,37 @@ def _walk(terrain_mode, n_steps):
 def test_step_does_not_mutate_input():
     cfg = build_config({"sim.duration": 0.8})
     ws = sim.initial_state(cfg)
-    q_before = ws.q_s.copy()
+    y_before = list(ws.y)
     out, rec = _step(ws, cfg)
-    assert np.array_equal(ws.q_s, q_before)
+    assert ws.y == y_before
     assert out.t == pytest.approx(cfg.dt)
     assert rec.t == pytest.approx(cfg.dt)
-    # a step that ends in a touchdown leaves every field and array of its
+    # a step that ends in a touchdown leaves every field and list of its
     # input as it was too
     cfg, pairs = _walk("granular", 200)
     ws = next(before for before, after in pairs if after.step_count > before.step_count)
     snapshot = copy.deepcopy(ws)
     out, rec = _step(ws, cfg)
     _assert_same_state(ws, snapshot)
-    assert _shares_no_array(out, ws)
+    assert _shares_no_list(out, ws)
     assert out.step_count == rec.step_count + 1 == ws.step_count + 1
     assert out.t_stance_start == out.t == rec.t
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_step_keeps_the_state_in_floats(terrain_mode, integrator):
+    # the step reads and writes the state as Python floats; an array or a
+    # numpy scalar back in it would bring back a conversion per step
+    cfg = build_config({"sim.terrain_mode": terrain_mode, "sim.integrator": integrator})
+    ws = sim.initial_state(cfg)
+    row = np.empty(len(sim.SIM_RECORD_FIELDS))
+    frontal = sim._FrontalTerms()
+    for i in range(600):  # past the first two touchdowns
+        ws = sim._advance(ws, cfg, row if i % 10 == 9 else None, frontal)
+        assert len(ws.y) == 24
+        assert all(type(x) is float for x in (*ws.y, *ws.c0, *ws.liftoff)), ws.t
+    assert ws.step_count >= 2
 
 
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
@@ -308,28 +315,28 @@ def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
         snapshot = copy.deepcopy(ws)
         new = sim._jump(ws, cfg)
         _assert_same_state(ws, snapshot)
-        assert _shares_no_array(new, ws)
-        _, swing, _, _, swing_v, _ = sim._kinematics(cfg, ws.c0, ws.q_s, ws.dq_s)
-        q, dq, p, dp = ws.q_s, ws.dq_s, ws.q_f, ws.dq_f
+        assert _shares_no_list(new, ws)
+        q, p, dq, dp = ws.y[:7], ws.y[7:12], ws.y[12:19], ws.y[19:]
+        _, swing, _, _, swing_v, _ = sim._kinematics(cfg, ws.c0, q, dq)
         # swing and stance pairs swap, the trunk carries over, the intrusion
         # restarts from 0, at rest except for the landing skid on sand
         assert new.stance is ws.stance.other
-        assert new.q_s.tolist() == [q[2], q[3], q[0], q[1], q[4], 0.0, 0.0]
+        assert new.y[:7] == [q[2], q[3], q[0], q[1], q[4], 0.0, 0.0]
         slip = swing_v[0] if terrain_mode == "granular" else 0.0
-        assert new.dq_s.tolist() == [dq[2], dq[3], dq[0], dq[1], dq[4], slip, 0.0]
+        assert new.y[12:19] == [dq[2], dq[3], dq[0], dq[1], dq[4], slip, 0.0]
         assert (slip != 0.0) == (terrain_mode == "granular")
         # the frontal angles mirror about the new stance hip
-        assert new.q_f.tolist() == [0.0, math.pi - p[1], -p[2], 0.0, 0.0]
-        assert new.dq_f.tolist() == [0.0, -dp[1], -dp[2], 0.0, 0.0]
+        assert new.y[7:12] == [0.0, math.pi - p[1], -p[2], 0.0, 0.0]
+        assert new.y[19:] == [0.0, -dp[1], -dp[2], 0.0, 0.0]
         # the new contact sits under the landing foot, no higher than the sand
-        assert new.c0.tolist() == [swing[0], min(swing[1] - r, level)]
+        assert new.c0 == (swing[0], min(swing[1] - r, level))
         clamped += new.c0[1] == level
-        assert np.array_equal(new.liftoff, ws.c0 + q[5:7] + (0.0, r))
+        assert new.liftoff == (ws.c0[0] + q[5], ws.c0[1] + q[6] + r)
         assert (new.t, new.t_stance_start, new.step_count) == (ws.t, ws.t, ws.step_count + 1)
         assert new.prev_swing_height == math.inf
         # the latches: the sole's contact angle is the calf pitch, and the
         # chord runs from the hip to the new stance-foot center
-        assert abs(new.theta_r0 - new.q_s[1]) < 1e-12
+        assert abs(new.theta_r0 - new.y[1]) < 1e-12
         chord = math.hypot(*leg_fk(cfg.sagittal.l_t, cfg.sagittal.l_c, q[2], q[3]))
         assert abs(new.r_latch - sim._clamp_chord(cfg, chord)) < 1e-12
     # mid-swing feet are above the sand; on sand the detected touchdowns
@@ -509,21 +516,27 @@ def test_control_tables_match_gait_maps(stance):
     for _ in range(50):
         ws = sim.initial_state(cfg)
         ws.stance = stance
-        ws.q_s[:5] += rng.uniform(-0.3, 0.3, 5)
-        ws.dq_s[:5] = rng.uniform(-3.0, 3.0, 5)
-        ws.q_f[:3] += rng.uniform(-0.2, 0.2, 3)
-        ws.dq_f[:3] = rng.uniform(-2.0, 2.0, 3)
+        y = np.array(ws.y)
+        y[:5] += rng.uniform(-0.3, 0.3, 5)       # q_s
+        y[12:17] = rng.uniform(-3.0, 3.0, 5)     # dq_s
+        y[7:10] += rng.uniform(-0.2, 0.2, 3)     # q_f
+        y[19:22] = rng.uniform(-2.0, 2.0, 3)     # dq_f
+        ws.y = y.tolist()
         tau, dq_a, tau_s, tau_f = sim._control(ws, cfg)
         refs, rates = sim._model_refs(ws, cfg, ws.t)
-        dp = ws.dq_f
-        expected_dq_a = actuation(ws.dq_s[:5], (-dp[0] + dp[1], -dp[1] + dp[2]))
+        dp = y[19:22]
+        expected_dq_a = actuation(y[12:17], (-dp[0] + dp[1], -dp[1] + dp[2]))
         expected_tau = gt.track_joints(
             actuation(refs, sim._HIP_POSTURE), actuation(rates, (0.0, 0.0)),
-            actuation(ws.q_s[:5], gt.frontal_to_hip_angles(ws.q_f)), expected_dq_a, cfg.gains)
+            actuation(y[:5], gt.frontal_to_hip_angles(y[7:10])), expected_dq_a, cfg.gains)
         assert np.allclose(dq_a, expected_dq_a, rtol=0.0, atol=1e-12)
         assert np.allclose(tau, expected_tau, rtol=0.0, atol=1e-9)
         assert np.allclose(tau_s, (s.T @ tau)[:4], rtol=0.0, atol=1e-12)
         assert tau_f == gt.hip_torques_to_frontal(tau[hip_rows[0]], tau[hip_rows[1]])
+
+
+# offsets of the state's parts in WalkerState.y
+_OFFSET = {"q_s": 0, "q_f": 7, "dq_s": 12, "dq_f": 19}
 
 
 @pytest.mark.parametrize("terrain_mode,coordinate,value,peak_y_s,peak_f_y", [
@@ -540,7 +553,8 @@ def test_perturbed_frontal_plane_decays(terrain_mode, coordinate, value, peak_y_
     # Peaks are pinned to 1e-3 relative, the end states to 1e-15 absolute.
     cfg = build_config({"sim.terrain_mode": terrain_mode})
     ws = sim.initial_state(cfg)
-    getattr(ws, coordinate[0])[coordinate[1]] = value
+    name, i = coordinate
+    ws.y[_OFFSET[name] + i] = value
     data = np.empty((round(cfg.duration / cfg.dt), len(sim.SIM_RECORD_FIELDS)))
     frontal = sim._FrontalTerms()
     for row in data:
@@ -844,8 +858,8 @@ def test_reference_rates_at_the_clamps(monkeypatch):
     for slip, r_latch, lift_x in [(0.3, 0.2, 0.0), (-0.3, 0.4, 0.0),
                                   (0.0, 0.1, 0.0), (0.0, 0.3, -0.8)]:
         ws = copy.deepcopy(base)
-        ws.q_s[5], ws.r_latch = slip, r_latch
-        ws.liftoff[0] += lift_x
+        ws.y[5], ws.r_latch = slip, r_latch
+        ws.liftoff = (ws.liftoff[0] + lift_x, ws.liftoff[1])
         for t in np.arange(0.01, 0.2, 0.01):
             rates = sim._model_refs(ws, cfg, t)[1]
             assert np.abs(rates - _one_sided_rates(ws, cfg, t, 1e-7)).max() < 1e-5
@@ -859,8 +873,8 @@ def test_initial_rates_are_the_right_difference():
     cfg = build_config({})
     ws = sim.initial_state(cfg)
     clean = sim.initial_state(build_config({"sim.initial_jitter": 0.0}))
-    assert np.abs(ws.dq_s[:5] - _one_sided_rates(clean, cfg, 0.0, -1e-7)).max() < 1e-5
-    assert ws.dq_s[4] == 0.0
+    assert np.abs(ws.y[12:17] - _one_sided_rates(clean, cfg, 0.0, -1e-7)).max() < 1e-5
+    assert ws.y[16] == 0.0  # dq_s[4]
 
 
 def test_merged_wedge_force_equals_two_face_blend():
@@ -908,7 +922,7 @@ def test_divergence_guard_catches_held_coordinate(value):
 def test_divergence_guard_catches_rate_above_limit():
     cfg = build_config({})
     ws = sim.initial_state(cfg)
-    ws.dq_s[0] = 2.0 * sim._DIVERGENCE_LIMIT  # finite, so the stage checks pass
+    ws.y[12] = 2.0 * sim._DIVERGENCE_LIMIT  # dq_s[0]; finite, so the stage checks pass
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
         _step(ws, cfg)
     assert err.value.detail == ""
