@@ -39,7 +39,9 @@ __all__ = [
     "assemble_sagittal",
     "sagittal_matrices",
     "sagittal_accel",
+    "solve_sand_block",
     "assemble_frontal",
+    "frontal_matrices",
     "sagittal_energy",
     "frontal_energy",
 ]
@@ -164,17 +166,18 @@ class FrontalParams:
 
     @cached_property
     def _constants(self):
-        """Configuration-independent terms: the constant diagonal of D, the
-        lever arms k1 (stance leg), k2 (crossbar), k3 (swing leg), the
-        couplings lean-crossbar, lean-swing and crossbar-swing, and M_f g."""
+        """Configuration-independent terms: the constant diagonal of D as
+        floats, the lever arms k1 (stance leg), k2 (crossbar), k3 (swing
+        leg), the couplings lean-crossbar, lean-swing and crossbar-swing, and
+        M_f g."""
         m_f = self.total_mass
-        diag = np.diag([
+        diag = tuple(float(d) for d in (
             self.m_1 * self.d_1 ** 2 + (self.m_b + self.m_2) * self.l_1 ** 2
             + _rod_inertia(self.m_1, self.l_1),
             (0.25 * self.m_b + self.m_2) * self.b ** 2 + _rod_inertia(self.m_b, self.b),
             self.m_2 * self.d_2 ** 2 + _rod_inertia(self.m_2, self.l_1),
             m_f, m_f,
-        ])
+        ))
         k2 = (0.5 * self.m_b + self.m_2) * self.b
         return (diag, self.m_1 * self.d_1 + (self.m_b + self.m_2) * self.l_1, k2,
                 self.m_2 * self.d_2, k2 * self.l_1, self.m_2 * self.l_1 * self.d_2,
@@ -190,18 +193,8 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return v
 
 
-class _State:
-    @classmethod
-    def trusted(cls, q: np.ndarray, dq: np.ndarray):
-        """State over float arrays of the right shape that the caller built
-        itself (an integrator stage); skips the validating constructor."""
-        state = object.__new__(cls)
-        state.q, state.dq = q, dq
-        return state
-
-
 @dataclass
-class SagittalState(_State):
+class SagittalState:
     """Augmented sagittal coordinates and their rates.
 
     ``q = [q1 q2 q3 q4 q5 x_s z]``; z is the upward contact coordinate.
@@ -216,7 +209,7 @@ class SagittalState(_State):
 
 
 @dataclass
-class FrontalState(_State):
+class FrontalState:
     """Augmented frontal coordinates ``q = [p1 p2 p3 y_s z]`` and rates."""
 
     q: np.ndarray = field(default_factory=lambda: np.zeros(5))
@@ -284,17 +277,54 @@ _SAG_D_AT = ((0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (4, 5), (4, 6))
 _SAG_C_AT = ((0, 1), (1, 0), (5, 0), (6, 0), (5, 1), (6, 1), (5, 4), (6, 4))
 
 
+def _dense(entries, d_at, c_at):
+    """D, C and G as arrays from the nonzero entries ``(diag, d, c, g)`` of
+    an assembly, whose ``d`` and ``c`` sit at the (row, column) pairs
+    ``d_at`` and ``c_at``; D mirrors ``d`` about its diagonal."""
+    diag, d, c, g = entries
+    D = np.diag(diag)
+    for (i, j), v in zip(d_at, d):
+        D[i, j] = D[j, i] = v
+    C = np.zeros_like(D)
+    for (i, j), v in zip(c_at, c):
+        C[i, j] = v
+    return D, C, np.array(g)
+
+
 def sagittal_matrices(params: SagittalParams, state: SagittalState):
     """Inertia matrix D, Coriolis matrix C and gravity vector G as arrays,
     from the entries of ``assemble_sagittal``."""
-    diag, d, c, g = assemble_sagittal(params, state.q.tolist(), state.dq.tolist())
-    D = np.diag(diag)
-    for (i, j), v in zip(_SAG_D_AT, d):
-        D[i, j] = D[j, i] = v
-    C = np.zeros((7, 7))
-    for (i, j), v in zip(_SAG_C_AT, c):
-        C[i, j] = v
-    return D, C, np.array(g)
+    return _dense(assemble_sagittal(params, state.q.tolist(), state.dq.tolist()),
+                  _SAG_D_AT, _SAG_C_AT)
+
+
+def solve_sand_block(diag, d, r):
+    """Accelerations (a0, a1, a5, a6) of the sagittal rows (0, 1, 5, 6), the
+    block that stays coupled on sand, from the entries ``diag`` and ``d`` of
+    ``assemble_sagittal`` and the right-hand side ``r = (r0, r1, r5, r6)``.
+
+    The block is [[A, B], [B^T, diag(d55, d66)]] with A the stance-leg 2x2
+    and B its coupling to the contact rows.  Rows 5 and 6 are eliminated
+    onto the Schur complement S = A - B diag(d55, d66)^-1 B^T, which is
+    solved by Cramer's rule; rows 5 and 6 are then back-substituted.  D is
+    symmetric positive definite, so d55, d66 and S are too and no pivoting
+    is needed.  Python floats throughout, in the order written here, so the
+    bytes of the result depend on no BLAS or LAPACK kernel.
+    """
+    d00, d11, _, _, _, d55, d66 = diag
+    d01, d05, d06, d15, d16, _, _ = d
+    r0, r1, r5, r6 = r
+    # B diag(d55, d66)^-1
+    u05, u06, u15, u16 = d05 / d55, d06 / d66, d15 / d55, d16 / d66
+    s00 = d00 - u05 * d05 - u06 * d06
+    s01 = d01 - u05 * d15 - u06 * d16
+    s11 = d11 - u15 * d15 - u16 * d16
+    s0 = r0 - u05 * r5 - u06 * r6
+    s1 = r1 - u15 * r5 - u16 * r6
+    det = s00 * s11 - s01 * s01
+    a0 = (s11 * s0 - s01 * s1) / det
+    a1 = (s00 * s1 - s01 * s0) / det
+    return a0, a1, (r5 - d05 * a0 - d15 * a1) / d55, (r6 - d06 * a0 - d16 * a1) / d66
 
 
 def sagittal_accel(
@@ -345,15 +375,24 @@ def sagittal_energy(params: SagittalParams, state: SagittalState) -> tuple[float
 # frontal plane
 # ---------------------------------------------------------------------------
 
-def assemble_frontal(params: FrontalParams, state: FrontalState):
-    """Inertia, Coriolis and gravity terms of the frontal model.
+def assemble_frontal(params: FrontalParams, q, dq):
+    """Nonzero entries of the frontal D, C and G as floats, from coordinates
+    ``q`` and rates ``dq`` (float sequences; entries past the third are not
+    read).
+
+    Returns ``(diag, d, c, g)``: ``diag`` the constant diagonal of D, one
+    tuple per parameter set; ``d`` the entries D01, D02, D03, D04, D12,
+    D13, D14, D23, D24, which D mirrors about its diagonal; ``c`` the
+    entries C01, C02, C10, C12, C20, C21, C30, C31, C32, C40, C41, C42;
+    ``g`` all five entries of G.  Every other entry is zero.
+    ``frontal_matrices`` scatters them into arrays.
 
     The lateral slip row of the assembled system reads
     ``M_f y_s'' + f1(p1) + f2(p2) + f3(p3)`` with the composite lever arms
     (m_1 d_1 + (m_b + m_2) l_1), (m_b/2 + m_2) b and m_2 d_2.
     """
-    q1, q2, q3, _, _ = state.q.tolist()
-    v1, v2, v3, _, _ = state.dq.tolist()
+    q1, q2, q3 = q[0], q[1], q[2]
+    v1, v2, v3 = dq[0], dq[1], dq[2]
     diag, k1, k2, k3, k12, k13, k23, weight = params._constants
     s1, c1 = math.sin(q1), math.cos(q1)
     s2, c2 = math.sin(q2), math.cos(q2)
@@ -362,40 +401,31 @@ def assemble_frontal(params: FrontalParams, state: FrontalState):
     p12 = k12 * math.sin(q1 + q2)
     p13 = k13 * math.sin(q1 - q3)
     p23 = -k23 * math.sin(q2 + q3)
-
-    D = diag.copy()
-    D[0, 1] = D[1, 0] = -k12 * math.cos(q1 + q2)
-    D[0, 2] = D[2, 0] = -k13 * math.cos(q1 - q3)
-    D[1, 2] = D[2, 1] = k23 * math.cos(q2 + q3)
-    D[0, 3] = D[3, 0] = -k1 * c1
-    D[0, 4] = D[4, 0] = -k1 * s1
-    D[1, 3] = D[3, 1] = k2 * c2
-    D[1, 4] = D[4, 1] = -k2 * s2
-    D[2, 3] = D[3, 2] = k3 * c3
-    D[2, 4] = D[4, 2] = k3 * s3
-
-    C = np.zeros((5, 5))
-    C[0, 1] = p12 * v2
-    C[1, 0] = p12 * v1
-    C[0, 2] = -p13 * v3
-    C[2, 0] = p13 * v1
-    C[1, 2] = p23 * v3
-    C[2, 1] = p23 * v2
-    C[3, 0] = k1 * s1 * v1
-    C[4, 0] = -k1 * c1 * v1
-    C[3, 1] = -k2 * s2 * v2
-    C[4, 1] = -k2 * c2 * v2
-    C[3, 2] = -k3 * s3 * v3
-    C[4, 2] = k3 * c3 * v3
-
     g = params.g
-    G = np.array([-g * k1 * s1, -g * k2 * s2, g * k3 * s3, 0.0, weight])
-    return D, C, G
+    return (
+        diag,
+        (-k12 * math.cos(q1 + q2), -k13 * math.cos(q1 - q3), -k1 * c1, -k1 * s1,
+         k23 * math.cos(q2 + q3), k2 * c2, -k2 * s2, k3 * c3, k3 * s3),
+        (p12 * v2, -p13 * v3, p12 * v1, p23 * v3, p13 * v1, p23 * v2,
+         k1 * s1 * v1, -k2 * s2 * v2, -k3 * s3 * v3,
+         -k1 * c1 * v1, -k2 * c2 * v2, k3 * c3 * v3),
+        (-g * k1 * s1, -g * k2 * s2, g * k3 * s3, 0.0, weight),
+    )
+
+
+def frontal_matrices(params: FrontalParams, state: FrontalState):
+    """Inertia matrix D, Coriolis matrix C and gravity vector G of the
+    frontal model as arrays, from the entries of ``assemble_frontal``."""
+    # (row, column) of each entry that assemble_frontal returns in d and in c
+    d_at = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
+    c_at = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
+            (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2))
+    return _dense(assemble_frontal(params, state.q.tolist(), state.dq.tolist()), d_at, c_at)
 
 
 def frontal_energy(params: FrontalParams, state: FrontalState) -> tuple[float, float]:
     """(kinetic, potential) energy of the frontal model [J]."""
-    D = assemble_frontal(params, state)[0]
+    D = frontal_matrices(params, state)[0]
     kinetic = 0.5 * float(state.dq @ D @ state.dq)
     q = state.q
     z = q[4]

@@ -459,9 +459,9 @@ def _control(ws: WalkerState, cfg: SimConfig):
 # clamped rows (the contact coordinates on rigid ground) and the imposed
 # frontal vertical row drop out; the sagittal swing rows 2 and 3 carry only
 # their diagonal entry and divide out.  What stays coupled is sagittal rows
-# (0, 1, 5, 6) on sand, a dense 4x4 solve, and two 2x2 blocks solved in
-# closed form: sagittal rows (0, 1) on rigid ground, frontal rows (2, 3) on
-# sand.
+# (0, 1, 5, 6) on sand, which ``dyn.solve_sand_block`` solves through a 2x2
+# Schur complement, and two 2x2 blocks solved in closed form: sagittal rows
+# (0, 1) on rigid ground, frontal rows (2, 3) on sand.
 
 
 def _solve2(m, r) -> tuple[float, float]:
@@ -492,39 +492,46 @@ _FRONTAL_KEY = struct.Struct("6d").pack
 
 
 class _FrontalTerms:
-    """What a stage derives from ``dyn.assemble_frontal`` (D as rows, the
-    bias -C dq - G, C dq and G as lists, row 1 of D), kept for the last
-    frontal configuration.  The system depends only on the angles and rates
-    q_f[:3], dq_f[:3], which hold still between touchdowns, so a stage
-    reassembles it only when their bytes or the parameter object change.
-    The key is bytes, not floats: a touchdown flips p3 between 0.0 and
-    -0.0, and 0.0 == -0.0.  C dq reads dq_f[3:] only through the zero
-    columns 3 and 4 of C, and a product accumulated from +0.0 has the same
-    bytes for any finite entries there.  One per run."""
+    """What a stage derives from ``dyn.assemble_frontal``, kept for the last
+    frontal configuration: ``terms``, the stage's entries (D22, D23, D24,
+    D33, the bias -C dq - G of rows 2 and 3, then C dq and G of row 3), and
+    ``held``, row 1 of D with C dq and G of row 1, for the holding torque.
+    The system depends only on the angles and rates q_f[:3], dq_f[:3],
+    which hold still between touchdowns, so a stage reassembles it only when
+    their bytes or the parameter object change.  The key is bytes, not
+    floats: a touchdown flips p3 between 0.0 and -0.0, and 0.0 == -0.0.
+    Each row of C dq is summed in column order from +0.0 over the nonzero
+    entries of C, which sit in columns 0-2.  One per run."""
 
-    __slots__ = ("params", "key", "terms")
+    __slots__ = ("params", "key", "terms", "held")
 
     def __init__(self):
-        self.params = self.key = self.terms = None
+        self.params = self.key = self.terms = self.held = None
 
     def __call__(self, params: dyn.FrontalParams, q_f, dq_f):
-        """The terms at the frontal coordinates ``q_f`` and rates ``dq_f``
-        (lists of 5 floats)."""
+        """The stage terms at the frontal coordinates ``q_f`` and rates
+        ``dq_f`` (lists of 5 floats)."""
         key = _FRONTAL_KEY(*q_f[:3], *dq_f[:3])
         if params is not self.params or key != self.key:
-            q_f, dq_f = np.array(q_f), np.array(dq_f)
-            d_f, c_f, g_f = dyn.assemble_frontal(params, dyn.FrontalState.trusted(q_f, dq_f))
-            cdq, g = (c_f @ dq_f).tolist(), g_f.tolist()
+            diag, d, c, g = dyn.assemble_frontal(params, q_f, dq_f)
+            d01, _, _, _, d12, d13, d14, d23, d24 = d
+            _, _, c10, c12, c20, c21, c30, c31, c32, _, _, _ = c
+            v0, v1, v2 = dq_f[:3]
+            cdq1 = 0.0 + c10 * v0 + c12 * v2
+            cdq2 = 0.0 + c20 * v0 + c21 * v1
+            cdq3 = 0.0 + c30 * v0 + c31 * v1 + c32 * v2
             self.params, self.key = params, key
-            self.terms = d_f.tolist(), [-c - gi for c, gi in zip(cdq, g)], cdq, g, d_f[1]
+            self.terms = (diag[2], d23, d24, diag[3], -cdq2 - g[2], -cdq3 - g[3], cdq3, g[3])
+            self.held = d01, diag[1], d12, d13, d14, cdq1, g[1]
         return self.terms
 
     def holding_torque(self, qdd_f) -> float:
-        """Crossbar row residual at the frontal accelerations ``qdd_f``, under
-        the last terms: the torque that holds the crossbar.  The 5-term
-        product stays in numpy, whose rounding the golden trajectories pin."""
-        _, _, cdq, g, d_f1 = self.terms
-        return float(d_f1 @ qdd_f) + cdq[1] + g[1]
+        """Crossbar row residual at the frontal accelerations ``qdd_f`` (5
+        floats), under the last terms: the torque that holds the crossbar,
+        summed in column order from +0.0, then C dq and G."""
+        d10, d11, d12, d13, d14, cdq1, g1 = self.held
+        a0, a1, a2, a3, a4 = qdd_f
+        return 0.0 + d10 * a0 + d11 * a1 + d12 * a2 + d13 * a3 + d14 * a4 + cdq1 + g1
 
 
 def _coriolis_rows(c, dq):
@@ -545,22 +552,20 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal: _FrontalTerms):
     plus (f_x, f_y, f_z).  ``q`` and ``dq`` are lists of 12 floats (7
     sagittal then 5 frontal coordinates) with dq[4] +0.0 (see
     ``_coriolis_rows``); ``frontal`` is the run's ``_FrontalTerms``."""
-    (d00, d11, d22, d33, _, d55, d66), (d01, d05, d06, d15, d16, _, _), c, \
-        (g0, g1, _, _, _, g5, g6) = dyn.assemble_sagittal(cfg.sagittal, q, dq)
+    diag, d, c, (g0, g1, _, _, _, g5, g6) = dyn.assemble_sagittal(cfg.sagittal, q, dq)
     c0, c1, c5, c6 = _coriolis_rows(c, dq)
     t0, t1, t2, t3 = tau_s
     # the actuated rows, then the contact rows; the held trunk row drops out
     r0, r1 = -c0 - g0 + t0, -c1 - g1 + t1
     r5, r6 = -c5 - g5, -c6 - g6
     # the decoupled swing rows, free of C and G, divide out
-    a2, a3 = t2 / d22, t3 / d33
+    a2, a3 = t2 / diag[2], t3 / diag[3]
     if cfg.terrain_mode == "granular":
         f_x, f_z, f_y = _grf_granular(cfg, max(0.0, -q[6]), dq[5], dq[6], q[10])
-        a0, a1, a5, a6 = np.linalg.solve(
-            [[d00, d01, d05, d06], [d01, d11, d15, d16], [d05, d15, d55, 0.0],
-             [d06, d16, 0.0, d66]], [r0, r1, r5 + f_x, r6 + f_z]).tolist()
+        a0, a1, a5, a6 = dyn.solve_sand_block(diag, d, (r0, r1, r5 + f_x, r6 + f_z))
     else:
-        a0, a1 = _solve2(((d00, d01), (d01, d11)), (r0, r1))
+        d01, d05, d06, d15, d16, _, _ = d
+        a0, a1 = _solve2(((diag[0], d01), (d01, diag[1])), (r0, r1))
         a5 = a6 = 0.0
         # constraint forces read back off the clamped contact rows, where
         # only the stance-leg rows 0 and 1 meet a nonzero D entry
@@ -569,14 +574,14 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal: _FrontalTerms):
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
     # lateral slip dynamic; the crossbar holding torque is left to the record
-    d, bias_f, cdq_f, g_f, _ = frontal(cfg.frontal, q[7:], dq[7:])
-    rf2 = bias_f[2] + tau_f[1]
+    d22, d23, d24, d33, b2, b3, cdq3, g3 = frontal(cfg.frontal, q[7:], dq[7:])
+    rf2 = b2 + tau_f[1]
     if cfg.terrain_mode == "granular":
-        p2, p3 = _solve2((d[2][2:4], d[3][2:4]),
-                         (rf2 - d[2][4] * a6, bias_f[3] + f_y - d[3][4] * a6))
+        # D34 is zero: lateral slip and sinkage are orthogonal translations
+        p2, p3 = _solve2(((d22, d23), (d23, d33)), (rf2 - d24 * a6, b3 + f_y))
     else:
-        p2, p3 = rf2 / d[2][2], 0.0
-        f_y = d[3][2] * p2 + cdq_f[3] + g_f[3]  # only row 2 accelerates
+        p2, p3 = rf2 / d22, 0.0
+        f_y = d23 * p2 + cdq3 + g3  # only row 2 accelerates
     # the frontal vertical coordinate shares the sagittal one
     return [a0, a1, a2, a3, 0.0, a5, a6, 0.0, 0.0, p2, p3, a6], f_x, f_y, f_z
 
@@ -720,8 +725,7 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
     new.theta_r0 = _contact_angle(cfg, new.y[1], new.t)
     # latch the stance chord at touchdown
     hip = _kinematics(cfg, c0, new.y[:7], new.y[12:19])[0]
-    new.r_latch = _clamp_chord(cfg, float(np.linalg.norm(
-        (hip[0] - c0[0], hip[1] - (c0[1] + r)))))
+    new.r_latch = _clamp_chord(cfg, math.hypot(hip[0] - c0[0], hip[1] - (c0[1] + r)))
     return new
 
 

@@ -55,7 +55,7 @@ def test_criterion_01_row_consistency():
         qf = rng.uniform(-1.5, 1.5, 5)
         dqf = rng.uniform(-4, 4, 5)
         qddf = rng.uniform(-8, 8, 5)
-        df, cf, gf = dyn.assemble_frontal(pf, dyn.FrontalState(qf, dqf))
+        df, cf, gf = dyn.frontal_matrices(pf, dyn.FrontalState(qf, dqf))
         lhs_f = df @ qddf + cf @ dqf + gf
         worst = max(
             worst,
@@ -94,10 +94,10 @@ def test_criterion_02_structural_properties():
             worst_grad = max(worst_grad, abs(grad - g[i]))
         qf = rng.uniform(-1.2, 1.2, 5)
         dqf = rng.uniform(-2, 2, 5)
-        dfm, cfm, gfm = dyn.assemble_frontal(pf, dyn.FrontalState(qf, dqf))
+        dfm, cfm, gfm = dyn.frontal_matrices(pf, dyn.FrontalState(qf, dqf))
         min_eig = min(min_eig, np.linalg.eigvalsh(dfm).min())
-        dpp, _, _ = dyn.assemble_frontal(pf, dyn.FrontalState(qf + dqf * fd, dqf))
-        dmm, _, _ = dyn.assemble_frontal(pf, dyn.FrontalState(qf - dqf * fd, dqf))
+        dpp, _, _ = dyn.frontal_matrices(pf, dyn.FrontalState(qf + dqf * fd, dqf))
+        dmm, _, _ = dyn.frontal_matrices(pf, dyn.FrontalState(qf - dqf * fd, dqf))
         sf = (dpp - dmm) / (2 * fd) - 2 * cfm
         worst_skew = max(worst_skew, np.abs(sf + sf.T).max())
     elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ from sandwalk.dynamics import (
     GrfSagittal,
     SagittalParams,
     SagittalState,
-    assemble_frontal,
+    frontal_matrices,
     sagittal_matrices,
     frontal_energy,
     sagittal_accel,
@@ -119,7 +119,7 @@ def test_inertia_matrix_spd_both_planes():
         assert np.allclose(d, d.T)
         assert np.linalg.eigvalsh(d).min() > 0.0
         stf = FrontalState(rng.uniform(-1.5, 1.5, 5), rng.uniform(-2, 2, 5))
-        df, _, _ = assemble_frontal(pf, stf)
+        df, _, _ = frontal_matrices(pf, stf)
         assert np.allclose(df, df.T)
         assert np.linalg.eigvalsh(df).min() > 0.0
 
@@ -172,7 +172,7 @@ def test_frontal_row_matches_closed_form():
         q = rng.uniform(-1.5, 1.5, 5)
         dq = rng.uniform(-4, 4, 5)
         qdd = rng.uniform(-8, 8, 5)
-        d, c, g = assemble_frontal(p, FrontalState(q, dq))
+        d, c, g = frontal_matrices(p, FrontalState(q, dq))
         lhs = d @ qdd + c @ dq + g
         scale = max(1.0, abs(lhs[3]))
         worst = max(worst, abs(lhs[3] - lateral_row_closed_form(p, q, dq, qdd)) / scale)
@@ -183,7 +183,7 @@ def test_frontal_force_step_frozen_angles():
     p = FrontalParams()
     q = np.array([0.2, 1.3, -0.1, 0.0, 0.0])
     st = FrontalState(q, np.zeros(5))
-    d, c, g = assemble_frontal(p, st)
+    d, c, g = frontal_matrices(p, st)
     f_y = 12.0
     qdd = np.zeros(5)
     qdd[3] = f_y / p.total_mass
@@ -207,9 +207,9 @@ def test_skew_symmetry(plane):
             p = FrontalParams()
             q = rng.uniform(-1, 1, 5)
             dq = rng.uniform(-2, 2, 5)
-            dp, c, _ = assemble_frontal(p, FrontalState(q, dq))
-            d_plus, _, _ = assemble_frontal(p, FrontalState(q + dq * dt, dq))
-            d_minus, _, _ = assemble_frontal(p, FrontalState(q - dq * dt, dq))
+            dp, c, _ = frontal_matrices(p, FrontalState(q, dq))
+            d_plus, _, _ = frontal_matrices(p, FrontalState(q + dq * dt, dq))
+            d_minus, _, _ = frontal_matrices(p, FrontalState(q - dq * dt, dq))
         d_dot = (d_plus - d_minus) / (2 * dt)
         s = d_dot - 2 * c
         assert np.abs(s + s.T).max() < 1e-6
@@ -224,7 +224,7 @@ def test_coriolis_matches_christoffel_of_numeric_partials(plane):
     if plane == "sagittal":
         n, assemble, state, params = 7, sagittal_matrices, SagittalState, random_sagittal_params
     else:
-        n, assemble, state, params = 5, assemble_frontal, FrontalState, random_frontal_params
+        n, assemble, state, params = 5, frontal_matrices, FrontalState, random_frontal_params
     for _ in range(50):
         p = params(rng)
         q = rng.uniform(-1.5, 1.5, n)
@@ -257,7 +257,7 @@ def test_gravity_is_potential_gradient(plane):
             p = FrontalParams()
             n = 5
             q = rng.uniform(-1, 1, n)
-            _, _, g = assemble_frontal(p, FrontalState(q, np.zeros(n)))
+            _, _, g = frontal_matrices(p, FrontalState(q, np.zeros(n)))
             pot = lambda qq: frontal_energy(p, FrontalState(qq, np.zeros(n)))[1]
         for i in range(n):
             qp = q.copy()

@@ -1,14 +1,14 @@
 """Behaviour contract: pinned trajectory file digests and effective configs.
 
-The SHA-256 digests below hold for the numpy, libm and OpenBLAS kernel they
-were recorded with (numpy 2.4, glibc, x86-64, and the SkylakeX kernel that
-OpenBLAS's DYNAMIC_ARCH build picks on that host); another floating-point
-library may change the last bits of a value and so the bytes.  The granular
-cases go through numpy.linalg.solve, and under OPENBLAS_CORETYPE=Haswell or
-Prescott their digests differ; ``OPENBLAS_VERBOSE=2 python -c "import
-numpy"`` prints the kernel a host picks.  A change that alters numerics on
-purpose must regenerate these values and say so, with the size of the
-change; a refactor must leave them untouched.
+The SHA-256 digests below hold for the numpy and libm they were recorded
+with (numpy 2.4, glibc, x86-64).  A step makes no BLAS or LAPACK call (the
+sand block is solved in Python floats), so the OpenBLAS kernel that numpy
+picks at import does not reach the bytes: they are the same under
+OPENBLAS_CORETYPE=Haswell and Prescott as under the SkylakeX kernel they
+were recorded with.  Another libm or numpy may still change the last bits
+of a value and so the bytes.  A change that alters numerics on purpose must regenerate these
+values and say so, with the size of the change; a refactor must leave them
+untouched.
 """
 
 import hashlib
@@ -20,16 +20,16 @@ from sandwalk.config import build_config, flatten_config
 
 TRAJECTORY_SHA256 = {
     ("granular", "semi_implicit"): (
-        "5b5ba48528b868db7fd1b1c5da1b88482f4351578dbe5610f73d05341b287316",
-        "b0f291598799a7812038f40ae59fb8e10a62eaefaae1bbb143ee142dec97ac7c",
+        "8f8e6211576e8e83331af6f24b8ea3da0abb80396b2d733440e561f5efc5e727",
+        "f0ec387d93da323a2760dfe1b7badb12237708849dfa7c9f4b5f610de3f8ab82",
     ),
     ("granular", "rk4"): (
-        "cbe10b9fb9481fcb171f4c5f08a7dfb001c38aa8294456792bcc3f77c7e81e9f",
-        "d474e41c9e57e0e5fb594eab40510a264747b8c09182e06cd3879a3ef520fc70",
+        "1ea040a6f60e0ba3f0588aff6f58e5eaea61dd19a215d544a0abff44ddee4a76",
+        "ef2e5710caf7e4152062b487b8c563e4845f6277885eadcd1778c5c60ef2b2fd",
     ),
     ("rigid", "semi_implicit"): (
-        "045c96535446c1b78f611b53b2355b5c4e47629eda02bc6626193dabe6364196",
-        "04d1d84da9cdecc747deb9f8d9a46b128d8e31f09451d59654174ce13da4940e",
+        "d451c06f562fd746899dd109e9c77143f8538d3660c76c677089ea28b9266c9a",
+        "1b559cbcf4dda97e54c8a197914ac0069ca33fa19c21d18009002fa0d8660332",
     ),
     ("rigid", "rk4"): (
         "0c9ee8743fca90c81b57ad2eb7e90c71f729e8d1a046fe486e425a35ff44ee1c",

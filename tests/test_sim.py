@@ -584,6 +584,102 @@ def test_closed_form_2x2_solve_matches_lapack():
     assert worst < 1e-12
 
 
+def _sand_block_dense(diag, d):
+    """Rows and columns (0, 1, 5, 6) of the sagittal D, from the entries of
+    ``dyn.assemble_sagittal``, as a 4x4 array."""
+    d00, d11, _, _, _, d55, d66 = diag
+    d01, d05, d06, d15, d16, _, _ = d
+    return np.array([[d00, d01, d05, d06], [d01, d11, d15, d16],
+                     [d05, d15, d55, 0.0], [d06, d16, 0.0, d66]])
+
+
+def _normwise_error(got, expected) -> np.ndarray:
+    """Normwise relative difference of each row of ``got`` to ``expected``."""
+    return np.linalg.norm(got - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
+
+
+@pytest.mark.parametrize("equal_contact", [True, False], ids=["d55=d66", "d55!=d66"])
+def test_sand_block_solve_matches_lapack_on_random_blocks(equal_contact):
+    # symmetric positive definite blocks [[A, B], [B^T, diag(d55, d66)]]:
+    # A is B diag(d55, d66)^-1 B^T plus an SPD part, which is then the Schur
+    # complement; the scales span the default robot's (d00 ~ 0.03, d55 6.5)
+    rng = np.random.default_rng(17)
+    systems, got = [], []
+    for _ in range(2000):
+        d55 = rng.uniform(0.5, 10.0)
+        d66 = d55 if equal_contact else rng.uniform(0.5, 10.0)
+        b = rng.uniform(-0.5, 0.5, (2, 2))
+        m = rng.uniform(-0.3, 0.3, (2, 2))
+        a = b @ np.diag([1.0 / d55, 1.0 / d66]) @ b.T + m @ m.T + 0.005 * np.eye(2)
+        diag = (a[0, 0], a[1, 1], 1.0, 1.0, 1.0, d55, d66)
+        d = (a[0, 1], b[0, 0], b[0, 1], b[1, 0], b[1, 1], 0.0, 0.0)
+        r = tuple(rng.uniform(-50.0, 50.0, 4).tolist())
+        systems.append((_sand_block_dense(diag, d), r))
+        got.append(dyn.solve_sand_block(diag, d, r))
+    matrices, rhs = map(np.array, zip(*systems))
+    expected = np.linalg.solve(matrices, rhs[..., None])[..., 0]
+    assert np.linalg.cond(matrices).max() > 1e3
+    assert _normwise_error(np.array(got), expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("terrain_mode,integrator,decimation,calls", [
+    ("granular", "rk4", 10, 2400 * 4 + 240),  # four stages, a fifth per row
+    ("granular", "semi_implicit", 1, 2400),
+    ("rigid", "rk4", 10, 0),
+    ("rigid", "semi_implicit", 1, 0),
+])
+def test_sand_block_solved_once_per_granular_stage(monkeypatch, terrain_mode, integrator,
+                                                   decimation, calls):
+    # every sand stage of a default run solves its block through the module
+    # attribute, once, within 1e-12 normwise of LAPACK
+    solve = dyn.solve_sand_block
+    seen = []
+
+    def recorded(diag, d, r):
+        x = solve(diag, d, r)
+        seen.append((_sand_block_dense(diag, d), r, x))
+        return x
+
+    monkeypatch.setattr(dyn, "solve_sand_block", recorded)
+    sim.run(build_config({"sim.terrain_mode": terrain_mode, "sim.integrator": integrator,
+                          "sim.decimation": decimation}))
+    assert len(seen) == calls
+    if calls:
+        matrices, rhs, got = map(np.array, zip(*seen))
+        expected = np.linalg.solve(matrices, rhs[..., None])[..., 0]
+        assert _normwise_error(got, expected).max() < 1e-12
+
+
+class _NoNumpy:
+    """Stand-in for a module's ``np`` that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a step used numpy.{name}")
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_step_calls_no_numpy(monkeypatch, terrain_mode, integrator):
+    # the step runs in Python floats: no BLAS or LAPACK call (whose rounding
+    # depends on the kernel OpenBLAS picks) and no numpy in the dynamics,
+    # the terrain forces or the gait, across touchdowns and frontal
+    # reassemblies; the config is built first, and its per-run constants
+    # are derived during the run
+    cfg = build_config({"sim.duration": 0.8, "sim.terrain_mode": terrain_mode,
+                        "sim.integrator": integrator})
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a step called a BLAS or LAPACK routine")
+
+    monkeypatch.setattr(np.linalg, "solve", banned)
+    monkeypatch.setattr(np.linalg, "norm", banned)
+    monkeypatch.setattr(np, "dot", banned)
+    for module in (dyn, tr, gt):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    traj = sim.run(cfg)
+    assert traj.column("step_count")[-1] >= 3
+
+
 def _random_stage(rng, granular):
     q = np.concatenate([rng.uniform(-0.8, 0.8, 5), rng.uniform(-0.02, 0.02, 1),
                         rng.uniform(-0.04, 0.0, 1) if granular else np.zeros(1),
@@ -612,7 +708,7 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
         q, dq, tau_s, tau_f = _random_stage(rng, granular)
         qdd, _, f_y, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f, sim._FrontalTerms())
         if granular:
-            d, c, g = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState(q[7:], dq[7:]))
+            d, c, g = dyn.frontal_matrices(cfg.frontal, dyn.FrontalState(q[7:], dq[7:]))
             rhs = -c @ dq[7:] - g
             rhs[2] += tau_f[1]
             rhs[3] += f_y
@@ -651,7 +747,7 @@ def test_float_stage_terms_are_the_bytes_of_the_dense_assembly(monkeypatch):
         q_l, dq_l = q_i.tolist(), dq_i.tolist()
         diag, d, c, g = dyn.assemble_sagittal(p, q_l, dq_l)
         got = np.array((*diag, *d, *d, *g, *sim._coriolis_rows(c, dq_l), 0.0, 0.0))
-        dense_d, dense_c, dense_g = dyn.sagittal_matrices(p, dyn.SagittalState.trusted(q_i, dq_i))
+        dense_d, dense_c, dense_g = dyn.sagittal_matrices(p, dyn.SagittalState(q_i, dq_i))
         expected = np.concatenate((dense_d.take(d_at), dense_g, (dense_c @ dq_i).take(cdq_at)))
         if got.tobytes() != expected.tobytes():
             mismatches.append((q_l, dq_l, list(map(float.hex, got.tolist())),
@@ -672,28 +768,36 @@ def test_float_stage_terms_are_the_bytes_of_the_dense_assembly(monkeypatch):
     assert set(map(float.hex, trunk_rates)) == {"0x0.0p+0"}
 
 
+def _ordered_dot(row, v) -> float:
+    """Sum of the products of ``row`` and ``v`` in column order from +0.0."""
+    total = 0.0
+    for a, b in zip(row, v):
+        total += a * b
+    return total
+
+
 def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
-    """Frontal rows of a stage from a fresh ``dyn.assemble_frontal``, with the
+    """Frontal rows of a stage from a fresh ``dyn.frontal_matrices``, with the
     row arithmetic of a stage that reassembles at every call: the frontal
-    accelerations, f_y and tau_bar."""
-    q_f, dq_f = np.array(q[7:]), np.array(dq[7:])
-    d_f, c_f, g_f = dyn.assemble_frontal(cfg.frontal, dyn.FrontalState.trusted(q_f, dq_f))
-    cdq_f = (c_f @ dq_f).tolist()
-    g_f = g_f.tolist()
-    rhs_f = [-c - g for c, g in zip(cdq_f, g_f)]
+    accelerations, f_y and tau_bar.  A product with a dense row sums all its
+    columns; a running sum from +0.0 is never -0.0, so the zero entries of
+    the row leave its bytes as they are."""
+    d_f, c_f, g_f = dyn.frontal_matrices(cfg.frontal, dyn.FrontalState(q[7:], dq[7:]))
+    d, g = d_f.tolist(), g_f.tolist()
+    cdq_f = [_ordered_dot(row, dq[7:]) for row in c_f.tolist()]
+    rhs_f = [-c - g for c, g in zip(cdq_f, g)]
     rhs_f[2] += tau_f[1]
-    d = d_f.tolist()
     qdd_f = [0.0] * 5
     if cfg.terrain_mode == "granular":
         rhs_f[3] += f_y
         qdd_f[4] = qdd_s[6]
+        assert d[3][4] == 0.0
         qdd_f[2:4] = sim._solve2((d[2][2:4], d[3][2:4]),
-                                 [rhs_f[i] - d[i][4] * qdd_f[4] for i in (2, 3)])
+                                 (rhs_f[2] - d[2][4] * qdd_f[4], rhs_f[3]))
     else:
         qdd_f[2] = rhs_f[2] / d[2][2]
-        f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g_f[3]
-    qdd = np.array(qdd_s + qdd_f)
-    return qdd, f_y, float(d_f[1] @ qdd[7:]) + cdq_f[1] + g_f[1]
+        f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g[3]
+    return np.array(qdd_s + qdd_f), f_y, _ordered_dot(d[1], qdd_f) + cdq_f[1] + g[1]
 
 
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
