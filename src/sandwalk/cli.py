@@ -81,7 +81,10 @@ def _load_cfg(args) -> simulation.SimConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     traj = simulation.run(cfg)
-    # before any file is written, so that a run without a CoT leaves none
+    # before any file is written, so that a run without a CoT or without the
+    # records the files and the summary read leaves none
+    if len(traj) < 2:
+        raise ValueError("trajectory must hold at least two records")
     report = metrics.cot(traj, t_start=metrics.settle_time(cfg))
     out = _out_dir(args)
     csv_path = out / "trajectory.csv"
@@ -136,7 +139,7 @@ def _cmd_sweep(args) -> int:
     ran = {"gait.v_target": list(dict.fromkeys(r.v_target for r in rows)),
            "sim.terrain_mode": list(dict.fromkeys(r.terrain for r in rows)),
            "sim.seed": list(rows[0].seeds),
-           "sim.decimation": 1}
+           "sim.decimation": metrics.sweep_decimation(cfg)}
     _manifest(out, cfg, {"sweep_csv": sweep_path, "sweep_json": json_path},
               {"rows": len(rows), "failed_cells": failed}, ran)
     print(f"wrote {sweep_path} ({len(rows)} rows, {failed} failed cells)")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,8 +221,7 @@ class FrontalState:
         self.dq = _as_vector(self.dq, 5, "dq")
 
 
-@dataclass(frozen=True)
-class GrfSagittal:
+class GrfSagittal(NamedTuple):
     """Ground reaction force on the stance foot in the sagittal plane [N]."""
 
     f_x: float = 0.0

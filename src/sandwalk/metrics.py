@@ -19,6 +19,7 @@ __all__ = [
     "rmse",
     "resample_stance",
     "settle_time",
+    "sweep_decimation",
     "velocity_sweep",
     "dimensionless_velocity",
 ]
@@ -79,12 +80,14 @@ def cot(
     """Cost of transport E / (W_r d) by trapezoidal integration.
 
     E integrates the absolute mechanical power of the joint actuators and
-    d the forward CoM velocity from t_start (the first record when
-    omitted) to the last record.  Raises ZeroDistanceError when d < 1e-6 m.
+    d the forward CoM velocity from t_start (the first sample when omitted)
+    to the last sample.  The samples are those of every simulated step
+    (``Trajectory.step_column``), so a run's CoT does not depend on its
+    decimation.  Raises ZeroDistanceError when d < 1e-6 m.
     """
     if robot_weight is None:
         robot_weight = float(trajectory.meta["robot_weight"])
-    t = trajectory.column("t")
+    t = trajectory.step_column("t")
     if t.size < 2:
         raise ValueError("trajectory must hold at least two records")
     lo = t[0] if t_start is None else t_start
@@ -94,10 +97,10 @@ def cot(
     tw = t[mask]
 
     energy, e_s, e_f = (
-        float(np.trapezoid(np.abs(trajectory.column(name)[mask]), tw))
+        float(np.trapezoid(np.abs(trajectory.step_column(name)[mask]), tw))
         for name in ("power", "power_s", "power_f")
     )
-    distance = float(np.trapezoid(trajectory.column("com_vx")[mask], tw))
+    distance = float(np.trapezoid(trajectory.step_column("com_vx")[mask], tw))
     if distance < 1e-6:
         raise ZeroDistanceError(f"walking distance {distance:.3e} m below threshold")
     return CoTReport(
@@ -158,6 +161,12 @@ def resample_stance(
 _CELL_ERRORS = (simulation.DivergenceError, ZeroDistanceError, ValueError)
 
 
+def sweep_decimation(cfg: simulation.SimConfig) -> int:
+    """Decimation of a sweep run: one past its step count, so that the run
+    logs no record (its CoT integrates the samples of every step)."""
+    return int(round(cfg.duration / cfg.dt)) + 1
+
+
 def _sweep_cell(cfg: simulation.SimConfig) -> float | CellFailure:
     """CoT of one sweep run, or why the run failed in a counted way."""
     try:
@@ -181,8 +190,9 @@ def velocity_sweep(
     (divergence, zero distance) is counted in ``n_failed`` and described in
     ``failures`` without aborting the sweep; serial and parallel runs share
     one cell function, so they record the same failures.  Every run logs
-    each step (decimation 1), since its CoT integrates the logged samples.  At most one worker process per
-    run is started; with one, runs go in-process.
+    no record (``sweep_decimation``), since its CoT integrates the samples
+    of every step.  At most one worker process per run is started; with
+    one, runs go in-process.
     """
     velocities = list(velocities)
     if not velocities:
@@ -194,8 +204,9 @@ def velocity_sweep(
 
     seeds = tuple(base.seed + rep for rep in range(repeats))
     cells = [(float(v), terrain_mode) for v in velocities for terrain_mode in terrains]
+    decimation = sweep_decimation(base)
     try:  # each speed passes the checks of its config key before any run starts
-        configs = [replace(base, terrain_mode=terrain_mode, seed=seed, decimation=1,
+        configs = [replace(base, terrain_mode=terrain_mode, seed=seed, decimation=decimation,
                            gait=replace(base.gait, v_target=v))
                    for v, terrain_mode in cells for seed in seeds]
     except ValueError as exc:

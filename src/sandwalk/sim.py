@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from array import array
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -143,6 +144,9 @@ _LEG = _FIELD_INDEX["stance_leg"]
 _STEP = _FIELD_INDEX["step_count"]
 _BLOCK = 256  # rows per block of trajectory file I/O
 
+# the columns that the cost of transport integrates, sampled at every step
+STEP_FIELDS = ("t", "power", "power_s", "power_f", "com_vx")
+
 #: One trajectory row, with ``stance_leg`` as "left"/"right" and
 #: ``step_count`` as int.  ``z_s`` is the sinkage depth and ``dz_s`` the
 #: sinking rate, both positive down.
@@ -153,15 +157,22 @@ SimRecord = namedtuple("SimRecord", SIM_RECORD_FIELDS)
 class Trajectory:
     """Logged records as one ``(n_records, len(SIM_RECORD_FIELDS))`` float64
     array; column j holds field ``SIM_RECORD_FIELDS[j]`` and ``stance_leg``
-    holds 0 (left) or 1 (right)."""
+    holds 0 (left) or 1 (right).  ``step_samples`` holds the ``STEP_FIELDS``
+    of every simulated step, logged or not, as an ``(n_steps,
+    len(STEP_FIELDS))`` array; without it they are read off the records."""
 
     data: np.ndarray
     meta: dict
+    step_samples: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.data.ndim != 2 or self.data.shape[1] != len(SIM_RECORD_FIELDS):
             raise ValueError(f"trajectory data of shape {self.data.shape} is not "
                              f"(n_records, {len(SIM_RECORD_FIELDS)})")
+        samples = self.step_samples
+        if samples is not None and (samples.ndim != 2 or samples.shape[1] != len(STEP_FIELDS)):
+            raise ValueError(f"step samples of shape {samples.shape} are not "
+                             f"(n_steps, {len(STEP_FIELDS)})")
 
     def __len__(self) -> int:
         return len(self.data)
@@ -192,6 +203,15 @@ class Trajectory:
         if name not in _FIELD_INDEX:
             raise KeyError(f"unknown trajectory field '{name}'")
         col = self.data[:, _FIELD_INDEX[name]]
+        col.flags.writeable = False
+        return col
+
+    def step_column(self, name: str) -> np.ndarray:
+        """Read-only view of one ``STEP_FIELDS`` field over every simulated
+        step, or over the records when the step samples were not given."""
+        if self.step_samples is None:
+            return self.column(name)
+        col = self.step_samples[:, STEP_FIELDS.index(name)]
         col.flags.writeable = False
         return col
 
@@ -660,20 +680,37 @@ def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
     return rl.orientation_angle(shape, contact)
 
 
-def _record(ws: WalkerState, cfg: SimConfig, control, start, last,
-            frontal: _FrontalTerms, theta_r: float, kinematics, phase: float, out) -> None:
-    """Write the post-step record of ``ws`` into the row ``out``, from the
-    step's control output, its stacked state ``start`` at the control
-    instant, its ``last`` evaluation and the run's ``frontal`` terms as that
-    evaluation left them, and the step's contact angle, kinematics and
-    stance phase."""
+def _powers(ws: WalkerState, control, start, last, frontal: _FrontalTerms):
+    """Joint powers in actuation space, their sum and each plane's net
+    power, with the rates at the control instant, from the step's control
+    output, its stacked state ``start`` at the control instant, its ``last``
+    evaluation and the run's ``frontal`` terms as that evaluation left them.
+    Writes the reported hip torques, the crossbar holding demand plus the
+    swing-side PD, into the control output's torques.
+
+    The holding torque meets only the stance-hip and crossbar rates, which
+    the posture holds keep at +-0.0, so an unlogged rk4 step, whose last
+    evaluation is its fourth stage and not the fifth, gets the powers of a
+    logged one to the bit."""
     tau_a, dq_a, tau_s, tau_f = control
-    y, qdd, f_x, f_y, f_z = last
-    gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
-    # reported hip torques: crossbar holding demand plus the swing-side PD
-    tau_bar = frontal.holding_torque(qdd[7:])
+    tau_bar = frontal.holding_torque(last[1][7:])
     i_st, i_sw = _ACTUATION[ws.stance][2]
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
+    joint_powers = list(map(mul, tau_a, dq_a))
+    t0, t1, t2, t3 = tau_s
+    return (joint_powers, math.fsum(joint_powers),
+            math.fsum((t0 * start[12], t1 * start[13], t2 * start[14], t3 * start[15])),
+            math.fsum((tau_bar * start[20], tau_f[1] * start[21])))
+
+
+def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
+            theta_r: float, kinematics, phase: float, out) -> None:
+    """Write the post-step record of ``ws`` into the row ``out``, from the
+    step's actuator torques ``tau_a`` and ``powers`` as ``_powers`` gave
+    them, its ``last`` evaluation and its contact angle, kinematics and
+    stance phase."""
+    y, _, f_x, f_y, f_z = last
+    gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
 
     s = ws.y
     # rolling bookkeeping on the stance foot
@@ -683,14 +720,7 @@ def _record(ws: WalkerState, cfg: SimConfig, control, start, last,
     except rl.NoRotationError:
         r_eff = cfg.r_eff_cap
 
-    # powers in actuation space and per plane, with the rates at the control
-    # instant
-    joint_powers = list(map(mul, tau_a, dq_a))
-    power = math.fsum(joint_powers)
-    power_abs = math.fsum(map(abs, joint_powers))
-    power_s = math.fsum(map(mul, tau_s, start[12:16]))
-    power_f = math.fsum(map(mul, (tau_bar, tau_f[1]), start[20:22]))
-
+    joint_powers, power, power_s, power_f = powers
     hip, _, com, _, _, com_v = kinematics
     out[:] = [  # SIM_RECORD_FIELDS order
         ws.t, _LEG_NAMES.index(ws.stance), phase, ws.step_count,
@@ -700,7 +730,7 @@ def _record(ws: WalkerState, cfg: SimConfig, control, start, last,
         *tau_a,
         f_x, f_y, f_z,
         theta_r, d_theta, gamma, r_eff,
-        power, power_abs, power_s, power_f,
+        power, math.fsum(map(abs, joint_powers)), power_s, power_f,
         *com, *com_v, *hip,
     ]
 
@@ -733,13 +763,15 @@ _DIVERGENCE_LIMIT = 1e6  # largest |state entry| the step lets through
 
 
 def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
-             frontal: _FrontalTerms) -> WalkerState:
-    """One fixed step: flow, divergence guard, contact check, record into the
-    row ``out``, touchdown event and jump.  A step without a row (``out`` is
-    None) skips the record and, under rk4, the end-of-step force evaluation;
-    it makes every check and takes the same event.  ``frontal`` is the run's
-    ``_FrontalTerms``.  Returns ``ws`` advanced or the jumped state."""
-    signals = _flow(ws, cfg, out is not None, frontal)
+             frontal: _FrontalTerms, samples: array) -> WalkerState:
+    """One fixed step: flow, divergence guard, contact check, the step's
+    ``STEP_FIELDS`` appended to ``samples``, record into the row ``out``,
+    touchdown event and jump.  A step without a row (``out`` is None) skips
+    the record and, under rk4, the end-of-step force evaluation; it makes
+    every check, appends the same samples and takes the same event.
+    ``frontal`` is the run's ``_FrontalTerms``.  Returns ``ws`` advanced or
+    the jumped state."""
+    control, start, last = _flow(ws, cfg, out is not None, frontal)
     y = ws.y
     # divergence guard on the stacked state; NaN fails the comparison too
     for x in y:
@@ -748,8 +780,11 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
     theta_r = _contact_angle(cfg, y[1], ws.t)  # a contact off the sole ends the run
     kinematics = _kinematics(cfg, ws.c0, y[:7], y[12:19])
     phase = _stance_phase(ws, cfg, ws.t)
+    powers = _powers(ws, control, start, last, frontal)
+    _, power, power_s, power_f = powers
+    samples.extend((ws.t, power, power_s, power_f, kinematics[5][0]))
     if out is not None:
-        _record(ws, cfg, *signals, frontal, theta_r, kinematics, phase, out)
+        _record(ws, cfg, control[0], last, powers, theta_r, kinematics, phase, out)
     # touchdown event: the swing-foot height crossing the surface, armed past
     # the swing apex and forced at the schedule boundary
     height = kinematics[1][1] - cfg.foot_radius
@@ -787,8 +822,9 @@ def run(cfg: SimConfig) -> Trajectory:
     k = cfg.decimation
     data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
     frontal = _FrontalTerms()
+    samples = array("d")
     for i in range(n_steps):
-        ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None, frontal)
+        ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None, frontal, samples)
     meta = {
         "dt": cfg.dt,
         "duration": cfg.duration,
@@ -802,7 +838,7 @@ def run(cfg: SimConfig) -> Trajectory:
         "cycle_period": cfg.gait.cycle_period,
         "stance_duration": cfg.gait.stance_duration,
     }
-    return Trajectory(data, meta)
+    return Trajectory(data, meta, np.frombuffer(samples).reshape(n_steps, len(STEP_FIELDS)))
 
 
 def integrate_free(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,15 @@ class TerrainParams:
         if not math.isfinite(self.sand_level):
             raise ValueError("sand_level must be finite")
 
+    @cached_property
+    def _wedge(self) -> tuple[float, float, float, float, float]:
+        """Per-terrain constants of the wedge law (see ``sagittal_forces``):
+        2 phi_s with its cosine and sine, the stress factor zeta *
+        alpha_scale * 1e6 and the wedge denominator 2 tan phi_s."""
+        two_phi = 2 * self.phi_s
+        return (two_phi, math.cos(two_phi), math.sin(two_phi),
+                self.zeta * self.alpha_scale * _STRESS_UNIT, 2.0 * math.tan(self.phi_s))
+
 
 @dataclass
 class IntrusionKinematics:
@@ -138,10 +148,10 @@ def local_stress(
     """
     if zeta == 0.0 or scale == 0.0:
         return 0.0, 0.0
+    k = zeta * scale * _STRESS_UNIT
     if math.isnan(gamma):
         g_pen = math.pi / 2  # static bearing at the penetration branch
-        a_z = _alpha_z(beta, g_pen, GENERIC_RFT_COEFFICIENTS)
-        return 0.0, zeta * scale * _STRESS_UNIT * a_z
+        return 0.0, _stresses(k, 2 * beta, math.cos(2 * beta), math.sin(2 * beta), g_pen)[1]
     vx = math.cos(gamma)
     vz = math.sin(gamma)  # upward component
     sign = 1.0
@@ -150,29 +160,21 @@ def local_stress(
         beta = -beta
         sign = -1.0
     g_pen = math.atan2(-vz, vx)  # positive when moving into the media
-    a_x = _alpha_x(beta, g_pen, GENERIC_RFT_COEFFICIENTS)
-    a_z = _alpha_z(beta, g_pen, GENERIC_RFT_COEFFICIENTS)
-    k = zeta * scale * _STRESS_UNIT
-    return sign * k * a_x, k * a_z
+    a_x, a_z = _stresses(k, 2 * beta, math.cos(2 * beta), math.sin(2 * beta), g_pen)
+    return sign * a_x, a_z
 
 
-def _alpha_z(beta: float, g: float, c: RftCoefficients) -> float:
-    return (
-        c.a00
-        + c.a10 * math.cos(2 * beta)
-        + c.b01 * math.sin(g)
-        + c.b11 * math.sin(2 * beta + g)
-        + c.bm11 * math.sin(-2 * beta + g)
-    )
-
-
-def _alpha_x(beta: float, g: float, c: RftCoefficients) -> float:
-    return (
-        c.d10 * math.sin(2 * beta)
-        + c.c01 * math.cos(g)
-        + c.c11 * math.cos(2 * beta + g)
-        + c.cm11 * math.cos(-2 * beta + g)
-    )
+def _stresses(k: float, two_beta: float, cos_2b: float, sin_2b: float,
+              g: float) -> tuple[float, float]:
+    """(k alpha_x, k alpha_z) of the generic Fourier series at the attack
+    angle beta, given as 2 beta with its cosine and sine, and at the
+    penetration angle ``g``."""
+    c = GENERIC_RFT_COEFFICIENTS
+    a_x = (c.d10 * sin_2b + c.c01 * math.cos(g) + c.c11 * math.cos(two_beta + g)
+           + c.cm11 * math.cos(-two_beta + g))
+    a_z = (c.a00 + c.a10 * cos_2b + c.b01 * math.sin(g) + c.b11 * math.sin(two_beta + g)
+           + c.bm11 * math.sin(-two_beta + g))
+    return k * a_x, k * a_z
 
 
 def wedge_area(depth: float, phi_s: float) -> float:
@@ -189,22 +191,31 @@ def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagi
     and the vertical component opposes penetration (it turns tensile on the
     extraction branch).
     """
-    if kin.depth < 0.0:
+    depth = kin.depth
+    if depth < 0.0:
         raise ValueError("sinkage depth must be non-negative")
-    if kin.depth == 0.0:
+    if depth == 0.0:
         return GrfSagittal(0.0, 0.0)
+    gamma = kin.gamma
+    vx = math.cos(gamma)  # NaN for a NaN gamma
+    vz = math.sin(gamma)
+    two_phi, cos_2phi, sin_2phi, k, two_tan = terrain._wedge
+    if vx >= 0.0 and k != 0.0:
+        # forward motion: local_stress times wedge_area, from the terrain's
+        # constants and with the direction's cosine and sine taken once (a
+        # zero stress factor, which validation rejects, takes the path below
+        # for local_stress's unsigned zeros)
+        a_x, a_z = _stresses(k, two_phi, cos_2phi, sin_2phi, math.atan2(-vz, vx))
+        geom = terrain.width * (depth ** 2 / two_tan)
+        return GrfSagittal(-a_x * geom, a_z * geom)
     # the wedge face rides the leading side of a symmetric foot, so fold the
     # motion into the positive-horizontal frame and sign the drag afterwards
-    gamma = kin.gamma
     sign = 1.0
-    if not math.isnan(gamma):
-        vx = math.cos(gamma)
-        vz = math.sin(gamma)
-        if vx < 0.0:
-            sign = -1.0
-            gamma = math.atan2(vz, -vx)
+    if vx < 0.0:
+        sign = -1.0
+        gamma = math.atan2(vz, -vx)
     a_x, a_z = local_stress(terrain.phi_s, gamma, terrain.zeta, terrain.alpha_scale)
-    geom = terrain.width * wedge_area(kin.depth, terrain.phi_s)
+    geom = terrain.width * wedge_area(depth, terrain.phi_s)
     return GrfSagittal(f_x=-sign * a_x * geom, f_z=a_z * geom)
 
 

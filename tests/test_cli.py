@@ -9,6 +9,7 @@ import pytest
 
 from sandwalk import metrics, sim
 from sandwalk.cli import main
+from sandwalk.config import build_config
 from sandwalk.sim import SIM_RECORD_FIELDS
 from sandwalk.terrain import (
     IntrusionKinematics,
@@ -227,6 +228,29 @@ def test_compare_unknown_field(tmp_path, capsys):
     assert "bogus_field" in captured.err
 
 
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+@pytest.mark.parametrize("terrain", ["granular", "rigid"])
+def test_simulate_cot_does_not_depend_on_decimation(tmp_path, terrain, integrator):
+    # the summary integrates the samples of every step, logged or not: its
+    # CoT is bit-equal at every --decimation, and equal to the CoT of the
+    # records of the undecimated run
+    reports = []
+    for k in (1, 10, 50):
+        out = tmp_path / f"k{k}"
+        assert main(["simulate", "--set", "sim.duration=0.8", "--terrain", terrain,
+                     "--set", f"sim.integrator={integrator}", "--decimation", str(k),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["records"] == 800 // k
+        reports.append((summary["cot"].hex(), summary["cot_decoupled"].hex()))
+    assert reports == reports[:1] * 3
+    cfg = build_config({"sim.duration": 0.8, "sim.terrain_mode": terrain,
+                        "sim.integrator": integrator})
+    traj = sim.run(cfg)
+    rows = metrics.cot(sim.Trajectory(traj.data, traj.meta), t_start=metrics.settle_time(cfg))
+    assert reports[0] == (rows.cot.hex(), rows.cot_decoupled.hex())
+
+
 def test_simulate_without_a_cot_writes_no_file(tmp_path, capsys):
     # 400 steps at decimation 500 log no record: no CoT, so no outputs
     out = tmp_path / "o"
@@ -324,7 +348,7 @@ def test_sweep_rows_and_empty_list(tmp_path, capsys):
 def test_sweep_manifest_records_what_ran(tmp_path):
     # the base config says rigid, speed 0.2, seed 5 and decimation 10; the
     # cells ran both terrains, the listed speeds, one seed per repeat and
-    # decimation 1
+    # a decimation one past their 400 steps
     out = tmp_path / "out"
     rc = main(["sweep", "--set", "sim.terrain_mode=rigid", "--set", "sim.duration=0.4",
                "--set", "sim.decimation=10", "--seed", "5", "--velocities", "0.3,0.1",
@@ -334,7 +358,7 @@ def test_sweep_manifest_records_what_ran(tmp_path):
     assert config["sim.terrain_mode"] == ["granular", "rigid"]
     assert config["gait.v_target"] == [0.3, 0.1]
     assert config["sim.seed"] == [5, 6]
-    assert config["sim.decimation"] == 1  # every cell logs each step
+    assert config["sim.decimation"] == 401  # no cell logs a record
     assert config["sim.duration"] == 0.4
     rows = json.loads((out / "sweep.json").read_text())
     assert [(r["velocity"], r["terrain"], r["n_ok"] + r["n_failed"]) for r in rows] == [

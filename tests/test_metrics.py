@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sandwalk import metrics
+from sandwalk import metrics, sim
 from sandwalk.metrics import (
     CellFailure,
     SweepRow,
@@ -213,6 +213,33 @@ def test_sweep_cell_failure_without_a_time(monkeypatch):
     monkeypatch.setattr(metrics.simulation, "run", no_distance)
     assert metrics._sweep_cell(build_config({})) == CellFailure(
         "ZeroDistanceError", "walking distance 0.000e+00 m below threshold", None)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_cells_build_no_rows(monkeypatch, jobs):
+    # a sweep cell logs no record (and under --jobs 1 the patch below sees
+    # that); its CoT integrates the samples of every step, so it is the CoT
+    # of the same run's records at decimation 1, bit for bit
+    record = sim._record
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].t)
+        return record(*args)
+
+    monkeypatch.setattr(sim, "_record", counted)
+    base = build_config({"sim.duration": 0.8, "sim.decimation": 10})
+    rows = velocity_sweep(base, [0.2, 0.4], repeats=1, jobs=jobs)
+    if jobs == 1:
+        assert calls == []
+    assert len(rows) == 4
+    for row in rows:
+        cfg = dataclasses.replace(base, terrain_mode=row.terrain, decimation=1,
+                                  gait=dataclasses.replace(base.gait, v_target=row.v_target))
+        calls.clear()
+        expected = cot(sim.run(cfg), t_start=metrics.settle_time(cfg)).cot
+        assert len(calls) == 800
+        assert row.cot_mean.hex() == expected.hex(), row
 
 
 def test_velocity_sweep_ignores_the_base_decimation():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def run_cfg(**kw):
 def _step(ws, cfg):
     """One logged step from a shallow copy of ``ws``: (state', record)."""
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
-    out = sim._advance(dataclasses.replace(ws), cfg, row, sim._FrontalTerms())
+    out = sim._advance(dataclasses.replace(ws), cfg, row, sim._FrontalTerms(), array("d"))
     return out, sim.Trajectory(row[None], {}).records[0]
 
 
@@ -171,8 +172,9 @@ def test_granular_stance_sinks_to_force_balance():
     # settled depth between the static-balance depth and the ballistic
     # overshoot bound, both from the quadratic force law
     from sandwalk import terrain as tr
-    k = (cfg.terrain.zeta * cfg.terrain.alpha_scale * 1e6
-         * tr._alpha_z(cfg.terrain.phi_s, math.pi / 2, tr.GENERIC_RFT_COEFFICIENTS)
+    # the static bearing stress: straight-down penetration
+    k = (tr.local_stress(cfg.terrain.phi_s, math.nan, cfg.terrain.zeta,
+                         cfg.terrain.alpha_scale)[1]
          * cfg.terrain.width / (2 * math.tan(cfg.terrain.phi_s)))
     z_eq = math.sqrt(weight / k)
     assert z_eq <= z[-1] <= 1.25 * math.sqrt(3.0) * z_eq
@@ -251,11 +253,11 @@ def _walk(terrain_mode, n_steps):
     cfg = build_config({"sim.terrain_mode": terrain_mode})
     ws = sim.initial_state(cfg)
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
-    frontal = sim._FrontalTerms()
+    frontal, samples = sim._FrontalTerms(), array("d")
     pairs = []
     for _ in range(n_steps):
         before = copy.deepcopy(ws)
-        ws = sim._advance(ws, cfg, row, frontal)
+        ws = sim._advance(ws, cfg, row, frontal, samples)
         pairs.append((before, copy.deepcopy(ws)))
     return cfg, pairs
 
@@ -288,9 +290,9 @@ def test_step_keeps_the_state_in_floats(terrain_mode, integrator):
     cfg = build_config({"sim.terrain_mode": terrain_mode, "sim.integrator": integrator})
     ws = sim.initial_state(cfg)
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
-    frontal = sim._FrontalTerms()
+    frontal, samples = sim._FrontalTerms(), array("d")
     for i in range(600):  # past the first two touchdowns
-        ws = sim._advance(ws, cfg, row if i % 10 == 9 else None, frontal)
+        ws = sim._advance(ws, cfg, row if i % 10 == 9 else None, frontal, samples)
         assert len(ws.y) == 24
         assert all(type(x) is float for x in (*ws.y, *ws.c0, *ws.liftoff)), ws.t
     assert ws.step_count >= 2
@@ -556,9 +558,9 @@ def test_perturbed_frontal_plane_decays(terrain_mode, coordinate, value, peak_y_
     name, i = coordinate
     ws.y[_OFFSET[name] + i] = value
     data = np.empty((round(cfg.duration / cfg.dt), len(sim.SIM_RECORD_FIELDS)))
-    frontal = sim._FrontalTerms()
+    frontal, samples = sim._FrontalTerms(), array("d")
     for row in data:
-        ws = sim._advance(ws, cfg, row, frontal)
+        ws = sim._advance(ws, cfg, row, frontal, samples)
     traj = sim.Trajectory(data, {})
     assert np.abs(traj.column("y_s")).max() == pytest.approx(peak_y_s, rel=1e-3)
     assert np.abs(traj.column("f_y")).max() == pytest.approx(peak_f_y, rel=1e-3)
@@ -931,7 +933,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
     h = 1e-7
     ws = sim.initial_state(cfg)
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
-    frontal = sim._FrontalTerms()
+    frontal, samples = sim._FrontalTerms(), array("d")
     worst = 0.0
     starts = 0
     for _ in range(round(cfg.duration / cfg.dt)):
@@ -943,7 +945,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
             held = copy.copy(ws)
             held.t_stance_start = ws.t + 1.0
             assert sim._model_refs(held, cfg, ws.t) == (refs, rates)
-        ws = sim._advance(ws, cfg, row, frontal)
+        ws = sim._advance(ws, cfg, row, frontal, samples)
     assert starts >= 10
     assert worst < 1e-5
 

@@ -1,6 +1,8 @@
 """Granular force law tests: stress table, wedge geometry, calibration."""
 
+import copy
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sandwalk.terrain import (
     lateral_force,
     local_stress,
     sagittal_forces,
+    wedge_area,
 )
 
 DOWN = -math.pi / 2  # straight-down motion direction
@@ -129,6 +132,43 @@ def test_wedge_force_matches_quadrature():
             worst = max(worst, abs(got.f_x - want_x) / scale,
                         abs(got.f_z - want_z) / scale)
     assert worst < 1e-3
+
+
+def _wedge_composition(terrain, kin):
+    """The wedge law as local_stress times wedge_area, with the motion
+    folded into the positive-horizontal frame and the drag signed after;
+    no force at zero depth."""
+    if kin.depth == 0.0:
+        return 0.0, 0.0
+    gamma, sign = kin.gamma, 1.0
+    if not math.isnan(gamma) and math.cos(gamma) < 0.0:
+        sign = -1.0
+        gamma = math.atan2(math.sin(gamma), -math.cos(gamma))
+    a_x, a_z = local_stress(terrain.phi_s, gamma, terrain.zeta, terrain.alpha_scale)
+    geom = terrain.width * wedge_area(kin.depth, terrain.phi_s)
+    return -sign * a_x * geom, a_z * geom
+
+
+def test_wedge_law_is_the_bytes_of_the_stress_composition():
+    # sagittal_forces evaluates the law from per-terrain constants; over
+    # depths and directions (forward, mirrored with cos gamma < 0, straight
+    # up and down, NaN) and terrains, including zeta = 0, which validation
+    # rejects and which is set past it here, it gives the composition's
+    # bytes, signed zeros included
+    no_stress = copy.copy(TerrainParams())
+    object.__setattr__(no_stress, "zeta", 0.0)
+    terrains = [TerrainParams(), TerrainParams(phi_s=math.radians(25.0), zeta=0.7,
+                                               width=0.08, alpha_scale=3.0), no_stress]
+    gammas = [*np.linspace(-math.pi, math.pi, 41).tolist(), -math.pi / 2, math.pi / 2,
+              0.0, -0.0, math.nan]
+    assert any(math.cos(g) < 0.0 for g in gammas)
+    for terrain in terrains:
+        for depth in (0.0, 1e-5, 0.004, 0.02, 0.06):
+            for gamma in gammas:
+                kin = IntrusionKinematics(depth=depth, gamma=gamma)
+                got = sagittal_forces(terrain, kin)
+                want = _wedge_composition(terrain, kin)
+                assert struct.pack("2d", *got) == struct.pack("2d", *want), (terrain, depth, gamma)
 
 
 def test_reference_vertical_descent_case():
