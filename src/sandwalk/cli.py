@@ -80,16 +80,18 @@ def _load_cfg(args) -> simulation.SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    traj = simulation.run(cfg)
-    # before any file is written, so that a run without a CoT or without the
-    # records the files and the summary read leaves none
-    if len(traj) < 2:
-        raise ValueError("trajectory must hold at least two records")
-    report = metrics.cot(traj, t_start=metrics.settle_time(cfg))
-    out = _out_dir(args)
-    csv_path = out / "trajectory.csv"
-    json_path = out / "trajectory.json"
-    traj.save_csv(csv_path, json_path)
+    # the writer formats the rows while the run integrates; leaving it
+    # without a commit drops them, so that a run without a CoT or without
+    # the records the files and the summary read leaves no file
+    with simulation.TrajectoryWriter() as writer:
+        traj = simulation.run(cfg, writer)
+        if len(traj) < 2:
+            raise ValueError("trajectory must hold at least two records")
+        report = metrics.cot(traj, t_start=metrics.settle_time(cfg))
+        out = _out_dir(args)
+        csv_path = out / "trajectory.csv"
+        json_path = out / "trajectory.json"
+        traj.save_csv(csv_path, json_path)
     summary = {
         "records": len(traj),
         "final_com_x": float(traj.column("com_x")[-1]),
@@ -231,13 +233,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, so that `taskset`
-    limits the sweep pool), or every CPU where the mask cannot be read."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sandwalk",
@@ -273,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--velocities", type=str, default=None,
                          help="comma list [m/s], default 0.1..0.5")
     p_sweep.add_argument("--repeats", type=int, default=3)
-    p_sweep.add_argument("--jobs", type=int, default=_usable_cpus(),
+    p_sweep.add_argument("--jobs", type=int, default=simulation.usable_cpus(),
                          help="worker processes (default: the CPUs this process may run on)")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -227,13 +227,15 @@ def velocity_sweep(
         runs = outcomes[i * repeats:(i + 1) * repeats]
         failures = tuple(c for c in runs if isinstance(c, CellFailure))
         vals = [c for c in runs if not isinstance(c, CellFailure)]
+        # without a run, the shared math.nan: the row then equals itself
+        # (tuple equality tests identity first)
         rows.append(
             SweepRow(
                 v_target=v,
                 dimensionless_v=dimensionless_velocity(v, base.h_com, base.sagittal.g),
                 terrain=m,
-                cot_mean=float(np.mean(vals)) if vals else float("nan"),
-                cot_std=float(np.std(vals)) if vals else float("nan"),
+                cot_mean=float(np.mean(vals)) if vals else math.nan,
+                cot_std=float(np.std(vals)) if vals else math.nan,
                 n_ok=len(vals),
                 n_failed=len(failures),
                 seeds=seeds,

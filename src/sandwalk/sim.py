@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from array import array
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import zip_longest
 from operator import mul
 
 import numpy as np
@@ -39,12 +41,14 @@ __all__ = [
     "derived_frontal",
     "SimRecord",
     "Trajectory",
+    "TrajectoryWriter",
     "WalkerState",
     "DivergenceError",
     "detect_touchdown",
     "initial_state",
     "run",
     "integrate_free",
+    "usable_cpus",
 ]
 
 
@@ -142,7 +146,7 @@ _LEG_NAMES = ("left", "right")
 _FIELD_INDEX = {name: i for i, name in enumerate(SIM_RECORD_FIELDS)}
 _LEG = _FIELD_INDEX["stance_leg"]
 _STEP = _FIELD_INDEX["step_count"]
-_BLOCK = 256  # rows per block of trajectory file I/O
+_BLOCK = 256  # steps per hand-off to a writer; rows per block of file I/O
 
 # the columns that the cost of transport integrates, sampled at every step
 STEP_FIELDS = ("t", "power", "power_s", "power_f", "com_vx")
@@ -159,11 +163,14 @@ class Trajectory:
     array; column j holds field ``SIM_RECORD_FIELDS[j]`` and ``stance_leg``
     holds 0 (left) or 1 (right).  ``step_samples`` holds the ``STEP_FIELDS``
     of every simulated step, logged or not, as an ``(n_steps,
-    len(STEP_FIELDS))`` array; without it they are read off the records."""
+    len(STEP_FIELDS))`` array; without it they are read off the records.
+    ``writer`` is the ``TrajectoryWriter`` that ``run`` fed the rows to,
+    which ``save_csv`` commits."""
 
     data: np.ndarray
     meta: dict
     step_samples: np.ndarray | None = None
+    writer: TrajectoryWriter | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.data.ndim != 2 or self.data.shape[1] != len(SIM_RECORD_FIELDS):
@@ -217,49 +224,23 @@ class Trajectory:
 
     def save_csv(self, path, json_path=None) -> None:
         """Write the rows to ``path`` as CSV and, given ``json_path``, to that
-        file as JSON too, from one formatting pass."""
-        with open(path, "w", newline="") as fh, (
-                open(json_path, "w") if json_path is not None else nullcontext()) as jh:
-            self._write(fh, jh)
+        file as JSON too, from one formatting pass.  The first call on a
+        trajectory whose ``writer`` streams commits that writer: its child
+        writes the text it formatted during the run, and the call returns
+        once the files are written."""
+        writer, self.writer = self.writer, None
+        if writer is not None and writer.streaming:
+            writer.commit(path, json_path, self.meta)
+        else:
+            _save(path, json_path, self.meta, self._text_blocks())
 
     def save_json(self, path) -> None:
         """Write the one JSON document {meta, columns, records} to ``path``."""
-        with open(path, "w") as jh:
-            self._write(None, jh)
+        _save(None, path, self.meta, self._text_blocks())
 
-    def _write(self, fh, jh) -> None:
-        """Format every value once and write each row's CSV line to ``fh`` and
-        its JSON record to ``jh`` (either may be None).  Rows become Python
-        values a block at a time and text a row at a time, so that neither
-        file is ever held whole."""
-        if fh is not None:
-            fh.write(",".join(SIM_RECORD_FIELDS) + "\n")
-        if jh is not None:
-            head = json.dumps({"meta": self.meta, "columns": SIM_RECORD_FIELDS})
-            jh.write(head[:-1] + ', "records": [')
-        sep = ""
-        for i in range(0, len(self), _BLOCK):
-            block = self.data[i:i + _BLOCK]
-            # strict JSON has no NaN or infinity
-            nonfinite = ~np.isfinite(block)
-            has_nonfinite = nonfinite.any(axis=1).tolist()
-            for r, row in enumerate(Trajectory(block, {})._rows()):
-                # repr of a Python float is its shortest round-trip text and,
-                # like repr of an int, the text json writes for it
-                text = list(map(repr, row))
-                text[_LEG] = row[_LEG]
-                if fh is not None:
-                    fh.write(",".join(text) + "\n")
-                if jh is None:
-                    continue
-                text[_LEG] = f'"{row[_LEG]}"'
-                if has_nonfinite[r]:
-                    for c in np.flatnonzero(nonfinite[r]):
-                        text[c] = "null"
-                jh.write(sep + "[" + ", ".join(text) + "]")
-                sep = ", "
-        if jh is not None:
-            jh.write("]}")
+    def _text_blocks(self):
+        """``_format_block`` of each block of rows, formatted on demand."""
+        return (_format_block(self.data[i:i + _BLOCK]) for i in range(0, len(self), _BLOCK))
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":
@@ -282,6 +263,197 @@ class Trajectory:
                     rows = []
         blocks.append(np.array(rows).reshape(-1, len(SIM_RECORD_FIELDS)))
         return cls(data=np.concatenate(blocks), meta={"source": str(path)})
+
+
+def _format_block(block: np.ndarray) -> tuple[str, str]:
+    """The CSV lines of the rows of ``block`` and their JSON records, each
+    record led by ", ", from one ``repr`` of every value.  Both writer paths
+    format with this, so their files hold the same bytes."""
+    # strict JSON has no NaN or infinity
+    nonfinite = ~np.isfinite(block)
+    has_nonfinite = nonfinite.any(axis=1).tolist()
+    lines, records = [], []
+    for r, row in enumerate(Trajectory(block, {})._rows()):
+        # repr of a Python float is its shortest round-trip text and, like
+        # repr of an int, the text json writes for it
+        text = list(map(repr, row))
+        text[_LEG] = row[_LEG]
+        lines.append(",".join(text) + "\n")
+        text[_LEG] = f'"{row[_LEG]}"'
+        if has_nonfinite[r]:
+            for c in np.flatnonzero(nonfinite[r]):
+                text[c] = "null"
+        records.append(", [" + ", ".join(text) + "]")
+    return "".join(lines), "".join(records)
+
+
+def _save(csv_path, json_path, meta: dict, blocks) -> None:
+    """Write the CSV file at ``csv_path`` and the JSON document {meta,
+    columns, records} at ``json_path`` (either may be None): the header,
+    then ``blocks`` as pairs of CSV and JSON text in ``_format_block``'s
+    form, then the footer.  One block is held at a time, never a file."""
+    with (open(csv_path, "w", newline="") if csv_path is not None else nullcontext()) as fh, (
+            open(json_path, "w") if json_path is not None else nullcontext()) as jh:
+        if fh is not None:
+            fh.write(",".join(SIM_RECORD_FIELDS) + "\n")
+        if jh is not None:
+            head = json.dumps({"meta": meta, "columns": SIM_RECORD_FIELDS})
+            jh.write(head[:-1] + ', "records": [')
+        lead = 2  # the first record has no ", " before it
+        for lines, records in blocks:
+            if fh is not None:
+                fh.write(lines)
+            if jh is not None and records:
+                jh.write(records[lead:])
+                lead = 0
+        if jh is not None:
+            jh.write("]}")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, so that `taskset`
+    limits them), or every CPU where the mask cannot be read."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+_MESSAGE = struct.Struct("<cQ")  # a writer pipe message: tag, payload bytes
+_ROWS, _COMMIT = b"R", b"C"
+_CHUNK = 1 << 20  # characters per read of a writer's temporary file
+
+
+def _send(fh, tag: bytes, payload: bytes) -> None:
+    fh.write(_MESSAGE.pack(tag, len(payload)))
+    fh.write(payload)
+    fh.flush()
+
+
+def _receive(fh):
+    """The next (tag, payload) message on ``fh``, or None at its end."""
+    head = fh.read(_MESSAGE.size)
+    if len(head) < _MESSAGE.size:
+        return None
+    tag, size = _MESSAGE.unpack(head)
+    payload = fh.read(size)
+    return (tag, payload) if len(payload) == size else None
+
+
+class TrajectoryWriter:
+    """Formats the rows of a run into the text of its CSV and JSON files
+    while the run integrates, on a second CPU.
+
+    Used as a context manager around ``run(cfg, writer)`` and the
+    trajectory's ``save_csv``.  Where ``os.fork`` exists and this process
+    may run on two CPUs or more, entering forks a child.  ``run`` feeds it
+    the rows logged every ``_BLOCK`` steps; it formats each block with
+    ``_format_block`` and appends the text to two unnamed temporary files.
+    ``save_csv`` commits: the child writes the files from the temporary
+    ones with ``_save`` and reports back, or sends its error, which
+    ``save_csv`` raises as OSError.  Without fork or a second CPU the
+    writer ignores what it is fed, and ``save_csv`` formats in-process.
+
+    Leaving the writer without a commit closes the pipe: the child drops
+    its text and exits, and no file is written.  The child calls no BLAS
+    or LAPACK function, ignores SIGINT and ends with ``os._exit``; the
+    parent reaps it on every path.  A process forked while a writer is
+    open holds that writer's pipe open too, so open one writer at a
+    time."""
+
+    def __init__(self):
+        self._pid = self._to = self._back = None
+
+    @property
+    def streaming(self) -> bool:
+        """Whether a child formats the rows fed."""
+        return self._pid is not None
+
+    def __enter__(self) -> TrajectoryWriter:
+        if hasattr(os, "fork") and usable_cpus() >= 2:
+            rows_r, rows_w = os.pipe()
+            back_r, back_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(rows_w)
+                os.close(back_r)
+                _writer_child(rows_r, back_w)
+            os.close(rows_r)
+            os.close(back_w)
+            self._pid, self._to, self._back = pid, open(rows_w, "wb"), open(back_r, "rb")
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def feed(self, rows: np.ndarray) -> None:
+        """Hand the child ``rows``, the rows logged since the last call."""
+        if self._pid is not None:
+            _send(self._to, _ROWS, rows.tobytes())
+
+    def commit(self, csv_path, json_path, meta: dict) -> None:
+        """Have the child write the rows fed as CSV to ``csv_path`` and, given
+        ``json_path``, as JSON there, under ``meta``; returns once both files
+        are written, and closes the writer."""
+        paths = [None if p is None else os.fspath(p) for p in (csv_path, json_path)]
+        _send(self._to, _COMMIT, json.dumps([os.getcwd(), *paths, meta]).encode())
+        reply = _receive(self._back)
+        self.close()
+        error = json.loads(reply[1]) if reply else ["EOFError", "the writer sent no reply"]
+        if error is not None:
+            raise OSError(f"{error[0]}: {error[1]}")
+
+    def close(self) -> None:
+        """Close the pipes to the child, which then exits, and reap it."""
+        if self._pid is None:
+            return
+        pid, self._pid = self._pid, None
+        for fh in (self._to, self._back):
+            try:
+                fh.close()
+            except OSError:  # the flush of a message cut short by an error
+                pass
+        os.waitpid(pid, 0)
+
+
+def _writer_child(rows_fd: int, back_fd: int) -> None:
+    """A ``TrajectoryWriter`` child: reads row blocks from ``rows_fd`` until a
+    commit, which it answers on ``back_fd`` with None or its error as [type
+    name, message], or until the pipe ends.  Never returns."""
+    status = 1
+    try:
+        import signal
+        import tempfile
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's pipe ends it
+        rows, back = open(rows_fd, "rb"), open(back_fd, "wb")
+        text = error = None
+        # after an error, read on to the commit, which gets the error
+        for tag, payload in iter(partial(_receive, rows), None):
+            if error is None:
+                try:
+                    if tag == _ROWS:
+                        block = np.frombuffer(payload).reshape(-1, len(SIM_RECORD_FIELDS))
+                        if text is None:
+                            text = [tempfile.TemporaryFile("w+", newline="") for _ in range(2)]
+                        for fh, part in zip(text, _format_block(block)):
+                            fh.write(part)
+                    else:
+                        cwd, csv_path, json_path, meta = json.loads(payload)
+                        os.chdir(cwd)  # relative paths name what they named in the parent
+                        blocks = ()
+                        if text is not None:
+                            for fh in text:
+                                fh.seek(0)
+                            blocks = zip_longest(
+                                *(iter(partial(fh.read, _CHUNK), "") for fh in text), fillvalue="")
+                        _save(csv_path, json_path, meta, blocks)
+                except Exception as exc:
+                    error = [type(exc).__name__, str(exc)]
+            if tag == _COMMIT:
+                _send(back, _COMMIT, json.dumps(error).encode())
+                break
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass
@@ -813,8 +985,10 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     return ws
 
 
-def run(cfg: SimConfig) -> Trajectory:
-    """Simulate for the configured duration; deterministic given the config."""
+def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
+    """Simulate for the configured duration; deterministic given the config.
+    Every ``_BLOCK`` steps, and after the last, ``writer`` is fed the rows
+    logged since it was last fed; the trajectory keeps it for ``save_csv``."""
     ws = initial_state(cfg)
     n_steps = int(round(cfg.duration / cfg.dt))
     # the last step of each decimation block writes the block's row; the
@@ -823,8 +997,14 @@ def run(cfg: SimConfig) -> Trajectory:
     data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
     frontal = _FrontalTerms()
     samples = array("d")
-    for i in range(n_steps):
-        ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None, frontal, samples)
+    fed = 0
+    for start in range(0, n_steps, _BLOCK):
+        stop = min(start + _BLOCK, n_steps)
+        for i in range(start, stop):
+            ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None, frontal, samples)
+        if writer is not None and stop // k > fed:
+            writer.feed(data[fed:stop // k])
+            fed = stop // k
     meta = {
         "dt": cfg.dt,
         "duration": cfg.duration,
@@ -838,7 +1018,8 @@ def run(cfg: SimConfig) -> Trajectory:
         "cycle_period": cfg.gait.cycle_period,
         "stance_duration": cfg.gait.stance_duration,
     }
-    return Trajectory(data, meta, np.frombuffer(samples).reshape(n_steps, len(STEP_FIELDS)))
+    return Trajectory(data, meta, np.frombuffer(samples).reshape(n_steps, len(STEP_FIELDS)),
+                      writer)
 
 
 def integrate_free(

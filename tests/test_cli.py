@@ -18,7 +18,14 @@ from sandwalk.terrain import (
     sagittal_forces,
 )
 
-from test_sim import assert_same_text
+from test_sim import assert_no_child_process, assert_same_text
+
+
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    # every command reaps the processes it started, on success and on failure
+    yield
+    assert_no_child_process()
 
 
 def write_config(path, extra=""):
@@ -259,6 +266,45 @@ def test_simulate_without_a_cot_writes_no_file(tmp_path, capsys):
     assert rc == 2
     assert "trajectory must hold at least two records" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_divergence_mid_run_leaves_no_file(tmp_path, capsys, monkeypatch,
+                                                    writer_cpus):
+    # the run diverges at step 1000, after the writer was handed three blocks
+    from test_sim import _inf_acceleration_at_call
+
+    _inf_acceleration_at_call(monkeypatch, 1000)
+    out = tmp_path / "o"
+    assert main(["simulate", "--set", "sim.duration=1.2", "--out", str(out)]) == 3
+    assert "simulation diverged at t=1.000000 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_interrupted_leaves_no_file(tmp_path, monkeypatch, writer_cpus):
+    # Ctrl-C mid-run: the writer drops its text and its child is reaped
+    accelerations, calls = sim._accelerations, iter(range(600))
+
+    def acc(*args):
+        if next(calls, None) is None:
+            raise KeyboardInterrupt
+        return accelerations(*args)
+
+    monkeypatch.setattr(sim, "_accelerations", acc)
+    out = tmp_path / "o"
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--set", "sim.duration=0.8", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_simulate_write_error_names_the_path(tmp_path, capsys, writer_cpus):
+    # on the forked path the writer's child fails to open the file and
+    # sends its error back
+    out = tmp_path / "o"
+    (out / "trajectory.csv").mkdir(parents=True)
+    assert main(["simulate", "--set", "sim.duration=0.4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"Is a directory: '{out / 'trajectory.csv'}'" in err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,6 @@ import pytest
 from sandwalk import metrics, sim
 from sandwalk.metrics import (
     CellFailure,
-    SweepRow,
     ZeroDistanceError,
     cot,
     dimensionless_velocity,
@@ -158,18 +157,6 @@ def test_velocity_sweep_serial_matches_parallel():
     assert all(r.n_ok == 1 and r.n_failed == 0 for r in serial)
 
 
-def _assert_same_rows(a, b):
-    """Sweep rows equal field by field, with NaN equal to NaN: a cell whose
-    runs all failed has a NaN CoT mean and spread, so its row is unequal to
-    itself under ``==``."""
-    assert len(a) == len(b)
-    for row_a, row_b in zip(a, b):
-        for f in dataclasses.fields(SweepRow):
-            x, y = getattr(row_a, f.name), getattr(row_b, f.name)
-            both_nan = all(isinstance(v, float) and math.isnan(v) for v in (x, y))
-            assert x == y or both_nan, (row_a.v_target, row_a.terrain, f.name, x, y)
-
-
 def test_velocity_sweep_counts_divergence_in_both_paths():
     from dataclasses import replace
     from sandwalk.gait import Gains
@@ -182,6 +169,20 @@ def test_velocity_sweep_counts_divergence_in_both_paths():
         assert [(r.n_ok, r.n_failed) for r in rows] == [(0, 1), (0, 1)]
 
 
+def test_velocity_sweep_rows_without_a_run_compare_equal():
+    # a cell whose runs all failed has a NaN CoT mean and spread; the row
+    # holds the one math.nan, so it equals itself and its parallel twin
+    from dataclasses import replace
+    from sandwalk.gait import Gains
+    wild = replace(build_config({"sim.duration": 0.8}),
+                   gains=Gains(kp=np.full(6, 4e5), kd=np.full(6, 4e4),
+                               torque_limit=1e9))
+    serial = velocity_sweep(wild, [0.2], repeats=1, terrains=("rigid",), jobs=1)
+    assert [(r.n_ok, r.n_failed) for r in serial] == [(0, 1)]
+    assert serial[0].cot_mean is math.nan and serial[0].cot_std is math.nan
+    assert velocity_sweep(wild, [0.2], repeats=1, terrains=("rigid",), jobs=2) == serial
+
+
 def test_velocity_sweep_records_why_runs_failed_in_both_paths():
     # the wild gains diverge in every run; both paths report when and why
     from dataclasses import replace
@@ -191,7 +192,7 @@ def test_velocity_sweep_records_why_runs_failed_in_both_paths():
                                torque_limit=1e9))
     per_path = [velocity_sweep(wild, [0.2, 0.3], repeats=2, terrains=("granular",),
                                jobs=jobs) for jobs in (1, 2)]
-    _assert_same_rows(*per_path)
+    assert per_path[0] == per_path[1]
     for row in per_path[0]:
         assert row.n_failed == len(row.failures) == 2
         assert math.isnan(row.cot_mean) and math.isnan(row.cot_std)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from array import array
 
 import numpy as np
@@ -408,6 +409,63 @@ def assert_same_text(got, expected):
     start = max(col - 40, 0)
     pytest.fail(f"texts differ at line {line + 1}, character {col + 1}: "
                 f"{x[start:col + 40]!r} != {y[start:col + 40]!r}", pytrace=False)
+
+
+def assert_no_child_process():
+    """Assert that this process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_files(tmp_path, a, b):
+    for ext in ("csv", "json"):
+        assert_same_text((tmp_path / f"{a}.{ext}").read_bytes(),
+                         (tmp_path / f"{b}.{ext}").read_bytes())
+
+
+@pytest.mark.parametrize("keys", [
+    {"sim.decimation": 1},
+    {"sim.decimation": 7},
+    {"sim.decimation": 10, "sim.integrator": "rk4"},
+    {"sim.dt": 0.002, "sim.duration": 0.4},
+], ids=["k1", "k7", "k10-rk4", "shorter-than-a-hand-off"])
+def test_writer_files_equal_in_process_files(tmp_path, writer_cpus, keys):
+    # 800 steps hand the writer three full blocks of 256 steps and a last
+    # one of 32; 200 steps hand it one block, at the end of the run
+    cfg = build_config({"sim.duration": 0.8, "sim.terrain_mode": "granular", **keys})
+    with sim.TrajectoryWriter() as writer:
+        traj = sim.run(cfg, writer)
+        assert traj.writer is writer and writer.streaming == (writer_cpus > 1)
+        traj.save_csv(tmp_path / "streamed.csv", tmp_path / "streamed.json")
+        assert not writer.streaming  # the commit closed it
+    assert_no_child_process()
+    sim.Trajectory(traj.data, traj.meta).save_csv(tmp_path / "plain.csv",
+                                                  tmp_path / "plain.json")
+    _assert_same_files(tmp_path, "streamed", "plain")
+
+
+def test_writer_writes_nonfinite_cells_as_null(tmp_path, writer_cpus):
+    # blocks fed directly, of other sizes than a run's hand-offs
+    data = np.random.default_rng(5).uniform(-1.0, 1.0, (600, len(sim.SIM_RECORD_FIELDS)))
+    data[:, 1] = data[:, 1] > 0.0  # stance_leg index
+    data[:, 3] = np.arange(600) // 100  # step_count
+    data[::7, 5] = math.nan
+    data[::11, 7] = math.inf
+    data[::13, 8] = -math.inf
+    meta = {"seed": 3, "terrain": "granular"}
+    with sim.TrajectoryWriter() as writer:
+        for i in range(0, 600, 100):
+            writer.feed(data[i:i + 100])
+        sim.Trajectory(data, meta, writer=writer).save_csv(tmp_path / "streamed.csv",
+                                                           tmp_path / "streamed.json")
+    assert_no_child_process()
+    sim.Trajectory(data, meta).save_csv(tmp_path / "plain.csv", tmp_path / "plain.json")
+    _assert_same_files(tmp_path, "streamed", "plain")
+    text = (tmp_path / "streamed.json").read_text()
+    records = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))["records"]
+    assert len(records) == 600
+    assert [row[5] for row in records[::7]] == [None] * 86
+    assert [row[7] for row in records[::11]] == [None] * 55
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 256, 257, 600])
