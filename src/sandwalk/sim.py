@@ -20,7 +20,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import struct
+import tempfile
 from array import array
 from collections import namedtuple
 from contextlib import nullcontext
@@ -225,9 +227,8 @@ class Trajectory:
     def save_csv(self, path, json_path=None) -> None:
         """Write the rows to ``path`` as CSV and, given ``json_path``, to that
         file as JSON too, from one formatting pass.  The first call on a
-        trajectory whose ``writer`` streams commits that writer: its child
-        writes the text it formatted during the run, and the call returns
-        once the files are written."""
+        trajectory whose ``writer`` streams commits that writer: the files
+        are written from the text its child formatted during the run."""
         writer, self.writer = self.writer, None
         if writer is not None and writer.streaming:
             writer.commit(path, json_path, self.meta)
@@ -317,25 +318,7 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-_MESSAGE = struct.Struct("<cQ")  # a writer pipe message: tag, payload bytes
-_ROWS, _COMMIT = b"R", b"C"
-_CHUNK = 1 << 20  # characters per read of a writer's temporary file
-
-
-def _send(fh, tag: bytes, payload: bytes) -> None:
-    fh.write(_MESSAGE.pack(tag, len(payload)))
-    fh.write(payload)
-    fh.flush()
-
-
-def _receive(fh):
-    """The next (tag, payload) message on ``fh``, or None at its end."""
-    head = fh.read(_MESSAGE.size)
-    if len(head) < _MESSAGE.size:
-        return None
-    tag, size = _MESSAGE.unpack(head)
-    payload = fh.read(size)
-    return (tag, payload) if len(payload) == size else None
+_CHUNK = 1 << 16  # characters per read of a writer's temporary file
 
 
 class TrajectoryWriter:
@@ -344,23 +327,23 @@ class TrajectoryWriter:
 
     Used as a context manager around ``run(cfg, writer)`` and the
     trajectory's ``save_csv``.  Where ``os.fork`` exists and this process
-    may run on two CPUs or more, entering forks a child.  ``run`` feeds it
-    the rows logged every ``_BLOCK`` steps; it formats each block with
-    ``_format_block`` and appends the text to two unnamed temporary files.
-    ``save_csv`` commits: the child writes the files from the temporary
-    ones with ``_save`` and reports back, or sends its error, which
-    ``save_csv`` raises as OSError.  Without fork or a second CPU the
-    writer ignores what it is fed, and ``save_csv`` formats in-process.
+    may run on two CPUs or more, entering opens two unnamed temporary files
+    and forks a child.  ``run`` feeds it the rows logged every ``_BLOCK``
+    steps, pickled on a pipe; it formats each block with ``_format_block``
+    and appends the text to the temporary files.  ``save_csv`` commits:
+    the pipe closes, the child flushes the files and exits with status 0,
+    and once it is reaped the parent writes the files from the temporary
+    ones with ``_save``.  Without fork or a second CPU the writer ignores
+    what it is fed, and ``save_csv`` formats in-process.
 
-    Leaving the writer without a commit closes the pipe: the child drops
-    its text and exits, and no file is written.  The child calls no BLAS
-    or LAPACK function, ignores SIGINT and ends with ``os._exit``; the
-    parent reaps it on every path.  A process forked while a writer is
-    open holds that writer's pipe open too, so open one writer at a
-    time."""
+    Leaving the writer without a commit closes the pipe and the temporary
+    files, and no file is written.  The child calls no BLAS or LAPACK
+    function, ignores SIGINT and ends with ``os._exit``; the parent reaps
+    it on every path.  A process forked while a writer is open holds that
+    writer's pipe open too, so open one writer at a time."""
 
     def __init__(self):
-        self._pid = self._to = self._back = None
+        self._pid = self._pipe = self._text = None
 
     @property
     def streaming(self) -> bool:
@@ -369,16 +352,14 @@ class TrajectoryWriter:
 
     def __enter__(self) -> TrajectoryWriter:
         if hasattr(os, "fork") and usable_cpus() >= 2:
+            self._text = [tempfile.TemporaryFile("w+", newline="") for _ in range(2)]
             rows_r, rows_w = os.pipe()
-            back_r, back_w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(rows_w)
-                os.close(back_r)
-                _writer_child(rows_r, back_w)
+                _writer_child(rows_r, self._text)
             os.close(rows_r)
-            os.close(back_w)
-            self._pid, self._to, self._back = pid, open(rows_w, "wb"), open(back_r, "rb")
+            self._pid, self._pipe = pid, open(rows_w, "wb")
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -387,70 +368,66 @@ class TrajectoryWriter:
     def feed(self, rows: np.ndarray) -> None:
         """Hand the child ``rows``, the rows logged since the last call."""
         if self._pid is not None:
-            _send(self._to, _ROWS, rows.tobytes())
+            try:
+                pickle.dump(rows, self._pipe)
+                self._pipe.flush()
+            except BrokenPipeError as exc:
+                raise OSError("the trajectory writer's child exited before "
+                              "the end of the rows") from exc
 
     def commit(self, csv_path, json_path, meta: dict) -> None:
-        """Have the child write the rows fed as CSV to ``csv_path`` and, given
-        ``json_path``, as JSON there, under ``meta``; returns once both files
-        are written, and closes the writer."""
-        paths = [None if p is None else os.fspath(p) for p in (csv_path, json_path)]
-        _send(self._to, _COMMIT, json.dumps([os.getcwd(), *paths, meta]).encode())
-        reply = _receive(self._back)
-        self.close()
-        error = json.loads(reply[1]) if reply else ["EOFError", "the writer sent no reply"]
-        if error is not None:
-            raise OSError(f"{error[0]}: {error[1]}")
+        """Write the rows fed as CSV to ``csv_path`` and, given ``json_path``,
+        as JSON there, under ``meta``, from the text the child formatted;
+        closes the writer."""
+        try:
+            status = self._reap()
+            if status:
+                raise OSError(f"the trajectory writer's child exited with status {status}")
+            for fh in self._text:
+                fh.seek(0)
+            _save(csv_path, json_path, meta, zip_longest(
+                *(iter(partial(fh.read, _CHUNK), "") for fh in self._text), fillvalue=""))
+        finally:
+            self.close()
 
     def close(self) -> None:
-        """Close the pipes to the child, which then exits, and reap it."""
-        if self._pid is None:
-            return
+        """Close the pipe to the child, which then exits, reap it and close
+        the temporary files."""
+        if self._pid is not None:
+            self._reap()
+        for fh in self._text or ():
+            fh.close()
+        self._text = None
+
+    def _reap(self) -> int:
+        """Close the pipe and reap the child; returns its exit code."""
         pid, self._pid = self._pid, None
-        for fh in (self._to, self._back):
-            try:
-                fh.close()
-            except OSError:  # the flush of a message cut short by an error
-                pass
-        os.waitpid(pid, 0)
+        try:
+            self._pipe.close()
+        except OSError:  # the flush of a block cut short by an error
+            pass
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _writer_child(rows_fd: int, back_fd: int) -> None:
-    """A ``TrajectoryWriter`` child: reads row blocks from ``rows_fd`` until a
-    commit, which it answers on ``back_fd`` with None or its error as [type
-    name, message], or until the pipe ends.  Never returns."""
+def _writer_child(rows_fd: int, text: list) -> None:
+    """A ``TrajectoryWriter`` child: appends ``_format_block``'s text of each
+    row block pickled on ``rows_fd`` to the files ``text`` until the pipe
+    ends, then flushes them and exits with status 0.  Never returns."""
     status = 1
     try:
         import signal
-        import tempfile
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's pipe ends it
-        rows, back = open(rows_fd, "rb"), open(back_fd, "wb")
-        text = error = None
-        # after an error, read on to the commit, which gets the error
-        for tag, payload in iter(partial(_receive, rows), None):
-            if error is None:
+        with open(rows_fd, "rb") as rows:
+            while True:
                 try:
-                    if tag == _ROWS:
-                        block = np.frombuffer(payload).reshape(-1, len(SIM_RECORD_FIELDS))
-                        if text is None:
-                            text = [tempfile.TemporaryFile("w+", newline="") for _ in range(2)]
-                        for fh, part in zip(text, _format_block(block)):
-                            fh.write(part)
-                    else:
-                        cwd, csv_path, json_path, meta = json.loads(payload)
-                        os.chdir(cwd)  # relative paths name what they named in the parent
-                        blocks = ()
-                        if text is not None:
-                            for fh in text:
-                                fh.seek(0)
-                            blocks = zip_longest(
-                                *(iter(partial(fh.read, _CHUNK), "") for fh in text), fillvalue="")
-                        _save(csv_path, json_path, meta, blocks)
-                except Exception as exc:
-                    error = [type(exc).__name__, str(exc)]
-            if tag == _COMMIT:
-                _send(back, _COMMIT, json.dumps(error).encode())
-                break
+                    block = pickle.load(rows)
+                except EOFError:
+                    break
+                for fh, part in zip(text, _format_block(block)):
+                    fh.write(part)
+        for fh in text:
+            fh.flush()
         status = 0
     finally:
         os._exit(status)

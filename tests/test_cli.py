@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -305,6 +306,49 @@ def test_simulate_write_error_names_the_path(tmp_path, capsys, writer_cpus):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"Is a directory: '{out / 'trajectory.csv'}'" in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("death", ["exits-at-once", "killed-after-a-block",
+                                   "fails-on-the-last-block"])
+def test_simulate_names_the_writer_when_its_child_dies(tmp_path, capsys, monkeypatch, death):
+    # the forked writer's child dies before the commit: the next hand-off
+    # finds the pipe closed, or the commit finds the child's exit status
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    if death == "exits-at-once":
+        monkeypatch.setattr(sim, "_writer_child", lambda *args: os._exit(1))
+    elif death == "fails-on-the-last-block":
+        # 800 steps hand the child three blocks of 256 rows, then one of 32
+        format_block = sim._format_block
+
+        def format_or_fail(block):
+            if len(block) < 256:
+                raise ValueError("a failure in the child")
+            return format_block(block)
+
+        monkeypatch.setattr(sim, "_format_block", format_or_fail)
+    else:
+        feed, killed = sim.TrajectoryWriter.feed, []
+
+        def feed_then_kill(writer, rows):
+            feed(writer, rows)
+            if not killed:
+                killed.append(writer._pid)
+                os.kill(writer._pid, signal.SIGKILL)
+                # wait until it is dead, and leave it for the writer to reap
+                os.waitid(os.P_PID, writer._pid, os.WEXITED | os.WNOWAIT)
+
+        monkeypatch.setattr(sim.TrajectoryWriter, "feed", feed_then_kill)
+    out = tmp_path / "o"
+    assert main(["simulate", "--set", "sim.duration=0.8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trajectory writer" in err
+    assert ("exited with status 1" in err) == (death == "fails-on-the-last-block")
+    if death == "fails-on-the-last-block":  # the commit comes after the directory is made
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -444,6 +444,23 @@ def test_writer_files_equal_in_process_files(tmp_path, writer_cpus, keys):
     _assert_same_files(tmp_path, "streamed", "plain")
 
 
+def test_writer_relative_paths_name_the_directory_of_the_commit(tmp_path, monkeypatch,
+                                                                writer_cpus):
+    # the run starts in one directory and commits in another: relative
+    # paths name files in the directory of the commit
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.chdir(first)
+    with sim.TrajectoryWriter() as writer:
+        traj = sim.run(build_config({"sim.duration": 0.4}), writer)
+        os.chdir(second)
+        traj.save_csv("t.csv", "t.json")
+    assert_no_child_process()
+    assert sorted(os.listdir(second)) == ["t.csv", "t.json"]
+    assert os.listdir(first) == []
+
+
 def test_writer_writes_nonfinite_cells_as_null(tmp_path, writer_cpus):
     # blocks fed directly, of other sizes than a run's hand-offs
     data = np.random.default_rng(5).uniform(-1.0, 1.0, (600, len(sim.SIM_RECORD_FIELDS)))
