@@ -14,8 +14,10 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -43,12 +45,21 @@ def _out_path(args) -> Path:
     return path
 
 
-def _out_dir(args) -> Path:
-    """The output directory, created; a command calls this just before it
-    writes its first file, so that a command that fails leaves none behind."""
+@contextmanager
+def _out_dir(args):
+    """The output directory, created; a command enters this just before it
+    writes its first file, and the directories made here are removed again
+    if it fails inside, so that a command that fails leaves none behind.  A
+    directory that existed before is kept with its contents."""
     path = _out_path(args)
+    made = [p for p in (path, *path.parents) if not p.exists()]
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    try:
+        yield path
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
 
 
 def _manifest(out: Path, cfg, outputs: dict, summary: dict, ran: dict | None = None) -> None:
@@ -88,19 +99,19 @@ def _cmd_simulate(args) -> int:
         if len(traj) < 2:
             raise ValueError("trajectory must hold at least two records")
         report = metrics.cot(traj, t_start=metrics.settle_time(cfg))
-        out = _out_dir(args)
-        csv_path = out / "trajectory.csv"
-        json_path = out / "trajectory.json"
-        traj.save_csv(csv_path, json_path)
-    summary = {
-        "records": len(traj),
-        "final_com_x": float(traj.column("com_x")[-1]),
-        "cot": report.cot,
-        "cot_decoupled": report.cot_decoupled,
-        "distance": report.distance,
-    }
-    _manifest(out, cfg, {"trajectory_csv": csv_path, "trajectory_json": json_path},
-              summary)
+        with _out_dir(args) as out:
+            csv_path = out / "trajectory.csv"
+            json_path = out / "trajectory.json"
+            traj.save_csv(csv_path, json_path)
+            summary = {
+                "records": len(traj),
+                "final_com_x": float(traj.column("com_x")[-1]),
+                "cot": report.cot,
+                "cot_decoupled": report.cot_decoupled,
+                "distance": report.distance,
+            }
+            _manifest(out, cfg, {"trajectory_csv": csv_path, "trajectory_json": json_path},
+                      summary)
     print(f"wrote {csv_path} ({len(traj)} records), "
           f"cot={report.cot:.4f} over {report.distance:.3f} m")
     return 0
@@ -117,33 +128,33 @@ def _cmd_sweep(args) -> int:
         velocities = list(_DEFAULT_VELOCITIES)
     rows = metrics.velocity_sweep(cfg, velocities, repeats=args.repeats,
                                   jobs=args.jobs)
-    out = _out_dir(args)
-    sweep_path = out / "sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        fh.write("velocity,dimless_v,terrain,cot_mean,cot_std\n")
-        for row in rows:
-            fh.write(f"{row.v_target!r},{row.dimensionless_v!r},{row.terrain},"
-                     f"{row.cot_mean!r},{row.cot_std!r}\n")
-    json_path = out / "sweep.json"
-    with open(json_path, "w") as fh:
-        json.dump([{
-            "velocity": row.v_target,
-            "dimless_v": row.dimensionless_v,
-            "terrain": row.terrain,
-            "cot_mean": None if row.n_ok == 0 else row.cot_mean,
-            "cot_std": None if row.n_ok == 0 else row.cot_std,
-            "n_ok": row.n_ok,
-            "n_failed": row.n_failed,
-            "failures": [dataclasses.asdict(f) for f in row.failures],
-        } for row in rows], fh, indent=2)
-    failed = sum(r.n_failed for r in rows)
-    # the cells override the base speed, terrain, seed and decimation
-    ran = {"gait.v_target": list(dict.fromkeys(r.v_target for r in rows)),
-           "sim.terrain_mode": list(dict.fromkeys(r.terrain for r in rows)),
-           "sim.seed": list(rows[0].seeds),
-           "sim.decimation": metrics.sweep_decimation(cfg)}
-    _manifest(out, cfg, {"sweep_csv": sweep_path, "sweep_json": json_path},
-              {"rows": len(rows), "failed_cells": failed}, ran)
+    with _out_dir(args) as out:
+        sweep_path = out / "sweep.csv"
+        with open(sweep_path, "w", newline="") as fh:
+            fh.write("velocity,dimless_v,terrain,cot_mean,cot_std\n")
+            for row in rows:
+                fh.write(f"{row.v_target!r},{row.dimensionless_v!r},{row.terrain},"
+                         f"{row.cot_mean!r},{row.cot_std!r}\n")
+        json_path = out / "sweep.json"
+        with open(json_path, "w") as fh:
+            json.dump([{
+                "velocity": row.v_target,
+                "dimless_v": row.dimensionless_v,
+                "terrain": row.terrain,
+                "cot_mean": None if row.n_ok == 0 else row.cot_mean,
+                "cot_std": None if row.n_ok == 0 else row.cot_std,
+                "n_ok": row.n_ok,
+                "n_failed": row.n_failed,
+                "failures": [dataclasses.asdict(f) for f in row.failures],
+            } for row in rows], fh, indent=2)
+        failed = sum(r.n_failed for r in rows)
+        # the cells override the base speed, terrain, seed and decimation
+        ran = {"gait.v_target": list(dict.fromkeys(r.v_target for r in rows)),
+               "sim.terrain_mode": list(dict.fromkeys(r.terrain for r in rows)),
+               "sim.seed": list(rows[0].seeds),
+               "sim.decimation": metrics.sweep_decimation(cfg)}
+        _manifest(out, cfg, {"sweep_csv": sweep_path, "sweep_json": json_path},
+                  {"rows": len(rows), "failed_cells": failed}, ran)
     print(f"wrote {sweep_path} ({len(rows)} rows, {failed} failed cells)")
     return 0 if failed == 0 else 4
 
@@ -180,21 +191,21 @@ def _cmd_calibrate(args) -> int:
     flat = cfgmod.flatten_config(cfg)
     flat["terrain.zeta"] = result.zeta
     flat["terrain.lambda"] = result.lam
-    out = _out_dir(args)
-    params_path = out / "terrain_calibrated.cfg"
-    cfgmod.write_config(params_path, flat, header="calibrated terrain parameters")
-    report_path = out / "calibration_report.json"
-    with open(report_path, "w") as fh:
-        json.dump({
-            "zeta": result.zeta,
-            "lambda": result.lam,
-            "residual_vertical": result.residual_vertical,
-            "residual_horizontal": result.residual_horizontal,
-            "n_vertical": len(vertical),
-            "n_horizontal": len(horizontal),
-        }, fh, indent=2, sort_keys=True)
-    _manifest(out, cfg, {"params": params_path, "report": report_path},
-              {"zeta": result.zeta, "lambda": result.lam})
+    with _out_dir(args) as out:
+        params_path = out / "terrain_calibrated.cfg"
+        cfgmod.write_config(params_path, flat, header="calibrated terrain parameters")
+        report_path = out / "calibration_report.json"
+        with open(report_path, "w") as fh:
+            json.dump({
+                "zeta": result.zeta,
+                "lambda": result.lam,
+                "residual_vertical": result.residual_vertical,
+                "residual_horizontal": result.residual_horizontal,
+                "n_vertical": len(vertical),
+                "n_horizontal": len(horizontal),
+            }, fh, indent=2, sort_keys=True)
+        _manifest(out, cfg, {"params": params_path, "report": report_path},
+                  {"zeta": result.zeta, "lambda": result.lam})
     print(f"zeta={result.zeta:.4f} lambda={result.lam:.4f} -> {params_path}")
     return 0
 
@@ -215,21 +226,21 @@ def _cmd_compare(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     prof_a, prof_b = profiles
-    out = _out_dir(args)
-    rmse_path = out / "rmse.csv"
-    with open(rmse_path, "w", newline="") as fh:
-        fh.write("field,rmse\n")
-        for f in fields:
-            value = metrics.rmse(prof_a[f], prof_b[f])
-            fh.write(f"{f},{value!r}\n")
-            print(f"{f:>16s}  rmse={value:.6g}")
-    digest = hashlib.sha256(
-        (str(args.traj_a) + str(args.traj_b)).encode()).hexdigest()[:12]
-    with open(out / "compare_manifest.json", "w") as fh:
-        json.dump({"tool": "sandwalk", "version": __version__,
-                   "inputs": [str(args.traj_a), str(args.traj_b)],
-                   "pair_id": digest, "fields": fields,
-                   "output": str(rmse_path)}, fh, indent=2, sort_keys=True)
+    with _out_dir(args) as out:
+        rmse_path = out / "rmse.csv"
+        with open(rmse_path, "w", newline="") as fh:
+            fh.write("field,rmse\n")
+            for f in fields:
+                value = metrics.rmse(prof_a[f], prof_b[f])
+                fh.write(f"{f},{value!r}\n")
+                print(f"{f:>16s}  rmse={value:.6g}")
+        digest = hashlib.sha256(
+            (str(args.traj_a) + str(args.traj_b)).encode()).hexdigest()[:12]
+        with open(out / "compare_manifest.json", "w") as fh:
+            json.dump({"tool": "sandwalk", "version": __version__,
+                       "inputs": [str(args.traj_a), str(args.traj_b)],
+                       "pair_id": digest, "fields": fields,
+                       "output": str(rmse_path)}, fh, indent=2, sort_keys=True)
     return 0
 
 

@@ -80,6 +80,8 @@ def _coerce(key: str, raw, where: str = "") -> object:
         raise ConfigError(f"{where}unknown configuration key '{key}'")
     typ = type(_DEFAULTS[key])
     try:
+        if isinstance(raw, bool) and typ is not str:  # JSON true/false is no number
+            raise TypeError
         if typ is int:
             if isinstance(raw, str):
                 return int(raw.strip())

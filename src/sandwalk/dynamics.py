@@ -25,24 +25,15 @@ riding mass M_s = m_b + m_t + m_c and depend on q1, q2, q5 alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "SagittalParams",
     "FrontalParams",
-    "SagittalState",
-    "FrontalState",
-    "GrfSagittal",
     "assemble_sagittal",
-    "sagittal_matrices",
-    "sagittal_accel",
     "solve_sand_block",
     "assemble_frontal",
-    "frontal_matrices",
     "sagittal_energy",
     "frontal_energy",
 ]
@@ -185,49 +176,6 @@ class FrontalParams:
                 self.m_2 * self.b * self.d_2, m_f * self.g)
 
 
-def _as_vector(x, n: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have {n} components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
-@dataclass
-class SagittalState:
-    """Augmented sagittal coordinates and their rates.
-
-    ``q = [q1 q2 q3 q4 q5 x_s z]``; z is the upward contact coordinate.
-    """
-
-    q: np.ndarray = field(default_factory=lambda: np.zeros(7))
-    dq: np.ndarray = field(default_factory=lambda: np.zeros(7))
-
-    def __post_init__(self) -> None:
-        self.q = _as_vector(self.q, 7, "q")
-        self.dq = _as_vector(self.dq, 7, "dq")
-
-
-@dataclass
-class FrontalState:
-    """Augmented frontal coordinates ``q = [p1 p2 p3 y_s z]`` and rates."""
-
-    q: np.ndarray = field(default_factory=lambda: np.zeros(5))
-    dq: np.ndarray = field(default_factory=lambda: np.zeros(5))
-
-    def __post_init__(self) -> None:
-        self.q = _as_vector(self.q, 5, "q")
-        self.dq = _as_vector(self.dq, 5, "dq")
-
-
-class GrfSagittal(NamedTuple):
-    """Ground reaction force on the stance foot in the sagittal plane [N]."""
-
-    f_x: float = 0.0
-    f_z: float = 0.0
-
-
 # Both planes share one structure: the diagonal of D is constant and each
 # off-diagonal D_ij depends on q_i and q_j alone.  The Christoffel
 # construction C_ij = 1/2 sum_k (dD_ij/dq_k + dD_ik/dq_j - dD_jk/dq_i) dq_k,
@@ -247,7 +195,7 @@ def assemble_sagittal(params: SagittalParams, q, dq):
     tuple per parameter set; ``d`` the entries D01, D05, D06, D15, D16,
     D45, D46, which D mirrors about its diagonal; ``c`` the entries C01,
     C10, C50, C60, C51, C61, C54, C64; ``g`` all seven entries of G.  Every
-    other entry is zero.  ``sagittal_matrices`` scatters them into arrays.
+    other entry is zero.
 
     D is symmetric positive definite for positive rotational inertias; the
     slip row of ``D qdd + C dq + G`` is
@@ -270,32 +218,6 @@ def assemble_sagittal(params: SagittalParams, q, dq):
          -kb * s5 * v5, -kb * c5 * v5),
         (g * k1 * s1, g * k2 * s2, 0.0, 0.0, -g * kb * s5, 0.0, weight),
     )
-
-
-# (row, column) of each entry that assemble_sagittal returns in d and in c
-_SAG_D_AT = ((0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (4, 5), (4, 6))
-_SAG_C_AT = ((0, 1), (1, 0), (5, 0), (6, 0), (5, 1), (6, 1), (5, 4), (6, 4))
-
-
-def _dense(entries, d_at, c_at):
-    """D, C and G as arrays from the nonzero entries ``(diag, d, c, g)`` of
-    an assembly, whose ``d`` and ``c`` sit at the (row, column) pairs
-    ``d_at`` and ``c_at``; D mirrors ``d`` about its diagonal."""
-    diag, d, c, g = entries
-    D = np.diag(diag)
-    for (i, j), v in zip(d_at, d):
-        D[i, j] = D[j, i] = v
-    C = np.zeros_like(D)
-    for (i, j), v in zip(c_at, c):
-        C[i, j] = v
-    return D, C, np.array(g)
-
-
-def sagittal_matrices(params: SagittalParams, state: SagittalState):
-    """Inertia matrix D, Coriolis matrix C and gravity vector G as arrays,
-    from the entries of ``assemble_sagittal``."""
-    return _dense(assemble_sagittal(params, state.q.tolist(), state.dq.tolist()),
-                  _SAG_D_AT, _SAG_C_AT)
 
 
 def solve_sand_block(diag, d, r):
@@ -327,48 +249,25 @@ def solve_sand_block(diag, d, r):
     return a0, a1, (r5 - d05 * a0 - d15 * a1) / d55, (r6 - d06 * a0 - d16 * a1) / d66
 
 
-def sagittal_accel(
-    params: SagittalParams,
-    state: SagittalState,
-    tau: np.ndarray,
-    grf: GrfSagittal,
-) -> np.ndarray:
-    """Forward dynamics: solve D qdd = B tau + J^T F - C dq - G.
-
-    ``tau`` actuates coordinates 1-4 (B = [I4, 0]^T); the contact Jacobian
-    selects the slip and intrusion rows, so F_x and F_z load rows 6 and 7
-    directly.  Raises numpy.linalg.LinAlgError if D cannot be factorized
-    (corrupt parameters).
-    """
-    tau = _as_vector(tau, 4, "tau")
-    D, C, G = sagittal_matrices(params, state)
-    rhs = -C @ state.dq - G
-    rhs[:4] += tau
-    rhs[5] += grf.f_x
-    rhs[6] += grf.f_z
-    return np.linalg.solve(D, rhs)
-
-
-def sagittal_energy(params: SagittalParams, state: SagittalState) -> tuple[float, float]:
-    """(kinetic, potential) energy of the sagittal model [J].
+def sagittal_energy(params: SagittalParams, q, dq) -> tuple[float, float]:
+    """(kinetic, potential) energy of the sagittal model [J], from the
+    entries of ``assemble_sagittal``.
 
     The potential is referenced to the configuration with all angles zero
-    and the contact at its initial location.
+    and the contact at its initial location: M_s g z for the riding mass
+    on z, plus g (kb cos q5 - k1 cos q1 - k2 cos q2), the mass-weighted
+    heights of the trunk and the stance leg about the hip, which are
+    g (D45 + D05 + D15).
     """
-    D = sagittal_matrices(params, state)[0]
-    kinetic = 0.5 * float(state.dq @ D @ state.dq)
-    q = state.q
-    z = q[6]
-    potential = params.g * (
-        params.m_b * (z + params.l_b * np.cos(q[4]))
-        + params.m_t * (z - params.a_1 * np.cos(q[0]))
-        + params.m_c * (z - params.l_t * np.cos(q[0]) - params.a_2 * np.cos(q[1]))
-    )
-    ref = params.g * (
-        params.m_b * params.l_b - params.m_t * params.a_1
-        - params.m_c * (params.l_t + params.a_2)
-    )
-    return kinetic, float(potential - ref)
+    (m0, m1, m2, m3, m4, m5, m6), d, _, _ = assemble_sagittal(params, q, dq)
+    d01, d05, d06, d15, d16, d45, d46 = d
+    v0, v1, v2, v3, v4, v5, v6 = dq[:7]
+    _, k1, k2, kb, _, weight = params._constants
+    kinetic = (0.5 * (m0 * v0 * v0 + m1 * v1 * v1 + m2 * v2 * v2 + m3 * v3 * v3
+                      + m4 * v4 * v4 + m5 * v5 * v5 + m6 * v6 * v6)
+               + v0 * (d01 * v1 + d05 * v5 + d06 * v6) + v1 * (d15 * v5 + d16 * v6)
+               + v4 * (d45 * v5 + d46 * v6))
+    return kinetic, weight * q[6] + params.g * (d05 + d15 + d45 - kb + k1 + k2)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +284,6 @@ def assemble_frontal(params: FrontalParams, q, dq):
     D13, D14, D23, D24, which D mirrors about its diagonal; ``c`` the
     entries C01, C02, C10, C12, C20, C21, C30, C31, C32, C40, C41, C42;
     ``g`` all five entries of G.  Every other entry is zero.
-    ``frontal_matrices`` scatters them into arrays.
 
     The lateral slip row of the assembled system reads
     ``M_f y_s'' + f1(p1) + f2(p2) + f3(p3)`` with the composite lever arms
@@ -413,26 +311,16 @@ def assemble_frontal(params: FrontalParams, q, dq):
     )
 
 
-def frontal_matrices(params: FrontalParams, state: FrontalState):
-    """Inertia matrix D, Coriolis matrix C and gravity vector G of the
-    frontal model as arrays, from the entries of ``assemble_frontal``."""
-    # (row, column) of each entry that assemble_frontal returns in d and in c
-    d_at = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
-    c_at = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
-            (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2))
-    return _dense(assemble_frontal(params, state.q.tolist(), state.dq.tolist()), d_at, c_at)
-
-
-def frontal_energy(params: FrontalParams, state: FrontalState) -> tuple[float, float]:
-    """(kinetic, potential) energy of the frontal model [J]."""
-    D = frontal_matrices(params, state)[0]
-    kinetic = 0.5 * float(state.dq @ D @ state.dq)
-    q = state.q
-    z = q[4]
-    c1, c2, c3 = np.cos(q[0]), np.cos(q[1]), np.cos(q[2])
-    potential = params.g * (
-        params.m_1 * (z + params.d_1 * c1)
-        + params.m_b * (z + params.l_1 * c1 + 0.5 * params.b * c2)
-        + params.m_2 * (z + params.l_1 * c1 + params.b * c2 - params.d_2 * c3)
-    )
-    return kinetic, float(potential)
+def frontal_energy(params: FrontalParams, q, dq) -> tuple[float, float]:
+    """(kinetic, potential) energy of the frontal model [J], from the
+    entries of ``assemble_frontal``: M_f g z plus
+    g (k1 cos p1 + k2 cos p2 - k3 cos p3), the mass-weighted heights of the
+    links above the contact, which are g (D13 - D03 - D23)."""
+    (m0, m1, m2, m3, m4), d, _, _ = assemble_frontal(params, q, dq)
+    d01, d02, d03, d04, d12, d13, d14, d23, d24 = d
+    v0, v1, v2, v3, v4 = dq[:5]
+    kinetic = (0.5 * (m0 * v0 * v0 + m1 * v1 * v1 + m2 * v2 * v2 + m3 * v3 * v3
+                      + m4 * v4 * v4)
+               + v0 * (d01 * v1 + d02 * v2 + d03 * v3 + d04 * v4)
+               + v1 * (d12 * v2 + d13 * v3 + d14 * v4) + v2 * (d23 * v3 + d24 * v4))
+    return kinetic, params._constants[-1] * q[4] + params.g * (d13 - d03 - d23)

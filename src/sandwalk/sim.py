@@ -49,7 +49,6 @@ __all__ = [
     "detect_touchdown",
     "initial_state",
     "run",
-    "integrate_free",
     "usable_cpus",
 ]
 
@@ -997,29 +996,3 @@ def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
     }
     return Trajectory(data, meta, np.frombuffer(samples).reshape(n_steps, len(STEP_FIELDS)),
                       writer)
-
-
-def integrate_free(
-    params: dyn.SagittalParams,
-    q0: np.ndarray,
-    dq0: np.ndarray,
-    dt: float,
-    n_steps: int,
-    method: str = "rk4",
-):
-    """Ballistic sub-case: zero torque, zero contact force, full 7-DoF flight.
-
-    Returns the final (q, dq).  Used for energy-conservation verification.
-    """
-    zero_tau = np.zeros(4)
-    no_force = dyn.GrfSagittal()
-
-    def acc(y):
-        state = dyn.SagittalState(y[:7], y[7:])
-        return dyn.sagittal_accel(params, state, zero_tau, no_force).tolist()
-
-    start = dyn.SagittalState(q0, dq0)
-    y = np.concatenate((start.q, start.dq)).tolist()
-    for _ in range(n_steps):
-        y = _ode_step(method, y, acc, dt)
-    return np.array(y[:7]), np.array(y[7:])

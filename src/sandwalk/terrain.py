@@ -19,16 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import GrfSagittal, check_ranges
+from .dynamics import check_ranges
 
 __all__ = [
     "RftCoefficients",
     "GENERIC_RFT_COEFFICIENTS",
     "TerrainParams",
     "IntrusionKinematics",
+    "GrfSagittal",
     "PenetrationRecord",
     "CalibrationResult",
     "CalibrationError",
@@ -109,6 +111,13 @@ class IntrusionKinematics:
     depth: float = 0.0
     gamma: float = float("nan")
     y_slip: float = 0.0
+
+
+class GrfSagittal(NamedTuple):
+    """Ground reaction force on the stance foot in the sagittal plane [N]."""
+
+    f_x: float = 0.0
+    f_z: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -196,27 +205,26 @@ def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagi
         raise ValueError("sinkage depth must be non-negative")
     if depth == 0.0:
         return GrfSagittal(0.0, 0.0)
+    two_phi, cos_2phi, sin_2phi, k, two_tan = terrain._wedge
     gamma = kin.gamma
     vx = math.cos(gamma)  # NaN for a NaN gamma
     vz = math.sin(gamma)
-    two_phi, cos_2phi, sin_2phi, k, two_tan = terrain._wedge
-    if vx >= 0.0 and k != 0.0:
-        # forward motion: local_stress times wedge_area, from the terrain's
-        # constants and with the direction's cosine and sine taken once (a
-        # zero stress factor, which validation rejects, takes the path below
-        # for local_stress's unsigned zeros)
-        a_x, a_z = _stresses(k, two_phi, cos_2phi, sin_2phi, math.atan2(-vz, vx))
-        geom = terrain.width * (depth ** 2 / two_tan)
-        return GrfSagittal(-a_x * geom, a_z * geom)
-    # the wedge face rides the leading side of a symmetric foot, so fold the
-    # motion into the positive-horizontal frame and sign the drag afterwards
     sign = 1.0
     if vx < 0.0:
+        # the wedge face rides the leading side of a symmetric foot, so fold
+        # the motion into the positive-horizontal frame and sign the drag
+        # afterwards
         sign = -1.0
         gamma = math.atan2(vz, -vx)
-    a_x, a_z = local_stress(terrain.phi_s, gamma, terrain.zeta, terrain.alpha_scale)
-    geom = terrain.width * wedge_area(depth, terrain.phi_s)
-    return GrfSagittal(f_x=-sign * a_x * geom, f_z=a_z * geom)
+        vx, vz = math.cos(gamma), math.sin(gamma)
+    if k == 0.0:  # no stress factor (validation rejects it): local_stress's zeros
+        a_x = a_z = 0.0
+    elif vx >= 0.0:
+        a_x, a_z = _stresses(k, two_phi, cos_2phi, sin_2phi, math.atan2(-vz, vx))
+    else:  # no direction: the static bearing of straight-down penetration
+        a_x, a_z = 0.0, _stresses(k, two_phi, cos_2phi, sin_2phi, math.pi / 2)[1]
+    geom = terrain.width * (depth ** 2 / two_tan)
+    return GrfSagittal(-sign * a_x * geom, a_z * geom)
 
 
 def bulldozing_stress(terrain: TerrainParams) -> float:

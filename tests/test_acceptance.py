@@ -15,9 +15,12 @@ from sandwalk import terrain as tr
 from sandwalk.config import build_config
 
 from test_dynamics import (
+    frontal_matrices,
+    integrate_free,
     intrusion_row_closed_form,
     lateral_row_closed_form,
     random_sagittal_params,
+    sagittal_matrices,
     slip_row_closed_form,
 )
 from test_rolling import grid_golden_lowest
@@ -38,7 +41,7 @@ def test_criterion_01_row_consistency():
         q = rng.uniform(-1.5, 1.5, 7)
         dq = rng.uniform(-4, 4, 7)
         qdd = rng.uniform(-8, 8, 7)
-        d, c, g = dyn.sagittal_matrices(p, dyn.SagittalState(q, dq))
+        d, c, g = sagittal_matrices(p, q, dq)
         lhs = d @ qdd + c @ dq + g
         scale = max(1.0, abs(lhs[5]), abs(lhs[6]))
         worst = max(
@@ -55,7 +58,7 @@ def test_criterion_01_row_consistency():
         qf = rng.uniform(-1.5, 1.5, 5)
         dqf = rng.uniform(-4, 4, 5)
         qddf = rng.uniform(-8, 8, 5)
-        df, cf, gf = dyn.frontal_matrices(pf, dyn.FrontalState(qf, dqf))
+        df, cf, gf = frontal_matrices(pf, qf, dqf)
         lhs_f = df @ qddf + cf @ dqf + gf
         worst = max(
             worst,
@@ -80,24 +83,24 @@ def test_criterion_02_structural_properties():
     for _ in range(100):
         q = rng.uniform(-1.2, 1.2, 7)
         dq = rng.uniform(-2, 2, 7)
-        d, c, g = dyn.sagittal_matrices(p, dyn.SagittalState(q, dq))
+        d, c, g = sagittal_matrices(p, q, dq)
         min_eig = min(min_eig, np.linalg.eigvalsh(d).min())
-        dp, _, _ = dyn.sagittal_matrices(p, dyn.SagittalState(q + dq * fd, dq))
-        dm, _, _ = dyn.sagittal_matrices(p, dyn.SagittalState(q - dq * fd, dq))
+        dp, _, _ = sagittal_matrices(p, q + dq * fd, dq)
+        dm, _, _ = sagittal_matrices(p, q - dq * fd, dq)
         s = (dp - dm) / (2 * fd) - 2 * c
         worst_skew = max(worst_skew, np.abs(s + s.T).max())
         for i in range(7):
             qp = q.copy(); qp[i] += fd
             qm = q.copy(); qm[i] -= fd
-            grad = (dyn.sagittal_energy(p, dyn.SagittalState(qp, dq))[1]
-                    - dyn.sagittal_energy(p, dyn.SagittalState(qm, dq))[1]) / (2 * fd)
+            grad = (dyn.sagittal_energy(p, qp, dq)[1]
+                    - dyn.sagittal_energy(p, qm, dq)[1]) / (2 * fd)
             worst_grad = max(worst_grad, abs(grad - g[i]))
         qf = rng.uniform(-1.2, 1.2, 5)
         dqf = rng.uniform(-2, 2, 5)
-        dfm, cfm, gfm = dyn.frontal_matrices(pf, dyn.FrontalState(qf, dqf))
+        dfm, cfm, gfm = frontal_matrices(pf, qf, dqf)
         min_eig = min(min_eig, np.linalg.eigvalsh(dfm).min())
-        dpp, _, _ = dyn.frontal_matrices(pf, dyn.FrontalState(qf + dqf * fd, dqf))
-        dmm, _, _ = dyn.frontal_matrices(pf, dyn.FrontalState(qf - dqf * fd, dqf))
+        dpp, _, _ = frontal_matrices(pf, qf + dqf * fd, dqf)
+        dmm, _, _ = frontal_matrices(pf, qf - dqf * fd, dqf)
         sf = (dpp - dmm) / (2 * fd) - 2 * cfm
         worst_skew = max(worst_skew, np.abs(sf + sf.T).max())
     elapsed = time.perf_counter() - start
@@ -112,9 +115,9 @@ def test_criterion_03_ballistic_energy():
     p = dyn.SagittalParams()
     q0 = rng.uniform(-0.5, 0.5, 7)
     dq0 = rng.uniform(-1.0, 1.0, 7)
-    e0 = sum(dyn.sagittal_energy(p, dyn.SagittalState(q0, dq0)))
-    q1, dq1 = sim.integrate_free(p, q0, dq0, 1e-4, 5000, method="rk4")
-    e1 = sum(dyn.sagittal_energy(p, dyn.SagittalState(q1, dq1)))
+    e0 = sum(dyn.sagittal_energy(p, q0, dq0))
+    q1, dq1 = integrate_free(p, q0, dq0, 1e-4, 5000, method="rk4")
+    e1 = sum(dyn.sagittal_energy(p, q1, dq1))
     drift = abs(e1 - e0) / abs(e0)
     verdict(3, drift < 1e-6,
             f"zero-input flight 0.5 s rk4 dt=1e-4: energy drift {drift:.2e} (<1e-6)")

@@ -298,14 +298,26 @@ def test_simulate_interrupted_leaves_no_file(tmp_path, monkeypatch, writer_cpus)
 
 
 def test_simulate_write_error_names_the_path(tmp_path, capsys, writer_cpus):
-    # on the forked path the writer's child fails to open the file and
-    # sends its error back
+    # a directory stands where the trajectory file goes, so its write fails
     out = tmp_path / "o"
     (out / "trajectory.csv").mkdir(parents=True)
     assert main(["simulate", "--set", "sim.duration=0.4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"Is a directory: '{out / 'trajectory.csv'}'" in err
     assert not (out / "manifest.json").exists()
+
+
+def _fail_on_the_last_block(monkeypatch):
+    """Make the forked writer's child fail on the last block of a 0.8 s
+    run: 800 steps hand it three blocks of 256 rows, then one of 32."""
+    format_block = sim._format_block
+
+    def format_or_fail(block):
+        if len(block) < 256:
+            raise ValueError("a failure in the child")
+        return format_block(block)
+
+    monkeypatch.setattr(sim, "_format_block", format_or_fail)
 
 
 @pytest.mark.parametrize("death", ["exits-at-once", "killed-after-a-block",
@@ -319,15 +331,7 @@ def test_simulate_names_the_writer_when_its_child_dies(tmp_path, capsys, monkeyp
     if death == "exits-at-once":
         monkeypatch.setattr(sim, "_writer_child", lambda *args: os._exit(1))
     elif death == "fails-on-the-last-block":
-        # 800 steps hand the child three blocks of 256 rows, then one of 32
-        format_block = sim._format_block
-
-        def format_or_fail(block):
-            if len(block) < 256:
-                raise ValueError("a failure in the child")
-            return format_block(block)
-
-        monkeypatch.setattr(sim, "_format_block", format_or_fail)
+        _fail_on_the_last_block(monkeypatch)
     else:
         feed, killed = sim.TrajectoryWriter.feed, []
 
@@ -345,10 +349,23 @@ def test_simulate_names_the_writer_when_its_child_dies(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trajectory writer" in err
     assert ("exited with status 1" in err) == (death == "fails-on-the-last-block")
-    if death == "fails-on-the-last-block":  # the commit comes after the directory is made
-        assert list(out.iterdir()) == []
-    else:
-        assert not out.exists()
+    assert not out.exists()
+
+
+def test_failed_commit_keeps_an_existing_output_directory(tmp_path, capsys, monkeypatch):
+    # the commit fails after the command has made its output directory: one
+    # that existed before is kept, with what it held, and gains no file
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    _fail_on_the_last_block(monkeypatch)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n")
+    assert main(["simulate", "--set", "sim.duration=0.8", "--out", str(out)]) == 2
+    assert "trajectory writer" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -62,3 +62,14 @@ def test_json_infinity_for_integer_key_rejected(tmp_path):
     path.write_text('{"sim.seed": Infinity}')
     with pytest.raises(ConfigError, match="invalid value for 'sim.seed'"):
         load_config(path)
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+@pytest.mark.parametrize("key", ["sim.seed", "sim.decimation", "gait.v_target"])
+def test_json_boolean_for_number_key_rejected(tmp_path, key, value):
+    # json reads true and false as bool, which Python counts as an int
+    section, name = key.split(".")
+    path = tmp_path / "run.json"
+    path.write_text(f'{{"{section}": {{"{name}": {value}}}}}')
+    with pytest.raises(ConfigError, match=f"invalid value for '{key}': {value.title()}"):
+        load_config(path)

@@ -20,6 +20,7 @@ from sandwalk.config import build_config
 from sandwalk.gait import Gains
 from sandwalk.metrics import cot, settle_time
 
+from test_dynamics import frontal_matrices, integrate_free, sagittal_matrices
 from test_gait import leg_fk, sagittal_matrix
 
 
@@ -193,7 +194,7 @@ def test_momentum_impulse_consistency():
         q = np.array([r.q_s1, r.q_s2, r.q_s3, r.q_s4, r.q_s5, r.x_s, -r.z_s])
         dq = np.array([r.dq_s1, r.dq_s2, r.dq_s3, r.dq_s4, r.dq_s5,
                        r.dx_s, -r.dz_s])
-        d, _, _ = dyn.sagittal_matrices(p, dyn.SagittalState(q, dq))
+        d, _, _ = sagittal_matrices(p, q, dq)
         return float((d @ dq)[5])
 
     dt = cfg.dt
@@ -364,6 +365,58 @@ def test_touchdown_events_of_the_default_runs(terrain_mode, integrator, touchdow
     assert np.all((phase >= phases[0] - 1e-9) & (phase <= phases[1] + 1e-9))
 
 
+# The model's riding mass (body plus stance leg) rides on the contact
+# coordinates (x_s, z), while the reported hip and CoM come from the chain of
+# ``sim._kinematics``, rooted at the stance foot; the two tests below pin the
+# gap between these two bodies.  That G is the gradient of the model's
+# potential is test_dynamics.py's test_gravity_is_potential_gradient.
+
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+def test_rigid_ground_holds_the_riding_mass_while_the_reported_com_walks(monkeypatch,
+                                                                         integrator):
+    # x_s, z and their rates read from the state after every step (the log
+    # clips z_s at 0, so it could not show z > 0)
+    advance, contact = sim._advance, []
+
+    def recorded(*args):
+        ws = advance(*args)
+        contact.append(max(abs(ws.y[i]) for i in (5, 6, 17, 18)))
+        return ws
+
+    monkeypatch.setattr(sim, "_advance", recorded)
+    com_x = run_cfg(**{"sim.terrain_mode": "rigid", "sim.integrator": integrator}).column("com_x")
+    assert len(contact) == 2400 and max(contact) == 0.0
+    assert com_x[-1] - com_x[0] >= 0.4
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+@pytest.mark.parametrize("terrain_mode,touchdowns,drop", [
+    ("granular", 14, (-1e-12, 1e-12)),
+    ("rigid", 11, (1.0e-3, 2.0e-3)),
+])
+def test_reported_com_through_every_jump(monkeypatch, terrain_mode, integrator, touchdowns,
+                                         drop):
+    # the jump re-roots the chain at the new stance foot.  On sand the
+    # reported CoM is continuous through it.  On rigid ground the forced
+    # touchdown puts the contact on the surface under a foot still above it,
+    # so the CoM drops by 1.3-1.8 mm; this pins the drop as it is until a
+    # jump map places the contact where the foot is (ROADMAP item 4)
+    jump, jumps = sim._jump, []
+
+    def recorded(ws, cfg):
+        new = jump(ws, cfg)
+        before = sim._kinematics(cfg, ws.c0, ws.y[:7], ws.y[12:19])[2]
+        after = sim._kinematics(cfg, new.c0, new.y[:7], new.y[12:19])[2]
+        jumps.append((after[0] - before[0], before[1] - after[1]))
+        return new
+
+    monkeypatch.setattr(sim, "_jump", recorded)
+    run_cfg(**{"sim.terrain_mode": terrain_mode, "sim.integrator": integrator})
+    assert len(jumps) == touchdowns
+    assert max(abs(dx) for dx, _ in jumps) <= 1e-12
+    assert all(drop[0] <= dz <= drop[1] for _, dz in jumps)
+
+
 def test_rk4_integrator_mode():
     traj = run_cfg(**{"sim.duration": 0.8, "sim.integrator": "rk4"})
     assert len(traj.records) == 800
@@ -379,8 +432,7 @@ def test_orientation_angle_is_calf_pitch(terrain_mode):
 
 def test_semi_implicit_free_flight_stable():
     p = dyn.SagittalParams()
-    q, dq = sim.integrate_free(p, np.zeros(7), np.zeros(7), 1e-3, 200,
-                               method="semi_implicit")
+    q, dq = integrate_free(p, np.zeros(7), np.zeros(7), 1e-3, 200, method="semi_implicit")
     assert q[6] == pytest.approx(-0.5 * p.g * 0.2 ** 2, rel=0.02)
 
 
@@ -738,10 +790,10 @@ class _NoNumpy:
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
 def test_step_calls_no_numpy(monkeypatch, terrain_mode, integrator):
     # the step runs in Python floats: no BLAS or LAPACK call (whose rounding
-    # depends on the kernel OpenBLAS picks) and no numpy in the dynamics,
-    # the terrain forces or the gait, across touchdowns and frontal
-    # reassemblies; the config is built first, and its per-run constants
-    # are derived during the run
+    # depends on the kernel OpenBLAS picks) and no numpy in the terrain
+    # forces or the gait, across touchdowns and frontal reassemblies (the
+    # dynamics import no numpy at all); the config is built first, and its
+    # per-run constants are derived during the run
     cfg = build_config({"sim.duration": 0.8, "sim.terrain_mode": terrain_mode,
                         "sim.integrator": integrator})
 
@@ -751,7 +803,8 @@ def test_step_calls_no_numpy(monkeypatch, terrain_mode, integrator):
     monkeypatch.setattr(np.linalg, "solve", banned)
     monkeypatch.setattr(np.linalg, "norm", banned)
     monkeypatch.setattr(np, "dot", banned)
-    for module in (dyn, tr, gt):
+    assert not hasattr(dyn, "np")
+    for module in (tr, gt):
         monkeypatch.setattr(module, "np", _NoNumpy())
     traj = sim.run(cfg)
     assert traj.column("step_count")[-1] >= 3
@@ -785,14 +838,14 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
         q, dq, tau_s, tau_f = _random_stage(rng, granular)
         qdd, _, f_y, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f, sim._FrontalTerms())
         if granular:
-            d, c, g = dyn.frontal_matrices(cfg.frontal, dyn.FrontalState(q[7:], dq[7:]))
+            d, c, g = frontal_matrices(cfg.frontal, q[7:], dq[7:])
             rhs = -c @ dq[7:] - g
             rhs[2] += tau_f[1]
             rhs[3] += f_y
             expected = np.linalg.solve(d[2:4, 2:4], rhs[2:4] - d[2:4, 4] * qdd[6])
             got = qdd[9:11]
         else:
-            d, c, g = dyn.sagittal_matrices(cfg.sagittal, dyn.SagittalState(q[:7], dq[:7]))
+            d, c, g = sagittal_matrices(cfg.sagittal, q[:7], dq[:7])
             rhs = -c @ dq[:7] - g
             rhs[:4] += tau_s
             expected = np.linalg.solve(d[:2, :2], rhs[:2])
@@ -824,7 +877,7 @@ def test_float_stage_terms_are_the_bytes_of_the_dense_assembly(monkeypatch):
         q_l, dq_l = q_i.tolist(), dq_i.tolist()
         diag, d, c, g = dyn.assemble_sagittal(p, q_l, dq_l)
         got = np.array((*diag, *d, *d, *g, *sim._coriolis_rows(c, dq_l), 0.0, 0.0))
-        dense_d, dense_c, dense_g = dyn.sagittal_matrices(p, dyn.SagittalState(q_i, dq_i))
+        dense_d, dense_c, dense_g = sagittal_matrices(p, q_i, dq_i)
         expected = np.concatenate((dense_d.take(d_at), dense_g, (dense_c @ dq_i).take(cdq_at)))
         if got.tobytes() != expected.tobytes():
             mismatches.append((q_l, dq_l, list(map(float.hex, got.tolist())),
@@ -854,12 +907,12 @@ def _ordered_dot(row, v) -> float:
 
 
 def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
-    """Frontal rows of a stage from a fresh ``dyn.frontal_matrices``, with the
+    """Frontal rows of a stage from a fresh dense ``frontal_matrices``, with the
     row arithmetic of a stage that reassembles at every call: the frontal
     accelerations, f_y and tau_bar.  A product with a dense row sums all its
     columns; a running sum from +0.0 is never -0.0, so the zero entries of
     the row leave its bytes as they are."""
-    d_f, c_f, g_f = dyn.frontal_matrices(cfg.frontal, dyn.FrontalState(q[7:], dq[7:]))
+    d_f, c_f, g_f = frontal_matrices(cfg.frontal, q[7:], dq[7:])
     d, g = d_f.tolist(), g_f.tolist()
     cdq_f = [_ordered_dot(row, dq[7:]) for row in c_f.tolist()]
     rhs_f = [-c - g for c, g in zip(cdq_f, g)]
