@@ -96,6 +96,18 @@ class SimConfig:
             raise ValueError("decimation must be >= 1")
 
     @cached_property
+    def _granular(self) -> bool:
+        """Whether the stance foot is on sand (else on rigid ground)."""
+        return self.terrain_mode == "granular"
+
+    @cached_property
+    def _links(self):
+        """The sagittal lengths and masses that ``_chain`` reads: l_t, l_c,
+        l_b, a_1, a_2, m_b, m_t, m_c and the total mass."""
+        p = self.sagittal
+        return p.l_t, p.l_c, p.l_b, p.a_1, p.a_2, p.m_b, p.m_t, p.m_c, p.total_mass
+
+    @cached_property
     def _sole(self) -> rl.FootShape:
         """The stance foot's semicylindrical sole."""
         return rl.FootShape.semicylinder(self.foot_radius)
@@ -461,6 +473,20 @@ def detect_touchdown(prev_height: float, height: float, sand_level: float) -> bo
 # kinematics (world frame)
 # ---------------------------------------------------------------------------
 
+def _chain(links, base, u1, u2, u3, u4, u5):
+    """One axis of the forward kinematics through the stance leg: the hip,
+    swing-foot center and whole-robot CoM coordinates along the axis, from
+    the stance-foot center ``base`` and the axis component u_i of link i's
+    direction.  Given their rates, it returns the rates.  ``links`` is
+    ``SimConfig._links``."""
+    l_t, l_c, l_b, a_1, a_2, m_b, m_t, m_c, total = links
+    hip = base + l_c * u2 + l_t * u1
+    com = (m_b * (hip + l_b * u5)
+           + m_t * (hip - a_1 * u1) + m_c * (hip - l_t * u1 - a_2 * u2)
+           + m_t * (hip - a_1 * u3) + m_c * (hip - l_t * u3 - a_2 * u4))
+    return hip, hip - l_t * u3 - l_c * u4, com / total
+
+
 def _kinematics(cfg: SimConfig, c0, q, dq):
     """Forward kinematics through the stance leg, from the latched contact
     ``c0`` and the sagittal coordinates ``q`` and rates ``dq`` as floats: the
@@ -470,28 +496,27 @@ def _kinematics(cfg: SimConfig, c0, q, dq):
     Each link angle a enters through its direction (sin a, cos a), and the
     positions are linear in these directions, so the velocities come from the
     same chain applied to the direction rates (cos a, -sin a) da."""
-    p = cfg.sagittal
-    l_t, l_c, l_b, a_1, a_2 = p.l_t, p.l_c, p.l_b, p.a_1, p.a_2
-    m_b, m_t, m_c, total = p.m_b, p.m_t, p.m_c, p.total_mass
+    links = cfg._links
     q1, q2, q3, q4, q5, x_s, z = q
     v1, v2, v3, v4, v5, dx_s, dz = dq
     s1, s2, s3, s4, s5 = math.sin(q1), math.sin(q2), math.sin(q3), math.sin(q4), math.sin(q5)
     c1, c2, c3, c4, c5 = math.cos(q1), math.cos(q2), math.cos(q3), math.cos(q4), math.cos(q5)
-    axes = []
-    # one axis per pass: the stance-foot center (or its rate) and the axis
-    # component u_i of link i's direction (or its rate)
-    for base, u1, u2, u3, u4, u5 in (
-            (c0[0] + x_s, s1, s2, s3, s4, s5),
-            (c0[1] + z + cfg.foot_radius, c1, c2, c3, c4, c5),
-            (dx_s, c1 * v1, c2 * v2, c3 * v3, c4 * v4, c5 * v5),
-            (dz, -s1 * v1, -s2 * v2, -s3 * v3, -s4 * v4, -s5 * v5)):
-        hip = base + l_c * u2 + l_t * u1
-        com = (m_b * (hip + l_b * u5)
-               + m_t * (hip - a_1 * u1) + m_c * (hip - l_t * u1 - a_2 * u2)
-               + m_t * (hip - a_1 * u3) + m_c * (hip - l_t * u3 - a_2 * u4))
-        axes.append((hip, hip - l_t * u3 - l_c * u4, com / total))
-    (hx, sx, cx), (hz, sz, cz), (hvx, svx, cvx), (hvz, svz, cvz) = axes
+    hx, sx, cx = _chain(links, c0[0] + x_s, s1, s2, s3, s4, s5)
+    hz, sz, cz = _chain(links, c0[1] + z + cfg.foot_radius, c1, c2, c3, c4, c5)
+    hvx, svx, cvx = _chain(links, dx_s, c1 * v1, c2 * v2, c3 * v3, c4 * v4, c5 * v5)
+    hvz, svz, cvz = _chain(links, dz, -s1 * v1, -s2 * v2, -s3 * v3, -s4 * v4, -s5 * v5)
     return (hx, hz), (sx, sz), (cx, cz), (hvx, hvz), (svx, svz), (cvx, cvz)
+
+
+def _swing_z_and_com_vx(cfg: SimConfig, c0, y) -> tuple[float, float]:
+    """The two axes of ``_kinematics`` that an unlogged step reads, from the
+    stacked state ``y``: the swing-foot center height (the touchdown event)
+    and the CoM forward rate (the CoT sample)."""
+    links = cfg._links
+    c1, c2, c3, c4, c5 = map(math.cos, y[:5])
+    swing_z = _chain(links, c0[1] + y[6] + cfg.foot_radius, c1, c2, c3, c4, c5)[1]
+    return swing_z, _chain(links, y[17], c1 * y[12], c2 * y[13], c3 * y[14], c4 * y[15],
+                           c5 * y[16])[2]
 
 
 def _ik_clamped(leg, target, rate):
@@ -632,10 +657,9 @@ def _control(ws: WalkerState, cfg: SimConfig):
 # (0, 1) on rigid ground, frontal rows (2, 3) on sand.
 
 
-def _solve2(m, r) -> tuple[float, float]:
-    """Solution of the 2x2 system m x = r by Cramer's rule."""
-    (a, b), (c, d) = m
-    r0, r1 = r
+def _solve2(a, b, c, d, r0, r1) -> tuple[float, float]:
+    """Solution of the 2x2 system [[a, b], [c, d]] x = (r0, r1) by Cramer's
+    rule."""
     det = a * d - b * c
     return (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
 
@@ -643,15 +667,17 @@ def _solve2(m, r) -> tuple[float, float]:
 _DIRECTION_FLOOR = 0.05  # m/s; regularizes the stress direction switch at rest
 
 
-def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: float):
-    """(f_x, f_z, f_y) of the resistive terrain at the stance contact."""
+def _grf_granular(cfg: SimConfig, kin: tr.IntrusionKinematics, depth: float, dx: float,
+                  dz: float, y_slip: float):
+    """(f_x, f_z, f_y) of the resistive terrain at the stance contact; the
+    force laws read the motion from ``kin``, which this overwrites."""
     # Smooth the wedge-face orientation switch across zero horizontal rate:
     # blend the forward- and backward-leading faces by the horizontal
     # fraction w = (1 + dx/hyp)/2, which removes the rest-state force
     # discontinuity.  The backward face mirrors the forward one (same f_z,
     # opposite f_x), so the blend is (f_x dx/hyp, f_z) of the forward face.
     hyp = math.hypot(dx, _DIRECTION_FLOOR)
-    kin = tr.IntrusionKinematics(depth, math.atan2(dz, hyp), y_slip)
+    kin.depth, kin.gamma, kin.y_slip = depth, math.atan2(dz, hyp), y_slip
     fwd = tr.sagittal_forces(cfg.terrain, kin)
     return fwd.f_x * dx / hyp, fwd.f_z, tr.lateral_force(cfg.terrain, kin)
 
@@ -659,32 +685,37 @@ def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: fl
 _FRONTAL_KEY = struct.Struct("6d").pack
 
 
-class _FrontalTerms:
-    """What a stage derives from ``dyn.assemble_frontal``, kept for the last
-    frontal configuration: ``terms``, the stage's entries (D22, D23, D24,
-    D33, the bias -C dq - G of rows 2 and 3, then C dq and G of row 3), and
-    ``held``, row 1 of D with C dq and G of row 1, for the holding torque.
-    The system depends only on the angles and rates q_f[:3], dq_f[:3],
-    which hold still between touchdowns, so a stage reassembles it only when
-    their bytes or the parameter object change.  The key is bytes, not
-    floats: a touchdown flips p3 between 0.0 and -0.0, and 0.0 == -0.0.
-    Each row of C dq is summed in column order from +0.0 over the nonzero
-    entries of C, which sit in columns 0-2.  One per run."""
+class _StageTerms:
+    """What the integrator stages of one run carry from one to the next.
 
-    __slots__ = ("params", "key", "terms", "held")
+    ``kin`` is the ``IntrusionKinematics`` that every granular stage refills
+    for the terrain force laws.  The rest is what a stage derives from
+    ``dyn.assemble_frontal``, kept for the last frontal configuration:
+    ``terms``, the stage's entries (D22, D23, D24, D33, the bias -C dq - G
+    of rows 2 and 3, then C dq and G of row 3), and ``held``, row 1 of D
+    with C dq and G of row 1, for the holding torque.  The system depends
+    only on the angles and rates q_f[:3], dq_f[:3], which hold still between
+    touchdowns, so a stage reassembles it only when their bytes or the
+    parameter object change.  The key is bytes, not floats: a touchdown
+    flips p3 between 0.0 and -0.0, and 0.0 == -0.0.  Each row of C dq is
+    summed in column order from +0.0 over the nonzero entries of C, which
+    sit in columns 0-2.  One per run."""
+
+    __slots__ = ("kin", "params", "key", "terms", "held")
 
     def __init__(self):
+        self.kin = tr.IntrusionKinematics()
         self.params = self.key = self.terms = self.held = None
 
-    def __call__(self, params: dyn.FrontalParams, q_f, dq_f):
-        """The stage terms at the frontal coordinates ``q_f`` and rates
-        ``dq_f`` (lists of 5 floats)."""
-        key = _FRONTAL_KEY(*q_f[:3], *dq_f[:3])
+    def frontal(self, params: dyn.FrontalParams, y):
+        """The frontal stage terms at the stacked state ``y`` (24 floats, the
+        frontal angles at 7-9 and their rates at 19-21)."""
+        key = _FRONTAL_KEY(y[7], y[8], y[9], y[19], y[20], y[21])
         if params is not self.params or key != self.key:
-            diag, d, c, g = dyn.assemble_frontal(params, q_f, dq_f)
+            diag, d, c, g = dyn.assemble_frontal(params, y[7:10], y[19:22])
             d01, _, _, _, d12, d13, d14, d23, d24 = d
             _, _, c10, c12, c20, c21, c30, c31, c32, _, _, _ = c
-            v0, v1, v2 = dq_f[:3]
+            v0, v1, v2 = y[19], y[20], y[21]
             cdq1 = 0.0 + c10 * v0 + c12 * v2
             cdq2 = 0.0 + c20 * v0 + c21 * v1
             cdq3 = 0.0 + c30 * v0 + c31 * v1 + c32 * v2
@@ -715,25 +746,27 @@ def _coriolis_rows(c, dq):
             0.0 + c60 * v0 + c61 * v1 + c64 * v4)
 
 
-def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal: _FrontalTerms):
-    """Reduced constrained accelerations of the stacked state, as a list,
-    plus (f_x, f_y, f_z).  ``q`` and ``dq`` are lists of 12 floats (7
-    sagittal then 5 frontal coordinates) with dq[4] +0.0 (see
-    ``_coriolis_rows``); ``frontal`` is the run's ``_FrontalTerms``."""
-    diag, d, c, (g0, g1, _, _, _, g5, g6) = dyn.assemble_sagittal(cfg.sagittal, q, dq)
-    c0, c1, c5, c6 = _coriolis_rows(c, dq)
+def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
+    """Reduced constrained accelerations of the stacked state ``y``, as a
+    list of 12, plus (f_x, f_y, f_z).  ``y`` is 24 floats: the 7 sagittal
+    and 5 frontal coordinates, then their rates, with the trunk rate y[16]
+    +0.0 (see ``_coriolis_rows``); ``stage`` is the run's ``_StageTerms``."""
+    dq_s = y[12:17]  # the sagittal rates that the assembly reads
+    diag, d, c, (g0, g1, _, _, _, g5, g6) = dyn.assemble_sagittal(cfg.sagittal, y, dq_s)
+    c0, c1, c5, c6 = _coriolis_rows(c, dq_s)
     t0, t1, t2, t3 = tau_s
     # the actuated rows, then the contact rows; the held trunk row drops out
     r0, r1 = -c0 - g0 + t0, -c1 - g1 + t1
     r5, r6 = -c5 - g5, -c6 - g6
     # the decoupled swing rows, free of C and G, divide out
     a2, a3 = t2 / diag[2], t3 / diag[3]
-    if cfg.terrain_mode == "granular":
-        f_x, f_z, f_y = _grf_granular(cfg, max(0.0, -q[6]), dq[5], dq[6], q[10])
+    granular = cfg._granular
+    if granular:
+        f_x, f_z, f_y = _grf_granular(cfg, stage.kin, max(0.0, -y[6]), y[17], y[18], y[10])
         a0, a1, a5, a6 = dyn.solve_sand_block(diag, d, (r0, r1, r5 + f_x, r6 + f_z))
     else:
         d01, d05, d06, d15, d16, _, _ = d
-        a0, a1 = _solve2(((diag[0], d01), (d01, diag[1])), (r0, r1))
+        a0, a1 = _solve2(diag[0], d01, d01, diag[1], r0, r1)
         a5 = a6 = 0.0
         # constraint forces read back off the clamped contact rows, where
         # only the stance-leg rows 0 and 1 meet a nonzero D entry
@@ -742,11 +775,11 @@ def _accelerations(cfg: SimConfig, q, dq, tau_s, tau_f, frontal: _FrontalTerms):
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
     # lateral slip dynamic; the crossbar holding torque is left to the record
-    d22, d23, d24, d33, b2, b3, cdq3, g3 = frontal(cfg.frontal, q[7:], dq[7:])
+    d22, d23, d24, d33, b2, b3, cdq3, g3 = stage.frontal(cfg.frontal, y)
     rf2 = b2 + tau_f[1]
-    if cfg.terrain_mode == "granular":
+    if granular:
         # D34 is zero: lateral slip and sinkage are orthogonal translations
-        p2, p3 = _solve2(((d22, d23), (d23, d33)), (rf2 - d24 * a6, b3 + f_y))
+        p2, p3 = _solve2(d22, d23, d23, d33, rf2 - d24 * a6, b3 + f_y)
     else:
         p2, p3 = rf2 / d22, 0.0
         f_y = d23 * p2 + cdq3 + g3  # only row 2 accelerates
@@ -778,14 +811,14 @@ def _ode_step(method: str, y: list, acc, dt: float) -> list:
     return [x + w * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms):
+def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, stage: _StageTerms):
     """Control, one ODE step with the torques held, and the posture holds;
     rebinds ``ws.y`` to the post-step state.  Returns the control output,
     the stacked state at the control instant and the last evaluation: its
     stacked state and ``_accelerations``' output.  That is the step's start
     (rk4: its end, from a fifth evaluation that only a ``logged`` step
-    makes; otherwise the last stage).  ``frontal`` is the run's
-    ``_FrontalTerms``."""
+    makes; otherwise the last stage).  ``stage`` is the run's
+    ``_StageTerms``."""
     control = _control(ws, cfg)
     tau_s, tau_f = control[2:]
     start = ws.y
@@ -797,7 +830,7 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms)
         # is finite and below ~1e154, far past the divergence guard
         if not math.isfinite(sum(map(mul, y, y))):
             raise DivergenceError(ws.t, "(non-finite state in an integrator stage)")
-        last = y, *_accelerations(cfg, y[:12], y[12:], tau_s, tau_f, frontal)
+        last = y, *_accelerations(cfg, y, tau_s, tau_f, stage)
         return last[1]
 
     y = _ode_step(cfg.integrator, start, acc, cfg.dt)
@@ -808,7 +841,7 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms)
     # (0, 7, 12, 19); the frontal vertical coordinate mirrors the sagittal one
     y[4], y[16] = cfg.gait.trunk_ref, 0.0
     y[7], y[8], y[19], y[20] = *_FRONTAL_POSTURE, 0.0, 0.0
-    if cfg.terrain_mode == "rigid":
+    if not cfg._granular:
         y[5] = y[6] = y[17] = y[18] = y[10] = y[22] = 0.0
     y[11], y[23] = y[6], y[18]
     ws.t += cfg.dt
@@ -816,23 +849,28 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, frontal: _FrontalTerms)
     return control, start, last
 
 
-def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
-    """Orientation angle theta_r of the stance-foot contact point at a calf
-    pitch; a contact that leaves the sole ends the run, at time t, as a
-    divergence."""
-    shape = cfg._sole
+def _contact(cfg: SimConfig, pitch: float, t: float):
+    """The stance-foot contact point (x_r, z_r) on the sole at a calf pitch;
+    a contact that leaves the sole ends the run, at time t, as a divergence.
+    ``rl.lowest_point`` rejects a contact at or past the rim, so
+    ``rl.orientation_angle`` accepts every point this returns."""
     try:
-        contact = rl.lowest_point(shape, pitch)
+        return rl.lowest_point(cfg._sole, pitch)
     except rl.ContactOutsideSoleError as exc:
         raise DivergenceError(t, f"({exc})") from exc
-    return rl.orientation_angle(shape, contact)
 
 
-def _powers(ws: WalkerState, control, start, last, frontal: _FrontalTerms):
+def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
+    """Orientation angle theta_r of the stance-foot contact point at a calf
+    pitch, checked as ``_contact`` checks it."""
+    return rl.orientation_angle(cfg._sole, _contact(cfg, pitch, t))
+
+
+def _powers(ws: WalkerState, control, start, last, stage: _StageTerms):
     """Joint powers in actuation space, their sum and each plane's net
     power, with the rates at the control instant, from the step's control
     output, its stacked state ``start`` at the control instant, its ``last``
-    evaluation and the run's ``frontal`` terms as that evaluation left them.
+    evaluation and the run's ``stage`` terms as that evaluation left them.
     Writes the reported hip torques, the crossbar holding demand plus the
     swing-side PD, into the control output's torques.
 
@@ -841,7 +879,7 @@ def _powers(ws: WalkerState, control, start, last, frontal: _FrontalTerms):
     evaluation is its fourth stage and not the fifth, gets the powers of a
     logged one to the bit."""
     tau_a, dq_a, tau_s, tau_f = control
-    tau_bar = frontal.holding_torque(last[1][7:])
+    tau_bar = stage.holding_torque(last[1][7:])
     i_st, i_sw = _ACTUATION[ws.stance][2]
     tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
     joint_powers = list(map(mul, tau_a, dq_a))
@@ -852,16 +890,17 @@ def _powers(ws: WalkerState, control, start, last, frontal: _FrontalTerms):
 
 
 def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
-            theta_r: float, kinematics, phase: float, out) -> None:
+            contact, kinematics, phase: float, out) -> None:
     """Write the post-step record of ``ws`` into the row ``out``, from the
     step's actuator torques ``tau_a`` and ``powers`` as ``_powers`` gave
-    them, its ``last`` evaluation and its contact angle, kinematics and
-    stance phase."""
+    them, its ``last`` evaluation and its contact point on the sole,
+    kinematics and stance phase."""
     y, _, f_x, f_y, f_z = last
-    gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
+    gamma = rl.velocity_angle(y[17], y[18]) if cfg._granular else 0.0
 
     s = ws.y
     # rolling bookkeeping on the stance foot
+    theta_r = rl.orientation_angle(cfg._sole, contact)
     d_theta = rl.rolling_angle(ws.theta_r0, theta_r)
     try:
         r_eff = min(rl.effective_radius((s[17], s[18]), s[13]), cfg.r_eff_cap)
@@ -890,7 +929,7 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
     the surface and vertically at rest (the reset absorbs the contact transient)."""
     y, (c0_x, c0_z), r = ws.y, ws.c0, cfg.foot_radius
     _, swing, _, _, swing_v, _ = _kinematics(cfg, ws.c0, y[:7], y[12:19])
-    slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0  # landing skid
+    slip_rate = swing_v[0] if cfg._granular else 0.0  # landing skid
     c0 = (swing[0], min(swing[1] - r, cfg.terrain.sand_level))
     new = replace(
         ws, stance=ws.stance.other, t_stance_start=ws.t, step_count=ws.step_count + 1,
@@ -911,31 +950,34 @@ _DIVERGENCE_LIMIT = 1e6  # largest |state entry| the step lets through
 
 
 def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
-             frontal: _FrontalTerms, samples: array) -> WalkerState:
-    """One fixed step: flow, divergence guard, contact check, the step's
-    ``STEP_FIELDS`` appended to ``samples``, record into the row ``out``,
+             stage: _StageTerms, samples: array) -> WalkerState:
+    """One fixed step: flow, divergence guard, contact check, record into
+    the row ``out``, the step's ``STEP_FIELDS`` appended to ``samples``,
     touchdown event and jump.  A step without a row (``out`` is None) skips
-    the record and, under rk4, the end-of-step force evaluation; it makes
-    every check, appends the same samples and takes the same event.
-    ``frontal`` is the run's ``_FrontalTerms``.  Returns ``ws`` advanced or
-    the jumped state."""
-    control, start, last = _flow(ws, cfg, out is not None, frontal)
+    the record, the contact angle, all but two axes of the kinematics and,
+    under rk4, the end-of-step force evaluation; it makes every check,
+    appends the same samples and takes the same event.  ``stage`` is the
+    run's ``_StageTerms``.  Returns ``ws`` advanced or the jumped state."""
+    control, start, last = _flow(ws, cfg, out is not None, stage)
     y = ws.y
     # divergence guard on the stacked state; NaN fails the comparison too
     for x in y:
         if not abs(x) <= _DIVERGENCE_LIMIT:
             raise DivergenceError(ws.t)
-    theta_r = _contact_angle(cfg, y[1], ws.t)  # a contact off the sole ends the run
-    kinematics = _kinematics(cfg, ws.c0, y[:7], y[12:19])
+    contact = _contact(cfg, y[1], ws.t)  # a contact off the sole ends the run
     phase = _stance_phase(ws, cfg, ws.t)
-    powers = _powers(ws, control, start, last, frontal)
+    powers = _powers(ws, control, start, last, stage)
+    if out is None:
+        swing_z, com_vx = _swing_z_and_com_vx(cfg, ws.c0, y)
+    else:
+        kinematics = _kinematics(cfg, ws.c0, y[:7], y[12:19])
+        _record(ws, cfg, control[0], last, powers, contact, kinematics, phase, out)
+        swing_z, com_vx = kinematics[1][1], kinematics[5][0]
     _, power, power_s, power_f = powers
-    samples.extend((ws.t, power, power_s, power_f, kinematics[5][0]))
-    if out is not None:
-        _record(ws, cfg, control[0], last, powers, theta_r, kinematics, phase, out)
+    samples.extend((ws.t, power, power_s, power_f, com_vx))
     # touchdown event: the swing-foot height crossing the surface, armed past
     # the swing apex and forced at the schedule boundary
-    height = kinematics[1][1] - cfg.foot_radius
+    height = swing_z - cfg.foot_radius
     crossed = detect_touchdown(ws.prev_swing_height, height, cfg.terrain.sand_level)
     if phase >= 1.0 or (phase > 0.5 and crossed):
         return _jump(ws, cfg)
@@ -971,13 +1013,13 @@ def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
     # trailing steps of an incomplete block write none
     k = cfg.decimation
     data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
-    frontal = _FrontalTerms()
+    stage = _StageTerms()
     samples = array("d")
     fed = 0
     for start in range(0, n_steps, _BLOCK):
         stop = min(start + _BLOCK, n_steps)
         for i in range(start, stop):
-            ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None, frontal, samples)
+            ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None, stage, samples)
         if writer is not None and stop // k > fed:
             writer.feed(data[fed:stop // k])
             fed = stop // k

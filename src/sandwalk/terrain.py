@@ -96,6 +96,11 @@ class TerrainParams:
         return (two_phi, math.cos(two_phi), math.sin(two_phi),
                 self.zeta * self.alpha_scale * _STRESS_UNIT, 2.0 * math.tan(self.phi_s))
 
+    @cached_property
+    def _bulldozing(self) -> float:
+        """``bulldozing_stress`` of this terrain (see ``lateral_force``)."""
+        return bulldozing_stress(self)
+
 
 @dataclass
 class IntrusionKinematics:
@@ -186,11 +191,6 @@ def _stresses(k: float, two_beta: float, cos_2b: float, sin_2b: float,
     return k * a_x, k * a_z
 
 
-def wedge_area(depth: float, phi_s: float) -> float:
-    """Cross-section area of the triangular solidification wedge [m^2]."""
-    return depth ** 2 / (2.0 * math.tan(phi_s))
-
-
 def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagittal:
     """Sagittal ground reaction force (F_x, F_z) on the stance foot.
 
@@ -245,7 +245,7 @@ def lateral_force(terrain: TerrainParams, kin: IntrusionKinematics) -> float:
     y = abs(kin.y_slip)
     if y == 0.0 or kin.depth == 0.0:
         return 0.0
-    a_y = bulldozing_stress(terrain)
+    a_y = terrain._bulldozing
     g_z = 0.5 * kin.depth ** 2
     magnitude = terrain.lam * (1.0 - math.exp(-y / terrain.lam)) * a_y * g_z
     return -math.copysign(magnitude, kin.y_slip)

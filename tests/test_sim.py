@@ -8,12 +8,14 @@ import json
 import math
 import os
 from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sandwalk import dynamics as dyn
 from sandwalk import gait as gt
+from sandwalk import rolling as rl
 from sandwalk import sim
 from sandwalk import terrain as tr
 from sandwalk.config import build_config
@@ -31,7 +33,7 @@ def run_cfg(**kw):
 def _step(ws, cfg):
     """One logged step from a shallow copy of ``ws``: (state', record)."""
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
-    out = sim._advance(dataclasses.replace(ws), cfg, row, sim._FrontalTerms(), array("d"))
+    out = sim._advance(dataclasses.replace(ws), cfg, row, sim._StageTerms(), array("d"))
     return out, sim.Trajectory(row[None], {}).records[0]
 
 
@@ -255,11 +257,11 @@ def _walk(terrain_mode, n_steps):
     cfg = build_config({"sim.terrain_mode": terrain_mode})
     ws = sim.initial_state(cfg)
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
-    frontal, samples = sim._FrontalTerms(), array("d")
+    stage, samples = sim._StageTerms(), array("d")
     pairs = []
     for _ in range(n_steps):
         before = copy.deepcopy(ws)
-        ws = sim._advance(ws, cfg, row, frontal, samples)
+        ws = sim._advance(ws, cfg, row, stage, samples)
         pairs.append((before, copy.deepcopy(ws)))
     return cfg, pairs
 
@@ -292,9 +294,9 @@ def test_step_keeps_the_state_in_floats(terrain_mode, integrator):
     cfg = build_config({"sim.terrain_mode": terrain_mode, "sim.integrator": integrator})
     ws = sim.initial_state(cfg)
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
-    frontal, samples = sim._FrontalTerms(), array("d")
+    stage, samples = sim._StageTerms(), array("d")
     for i in range(600):  # past the first two touchdowns
-        ws = sim._advance(ws, cfg, row if i % 10 == 9 else None, frontal, samples)
+        ws = sim._advance(ws, cfg, row if i % 10 == 9 else None, stage, samples)
         assert len(ws.y) == 24
         assert all(type(x) is float for x in (*ws.y, *ws.c0, *ws.liftoff)), ws.t
     assert ws.step_count >= 2
@@ -311,7 +313,7 @@ def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
     pre_touchdown = []
     for before, after in pairs:
         if after.step_count > before.step_count:  # replay the flow the jump followed
-            sim._flow(before, cfg, True, sim._FrontalTerms())
+            sim._flow(before, cfg, True, sim._StageTerms())
             pre_touchdown.append(before)
     assert len(mid_swing) >= 12 and len(pre_touchdown) == 3
     clamped = 0
@@ -685,9 +687,9 @@ def test_perturbed_frontal_plane_decays(terrain_mode, coordinate, value, peak_y_
     name, i = coordinate
     ws.y[_OFFSET[name] + i] = value
     data = np.empty((round(cfg.duration / cfg.dt), len(sim.SIM_RECORD_FIELDS)))
-    frontal, samples = sim._FrontalTerms(), array("d")
+    stage, samples = sim._StageTerms(), array("d")
     for row in data:
-        ws = sim._advance(ws, cfg, row, frontal, samples)
+        ws = sim._advance(ws, cfg, row, stage, samples)
     traj = sim.Trajectory(data, {})
     assert np.abs(traj.column("y_s")).max() == pytest.approx(peak_y_s, rel=1e-3)
     assert np.abs(traj.column("f_y")).max() == pytest.approx(peak_f_y, rel=1e-3)
@@ -708,7 +710,7 @@ def test_closed_form_2x2_solve_matches_lapack():
         m = b @ b.T + 0.5 * np.eye(2)  # symmetric positive definite
         r = rng.uniform(-10.0, 10.0, 2)
         expected = np.linalg.solve(m, r)
-        got = np.array(sim._solve2(m, r.tolist()))
+        got = np.array(sim._solve2(*m.ravel().tolist(), *r.tolist()))
         worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
     assert worst < 1e-12
 
@@ -779,6 +781,67 @@ def test_sand_block_solved_once_per_granular_stage(monkeypatch, terrain_mode, in
         assert _normwise_error(got, expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_unlogged_step_computes_only_what_it_reads(monkeypatch, terrain_mode, integrator):
+    # an unlogged step reads two axes of the kinematics (the swing-foot
+    # height and the CoM forward rate) and checks the contact with
+    # rl.lowest_point alone: past its step count a run evaluates the
+    # four-axis kinematics only inside the jump (twice per touchdown) and
+    # the contact angle only at the initial state and at touchdowns; at
+    # decimation 1 each runs once more per step.  Both runs take the same
+    # touchdowns and keep the same step samples, bit for bit
+    counts = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((sim, "_kinematics"), (sim, "_jump"), (rl, "orientation_angle"),
+                        (rl, "lowest_point")):
+        counted(owner, name)
+    keys = {"sim.duration": 0.8, "sim.terrain_mode": terrain_mode, "sim.integrator": integrator}
+    steps = 800
+    runs = []
+    for decimation, logged in ((steps + 1, 0), (1, steps)):
+        counts.clear()
+        traj = run_cfg(**keys, **{"sim.decimation": decimation})
+        jumps = counts["_jump"]
+        assert len(traj) == logged and jumps >= 3
+        assert counts["_kinematics"] == logged + 2 * jumps
+        assert counts["orientation_angle"] == 1 + logged + jumps
+        assert counts["lowest_point"] == 1 + steps + jumps
+        runs.append((jumps, traj.step_samples.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_stage_builds_no_intrusion_kinematics(monkeypatch):
+    # every granular stage of a default rk4 run (four per step, a fifth per
+    # logged step) hands the force laws the run's one IntrusionKinematics,
+    # refilled, rather than building one
+    intrusion, sagittal_forces = tr.IntrusionKinematics, tr.sagittal_forces
+    built, seen = [], []
+
+    def build(*args, **kwargs):
+        built.append(intrusion(*args, **kwargs))
+        return built[-1]
+
+    def forces(terrain, kin):
+        seen.append(kin)
+        return sagittal_forces(terrain, kin)
+
+    monkeypatch.setattr(tr, "IntrusionKinematics", build)
+    monkeypatch.setattr(tr, "sagittal_forces", forces)
+    sim.run(build_config({"sim.integrator": "rk4"}))
+    assert len(seen) == 2400 * 5
+    assert len(built) == 1 and all(kin is built[0] for kin in seen)
+
+
 class _NoNumpy:
     """Stand-in for a module's ``np`` that fails on any use."""
 
@@ -836,7 +899,7 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
     worst = 0.0
     for _ in range(300):
         q, dq, tau_s, tau_f = _random_stage(rng, granular)
-        qdd, _, f_y, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f, sim._FrontalTerms())
+        qdd, _, f_y, _ = sim._accelerations(cfg, q + dq, tau_s, tau_f, sim._StageTerms())
         if granular:
             d, c, g = frontal_matrices(cfg.frontal, q[7:], dq[7:])
             rhs = -c @ dq[7:] - g
@@ -922,8 +985,8 @@ def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
         rhs_f[3] += f_y
         qdd_f[4] = qdd_s[6]
         assert d[3][4] == 0.0
-        qdd_f[2:4] = sim._solve2((d[2][2:4], d[3][2:4]),
-                                 (rhs_f[2] - d[2][4] * qdd_f[4], rhs_f[3]))
+        qdd_f[2:4] = sim._solve2(*d[2][2:4], *d[3][2:4],
+                                 rhs_f[2] - d[2][4] * qdd_f[4], rhs_f[3])
     else:
         qdd_f[2] = rhs_f[2] / d[2][2]
         f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g[3]
@@ -932,20 +995,20 @@ def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
 
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
 def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
-    # one _FrontalTerms across a stage sequence, as in a run: every stage's
+    # one _StageTerms across a stage sequence, as in a run: every stage's
     # outputs are the bytes of a stage that reassembles; every seventh stage
     # runs under other frontal parameters
     configs = [build_config({"sim.terrain_mode": terrain_mode, "frontal.b": b})
                for b in (0.2, 0.3)]
     granular = terrain_mode == "granular"
-    frontal = sim._FrontalTerms()
+    terms = sim._StageTerms()
     rng = np.random.default_rng(3)
     calls = itertools.count()
 
     def stage(q, dq, tau_s, tau_f):
         cfg = configs[next(calls) % 7 == 6]
-        qdd, _, f_y, _ = sim._accelerations(cfg, q, dq, tau_s, tau_f, frontal)
-        tau_bar = frontal.holding_torque(qdd[7:])
+        qdd, _, f_y, _ = sim._accelerations(cfg, q + dq, tau_s, tau_f, terms)
+        tau_bar = terms.holding_torque(qdd[7:])
         ref_qdd, ref_f_y, ref_tau_bar = _frontal_reference(
             cfg, q, dq, tau_f, qdd[:7], f_y if granular else None)
         got = np.array([*qdd, f_y, tau_bar]).tobytes()
@@ -1061,7 +1124,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
     h = 1e-7
     ws = sim.initial_state(cfg)
     row = np.empty(len(sim.SIM_RECORD_FIELDS))
-    frontal, samples = sim._FrontalTerms(), array("d")
+    stage, samples = sim._StageTerms(), array("d")
     worst = 0.0
     starts = 0
     for _ in range(round(cfg.duration / cfg.dt)):
@@ -1073,7 +1136,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
             held = copy.copy(ws)
             held.t_stance_start = ws.t + 1.0
             assert sim._model_refs(held, cfg, ws.t) == (refs, rates)
-        ws = sim._advance(ws, cfg, row, frontal, samples)
+        ws = sim._advance(ws, cfg, row, stage, samples)
     assert starts >= 10
     assert worst < 1e-5
 
@@ -1124,7 +1187,8 @@ def test_merged_wedge_force_equals_two_face_blend():
                 kin.gamma = math.atan2(dz, -hyp)
                 bwd = tr.sagittal_forces(cfg.terrain, kin)
                 old = (w * fwd.f_x + (1.0 - w) * bwd.f_x, w * fwd.f_z + (1.0 - w) * bwd.f_z)
-                f_x, f_z, f_y = sim._grf_granular(cfg, depth, dx, dz, 0.01)
+                f_x, f_z, f_y = sim._grf_granular(cfg, tr.IntrusionKinematics(), depth, dx,
+                                                  dz, 0.01)
                 scale = math.hypot(*old)
                 assert abs(f_x - old[0]) <= 1e-9 * scale
                 assert abs(f_z - old[1]) <= 1e-9 * scale

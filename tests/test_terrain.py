@@ -18,7 +18,6 @@ from sandwalk.terrain import (
     lateral_force,
     local_stress,
     sagittal_forces,
-    wedge_area,
 )
 
 DOWN = -math.pi / 2  # straight-down motion direction
@@ -132,6 +131,11 @@ def test_wedge_force_matches_quadrature():
             worst = max(worst, abs(got.f_x - want_x) / scale,
                         abs(got.f_z - want_z) / scale)
     assert worst < 1e-3
+
+
+def wedge_area(depth: float, phi_s: float) -> float:
+    """Cross-section area of the triangular solidification wedge [m^2]."""
+    return depth ** 2 / (2.0 * math.tan(phi_s))
 
 
 def _wedge_composition(terrain, kin):
