@@ -96,11 +96,6 @@ class SimConfig:
             raise ValueError("decimation must be >= 1")
 
     @cached_property
-    def _granular(self) -> bool:
-        """Whether the stance foot is on sand (else on rigid ground)."""
-        return self.terrain_mode == "granular"
-
-    @cached_property
     def _links(self):
         """The sagittal lengths and masses that ``_chain`` reads: l_t, l_c,
         l_b, a_1, a_2, m_b, m_t, m_c and the total mass."""
@@ -760,7 +755,7 @@ def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
     r5, r6 = -c5 - g5, -c6 - g6
     # the decoupled swing rows, free of C and G, divide out
     a2, a3 = t2 / diag[2], t3 / diag[3]
-    granular = cfg._granular
+    granular = cfg.terrain_mode == "granular"
     if granular:
         f_x, f_z, f_y = _grf_granular(cfg, stage.kin, max(0.0, -y[6]), y[17], y[18], y[10])
         a0, a1, a5, a6 = dyn.solve_sand_block(diag, d, (r0, r1, r5 + f_x, r6 + f_z))
@@ -841,7 +836,7 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, stage: _StageTerms):
     # (0, 7, 12, 19); the frontal vertical coordinate mirrors the sagittal one
     y[4], y[16] = cfg.gait.trunk_ref, 0.0
     y[7], y[8], y[19], y[20] = *_FRONTAL_POSTURE, 0.0, 0.0
-    if not cfg._granular:
+    if cfg.terrain_mode == "rigid":
         y[5] = y[6] = y[17] = y[18] = y[10] = y[22] = 0.0
     y[11], y[23] = y[6], y[18]
     ws.t += cfg.dt
@@ -896,7 +891,7 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
     them, its ``last`` evaluation and its contact point on the sole,
     kinematics and stance phase."""
     y, _, f_x, f_y, f_z = last
-    gamma = rl.velocity_angle(y[17], y[18]) if cfg._granular else 0.0
+    gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
 
     s = ws.y
     # rolling bookkeeping on the stance foot
@@ -929,7 +924,7 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
     the surface and vertically at rest (the reset absorbs the contact transient)."""
     y, (c0_x, c0_z), r = ws.y, ws.c0, cfg.foot_radius
     _, swing, _, _, swing_v, _ = _kinematics(cfg, ws.c0, y[:7], y[12:19])
-    slip_rate = swing_v[0] if cfg._granular else 0.0  # landing skid
+    slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0  # landing skid
     c0 = (swing[0], min(swing[1] - r, cfg.terrain.sand_level))
     new = replace(
         ws, stance=ws.stance.other, t_stance_start=ws.t, step_count=ws.step_count + 1,

@@ -96,11 +96,6 @@ class TerrainParams:
         return (two_phi, math.cos(two_phi), math.sin(two_phi),
                 self.zeta * self.alpha_scale * _STRESS_UNIT, 2.0 * math.tan(self.phi_s))
 
-    @cached_property
-    def _bulldozing(self) -> float:
-        """``bulldozing_stress`` of this terrain (see ``lateral_force``)."""
-        return bulldozing_stress(self)
-
 
 @dataclass
 class IntrusionKinematics:
@@ -245,7 +240,7 @@ def lateral_force(terrain: TerrainParams, kin: IntrusionKinematics) -> float:
     y = abs(kin.y_slip)
     if y == 0.0 or kin.depth == 0.0:
         return 0.0
-    a_y = terrain._bulldozing
+    a_y = bulldozing_stress(terrain)
     g_z = 0.5 * kin.depth ** 2
     magnitude = terrain.lam * (1.0 - math.exp(-y / terrain.lam)) * a_y * g_z
     return -math.copysign(magnitude, kin.y_slip)
