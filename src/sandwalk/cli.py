@@ -14,7 +14,9 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import shutil
+import signal
 import sys
 import time
 from contextlib import contextmanager
@@ -172,11 +174,13 @@ def _read_penetration_csv(path, expected_header: str):
             if not row or not "".join(row).strip():
                 continue
             try:
+                if len(row) != 2:
+                    raise ValueError(f"{len(row)} fields")
                 cells = float(row[0]), float(row[1])
                 if not all(map(math.isfinite, cells)):
                     raise ValueError("non-finite value")
                 records.append(tr.PenetrationRecord(*cells))
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise cfgmod.ConfigError(f"{path}:{lineno}: malformed row") from exc
     return records
 
@@ -210,6 +214,72 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _stance_profiles(path, fields: list[str]) -> dict:
+    """``metrics.resample_stance`` of the trajectory file at ``path``."""
+    traj = simulation.Trajectory.load_csv(path)
+    try:
+        return metrics.resample_stance(traj, fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _in_child(fn, *args):
+    """Yields a callable that returns ``fn(*args)`` or raises its ValueError
+    or OSError.  Where ``simulation.can_fork_beside()`` holds, a forked child
+    calls ``fn`` on entering, while this process works on, and pickles back
+    its result on a pipe; otherwise the callable calls ``fn`` in-process.
+    The child ignores SIGINT and ends with ``os._exit``; leaving the context
+    before the result is read kills it, and it is reaped on every path."""
+    if not simulation.can_fork_beside():
+        yield lambda: fn(*args)
+        return
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(result_r)
+        _child(result_w, fn, args)
+    os.close(result_w)
+    with open(result_r, "rb") as pipe:
+        reaped = False
+
+        def result():
+            nonlocal reaped
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped = True
+            if status:
+                raise OSError(f"a forked child exited with status {status}")
+            value = pickle.loads(data)
+            if isinstance(value, BaseException):
+                raise value
+            return value
+
+        try:
+            yield result
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(result_fd: int, fn, args) -> None:
+    """An ``_in_child`` child: pickles ``fn(*args)``, or the ValueError or
+    OSError it raises, to ``result_fd`` and exits.  Never returns."""
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent kills it
+        try:
+            value = fn(*args)
+        except (ValueError, OSError) as exc:
+            value = exc
+        with open(result_fd, "wb") as pipe:
+            pickle.dump(value, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _cmd_compare(args) -> int:
     fields = ([f.strip() for f in args.fields.split(",") if f.strip()]
               if args.fields is not None else list(_DEFAULT_COMPARE_FIELDS))
@@ -218,14 +288,10 @@ def _cmd_compare(args) -> int:
     for f in fields:
         if f not in simulation.SIM_RECORD_FIELDS or f == "stance_leg":
             raise cfgmod.ConfigError(f"unknown field name '{f}'")
-    profiles = []
-    for path in (args.traj_a, args.traj_b):
-        traj = simulation.Trajectory.load_csv(path)
-        try:
-            profiles.append(metrics.resample_stance(traj, fields))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    prof_a, prof_b = profiles
+    # the second file is read beside the first where a second CPU is free
+    with _in_child(_stance_profiles, args.traj_b, fields) as second:
+        prof_a = _stance_profiles(args.traj_a, fields)
+        prof_b = second()
     with _out_dir(args) as out:
         rmse_path = out / "rmse.csv"
         with open(rmse_path, "w", newline="") as fh:

@@ -23,13 +23,14 @@ import os
 import pickle
 import struct
 import tempfile
+import warnings
 from array import array
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import zip_longest
-from operator import mul
+from itertools import count, zip_longest
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "initial_state",
     "run",
     "usable_cpus",
+    "can_fork_beside",
 ]
 
 
@@ -251,25 +253,50 @@ class Trajectory:
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":
-        blocks, rows = [], []
+        """Read a file that ``save_csv`` wrote.  numpy's reader parses every
+        row from the open file, in chunks; the array is the only whole copy.
+        A file that does not parse raises ValueError naming its first
+        malformed line, which a scan of the file line by line finds."""
         with open(path, newline="") as fh:
             header = fh.readline().strip().split(",")
             if header != SIM_RECORD_FIELDS:
                 raise ValueError(f"{path}: unexpected trajectory header")
+            start = fh.tell()
+            lines = count()  # zip draws one number per line read
+            try:
+                data = _parse_rows(map(itemgetter(0), zip(fh, lines)))
+                # numpy skips a blank line, which no writer writes
+                if len(data) == next(lines):
+                    return cls(data=data, meta={"source": str(path)})
+            except ValueError:
+                pass
+            fh.seek(start)
             for lineno, line in enumerate(fh, start=2):
-                parts = line.rstrip("\n").split(",")
+                cells = line.rstrip("\r\n").split(",")
                 try:
-                    if len(parts) != len(SIM_RECORD_FIELDS):
-                        raise ValueError(f"{len(parts)} fields")
-                    parts[_LEG] = _LEG_NAMES.index(parts[_LEG])
-                    rows.append(list(map(float, parts)))
+                    if cells == [""]:
+                        raise ValueError("blank line")
+                    if len(cells) != len(SIM_RECORD_FIELDS):
+                        raise ValueError(f"{len(cells)} fields")
+                    _parse_rows([line])
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
-                if len(rows) == _BLOCK:
-                    blocks.append(np.array(rows))
-                    rows = []
-        blocks.append(np.array(rows).reshape(-1, len(SIM_RECORD_FIELDS)))
-        return cls(data=np.concatenate(blocks), meta={"source": str(path)})
+                    # the reader counts the one line it was given as row 0
+                    reason = str(exc).replace(" at row 0,", " at")
+                    raise ValueError(f"{path}:{lineno}: malformed row ({reason})") from exc
+        raise ValueError(f"{path}: malformed rows")
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """The CSV rows of the text ``lines`` as an ``(n, len(SIM_RECORD_FIELDS))``
+    array, ``stance_leg`` as its index; raises ValueError for a row that
+    does not parse or is of another width."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                          converters={_LEG: _LEG_NAMES.index})
+    if len(data) and data.shape[1] != len(SIM_RECORD_FIELDS):
+        raise ValueError(f"{data.shape[1]} fields")
+    return data.reshape(-1, len(SIM_RECORD_FIELDS))
 
 
 def _format_block(block: np.ndarray) -> tuple[str, str]:
@@ -324,6 +351,12 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def can_fork_beside() -> bool:
+    """Whether a forked child can work beside this process: ``os.fork``
+    exists and this process may run on two CPUs or more."""
+    return hasattr(os, "fork") and usable_cpus() >= 2
+
+
 _CHUNK = 1 << 16  # characters per read of a writer's temporary file
 
 
@@ -357,7 +390,7 @@ class TrajectoryWriter:
         return self._pid is not None
 
     def __enter__(self) -> TrajectoryWriter:
-        if hasattr(os, "fork") and usable_cpus() >= 2:
+        if can_fork_beside():
             self._text = [tempfile.TemporaryFile("w+", newline="") for _ in range(2)]
             rows_r, rows_w = os.pipe()
             pid = os.fork()

@@ -4,11 +4,12 @@ import json
 import math
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
 
-from sandwalk import metrics, sim
+from sandwalk import cli, metrics, sim
 from sandwalk.cli import main
 from sandwalk.config import build_config
 from sandwalk.sim import SIM_RECORD_FIELDS
@@ -19,7 +20,12 @@ from sandwalk.terrain import (
     sagittal_forces,
 )
 
-from test_sim import assert_no_child_process, assert_same_text
+from test_sim import (
+    MALFORMED_ROWS,
+    assert_no_child_process,
+    assert_same_text,
+    break_trajectory_csv,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -173,9 +179,10 @@ def test_calibrate_roundtrip(tmp_path):
 
 def test_calibrate_malformed_row_line_number(tmp_path, capsys):
     v_path, h_path = make_penetration_files(tmp_path)
-    # a cell that is not a number, a NaN depth and an infinite force
+    # a cell that is not a number, a NaN depth, an infinite force, and rows
+    # of one and of three fields
     for vertical, row in ((True, "not_a_number,1.0"), (True, "nan,1.0"),
-                          (False, "0.05,inf")):
+                          (False, "0.05,inf"), (True, "0.01"), (True, "0.01,5.0,junk")):
         source = v_path if vertical else h_path
         broken = tmp_path / "broken.csv"
         lines = source.read_text().splitlines()
@@ -410,7 +417,7 @@ def test_compare_rejects_before_writing(tmp_path, capsys, inputs, fields, messag
     assert not (out / "rmse.csv").exists()
 
 
-def test_compare_granular_vs_rigid_intrusion(tmp_path):
+def test_compare_granular_vs_rigid_intrusion(tmp_path, writer_cpus):
     cfg = tmp_path / "run.cfg"
     write_config(cfg, "sim.duration = 1.2\n")
     out_g = tmp_path / "g"
@@ -419,14 +426,95 @@ def test_compare_granular_vs_rigid_intrusion(tmp_path):
     main(["simulate", "--config", str(cfg), "--out", str(out_r),
           "--terrain", "rigid"])
     out = tmp_path / "cmp"
-    rc = main(["compare", str(out_g / "trajectory.csv"),
-               str(out_r / "trajectory.csv"), "--out", str(out),
-               "--fields", "z_s,x_s"])
+    paths = out_g / "trajectory.csv", out_r / "trajectory.csv"
+    rc = main(["compare", *map(str, paths), "--out", str(out), "--fields", "z_s,x_s"])
     assert rc == 0
     rows = dict(line.split(",") for line in
                 (out / "rmse.csv").read_text().splitlines()[1:])
     # the rigid run predicts zero intrusion, so the mismatch is nonzero
     assert float(rows["z_s"]) > 1e-3
+    # the second file read in-process or in a forked child: the same bytes
+    prof_a, prof_b = (metrics.resample_stance(sim.Trajectory.load_csv(p), ["z_s", "x_s"])
+                      for p in paths)
+    assert (out / "rmse.csv").read_text() == "field,rmse\n" + "".join(
+        f"{f},{metrics.rmse(prof_a[f], prof_b[f])!r}\n" for f in ("z_s", "x_s"))
+
+
+@pytest.fixture(scope="module")
+def walk_csv(tmp_path_factory):
+    """The trajectory file of a default 0.8 s walk, 800 rows."""
+    out = tmp_path_factory.mktemp("walk")
+    assert main(["simulate", "--set", "sim.duration=0.8", "--out", str(out)]) == 0
+    return out / "trajectory.csv"
+
+
+@pytest.mark.parametrize("bad", ["first", "second", "both"])
+@pytest.mark.parametrize("case", [*MALFORMED_ROWS, "rowless", "missing"])
+def test_compare_names_a_bad_input_on_both_paths(tmp_path, capsys, writer_cpus, walk_csv,
+                                                 case, bad):
+    # the second file is read in-process or in a forked child; either way
+    # the command fails with the error of the first bad file, names its
+    # line, and writes nothing
+    paths = []
+    for name in ("a.csv", "b.csv"):
+        path = tmp_path / name
+        paths.append(path)
+        if bad not in ("both", "first" if name == "a.csv" else "second"):
+            path.write_bytes(walk_csv.read_bytes())
+        elif case == "rowless":
+            path.write_text(",".join(SIM_RECORD_FIELDS) + "\n")
+        elif case != "missing":
+            path.write_bytes(walk_csv.read_bytes())
+            lineno = break_trajectory_csv(path, case)
+    named = paths[1] if bad == "second" else paths[0]
+    with pytest.raises((ValueError, OSError)) as expected:
+        cli._stance_profiles(named, ["z_s"])
+    if case == "rowless":
+        assert str(expected.value) == f"{named}: no complete stance available for resampling"
+    elif case == "missing":
+        assert str(expected.value).endswith(f"No such file or directory: '{named}'")
+    else:
+        assert str(expected.value).startswith(f"{named}:{lineno}: malformed row (")
+    out = tmp_path / "cmp"
+    assert main(["compare", *map(str, paths), "--out", str(out), "--fields", "z_s"]) == 2
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("interrupted", ["reading-the-first", "waiting-for-the-second"])
+def test_compare_interrupted_leaves_no_child(tmp_path, monkeypatch, writer_cpus, walk_csv,
+                                             interrupted):
+    # Ctrl-C while the first file is read, or while the second one is
+    # awaited: a child still reading the second is killed and reaped at
+    # once, and no output directory is made
+    stance_profiles = cli._stance_profiles
+
+    def read(path, fields):
+        if path.name == "b.csv":
+            time.sleep(60)  # a child that the parent waited for would stall the test
+        elif interrupted == "reading-the-first":
+            raise KeyboardInterrupt
+        return stance_profiles(path, fields)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_stance_profiles", read)
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_bytes(walk_csv.read_bytes())
+    out = tmp_path / "cmp"
+    handler = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                  "--out", str(out)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert time.perf_counter() - t0 < 30
+    assert not out.exists()
 
 
 def test_sweep_rows_and_empty_list(tmp_path, capsys):

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from array import array
 from collections import Counter
 
@@ -601,14 +602,20 @@ def test_config_validation():
 
 @pytest.mark.parametrize("n_rows", [0, 1, 256, 257, 600])
 def test_trajectory_csv_blocks_equal_single_pass(tmp_path, n_rows):
-    # rows are written and read a block at a time; the file must equal the
-    # single-pass writer's and load back to the same data, NaN and inf included
+    # rows are written a block at a time; the file must equal the
+    # single-pass writer's and load back to the same bytes, NaN, inf, -0.0,
+    # the least subnormal and values near the exponent limits included
     data = np.random.default_rng(n_rows).uniform(-1.0, 1.0, (n_rows, len(sim.SIM_RECORD_FIELDS)))
     data[:, 1] = data[:, 1] > 0.0  # stance_leg index
     data[:, 3] = np.arange(n_rows) // 100  # step_count
     data[::7, 5] = math.nan
     data[::11, 7] = math.inf
     data[::13, 8] = -math.inf
+    data[::17, 9] = -0.0
+    data[::19, 10] = 5e-324
+    data[::23, 11] = 1e300
+    data[::29, 12] = 1e-300
+    data[::31, 13] = -1e300
     traj = sim.Trajectory(data, {})
     traj.save_csv(tmp_path / "traj.csv")
     single_pass = ",".join(sim.SIM_RECORD_FIELDS) + "\n" + "".join(
@@ -616,18 +623,81 @@ def test_trajectory_csv_blocks_equal_single_pass(tmp_path, n_rows):
     assert_same_text((tmp_path / "traj.csv").read_text(), single_pass)
     loaded = sim.Trajectory.load_csv(tmp_path / "traj.csv")
     assert loaded.data.shape == data.shape
-    assert np.array_equal(loaded.data, data, equal_nan=True)
+    assert loaded.data.tobytes() == data.tobytes()
 
 
-def test_trajectory_csv_malformed_row_names_its_line(tmp_path):
+def _set_cell(j, text):
+    """An edit of a CSV row that puts ``text`` in its cell ``j``."""
+    def edit(row):
+        cells = row.split(",")
+        cells[j] = text
+        return ",".join(cells)
+    return edit
+
+
+#: Edits that make one line of a trajectory file malformed: each replaces
+#: data row 280 (line 281, past the first 256 rows), or with None appends a
+#: blank last line; and the reason that ``load_csv`` gives for the line.
+MALFORMED_ROWS = {
+    "non-numeric": (_set_cell(5, "zero"), "could not convert string 'zero' to float64 at column 6"),
+    "48-fields": (lambda row: row.rsplit(",", 1)[0], "48 fields"),
+    "50-fields": (lambda row: row + ",0.0", "50 fields"),
+    "blank-mid-file": (lambda row: "", "blank line"),
+    "blank-at-end": (None, "blank line"),
+    "comment": (lambda row: "#x", "1 fields"),
+    "stance-lft": (_set_cell(1, "lft"), "could not convert string 'lft'"),
+    # float() reads 1_0 as 10.0, numpy's reader rejects it, no writer writes it
+    "underscore": (_set_cell(5, "1_0"), "could not convert string '1_0'"),
+}
+
+
+def break_trajectory_csv(path, case: str) -> int:
+    """Apply ``MALFORMED_ROWS[case]`` to the trajectory file at ``path``;
+    returns the number of the line made malformed."""
+    edit = MALFORMED_ROWS[case][0]
+    lines = path.read_text().splitlines()
+    if edit is None:
+        lines.append("")
+        lineno = len(lines)
+    else:
+        lines[280] = edit(lines[280])
+        lineno = 281
+    path.write_text("\n".join(lines) + "\n")
+    return lineno
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ROWS))
+def test_trajectory_csv_malformed_row_names_its_line(tmp_path, case):
     traj = sim.Trajectory(np.zeros((300, len(sim.SIM_RECORD_FIELDS))), {})
     path = tmp_path / "traj.csv"
     traj.save_csv(path)
-    lines = path.read_text().splitlines()
-    lines[280] = lines[280].replace("0.0", "zero", 1)  # row 280, past the first block
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"traj\.csv:281: malformed row"):
+    lineno = break_trajectory_csv(path, case)
+    reason = MALFORMED_ROWS[case][1]
+    with pytest.raises(ValueError, match=rf"traj\.csv:{lineno}: malformed row \({reason}"):
         sim.Trajectory.load_csv(path)
+
+
+@pytest.mark.parametrize("ending", ["crlf", "no-final-newline"])
+def test_trajectory_csv_line_endings_load(tmp_path, ending):
+    # CRLF line endings and a last line without its newline load as written
+    data = np.random.default_rng(5).uniform(-1.0, 1.0, (300, len(sim.SIM_RECORD_FIELDS)))
+    data[:, 1] = data[:, 1] > 0.0  # stance_leg index
+    data[:, 3] = np.arange(300) // 100  # step_count
+    path = tmp_path / "traj.csv"
+    sim.Trajectory(data, {}).save_csv(path)
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"\n", b"\r\n") if ending == "crlf" else text[:-1])
+    assert sim.Trajectory.load_csv(path).data.tobytes() == data.tobytes()
+
+
+def test_trajectory_csv_header_only_loads_without_warning(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text(",".join(sim.SIM_RECORD_FIELDS) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = sim.Trajectory.load_csv(path)
+    assert loaded.data.shape == (0, len(sim.SIM_RECORD_FIELDS))
+    assert caught == []
 
 
 @pytest.mark.parametrize("stance", list(gt.Side))
