@@ -21,12 +21,13 @@ import json
 import math
 import os
 import pickle
+import signal
 import struct
 import tempfile
 import warnings
 from array import array
 from collections import namedtuple
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import count, zip_longest
@@ -51,7 +52,7 @@ __all__ = [
     "initial_state",
     "run",
     "usable_cpus",
-    "can_fork_beside",
+    "Child",
 ]
 
 
@@ -357,6 +358,110 @@ def can_fork_beside() -> bool:
     return hasattr(os, "fork") and usable_cpus() >= 2
 
 
+class Child:
+    """``fn(inbox, *args)`` run beside this process, as a context manager.
+
+    Where ``can_fork_beside()`` holds, entering forks a child that runs
+    ``fn`` over its inbox, an iterator of the objects ``send`` pickles to it
+    on a pipe; otherwise ``result()`` runs ``fn`` in-process over them.
+    ``result()``, called once, ends the inbox, reaps the child and returns
+    ``fn``'s value or raises its error of a type in ``errors``, pickled back
+    on a second pipe; a nonzero exit status raises OSError naming the child
+    by ``name``.  Leaving before ``result()`` kills and reaps the child.
+    The child ignores SIGINT and ends with ``os._exit``; ``fn`` calls no
+    BLAS function.  A process forked while a child is open holds its pipes,
+    so open one at a time."""
+
+    def __init__(self, name: str, fn, *args, errors: tuple):
+        self.name, self._fn, self._args, self._errors = name, fn, args, errors
+        self.pid = None
+        self._sent = []
+
+    def __enter__(self) -> Child:
+        if can_fork_beside():
+            fds = []
+            try:
+                for _ in range(2):
+                    fds += os.pipe()
+                pid = os.fork()
+            except BaseException:  # a failed fork leaks no pipe
+                for fd in fds:
+                    os.close(fd)
+                raise
+            inbox_r, inbox_w, result_r, result_w = fds
+            if pid == 0:
+                os.close(inbox_w)
+                self._run(inbox_r, result_w)
+            os.close(inbox_r)
+            os.close(result_w)
+            self.pid, self._inbox, self._result = pid, open(inbox_w, "wb"), open(result_r, "rb")
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def send(self, obj) -> None:
+        """Put ``obj`` in the child's inbox."""
+        if self.pid is None:
+            self._sent.append(obj)
+            return
+        try:
+            pickle.dump(obj, self._inbox)
+            self._inbox.flush()
+        except BrokenPipeError as exc:
+            raise OSError(f"{self.name} exited before the end of its inbox") from exc
+
+    def result(self):
+        """End the inbox and return ``fn``'s value."""
+        if self.pid is None:
+            return self._fn(iter(self._sent), *self._args)
+        self._inbox.close()
+        data = self._result.read()
+        status = self._reap()
+        if status:
+            raise OSError(f"{self.name} exited with status {status}")
+        value, raised = pickle.loads(data)
+        if raised:
+            raise value
+        return value
+
+    def _reap(self) -> int:
+        """Close the pipes and reap the child; returns its exit code."""
+        with suppress(OSError):  # the flush of an object cut short by an error
+            self._inbox.close()
+        self._result.close()
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+    def _run(self, inbox_fd: int, result_fd: int) -> None:
+        """The child's side; never returns."""
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent kills it
+            try:
+                value = self._fn(_received(inbox_fd), *self._args), False
+            except self._errors as exc:
+                value = exc, True
+            with open(result_fd, "wb") as fh:
+                pickle.dump(value, fh)
+            status = 0
+        finally:
+            os._exit(status)
+
+
+def _received(fd: int):
+    """The objects pickled on the pipe ``fd``, up to its end."""
+    with open(fd, "rb") as fh:
+        while True:
+            try:
+                yield pickle.load(fh)
+            except EOFError:
+                return
+
+
 _CHUNK = 1 << 16  # characters per read of a writer's temporary file
 
 
@@ -364,112 +469,63 @@ class TrajectoryWriter:
     """Formats the rows of a run into the text of its CSV and JSON files
     while the run integrates, on a second CPU.
 
-    Used as a context manager around ``run(cfg, writer)`` and the
-    trajectory's ``save_csv``.  Where ``os.fork`` exists and this process
-    may run on two CPUs or more, entering opens two unnamed temporary files
-    and forks a child.  ``run`` feeds it the rows logged every ``_BLOCK``
-    steps, pickled on a pipe; it formats each block with ``_format_block``
-    and appends the text to the temporary files.  ``save_csv`` commits:
-    the pipe closes, the child flushes the files and exits with status 0,
-    and once it is reaped the parent writes the files from the temporary
-    ones with ``_save``.  Without fork or a second CPU the writer ignores
-    what it is fed, and ``save_csv`` formats in-process.
-
-    Leaving the writer without a commit closes the pipe and the temporary
-    files, and no file is written.  The child calls no BLAS or LAPACK
-    function, ignores SIGINT and ends with ``os._exit``; the parent reaps
-    it on every path.  A process forked while a writer is open holds that
-    writer's pipe open too, so open one writer at a time."""
+    A context manager around ``run(cfg, writer)``, which feeds it the rows
+    logged every ``_BLOCK`` steps, and the ``save_csv`` that commits it.
+    Where ``can_fork_beside()`` holds, entering opens two unnamed temporary
+    files and a ``Child`` that appends ``_format_block``'s text of each
+    block fed to them, and the commit copies them with ``_save``; otherwise
+    ``save_csv`` formats in-process.  Leaving without a commit writes no
+    file."""
 
     def __init__(self):
-        self._pid = self._pipe = self._text = None
+        self._child = self._text = None
+        self._stack = ExitStack()
 
     @property
     def streaming(self) -> bool:
         """Whether a child formats the rows fed."""
-        return self._pid is not None
+        return self._child is not None
 
     def __enter__(self) -> TrajectoryWriter:
         if can_fork_beside():
-            self._text = [tempfile.TemporaryFile("w+", newline="") for _ in range(2)]
-            rows_r, rows_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(rows_w)
-                _writer_child(rows_r, self._text)
-            os.close(rows_r)
-            self._pid, self._pipe = pid, open(rows_w, "wb")
+            with ExitStack() as stack:
+                self._text = [stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
+                              for _ in range(2)]
+                self._child = stack.enter_context(Child(
+                    "the trajectory writer's child", _write_text, self._text, errors=()))
+                self._stack = stack.pop_all()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        self._child = None
+        self._stack.close()
 
     def feed(self, rows: np.ndarray) -> None:
         """Hand the child ``rows``, the rows logged since the last call."""
-        if self._pid is not None:
-            try:
-                pickle.dump(rows, self._pipe)
-                self._pipe.flush()
-            except BrokenPipeError as exc:
-                raise OSError("the trajectory writer's child exited before "
-                              "the end of the rows") from exc
+        if self._child is not None:
+            self._child.send(rows)
 
     def commit(self, csv_path, json_path, meta: dict) -> None:
-        """Write the rows fed as CSV to ``csv_path`` and, given ``json_path``,
-        as JSON there, under ``meta``, from the text the child formatted;
-        closes the writer."""
+        """Write the rows fed to ``csv_path`` and, given it, ``json_path``,
+        under ``meta``, from the text the child formatted; closes the writer."""
         try:
-            status = self._reap()
-            if status:
-                raise OSError(f"the trajectory writer's child exited with status {status}")
+            self._child.result()
             for fh in self._text:
                 fh.seek(0)
             _save(csv_path, json_path, meta, zip_longest(
                 *(iter(partial(fh.read, _CHUNK), "") for fh in self._text), fillvalue=""))
         finally:
-            self.close()
-
-    def close(self) -> None:
-        """Close the pipe to the child, which then exits, reap it and close
-        the temporary files."""
-        if self._pid is not None:
-            self._reap()
-        for fh in self._text or ():
-            fh.close()
-        self._text = None
-
-    def _reap(self) -> int:
-        """Close the pipe and reap the child; returns its exit code."""
-        pid, self._pid = self._pid, None
-        try:
-            self._pipe.close()
-        except OSError:  # the flush of a block cut short by an error
-            pass
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            self.__exit__()
 
 
-def _writer_child(rows_fd: int, text: list) -> None:
-    """A ``TrajectoryWriter`` child: appends ``_format_block``'s text of each
-    row block pickled on ``rows_fd`` to the files ``text`` until the pipe
-    ends, then flushes them and exits with status 0.  Never returns."""
-    status = 1
-    try:
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's pipe ends it
-        with open(rows_fd, "rb") as rows:
-            while True:
-                try:
-                    block = pickle.load(rows)
-                except EOFError:
-                    break
-                for fh, part in zip(text, _format_block(block)):
-                    fh.write(part)
-        for fh in text:
-            fh.flush()
-        status = 0
-    finally:
-        os._exit(status)
+def _write_text(blocks, text: list) -> None:
+    """A ``TrajectoryWriter``'s child: appends ``_format_block``'s text of
+    each of the row ``blocks`` to the files ``text``, then flushes them."""
+    for block in blocks:
+        for fh, part in zip(text, _format_block(block)):
+            fh.write(part)
+    for fh in text:
+        fh.flush()
 
 
 @dataclass

@@ -7,10 +7,19 @@ import pytest
 from sandwalk import sim
 
 
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    # every test reaps the processes it started, on success and on failure
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(params=[1, 2], ids=["in-process-writer", "forked-writer"])
 def writer_cpus(request, monkeypatch):
-    """The usable CPUs a ``sim.TrajectoryWriter`` sees: with 1 it formats
-    in-process at commit, with 2 a forked child formats during the run."""
+    """The usable CPUs that every ``sim.Child`` sees, which selects its path:
+    with 1 it runs in-process (a ``sim.TrajectoryWriter`` then formats at
+    commit), with 2 it forks."""
     if request.param > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
     monkeypatch.setattr(sim, "usable_cpus", lambda: request.param)

