@@ -289,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma list [m/s], default 0.1..0.5")
     p_sweep.add_argument("--repeats", type=int, default=3)
     p_sweep.add_argument("--jobs", type=int, default=simulation.usable_cpus(),
-                         help="worker processes (default: the CPUs this process may run on)")
+                         help="processes that run cells, this one included "
+                              "(default: the CPUs this process may run on)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="fit terrain parameters from plate tests")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -177,6 +179,37 @@ def _sweep_cell(cfg: simulation.SimConfig) -> float | CellFailure:
         return CellFailure(type(exc).__name__, str(exc), t)
 
 
+class _Counter:
+    """A count that the processes forked while it is open share: a pipe
+    that holds its next value alone, so that a read takes the value (the
+    other processes wait) and the write of its successor hands it on."""
+
+    def __enter__(self) -> _Counter:
+        self._r, self._w = os.pipe()
+        os.write(self._w, (0).to_bytes(8, "little"))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        os.close(self._r)
+        os.close(self._w)
+
+    def take(self) -> int:
+        """The next value of the count."""
+        i = int.from_bytes(os.read(self._r, 8), "little")
+        os.write(self._w, (i + 1).to_bytes(8, "little"))
+        return i
+
+
+def _sweep_runs(inbox, configs: list, counter: _Counter) -> dict:
+    """The outcome of each run of ``configs`` whose index this process
+    takes from ``counter``, by index; as a ``sim.Child``'s function it reads
+    no inbox."""
+    outcomes = {}
+    while (i := counter.take()) < len(configs):
+        outcomes[i] = _sweep_cell(configs[i])
+    return outcomes
+
+
 def velocity_sweep(
     base: simulation.SimConfig,
     velocities,
@@ -188,11 +221,15 @@ def velocity_sweep(
 
     Repeats differ through the seeded initial-state jitter.  A failing run
     (divergence, zero distance) is counted in ``n_failed`` and described in
-    ``failures`` without aborting the sweep; serial and parallel runs share
-    one cell function, so they record the same failures.  Every run logs
-    no record (``sweep_decimation``), since its CoT integrates the samples
-    of every step.  At most one worker process per run is started; with
-    one, runs go in-process.
+    ``failures`` without aborting the sweep; every run goes through one
+    cell function, so serial and parallel sweeps record the same failures.
+    Every run logs no record (``sweep_decimation``), since its CoT
+    integrates the samples of every step.  ``jobs`` processes run the runs,
+    this one included, up to one per run: this process opens ``jobs - 1``
+    ``sim.Child`` workers, and each process takes the index of its next run
+    from one shared counter.  Without ``os.fork`` or a second CPU the
+    workers run in-process after this one has taken every run.  Any other
+    error of a run is raised here, with its type and message.
     """
     velocities = list(velocities)
     if not velocities:
@@ -212,14 +249,15 @@ def velocity_sweep(
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
-    workers = min(jobs, len(configs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_cell, configs))
-    else:
-        outcomes = list(map(_sweep_cell, configs))
+    with ExitStack() as stack:
+        counter = stack.enter_context(_Counter())
+        workers = [stack.enter_context(simulation.Child(
+            f"sweep worker {k}", _sweep_runs, configs, counter, errors=(Exception,)))
+            for k in range(1, min(jobs, len(configs)))]
+        by_index = _sweep_runs(None, configs, counter)
+        for worker in workers:
+            by_index.update(worker.result())
+    outcomes = [by_index[i] for i in range(len(configs))]
 
     rows = []
     for i, (v, m) in enumerate(cells):

@@ -24,6 +24,7 @@ import pickle
 import signal
 import struct
 import tempfile
+import traceback
 import warnings
 from array import array
 from collections import namedtuple
@@ -368,9 +369,12 @@ class Child:
     ``fn``'s value or raises its error of a type in ``errors``, pickled back
     on a second pipe; a nonzero exit status raises OSError naming the child
     by ``name``.  Leaving before ``result()`` kills and reaps the child.
-    The child ignores SIGINT and ends with ``os._exit``; ``fn`` calls no
-    BLAS function.  A process forked while a child is open holds its pipes,
-    so open one at a time."""
+    The child ignores SIGINT, writes the traceback of any other error to
+    stderr and ends with ``os._exit``; ``fn`` calls no BLAS function.
+    Several may be open at once: a child closes the pipe ends this process
+    holds of the others, so that each sees the end of its own inbox."""
+
+    _parent_ends: set[int] = set()  # of the open Children's pipes, held by this process
 
     def __init__(self, name: str, fn, *args, errors: tuple):
         self.name, self._fn, self._args, self._errors = name, fn, args, errors
@@ -390,10 +394,13 @@ class Child:
                 raise
             inbox_r, inbox_w, result_r, result_w = fds
             if pid == 0:
-                os.close(inbox_w)
+                for fd in (inbox_w, result_r, *Child._parent_ends):
+                    os.close(fd)
                 self._run(inbox_r, result_w)
             os.close(inbox_r)
             os.close(result_w)
+            self._ends = inbox_w, result_r
+            Child._parent_ends.update(self._ends)
             self.pid, self._inbox, self._result = pid, open(inbox_w, "wb"), open(result_r, "rb")
         return self
 
@@ -429,6 +436,7 @@ class Child:
 
     def _reap(self) -> int:
         """Close the pipes and reap the child; returns its exit code."""
+        Child._parent_ends.difference_update(self._ends)
         with suppress(OSError):  # the flush of an object cut short by an error
             self._inbox.close()
         self._result.close()
@@ -448,6 +456,10 @@ class Child:
             with open(result_fd, "wb") as fh:
                 pickle.dump(value, fh)
             status = 0
+        except BaseException:  # the parent sees only the exit status
+            # straight to the descriptor: no buffer copied from the parent is flushed
+            os.write(2, traceback.format_exc().encode())
+            raise
         finally:
             os._exit(status)
 
@@ -892,7 +904,8 @@ def _ode_step(method: str, y: list, acc, dt: float) -> list:
     k3 = f([x + h * k for x, k in zip(y, k2)])
     k4 = f([x + dt * k for x, k in zip(y, k3)])
     w = dt / 6.0
-    return [x + w * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    # 2.0, not 2: the interpreter specializes float * float, not int * float
+    return [x + w * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
 def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, stage: _StageTerms):

@@ -354,6 +354,20 @@ def test_simulate_names_the_writer_when_its_child_dies(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_writer_child_writes_the_traceback_of_its_error(tmp_path, capfd, monkeypatch):
+    # the parent learns only the exit status of a child that fails outside
+    # its ``errors``, so the child writes its traceback to stderr
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    _fail_on_the_last_block(monkeypatch)
+    assert main(["simulate", "--set", "sim.duration=0.8", "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last):" in err
+    assert "ValueError: a failure in the child\n" in err
+    assert err.endswith("error: the trajectory writer's child exited with status 1\n")
+
+
 def test_failed_commit_keeps_an_existing_output_directory(tmp_path, capsys, monkeypatch):
     # the commit fails after the command has made its output directory: one
     # that existed before is kept, with what it held, and gains no file
@@ -530,7 +544,7 @@ def test_compare_names_the_file_when_its_child_dies(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
 def test_failed_fork_leaks_nothing(tmp_path, capsys, monkeypatch, walk_csv, command):
     # os.fork fails as it does at the process limit, so no process starts:
     # the command exits with status 2 and leaves no pipe, no temporary
@@ -546,7 +560,9 @@ def test_failed_fork_leaks_nothing(tmp_path, capsys, monkeypatch, walk_csv, comm
     monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     argv = {"simulate": ["simulate", "--set", "sim.duration=0.4"],
-            "compare": ["compare", str(walk_csv), str(walk_csv)]}[command]
+            "compare": ["compare", str(walk_csv), str(walk_csv)],
+            "sweep": ["sweep", "--set", "sim.duration=0.8", "--velocities", "0.2",
+                      "--repeats", "1", "--jobs", "2"]}[command]
     out = tmp_path / "o"
     fds = len(os.listdir("/proc/self/fd"))
     with warnings.catch_warnings(record=True) as caught:
@@ -607,14 +623,14 @@ def test_sweep_json_records_failures_alike_serial_and_parallel(tmp_path):
     # first step; sweep.json says why, the same under --jobs 1 and 2, and
     # sweep.csv is unchanged by the record
     texts = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
         rc = main(["sweep", "--set", "gait.trunk_ref=2e6", "--set", "sim.duration=0.4",
                    "--velocities", "0.2,0.3", "--repeats", "2", "--jobs", jobs,
                    "--out", str(out)])
         assert rc == 4
         texts.append(((out / "sweep.csv").read_text(), (out / "sweep.json").read_text()))
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
     rows = json.loads(texts[0][1])
     assert len(rows) == 4
     for row in rows:

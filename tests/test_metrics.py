@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from sandwalk.metrics import (
 )
 from sandwalk.sim import SIM_RECORD_FIELDS, Trajectory
 from sandwalk.config import build_config
+
+from test_sim import _alarm, _forked
 
 
 def columnar_trajectory(meta, **columns):
@@ -153,7 +157,8 @@ def test_velocity_sweep_sand_above_rigid():
 def test_velocity_sweep_serial_matches_parallel():
     base = build_config({"sim.duration": 0.8})
     serial = velocity_sweep(base, [0.2, 0.3], repeats=1, jobs=1)
-    assert velocity_sweep(base, [0.2, 0.3], repeats=1, jobs=2) == serial
+    for jobs in (2, 3):  # with 3, two workers are open at once
+        assert velocity_sweep(base, [0.2, 0.3], repeats=1, jobs=jobs) == serial
     assert all(r.n_ok == 1 and r.n_failed == 0 for r in serial)
 
 
@@ -191,8 +196,8 @@ def test_velocity_sweep_records_why_runs_failed_in_both_paths():
                    gains=Gains(kp=np.full(6, 4e5), kd=np.full(6, 4e4),
                                torque_limit=1e9))
     per_path = [velocity_sweep(wild, [0.2, 0.3], repeats=2, terrains=("granular",),
-                               jobs=jobs) for jobs in (1, 2)]
-    assert per_path[0] == per_path[1]
+                               jobs=jobs) for jobs in (1, 2, 3)]
+    assert per_path[0] == per_path[1] == per_path[2]
     for row in per_path[0]:
         assert row.n_failed == len(row.failures) == 2
         assert math.isnan(row.cot_mean) and math.isnan(row.cot_std)
@@ -262,3 +267,96 @@ def test_velocity_sweep_raises_defects_in_both_paths():
     for jobs in (1, 2):
         with pytest.raises(AttributeError):
             velocity_sweep(broken, [0.2, 0.3], repeats=1, jobs=jobs)
+
+
+def test_velocity_sweep_raises_the_defect_of_a_worker(monkeypatch):
+    # a defect raised only in a forked worker reaches the caller with its
+    # type and message; the caller's own runs wait until a worker has ended,
+    # so that the workers take runs
+    _forked(monkeypatch)
+    caller = os.getpid()
+
+    def cell(cfg):
+        if os.getpid() != caller:
+            raise AttributeError("a defect in a worker")
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        return 1.0
+
+    monkeypatch.setattr(metrics, "_sweep_cell", cell)
+    with pytest.raises(AttributeError, match="^a defect in a worker$"):
+        velocity_sweep(build_config({"sim.duration": 0.8}), [0.2, 0.3], repeats=1, jobs=3)
+
+
+def test_velocity_sweep_without_a_second_cpu_runs_in_this_process(monkeypatch):
+    # one usable CPU: no worker forks, and the caller runs every run
+    def fork():
+        raise AssertionError("a worker forked")
+
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", fork)
+    caller, pids, sweep_cell = os.getpid(), [], metrics._sweep_cell
+
+    def cell(cfg):
+        pids.append(os.getpid())
+        return sweep_cell(cfg)
+
+    monkeypatch.setattr(metrics, "_sweep_cell", cell)
+    base = build_config({"sim.duration": 0.8})
+    rows = velocity_sweep(base, [0.2, 0.3], repeats=1, jobs=3)
+    assert pids == [caller] * 4
+    assert [(r.v_target, r.terrain, r.n_ok) for r in rows] == [
+        (0.2, "granular", 1), (0.2, "rigid", 1), (0.3, "granular", 1), (0.3, "rigid", 1)]
+
+
+@pytest.mark.parametrize("interrupted", ["running-a-run", "awaiting-the-workers"])
+def test_velocity_sweep_interrupted_leaves_no_child(monkeypatch, interrupted):
+    # Ctrl-C while the caller runs a run, or while it awaits the workers:
+    # the workers, still in their runs, are killed and reaped at once; the
+    # caller's first run waits until a worker has taken one
+    _forked(monkeypatch)
+    caller, (started_r, started_w), waited = os.getpid(), os.pipe(), []
+
+    def cell(cfg):
+        if os.getpid() != caller:
+            os.write(started_w, b"+")
+            time.sleep(60)  # a worker that the caller waited for would stall the test
+        elif interrupted == "running-a-run":
+            raise KeyboardInterrupt
+        elif not waited:
+            waited.append(os.read(started_r, 1))
+        return 1.0
+
+    monkeypatch.setattr(metrics, "_sweep_cell", cell)
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt), _alarm(0.5, KeyboardInterrupt()):
+            velocity_sweep(build_config({"sim.duration": 0.8}), [0.2, 0.3], repeats=1, jobs=3)
+    finally:
+        os.close(started_r)
+        os.close(started_w)
+    assert time.perf_counter() - t0 < 30
+    assert waited == ([b"+"] if interrupted == "awaiting-the-workers" else [])
+
+
+def test_velocity_sweep_takes_each_run_once(monkeypatch):
+    # more processes than CPUs over many short runs: each run is taken by
+    # one process, once, which a lost update of the shared counter breaks
+    _forked(monkeypatch)
+    taken_r, taken_w = os.pipe()
+
+    def cell(cfg):
+        os.write(taken_w, cfg.seed.to_bytes(2, "little"))
+        return float(cfg.seed)
+
+    monkeypatch.setattr(metrics, "_sweep_cell", cell)
+    try:
+        with _alarm(60, TimeoutError("the sweep's processes stalled")):
+            rows = velocity_sweep(build_config({"sim.duration": 0.8}), [0.2], repeats=500,
+                                  terrains=("granular",), jobs=4)
+        taken = os.read(taken_r, 4096)
+    finally:
+        os.close(taken_r)
+        os.close(taken_w)
+    seeds = sorted(int.from_bytes(taken[i:i + 2], "little") for i in range(0, len(taken), 2))
+    assert seeds == list(range(500))
+    assert rows[0].n_ok == 500 and rows[0].cot_mean == np.mean(np.arange(500.0))

@@ -1,5 +1,6 @@
 """Simulation tests: modes, events, bookkeeping, determinism."""
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -7,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import time
 import warnings
 from array import array
@@ -555,6 +557,35 @@ def test_child_returns_the_value_of_its_function(writer_cpus):
             child.send(x)
         assert child.result() == 60
     assert child.pid is None
+
+
+@contextlib.contextmanager
+def _alarm(seconds: float, error: BaseException):
+    """Raise ``error`` in this process if the block is still running after
+    ``seconds``."""
+    def expire(signum, frame):
+        raise error
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def test_children_open_at_once_each_see_the_end_of_their_inbox(writer_cpus):
+    # the second child holds no end of the first one's pipes, so the first
+    # sees the end of its inbox while the second still waits on its own
+    with _alarm(20, TimeoutError("a child never saw the end of its inbox")), \
+            sim.Child("child a", lambda inbox: sum(inbox), errors=()) as a, \
+            sim.Child("child b", lambda inbox: sum(inbox), errors=()) as b:
+        for x in (1, 2, 3):
+            a.send(x)
+            b.send(10 * x)
+        assert a.result() == 6
+        assert b.result() == 60
 
 
 @pytest.mark.parametrize("error", [ValueError("a.csv:3: malformed row (2 fields)"),
