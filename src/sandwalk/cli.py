@@ -25,6 +25,8 @@ from . import config as cfgmod
 from . import metrics
 from . import sim as simulation
 from . import terrain as tr
+from .child import Child, usable_cpus
+from .trajectory import SIM_RECORD_FIELDS, Trajectory, TrajectoryWriter
 
 _DEFAULT_VELOCITIES = [0.1, 0.2, 0.3, 0.4, 0.5]
 _DEFAULT_COMPARE_FIELDS = ["f_x", "f_y", "f_z", "x_s", "y_s", "z_s",
@@ -91,10 +93,10 @@ def _load_cfg(args) -> simulation.SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    # the writer formats the rows while the run integrates; leaving it
-    # without a commit drops them, so that a run without a CoT or without
-    # the records the files and the summary read leaves no file
-    with simulation.TrajectoryWriter() as writer:
+    # the writer formats the rows, while the run integrates where its Child
+    # forks; leaving it without a commit drops them, so that a run without a
+    # CoT or without the records the files and the summary read leaves no file
+    with TrajectoryWriter() as writer:
         traj = simulation.run(cfg, writer)
         if len(traj) < 2:
             raise ValueError("trajectory must hold at least two records")
@@ -214,7 +216,7 @@ def _cmd_calibrate(args) -> int:
 
 def _stance_profiles(path, fields: list[str]) -> dict:
     """``metrics.resample_stance`` of the trajectory file at ``path``."""
-    traj = simulation.Trajectory.load_csv(path)
+    traj = Trajectory.load_csv(path)
     try:
         return metrics.resample_stance(traj, fields)
     except ValueError as exc:
@@ -227,12 +229,12 @@ def _cmd_compare(args) -> int:
     if not fields:
         raise cfgmod.ConfigError(f"empty field list '{args.fields}'")
     for f in fields:
-        if f not in simulation.SIM_RECORD_FIELDS or f == "stance_leg":
+        if f not in SIM_RECORD_FIELDS or f == "stance_leg":
             raise cfgmod.ConfigError(f"unknown field name '{f}'")
     # the second file is read beside the first where a second CPU is free
-    with simulation.Child(f"compare's reader of {args.traj_b}",
-                          lambda _: _stance_profiles(args.traj_b, fields),
-                          errors=(ValueError, OSError)) as second:
+    with Child(f"compare's reader of {args.traj_b}",
+               lambda _: _stance_profiles(args.traj_b, fields),
+               errors=(ValueError, OSError)) as second:
         prof_a = _stance_profiles(args.traj_a, fields)
         prof_b = second.result()
     with _out_dir(args) as out:
@@ -288,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--velocities", type=str, default=None,
                          help="comma list [m/s], default 0.1..0.5")
     p_sweep.add_argument("--repeats", type=int, default=3)
-    p_sweep.add_argument("--jobs", type=int, default=simulation.usable_cpus(),
+    p_sweep.add_argument("--jobs", type=int, default=usable_cpus(),
                          help="processes that run cells, this one included "
                               "(default: the CPUs this process may run on)")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import sim as simulation
+from .child import Child, Counter
 from .config import ConfigError
 
 __all__ = [
@@ -179,30 +179,9 @@ def _sweep_cell(cfg: simulation.SimConfig) -> float | CellFailure:
         return CellFailure(type(exc).__name__, str(exc), t)
 
 
-class _Counter:
-    """A count that the processes forked while it is open share: a pipe
-    that holds its next value alone, so that a read takes the value (the
-    other processes wait) and the write of its successor hands it on."""
-
-    def __enter__(self) -> _Counter:
-        self._r, self._w = os.pipe()
-        os.write(self._w, (0).to_bytes(8, "little"))
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        os.close(self._r)
-        os.close(self._w)
-
-    def take(self) -> int:
-        """The next value of the count."""
-        i = int.from_bytes(os.read(self._r, 8), "little")
-        os.write(self._w, (i + 1).to_bytes(8, "little"))
-        return i
-
-
-def _sweep_runs(inbox, configs: list, counter: _Counter) -> dict:
+def _sweep_runs(inbox, configs: list, counter: Counter) -> dict:
     """The outcome of each run of ``configs`` whose index this process
-    takes from ``counter``, by index; as a ``sim.Child``'s function it reads
+    takes from ``counter``, by index; as a ``Child``'s function it reads
     no inbox."""
     outcomes = {}
     while (i := counter.take()) < len(configs):
@@ -226,7 +205,7 @@ def velocity_sweep(
     Every run logs no record (``sweep_decimation``), since its CoT
     integrates the samples of every step.  ``jobs`` processes run the runs,
     this one included, up to one per run: this process opens ``jobs - 1``
-    ``sim.Child`` workers, and each process takes the index of its next run
+    ``Child`` workers, and each process takes the index of its next run
     from one shared counter.  Without ``os.fork`` or a second CPU the
     workers run in-process after this one has taken every run.  Any other
     error of a run is raised here, with its type and message.
@@ -250,8 +229,8 @@ def velocity_sweep(
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     with ExitStack() as stack:
-        counter = stack.enter_context(_Counter())
-        workers = [stack.enter_context(simulation.Child(
+        counter = stack.enter_context(Counter())
+        workers = [stack.enter_context(Child(
             f"sweep worker {k}", _sweep_runs, configs, counter, errors=(Exception,)))
             for k in range(1, min(jobs, len(configs)))]
         by_index = _sweep_runs(None, configs, counter)

@@ -17,22 +17,12 @@ constraint forces back off those rows.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import pickle
-import signal
 import struct
-import tempfile
-import traceback
-import warnings
 from array import array
-from collections import namedtuple
-from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from itertools import count, zip_longest
-from operator import itemgetter, mul
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -40,20 +30,17 @@ from . import dynamics as dyn
 from . import gait as gt
 from . import rolling as rl
 from . import terrain as tr
+from .trajectory import (_BLOCK, _LEG_NAMES, SIM_RECORD_FIELDS, STEP_FIELDS, Trajectory,
+                         TrajectoryWriter)
 
 __all__ = [
     "SimConfig",
     "derived_frontal",
-    "SimRecord",
-    "Trajectory",
-    "TrajectoryWriter",
     "WalkerState",
     "DivergenceError",
     "detect_touchdown",
     "initial_state",
     "run",
-    "usable_cpus",
-    "Child",
 ]
 
 
@@ -136,408 +123,6 @@ def derived_frontal(
     derived = dict(m_b=sagittal.m_b, m_1=leg_mass, m_2=leg_mass,
                    l_1=leg_length + foot_radius, d_1=0.5 * leg_length, g=sagittal.g)
     return dyn.FrontalParams(**{**derived, **overrides})
-
-
-# record layout; order is the stable CSV column order
-SIM_RECORD_FIELDS = [
-    "t", "stance_leg", "stance_phase", "step_count",
-    "q_s1", "q_s2", "q_s3", "q_s4", "q_s5",
-    "dq_s1", "dq_s2", "dq_s3", "dq_s4", "dq_s5",
-    "x_s", "y_s", "z_s", "dx_s", "dy_s", "dz_s",
-    "q_f1", "q_f2", "q_f3", "dq_f1", "dq_f2", "dq_f3",
-    "tau_a1", "tau_a2", "tau_a3", "tau_a4", "tau_a5", "tau_a6",
-    "f_x", "f_y", "f_z",
-    "theta_r", "delta_theta_r", "gamma", "r_eff",
-    "power", "power_abs_joints", "power_s", "power_f",
-    "com_x", "com_z", "com_vx", "com_vz", "hip_x", "hip_z",
-]
-
-
-# stance_leg is stored as an index into this tuple
-_LEG_NAMES = ("left", "right")
-_FIELD_INDEX = {name: i for i, name in enumerate(SIM_RECORD_FIELDS)}
-_LEG = _FIELD_INDEX["stance_leg"]
-_STEP = _FIELD_INDEX["step_count"]
-_BLOCK = 256  # steps per hand-off to a writer; rows per block of file I/O
-
-# the columns that the cost of transport integrates, sampled at every step
-STEP_FIELDS = ("t", "power", "power_s", "power_f", "com_vx")
-
-#: One trajectory row, with ``stance_leg`` as "left"/"right" and
-#: ``step_count`` as int.  ``z_s`` is the sinkage depth and ``dz_s`` the
-#: sinking rate, both positive down.
-SimRecord = namedtuple("SimRecord", SIM_RECORD_FIELDS)
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Logged records as one ``(n_records, len(SIM_RECORD_FIELDS))`` float64
-    array; column j holds field ``SIM_RECORD_FIELDS[j]`` and ``stance_leg``
-    holds 0 (left) or 1 (right).  ``step_samples`` holds the ``STEP_FIELDS``
-    of every simulated step, logged or not, as an ``(n_steps,
-    len(STEP_FIELDS))`` array; without it they are read off the records.
-    ``writer`` is the ``TrajectoryWriter`` that ``run`` fed the rows to,
-    which ``save_csv`` commits."""
-
-    data: np.ndarray
-    meta: dict
-    step_samples: np.ndarray | None = None
-    writer: TrajectoryWriter | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 2 or self.data.shape[1] != len(SIM_RECORD_FIELDS):
-            raise ValueError(f"trajectory data of shape {self.data.shape} is not "
-                             f"(n_records, {len(SIM_RECORD_FIELDS)})")
-        samples = self.step_samples
-        if samples is not None and (samples.ndim != 2 or samples.shape[1] != len(STEP_FIELDS)):
-            raise ValueError(f"step samples of shape {samples.shape} are not "
-                             f"(n_steps, {len(STEP_FIELDS)})")
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    @property
-    def records(self) -> list[SimRecord]:
-        """Row view, built on demand.  NaN cells share one object, so rows of
-        equal data compare equal (tuple equality tests identity first)."""
-        rows = self._rows(np.isnan(self.data), math.nan)
-        return [SimRecord._make(row) for row in rows]
-
-    def _rows(self, mask=None, fill=None) -> list[list]:
-        """Rows as lists of Python values, ``stance_leg`` as text and
-        ``step_count`` as int; cells where ``mask`` holds become ``fill``."""
-        rows = self.data.tolist()
-        for row in rows:
-            row[_LEG] = _LEG_NAMES[int(row[_LEG])]
-            row[_STEP] = int(row[_STEP])
-        if mask is not None:
-            for i, j in zip(*np.nonzero(mask)):
-                rows[i][j] = fill
-        return rows
-
-    def column(self, name: str) -> np.ndarray:
-        """Read-only view of one numeric field."""
-        if name == "stance_leg":
-            raise KeyError("stance_leg is not numeric")
-        if name not in _FIELD_INDEX:
-            raise KeyError(f"unknown trajectory field '{name}'")
-        col = self.data[:, _FIELD_INDEX[name]]
-        col.flags.writeable = False
-        return col
-
-    def step_column(self, name: str) -> np.ndarray:
-        """Read-only view of one ``STEP_FIELDS`` field over every simulated
-        step, or over the records when the step samples were not given."""
-        if self.step_samples is None:
-            return self.column(name)
-        col = self.step_samples[:, STEP_FIELDS.index(name)]
-        col.flags.writeable = False
-        return col
-
-    def save_csv(self, path, json_path=None) -> None:
-        """Write the rows to ``path`` as CSV and, given ``json_path``, to that
-        file as JSON too, from one formatting pass.  The first call on a
-        trajectory whose ``writer`` streams commits that writer: the files
-        are written from the text its child formatted during the run."""
-        writer, self.writer = self.writer, None
-        if writer is not None and writer.streaming:
-            writer.commit(path, json_path, self.meta)
-        else:
-            _save(path, json_path, self.meta, self._text_blocks())
-
-    def save_json(self, path) -> None:
-        """Write the one JSON document {meta, columns, records} to ``path``."""
-        _save(None, path, self.meta, self._text_blocks())
-
-    def _text_blocks(self):
-        """``_format_block`` of each block of rows, formatted on demand."""
-        return (_format_block(self.data[i:i + _BLOCK]) for i in range(0, len(self), _BLOCK))
-
-    @classmethod
-    def load_csv(cls, path) -> "Trajectory":
-        """Read a file that ``save_csv`` wrote.  numpy's reader parses every
-        row from the open file, in chunks; the array is the only whole copy.
-        A file that does not parse raises ValueError naming its first
-        malformed line, which a scan of the file line by line finds."""
-        with open(path, newline="") as fh:
-            header = fh.readline().strip().split(",")
-            if header != SIM_RECORD_FIELDS:
-                raise ValueError(f"{path}: unexpected trajectory header")
-            start = fh.tell()
-            lines = count()  # zip draws one number per line read
-            try:
-                data = _parse_rows(map(itemgetter(0), zip(fh, lines)))
-                # numpy skips a blank line, which no writer writes
-                if len(data) == next(lines):
-                    return cls(data=data, meta={"source": str(path)})
-            except ValueError:
-                pass
-            fh.seek(start)
-            for lineno, line in enumerate(fh, start=2):
-                cells = line.rstrip("\r\n").split(",")
-                try:
-                    if cells == [""]:
-                        raise ValueError("blank line")
-                    if len(cells) != len(SIM_RECORD_FIELDS):
-                        raise ValueError(f"{len(cells)} fields")
-                    _parse_rows([line])
-                except ValueError as exc:
-                    # the reader counts the one line it was given as row 0
-                    reason = str(exc).replace(" at row 0,", " at")
-                    raise ValueError(f"{path}:{lineno}: malformed row ({reason})") from exc
-        raise ValueError(f"{path}: malformed rows")
-
-
-def _parse_rows(lines) -> np.ndarray:
-    """The CSV rows of the text ``lines`` as an ``(n, len(SIM_RECORD_FIELDS))``
-    array, ``stance_leg`` as its index; raises ValueError for a row that
-    does not parse or is of another width."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                          converters={_LEG: _LEG_NAMES.index})
-    if len(data) and data.shape[1] != len(SIM_RECORD_FIELDS):
-        raise ValueError(f"{data.shape[1]} fields")
-    return data.reshape(-1, len(SIM_RECORD_FIELDS))
-
-
-def _format_block(block: np.ndarray) -> tuple[str, str]:
-    """The CSV lines of the rows of ``block`` and their JSON records, each
-    record led by ", ", from one ``repr`` of every value.  Both writer paths
-    format with this, so their files hold the same bytes."""
-    # strict JSON has no NaN or infinity
-    nonfinite = ~np.isfinite(block)
-    has_nonfinite = nonfinite.any(axis=1).tolist()
-    lines, records = [], []
-    for r, row in enumerate(Trajectory(block, {})._rows()):
-        # repr of a Python float is its shortest round-trip text and, like
-        # repr of an int, the text json writes for it
-        text = list(map(repr, row))
-        text[_LEG] = row[_LEG]
-        lines.append(",".join(text) + "\n")
-        text[_LEG] = f'"{row[_LEG]}"'
-        if has_nonfinite[r]:
-            for c in np.flatnonzero(nonfinite[r]):
-                text[c] = "null"
-        records.append(", [" + ", ".join(text) + "]")
-    return "".join(lines), "".join(records)
-
-
-def _save(csv_path, json_path, meta: dict, blocks) -> None:
-    """Write the CSV file at ``csv_path`` and the JSON document {meta,
-    columns, records} at ``json_path`` (either may be None): the header,
-    then ``blocks`` as pairs of CSV and JSON text in ``_format_block``'s
-    form, then the footer.  One block is held at a time, never a file."""
-    with (open(csv_path, "w", newline="") if csv_path is not None else nullcontext()) as fh, (
-            open(json_path, "w") if json_path is not None else nullcontext()) as jh:
-        if fh is not None:
-            fh.write(",".join(SIM_RECORD_FIELDS) + "\n")
-        if jh is not None:
-            head = json.dumps({"meta": meta, "columns": SIM_RECORD_FIELDS})
-            jh.write(head[:-1] + ', "records": [')
-        lead = 2  # the first record has no ", " before it
-        for lines, records in blocks:
-            if fh is not None:
-                fh.write(lines)
-            if jh is not None and records:
-                jh.write(records[lead:])
-                lead = 0
-        if jh is not None:
-            jh.write("]}")
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, so that `taskset`
-    limits them), or every CPU where the mask cannot be read."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def can_fork_beside() -> bool:
-    """Whether a forked child can work beside this process: ``os.fork``
-    exists and this process may run on two CPUs or more."""
-    return hasattr(os, "fork") and usable_cpus() >= 2
-
-
-class Child:
-    """``fn(inbox, *args)`` run beside this process, as a context manager.
-
-    Where ``can_fork_beside()`` holds, entering forks a child that runs
-    ``fn`` over its inbox, an iterator of the objects ``send`` pickles to it
-    on a pipe; otherwise ``result()`` runs ``fn`` in-process over them.
-    ``result()``, called once, ends the inbox, reaps the child and returns
-    ``fn``'s value or raises its error of a type in ``errors``, pickled back
-    on a second pipe; a nonzero exit status raises OSError naming the child
-    by ``name``.  Leaving before ``result()`` kills and reaps the child.
-    The child ignores SIGINT, writes the traceback of any other error to
-    stderr and ends with ``os._exit``; ``fn`` calls no BLAS function.
-    Several may be open at once: a child closes the pipe ends this process
-    holds of the others, so that each sees the end of its own inbox."""
-
-    _parent_ends: set[int] = set()  # of the open Children's pipes, held by this process
-
-    def __init__(self, name: str, fn, *args, errors: tuple):
-        self.name, self._fn, self._args, self._errors = name, fn, args, errors
-        self.pid = None
-        self._sent = []
-
-    def __enter__(self) -> Child:
-        if can_fork_beside():
-            fds = []
-            try:
-                for _ in range(2):
-                    fds += os.pipe()
-                pid = os.fork()
-            except BaseException:  # a failed fork leaks no pipe
-                for fd in fds:
-                    os.close(fd)
-                raise
-            inbox_r, inbox_w, result_r, result_w = fds
-            if pid == 0:
-                for fd in (inbox_w, result_r, *Child._parent_ends):
-                    os.close(fd)
-                self._run(inbox_r, result_w)
-            os.close(inbox_r)
-            os.close(result_w)
-            self._ends = inbox_w, result_r
-            Child._parent_ends.update(self._ends)
-            self.pid, self._inbox, self._result = pid, open(inbox_w, "wb"), open(result_r, "rb")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            self._reap()
-
-    def send(self, obj) -> None:
-        """Put ``obj`` in the child's inbox."""
-        if self.pid is None:
-            self._sent.append(obj)
-            return
-        try:
-            pickle.dump(obj, self._inbox)
-            self._inbox.flush()
-        except BrokenPipeError as exc:
-            raise OSError(f"{self.name} exited before the end of its inbox") from exc
-
-    def result(self):
-        """End the inbox and return ``fn``'s value."""
-        if self.pid is None:
-            return self._fn(iter(self._sent), *self._args)
-        self._inbox.close()
-        data = self._result.read()
-        status = self._reap()
-        if status:
-            raise OSError(f"{self.name} exited with status {status}")
-        value, raised = pickle.loads(data)
-        if raised:
-            raise value
-        return value
-
-    def _reap(self) -> int:
-        """Close the pipes and reap the child; returns its exit code."""
-        Child._parent_ends.difference_update(self._ends)
-        with suppress(OSError):  # the flush of an object cut short by an error
-            self._inbox.close()
-        self._result.close()
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = None
-        return os.waitstatus_to_exitcode(status)
-
-    def _run(self, inbox_fd: int, result_fd: int) -> None:
-        """The child's side; never returns."""
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent kills it
-            try:
-                value = self._fn(_received(inbox_fd), *self._args), False
-            except self._errors as exc:
-                value = exc, True
-            with open(result_fd, "wb") as fh:
-                pickle.dump(value, fh)
-            status = 0
-        except BaseException:  # the parent sees only the exit status
-            # straight to the descriptor: no buffer copied from the parent is flushed
-            os.write(2, traceback.format_exc().encode())
-            raise
-        finally:
-            os._exit(status)
-
-
-def _received(fd: int):
-    """The objects pickled on the pipe ``fd``, up to its end."""
-    with open(fd, "rb") as fh:
-        while True:
-            try:
-                yield pickle.load(fh)
-            except EOFError:
-                return
-
-
-_CHUNK = 1 << 16  # characters per read of a writer's temporary file
-
-
-class TrajectoryWriter:
-    """Formats the rows of a run into the text of its CSV and JSON files
-    while the run integrates, on a second CPU.
-
-    A context manager around ``run(cfg, writer)``, which feeds it the rows
-    logged every ``_BLOCK`` steps, and the ``save_csv`` that commits it.
-    Where ``can_fork_beside()`` holds, entering opens two unnamed temporary
-    files and a ``Child`` that appends ``_format_block``'s text of each
-    block fed to them, and the commit copies them with ``_save``; otherwise
-    ``save_csv`` formats in-process.  Leaving without a commit writes no
-    file."""
-
-    def __init__(self):
-        self._child = self._text = None
-        self._stack = ExitStack()
-
-    @property
-    def streaming(self) -> bool:
-        """Whether a child formats the rows fed."""
-        return self._child is not None
-
-    def __enter__(self) -> TrajectoryWriter:
-        if can_fork_beside():
-            with ExitStack() as stack:
-                self._text = [stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
-                              for _ in range(2)]
-                self._child = stack.enter_context(Child(
-                    "the trajectory writer's child", _write_text, self._text, errors=()))
-                self._stack = stack.pop_all()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._child = None
-        self._stack.close()
-
-    def feed(self, rows: np.ndarray) -> None:
-        """Hand the child ``rows``, the rows logged since the last call."""
-        if self._child is not None:
-            self._child.send(rows)
-
-    def commit(self, csv_path, json_path, meta: dict) -> None:
-        """Write the rows fed to ``csv_path`` and, given it, ``json_path``,
-        under ``meta``, from the text the child formatted; closes the writer."""
-        try:
-            self._child.result()
-            for fh in self._text:
-                fh.seek(0)
-            _save(csv_path, json_path, meta, zip_longest(
-                *(iter(partial(fh.read, _CHUNK), "") for fh in self._text), fillvalue=""))
-        finally:
-            self.__exit__()
-
-
-def _write_text(blocks, text: list) -> None:
-    """A ``TrajectoryWriter``'s child: appends ``_format_block``'s text of
-    each of the row ``blocks`` to the files ``text``, then flushes them."""
-    for block in blocks:
-        for fh, part in zip(text, _format_block(block)):
-            fh.write(part)
-    for fh in text:
-        fh.flush()
 
 
 @dataclass

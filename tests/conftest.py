@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sandwalk import sim
+from sandwalk import child
 
 
 @pytest.fixture(autouse=True)
@@ -17,10 +17,10 @@ def _no_child_process_left():
 
 @pytest.fixture(params=[1, 2], ids=["in-process-writer", "forked-writer"])
 def writer_cpus(request, monkeypatch):
-    """The usable CPUs that every ``sim.Child`` sees, which selects its path:
-    with 1 it runs in-process (a ``sim.TrajectoryWriter`` then formats at
-    commit), with 2 it forks."""
+    """The usable CPUs that every ``child.Child`` sees, which selects its
+    path: with 1 it runs in-process (a ``trajectory.TrajectoryWriter``'s
+    child then formats at the commit), with 2 it forks."""
     if request.param > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(sim, "usable_cpus", lambda: request.param)
+    monkeypatch.setattr(child, "usable_cpus", lambda: request.param)
     return request.param

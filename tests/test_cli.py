@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sandwalk import cli, metrics, sim
+from sandwalk import child, cli, metrics, sim, trajectory
 from sandwalk.cli import main
 from sandwalk.config import build_config
 from sandwalk.sim import SIM_RECORD_FIELDS
@@ -312,14 +312,14 @@ def test_simulate_write_error_names_the_path(tmp_path, capsys, writer_cpus):
 def _fail_on_the_last_block(monkeypatch):
     """Make the forked writer's child fail on the last block of a 0.8 s
     run: 800 steps hand it three blocks of 256 rows, then one of 32."""
-    format_block = sim._format_block
+    format_block = trajectory._format_block
 
     def format_or_fail(block):
         if len(block) < 256:
             raise ValueError("a failure in the child")
         return format_block(block)
 
-    monkeypatch.setattr(sim, "_format_block", format_or_fail)
+    monkeypatch.setattr(trajectory, "_format_block", format_or_fail)
 
 
 @pytest.mark.parametrize("death", ["exits-at-once", "killed-after-a-block",
@@ -329,13 +329,13 @@ def test_simulate_names_the_writer_when_its_child_dies(tmp_path, capsys, monkeyp
     # finds the pipe closed, or the commit finds the child's exit status
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(child, "usable_cpus", lambda: 2)
     if death == "exits-at-once":
-        monkeypatch.setattr(sim, "_write_text", lambda *args: os._exit(1))
+        monkeypatch.setattr(trajectory, "_write_text", lambda *args: os._exit(1))
     elif death == "fails-on-the-last-block":
         _fail_on_the_last_block(monkeypatch)
     else:
-        feed, killed = sim.TrajectoryWriter.feed, []
+        feed, killed = trajectory.TrajectoryWriter.feed, []
 
         def feed_then_kill(writer, rows):
             feed(writer, rows)
@@ -345,7 +345,7 @@ def test_simulate_names_the_writer_when_its_child_dies(tmp_path, capsys, monkeyp
                 # wait until it is dead, and leave it for the writer to reap
                 os.waitid(os.P_PID, writer._child.pid, os.WEXITED | os.WNOWAIT)
 
-        monkeypatch.setattr(sim.TrajectoryWriter, "feed", feed_then_kill)
+        monkeypatch.setattr(trajectory.TrajectoryWriter, "feed", feed_then_kill)
     out = tmp_path / "o"
     assert main(["simulate", "--set", "sim.duration=0.8", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -359,7 +359,7 @@ def test_writer_child_writes_the_traceback_of_its_error(tmp_path, capfd, monkeyp
     # its ``errors``, so the child writes its traceback to stderr
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(child, "usable_cpus", lambda: 2)
     _fail_on_the_last_block(monkeypatch)
     assert main(["simulate", "--set", "sim.duration=0.8", "--out", str(tmp_path / "o")]) == 2
     err = capfd.readouterr().err
@@ -373,7 +373,7 @@ def test_failed_commit_keeps_an_existing_output_directory(tmp_path, capsys, monk
     # that existed before is kept, with what it held, and gains no file
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(child, "usable_cpus", lambda: 2)
     _fail_on_the_last_block(monkeypatch)
     out = tmp_path / "o"
     out.mkdir()
@@ -530,7 +530,7 @@ def test_compare_names_the_file_when_its_child_dies(tmp_path, capsys, monkeypatc
     # the child reading the second file ends without sending its profiles
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(child, "usable_cpus", lambda: 2)
     stance_profiles = cli._stance_profiles
     monkeypatch.setattr(cli, "_stance_profiles", lambda path, fields: (
         os._exit(1) if path.name == "b.csv" else stance_profiles(path, fields)))
@@ -557,7 +557,7 @@ def test_failed_fork_leaks_nothing(tmp_path, capsys, monkeypatch, walk_csv, comm
     def fork():
         raise error
 
-    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(child, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     argv = {"simulate": ["simulate", "--set", "sim.duration=0.4"],
             "compare": ["compare", str(walk_csv), str(walk_csv)],

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from sandwalk import metrics, sim
+from sandwalk import child, metrics, sim
 from sandwalk.metrics import (
     CellFailure,
     ZeroDistanceError,
@@ -292,7 +292,7 @@ def test_velocity_sweep_without_a_second_cpu_runs_in_this_process(monkeypatch):
     def fork():
         raise AssertionError("a worker forked")
 
-    monkeypatch.setattr(sim, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(child, "usable_cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", fork)
     caller, pids, sweep_cell = os.getpid(), [], metrics._sweep_cell
 

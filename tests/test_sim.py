@@ -22,6 +22,8 @@ from sandwalk import gait as gt
 from sandwalk import rolling as rl
 from sandwalk import sim
 from sandwalk import terrain as tr
+from sandwalk import trajectory
+from sandwalk.child import Child
 from sandwalk.config import build_config
 from sandwalk.gait import Gains
 from sandwalk.metrics import cot, settle_time
@@ -491,11 +493,12 @@ def test_writer_files_equal_in_process_files(tmp_path, writer_cpus, keys):
     # 800 steps hand the writer three full blocks of 256 steps and a last
     # one of 32; 200 steps hand it one block, at the end of the run
     cfg = build_config({"sim.duration": 0.8, "sim.terrain_mode": "granular", **keys})
-    with sim.TrajectoryWriter() as writer:
+    with trajectory.TrajectoryWriter() as writer:
         traj = sim.run(cfg, writer)
-        assert traj.writer is writer and writer.streaming == (writer_cpus > 1)
+        assert traj.writer is writer and isinstance(writer._child, Child)
+        assert (writer._child.pid is not None) == (writer_cpus > 1)
         traj.save_csv(tmp_path / "streamed.csv", tmp_path / "streamed.json")
-        assert not writer.streaming  # the commit closed it
+        assert writer._child.pid is None  # the commit reaped it
     assert_no_child_process()
     sim.Trajectory(traj.data, traj.meta).save_csv(tmp_path / "plain.csv",
                                                   tmp_path / "plain.json")
@@ -510,7 +513,7 @@ def test_writer_relative_paths_name_the_directory_of_the_commit(tmp_path, monkey
     first.mkdir()
     second.mkdir()
     monkeypatch.chdir(first)
-    with sim.TrajectoryWriter() as writer:
+    with trajectory.TrajectoryWriter() as writer:
         traj = sim.run(build_config({"sim.duration": 0.4}), writer)
         os.chdir(second)
         traj.save_csv("t.csv", "t.json")
@@ -528,7 +531,7 @@ def test_writer_writes_nonfinite_cells_as_null(tmp_path, writer_cpus):
     data[::11, 7] = math.inf
     data[::13, 8] = -math.inf
     meta = {"seed": 3, "terrain": "granular"}
-    with sim.TrajectoryWriter() as writer:
+    with trajectory.TrajectoryWriter() as writer:
         for i in range(0, 600, 100):
             writer.feed(data[i:i + 100])
         sim.Trajectory(data, meta, writer=writer).save_csv(tmp_path / "streamed.csv",
@@ -544,14 +547,14 @@ def test_writer_writes_nonfinite_cells_as_null(tmp_path, writer_cpus):
 
 
 def _forked(monkeypatch):
-    """Make every ``sim.Child`` fork."""
+    """Make every ``child.Child`` fork."""
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr("sandwalk.child.usable_cpus", lambda: 2)
 
 
 def test_child_returns_the_value_of_its_function(writer_cpus):
-    with sim.Child("a test child", lambda inbox, k: k * sum(inbox), 10, errors=()) as child:
+    with Child("a test child", lambda inbox, k: k * sum(inbox), 10, errors=()) as child:
         assert (child.pid is not None) == (writer_cpus > 1)
         for x in (1, 2, 3):
             child.send(x)
@@ -579,8 +582,8 @@ def test_children_open_at_once_each_see_the_end_of_their_inbox(writer_cpus):
     # the second child holds no end of the first one's pipes, so the first
     # sees the end of its inbox while the second still waits on its own
     with _alarm(20, TimeoutError("a child never saw the end of its inbox")), \
-            sim.Child("child a", lambda inbox: sum(inbox), errors=()) as a, \
-            sim.Child("child b", lambda inbox: sum(inbox), errors=()) as b:
+            Child("child a", lambda inbox: sum(inbox), errors=()) as a, \
+            Child("child b", lambda inbox: sum(inbox), errors=()) as b:
         for x in (1, 2, 3):
             a.send(x)
             b.send(10 * x)
@@ -595,7 +598,7 @@ def test_child_error_reaches_the_parent_as_raised(writer_cpus, error):
     def fail(inbox):
         raise error
 
-    with sim.Child("a test child", fail, errors=(ValueError, OSError)) as child:
+    with Child("a test child", fail, errors=(ValueError, OSError)) as child:
         with pytest.raises(type(error)) as raised:
             child.result()
     assert str(raised.value) == str(error)
@@ -606,7 +609,7 @@ def test_child_error_reaches_the_parent_as_raised(writer_cpus, error):
                          ids=["exits-with-3", "raises-another-error"])
 def test_child_exit_status_names_the_child(monkeypatch, fn, status):
     _forked(monkeypatch)
-    with sim.Child("a test child", fn, errors=(ValueError, OSError)) as child:
+    with Child("a test child", fn, errors=(ValueError, OSError)) as child:
         with pytest.raises(OSError, match=f"^a test child exited with status {status}$"):
             child.result()
 
@@ -615,7 +618,7 @@ def test_child_left_early_is_killed_and_reaped(writer_cpus):
     # in-process, the function never runs; forked, the child is killed in
     # its sleep
     t0 = time.perf_counter()
-    with sim.Child("a test child", lambda inbox: time.sleep(60), errors=()) as child:
+    with Child("a test child", lambda inbox: time.sleep(60), errors=()) as child:
         pid = child.pid
         time.sleep(0.2)
     assert time.perf_counter() - t0 < 10
@@ -627,7 +630,7 @@ def test_child_left_early_is_killed_and_reaped(writer_cpus):
 
 def test_child_send_after_its_death_names_it(monkeypatch):
     _forked(monkeypatch)
-    with sim.Child("a test child", lambda inbox: None, errors=()) as child:
+    with Child("a test child", lambda inbox: None, errors=()) as child:
         # wait until it is dead, and leave it for the context to reap
         os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
         with pytest.raises(OSError, match="^a test child exited before the end of its inbox$"):
