@@ -11,11 +11,9 @@ depends on which physical side is in stance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-
-import numpy as np
 
 from .dynamics import check_ranges
 
@@ -80,31 +78,23 @@ class GaitConfig:
 class Gains:
     """Per-joint PD gains and torque limit for the six actuators."""
 
-    kp: np.ndarray = field(
-        default_factory=lambda: np.array([400.0, 120.0, 50.0, 400.0, 120.0, 50.0])
-    )
-    kd: np.ndarray = field(
-        default_factory=lambda: np.array([20.0, 4.0, 1.5, 20.0, 4.0, 1.5])
-    )
+    kp: tuple[float, ...] = (400.0, 120.0, 50.0, 400.0, 120.0, 50.0)
+    kd: tuple[float, ...] = (20.0, 4.0, 1.5, 20.0, 4.0, 1.5)
     torque_limit: float = 60.0
 
     def __post_init__(self) -> None:
-        # read-only copies, so that the lists of _pd cannot go stale
-        kp = np.array(self.kp, dtype=float)
-        kd = np.array(self.kd, dtype=float)
-        if kp.shape != (6,) or kd.shape != (6,):
+        # any six numbers, stored as a tuple of Python floats
+        kp, kd = tuple(map(float, self.kp)), tuple(map(float, self.kd))
+        if len(kp) != 6 or len(kd) != 6:
             raise ValueError("gain vectors must have six entries")
-        if not (np.all(kp > 0.0) and np.all(kd > 0.0)):
+        for name, gains in (("kp", kp), ("kd", kd)):
+            if not all(map(math.isfinite, gains)):
+                raise ValueError(f"{name} must be finite")
+        if not all(g > 0.0 for g in kp + kd):
             raise ValueError("gains must be strictly positive")
         check_ranges(self, ("torque_limit",))
-        kp.flags.writeable = kd.flags.writeable = False
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
-
-    @cached_property
-    def _pd(self) -> tuple[list[float], list[float]]:
-        """(kp, kd) as lists of Python floats."""
-        return self.kp.tolist(), self.kd.tolist()
 
 
 def cycloid_swing(phase: float, step_length: float, swing_height: float):
@@ -164,12 +154,12 @@ ACTUATION = {
 }
 
 
-def frontal_to_hip_angles(q_f: np.ndarray) -> tuple[float, float]:
+def frontal_to_hip_angles(q_f) -> tuple[float, float]:
     """Hip actuator angles (q1, q4) from the frontal absolute angles.
 
     q1 = -p1 + p2 and q4 = pi - p2 + p3.
     """
-    p1, p2, p3 = float(q_f[0]), float(q_f[1]), float(q_f[2])
+    p1, p2, p3 = q_f
     return -p1 + p2, math.pi - p2 + p3
 
 
@@ -188,7 +178,7 @@ def track_joints(q_ref, dq_ref, q, dq, gains: Gains) -> list[float]:
     configured limit; a NaN torque stays NaN."""
     limit = gains.torque_limit
     tau = []
-    for r, dr, x, v, kp, kd in zip(q_ref, dq_ref, q, dq, *gains._pd):
+    for r, dr, x, v, kp, kd in zip(q_ref, dq_ref, q, dq, gains.kp, gains.kd):
         t = kp * (r - x) + kd * (dr - v)
         # min(max(t, -limit), limit) for the positive limit, without the calls
         tau.append(limit if t > limit else -limit if t < -limit else t)

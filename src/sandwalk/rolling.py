@@ -19,7 +19,6 @@ __all__ = [
     "GAMMA_UNDEFINED",
     "lowest_point",
     "orientation_angle",
-    "rolling_angle",
     "velocity_angle",
     "effective_radius",
 ]
@@ -44,19 +43,6 @@ class FootShape:
         if radius <= 0.0:
             raise ValueError("radius must be strictly positive")
         self.radius = float(radius)
-
-    @classmethod
-    def semicylinder(cls, radius: float) -> "FootShape":
-        """Circular sole of the given radius, apex at the origin."""
-        return cls(radius)
-
-    @property
-    def x_min(self) -> float:
-        return -self.radius
-
-    @property
-    def x_max(self) -> float:
-        return self.radius
 
     def value(self, x: float) -> float:
         """Sole height z_r = S(x_r) above the apex."""
@@ -88,15 +74,10 @@ def lowest_point(shape: FootShape, foot_pitch: float):
 
 def orientation_angle(shape: FootShape, contact: tuple[float, float]) -> float:
     """Foot orientation angle theta_r = atan(S'(x_r)) at a contact point."""
-    x = contact[0]
-    if not shape.x_min < x < shape.x_max:
+    x, r = contact[0], shape.radius
+    if not -r < x < r:
         raise ContactOutsideSoleError("contact point outside the sole interior")
     return math.atan(shape.slope(x))
-
-
-def rolling_angle(theta_r0: float, theta_r1: float) -> float:
-    """Rolling angle accumulated since stance start, theta_r1 - theta_r0."""
-    return theta_r1 - theta_r0
 
 
 def velocity_angle(dx: float, dz: float) -> float:

@@ -96,7 +96,7 @@ class SimConfig:
     @cached_property
     def _sole(self) -> rl.FootShape:
         """The stance foot's semicylindrical sole."""
-        return rl.FootShape.semicylinder(self.foot_radius)
+        return rl.FootShape(self.foot_radius)
 
     @cached_property
     def _reference(self):
@@ -348,44 +348,37 @@ def _solve2(a, b, c, d, r0, r1) -> tuple[float, float]:
 _DIRECTION_FLOOR = 0.05  # m/s; regularizes the stress direction switch at rest
 
 
-def _grf_granular(cfg: SimConfig, kin: tr.IntrusionKinematics, depth: float, dx: float,
-                  dz: float, y_slip: float):
-    """(f_x, f_z, f_y) of the resistive terrain at the stance contact; the
-    force laws read the motion from ``kin``, which this overwrites."""
+def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: float):
+    """(f_x, f_z, f_y) of the resistive terrain at the stance contact."""
     # Smooth the wedge-face orientation switch across zero horizontal rate:
     # blend the forward- and backward-leading faces by the horizontal
     # fraction w = (1 + dx/hyp)/2, which removes the rest-state force
     # discontinuity.  The backward face mirrors the forward one (same f_z,
     # opposite f_x), so the blend is (f_x dx/hyp, f_z) of the forward face.
     hyp = math.hypot(dx, _DIRECTION_FLOOR)
-    kin.depth, kin.gamma, kin.y_slip = depth, math.atan2(dz, hyp), y_slip
-    fwd = tr.sagittal_forces(cfg.terrain, kin)
-    return fwd.f_x * dx / hyp, fwd.f_z, tr.lateral_force(cfg.terrain, kin)
+    f_x, f_z = tr.sagittal_forces(cfg.terrain, depth, math.atan2(dz, hyp))
+    return f_x * dx / hyp, f_z, tr.lateral_force(cfg.terrain, depth, y_slip)
 
 
 _FRONTAL_KEY = struct.Struct("6d").pack
 
 
 class _StageTerms:
-    """What the integrator stages of one run carry from one to the next.
+    """What the integrator stages of one run carry from one to the next:
+    what a stage derives from ``dyn.assemble_frontal``, kept for the last
+    frontal configuration.  ``terms`` holds the stage's entries (D22, D23,
+    D24, D33, the bias -C dq - G of rows 2 and 3, then C dq and G of row 3),
+    and ``held`` row 1 of D with C dq and G of row 1, for the holding torque.
+    The system depends only on the angles and rates q_f[:3], dq_f[:3], which
+    hold still between touchdowns, so a stage reassembles it only when their
+    bytes or the parameter object change.  The key is bytes, not floats: a
+    touchdown flips p3 between 0.0 and -0.0, and 0.0 == -0.0.  Each row of
+    C dq is summed in column order from +0.0 over the nonzero entries of C,
+    which sit in columns 0-2.  One per run."""
 
-    ``kin`` is the ``IntrusionKinematics`` that every granular stage refills
-    for the terrain force laws.  The rest is what a stage derives from
-    ``dyn.assemble_frontal``, kept for the last frontal configuration:
-    ``terms``, the stage's entries (D22, D23, D24, D33, the bias -C dq - G
-    of rows 2 and 3, then C dq and G of row 3), and ``held``, row 1 of D
-    with C dq and G of row 1, for the holding torque.  The system depends
-    only on the angles and rates q_f[:3], dq_f[:3], which hold still between
-    touchdowns, so a stage reassembles it only when their bytes or the
-    parameter object change.  The key is bytes, not floats: a touchdown
-    flips p3 between 0.0 and -0.0, and 0.0 == -0.0.  Each row of C dq is
-    summed in column order from +0.0 over the nonzero entries of C, which
-    sit in columns 0-2.  One per run."""
-
-    __slots__ = ("kin", "params", "key", "terms", "held")
+    __slots__ = ("params", "key", "terms", "held")
 
     def __init__(self):
-        self.kin = tr.IntrusionKinematics()
         self.params = self.key = self.terms = self.held = None
 
     def frontal(self, params: dyn.FrontalParams, y):
@@ -443,7 +436,7 @@ def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
     a2, a3 = t2 / diag[2], t3 / diag[3]
     granular = cfg.terrain_mode == "granular"
     if granular:
-        f_x, f_z, f_y = _grf_granular(cfg, stage.kin, max(0.0, -y[6]), y[17], y[18], y[10])
+        f_x, f_z, f_y = _grf_granular(cfg, max(0.0, -y[6]), y[17], y[18], y[10])
         a0, a1, a5, a6 = dyn.solve_sand_block(diag, d, (r0, r1, r5 + f_x, r6 + f_z))
     else:
         d01, d05, d06, d15, d16, _, _ = d
@@ -583,7 +576,6 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
     s = ws.y
     # rolling bookkeeping on the stance foot
     theta_r = rl.orientation_angle(cfg._sole, contact)
-    d_theta = rl.rolling_angle(ws.theta_r0, theta_r)
     try:
         r_eff = min(rl.effective_radius((s[17], s[18]), s[13]), cfg.r_eff_cap)
     except rl.NoRotationError:
@@ -598,7 +590,7 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
         *s[7:10], *s[19:22],
         *tau_a,
         f_x, f_y, f_z,
-        theta_r, d_theta, gamma, r_eff,
+        theta_r, theta_r - ws.theta_r0, gamma, r_eff,
         power, math.fsum(map(abs, joint_powers)), power_s, power_f,
         *com, *com_v, *hip,
     ]
@@ -694,7 +686,11 @@ def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
     # the last step of each decimation block writes the block's row; the
     # trailing steps of an incomplete block write none
     k = cfg.decimation
-    data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
+    try:
+        data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
+    except MemoryError as exc:  # a dt far too small for the duration
+        raise ValueError(f"the {n_steps // k} records of a {n_steps}-step run do not fit "
+                         "in memory") from exc
     stage = _StageTerms()
     samples = array("d")
     fed = 0

@@ -19,18 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import check_ranges
 
 __all__ = [
-    "RftCoefficients",
-    "GENERIC_RFT_COEFFICIENTS",
     "TerrainParams",
-    "IntrusionKinematics",
-    "GrfSagittal",
     "PenetrationRecord",
     "CalibrationResult",
     "CalibrationError",
@@ -45,28 +40,13 @@ __all__ = [
 _STRESS_UNIT = 1.0e6
 
 
-@dataclass(frozen=True)
-class RftCoefficients:
-    """Fourier coefficients of the direction-dependent local stresses.
-
-    Units are N/cm^3 of the reference medium; the vertical stress series
-    uses the A (cosine) and B (sine) terms, the horizontal series the C
-    (cosine) and D (sine) terms, all over the harmonics
-    (m, n) in {(0,0), (1,0), (0,1), (1,1), (-1,1)} of (2 m beta + n gamma).
-    """
-
-    a00: float = 0.206
-    a10: float = 0.169
-    b01: float = 0.358
-    b11: float = 0.212
-    bm11: float = 0.055
-    c01: float = 0.253
-    c11: float = -0.124
-    cm11: float = 0.007
-    d10: float = 0.088
-
-
-GENERIC_RFT_COEFFICIENTS = RftCoefficients()
+# Fourier coefficients of the direction-dependent local stresses, in N/cm^3
+# of the reference medium: the vertical stress series uses the A (cosine)
+# and B (sine) terms, the horizontal series the C (cosine) and D (sine)
+# terms, all over the harmonics (m, n) in {(0,0), (1,0), (0,1), (1,1),
+# (-1,1)} of (2 m beta + n gamma).
+_A00, _A10, _B01, _B11, _BM11 = 0.206, 0.169, 0.358, 0.212, 0.055
+_C01, _C11, _CM11, _D10 = 0.253, -0.124, 0.007, 0.088
 
 
 @dataclass(frozen=True)
@@ -95,29 +75,6 @@ class TerrainParams:
         two_phi = 2 * self.phi_s
         return (two_phi, math.cos(two_phi), math.sin(two_phi),
                 self.zeta * self.alpha_scale * _STRESS_UNIT, 2.0 * math.tan(self.phi_s))
-
-
-@dataclass
-class IntrusionKinematics:
-    """Motion state of the stance contact needed by the force laws.
-
-    ``depth`` is the sinkage of the contact below its initial location
-    (positive down); ``gamma`` is the sagittal velocity direction angle
-    atan2(dz_up, dx) and may be NaN when the intrusion speed is below the
-    direction threshold; ``y_slip`` is the accumulated lateral displacement
-    (signed).
-    """
-
-    depth: float = 0.0
-    gamma: float = float("nan")
-    y_slip: float = 0.0
-
-
-class GrfSagittal(NamedTuple):
-    """Ground reaction force on the stance foot in the sagittal plane [N]."""
-
-    f_x: float = 0.0
-    f_z: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -178,16 +135,18 @@ def _stresses(k: float, two_beta: float, cos_2b: float, sin_2b: float,
     """(k alpha_x, k alpha_z) of the generic Fourier series at the attack
     angle beta, given as 2 beta with its cosine and sine, and at the
     penetration angle ``g``."""
-    c = GENERIC_RFT_COEFFICIENTS
-    a_x = (c.d10 * sin_2b + c.c01 * math.cos(g) + c.c11 * math.cos(two_beta + g)
-           + c.cm11 * math.cos(-two_beta + g))
-    a_z = (c.a00 + c.a10 * cos_2b + c.b01 * math.sin(g) + c.b11 * math.sin(two_beta + g)
-           + c.bm11 * math.sin(-two_beta + g))
+    a_x = (_D10 * sin_2b + _C01 * math.cos(g) + _C11 * math.cos(two_beta + g)
+           + _CM11 * math.cos(-two_beta + g))
+    a_z = (_A00 + _A10 * cos_2b + _B01 * math.sin(g) + _B11 * math.sin(two_beta + g)
+           + _BM11 * math.sin(-two_beta + g))
     return k * a_x, k * a_z
 
 
-def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagittal:
-    """Sagittal ground reaction force (F_x, F_z) on the stance foot.
+def sagittal_forces(terrain: TerrainParams, depth: float, gamma: float) -> tuple[float, float]:
+    """Sagittal ground reaction force (F_x, F_z) [N] on the stance foot at
+    the sinkage ``depth`` below the initial contact (positive down) and the
+    sagittal velocity direction ``gamma`` = atan2(dz_up, dx), NaN for an
+    undefined direction.
 
     F_j = zeta * alpha_j(phi_s, gamma) * W * z^2 / (2 tan phi_s): the wedge
     face sits at the internal friction angle phi_s.  Zero depth
@@ -195,13 +154,11 @@ def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagi
     and the vertical component opposes penetration (it turns tensile on the
     extraction branch).
     """
-    depth = kin.depth
     if depth < 0.0:
         raise ValueError("sinkage depth must be non-negative")
     if depth == 0.0:
-        return GrfSagittal(0.0, 0.0)
+        return 0.0, 0.0
     two_phi, cos_2phi, sin_2phi, k, two_tan = terrain._wedge
-    gamma = kin.gamma
     vx = math.cos(gamma)  # NaN for a NaN gamma
     vz = math.sin(gamma)
     sign = 1.0
@@ -219,7 +176,7 @@ def sagittal_forces(terrain: TerrainParams, kin: IntrusionKinematics) -> GrfSagi
     else:  # no direction: the static bearing of straight-down penetration
         a_x, a_z = 0.0, _stresses(k, two_phi, cos_2phi, sin_2phi, math.pi / 2)[1]
     geom = terrain.width * (depth ** 2 / two_tan)
-    return GrfSagittal(-sign * a_x * geom, a_z * geom)
+    return -sign * a_x * geom, a_z * geom
 
 
 def bulldozing_stress(terrain: TerrainParams) -> float:
@@ -228,22 +185,23 @@ def bulldozing_stress(terrain: TerrainParams) -> float:
     return abs(a_x)
 
 
-def lateral_force(terrain: TerrainParams, kin: IntrusionKinematics) -> float:
-    """Lateral bulldozing force F_y [N], opposing the accumulated slip.
+def lateral_force(terrain: TerrainParams, depth: float, y_slip: float) -> float:
+    """Lateral bulldozing force F_y [N] at the sinkage ``depth``, opposing
+    the accumulated signed lateral displacement ``y_slip``.
 
     F_y = lambda (1 - exp(-|y_s|/lambda)) * alpha_y * z^2/2, signed against
     the slip direction.  Zero when either the slip or the depth vanishes;
     strictly increasing and saturating in |y_s|.
     """
-    if kin.depth < 0.0:
+    if depth < 0.0:
         raise ValueError("sinkage depth must be non-negative")
-    y = abs(kin.y_slip)
-    if y == 0.0 or kin.depth == 0.0:
+    y = abs(y_slip)
+    if y == 0.0 or depth == 0.0:
         return 0.0
     a_y = bulldozing_stress(terrain)
-    g_z = 0.5 * kin.depth ** 2
+    g_z = 0.5 * depth ** 2
     magnitude = terrain.lam * (1.0 - math.exp(-y / terrain.lam)) * a_y * g_z
-    return -math.copysign(magnitude, kin.y_slip)
+    return -math.copysign(magnitude, y_slip)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,8 @@ class TrajectoryWriter:
     def commit(self, csv_path, json_path, meta: dict) -> None:
         """Write the rows fed to ``csv_path`` and, given it, ``json_path``,
         under ``meta``, from the text the child formatted; closes the writer."""
+        if self._text[0].closed:
+            raise ValueError("the trajectory writer was closed before its commit")
         try:
             self._child.result()
             for fh in self._text:

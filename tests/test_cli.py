@@ -16,12 +16,7 @@ from sandwalk import child, cli, metrics, sim, trajectory
 from sandwalk.cli import main
 from sandwalk.config import build_config
 from sandwalk.sim import SIM_RECORD_FIELDS
-from sandwalk.terrain import (
-    IntrusionKinematics,
-    TerrainParams,
-    lateral_force,
-    sagittal_forces,
-)
+from sandwalk.terrain import TerrainParams, lateral_force, sagittal_forces
 
 from test_sim import (
     MALFORMED_ROWS,
@@ -139,16 +134,14 @@ def make_penetration_files(tmp_path, zeta=1.36, lam=0.03):
     v_path = tmp_path / "vertical.csv"
     rows = ["depth_m,force_N"]
     for depth in np.linspace(0.005, 0.04, 12):
-        f = sagittal_forces(truth, IntrusionKinematics(
-            depth=float(depth), gamma=-math.pi / 2)).f_z
+        _, f = sagittal_forces(truth, float(depth), -math.pi / 2)
         noisy = float(f * (1 + 0.01 * rng.standard_normal()))
         rows.append(f"{float(depth)!r},{noisy!r}")
     v_path.write_text("\n".join(rows) + "\n")
     h_path = tmp_path / "horizontal.csv"
     rows = ["disp_m,force_N"]
     for disp in np.linspace(0.005, 0.12, 12):
-        f = abs(lateral_force(truth, IntrusionKinematics(
-            depth=0.02, gamma=-math.pi / 2, y_slip=float(disp))))
+        f = abs(lateral_force(truth, 0.02, float(disp)))
         noisy = float(f * (1 + 0.01 * rng.standard_normal()))
         rows.append(f"{float(disp)!r},{noisy!r}")
     h_path.write_text("\n".join(rows) + "\n")
@@ -394,6 +387,17 @@ def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_step_too_small_for_memory_is_an_input_error(tmp_path, capsys, writer_cpus):
+    # 2.4e12 records of 49 floats are 856 TiB, past the user address space,
+    # so the allocation fails at once whatever the overcommit setting
+    out = tmp_path / "out"
+    assert main(["simulate", "--set", "sim.dt=1e-12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the 2400000000000 records of a 2400000000000-step run do not fit "
+                   "in memory\n")
     assert not out.exists()
 
 

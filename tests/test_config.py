@@ -21,8 +21,8 @@ BAD_VALUES = [(key, bad) for key, value in flatten_config(SimConfig()).items()
 
 
 def test_simconfig_defaults_match_build_config():
-    # flattened, because == on SimConfig compares the gain arrays
     assert flatten_config(SimConfig()) == flatten_config(build_config({}))
+    assert SimConfig() == build_config({})
 
 
 @pytest.mark.parametrize("key,field", [
@@ -41,7 +41,8 @@ def test_bad_value_rejected_naming_the_field(key, value):
         load_config(None, [f"{key}={value}"])
 
 
-# every float field of each configuration object, config key or not
+# every float and float-vector field of each configuration object, config
+# key or not
 FLOAT_FIELDS = [(cls, f.name)
                 for cls in (SimConfig, GaitConfig, Gains, TerrainParams, SagittalParams,
                             FrontalParams)
@@ -52,8 +53,18 @@ FLOAT_FIELDS = [(cls, f.name)
                          ids=[f"{cls.__name__}.{field}" for cls, field in FLOAT_FIELDS])
 @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
 def test_infinite_field_rejected_when_built_directly(cls, field, value):
+    if "tuple" in str(cls.__dataclass_fields__[field].type):  # the six-entry gain vectors
+        value = (value,) * 6
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         cls(**{field: value})
+
+
+def test_configurations_compare_and_hash():
+    cfg = SimConfig()
+    assert cfg == SimConfig()
+    assert dataclasses.replace(cfg, gains=Gains()) == cfg
+    assert hash(cfg) == hash(SimConfig())
+    assert dataclasses.replace(cfg, gains=Gains(kp=(1.0,) * 6)) != cfg
 
 
 def test_json_infinity_for_integer_key_rejected(tmp_path):

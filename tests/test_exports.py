@@ -52,3 +52,10 @@ def test_sim_holds_only_the_step():
     process_and_io = {"os", "pickle", "signal", "tempfile", "json", "warnings", "traceback"}
     assert _imported_modules(trees["sim.py"]) & process_and_io == set()
     assert sorted(name for name, tree in trees.items() if _forks(tree)) == ["child.py"]
+
+
+def test_leaf_layers_import_no_numpy():
+    # the dynamics, the gait and the rolling contact compute in Python floats
+    for name in ("dynamics.py", "gait.py", "rolling.py"):
+        tree = ast.parse((SRC / name).read_text(), name)
+        assert "numpy" not in _imported_modules(tree), name

@@ -199,6 +199,16 @@ def test_tracking_zero_error_and_saturation():
         assert np.isnan(tau).sum() == 1
 
 
+def test_gains_hold_six_python_floats():
+    gains = Gains(kp=np.full(6, 8.0), kd=[1, 2, 3, 4, 5, 6])
+    assert gains.kp == (8.0,) * 6 and gains.kd == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert {type(g) for g in gains.kp + gains.kd} == {float}
+    with pytest.raises(ValueError, match="^gain vectors must have six entries$"):
+        Gains(kp=(1.0,) * 5)
+    with pytest.raises(ValueError, match="^kd must be finite$"):
+        Gains(kd=(1.0,) * 5 + (math.nan,))
+
+
 def test_step_response_matches_linear_system():
     """PD on a pure inertia tracks the closed-form second-order response."""
     inertia = 0.02

@@ -12,7 +12,6 @@ from sandwalk.rolling import (
     effective_radius,
     lowest_point,
     orientation_angle,
-    rolling_angle,
     velocity_angle,
 )
 
@@ -27,8 +26,9 @@ def grid_golden_lowest(shape, pitch):
         # foot frame pitched so the contact orientation angle equals pitch
         return math.cos(pitch) * shape.value(x) - math.sin(pitch) * x
 
-    pad = 1e-9 * (shape.x_max - shape.x_min)
-    xs = np.linspace(shape.x_min + pad, shape.x_max - pad, 20001)
+    r = shape.radius
+    pad = 1e-9 * (2 * r)
+    xs = np.linspace(-r + pad, r - pad, 20001)
     zs = np.array([world_z(x) for x in xs])
     i = int(np.argmin(zs))
     a = xs[max(0, i - 1)]
@@ -50,7 +50,7 @@ def grid_golden_lowest(shape, pitch):
 
 
 def test_semicylinder_level_contact_at_pole():
-    shape = FootShape.semicylinder(R)
+    shape = FootShape(R)
     x, z = lowest_point(shape, 0.0)
     assert abs(x) < 1e-10
     assert abs(z) < 1e-10
@@ -59,7 +59,7 @@ def test_semicylinder_level_contact_at_pole():
 
 @pytest.mark.parametrize("pitch", [-0.8, -0.3, 0.15, 0.6, 1.0])
 def test_semicylinder_contact_rotates_with_pitch(pitch):
-    shape = FootShape.semicylinder(R)
+    shape = FootShape(R)
     x, z = lowest_point(shape, pitch)
     assert x == pytest.approx(R * math.sin(pitch), abs=1e-9)
     # world contact stays a radius below the center
@@ -70,7 +70,7 @@ def test_semicylinder_contact_rotates_with_pitch(pitch):
 
 
 def test_contact_leaves_sole_raises():
-    shape = FootShape.semicylinder(R)
+    shape = FootShape(R)
     # beyond a quarter turn, and pitches whose contact rounds onto the rim
     for pitch in (1.6, -1.6, math.pi / 2, math.pi / 2 - 1e-12, -(math.pi / 2 - 1e-12),
                   math.nan):
@@ -83,14 +83,14 @@ def test_contact_leaves_sole_raises():
 
 
 def test_semicylinder_lowest_matches_grid_search():
-    shape = FootShape.semicylinder(R)
+    shape = FootShape(R)
     for pitch in np.linspace(-1.0, 1.0, 11):
         x, _ = lowest_point(shape, float(pitch))
         assert abs(x - grid_golden_lowest(shape, float(pitch))) < 1e-8
 
 
 def test_orientation_matches_finite_difference_slope():
-    shape = FootShape.semicylinder(R)
+    shape = FootShape(R)
     eps = 1e-7
     for x in np.linspace(-0.9 * R, 0.9 * R, 9):
         fd = (shape.value(x + eps) - shape.value(x - eps)) / (2 * eps)
@@ -99,21 +99,16 @@ def test_orientation_matches_finite_difference_slope():
         )
 
 
-def test_rolling_angle_arithmetic():
-    assert rolling_angle(0.2, 0.2) == 0.0
-    assert rolling_angle(0.1, 0.25) == pytest.approx(0.15)
-
-
 def test_rolling_angle_continuity_over_trajectory():
     # replay a pitched rollout and bound per-step jumps
-    shape = FootShape.semicylinder(R)
+    shape = FootShape(R)
     dt = 1e-3
     omega = 2.0
     pitches = 0.5 * np.sin(omega * np.arange(0, 0.5, dt))
     theta0 = orientation_angle(shape, lowest_point(shape, pitches[0]))
-    prev = rolling_angle(theta0, orientation_angle(shape, lowest_point(shape, pitches[0])))
+    prev = orientation_angle(shape, lowest_point(shape, pitches[0])) - theta0
     for pitch in pitches[1:]:
-        cur = rolling_angle(theta0, orientation_angle(shape, lowest_point(shape, pitch)))
+        cur = orientation_angle(shape, lowest_point(shape, pitch)) - theta0
         assert abs(cur - prev) <= 0.5 * omega * dt * 1.01
         prev = cur
 
@@ -146,7 +141,7 @@ def test_effective_radius_guard():
 def test_pure_roll_effective_radius_and_angle():
     # kinematic rollout of a circle on rigid flat ground: the contact locus
     # advances at R * pitch rate and stays on the surface
-    shape = FootShape.semicylinder(R)
+    shape = FootShape(R)
     dt = 1e-4
     omega = 1.5
     t = np.arange(0.0, 0.4, dt)
@@ -155,7 +150,7 @@ def test_pure_roll_effective_radius_and_angle():
     theta = np.array([
         orientation_angle(shape, lowest_point(shape, p)) for p in pitch[::100]
     ])
-    d_theta = rolling_angle(theta[0], theta[-1])
+    d_theta = theta[-1] - theta[0]
     assert d_theta == pytest.approx(pitch[::100][-1] - pitch[0], abs=1e-6)
     v = np.diff(locus_x) / dt
     r_eff = np.array([effective_radius((vv, 0.0), omega) for vv in v[::100]])
@@ -163,7 +158,7 @@ def test_pure_roll_effective_radius_and_angle():
 
 
 def test_contact_world_position_continuous_in_pitch():
-    shape = FootShape.semicylinder(R)
+    shape = FootShape(R)
     pitches = np.linspace(-0.9, 0.9, 400)
     world = []
     for p in pitches:

@@ -546,6 +546,17 @@ def test_writer_writes_nonfinite_cells_as_null(tmp_path, writer_cpus):
     assert [row[7] for row in records[::11]] == [None] * 55
 
 
+def test_commit_of_a_closed_writer_is_named(tmp_path, writer_cpus):
+    # a writer left without a commit has dropped its rows: save_csv says so
+    # and writes no file
+    with trajectory.TrajectoryWriter() as writer:
+        traj = sim.run(build_config({"sim.duration": 0.4}), writer)
+    assert_no_child_process()
+    with pytest.raises(ValueError, match="^the trajectory writer was closed before its commit$"):
+        traj.save_csv(tmp_path / "t.csv", tmp_path / "t.json")
+    assert os.listdir(tmp_path) == []
+
+
 def _forked(monkeypatch):
     """Make every ``child.Child`` fork."""
     if not hasattr(os, "fork"):
@@ -987,26 +998,22 @@ def test_unlogged_step_computes_only_what_it_reads(monkeypatch, terrain_mode, in
     assert runs[0] == runs[1]
 
 
-def test_stage_builds_no_intrusion_kinematics(monkeypatch):
+@pytest.mark.parametrize("law", ["sagittal_forces", "lateral_force"])
+def test_stage_hands_the_force_laws_floats(monkeypatch, law):
     # every granular stage of a default rk4 run (four per step, a fifth per
-    # logged step) hands the force laws the run's one IntrusionKinematics,
-    # refilled, rather than building one
-    intrusion, sagittal_forces = tr.IntrusionKinematics, tr.sagittal_forces
-    built, seen = [], []
+    # logged step) calls each force law once, with the run's terrain and two
+    # Python floats
+    cfg = build_config({"sim.integrator": "rk4"})
+    original, seen = getattr(tr, law), []
 
-    def build(*args, **kwargs):
-        built.append(intrusion(*args, **kwargs))
-        return built[-1]
+    def force_law(terrain, *args):
+        seen.append((terrain, *map(type, args)))
+        return original(terrain, *args)
 
-    def forces(terrain, kin):
-        seen.append(kin)
-        return sagittal_forces(terrain, kin)
-
-    monkeypatch.setattr(tr, "IntrusionKinematics", build)
-    monkeypatch.setattr(tr, "sagittal_forces", forces)
-    sim.run(build_config({"sim.integrator": "rk4"}))
+    monkeypatch.setattr(tr, law, force_law)
+    sim.run(cfg)
     assert len(seen) == 2400 * 5
-    assert len(built) == 1 and all(kin is built[0] for kin in seen)
+    assert set(seen) == {(cfg.terrain, float, float)}
 
 
 class _NoNumpy:
@@ -1033,9 +1040,8 @@ def test_step_calls_no_numpy(monkeypatch, terrain_mode, integrator):
     monkeypatch.setattr(np.linalg, "solve", banned)
     monkeypatch.setattr(np.linalg, "norm", banned)
     monkeypatch.setattr(np, "dot", banned)
-    assert not hasattr(dyn, "np")
-    for module in (tr, gt):
-        monkeypatch.setattr(module, "np", _NoNumpy())
+    assert not hasattr(dyn, "np") and not hasattr(gt, "np")
+    monkeypatch.setattr(tr, "np", _NoNumpy())
     traj = sim.run(cfg)
     assert traj.column("step_count")[-1] >= 3
 
@@ -1349,18 +1355,14 @@ def test_merged_wedge_force_equals_two_face_blend():
             for dz in (-0.8, -0.05, 0.0, 0.05, 0.8):
                 hyp = math.hypot(dx, sim._DIRECTION_FLOOR)
                 w = 0.5 * (1.0 + dx / hyp)
-                kin = tr.IntrusionKinematics(depth=depth, gamma=math.atan2(dz, hyp))
-                fwd = tr.sagittal_forces(cfg.terrain, kin)
-                kin.gamma = math.atan2(dz, -hyp)
-                bwd = tr.sagittal_forces(cfg.terrain, kin)
-                old = (w * fwd.f_x + (1.0 - w) * bwd.f_x, w * fwd.f_z + (1.0 - w) * bwd.f_z)
-                f_x, f_z, f_y = sim._grf_granular(cfg, tr.IntrusionKinematics(), depth, dx,
-                                                  dz, 0.01)
+                fwd_x, fwd_z = tr.sagittal_forces(cfg.terrain, depth, math.atan2(dz, hyp))
+                bwd_x, bwd_z = tr.sagittal_forces(cfg.terrain, depth, math.atan2(dz, -hyp))
+                old = (w * fwd_x + (1.0 - w) * bwd_x, w * fwd_z + (1.0 - w) * bwd_z)
+                f_x, f_z, f_y = sim._grf_granular(cfg, depth, dx, dz, 0.01)
                 scale = math.hypot(*old)
                 assert abs(f_x - old[0]) <= 1e-9 * scale
                 assert abs(f_z - old[1]) <= 1e-9 * scale
-                assert f_y == tr.lateral_force(cfg.terrain, tr.IntrusionKinematics(
-                    depth=depth, y_slip=0.01))
+                assert f_y == tr.lateral_force(cfg.terrain, depth, 0.01)
 
 
 def _with_trunk_ref(cfg, value):

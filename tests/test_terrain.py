@@ -7,10 +7,9 @@ import struct
 import numpy as np
 import pytest
 
+from sandwalk import terrain as tr
 from sandwalk.terrain import (
-    GENERIC_RFT_COEFFICIENTS,
     CalibrationError,
-    IntrusionKinematics,
     PenetrationRecord,
     TerrainParams,
     bulldozing_stress,
@@ -25,7 +24,6 @@ DOWN = -math.pi / 2  # straight-down motion direction
 
 def stress_oracle(beta, gamma_me):
     """Second, independently coded evaluation of the same coefficient table."""
-    c = GENERIC_RFT_COEFFICIENTS
     vx = math.cos(gamma_me)
     vz = math.sin(gamma_me)
     sign = 1.0
@@ -33,10 +31,10 @@ def stress_oracle(beta, gamma_me):
         vx, beta, sign = -vx, -beta, -1.0
     g = math.atan2(-vz, vx)
     terms = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)]
-    a_tab = {(0, 0): c.a00, (1, 0): c.a10, (0, 1): 0.0, (1, 1): 0.0, (-1, 1): 0.0}
-    b_tab = {(0, 0): 0.0, (1, 0): 0.0, (0, 1): c.b01, (1, 1): c.b11, (-1, 1): c.bm11}
-    c_tab = {(0, 0): 0.0, (1, 0): 0.0, (0, 1): c.c01, (1, 1): c.c11, (-1, 1): c.cm11}
-    d_tab = {(0, 0): 0.0, (1, 0): c.d10, (0, 1): 0.0, (1, 1): 0.0, (-1, 1): 0.0}
+    a_tab = {(0, 0): tr._A00, (1, 0): tr._A10, (0, 1): 0.0, (1, 1): 0.0, (-1, 1): 0.0}
+    b_tab = {(0, 0): 0.0, (1, 0): 0.0, (0, 1): tr._B01, (1, 1): tr._B11, (-1, 1): tr._BM11}
+    c_tab = {(0, 0): 0.0, (1, 0): 0.0, (0, 1): tr._C01, (1, 1): tr._C11, (-1, 1): tr._CM11}
+    d_tab = {(0, 0): 0.0, (1, 0): tr._D10, (0, 1): 0.0, (1, 1): 0.0, (-1, 1): 0.0}
     az = sum(
         a_tab[mn] * math.cos(2 * mn[0] * beta + mn[1] * g)
         + b_tab[mn] * math.sin(2 * mn[0] * beta + mn[1] * g)
@@ -78,26 +76,24 @@ def test_undefined_direction_gives_static_bearing():
 
 def test_zero_depth_zero_force():
     terrain = TerrainParams()
-    kin = IntrusionKinematics(depth=0.0, gamma=DOWN, y_slip=0.05)
-    grf = sagittal_forces(terrain, kin)
-    assert grf.f_x == 0.0 and grf.f_z == 0.0
-    assert lateral_force(terrain, kin) == 0.0
+    assert sagittal_forces(terrain, 0.0, DOWN) == (0.0, 0.0)
+    assert lateral_force(terrain, 0.0, 0.05) == 0.0
 
 
 def test_negative_depth_rejected():
     with pytest.raises(ValueError):
-        sagittal_forces(TerrainParams(), IntrusionKinematics(depth=-0.01, gamma=DOWN))
+        sagittal_forces(TerrainParams(), -0.01, DOWN)
 
 
 def test_quadratic_depth_law():
     terrain = TerrainParams()
-    f1 = sagittal_forces(terrain, IntrusionKinematics(depth=0.01, gamma=DOWN))
-    f2 = sagittal_forces(terrain, IntrusionKinematics(depth=0.02, gamma=DOWN))
-    assert f2.f_z == pytest.approx(4.0 * f1.f_z, rel=1e-12)
-    assert f2.f_x == pytest.approx(4.0 * f1.f_x, rel=1e-12)
+    f1_x, f1_z = sagittal_forces(terrain, 0.01, DOWN)
+    f2_x, f2_z = sagittal_forces(terrain, 0.02, DOWN)
+    assert f2_z == pytest.approx(4.0 * f1_z, rel=1e-12)
+    assert f2_x == pytest.approx(4.0 * f1_x, rel=1e-12)
 
 
-def wedge_quadrature(terrain, kin, n=8193):
+def wedge_quadrature(terrain, depth, gamma, n=8193):
     """Integrate the local stress over the solidification wedge cross-section.
 
     At depth xi below the surface the wedge extends (z - xi) / tan(phi_s)
@@ -106,15 +102,14 @@ def wedge_quadrature(terrain, kin, n=8193):
     stress rides the leading side of the symmetric foot, so the motion is
     folded to non-negative horizontal rate and the drag signed afterwards.
     """
-    gamma = kin.gamma
     sign = 1.0
     vx, vz = math.cos(gamma), math.sin(gamma)
     if vx < 0.0:
         sign = -1.0
         gamma = math.atan2(vz, -vx)
     a_x, a_z = local_stress(terrain.phi_s, gamma, terrain.zeta, terrain.alpha_scale)
-    xi = np.linspace(0.0, kin.depth, n)
-    width = (kin.depth - xi) / math.tan(terrain.phi_s)
+    xi = np.linspace(0.0, depth, n)
+    width = (depth - xi) / math.tan(terrain.phi_s)
     area = np.trapezoid(width, xi)
     return -sign * a_x * terrain.width * area, a_z * terrain.width * area
 
@@ -124,12 +119,10 @@ def test_wedge_force_matches_quadrature():
     worst = 0.0
     for depth in np.linspace(0.005, 0.05, 10):
         for gamma in np.linspace(-math.pi + 0.1, -0.1, 10):
-            kin = IntrusionKinematics(depth=float(depth), gamma=float(gamma))
-            got = sagittal_forces(terrain, kin)
-            want_x, want_z = wedge_quadrature(terrain, kin)
+            got_x, got_z = sagittal_forces(terrain, float(depth), float(gamma))
+            want_x, want_z = wedge_quadrature(terrain, float(depth), float(gamma))
             scale = max(abs(want_x), abs(want_z))
-            worst = max(worst, abs(got.f_x - want_x) / scale,
-                        abs(got.f_z - want_z) / scale)
+            worst = max(worst, abs(got_x - want_x) / scale, abs(got_z - want_z) / scale)
     assert worst < 1e-3
 
 
@@ -138,18 +131,18 @@ def wedge_area(depth: float, phi_s: float) -> float:
     return depth ** 2 / (2.0 * math.tan(phi_s))
 
 
-def _wedge_composition(terrain, kin):
+def _wedge_composition(terrain, depth, gamma):
     """The wedge law as local_stress times wedge_area, with the motion
     folded into the positive-horizontal frame and the drag signed after;
     no force at zero depth."""
-    if kin.depth == 0.0:
+    if depth == 0.0:
         return 0.0, 0.0
-    gamma, sign = kin.gamma, 1.0
+    sign = 1.0
     if not math.isnan(gamma) and math.cos(gamma) < 0.0:
         sign = -1.0
         gamma = math.atan2(math.sin(gamma), -math.cos(gamma))
     a_x, a_z = local_stress(terrain.phi_s, gamma, terrain.zeta, terrain.alpha_scale)
-    geom = terrain.width * wedge_area(kin.depth, terrain.phi_s)
+    geom = terrain.width * wedge_area(depth, terrain.phi_s)
     return -sign * a_x * geom, a_z * geom
 
 
@@ -169,77 +162,70 @@ def test_wedge_law_is_the_bytes_of_the_stress_composition():
     for terrain in terrains:
         for depth in (0.0, 1e-5, 0.004, 0.02, 0.06):
             for gamma in gammas:
-                kin = IntrusionKinematics(depth=depth, gamma=gamma)
-                got = sagittal_forces(terrain, kin)
-                want = _wedge_composition(terrain, kin)
+                got = sagittal_forces(terrain, depth, gamma)
+                want = _wedge_composition(terrain, depth, gamma)
                 assert struct.pack("2d", *got) == struct.pack("2d", *want), (terrain, depth, gamma)
 
 
 def test_reference_vertical_descent_case():
     terrain = TerrainParams(width=0.04, alpha_scale=1.0)
-    kin = IntrusionKinematics(depth=0.02, gamma=math.atan2(-0.1, 0.0))
-    got = sagittal_forces(terrain, kin)
-    _, want_z = wedge_quadrature(terrain, kin)
-    assert got.f_z == pytest.approx(want_z, rel=1e-6)
-    assert got.f_z > 0.0
+    gamma = math.atan2(-0.1, 0.0)
+    _, got_z = sagittal_forces(terrain, 0.02, gamma)
+    _, want_z = wedge_quadrature(terrain, 0.02, gamma)
+    assert got_z == pytest.approx(want_z, rel=1e-6)
+    assert got_z > 0.0
 
 
 def test_force_monotone_in_depth():
     terrain = TerrainParams()
     depths = np.linspace(0.0, 0.06, 40)
-    fz = [sagittal_forces(terrain, IntrusionKinematics(depth=float(d), gamma=DOWN)).f_z
-          for d in depths]
+    fz = [sagittal_forces(terrain, float(d), DOWN)[1] for d in depths]
     assert np.all(np.diff(fz) >= 0.0)
 
 
 def test_horizontal_reversal_flips_fx():
     terrain = TerrainParams()
     for gamma in (-0.3, -0.9, -1.2):
-        fwd = sagittal_forces(terrain, IntrusionKinematics(depth=0.02, gamma=gamma))
-        bwd = sagittal_forces(
-            terrain, IntrusionKinematics(depth=0.02, gamma=math.pi - gamma - 2 * math.pi)
-        )
+        fwd_x, fwd_z = sagittal_forces(terrain, 0.02, gamma)
+        bwd_x, bwd_z = sagittal_forces(terrain, 0.02, math.pi - gamma - 2 * math.pi)
         # mirrored direction: same |gamma| with the horizontal component flipped
-        assert bwd.f_x == pytest.approx(-fwd.f_x, rel=1e-9)
-        assert bwd.f_z == pytest.approx(fwd.f_z, rel=1e-9)
+        assert bwd_x == pytest.approx(-fwd_x, rel=1e-9)
+        assert bwd_z == pytest.approx(fwd_z, rel=1e-9)
 
 
 def test_linear_scaling_in_zeta_and_width():
-    kin = IntrusionKinematics(depth=0.02, gamma=-1.0, y_slip=0.01)
+    depth, gamma, y_slip = 0.02, -1.0, 0.01
     base = TerrainParams()
-    f0 = sagittal_forces(base, kin)
-    f_zeta = sagittal_forces(TerrainParams(zeta=2 * base.zeta), kin)
-    f_width = sagittal_forces(TerrainParams(width=2 * base.width), kin)
-    assert f_zeta.f_z == pytest.approx(2 * f0.f_z, rel=1e-12)
-    assert f_zeta.f_x == pytest.approx(2 * f0.f_x, rel=1e-12)
-    assert f_width.f_z == pytest.approx(2 * f0.f_z, rel=1e-12)
-    fy0 = lateral_force(base, kin)
-    fy2 = lateral_force(TerrainParams(zeta=2 * base.zeta), kin)
+    f0_x, f0_z = sagittal_forces(base, depth, gamma)
+    f_zeta_x, f_zeta_z = sagittal_forces(TerrainParams(zeta=2 * base.zeta), depth, gamma)
+    _, f_width_z = sagittal_forces(TerrainParams(width=2 * base.width), depth, gamma)
+    assert f_zeta_z == pytest.approx(2 * f0_z, rel=1e-12)
+    assert f_zeta_x == pytest.approx(2 * f0_x, rel=1e-12)
+    assert f_width_z == pytest.approx(2 * f0_z, rel=1e-12)
+    fy0 = lateral_force(base, depth, y_slip)
+    fy2 = lateral_force(TerrainParams(zeta=2 * base.zeta), depth, y_slip)
     assert fy2 == pytest.approx(2 * fy0, rel=1e-12)
 
 
 def test_lateral_saturation_ratio():
     terrain = TerrainParams()
-    kin_lam = IntrusionKinematics(depth=0.02, gamma=DOWN, y_slip=terrain.lam)
-    kin_inf = IntrusionKinematics(depth=0.02, gamma=DOWN, y_slip=1e3 * terrain.lam)
-    ratio = lateral_force(terrain, kin_lam) / lateral_force(terrain, kin_inf)
+    ratio = lateral_force(terrain, 0.02, terrain.lam) / lateral_force(terrain, 0.02,
+                                                                       1e3 * terrain.lam)
     assert ratio == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
 
 def test_lateral_saturation_limit():
     terrain = TerrainParams()
     depth = 0.02
-    kin = IntrusionKinematics(depth=depth, gamma=DOWN, y_slip=1e4 * terrain.lam)
     bound = terrain.lam * bulldozing_stress(terrain) * 0.5 * depth ** 2
-    assert abs(lateral_force(terrain, kin)) == pytest.approx(bound, rel=1e-9)
+    assert abs(lateral_force(terrain, depth, 1e4 * terrain.lam)) == pytest.approx(bound, rel=1e-9)
 
 
 def test_lateral_small_slip_slope():
     terrain = TerrainParams()
     depth = 0.02
     eps = 1e-9
-    f = abs(lateral_force(terrain, IntrusionKinematics(depth=depth, gamma=DOWN,
-                                                       y_slip=eps)))
+    f = abs(lateral_force(terrain, depth, eps))
     slope = f / eps
     assert slope == pytest.approx(bulldozing_stress(terrain) * 0.5 * depth ** 2,
                                   rel=1e-6)
@@ -248,16 +234,11 @@ def test_lateral_small_slip_slope():
 def test_lateral_monotone_concave_and_signed():
     terrain = TerrainParams()
     y = np.linspace(1e-4, 0.2, 60)
-    f = np.array([abs(lateral_force(terrain, IntrusionKinematics(depth=0.02,
-                                                                 gamma=DOWN,
-                                                                 y_slip=float(v))))
-                  for v in y])
+    f = np.array([abs(lateral_force(terrain, 0.02, float(v))) for v in y])
     assert np.all(np.diff(f) > 0.0)
     assert np.all(np.diff(f, 2) < 1e-9)
-    assert lateral_force(terrain, IntrusionKinematics(depth=0.02, gamma=DOWN,
-                                                      y_slip=0.05)) < 0.0
-    assert lateral_force(terrain, IntrusionKinematics(depth=0.02, gamma=DOWN,
-                                                      y_slip=-0.05)) > 0.0
+    assert lateral_force(terrain, 0.02, 0.05) < 0.0
+    assert lateral_force(terrain, 0.02, -0.05) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +251,12 @@ def synthetic_records(terrain, zeta, lam, noise, rng, plate_width, plate_depth):
     truth = replace(terrain, zeta=zeta, lam=lam)
     vertical = []
     for depth in np.linspace(0.005, 0.04, 20):
-        f = sagittal_forces(
-            replace(truth, width=plate_width),
-            IntrusionKinematics(depth=float(depth), gamma=DOWN),
-        ).f_z
+        _, f = sagittal_forces(replace(truth, width=plate_width), float(depth), DOWN)
         f *= 1.0 + noise * rng.standard_normal()
         vertical.append(PenetrationRecord(float(depth), float(f)))
     horizontal = []
     for disp in np.linspace(0.004, 0.12, 20):
-        f = abs(lateral_force(truth, IntrusionKinematics(depth=plate_depth,
-                                                         gamma=DOWN,
-                                                         y_slip=float(disp))))
+        f = abs(lateral_force(truth, plate_depth, float(disp)))
         f *= 1.0 + noise * rng.standard_normal()
         horizontal.append(PenetrationRecord(float(disp), float(f)))
     return vertical, horizontal
