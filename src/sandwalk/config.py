@@ -129,11 +129,6 @@ def _parse_json(path) -> dict:
     return flat
 
 
-def parse_overrides(pairs) -> dict:
-    """'key=value' strings into a validated flat dict."""
-    return dict(_parse_pair(pair) for pair in pairs or [])
-
-
 def build_config(flat: dict) -> simulation.SimConfig:
     """SimConfig from a validated flat key dict (missing keys -> defaults).
 
@@ -167,7 +162,7 @@ def load_config(path=None, overrides=None) -> simulation.SimConfig:
     if path is not None:
         parse = _parse_json if str(path).endswith(".json") else _parse_text
         flat.update(parse(path))
-    flat.update(parse_overrides(overrides))
+    flat.update(_parse_pair(pair) for pair in overrides or [])
     return build_config(flat)
 
 

@@ -1,11 +1,10 @@
-"""Gait references, the actuation map and joint tracking.
+"""Gait references, the hip maps and joint tracking.
 
-Actuation coordinates are the six joint motors, ``q_a = [hip_L, thigh_L,
-calf_L, hip_R, thigh_R, calf_R]`` as relative angles: thigh motors measure
+The six joint motors are relative angles: thigh motors measure
 thigh-absolute minus trunk-absolute, calf (knee) motors calf-absolute minus
-thigh-absolute, and the two hip motors live in the frontal plane.  The
-planar models use absolute angles with the stance leg first, so the map
-depends on which physical side is in stance.
+thigh-absolute, and the two hip motors live in the frontal plane.  Their
+physical order is ``[hip_L, thigh_L, calf_L, hip_R, thigh_R, calf_R]``;
+``Gains`` holds its entries in that order.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "UnreachableTargetError",
     "cycloid_swing",
     "leg_ik",
-    "ACTUATION",
     "frontal_to_hip_angles",
     "hip_torques_to_frontal",
     "frontal_torques_to_hips",
@@ -133,25 +131,6 @@ def leg_ik(l_t: float, l_c: float, target: tuple[float, float]):
     uz = -(dz + l_t * math.cos(thigh)) / l_c
     calf = math.atan2(ux, uz)
     return thigh, calf
-
-
-# ---------------------------------------------------------------------------
-# actuation <-> model coordinate maps
-# ---------------------------------------------------------------------------
-
-# The sagittal actuation map per stance side, as index tables.  Actuator j
-# of q_a reads x[i] - x[k] for the j-th pair (i, k), of x = (stance thigh,
-# stance calf, swing thigh, swing calf, trunk, stance hip, swing hip, 0): a
-# thigh motor is its thigh minus the trunk, a calf motor its calf minus its
-# thigh, a hip motor its hip angle.  At the actuator indices (st_t, st_c,
-# sw_t, sw_c) the torques on the four actuated sagittal angles are the
-# transpose, (tau[st_t] - tau[st_c], tau[st_c], tau[sw_t] - tau[sw_c],
-# tau[sw_c]), and the (stance, swing) hip indices read the hips.
-ACTUATION = {
-    # pairs, (stance thigh, stance calf, swing thigh, swing calf), hips
-    Side.LEFT: (((5, 7), (0, 4), (1, 0), (6, 7), (2, 4), (3, 2)), (1, 2, 4, 5), (0, 3)),
-    Side.RIGHT: (((6, 7), (2, 4), (3, 2), (5, 7), (0, 4), (1, 0)), (4, 5, 1, 2), (3, 0)),
-}
 
 
 def frontal_to_hip_angles(q_f) -> tuple[float, float]:

@@ -11,6 +11,7 @@ import numpy as np
 from . import sim as simulation
 from .child import Child, Counter
 from .config import ConfigError
+from .trajectory import check_memory
 
 __all__ = [
     "CoTReport",
@@ -166,7 +167,7 @@ _CELL_ERRORS = (simulation.DivergenceError, ZeroDistanceError, ValueError)
 def sweep_decimation(cfg: simulation.SimConfig) -> int:
     """Decimation of a sweep run: one past its step count, so that the run
     logs no record (its CoT integrates the samples of every step)."""
-    return int(round(cfg.duration / cfg.dt)) + 1
+    return cfg.steps + 1
 
 
 def _sweep_cell(cfg: simulation.SimConfig) -> float | CellFailure:
@@ -220,6 +221,7 @@ def velocity_sweep(
 
     seeds = tuple(base.seed + rep for rep in range(repeats))
     cells = [(float(v), terrain_mode) for v in velocities for terrain_mode in terrains]
+    check_memory(base.steps, 0)  # a sweep run logs no record; checked before any run
     decimation = sweep_decimation(base)
     try:  # each speed passes the checks of its config key before any run starts
         configs = [replace(base, terrain_mode=terrain_mode, seed=seed, decimation=decimation,

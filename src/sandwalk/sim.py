@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from operator import mul
 
@@ -31,7 +31,7 @@ from . import gait as gt
 from . import rolling as rl
 from . import terrain as tr
 from .trajectory import (_BLOCK, _LEG_NAMES, SIM_RECORD_FIELDS, STEP_FIELDS, Trajectory,
-                         TrajectoryWriter)
+                         TrajectoryWriter, check_memory)
 
 __all__ = [
     "SimConfig",
@@ -74,17 +74,31 @@ class SimConfig:
     def __post_init__(self) -> None:
         dyn.check_ranges(self, ("dt", "foot_radius", "h_com", "r_eff_cap"),
                          ("initial_jitter", "seed"), bounded=("duration",))
-        if self.frontal is None:
+        if self.frontal is None or type(self.frontal) is _DerivedFrontal:
             frontal = derived_frontal(self.sagittal, self.foot_radius)
-            object.__setattr__(self, "frontal", frontal)
+            object.__setattr__(self, "frontal", _DerivedFrontal(**asdict(frontal)))
         if not self.duration >= self.gait.cycle_period:
             raise ValueError("duration must cover at least one gait cycle")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError("the step count duration / dt must be finite")
         if self.integrator not in ("semi_implicit", "rk4"):
             raise ValueError(f"unknown integrator '{self.integrator}'")
         if self.terrain_mode not in ("granular", "rigid"):
             raise ValueError(f"unknown terrain mode '{self.terrain_mode}'")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
+
+    @cached_property
+    def steps(self) -> int:
+        """The run's step count, duration / dt rounded."""
+        return int(round(self.duration / self.dt))
+
+    @cached_property
+    def _gains(self):
+        """The PD gains of each stance side in stance-first order."""
+        g = self.gains
+        return {side: replace(g, kp=_physical(g.kp, side), kd=_physical(g.kd, side))
+                for side in gt.Side}
 
     @cached_property
     def _links(self):
@@ -110,6 +124,10 @@ class SimConfig:
         half_step = 0.5 * self.gait.step_length
         land_z = self.terrain.sand_level + self.foot_radius
         return leg, r_nom, -half_step, half_step, land_z, land_z + r_nom
+
+
+class _DerivedFrontal(dyn.FrontalParams):
+    """A frontal model that ``SimConfig`` derived; ``replace`` derives it anew."""
 
 
 def derived_frontal(
@@ -294,35 +312,35 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
     return (st_t, st_c, sw_t, sw_c, g.trunk_ref), (dst_t, dst_c, dsw_t, dsw_c, 0.0)
 
 
-_ACTUATION = gt.ACTUATION  # bound once: a step pays for one dict index
 # the held frontal posture (lean, crossbar) and its hip actuator angles
 _FRONTAL_POSTURE = (0.0, math.pi / 2.0)
 _HIP_POSTURE = gt.frontal_to_hip_angles((*_FRONTAL_POSTURE, 0.0))
 
 
+def _physical(v, stance: gt.Side):
+    """Six actuator values in stance-first order (stance hip, thigh, calf,
+    swing hip, thigh, calf) in the physical order of ``gt.Gains``, and back:
+    a right stance swaps the halves."""
+    return v if stance is gt.Side.LEFT else (*v[3:], *v[:3])
+
+
 def _control(ws: WalkerState, cfg: SimConfig):
-    """PD torques in actuation space (with the measured actuator rates) and
-    their planar-model images."""
-    pairs, (st_t, st_c, sw_t, sw_c), (i_st, i_sw) = _ACTUATION[ws.stance]
-    refs, ref_rates = _model_refs(ws, cfg, ws.t)
+    """PD torques in stance-first actuator order (see ``_physical``), the
+    measured actuator rates and the torques' planar-model images.  A thigh
+    motor reads thigh minus trunk, a calf motor calf minus thigh."""
+    (st_t, st_c, sw_t, sw_c, trunk), (dst_t, dst_c, dsw_t, dsw_c, d_trunk) = \
+        _model_refs(ws, cfg, ws.t)
     y = ws.y
-    # the gathered x of gait.ACTUATION: the five sagittal angles, the
-    # (stance, swing) hip angles and 0; the hip rates are -p1' + p2' and
-    # -p2' + p3'
-    x_ref = refs + _HIP_POSTURE + (0.0,)
-    x_rate = ref_rates + (0.0, 0.0, 0.0)
-    x = (*y[:5], *gt.frontal_to_hip_angles(y[7:10]), 0.0)
-    x_v = (*y[12:17], -y[19] + y[20], -y[20] + y[21], 0.0)
-    q_ref, dq_ref, q_a, dq_a = [], [], [], []
-    for i, k in pairs:
-        q_ref.append(x_ref[i] - x_ref[k])
-        dq_ref.append(x_rate[i] - x_rate[k])
-        q_a.append(x[i] - x[k])
-        dq_a.append(x_v[i] - x_v[k])
-    tau = gt.track_joints(q_ref, dq_ref, q_a, dq_a, cfg.gains)
-    tau_s = [tau[st_t] - tau[st_c], tau[st_c], tau[sw_t] - tau[sw_c], tau[sw_c]]
-    tau_f = gt.hip_torques_to_frontal(tau[i_st], tau[i_sw])
-    return tau, dq_a, tau_s, tau_f
+    hip_st, hip_sw = gt.frontal_to_hip_angles(y[7:10])
+    dq_a = (-y[19] + y[20], y[12] - y[16], y[13] - y[12],
+            -y[20] + y[21], y[14] - y[16], y[15] - y[14])
+    tau = gt.track_joints(
+        (_HIP_POSTURE[0], st_t - trunk, st_c - st_t, _HIP_POSTURE[1], sw_t - trunk, sw_c - sw_t),
+        (0.0, dst_t - d_trunk, dst_c - dst_t, 0.0, dsw_t - d_trunk, dsw_c - dsw_t),
+        (hip_st, y[0] - y[4], y[1] - y[0], hip_sw, y[2] - y[4], y[3] - y[2]),
+        dq_a, cfg._gains[ws.stance])
+    _, t1, t2, _, t4, t5 = tau
+    return tau, dq_a, (t1 - t2, t2, t4 - t5, t5), gt.hip_torques_to_frontal(tau[0], tau[3])
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +553,12 @@ def _contact(cfg: SimConfig, pitch: float, t: float):
         raise DivergenceError(t, f"({exc})") from exc
 
 
-def _contact_angle(cfg: SimConfig, pitch: float, t: float) -> float:
-    """Orientation angle theta_r of the stance-foot contact point at a calf
-    pitch, checked as ``_contact`` checks it."""
-    return rl.orientation_angle(cfg._sole, _contact(cfg, pitch, t))
-
-
-def _powers(ws: WalkerState, control, start, last, stage: _StageTerms):
-    """Joint powers in actuation space, their sum and each plane's net
-    power, with the rates at the control instant, from the step's control
-    output, its stacked state ``start`` at the control instant, its ``last``
-    evaluation and the run's ``stage`` terms as that evaluation left them.
+def _powers(control, start, last, stage: _StageTerms):
+    """Joint powers in stance-first actuator order, their sum and each
+    plane's net power, with the rates at the control instant, from the
+    step's control output, its stacked state ``start`` at the control
+    instant, its ``last`` evaluation and the run's ``stage`` terms as that
+    evaluation left them.
     Writes the reported hip torques, the crossbar holding demand plus the
     swing-side PD, into the control output's torques.
 
@@ -555,8 +568,7 @@ def _powers(ws: WalkerState, control, start, last, stage: _StageTerms):
     logged one to the bit."""
     tau_a, dq_a, tau_s, tau_f = control
     tau_bar = stage.holding_torque(last[1][7:])
-    i_st, i_sw = _ACTUATION[ws.stance][2]
-    tau_a[i_st], tau_a[i_sw] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
+    tau_a[0], tau_a[3] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
     joint_powers = list(map(mul, tau_a, dq_a))
     t0, t1, t2, t3 = tau_s
     return (joint_powers, math.fsum(joint_powers),
@@ -567,9 +579,9 @@ def _powers(ws: WalkerState, control, start, last, stage: _StageTerms):
 def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
             contact, kinematics, phase: float, out) -> None:
     """Write the post-step record of ``ws`` into the row ``out``, from the
-    step's actuator torques ``tau_a`` and ``powers`` as ``_powers`` gave
-    them, its ``last`` evaluation and its contact point on the sole,
-    kinematics and stance phase."""
+    step's stance-first actuator torques ``tau_a`` and ``powers`` as
+    ``_powers`` gave them, its ``last`` evaluation and its contact point on
+    the sole, kinematics and stance phase."""
     y, _, f_x, f_y, f_z = last
     gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
 
@@ -588,7 +600,7 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
         *s[:5], *s[12:17],
         s[5], s[10], max(0.0, -s[6]), s[17], s[22], -s[18],
         *s[7:10], *s[19:22],
-        *tau_a,
+        *_physical(tau_a, ws.stance),
         f_x, f_y, f_z,
         theta_r, theta_r - ws.theta_r0, gamma, r_eff,
         power, math.fsum(map(abs, joint_powers)), power_s, power_f,
@@ -613,7 +625,7 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
            0.0, math.pi - y[8], -y[9], 0.0, 0.0,
            y[14], y[15], y[12], y[13], y[16], slip_rate, 0.0,
            0.0, -y[20], -y[21], 0.0, 0.0])
-    new.theta_r0 = _contact_angle(cfg, new.y[1], new.t)
+    new.theta_r0 = rl.orientation_angle(cfg._sole, _contact(cfg, new.y[1], new.t))
     # latch the stance chord at touchdown
     hip = _kinematics(cfg, c0, new.y[:7], new.y[12:19])[0]
     new.r_latch = _clamp_chord(cfg, math.hypot(hip[0] - c0[0], hip[1] - (c0[1] + r)))
@@ -640,7 +652,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
             raise DivergenceError(ws.t)
     contact = _contact(cfg, y[1], ws.t)  # a contact off the sole ends the run
     phase = _stance_phase(ws, cfg, ws.t)
-    powers = _powers(ws, control, start, last, stage)
+    powers = _powers(control, start, last, stage)
     if out is None:
         swing_z, com_vx = _swing_z_and_com_vx(cfg, ws.c0, y)
     else:
@@ -673,7 +685,7 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     q = [a + b for a, b in zip(q, jitter)] + [q[4]]
 
     ws.y = [*q, 0.0, 0.0, *_FRONTAL_POSTURE, 0.0, 0.0, 0.0, *dq, 0.0, 0.0] + [0.0] * 5
-    ws.theta_r0 = _contact_angle(cfg, ws.y[1], ws.t)
+    ws.theta_r0 = rl.orientation_angle(cfg._sole, _contact(cfg, ws.y[1], ws.t))
     return ws
 
 
@@ -682,15 +694,11 @@ def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
     Every ``_BLOCK`` steps, and after the last, ``writer`` is fed the rows
     logged since it was last fed; the trajectory keeps it for ``save_csv``."""
     ws = initial_state(cfg)
-    n_steps = int(round(cfg.duration / cfg.dt))
     # the last step of each decimation block writes the block's row; the
     # trailing steps of an incomplete block write none
-    k = cfg.decimation
-    try:
-        data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
-    except MemoryError as exc:  # a dt far too small for the duration
-        raise ValueError(f"the {n_steps // k} records of a {n_steps}-step run do not fit "
-                         "in memory") from exc
+    n_steps, k = cfg.steps, cfg.decimation
+    check_memory(n_steps, n_steps // k)  # a dt far too small fails before the first step
+    data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
     stage = _StageTerms()
     samples = array("d")
     fed = 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tempfile
 import warnings
 from collections import namedtuple
@@ -23,6 +24,7 @@ __all__ = [
     "SimRecord",
     "Trajectory",
     "TrajectoryWriter",
+    "check_memory",
 ]
 
 
@@ -50,6 +52,19 @@ _BLOCK = 256  # steps per hand-off to a writer; rows per block of file I/O
 
 # the columns that the cost of transport integrates, sampled at every step
 STEP_FIELDS = ("t", "power", "power_s", "power_f", "com_vx")
+
+
+def check_memory(steps: int, records: int) -> None:
+    """Raise ValueError when a run of ``steps`` steps cannot hold its
+    ``records`` records and every step's ``STEP_FIELDS`` in physical memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # a platform that cannot say
+        return
+    if 8 * (len(SIM_RECORD_FIELDS) * records + len(STEP_FIELDS) * steps) > memory:
+        what = f"{records} records" if records else "step samples"
+        raise ValueError(f"the {what} of a {steps}-step run do not fit in memory")
+
 
 #: One trajectory row, with ``stance_leg`` as "left"/"right" and
 #: ``step_count`` as int.  ``z_s`` is the sinkage depth and ``dz_s`` the

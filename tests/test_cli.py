@@ -6,6 +6,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 
@@ -391,13 +393,41 @@ def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv):
 
 
 def test_simulate_step_too_small_for_memory_is_an_input_error(tmp_path, capsys, writer_cpus):
-    # 2.4e12 records of 49 floats are 856 TiB, past the user address space,
-    # so the allocation fails at once whatever the overcommit setting
+    # 2.4e12 records of 49 floats are 856 TiB, more than any host's memory,
+    # so the run fails before its first step
     out = tmp_path / "out"
     assert main(["simulate", "--set", "sim.dt=1e-12", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == ("error: the 2400000000000 records of a 2400000000000-step run do not fit "
                    "in memory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--velocities", "0.1",
+                                                 "--repeats", "1"]])
+def test_step_count_past_float_range_is_an_input_error(tmp_path, capsys, command):
+    # 1e306 s at 1 ms overflows the step count to infinity
+    out = tmp_path / "out"
+    assert main([*command, "--set", "sim.duration=1e306", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: invalid configuration: the step count "
+                                       "duration / dt must be finite\n")
+    assert not out.exists()
+
+
+def test_sweep_step_too_small_for_memory_fails_before_its_first_step(tmp_path):
+    # a sweep run logs no record, so its records allocate nothing; 2.4e12
+    # steps of step samples (96 TB) are checked against the host's memory
+    # before any run starts.  In a subprocess with a timeout, so that a
+    # sweep that runs its steps fails here instead of hanging the suite.
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "sandwalk.cli", "sweep", "--set", "sim.dt=1e-12",
+         "--velocities", "0.1", "--repeats", "1", "--jobs", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sim.__file__))})
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: the step samples of a 2400000000000-step run do not fit "
+                           "in memory\n")
     assert not out.exists()
 
 

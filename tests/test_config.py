@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from sandwalk import sim
 from sandwalk.config import CONFIG_KEYS, ConfigError, build_config, flatten_config, load_config
 from sandwalk.dynamics import FrontalParams, SagittalParams
 from sandwalk.gait import GaitConfig, Gains
@@ -65,6 +66,21 @@ def test_configurations_compare_and_hash():
     assert dataclasses.replace(cfg, gains=Gains()) == cfg
     assert hash(cfg) == hash(SimConfig())
     assert dataclasses.replace(cfg, gains=Gains(kp=(1.0,) * 6)) != cfg
+
+
+def test_replace_derives_the_frontal_model_of_the_new_robot():
+    # a frontal model that no frontal.* key set follows the sagittal model
+    # and foot radius of the config that replace builds
+    changed = dict(sagittal=SagittalParams(m_b=7.0), foot_radius=0.05, duration=0.4)
+    replaced = dataclasses.replace(SimConfig(), **changed)
+    built = SimConfig(**changed)
+    assert replaced == built and hash(replaced) == hash(built)
+    assert (replaced.frontal.m_b, replaced.frontal.l_1) == (7.0, built.frontal.l_1)
+    assert sim.run(replaced).data.tobytes() == sim.run(built).data.tobytes()
+    # one that a key set keeps every value
+    explicit = build_config({"frontal.b": 0.11})
+    assert dataclasses.replace(explicit, sagittal=SagittalParams(m_b=7.0)).frontal \
+        == explicit.frontal
 
 
 def test_json_infinity_for_integer_key_rejected(tmp_path):

@@ -1,12 +1,13 @@
-"""Gait tests: cycloid, leg IK, the actuation map, joint tracking."""
+"""Gait tests: cycloid, leg IK, the actuation map of the controller, joint
+tracking."""
 
 import math
 
 import numpy as np
 import pytest
 
+from sandwalk import sim
 from sandwalk.gait import (
-    ACTUATION,
     GaitConfig,
     Gains,
     Side,
@@ -28,29 +29,34 @@ def leg_fk(l_t, l_c, thigh, calf):
     )
 
 
-def sagittal_matrix(stance):
-    """The 6x5 matrix S with q_a = S q_s, q_s = (stance thigh, stance calf,
-    swing thigh, swing calf, trunk) absolute; the hip rows are zero."""
-    s = np.zeros((6, 5))
-    st_t, st_c, sw_t, sw_c = (1, 2, 4, 5) if stance is Side.LEFT else (4, 5, 1, 2)
-    for thigh, calf, leg in ((st_t, st_c, 0), (sw_t, sw_c, 2)):
-        s[thigh, leg], s[thigh, 4] = 1.0, -1.0  # thigh minus trunk
-        s[calf, leg + 1], s[calf, leg] = 1.0, -1.0  # calf minus thigh
-    return s
+# The 6x5 matrix S with q_a = S q_s for the actuators in stance-first order
+# (stance hip, thigh, calf, swing hip, thigh, calf) and q_s = (stance thigh,
+# stance calf, swing thigh, swing calf, trunk) absolute, the same for both
+# stance sides; the hip rows are zero.
+SAGITTAL_MAP = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0, -1.0],   # thigh minus trunk
+    [-1.0, 1.0, 0.0, 0.0, 0.0],   # calf minus thigh
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, -1.0],
+    [0.0, 0.0, -1.0, 1.0, 0.0],
+])
 
 
-def table_angles(stance, q_s, hips=(0.0, 0.0)):
-    """q_a of the table from the five sagittal angles and the (stance, swing)
-    hip angles."""
-    x = [*q_s, *hips, 0.0]
-    return np.array([x[i] - x[k] for i, k in ACTUATION[stance][0]])
-
-
-def table_torques(stance, tau_a):
-    """Torques on the four actuated sagittal angles from the table's rows."""
-    st_t, st_c, sw_t, sw_c = ACTUATION[stance][1]
-    return np.array([tau_a[st_t] - tau_a[st_c], tau_a[st_c],
-                     tau_a[sw_t] - tau_a[sw_c], tau_a[sw_c]])
+def controlled(side, rng, trunk_rate=True, hip_rates=True):
+    """The stacked state of the default config's start, on a ``side``
+    stance, with random sagittal rates (the trunk's only if ``trunk_rate``)
+    and, if ``hip_rates``, random frontal rates; and ``sim._control``'s
+    output there (torques, measured actuator rates, tau_s, tau_f)."""
+    cfg = sim.SimConfig()
+    ws = sim.initial_state(cfg)
+    ws.stance = side
+    y = np.array(ws.y)
+    y[:5] += rng.uniform(-0.3, 0.3, 5)
+    y[12:17] = rng.uniform(-3.0, 3.0, 5) * [1, 1, 1, 1, trunk_rate]
+    y[19:22] = rng.uniform(-2.0, 2.0, 3) * hip_rates
+    ws.y = y.tolist()
+    return y, sim._control(ws, cfg)
 
 
 def test_cycloid_endpoints_and_apex():
@@ -117,49 +123,43 @@ def test_ik_knee_backward_branch():
 
 
 def test_sagittal_map_linearity_and_constance():
-    # the table's angle map is q_a = S q_s at any configuration, and the hip
-    # rows read the (stance, swing) hips at the table's hip indices
+    # the controller's measured actuator rates are dq_a = S dq_s on either
+    # stance side, with the (stance, swing) hip rates -p1' + p2' and
+    # -p2' + p3' in rows 0 and 3
     rng = np.random.default_rng(22)
     for side in (Side.LEFT, Side.RIGHT):
-        s = sagittal_matrix(side)
-        i_st, i_sw = ACTUATION[side][2]
-        assert {i_st, i_sw} == {0, 3} and not s[[i_st, i_sw]].any()
         for _ in range(100):
-            q_s, hips = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 2)
-            q_a = table_angles(side, q_s, hips)
-            expected = s @ q_s
-            expected[[i_st, i_sw]] = hips
-            assert np.abs(q_a - expected).max() < 1e-15
+            y, (_, dq_a, _, _) = controlled(side, rng)
+            expected = SAGITTAL_MAP @ y[12:17]
+            expected[[0, 3]] = -y[19] + y[20], -y[20] + y[21]
+            assert np.abs(np.array(dq_a) - expected).max() < 1e-15
 
 
 def test_sagittal_roundtrip():
-    # the thigh and calf rows of the table's q_a and the trunk give back the
-    # five angles, and the table's torque rows are S^T tau_a on the actuated
-    # angles (the trunk row is not actuated)
+    # the thigh and calf rows of the controller's dq_a and the trunk rate give
+    # back the five sagittal rates, and its tau_s is S^T tau_a on the
+    # actuated angles (the trunk row is not actuated)
     rng = np.random.default_rng(23)
+    rows = [1, 2, 4, 5]  # the thighs and calves
     for side in (Side.LEFT, Side.RIGHT):
-        s = sagittal_matrix(side)
-        rows = list(ACTUATION[side][1])
         for _ in range(100):
-            q_s = rng.uniform(-1, 1, 5)
-            back = np.linalg.solve(np.vstack([s[rows], np.eye(5)[4]]),
-                                   [*table_angles(side, q_s)[rows], q_s[4]])
-            assert np.abs(back - q_s).max() < 1e-12
-            tau_a = rng.uniform(-10, 10, 6)
-            assert np.abs(table_torques(side, tau_a) - (s.T @ tau_a)[:4]).max() < 1e-12
+            y, (tau_a, dq_a, tau_s, _) = controlled(side, rng)
+            back = np.linalg.solve(np.vstack([SAGITTAL_MAP[rows], np.eye(5)[4]]),
+                                   [*np.array(dq_a)[rows], y[16]])
+            assert np.abs(back - y[12:17]).max() < 1e-12
+            assert np.abs(np.array(tau_s) - (SAGITTAL_MAP.T @ tau_a)[:4]).max() < 1e-12
 
 
 def test_power_invariance_on_actuated_subspace():
+    # with the trunk held and the hips at rest, the controller's actuator
+    # power equals the power of tau_s on the four actuated sagittal rates
     rng = np.random.default_rng(24)
     for side in (Side.LEFT, Side.RIGHT):
         for _ in range(100):
-            tau_a = rng.uniform(-10, 10, 6)
-            dq_s = rng.uniform(-3, 3, 5)
-            dq_s[4] = 0.0  # actuated subspace: trunk held
-            dq_a = table_angles(side, dq_s)
-            tau_s = table_torques(side, tau_a)
-            assert tau_a @ dq_a == pytest.approx(tau_s @ dq_s[:4], rel=1e-12,
-                                                 abs=1e-12)
+            y, (tau_a, dq_a, tau_s, _) = controlled(side, rng, trunk_rate=False,
+                                                    hip_rates=False)
+            assert np.dot(tau_a, dq_a) == pytest.approx(np.dot(tau_s, y[12:16]), rel=1e-12,
+                                                        abs=1e-12)
 
 
 def test_frontal_hip_relations():

@@ -29,7 +29,7 @@ from sandwalk.gait import Gains
 from sandwalk.metrics import cot, settle_time
 
 from test_dynamics import frontal_matrices, integrate_free, sagittal_matrices
-from test_gait import leg_fk, sagittal_matrix
+from test_gait import SAGITTAL_MAP, leg_fk
 
 
 def run_cfg(**kw):
@@ -810,16 +810,19 @@ def test_trajectory_csv_header_only_loads_without_warning(tmp_path):
 
 @pytest.mark.parametrize("stance", list(gt.Side))
 def test_control_tables_match_gait_maps(stance):
-    # the controller's use of the actuation table against the matrix S of
-    # the gait tests: q_a = S q_s with the hips in their rows, tau_s = S^T tau
+    # the controller against the matrix S of the gait tests, the same for
+    # both stance sides in stance-first order: q_a = S q_s with the hips in
+    # rows 0 and 3, tau_s = S^T tau, tau_f from the hip rows, and the PD gains
+    # of the side in stance-first order
     cfg = build_config({})
     rng = np.random.default_rng(3)
-    s = sagittal_matrix(stance)
-    hip_rows = gt.ACTUATION[stance][2]
+    gains = cfg._gains[stance]
+    assert (gains.kp, gains.kd) == (sim._physical(cfg.gains.kp, stance),
+                                    sim._physical(cfg.gains.kd, stance))
 
     def actuation(q_s, hips):
-        q_a = s @ q_s
-        q_a[list(hip_rows)] = hips
+        q_a = SAGITTAL_MAP @ q_s
+        q_a[[0, 3]] = hips
         return q_a
 
     for _ in range(50):
@@ -837,11 +840,40 @@ def test_control_tables_match_gait_maps(stance):
         expected_dq_a = actuation(y[12:17], (-dp[0] + dp[1], -dp[1] + dp[2]))
         expected_tau = gt.track_joints(
             actuation(refs, sim._HIP_POSTURE), actuation(rates, (0.0, 0.0)),
-            actuation(y[:5], gt.frontal_to_hip_angles(y[7:10])), expected_dq_a, cfg.gains)
+            actuation(y[:5], gt.frontal_to_hip_angles(y[7:10])), expected_dq_a, gains)
         assert np.allclose(dq_a, expected_dq_a, rtol=0.0, atol=1e-12)
         assert np.allclose(tau, expected_tau, rtol=0.0, atol=1e-9)
-        assert np.allclose(tau_s, (s.T @ tau)[:4], rtol=0.0, atol=1e-12)
-        assert tau_f == gt.hip_torques_to_frontal(tau[hip_rows[0]], tau[hip_rows[1]])
+        assert np.allclose(tau_s, (SAGITTAL_MAP.T @ tau)[:4], rtol=0.0, atol=1e-12)
+        assert tau_f == gt.hip_torques_to_frontal(tau[0], tau[3])
+
+
+@pytest.mark.parametrize("stance", list(gt.Side))
+def test_one_physical_gain_moves_only_its_joint(stance):
+    # the gains and the record's tau_a1..tau_a6 are in physical order, the
+    # controller in stance-first order: a changed gain of one physical joint
+    # changes the PD torque of that joint alone, on either stance side (the
+    # default gains are left/right symmetric, so only this shows a missing
+    # swap).  On rigid ground the record's thigh and calf torques are those
+    # PD torques; its hip torques carry the crossbar holding demand.
+    cfg = build_config({"sim.terrain_mode": "rigid"})
+    ws = sim.initial_state(cfg)
+    ws.stance = stance
+    y = np.array(ws.y)
+    y[:4] += [0.02, -0.03, 0.04, -0.05]
+    y[7:10] += [0.01, -0.02, 0.03]
+    ws.y = y.tolist()
+    tau_a = sim.SIM_RECORD_FIELDS.index("tau_a1")
+    base_tau = sim._physical(sim._control(ws, cfg)[0], stance)
+    base_record = np.array(_step(ws, cfg)[1])[tau_a:tau_a + 6]
+    for joint in range(6):
+        kp = list(cfg.gains.kp)
+        kp[joint] *= 1.5
+        changed = dataclasses.replace(cfg, gains=Gains(kp=kp))
+        tau = sim._physical(sim._control(ws, changed)[0], stance)
+        assert [i for i in range(6) if tau[i] != base_tau[i]] == [joint]
+        if joint % 3:  # a thigh or calf motor
+            record = np.array(_step(ws, changed)[1])[tau_a:tau_a + 6]
+            assert np.flatnonzero(record != base_record).tolist() == [joint]
 
 
 # offsets of the state's parts in WalkerState.y
