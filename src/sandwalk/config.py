@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
 from operator import attrgetter
 
 from . import dynamics as dyn
@@ -146,12 +145,10 @@ def build_config(flat: dict) -> simulation.SimConfig:
         terrain = tr.TerrainParams(**parts["terrain"])
         sagittal = dyn.SagittalParams(**parts["sagittal"])
         gains = gt.Gains(**parts["gains"])
-        cfg = simulation.SimConfig(
-            **parts[""], gait=gait, terrain=terrain, sagittal=sagittal, gains=gains)
-        if parts["frontal"]:
-            frontal = simulation.derived_frontal(sagittal, cfg.foot_radius, **parts["frontal"])
-            cfg = replace(cfg, frontal=frontal)
-        return cfg
+        return simulation.SimConfig(
+            **parts[""], gait=gait, terrain=terrain, sagittal=sagittal, gains=gains,
+            # SimConfig derives the frontal model with these keys over it
+            frontal=simulation._DerivedFrontal(overrides=parts["frontal"]))
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 

@@ -144,7 +144,7 @@ def resample_stance(
     grid = np.linspace(0.0, 1.0, n_points)
     profiles = []
     last = steps.max(initial=0)  # 0 for a trajectory without rows
-    for k in np.unique(steps):
+    for k in sorted(set(steps.tolist())):
         if k < 1 or k == last:
             continue  # the settle-in stance and the trailing fragment
         sel = steps == k

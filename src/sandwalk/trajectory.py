@@ -62,8 +62,9 @@ def check_memory(steps: int, records: int) -> None:
     except (AttributeError, ValueError, OSError):  # a platform that cannot say
         return
     if 8 * (len(SIM_RECORD_FIELDS) * records + len(STEP_FIELDS) * steps) > memory:
-        what = f"{records} records" if records else "step samples"
-        raise ValueError(f"the {what} of a {steps}-step run do not fit in memory")
+        # up to 15 digits in full, a longer count as 1e+303
+        what = f"{float(records):.15g} records" if records else "step samples"
+        raise ValueError(f"the {what} of a {float(steps):.15g}-step run do not fit in memory")
 
 
 #: One trajectory row, with ``stance_leg`` as "left"/"right" and

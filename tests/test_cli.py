@@ -414,6 +414,19 @@ def test_step_count_past_float_range_is_an_input_error(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, what", [(["simulate"], "1e+303 records"),
+                                           (["sweep"], "step samples")])
+def test_memory_error_writes_a_long_step_count_in_scientific_notation(
+        tmp_path, capsys, command, what):
+    # 1e300 s at 1 ms is a 304-digit step count; a count of more than 15
+    # digits is written as a float
+    out = tmp_path / "out"
+    assert main([*command, "--set", "sim.duration=1e300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: the {what} of a 1e+303-step run do not fit "
+                                       "in memory\n")
+    assert not out.exists()
+
+
 def test_sweep_step_too_small_for_memory_fails_before_its_first_step(tmp_path):
     # a sweep run logs no record, so its records allocate nothing; 2.4e12
     # steps of step samples (96 TB) are checked against the host's memory
@@ -429,6 +442,40 @@ def test_sweep_step_too_small_for_memory_fails_before_its_first_step(tmp_path):
     assert done.stderr == ("error: the step samples of a 2400000000000-step run do not fit "
                            "in memory\n")
     assert not out.exists()
+
+
+_IMPORT_CHECK = """
+import json, sys
+from sandwalk import child, cli, metrics, sim
+out, unused = sys.argv[1], {"numpy.random", "numpy.ma"}
+for terrain in ("granular", "rigid"):
+    assert cli.main(["simulate", "--terrain", terrain, "--set", "sim.duration=0.8",
+                     "--out", f"{out}/{terrain}"]) == 0
+assert cli.main(["compare", f"{out}/granular/trajectory.csv", f"{out}/rigid/trajectory.csv",
+                 "--out", f"{out}/compared"]) == 0
+assert cli.main(["sweep", "--jobs", "2", "--repeats", "1", "--velocities", "0.2",
+                 "--set", "sim.duration=0.8", "--out", f"{out}/sweep"]) == 0
+loaded = sorted(unused & set(sys.modules))
+
+def run_and_resample(inbox):
+    metrics.resample_stance(sim.run(sim.SimConfig(duration=0.8)), ["f_z"])
+    return sorted(unused & set(sys.modules))
+
+with child.Child("import check", run_and_resample, errors=()) as worker:
+    print(json.dumps([loaded, worker.result()]))
+"""
+
+
+def test_commands_import_neither_numpy_random_nor_numpy_ma(tmp_path):
+    # a fresh interpreter: simulate, compare and sweep, the caller and a
+    # forked child that runs a step and the stance resampling, import
+    # neither numpy submodule (each costs a process milliseconds and MiB)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHECK, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sim.__file__))})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[[], []]"
 
 
 @pytest.mark.parametrize("fields", [",", "", " , "])

@@ -77,8 +77,15 @@ def test_replace_derives_the_frontal_model_of_the_new_robot():
     assert replaced == built and hash(replaced) == hash(built)
     assert (replaced.frontal.m_b, replaced.frontal.l_1) == (7.0, built.frontal.l_1)
     assert sim.run(replaced).data.tobytes() == sim.run(built).data.tobytes()
-    # one that a key set keeps every value
-    explicit = build_config({"frontal.b": 0.11})
+    # the frontal.* keys that were set keep their values over the model
+    # derived from the new robot, as when the config is built with both
+    replaced = dataclasses.replace(build_config({"frontal.b": 0.11}),
+                                   sagittal=SagittalParams(m_b=7.0))
+    built = build_config({"frontal.b": 0.11, "robot.m_b": 7.0})
+    assert (replaced.frontal.m_b, replaced.frontal.b) == (7.0, 0.11)
+    assert replaced == built and flatten_config(replaced) == flatten_config(built)
+    # a model passed whole keeps every value
+    explicit = SimConfig(frontal=FrontalParams(b=0.11))
     assert dataclasses.replace(explicit, sagittal=SagittalParams(m_b=7.0)).frontal \
         == explicit.frontal
 

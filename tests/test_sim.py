@@ -1379,6 +1379,16 @@ def test_initial_rates_are_the_right_difference():
     assert ws.y[16] == 0.0  # dq_s[4]
 
 
+@pytest.mark.parametrize("amplitude", [2e-3, 0.0])
+def test_jitter_draw_is_numpys_default_rng_uniform(amplitude):
+    # the jitter is drawn in Python so that a run imports no numpy.random;
+    # the draws must be numpy's, bit for bit, at every seed width
+    for seed in (*range(1000), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**30):
+        expected = np.random.default_rng(seed).uniform(-amplitude, amplitude, 4).tolist()
+        drawn = sim._uniform(seed, -amplitude, amplitude, 4)
+        assert [x.hex() for x in drawn] == [x.hex() for x in expected], seed
+
+
 def test_merged_wedge_force_equals_two_face_blend():
     # one forward-face evaluation against the blend of both faces it replaced
     cfg = build_config({})
