@@ -65,7 +65,7 @@ CONFIG_KEYS: dict[str, tuple[str, str]] = {
     "frontal.d_1": ("frontal.d_1", "contact to stance-leg CoM [m]"),
     "frontal.d_2": ("frontal.d_2", "swing hip to swing-leg CoM [m]"),
     "frontal.b": ("frontal.b", "hip spacing [m]"),
-    "control.torque_limit": ("gains.torque_limit", "actuator torque saturation [N m]"),
+    "control.torque_limit": ("torque_limit", "actuator torque saturation [N m]"),
 }
 
 # the one key whose file value (degrees) differs from its field (radians)
@@ -131,9 +131,9 @@ def _parse_json(path) -> dict:
 def build_config(flat: dict) -> simulation.SimConfig:
     """SimConfig from a validated flat key dict (missing keys -> defaults).
 
-    Unset frontal keys are derived from the robot keys (derived_frontal).
+    Unset frontal keys are derived from the robot keys (see SimConfig).
     """
-    parts = {part: {} for part in ("", "gait", "terrain", "sagittal", "frontal", "gains")}
+    parts = {part: {} for part in ("", "gait", "terrain", "sagittal", "frontal")}
     for key, value in flat.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
@@ -144,11 +144,9 @@ def build_config(flat: dict) -> simulation.SimConfig:
         gait = gt.GaitConfig(**parts["gait"])
         terrain = tr.TerrainParams(**parts["terrain"])
         sagittal = dyn.SagittalParams(**parts["sagittal"])
-        gains = gt.Gains(**parts["gains"])
         return simulation.SimConfig(
-            **parts[""], gait=gait, terrain=terrain, sagittal=sagittal, gains=gains,
-            # SimConfig derives the frontal model with these keys over it
-            frontal=simulation._DerivedFrontal(overrides=parts["frontal"]))
+            **parts[""], gait=gait, terrain=terrain, sagittal=sagittal,
+            frontal_keys=tuple(parts["frontal"].items()))
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 

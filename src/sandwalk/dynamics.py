@@ -48,7 +48,7 @@ def check_ranges(params, positive=(), non_negative=(), bounded=()) -> None:
 
     Every named field that is +-inf fails first, with "<name> must be
     finite"; ``bounded`` fields get only that check, the caller tests the
-    rest of their range.  None (an optional field left unset) passes.
+    rest of their range.
     """
     for name in (*positive, *non_negative, *bounded):
         v = getattr(params, name)
@@ -58,14 +58,14 @@ def check_ranges(params, positive=(), non_negative=(), bounded=()) -> None:
         if not getattr(params, name) > 0.0:
             raise ValueError(f"{name} must be strictly positive")
     for name in non_negative:
-        v = getattr(params, name)
-        if v is not None and not v >= 0.0:
+        if not getattr(params, name) >= 0.0:
             raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
 class SagittalParams:
-    """Masses, geometry and inertias of the sagittal five-link model."""
+    """Masses and geometry of the sagittal five-link model.  The links are
+    slender rods, the trunk 2 l_b long."""
 
     m_b: float = 5.0   # trunk mass [kg]
     m_t: float = 1.0   # thigh mass [kg]
@@ -75,16 +75,10 @@ class SagittalParams:
     l_b: float = 0.15  # hip to trunk CoM [m]
     a_1: float = 0.07  # hip to thigh CoM [m]
     a_2: float = 0.13  # knee to calf CoM [m]
-    # Rotational inertias about each link CoM; None selects the slender-rod
-    # value m l^2 / 12.  Zero reproduces the pure point-mass intrusion rows.
-    i_b: float | None = None
-    i_t: float | None = None
-    i_c: float | None = None
     g: float = 9.81
 
     def __post_init__(self) -> None:
-        check_ranges(self, ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2", "g"),
-                     ("i_b", "i_t", "i_c"))
+        check_ranges(self, ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2", "g"))
         if self.a_1 > self.l_t:
             raise ValueError("a_1 must not exceed the thigh length")
         if self.a_2 > self.l_c:
@@ -100,32 +94,21 @@ class SagittalParams:
         """Trunk plus both legs."""
         return self.m_b + 2.0 * self.m_t + 2.0 * self.m_c
 
-    @property
-    def inertia_b(self) -> float:
-        return self.i_b if self.i_b is not None else _rod_inertia(self.m_b, 2 * self.l_b)
-
-    @property
-    def inertia_t(self) -> float:
-        return self.i_t if self.i_t is not None else _rod_inertia(self.m_t, self.l_t)
-
-    @property
-    def inertia_c(self) -> float:
-        return self.i_c if self.i_c is not None else _rod_inertia(self.m_c, self.l_c)
-
     @cached_property
     def _constants(self):
         """Configuration-independent terms: the constant diagonal of D as
         floats, the lever arms k1 (thigh), k2 (calf), kb (trunk), k12 (knee
         coupling) and the riding weight M_s g."""
         m_s = self.total_riding_mass
+        i_t, i_c = _rod_inertia(self.m_t, self.l_t), _rod_inertia(self.m_c, self.l_c)
         diag = tuple(float(d) for d in (
-            self.m_t * self.a_1 ** 2 + self.m_c * self.l_t ** 2 + self.inertia_t,
-            self.m_c * self.a_2 ** 2 + self.inertia_c,
+            self.m_t * self.a_1 ** 2 + self.m_c * self.l_t ** 2 + i_t,
+            self.m_c * self.a_2 ** 2 + i_c,
             # swing links enter as pivoting inertias about their suspension
             # points, without reaction on the contact coordinates
-            self.inertia_t + self.m_t * self.a_1 ** 2,
-            self.inertia_c + self.m_c * self.a_2 ** 2,
-            self.m_b * self.l_b ** 2 + self.inertia_b,
+            i_t + self.m_t * self.a_1 ** 2,
+            i_c + self.m_c * self.a_2 ** 2,
+            self.m_b * self.l_b ** 2 + _rod_inertia(self.m_b, 2 * self.l_b),
             m_s, m_s,
         ))
         return (diag, self.m_t * self.a_1 + self.m_c * self.l_t, self.m_c * self.a_2,

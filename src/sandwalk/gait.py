@@ -3,8 +3,8 @@
 The six joint motors are relative angles: thigh motors measure
 thigh-absolute minus trunk-absolute, calf (knee) motors calf-absolute minus
 thigh-absolute, and the two hip motors live in the frontal plane.  Their
-physical order is ``[hip_L, thigh_L, calf_L, hip_R, thigh_R, calf_R]``;
-``Gains`` holds its entries in that order.
+physical order is ``[hip_L, thigh_L, calf_L, hip_R, thigh_R, calf_R]``.
+Both legs take the PD gains ``KP`` and ``KD`` per (hip, thigh, calf).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .dynamics import check_ranges
 __all__ = [
     "Side",
     "GaitConfig",
-    "Gains",
+    "KP",
+    "KD",
     "UnreachableTargetError",
     "cycloid_swing",
     "leg_ik",
@@ -72,27 +73,9 @@ class GaitConfig:
         return self.v_target * self.stance_duration
 
 
-@dataclass(frozen=True)
-class Gains:
-    """Per-joint PD gains and torque limit for the six actuators."""
-
-    kp: tuple[float, ...] = (400.0, 120.0, 50.0, 400.0, 120.0, 50.0)
-    kd: tuple[float, ...] = (20.0, 4.0, 1.5, 20.0, 4.0, 1.5)
-    torque_limit: float = 60.0
-
-    def __post_init__(self) -> None:
-        # any six numbers, stored as a tuple of Python floats
-        kp, kd = tuple(map(float, self.kp)), tuple(map(float, self.kd))
-        if len(kp) != 6 or len(kd) != 6:
-            raise ValueError("gain vectors must have six entries")
-        for name, gains in (("kp", kp), ("kd", kd)):
-            if not all(map(math.isfinite, gains)):
-                raise ValueError(f"{name} must be finite")
-        if not all(g > 0.0 for g in kp + kd):
-            raise ValueError("gains must be strictly positive")
-        check_ranges(self, ("torque_limit",))
-        object.__setattr__(self, "kp", kp)
-        object.__setattr__(self, "kd", kd)
+#: PD gains of each leg's (hip, thigh, calf) actuators [N m/rad], [N m s/rad]
+KP = (400.0, 120.0, 50.0)
+KD = (20.0, 4.0, 1.5)
 
 
 def cycloid_swing(phase: float, step_length: float, swing_height: float):
@@ -152,13 +135,12 @@ def frontal_torques_to_hips(tau_f2: float, tau_f3: float) -> tuple[float, float]
     return tau_f2 + tau_f3, tau_f3
 
 
-def track_joints(q_ref, dq_ref, q, dq, gains: Gains) -> list[float]:
-    """PD joint tracking torque of the six actuators, saturated at the
-    configured limit; a NaN torque stays NaN."""
-    limit = gains.torque_limit
+def track_joints(q_ref, dq_ref, q, dq, kp, kd, limit: float) -> list[float]:
+    """PD joint tracking torque of each actuator, with its gains ``kp`` and
+    ``kd``, saturated at the positive ``limit``; a NaN torque stays NaN."""
     tau = []
-    for r, dr, x, v, kp, kd in zip(q_ref, dq_ref, q, dq, gains.kp, gains.kd):
-        t = kp * (r - x) + kd * (dr - v)
+    for r, dr, x, v, p, d in zip(q_ref, dq_ref, q, dq, kp, kd):
+        t = p * (r - x) + d * (dr - v)
         # min(max(t, -limit), limit) for the positive limit, without the calls
         tau.append(limit if t > limit else -limit if t < -limit else t)
     return tau

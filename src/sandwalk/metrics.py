@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import sim as simulation
 from .child import Child, Counter
 from .config import ConfigError
+from .dynamics import check_ranges
 from .trajectory import check_memory
 
 __all__ = [
@@ -70,8 +72,7 @@ class SweepRow:
 
 def dimensionless_velocity(v: float, h_com: float, g: float = 9.81) -> float:
     """Forward speed normalized by sqrt(g h_CoM)."""
-    if h_com <= 0.0 or g <= 0.0:
-        raise ValueError("h_com and g must be strictly positive")
+    check_ranges(SimpleNamespace(h_com=h_com, g=g), ("h_com", "g"))
     return v / math.sqrt(g * h_com)
 
 

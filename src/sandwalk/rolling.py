@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .dynamics import check_ranges
+
 __all__ = [
     "FootShape",
     "ContactOutsideSoleError",
@@ -40,9 +42,8 @@ class FootShape:
     """Semicylindrical sole of a given radius, apex at the origin."""
 
     def __init__(self, radius: float):
-        if radius <= 0.0:
-            raise ValueError("radius must be strictly positive")
         self.radius = float(radius)
+        check_ranges(self, ("radius",))
 
     def value(self, x: float) -> float:
         """Sole height z_r = S(x_r) above the apex."""

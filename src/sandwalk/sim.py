@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import mul
 
@@ -35,7 +35,6 @@ from .trajectory import (_BLOCK, _LEG_NAMES, SIM_RECORD_FIELDS, STEP_FIELDS, Tra
 
 __all__ = [
     "SimConfig",
-    "derived_frontal",
     "WalkerState",
     "DivergenceError",
     "detect_touchdown",
@@ -53,8 +52,18 @@ class DivergenceError(RuntimeError):
         self.detail = detail
 
 
+# the frontal model's values that a frontal.* key sets
+_FRONTAL_KEYS = frozenset(("m_1", "m_2", "l_1", "d_1", "d_2", "b"))
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """A run's settings, each set by one configuration key.  The frontal model
+    is derived from the robot (each leg weighs m_t + m_c, the stance leg
+    reaches l_t + l_c + foot_radius with its CoM at mid-leg) with the values
+    in ``frontal_keys``, the (name, value) pairs of the frontal.* keys that
+    were set, over it; ``replace`` derives it anew from the new robot."""
+
     dt: float = 1e-3
     duration: float = 2.4
     integrator: str = "semi_implicit"      # or "rk4"
@@ -65,20 +74,24 @@ class SimConfig:
     foot_radius: float = 0.04
     h_com: float = 0.40                    # CoM height used for dimensionless speed [m]
     r_eff_cap: float = 10.0                # effective-radius saturation for logs [m]
+    torque_limit: float = 60.0             # actuator torque saturation [N m]
     gait: gt.GaitConfig = field(default_factory=gt.GaitConfig)
     terrain: tr.TerrainParams = field(default_factory=tr.TerrainParams)
     sagittal: dyn.SagittalParams = field(default_factory=dyn.SagittalParams)
-    frontal: dyn.FrontalParams | None = None  # None: derived from sagittal
-    gains: gt.Gains = field(default_factory=gt.Gains)
+    frontal_keys: tuple[tuple[str, float], ...] = field(default=(), compare=False)
+    frontal: dyn.FrontalParams = field(init=False)
 
     def __post_init__(self) -> None:
-        dyn.check_ranges(self, ("dt", "foot_radius", "h_com", "r_eff_cap"),
+        dyn.check_ranges(self, ("dt", "foot_radius", "h_com", "r_eff_cap", "torque_limit"),
                          ("initial_jitter", "seed"), bounded=("duration",))
-        if self.frontal is None or type(self.frontal) is _DerivedFrontal:
-            overrides = getattr(self.frontal, "overrides", {})
-            frontal = derived_frontal(self.sagittal, self.foot_radius, **overrides)
-            object.__setattr__(self, "frontal",
-                               _DerivedFrontal(**asdict(frontal), overrides=overrides))
+        keys = dict(self.frontal_keys)
+        if not keys.keys() <= _FRONTAL_KEYS:
+            raise ValueError(f"frontal_keys may set only {', '.join(sorted(_FRONTAL_KEYS))}")
+        p = self.sagittal
+        leg_mass, leg_length = p.m_t + p.m_c, p.l_t + p.l_c
+        object.__setattr__(self, "frontal", dyn.FrontalParams(**{
+            "m_b": p.m_b, "m_1": leg_mass, "m_2": leg_mass,
+            "l_1": leg_length + self.foot_radius, "d_1": 0.5 * leg_length, "g": p.g, **keys}))
         if not self.duration >= self.gait.cycle_period:
             raise ValueError("duration must cover at least one gait cycle")
         if not math.isfinite(self.duration / self.dt):
@@ -94,13 +107,6 @@ class SimConfig:
     def steps(self) -> int:
         """The run's step count, duration / dt rounded."""
         return int(round(self.duration / self.dt))
-
-    @cached_property
-    def _gains(self):
-        """The PD gains of each stance side in stance-first order."""
-        g = self.gains
-        return {side: replace(g, kp=_physical(g.kp, side), kd=_physical(g.kd, side))
-                for side in gt.Side}
 
     @cached_property
     def _links(self):
@@ -126,28 +132,6 @@ class SimConfig:
         half_step = 0.5 * self.gait.step_length
         land_z = self.terrain.sand_level + self.foot_radius
         return leg, r_nom, -half_step, half_step, land_z, land_z + r_nom
-
-
-@dataclass(frozen=True)
-class _DerivedFrontal(dyn.FrontalParams):
-    """A frontal model that ``SimConfig`` derived from its robot, with the
-    values in ``overrides`` (the ``frontal.*`` keys that were set) over it;
-    ``replace`` derives it anew from the new robot and the same overrides."""
-
-    overrides: dict = field(default_factory=dict, compare=False, repr=False)
-
-
-def derived_frontal(
-    sagittal: dyn.SagittalParams, foot_radius: float, **overrides
-) -> dyn.FrontalParams:
-    """Frontal-plane parameters of the same robot: each leg weighs m_t + m_c,
-    the stance leg reaches l_t + l_c + foot_radius with its CoM at mid-leg.
-    ``overrides`` replace individual derived values."""
-    leg_mass = sagittal.m_t + sagittal.m_c
-    leg_length = sagittal.l_t + sagittal.l_c
-    derived = dict(m_b=sagittal.m_b, m_1=leg_mass, m_2=leg_mass,
-                   l_1=leg_length + foot_radius, d_1=0.5 * leg_length, g=sagittal.g)
-    return dyn.FrontalParams(**{**derived, **overrides})
 
 
 @dataclass
@@ -322,12 +306,14 @@ def _model_refs(ws: WalkerState, cfg: SimConfig, t: float):
 # the held frontal posture (lean, crossbar) and its hip actuator angles
 _FRONTAL_POSTURE = (0.0, math.pi / 2.0)
 _HIP_POSTURE = gt.frontal_to_hip_angles((*_FRONTAL_POSTURE, 0.0))
+# the PD gains of the six actuators, the same on either leg
+_KP, _KD = gt.KP * 2, gt.KD * 2
 
 
 def _physical(v, stance: gt.Side):
     """Six actuator values in stance-first order (stance hip, thigh, calf,
-    swing hip, thigh, calf) in the physical order of ``gt.Gains``, and back:
-    a right stance swaps the halves."""
+    swing hip, thigh, calf) in the physical order of the record's
+    ``tau_a1..tau_a6``: a right stance swaps the halves."""
     return v if stance is gt.Side.LEFT else (*v[3:], *v[:3])
 
 
@@ -345,7 +331,7 @@ def _control(ws: WalkerState, cfg: SimConfig):
         (_HIP_POSTURE[0], st_t - trunk, st_c - st_t, _HIP_POSTURE[1], sw_t - trunk, sw_c - sw_t),
         (0.0, dst_t - d_trunk, dst_c - dst_t, 0.0, dsw_t - d_trunk, dsw_c - dsw_t),
         (hip_st, y[0] - y[4], y[1] - y[0], hip_sw, y[2] - y[4], y[3] - y[2]),
-        dq_a, cfg._gains[ws.stance])
+        dq_a, _KP, _KD, cfg.torque_limit)
     _, t1, t2, _, t4, t5 = tau
     return tau, dq_a, (t1 - t2, t2, t4 - t5, t5), gt.hip_torques_to_frontal(tau[0], tau[3])
 
@@ -488,15 +474,13 @@ def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
 
 def _ode_step(method: str, y: list, acc, dt: float) -> list:
     """One step of q'' = acc(y) on the stacked state y = (q, dq), a list of
-    floats: symplectic Euler or classical RK4 on the rate f(y) = (dq,
-    acc(y)), with ``acc`` returning a list.  Each entry meets the operations
-    of the separate q and dq updates, in their order."""
+    floats: symplectic Euler ("semi_implicit") or else classical RK4 on the
+    rate f(y) = (dq, acc(y)), with ``acc`` returning a list.  Each entry
+    meets the operations of the separate q and dq updates, in their order."""
     n = len(y) // 2
     if method == "semi_implicit":
         dq = [v + a * dt for v, a in zip(y[n:], acc(y))]
         return [x + v * dt for x, v in zip(y[:n], dq)] + dq
-    if method != "rk4":
-        raise ValueError(f"unknown integrator '{method}'")
 
     def f(y):
         return y[n:] + acc(y)

@@ -2,15 +2,18 @@
 out-of-range values are rejected when the configuration is built."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from sandwalk import sim
 from sandwalk.config import CONFIG_KEYS, ConfigError, build_config, flatten_config, load_config
 from sandwalk.dynamics import FrontalParams, SagittalParams
-from sandwalk.gait import GaitConfig, Gains
+from sandwalk.gait import GaitConfig
 from sandwalk.sim import SimConfig
 from sandwalk.terrain import TerrainParams
+
+from test_golden import EVERY_KEY, ROBOT_ONLY
 
 # NaN and +-inf for every float key, plus the ranges of keys that had no check
 BAD_VALUES = [(key, bad) for key, value in flatten_config(SimConfig()).items()
@@ -42,30 +45,52 @@ def test_bad_value_rejected_naming_the_field(key, value):
         load_config(None, [f"{key}={value}"])
 
 
-# every float and float-vector field of each configuration object, config
-# key or not
+# every float field of each configuration object
 FLOAT_FIELDS = [(cls, f.name)
-                for cls in (SimConfig, GaitConfig, Gains, TerrainParams, SagittalParams,
-                            FrontalParams)
-                for f in dataclasses.fields(cls) if "float" in str(f.type)]
+                for cls in (SimConfig, GaitConfig, TerrainParams, SagittalParams, FrontalParams)
+                for f in dataclasses.fields(cls) if f.init and f.type == "float"]
 
 
 @pytest.mark.parametrize("cls,field", FLOAT_FIELDS,
                          ids=[f"{cls.__name__}.{field}" for cls, field in FLOAT_FIELDS])
 @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
 def test_infinite_field_rejected_when_built_directly(cls, field, value):
-    if "tuple" in str(cls.__dataclass_fields__[field].type):  # the six-entry gain vectors
-        value = (value,) * 6
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         cls(**{field: value})
+
+
+def test_every_setting_is_one_configuration_key():
+    # each value field of SimConfig and of its gait, terrain and sagittal
+    # parts is set by exactly one key; the frontal.* keys set the frontal
+    # model through frontal_keys, which takes no other name
+    paths = []
+    for f in dataclasses.fields(SimConfig):
+        if f.name in ("gait", "terrain", "sagittal"):
+            paths += [f"{f.name}.{g.name}" for g in dataclasses.fields(f.default_factory)
+                      if g.init]
+        elif f.name == "frontal_keys":
+            paths += [f"frontal.{name}" for name in ("m_1", "m_2", "l_1", "d_1", "d_2", "b")]
+        elif f.init:
+            paths.append(f.name)
+    key_paths = Counter(path for path, _ in CONFIG_KEYS.values())
+    assert key_paths == Counter(paths) and set(key_paths.values()) == {1}
+    for flat in ({}, EVERY_KEY, ROBOT_ONLY):
+        cfg = build_config(flat)
+        assert build_config(flatten_config(cfg)) == cfg
+    with pytest.raises(ValueError, match="^frontal_keys may set only "):
+        SimConfig(frontal_keys=(("m_b", 3.0),))
 
 
 def test_configurations_compare_and_hash():
     cfg = SimConfig()
     assert cfg == SimConfig()
-    assert dataclasses.replace(cfg, gains=Gains()) == cfg
+    assert dataclasses.replace(cfg, torque_limit=60.0) == cfg
     assert hash(cfg) == hash(SimConfig())
-    assert dataclasses.replace(cfg, gains=Gains(kp=(1.0,) * 6)) != cfg
+    assert dataclasses.replace(cfg, torque_limit=50.0) != cfg
+    # a frontal.* key set to the derived value gives the same settings
+    same = SimConfig(frontal_keys=(("b", 0.12), ("m_1", 1.5)))
+    assert same == cfg and hash(same) == hash(cfg)
+    assert SimConfig(frontal_keys=(("b", 0.11),)) != cfg
 
 
 def test_replace_derives_the_frontal_model_of_the_new_robot():
@@ -84,10 +109,7 @@ def test_replace_derives_the_frontal_model_of_the_new_robot():
     built = build_config({"frontal.b": 0.11, "robot.m_b": 7.0})
     assert (replaced.frontal.m_b, replaced.frontal.b) == (7.0, 0.11)
     assert replaced == built and flatten_config(replaced) == flatten_config(built)
-    # a model passed whole keeps every value
-    explicit = SimConfig(frontal=FrontalParams(b=0.11))
-    assert dataclasses.replace(explicit, sagittal=SagittalParams(m_b=7.0)).frontal \
-        == explicit.frontal
+    assert hash(replaced) == hash(built)
 
 
 def test_json_infinity_for_integer_key_rejected(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sandwalk
-from sandwalk import sim
+from sandwalk import dynamics, sim
 from sandwalk.dynamics import (
     FrontalParams,
     SagittalParams,
@@ -152,9 +152,14 @@ def test_sagittal_rows_match_closed_forms():
     assert worst < 1e-9
 
 
-def test_rows_independent_of_rotational_inertia():
+def test_rows_independent_of_rotational_inertia(monkeypatch):
+    # point-mass links: a fresh parameter set builds its constants without
+    # the slender-rod inertias
+    monkeypatch.setattr(dynamics, "_rod_inertia", lambda mass, length: 0.0)
     rng = np.random.default_rng(8)
-    p0 = SagittalParams(i_b=0.0, i_t=0.0, i_c=0.0)
+    p0 = SagittalParams()
+    assert p0._constants[0][2:5] == (p0.m_t * p0.a_1 ** 2, p0.m_c * p0.a_2 ** 2,
+                                     p0.m_b * p0.l_b ** 2)
     q = rng.uniform(-1.0, 1.0, 7)
     dq = rng.uniform(-2.0, 2.0, 7)
     qdd = rng.uniform(-4.0, 4.0, 7)

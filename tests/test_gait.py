@@ -8,8 +8,9 @@ import pytest
 
 from sandwalk import sim
 from sandwalk.gait import (
+    KD,
+    KP,
     GaitConfig,
-    Gains,
     Side,
     UnreachableTargetError,
     cycloid_swing,
@@ -178,42 +179,30 @@ def test_frontal_hip_relations():
 
 
 def test_tracking_zero_error_and_saturation():
-    gains = Gains()
-    zero = track_joints(np.ones(6), np.zeros(6), np.ones(6), np.zeros(6), gains)
+    kp, kd, limit = KP * 2, KD * 2, 60.0
+    zero = track_joints(np.ones(6), np.zeros(6), np.ones(6), np.zeros(6), kp, kd, limit)
     assert np.allclose(zero, 0.0)
     sat = track_joints(np.full(6, 100.0), np.zeros(6), np.zeros(6), np.zeros(6),
-                       gains)
-    assert np.allclose(sat, gains.torque_limit)
-    with pytest.raises(ValueError):
-        Gains(kp=np.zeros(6))
+                       kp, kd, limit)
+    assert np.allclose(sat, limit)
     # the float loop equals the array form bit for bit, saturated and NaN
     # entries included
     rng = np.random.default_rng(4)
     for _ in range(200):
         q_ref, dq_ref, q, dq = rng.normal(0.0, [[0.5], [5.0], [0.5], [5.0]], (4, 6))
         q[rng.integers(6)] = math.nan
-        tau = track_joints(*(x.tolist() for x in (q_ref, dq_ref, q, dq)), gains)
-        expected = np.clip(gains.kp * (q_ref - q) + gains.kd * (dq_ref - dq),
-                           -gains.torque_limit, gains.torque_limit)
+        tau = track_joints(*(x.tolist() for x in (q_ref, dq_ref, q, dq)), kp, kd, limit)
+        expected = np.clip(np.array(kp) * (q_ref - q) + np.array(kd) * (dq_ref - dq),
+                           -limit, limit)
         assert np.array(tau).tobytes() == expected.tobytes()
         assert np.isnan(tau).sum() == 1
-
-
-def test_gains_hold_six_python_floats():
-    gains = Gains(kp=np.full(6, 8.0), kd=[1, 2, 3, 4, 5, 6])
-    assert gains.kp == (8.0,) * 6 and gains.kd == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    assert {type(g) for g in gains.kp + gains.kd} == {float}
-    with pytest.raises(ValueError, match="^gain vectors must have six entries$"):
-        Gains(kp=(1.0,) * 5)
-    with pytest.raises(ValueError, match="^kd must be finite$"):
-        Gains(kd=(1.0,) * 5 + (math.nan,))
 
 
 def test_step_response_matches_linear_system():
     """PD on a pure inertia tracks the closed-form second-order response."""
     inertia = 0.02
     kp, kd = 8.0, 0.4
-    gains = Gains(kp=np.full(6, kp), kd=np.full(6, kd), torque_limit=1e6)
+    gains = (6 * (kp,), 6 * (kd,), 1e6)  # kp and kd on every joint, no saturation
     q_ref = np.zeros(6)
     q_ref[1] = 0.3
     q = np.zeros(6)
@@ -232,13 +221,13 @@ def test_step_response_matches_linear_system():
 
     n = int(t_end / dt)
     for k in range(n):
-        tau = track_joints(q_ref, np.zeros(6), q, dq, gains)
+        tau = track_joints(q_ref, np.zeros(6), q, dq, *gains)
         ddq = tau[1] / inertia
         # rk4 on the single joint
         def f(x, v):
             t_ = track_joints(q_ref, np.zeros(6),
                               np.array([0, x, 0, 0, 0, 0.0]),
-                              np.array([0, v, 0, 0, 0, 0.0]), gains)[1]
+                              np.array([0, v, 0, 0, 0, 0.0]), *gains)[1]
             return t_ / inertia
         x, v = q[1], dq[1]
         k1 = (v, f(x, v))

@@ -17,7 +17,7 @@ import hashlib
 import pytest
 
 from sandwalk import cli, sim
-from sandwalk.config import build_config, flatten_config
+from sandwalk.config import build_config, config_hash, flatten_config
 
 TRAJECTORY_SHA256 = {
     ("granular", "semi_implicit"): (
@@ -80,6 +80,14 @@ ROBOT_ONLY_FRONTAL = {
 }
 
 
+# config_hash of build_config({}) and of build_config(EVERY_KEY): the hash
+# that every manifest records, pinned against a change of where a setting lives
+CONFIG_HASH = {
+    "default": "6865fc6fcea2c1d14f051fa8fa3562143555fbd9602e77458447d39a11e46560",
+    "every key": "323b4459f8c1ffe45077d63d0cd1a570b392b1da4bbe834beb821aac9a5387fb",
+}
+
+
 def _digests(out) -> tuple[str, str]:
     """SHA-256 of trajectory.csv and trajectory.json in ``out``."""
     return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -116,3 +124,8 @@ def test_flatten_config_setting_every_key():
 def test_flatten_derived_frontal_defaults():
     flat = flatten_config(build_config(ROBOT_ONLY))
     assert {k: v for k, v in flat.items() if k.startswith("frontal.")} == ROBOT_ONLY_FRONTAL
+
+
+def test_config_hash_pinned():
+    assert {"default": config_hash(build_config({})),
+            "every key": config_hash(build_config(EVERY_KEY))} == CONFIG_HASH

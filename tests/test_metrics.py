@@ -18,6 +18,7 @@ from sandwalk.metrics import (
     rmse,
     velocity_sweep,
 )
+from sandwalk.rolling import FootShape
 from sandwalk.sim import SIM_RECORD_FIELDS, Trajectory
 from sandwalk.config import build_config
 
@@ -123,6 +124,19 @@ def test_dimensionless_velocity_value():
         dimensionless_velocity(0.1, 0.0)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: FootShape(math.nan), "radius must be strictly positive"),
+    (lambda: FootShape(math.inf), "radius must be finite"),
+    (lambda: dimensionless_velocity(0.2, math.nan), "h_com must be strictly positive"),
+    (lambda: dimensionless_velocity(0.2, math.inf), "h_com must be finite"),
+    (lambda: dimensionless_velocity(0.2, 0.4, math.nan), "g must be strictly positive"),
+    (lambda: dimensionless_velocity(0.2, 0.4, -math.inf), "g must be finite"),
+], ids=["radius-nan", "radius-inf", "h_com-nan", "h_com-inf", "g-nan", "g--inf"])
+def test_nonfinite_input_rejected_naming_it(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_resample_stance_shapes():
     from sandwalk import sim
     traj = sim.run(build_config({"sim.duration": 1.2}))
@@ -163,11 +177,7 @@ def test_velocity_sweep_serial_matches_parallel():
 
 
 def test_velocity_sweep_counts_divergence_in_both_paths():
-    from dataclasses import replace
-    from sandwalk.gait import Gains
-    wild = replace(build_config({"sim.duration": 0.8}),
-                   gains=Gains(kp=np.full(6, 4e5), kd=np.full(6, 4e4),
-                               torque_limit=1e9))
+    wild = build_config({"sim.dt": 0.02, "sim.duration": 0.8})
     for jobs in (1, 2):
         rows = velocity_sweep(wild, [0.2, 0.3], repeats=1,
                               terrains=("granular",), jobs=jobs)
@@ -177,11 +187,7 @@ def test_velocity_sweep_counts_divergence_in_both_paths():
 def test_velocity_sweep_rows_without_a_run_compare_equal():
     # a cell whose runs all failed has a NaN CoT mean and spread; the row
     # holds the one math.nan, so it equals itself and its parallel twin
-    from dataclasses import replace
-    from sandwalk.gait import Gains
-    wild = replace(build_config({"sim.duration": 0.8}),
-                   gains=Gains(kp=np.full(6, 4e5), kd=np.full(6, 4e4),
-                               torque_limit=1e9))
+    wild = build_config({"sim.dt": 0.02, "sim.duration": 0.8})
     serial = velocity_sweep(wild, [0.2], repeats=1, terrains=("rigid",), jobs=1)
     assert [(r.n_ok, r.n_failed) for r in serial] == [(0, 1)]
     assert serial[0].cot_mean is math.nan and serial[0].cot_std is math.nan
@@ -189,12 +195,8 @@ def test_velocity_sweep_rows_without_a_run_compare_equal():
 
 
 def test_velocity_sweep_records_why_runs_failed_in_both_paths():
-    # the wild gains diverge in every run; both paths report when and why
-    from dataclasses import replace
-    from sandwalk.gait import Gains
-    wild = replace(build_config({"sim.duration": 0.8}),
-                   gains=Gains(kp=np.full(6, 4e5), kd=np.full(6, 4e4),
-                               torque_limit=1e9))
+    # a step far too long diverges in every run; both paths report when and why
+    wild = build_config({"sim.dt": 0.02, "sim.duration": 0.8})
     per_path = [velocity_sweep(wild, [0.2, 0.3], repeats=2, terrains=("granular",),
                                jobs=jobs) for jobs in (1, 2, 3)]
     assert per_path[0] == per_path[1] == per_path[2]
@@ -260,10 +262,10 @@ def test_velocity_sweep_ignores_the_base_decimation():
 
 def test_velocity_sweep_raises_defects_in_both_paths():
     # only counted failures stay inside a cell; a defect (here the missing
-    # gains that every run reads) leaves the sweep on either path
+    # terrain that every run reads) leaves the sweep on either path
     import copy
     broken = copy.copy(build_config({"sim.duration": 0.8}))
-    object.__setattr__(broken, "gains", None)
+    object.__setattr__(broken, "terrain", None)
     for jobs in (1, 2):
         with pytest.raises(AttributeError):
             velocity_sweep(broken, [0.2, 0.3], repeats=1, jobs=jobs)
