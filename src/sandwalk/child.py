@@ -29,10 +29,9 @@ class Child:
     in ``errors``, pickled back on a second pipe; a nonzero exit status
     raises OSError naming the child by ``name``.  Leaving before ``result()``
     kills and reaps the child.  The child ignores SIGINT, writes the
-    traceback of any other error to stderr and ends with ``os._exit``;
-    ``fn`` calls no BLAS function.  Several may be open at once: a child
-    closes the pipe ends this process holds of the others, so that each sees
-    the end of its own inbox."""
+    traceback of any other error to stderr and ends with ``os._exit``.
+    Several may be open at once: a child closes the pipe ends this process
+    holds of the others, so that each sees the end of its own inbox."""
 
     _parent_ends: set[int] = set()  # of the open Children's pipes, held by this process
 

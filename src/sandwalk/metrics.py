@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import compress
+from operator import add
 from types import SimpleNamespace
-
-import numpy as np
 
 from . import sim as simulation
 from .child import Child, Counter
@@ -76,6 +78,65 @@ def dimensionless_velocity(v: float, h_com: float, g: float = 9.81) -> float:
     return v / math.sqrt(g * h_com)
 
 
+def _sum(values) -> float:
+    """``numpy.sum`` of the floats ``values``, bit for bit: +0.0 plus numpy's
+    pairwise sum.  That adds fewer than 8 terms left to right from -0.0; up
+    to 128 it keeps eight running sums, of the terms at each offset modulo
+    8, adds them in pairs and then the leftover terms one by one; above 128
+    it adds the sums of two parts, split at half the count rounded down to
+    a multiple of 8."""
+
+    def pairwise(a):
+        n = len(a)
+        if n < 8:
+            return reduce(add, a, -0.0)
+        if n <= 128:
+            m = n - n % 8
+            r = [reduce(add, a[j + 8:m:8], a[j]) for j in range(8)]
+            paired = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            return reduce(add, a[m:], paired)
+        half = n // 2 - n // 2 % 8
+        return pairwise(a[:half]) + pairwise(a[half:])
+
+    return 0.0 + pairwise(values)
+
+
+def _trapezoid(y, x) -> float:
+    """``numpy.trapezoid(y, x)`` of two float lists, bit for bit."""
+    return _sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])])
+
+
+def _std(values) -> float:
+    """``numpy.std`` of the floats ``values``, bit for bit: the root of the
+    mean squared deviation from their mean."""
+    mean = _sum(values) / len(values)
+    return math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / len(values))
+
+
+def _interp(x, xp, fp) -> list[float]:
+    """``numpy.interp(x, xp, fp)``, bit for bit, for points ``x`` without
+    NaN and increasing ``xp``: ``fp`` at the ends past ``xp`` and at a point
+    of ``xp``, and otherwise the line from the point below; where that is
+    NaN (an infinite slope or offset), the line from the point above, and
+    where that is NaN too but both ``fp`` are equal, that ``fp``."""
+    out, last = [], len(xp) - 1
+    for v in x:
+        j = bisect_right(xp, v) - 1
+        if j < 0:
+            out.append(fp[0])
+        elif j == last or xp[j] == v:
+            out.append(fp[j])
+        else:
+            slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+            y = slope * (v - xp[j]) + fp[j]
+            if y != y:
+                y = slope * (v - xp[j + 1]) + fp[j + 1]
+                if y != y and fp[j] == fp[j + 1]:
+                    y = fp[j]
+            out.append(y)
+    return out
+
+
 def cot(
     trajectory: simulation.Trajectory,
     robot_weight: float | None = None,
@@ -84,27 +145,27 @@ def cot(
     """Cost of transport E / (W_r d) by trapezoidal integration.
 
     E integrates the absolute mechanical power of the joint actuators and
-    d the forward CoM velocity from t_start (the first sample when omitted)
-    to the last sample.  The samples are those of every simulated step
-    (``Trajectory.step_column``), so a run's CoT does not depend on its
+    d the forward CoM velocity over the samples at or after t_start (the
+    first sample when omitted).  The samples are those of every simulated
+    step (``Trajectory.step_column``), so a run's CoT does not depend on its
     decimation.  Raises ZeroDistanceError when d < 1e-6 m.
     """
     if robot_weight is None:
         robot_weight = float(trajectory.meta["robot_weight"])
     t = trajectory.step_column("t")
-    if t.size < 2:
+    if len(t) < 2:
         raise ValueError("trajectory must hold at least two records")
-    lo = t[0] if t_start is None else t_start
-    mask = t >= lo - 1e-12
-    if int(mask.sum()) < 2:
+    bound = (t[0] if t_start is None else t_start) - 1e-12
+    mask = [ti >= bound for ti in t]
+    if sum(mask) < 2:
         raise ValueError("time window selects fewer than two records")
-    tw = t[mask]
+    tw = list(compress(t, mask))
 
     energy, e_s, e_f = (
-        float(np.trapezoid(np.abs(trajectory.step_column(name)[mask]), tw))
+        _trapezoid([abs(p) for p in compress(trajectory.step_column(name), mask)], tw)
         for name in ("power", "power_s", "power_f")
     )
-    distance = float(np.trapezoid(trajectory.step_column("com_vx")[mask], tw))
+    distance = _trapezoid(list(compress(trajectory.step_column("com_vx"), mask)), tw)
     if distance < 1e-6:
         raise ZeroDistanceError(f"walking distance {distance:.3e} m below threshold")
     return CoTReport(
@@ -121,44 +182,47 @@ def settle_time(cfg: simulation.SimConfig) -> float:
 
 def rmse(series_a, series_b) -> float:
     """Root-mean-square difference of two equal-length series."""
-    a = np.asarray(series_a, dtype=float)
-    b = np.asarray(series_b, dtype=float)
-    if a.shape != b.shape or a.size < 2:
+    a, b = list(map(float, series_a)), list(map(float, series_b))
+    if len(a) != len(b) or len(a) < 2:
         raise ValueError("series must share a length of at least 2")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    return math.sqrt(_sum([(x - y) * (x - y) for x, y in zip(a, b)]) / len(a))
 
 
 def resample_stance(
     trajectory: simulation.Trajectory,
     fields: list[str],
     n_points: int = 101,
-) -> dict[str, np.ndarray]:
-    """Mean stance-phase profile (0..1 grid) of each field.
+) -> dict[str, list[float]]:
+    """Mean stance-phase profile (``n_points`` on a 0..1 grid) of each field.
 
-    Each completed stance after the first (settle-in) one is linearly
-    interpolated onto the common phase grid; profiles are averaged across
-    stances.  Raises ValueError when no complete stance is available.
+    Each completed stance after the first (settle-in) one is sorted by
+    phase, records of equal phase in file order, and linearly interpolated
+    onto the common phase grid; profiles are averaged across stances.
+    Raises ValueError when no complete stance is available.
     """
-    steps = trajectory.column("step_count").astype(int)
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
     phase = trajectory.column("stance_phase")
-    columns = np.column_stack([trajectory.column(name) for name in fields])
-    grid = np.linspace(0.0, 1.0, n_points)
+    columns = [trajectory.column(name) for name in fields]
+    stances: dict[int, list[int]] = {}  # the rows of each step count
+    for i, k in enumerate(trajectory.column("step_count")):
+        stances.setdefault(int(k), []).append(i)
+    step = 1.0 / (n_points - 1)  # numpy's linspace(0, 1, n_points)
+    grid = [i * step for i in range(n_points - 1)] + [1.0]
     profiles = []
-    last = steps.max(initial=0)  # 0 for a trajectory without rows
-    for k in sorted(set(steps.tolist())):
-        if k < 1 or k == last:
-            continue  # the settle-in stance and the trailing fragment
-        sel = steps == k
-        ph = phase[sel]
-        if ph.size < 4:
-            continue
-        order = np.argsort(ph)
-        stance = columns[sel][order]
-        profiles.append([np.interp(grid, ph[order], col) for col in stance.T])
+    last = max(stances, default=0)
+    for k in sorted(stances):
+        rows = stances[k]
+        if k < 1 or k == last or len(rows) < 4:
+            continue  # the settle-in stance, the trailing fragment, a stub
+        rows = sorted(rows, key=phase.__getitem__)
+        ph = [phase[i] for i in rows]
+        profiles.append([_interp(grid, ph, [col[i] for i in rows]) for col in columns])
     if not profiles:
         raise ValueError("no complete stance available for resampling")
-    mean = np.mean(np.array(profiles), axis=0)
-    return dict(zip(fields, mean))
+    # numpy's mean over the stances: their sum in order from +0.0, over their count
+    return {name: [reduce(add, values, 0.0) / len(profiles) for values in zip(*series)]
+            for name, series in zip(fields, zip(*profiles))}
 
 
 # failures that count against a sweep cell; anything else is a defect and raises
@@ -254,8 +318,8 @@ def velocity_sweep(
                 v_target=v,
                 dimensionless_v=dimensionless_velocity(v, base.h_com, base.sagittal.g),
                 terrain=m,
-                cot_mean=float(np.mean(vals)) if vals else math.nan,
-                cot_std=float(np.std(vals)) if vals else math.nan,
+                cot_mean=_sum(vals) / len(vals) if vals else math.nan,
+                cot_std=_std(vals) if vals else math.nan,
                 n_ok=len(vals),
                 n_failed=len(failures),
                 seeds=seeds,

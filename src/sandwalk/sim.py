@@ -24,14 +24,12 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import mul
 
-import numpy as np
-
 from . import dynamics as dyn
 from . import gait as gt
 from . import rolling as rl
 from . import terrain as tr
-from .trajectory import (_BLOCK, _LEG_NAMES, SIM_RECORD_FIELDS, STEP_FIELDS, Trajectory,
-                         TrajectoryWriter, check_memory)
+from .trajectory import (_BLOCK, _LEG_NAMES, SIM_RECORD_FIELDS, Trajectory, TrajectoryWriter,
+                         check_memory)
 
 __all__ = [
     "SimConfig",
@@ -569,7 +567,7 @@ def _powers(control, start, last, stage: _StageTerms):
 
 def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
             contact, kinematics, phase: float, out) -> None:
-    """Write the post-step record of ``ws`` into the row ``out``, from the
+    """Append the post-step record of ``ws`` to ``out``, from the
     step's stance-first actuator torques ``tau_a`` and ``powers`` as
     ``_powers`` gave them, its ``last`` evaluation and its contact point on
     the sole, kinematics and stance phase."""
@@ -586,7 +584,7 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
 
     joint_powers, power, power_s, power_f = powers
     hip, _, com, _, _, com_v = kinematics
-    out[:] = [  # SIM_RECORD_FIELDS order
+    out.fromlist([  # SIM_RECORD_FIELDS order
         ws.t, _LEG_NAMES.index(ws.stance), phase, ws.step_count,
         *s[:5], *s[12:17],
         s[5], s[10], max(0.0, -s[6]), s[17], s[22], -s[18],
@@ -596,7 +594,7 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
         theta_r, theta_r - ws.theta_r0, gamma, r_eff,
         power, math.fsum(map(abs, joint_powers)), power_s, power_f,
         *com, *com_v, *hip,
-    ]
+    ])
 
 
 def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
@@ -626,10 +624,10 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
 _DIVERGENCE_LIMIT = 1e6  # largest |state entry| the step lets through
 
 
-def _advance(ws: WalkerState, cfg: SimConfig, out: np.ndarray | None,
+def _advance(ws: WalkerState, cfg: SimConfig, out: array | None,
              stage: _StageTerms, samples: array) -> WalkerState:
-    """One fixed step: flow, divergence guard, contact check, record into
-    the row ``out``, the step's ``STEP_FIELDS`` appended to ``samples``,
+    """One fixed step: flow, divergence guard, contact check, record
+    appended to ``out``, the step's ``STEP_FIELDS`` appended to ``samples``,
     touchdown event and jump.  A step without a row (``out`` is None) skips
     the record, the contact angle, all but two axes of the kinematics and,
     under rk4, the end-of-step force evaluation; it makes every check,
@@ -745,17 +743,15 @@ def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
     # trailing steps of an incomplete block write none
     n_steps, k = cfg.steps, cfg.decimation
     check_memory(n_steps, n_steps // k)  # a dt far too small fails before the first step
-    data = np.empty((n_steps // k, len(SIM_RECORD_FIELDS)))
     stage = _StageTerms()
-    samples = array("d")
+    data, samples = array("d"), array("d")
     fed = 0
     for start in range(0, n_steps, _BLOCK):
-        stop = min(start + _BLOCK, n_steps)
-        for i in range(start, stop):
-            ws = _advance(ws, cfg, data[i // k] if i % k == k - 1 else None, stage, samples)
-        if writer is not None and stop // k > fed:
-            writer.feed(data[fed:stop // k])
-            fed = stop // k
+        for i in range(start, min(start + _BLOCK, n_steps)):
+            ws = _advance(ws, cfg, data if i % k == k - 1 else None, stage, samples)
+        if writer is not None and len(data) > fed:
+            writer.feed(data[fed:])
+            fed = len(data)
     meta = {
         "dt": cfg.dt,
         "duration": cfg.duration,
@@ -769,5 +765,4 @@ def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
         "cycle_period": cfg.gait.cycle_period,
         "stance_duration": cfg.gait.stance_duration,
     }
-    return Trajectory(data, meta, np.frombuffer(samples).reshape(n_steps, len(STEP_FIELDS)),
-                      writer)
+    return Trajectory(data, meta, samples, writer)

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-
-import numpy as np
+from operator import mul
 
 from .dynamics import check_ranges
 
@@ -208,11 +207,16 @@ def lateral_force(terrain: TerrainParams, depth: float, y_slip: float) -> float:
 # calibration from plate penetration tests
 # ---------------------------------------------------------------------------
 
-def _vertical_model(terrain: TerrainParams, depth: np.ndarray, plate_width: float) -> np.ndarray:
+def _vertical_model(terrain: TerrainParams, depths: list, plate_width: float) -> list[float]:
     """Plate force-depth law used for the vertical fit, at unit zeta."""
     _, a_z = local_stress(terrain.phi_s, -math.pi / 2, 1.0, terrain.alpha_scale)
     k = a_z * plate_width / (2.0 * math.tan(terrain.phi_s))
-    return k * depth ** 2
+    return [k * (z * z) for z in depths]
+
+
+def _dot(a, b) -> float:
+    """The dot product of two float sequences, its sum exact before one rounding."""
+    return math.fsum(map(mul, a, b))
 
 
 def calibrate(
@@ -236,30 +240,31 @@ def calibrate(
             raise CalibrationError(f"{name} must be finite and > 0, got {value!r}")
     if len(vertical) < 5 or len(horizontal) < 5:
         raise CalibrationError("need at least 5 records per direction")
-    z = np.array([r.displacement for r in vertical], dtype=float)
-    f_v = np.array([r.force for r in vertical], dtype=float)
-    y = np.array([r.displacement for r in horizontal], dtype=float)
-    f_h = np.array([r.force for r in horizontal], dtype=float)
-    if np.any(z <= 0.0) or np.any(y <= 0.0):
+    z = [float(r.displacement) for r in vertical]
+    f_v = [float(r.force) for r in vertical]
+    y = [float(r.displacement) for r in horizontal]
+    f_h = [float(r.force) for r in horizontal]
+    if any(d <= 0.0 for d in z + y):
         raise CalibrationError("displacements must be strictly positive")
-    if not np.any(f_v != 0.0) or not np.any(f_h != 0.0):
+    if not any(f != 0.0 for f in f_v) or not any(f != 0.0 for f in f_h):
         raise CalibrationError("all-zero forces cannot constrain the fit")
 
     basis = _vertical_model(nominal, z, width)
-    denom = float(basis @ basis)
+    denom = _dot(basis, basis)
     if denom <= 0.0:
         raise CalibrationError("degenerate vertical basis")
-    zeta = float(basis @ f_v) / denom
+    zeta = _dot(basis, f_v) / denom
     if zeta <= 0.0:
         raise CalibrationError("vertical data imply a non-positive zeta")
-    res_v = float(np.linalg.norm(f_v - zeta * basis))
+    miss_v = [f - zeta * b for f, b in zip(f_v, basis)]
+    res_v = math.sqrt(_dot(miss_v, miss_v))
 
     a_y = bulldozing_stress(replace(nominal, zeta=zeta))
     amp = a_y * 0.5 * plate_depth ** 2
 
     def sse(lam: float) -> float:
-        model = lam * (1.0 - np.exp(-y / lam)) * amp
-        return float(np.sum((model - f_h) ** 2))
+        miss = [lam * (1.0 - math.exp(-d / lam)) * amp - f for d, f in zip(y, f_h)]
+        return _dot(miss, miss)
 
     lam = _golden_min(sse, 1e-5, 10.0)
     res_h = math.sqrt(sse(lam))
@@ -270,9 +275,9 @@ def calibrate(
 def _golden_min(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Golden-section minimum of a unimodal function, bracketed in log space."""
     # coarse log-spaced scan to bracket the minimum
-    grid = np.geomspace(lo, hi, 200)
+    grid = [lo * (hi / lo) ** (k / 199) for k in range(200)]
     vals = [fun(g) for g in grid]
-    i = int(np.argmin(vals))
+    i = min(range(len(vals)), key=vals.__getitem__)
     a = grid[max(0, i - 1)]
     b = grid[min(len(grid) - 1, i + 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

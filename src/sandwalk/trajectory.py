@@ -6,15 +6,12 @@ import json
 import math
 import os
 import tempfile
-import warnings
+from array import array
 from collections import namedtuple
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count, zip_longest
-from operator import itemgetter
-
-import numpy as np
+from itertools import zip_longest
 
 from .child import Child
 
@@ -48,6 +45,7 @@ _LEG_NAMES = ("left", "right")
 _FIELD_INDEX = {name: i for i, name in enumerate(SIM_RECORD_FIELDS)}
 _LEG = _FIELD_INDEX["stance_leg"]
 _STEP = _FIELD_INDEX["step_count"]
+_WIDTH = len(SIM_RECORD_FIELDS)
 _BLOCK = 256  # steps per hand-off to a writer; rows per block of file I/O
 
 # the columns that the cost of transport integrates, sampled at every step
@@ -75,68 +73,59 @@ SimRecord = namedtuple("SimRecord", SIM_RECORD_FIELDS)
 
 @dataclass(eq=False)
 class Trajectory:
-    """Logged records as one ``(n_records, len(SIM_RECORD_FIELDS))`` float64
-    array; column j holds field ``SIM_RECORD_FIELDS[j]`` and ``stance_leg``
-    holds 0 (left) or 1 (right).  ``step_samples`` holds the ``STEP_FIELDS``
-    of every simulated step, logged or not, as an ``(n_steps,
-    len(STEP_FIELDS))`` array; without it they are read off the records.
-    ``writer`` is the ``TrajectoryWriter`` that ``run`` fed the rows to,
-    which ``save_csv`` commits."""
+    """Logged records as one flat float64 ``array``, row after row: value
+    ``i * len(SIM_RECORD_FIELDS) + j`` holds field ``SIM_RECORD_FIELDS[j]``
+    of record i, and ``stance_leg`` holds 0 (left) or 1 (right).
+    ``step_samples`` holds the ``STEP_FIELDS`` of every simulated step,
+    logged or not, in the same layout; without it they are read off the
+    records.  ``writer`` is the ``TrajectoryWriter`` that ``run`` fed the
+    rows to, which ``save_csv`` commits."""
 
-    data: np.ndarray
+    data: array
     meta: dict
-    step_samples: np.ndarray | None = None
+    step_samples: array | None = None
     writer: TrajectoryWriter | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.data.ndim != 2 or self.data.shape[1] != len(SIM_RECORD_FIELDS):
-            raise ValueError(f"trajectory data of shape {self.data.shape} is not "
-                             f"(n_records, {len(SIM_RECORD_FIELDS)})")
+        if len(self.data) % _WIDTH:
+            raise ValueError(f"{len(self.data)} trajectory values are not rows of {_WIDTH}")
         samples = self.step_samples
-        if samples is not None and (samples.ndim != 2 or samples.shape[1] != len(STEP_FIELDS)):
-            raise ValueError(f"step samples of shape {samples.shape} are not "
-                             f"(n_steps, {len(STEP_FIELDS)})")
+        if samples is not None and len(samples) % len(STEP_FIELDS):
+            raise ValueError(f"{len(samples)} step samples are not rows of {len(STEP_FIELDS)}")
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.data) // _WIDTH
 
     @property
     def records(self) -> list[SimRecord]:
         """Row view, built on demand.  NaN cells share one object, so rows of
         equal data compare equal (tuple equality tests identity first)."""
-        rows = self._rows(np.isnan(self.data), math.nan)
-        return [SimRecord._make(row) for row in rows]
+        return [SimRecord._make(math.nan if v != v else v for v in row) for row in self._rows()]
 
-    def _rows(self, mask=None, fill=None) -> list[list]:
+    def _rows(self) -> list[list]:
         """Rows as lists of Python values, ``stance_leg`` as text and
-        ``step_count`` as int; cells where ``mask`` holds become ``fill``."""
-        rows = self.data.tolist()
+        ``step_count`` as int."""
+        values = self.data.tolist()
+        rows = [values[i:i + _WIDTH] for i in range(0, len(values), _WIDTH)]
         for row in rows:
             row[_LEG] = _LEG_NAMES[int(row[_LEG])]
             row[_STEP] = int(row[_STEP])
-        if mask is not None:
-            for i, j in zip(*np.nonzero(mask)):
-                rows[i][j] = fill
         return rows
 
-    def column(self, name: str) -> np.ndarray:
-        """Read-only view of one numeric field."""
+    def column(self, name: str) -> array:
+        """A copy of one numeric field."""
         if name == "stance_leg":
             raise KeyError("stance_leg is not numeric")
         if name not in _FIELD_INDEX:
             raise KeyError(f"unknown trajectory field '{name}'")
-        col = self.data[:, _FIELD_INDEX[name]]
-        col.flags.writeable = False
-        return col
+        return self.data[_FIELD_INDEX[name]::_WIDTH]
 
-    def step_column(self, name: str) -> np.ndarray:
-        """Read-only view of one ``STEP_FIELDS`` field over every simulated
-        step, or over the records when the step samples were not given."""
+    def step_column(self, name: str) -> array:
+        """A copy of one ``STEP_FIELDS`` field over every simulated step, or
+        over the records when the step samples were not given."""
         if self.step_samples is None:
             return self.column(name)
-        col = self.step_samples[:, STEP_FIELDS.index(name)]
-        col.flags.writeable = False
-        return col
+        return self.step_samples[STEP_FIELDS.index(name)::len(STEP_FIELDS)]
 
     def save_csv(self, path, json_path=None) -> None:
         """Write the rows to ``path`` as CSV and, given ``json_path``, to that
@@ -155,74 +144,85 @@ class Trajectory:
 
     def _text_blocks(self):
         """``_format_block`` of each block of rows, formatted on demand."""
-        return (_format_block(self.data[i:i + _BLOCK]) for i in range(0, len(self), _BLOCK))
+        size = _BLOCK * _WIDTH
+        return (_format_block(self.data[i:i + size]) for i in range(0, len(self.data), size))
 
     @classmethod
-    def load_csv(cls, path) -> "Trajectory":
-        """Read a file that ``save_csv`` wrote.  numpy's reader parses every
-        row from the open file, in chunks; the array is the only whole copy.
-        A file that does not parse raises ValueError naming its first
-        malformed line, which a scan of the file line by line finds."""
+    def load_csv(cls, path) -> Trajectory:
+        """Read a file that ``save_csv`` wrote, a line at a time into the one
+        flat array.  A file that does not parse raises ValueError naming its
+        first malformed line."""
+        data = array("d")
         with open(path, newline="") as fh:
             header = fh.readline().strip().split(",")
             if header != SIM_RECORD_FIELDS:
                 raise ValueError(f"{path}: unexpected trajectory header")
-            start = fh.tell()
-            lines = count()  # zip draws one number per line read
-            try:
-                data = _parse_rows(map(itemgetter(0), zip(fh, lines)))
-                # numpy skips a blank line, which no writer writes
-                if len(data) == next(lines):
-                    return cls(data=data, meta={"source": str(path)})
-            except ValueError:
-                pass
-            fh.seek(start)
             for lineno, line in enumerate(fh, start=2):
-                cells = line.rstrip("\r\n").split(",")
                 try:
-                    if cells == [""]:
-                        raise ValueError("blank line")
-                    if len(cells) != len(SIM_RECORD_FIELDS):
-                        raise ValueError(f"{len(cells)} fields")
-                    _parse_rows([line])
+                    data.fromlist(_parse_row(line))
                 except ValueError as exc:
-                    # the reader counts the one line it was given as row 0
-                    reason = str(exc).replace(" at row 0,", " at")
-                    raise ValueError(f"{path}:{lineno}: malformed row ({reason})") from exc
-        raise ValueError(f"{path}: malformed rows")
+                    raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
+        return cls(data=data, meta={"source": str(path)})
 
 
-def _parse_rows(lines) -> np.ndarray:
-    """The CSV rows of the text ``lines`` as an ``(n, len(SIM_RECORD_FIELDS))``
-    array, ``stance_leg`` as its index; raises ValueError for a row that
-    does not parse or is of another width."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                          converters={_LEG: _LEG_NAMES.index})
-    if len(data) and data.shape[1] != len(SIM_RECORD_FIELDS):
-        raise ValueError(f"{data.shape[1]} fields")
-    return data.reshape(-1, len(SIM_RECORD_FIELDS))
+# the value of each stance_leg name
+_LEG_INDEX = {name: float(i) for i, name in enumerate(_LEG_NAMES)}
 
 
-def _format_block(block: np.ndarray) -> tuple[str, str]:
-    """The CSV lines of the rows of ``block`` and their JSON records, each
-    record led by ", ", from one ``repr`` of every value.  Every file is
-    formatted with this, so a writer's files hold the bytes of ``save_csv``'s."""
-    # strict JSON has no NaN or infinity
-    nonfinite = ~np.isfinite(block)
-    has_nonfinite = nonfinite.any(axis=1).tolist()
+def _parse_row(line: str) -> list[float]:
+    """The values of one CSV row, ``stance_leg`` as its index; raises
+    ValueError for a row of another width or with a cell that does not
+    parse (see ``_parses``)."""
+    cells = line.rstrip("\r\n").split(",")
+    if len(cells) != _WIDTH:
+        raise ValueError("blank line" if cells == [""] else f"{len(cells)} fields")
+    leg = cells[_LEG]
+    if "_" not in line and line.isascii() and leg in _LEG_INDEX:
+        try:
+            float(int(cells[_STEP]))
+            return [*map(float, cells[:_LEG]), _LEG_INDEX[leg], *map(float, cells[_LEG + 1:])]
+        except (ValueError, OverflowError):
+            pass
+    j = next(j for j, cell in enumerate(cells) if not _parses(j, cell))
+    kind = "an integer" if j == _STEP else "float64"
+    raise ValueError(f"could not convert string {cells[j]!r} to {kind} at column {j + 1}.")
+
+
+def _parses(j: int, cell: str) -> bool:
+    """Whether ``cell`` reads as a value of column ``j``: a leg name, an
+    integer ``step_count`` within the float range, or else a float.  No
+    cell may hold an underscore or a non-ASCII character, which ``int()``
+    and ``float()`` read (1_0 as 10) and no writer writes."""
+    if "_" in cell or not cell.isascii():
+        return False
+    if j == _LEG:
+        return cell in _LEG_INDEX
+    try:
+        float(int(cell) if j == _STEP else cell)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _format_block(block: array) -> tuple[str, str]:
+    """The CSV lines of the rows of the flat ``block`` and their JSON
+    records, each record led by ", ", from one ``repr`` of every value.
+    Every file is formatted with this, so a writer's files hold the bytes of
+    ``save_csv``'s."""
     lines, records = [], []
-    for r, row in enumerate(Trajectory(block, {})._rows()):
+    for row in Trajectory(block, {})._rows():
         # repr of a Python float is its shortest round-trip text and, like
         # repr of an int, the text json writes for it
         text = list(map(repr, row))
         text[_LEG] = row[_LEG]
         lines.append(",".join(text) + "\n")
         text[_LEG] = f'"{row[_LEG]}"'
-        if has_nonfinite[r]:
-            for c in np.flatnonzero(nonfinite[r]):
-                text[c] = "null"
+        # strict JSON has no NaN or infinity; the sum of a row's numbers
+        # (every cell but the leg) is finite unless one is, or it overflows
+        if not math.isfinite(sum(row[:_LEG]) + sum(row[_LEG + 1:])):
+            for c, value in enumerate(row):
+                if c != _LEG and not math.isfinite(value):
+                    text[c] = "null"
         records.append(", [" + ", ".join(text) + "]")
     return "".join(lines), "".join(records)
 
@@ -276,8 +276,8 @@ class TrajectoryWriter:
     def __exit__(self, *exc_info) -> None:
         self._stack.close()
 
-    def feed(self, rows: np.ndarray) -> None:
-        """Hand the child ``rows``, the rows logged since the last call."""
+    def feed(self, rows: array) -> None:
+        """Hand the child ``rows``, the flat rows logged since the last call."""
         self._child.send(rows)
 
     def commit(self, csv_path, json_path, meta: dict) -> None:

@@ -211,7 +211,7 @@ def test_criterion_07_rolling_kinematics():
 def test_criterion_08_cot_cross_form():
     cfg = build_config({"sim.duration": 1.6})  # seven stances
     traj = sim.run(cfg)
-    steps = int(traj.column("step_count").max())
+    steps = int(max(traj.column("step_count")))
     report = metrics.cot(traj, t_start=cfg.gait.cycle_period)
     rel = abs(report.cot - report.cot_decoupled) / report.cot
     verdict(8, steps >= 5 and rel < 0.01,
@@ -237,9 +237,9 @@ def test_criterion_09_sand_vs_rigid_walk():
     ok_cot = rep_g.cot > rep_r.cot and 1.05 <= ratio <= 2.7
 
     def stance_rolls(traj):
-        steps = traj.column("step_count").astype(int)
+        steps = np.asarray(traj.column("step_count")).astype(int)
         return np.array([
-            abs(traj.column("delta_theta_r")[steps == k][-1])
+            abs(np.asarray(traj.column("delta_theta_r"))[steps == k][-1])
             for k in range(2, steps.max())
             if (steps == k).sum() > 10
         ])
@@ -248,8 +248,8 @@ def test_criterion_09_sand_vs_rigid_walk():
     rolls_g = stance_rolls(runs["granular"])
     ok_roll = rolls_g.max() < rolls_r.min()
 
-    z_g = runs["granular"].column("z_s")
-    steps_g = runs["granular"].column("step_count").astype(int)
+    z_g = np.asarray(runs["granular"].column("z_s"))
+    steps_g = np.asarray(runs["granular"].column("step_count")).astype(int)
     ok_sink = True
     for k in range(2, steps_g.max()):
         selk = steps_g == k

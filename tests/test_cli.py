@@ -310,7 +310,7 @@ def _fail_on_the_last_block(monkeypatch):
     format_block = trajectory._format_block
 
     def format_or_fail(block):
-        if len(block) < 256:
+        if len(block) < 256 * len(SIM_RECORD_FIELDS):
             raise ValueError("a failure in the child")
         return format_block(block)
 
@@ -446,32 +446,41 @@ def test_sweep_step_too_small_for_memory_fails_before_its_first_step(tmp_path):
 
 _IMPORT_CHECK = """
 import json, sys
+sys.modules["numpy"] = None  # any import of numpy or a submodule raises ImportError
 from sandwalk import child, cli, metrics, sim
-out, unused = sys.argv[1], {"numpy.random", "numpy.ma"}
-for terrain in ("granular", "rigid"):
+out, vertical, horizontal = sys.argv[1:]
+for terrain, integrator in (("granular", "semi_implicit"), ("rigid", "rk4")):
     assert cli.main(["simulate", "--terrain", terrain, "--set", "sim.duration=0.8",
-                     "--out", f"{out}/{terrain}"]) == 0
+                     "--set", f"sim.integrator={integrator}", "--out", f"{out}/{terrain}"]) == 0
 assert cli.main(["compare", f"{out}/granular/trajectory.csv", f"{out}/rigid/trajectory.csv",
                  "--out", f"{out}/compared"]) == 0
 assert cli.main(["sweep", "--jobs", "2", "--repeats", "1", "--velocities", "0.2",
                  "--set", "sim.duration=0.8", "--out", f"{out}/sweep"]) == 0
-loaded = sorted(unused & set(sys.modules))
+assert cli.main(["calibrate", vertical, horizontal, "--plate-width", "0.04",
+                 "--out", f"{out}/calibrated"]) == 0
+
+def numpy_modules():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.partition(".")[0] == "numpy" and module is not None)
 
 def run_and_resample(inbox):
     metrics.resample_stance(sim.run(sim.SimConfig(duration=0.8)), ["f_z"])
-    return sorted(unused & set(sys.modules))
+    return numpy_modules()
 
 with child.Child("import check", run_and_resample, errors=()) as worker:
-    print(json.dumps([loaded, worker.result()]))
+    print(json.dumps([numpy_modules(), worker.result()]))
 """
 
 
 def test_commands_import_neither_numpy_random_nor_numpy_ma(tmp_path):
-    # a fresh interpreter: simulate, compare and sweep, the caller and a
-    # forked child that runs a step and the stance resampling, import
-    # neither numpy submodule (each costs a process milliseconds and MiB)
+    # a fresh interpreter in which numpy cannot be imported at all:
+    # simulate (on sand, and on rigid ground under rk4), compare, sweep and
+    # calibrate run, and so do a step and the stance resampling in a forked
+    # child, without loading any numpy module
+    # (numpy costs a process about 60 ms and 13 MiB before its first step)
+    plates = make_penetration_files(tmp_path)
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_CHECK, str(tmp_path)],
+        [sys.executable, "-c", _IMPORT_CHECK, str(tmp_path), *map(str, plates)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sim.__file__))})
     assert done.returncode == 0, done.stderr

@@ -363,10 +363,14 @@ def test_float_energies_match_the_oracle(plane):
 
 
 def test_dynamics_imports_without_numpy():
-    # the model is Python floats: the module loads with numpy unimportable
-    src = str(Path(sandwalk.__file__).parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['numpy'] = None; "
-            "import sandwalk.dynamics")
+    # the program is Python floats and the standard library: every module
+    # of the package loads with numpy unimportable
+    package = Path(sandwalk.__file__).parent
+    modules = sorted(f"sandwalk.{path.stem}" for path in package.glob("*.py")
+                     if path.stem != "__init__")
+    assert {"sandwalk.dynamics", "sandwalk.trajectory", "sandwalk.cli"} <= set(modules)
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); "
+            f"sys.modules['numpy'] = None; import {', '.join(modules)}")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

@@ -1,15 +1,13 @@
 """Behaviour contract: pinned trajectory file digests and effective configs.
 
 The SHA-256 digests below hold for the libm they were recorded with
-(glibc, x86-64).  A step makes no BLAS or LAPACK call (the sand block is
-solved in Python floats), so the OpenBLAS kernel that numpy picks at import
-does not reach the bytes: they are the same under OPENBLAS_CORETYPE=Haswell
-and Prescott as under the SkylakeX kernel they were recorded with.  The
-initial jitter is drawn in Python (``sim._uniform``, numpy's PCG64 stream
-reproduced), so the bytes no longer depend on numpy's ``Generator`` either.
-Another libm may still change the last bits of a value and so the bytes.  A change that alters numerics on purpose must regenerate these
-values and say so, with the size of the change; a refactor must leave them
-untouched.
+(glibc, x86-64).  sandwalk imports no numpy: the step, the initial jitter
+(``sim._uniform``, numpy's PCG64 stream reproduced), the file I/O and the
+summary CoT are Python floats, so the bytes depend on libm alone, and this
+module passes with numpy unimportable.  Another libm may still change the
+last bits of a value and so the bytes.  A change that alters numerics on
+purpose must regenerate these values and say so, with the size of the
+change; a refactor must leave them untouched.
 """
 
 import hashlib

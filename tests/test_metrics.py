@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import struct
 import time
 
 import numpy as np
@@ -22,7 +23,7 @@ from sandwalk.rolling import FootShape
 from sandwalk.sim import SIM_RECORD_FIELDS, Trajectory
 from sandwalk.config import build_config
 
-from test_sim import _alarm, _forked
+from test_sim import _alarm, _forked, flat
 
 
 def columnar_trajectory(meta, **columns):
@@ -31,7 +32,7 @@ def columnar_trajectory(meta, **columns):
     data = np.zeros((n, len(SIM_RECORD_FIELDS)))
     for name, values in columns.items():
         data[:, SIM_RECORD_FIELDS.index(name)] = values
-    return Trajectory(data, meta)
+    return Trajectory(flat(data), meta)
 
 
 def synthetic_trajectory(power, v_x, duration=1.0, dt=1e-3, t0=0.0,
@@ -141,9 +142,122 @@ def test_resample_stance_shapes():
     from sandwalk import sim
     traj = sim.run(build_config({"sim.duration": 1.2}))
     prof = resample_stance(traj, ["f_z", "z_s"], n_points=51)
-    assert prof["f_z"].shape == (51,)
-    assert prof["z_s"].shape == (51,)
+    assert len(prof["f_z"]) == 51
+    assert len(prof["z_s"]) == 51
     assert prof["z_s"][0] < prof["z_s"][25]  # sinks into the stance
+
+
+# numpy is a dependency of the tests alone: the reductions in metrics are
+# pinned to the numpy functions they stand for, bit for bit, over random
+# lengths up to 10,000 and with +-0.0, NaN and +-inf among the values
+
+def _floats(rng, n, case):
+    """``n`` floats of many magnitudes and both signs; in ``case`` 1 only
+    +-0.0, in case 2 with three of +-0.0, NaN and +-inf among them, in case
+    3 with one inf and one -inf, in case 4 up to the exponent limits, where
+    sums and products overflow and underflow."""
+    scale = 300.0 if case == 4 else 30.0
+    values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-scale, scale, n)
+    if case == 1:
+        values = rng.choice([0.0, -0.0], n)
+    elif case == 2 and n:
+        values[rng.integers(0, n, 3)] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf], 3)
+    elif case == 3 and n:
+        values[rng.integers(0, n, 2)] = (math.inf, -math.inf)
+    return values
+
+
+def _lengths(rng):
+    """Every length up to 20, those around the pairwise sum's block of 128,
+    and random ones up to 300 and up to 10,000."""
+    return [*range(21), 127, 128, 129, 136, 137, *rng.integers(0, 300, 10),
+            *rng.integers(0, 10_001, 10)]
+
+
+def assert_same_float(got, expected):
+    """``got`` holds the bits of ``expected``, or NaN where that is NaN (whose
+    sign depends on which NaN an addition met first)."""
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", float(expected))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_sums_are_numpy_sums(case):
+    rng = np.random.default_rng(case)
+    with np.errstate(all="ignore"):
+        for n in _lengths(rng):
+            values, x = _floats(rng, n, case), _floats(rng, n, case)
+            assert_same_float(metrics._sum(values.tolist()), np.sum(values))
+            assert_same_float(metrics._trapezoid(values.tolist(), x.tolist()),
+                              np.trapezoid(values, x))
+            if n:
+                assert_same_float(metrics._sum(values.tolist()) / n, np.mean(values))
+                assert_same_float(metrics._std(values.tolist()), np.std(values))
+            if n >= 2:
+                assert_same_float(rmse(values, x), np.sqrt(np.mean((values - x) ** 2)))
+        # numpy halves each trapezoid after the product, which here
+        # overflows and there rounds a subnormal half-unit away
+        for y, x in [([1e308, -0.5e308], [0.0, 4.0]), ([5e-324, 0.0], [0.0, 3.0])]:
+            assert_same_float(metrics._trapezoid(y, x), np.trapezoid(y, x))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_interp_is_numpy_interp(case):
+    rng = np.random.default_rng(10 + case)
+    with np.errstate(all="ignore"):
+        for n in [2, 3, 4, 5, *rng.integers(2, 10_001, 20)]:
+            # increasing points with repeats, and in case 2 infinite ends
+            xp = np.sort(rng.choice(rng.uniform(-1.0, 1.0, n), n))
+            if case == 2:
+                xp[[0, -1]] = rng.choice([-math.inf, xp[0]]), rng.choice([math.inf, xp[-1]])
+            fp = _floats(rng, n, case)
+            x = np.concatenate([rng.uniform(-1.5, 1.5, 60), rng.choice(xp, 20),
+                                np.linspace(0.0, 1.0, 21), [-math.inf, math.inf]])
+            got = metrics._interp(x.tolist(), xp.tolist(), fp.tolist())
+            for value, expected in zip(got, np.interp(x, xp, fp), strict=True):
+                assert_same_float(value, expected)
+        # the fallbacks where a line is NaN: from an infinite end of xp the
+        # line from the point above, and between equal infinite fp that fp
+        for xp, fp in [([-math.inf, 0.0, 1.0], [2.0, 3.0, 4.0]),
+                       ([0.0, 1.0, math.inf], [2.0, 3.0, 4.0]),
+                       ([0.0, 1.0, 2.0], [math.inf, math.inf, -math.inf]),
+                       ([0.0, 1.0, 2.0], [-math.inf, math.inf, math.nan])]:
+            x = [-1.0, 0.0, 0.25, 1.0, 1.5, 2.0, 3.0]
+            for value, expected in zip(metrics._interp(x, xp, fp), np.interp(x, xp, fp)):
+                assert_same_float(value, expected)
+
+
+def _numpy_resample_stance(traj, fields, n_points):
+    """``resample_stance`` in numpy: the stances of the step counts past 0
+    and before the last, of four rows or more, sorted by phase (stably),
+    interpolated onto ``np.linspace(0, 1, n_points)`` and averaged."""
+    table = np.asarray(traj.data).reshape(-1, len(SIM_RECORD_FIELDS))
+    steps = table[:, SIM_RECORD_FIELDS.index("step_count")].astype(int)
+    phase = table[:, SIM_RECORD_FIELDS.index("stance_phase")]
+    columns = table[:, [SIM_RECORD_FIELDS.index(name) for name in fields]]
+    grid = np.linspace(0.0, 1.0, n_points)
+    profiles = []
+    for k in range(1, steps.max(initial=0)):
+        sel = steps == k
+        if sel.sum() >= 4:
+            order = np.argsort(phase[sel], kind="stable")
+            profiles.append([np.interp(grid, phase[sel][order], col)
+                             for col in columns[sel][order].T])
+    return dict(zip(fields, np.mean(np.array(profiles), axis=0)))
+
+
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_resample_stance_is_numpy_resampling(terrain_mode):
+    from sandwalk import sim
+    traj = sim.run(build_config({"sim.duration": 1.2, "sim.terrain_mode": terrain_mode}))
+    fields = ["f_z", "z_s", "x_s", "power", "q_s1"]
+    for n_points in (2, 51, 101):
+        expected = _numpy_resample_stance(traj, fields, n_points)
+        got = resample_stance(traj, fields, n_points)
+        assert {name: np.asarray(got[name]).tobytes() for name in fields} == {
+            name: expected[name].tobytes() for name in fields}
 
 
 def test_velocity_sweep_rows():
