@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .dynamics import check_ranges
 
 __all__ = [
-    "Side",
     "GaitConfig",
     "KP",
     "KD",
@@ -29,15 +27,6 @@ __all__ = [
     "frontal_torques_to_hips",
     "track_joints",
 ]
-
-
-class Side(str, Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-    @property
-    def other(self) -> "Side":
-        return Side.RIGHT if self is Side.LEFT else Side.LEFT
 
 
 class UnreachableTargetError(ValueError):

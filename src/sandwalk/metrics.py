@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import compress
-from operator import add
+from operator import add, le
 from types import SimpleNamespace
 
 from . import sim as simulation
@@ -102,7 +101,7 @@ def _sum(values) -> float:
 
 
 def _trapezoid(y, x) -> float:
-    """``numpy.trapezoid(y, x)`` of two float lists, bit for bit."""
+    """``numpy.trapezoid(y, x)`` of two float sequences, bit for bit."""
     return _sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])])
 
 
@@ -148,24 +147,28 @@ def cot(
     d the forward CoM velocity over the samples at or after t_start (the
     first sample when omitted).  The samples are those of every simulated
     step (``Trajectory.step_column``), so a run's CoT does not depend on its
-    decimation.  Raises ZeroDistanceError when d < 1e-6 m.
+    decimation.  Their times must not decrease, so the window is the suffix
+    from the first sample at or after t_start; a time that decreases or is
+    NaN (only a hand-made trajectory file holds one) raises ValueError.
+    Raises ZeroDistanceError when d < 1e-6 m.
     """
     if robot_weight is None:
         robot_weight = float(trajectory.meta["robot_weight"])
     t = trajectory.step_column("t")
     if len(t) < 2:
         raise ValueError("trajectory must hold at least two records")
-    bound = (t[0] if t_start is None else t_start) - 1e-12
-    mask = [ti >= bound for ti in t]
-    if sum(mask) < 2:
+    if not all(map(le, t, t[1:])):
+        raise ValueError("sample times must not decrease")
+    start = bisect_left(t, (t[0] if t_start is None else t_start) - 1e-12)
+    if len(t) - start < 2:
         raise ValueError("time window selects fewer than two records")
-    tw = list(compress(t, mask))
+    tw = t[start:]
 
     energy, e_s, e_f = (
-        _trapezoid([abs(p) for p in compress(trajectory.step_column(name), mask)], tw)
+        _trapezoid([abs(p) for p in trajectory.step_column(name)[start:]], tw)
         for name in ("power", "power_s", "power_f")
     )
-    distance = _trapezoid(list(compress(trajectory.step_column("com_vx"), mask)), tw)
+    distance = _trapezoid(trajectory.step_column("com_vx")[start:], tw)
     if distance < 1e-6:
         raise ZeroDistanceError(f"walking distance {distance:.3e} m below threshold")
     return CoTReport(
@@ -188,27 +191,30 @@ def rmse(series_a, series_b) -> float:
     return math.sqrt(_sum([(x - y) * (x - y) for x, y in zip(a, b)]) / len(a))
 
 
-def resample_stance(
-    trajectory: simulation.Trajectory,
-    fields: list[str],
-    n_points: int = 101,
-) -> dict[str, list[float]]:
-    """Mean stance-phase profile (``n_points`` on a 0..1 grid) of each field.
+# the common stance-phase grid, numpy's linspace(0, 1, 101)
+_PHASE_GRID = [i * 0.01 for i in range(100)] + [1.0]
+
+
+def resample_stance(trajectory: simulation.Trajectory,
+                    fields: list[str]) -> dict[str, list[float]]:
+    """Mean stance-phase profile of each field, 101 points on a 0..1 grid.
 
     Each completed stance after the first (settle-in) one is sorted by
     phase, records of equal phase in file order, and linearly interpolated
     onto the common phase grid; profiles are averaged across stances.
-    Raises ValueError when no complete stance is available.
+    Raises ValueError naming the first record whose ``stance_phase`` is not
+    finite, or when no complete stance is available.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
     phase = trajectory.column("stance_phase")
+    finite = list(map(math.isfinite, phase))
+    if not all(finite):
+        i = finite.index(False)
+        raise ValueError(f"record {i} (CSV line {i + 2}) has the non-finite "
+                         f"stance_phase {phase[i]!r}")
     columns = [trajectory.column(name) for name in fields]
     stances: dict[int, list[int]] = {}  # the rows of each step count
     for i, k in enumerate(trajectory.column("step_count")):
         stances.setdefault(int(k), []).append(i)
-    step = 1.0 / (n_points - 1)  # numpy's linspace(0, 1, n_points)
-    grid = [i * step for i in range(n_points - 1)] + [1.0]
     profiles = []
     last = max(stances, default=0)
     for k in sorted(stances):
@@ -217,7 +223,7 @@ def resample_stance(
             continue  # the settle-in stance, the trailing fragment, a stub
         rows = sorted(rows, key=phase.__getitem__)
         ph = [phase[i] for i in rows]
-        profiles.append([_interp(grid, ph, [col[i] for i in rows]) for col in columns])
+        profiles.append([_interp(_PHASE_GRID, ph, [col[i] for i in rows]) for col in columns])
     if not profiles:
         raise ValueError("no complete stance available for resampling")
     # numpy's mean over the stances: their sum in order from +0.0, over their count
@@ -259,10 +265,10 @@ def velocity_sweep(
     base: simulation.SimConfig,
     velocities,
     repeats: int = 1,
-    terrains=("granular", "rigid"),
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """CoT mean and spread per (velocity, terrain) cell.
+    """CoT mean and spread per (velocity, terrain) cell, each velocity on
+    granular and then on rigid ground.
 
     Repeats differ through the seeded initial-state jitter.  A failing run
     (divergence, zero distance) is counted in ``n_failed`` and described in
@@ -285,7 +291,8 @@ def velocity_sweep(
         raise ValueError("jobs must be >= 1")
 
     seeds = tuple(base.seed + rep for rep in range(repeats))
-    cells = [(float(v), terrain_mode) for v in velocities for terrain_mode in terrains]
+    cells = [(float(v), terrain_mode) for v in velocities
+             for terrain_mode in ("granular", "rigid")]
     check_memory(base.steps, 0)  # a sweep run logs no record; checked before any run
     decimation = sweep_decimation(base)
     try:  # each speed passes the checks of its config key before any run starts

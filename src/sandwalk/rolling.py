@@ -17,7 +17,6 @@ from .dynamics import check_ranges
 __all__ = [
     "FootShape",
     "ContactOutsideSoleError",
-    "NoRotationError",
     "GAMMA_UNDEFINED",
     "lowest_point",
     "orientation_angle",
@@ -32,10 +31,6 @@ GAMMA_UNDEFINED = float("nan")
 
 class ContactOutsideSoleError(ValueError):
     """The contact reached the rim of the sole (contact left the sole)."""
-
-
-class NoRotationError(ValueError):
-    """Pitch rate below the rotation threshold; effective radius unbounded."""
 
 
 class FootShape:
@@ -96,8 +91,9 @@ def velocity_angle(dx: float, dz: float) -> float:
 def effective_radius(v: tuple[float, float], dtheta_r: float) -> float:
     """Effective rolling radius, contact speed over foot pitch rate.
 
-    Raises NoRotationError when |dtheta_r| < 1e-4 rad/s (pure translation).
+    Below the rotation threshold |dtheta_r| < 1e-4 rad/s (pure translation
+    or a still foot) it is ``math.inf``, the limit of |v| / |dtheta_r|.
     """
     if abs(dtheta_r) < 1e-4:
-        raise NoRotationError(f"pitch rate {dtheta_r:.2e} rad/s below threshold")
+        return math.inf
     return math.hypot(v[0], v[1]) / abs(dtheta_r)

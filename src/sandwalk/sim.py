@@ -28,8 +28,7 @@ from . import dynamics as dyn
 from . import gait as gt
 from . import rolling as rl
 from . import terrain as tr
-from .trajectory import (_BLOCK, _LEG_NAMES, SIM_RECORD_FIELDS, Trajectory, TrajectoryWriter,
-                         check_memory)
+from .trajectory import _BLOCK, SIM_RECORD_FIELDS, Trajectory, TrajectoryWriter, check_memory
 
 __all__ = [
     "SimConfig",
@@ -137,11 +136,12 @@ class WalkerState:
     """Full simulation state; a step rebinds its fields, never writing into
     ``y``.  ``y`` is the stacked state as 24 floats: the sagittal
     coordinates q_s at 0-6, the frontal q_f at 7-11, then their rates dq_s
-    at 12-18 and dq_f at 19-23.  The latches ``c0`` and ``liftoff`` are
-    (x, z) float pairs."""
+    at 12-18 and dq_f at 19-23.  ``stance`` is the record's ``stance_leg``
+    value: 0 for a left stance, 1 for a right one.  The latches ``c0`` and
+    ``liftoff`` are (x, z) float pairs."""
 
     t: float = 0.0
-    stance: gt.Side = gt.Side.LEFT
+    stance: int = 0
     t_stance_start: float = 0.0
     step_count: int = 0
     c0: tuple[float, float] = (0.0, 0.0)
@@ -308,11 +308,11 @@ _HIP_POSTURE = gt.frontal_to_hip_angles((*_FRONTAL_POSTURE, 0.0))
 _KP, _KD = gt.KP * 2, gt.KD * 2
 
 
-def _physical(v, stance: gt.Side):
+def _physical(v, stance: int):
     """Six actuator values in stance-first order (stance hip, thigh, calf,
     swing hip, thigh, calf) in the physical order of the record's
-    ``tau_a1..tau_a6``: a right stance swaps the halves."""
-    return v if stance is gt.Side.LEFT else (*v[3:], *v[:3])
+    ``tau_a1..tau_a6``: a right stance (1) swaps the halves."""
+    return (*v[3:], *v[:3]) if stance else v
 
 
 def _control(ws: WalkerState, cfg: SimConfig):
@@ -575,17 +575,15 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
     gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
 
     s = ws.y
-    # rolling bookkeeping on the stance foot
+    # rolling bookkeeping on the stance foot; a still foot's infinite radius
+    # saturates at the cap
     theta_r = rl.orientation_angle(cfg._sole, contact)
-    try:
-        r_eff = min(rl.effective_radius((s[17], s[18]), s[13]), cfg.r_eff_cap)
-    except rl.NoRotationError:
-        r_eff = cfg.r_eff_cap
+    r_eff = min(rl.effective_radius((s[17], s[18]), s[13]), cfg.r_eff_cap)
 
     joint_powers, power, power_s, power_f = powers
     hip, _, com, _, _, com_v = kinematics
     out.fromlist([  # SIM_RECORD_FIELDS order
-        ws.t, _LEG_NAMES.index(ws.stance), phase, ws.step_count,
+        ws.t, ws.stance, phase, ws.step_count,
         *s[:5], *s[12:17],
         s[5], s[10], max(0.0, -s[6]), s[17], s[22], -s[18],
         *s[7:10], *s[19:22],
@@ -607,7 +605,7 @@ def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
     slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0  # landing skid
     c0 = (swing[0], min(swing[1] - r, cfg.terrain.sand_level))
     new = replace(
-        ws, stance=ws.stance.other, t_stance_start=ws.t, step_count=ws.step_count + 1,
+        ws, stance=1 - ws.stance, t_stance_start=ws.t, step_count=ws.step_count + 1,
         c0=c0, liftoff=(c0_x + y[5], c0_z + y[6] + r),  # old stance-foot center
         prev_swing_height=float("inf"),
         y=[y[2], y[3], y[0], y[1], y[4], 0.0, 0.0,

@@ -580,6 +580,25 @@ def test_compare_names_a_bad_input_on_both_paths(tmp_path, capsys, writer_cpus, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["first", "second"])
+def test_compare_names_a_non_finite_stance_phase(tmp_path, capsys, writer_cpus, walk_csv, bad):
+    # the file loads, but a NaN phase would turn every profile into NaN:
+    # compare names the file and the line, exits 2 and writes nothing
+    lines = walk_csv.read_text().splitlines(keepends=True)
+    cells = lines[400].split(",")
+    cells[SIM_RECORD_FIELDS.index("stance_phase")] = "nan"
+    lines[400] = ",".join(cells)
+    paths = tmp_path / "a.csv", tmp_path / "b.csv"
+    named = paths[0] if bad == "first" else paths[1]
+    for path in paths:
+        path.write_text("".join(lines) if path == named else walk_csv.read_text())
+    out = tmp_path / "cmp"
+    assert main(["compare", *map(str, paths), "--out", str(out), "--fields", "f_z,z_s"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {named}: record 399 (CSV line 401) has the non-finite stance_phase nan\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("interrupted", ["reading-the-first", "waiting-for-the-second"])
 def test_compare_interrupted_leaves_no_child(tmp_path, monkeypatch, writer_cpus, walk_csv,
                                              interrupted):

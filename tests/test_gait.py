@@ -11,7 +11,6 @@ from sandwalk.gait import (
     KD,
     KP,
     GaitConfig,
-    Side,
     UnreachableTargetError,
     cycloid_swing,
     frontal_to_hip_angles,
@@ -46,9 +45,10 @@ SAGITTAL_MAP = np.array([
 
 def controlled(side, rng, trunk_rate=True, hip_rates=True):
     """The stacked state of the default config's start, on a ``side``
-    stance, with random sagittal rates (the trunk's only if ``trunk_rate``)
-    and, if ``hip_rates``, random frontal rates; and ``sim._control``'s
-    output there (torques, measured actuator rates, tau_s, tau_f)."""
+    stance (0 left, 1 right), with random sagittal rates (the trunk's only
+    if ``trunk_rate``) and, if ``hip_rates``, random frontal rates; and
+    ``sim._control``'s output there (torques, measured actuator rates,
+    tau_s, tau_f)."""
     cfg = sim.SimConfig()
     ws = sim.initial_state(cfg)
     ws.stance = side
@@ -128,7 +128,7 @@ def test_sagittal_map_linearity_and_constance():
     # stance side, with the (stance, swing) hip rates -p1' + p2' and
     # -p2' + p3' in rows 0 and 3
     rng = np.random.default_rng(22)
-    for side in (Side.LEFT, Side.RIGHT):
+    for side in (0, 1):
         for _ in range(100):
             y, (_, dq_a, _, _) = controlled(side, rng)
             expected = SAGITTAL_MAP @ y[12:17]
@@ -142,7 +142,7 @@ def test_sagittal_roundtrip():
     # actuated angles (the trunk row is not actuated)
     rng = np.random.default_rng(23)
     rows = [1, 2, 4, 5]  # the thighs and calves
-    for side in (Side.LEFT, Side.RIGHT):
+    for side in (0, 1):
         for _ in range(100):
             y, (tau_a, dq_a, tau_s, _) = controlled(side, rng)
             back = np.linalg.solve(np.vstack([SAGITTAL_MAP[rows], np.eye(5)[4]]),
@@ -155,7 +155,7 @@ def test_power_invariance_on_actuated_subspace():
     # with the trunk held and the hips at rest, the controller's actuator
     # power equals the power of tau_s on the four actuated sagittal rates
     rng = np.random.default_rng(24)
-    for side in (Side.LEFT, Side.RIGHT):
+    for side in (0, 1):
         for _ in range(100):
             y, (tau_a, dq_a, tau_s, _) = controlled(side, rng, trunk_rate=False,
                                                     hip_rates=False)

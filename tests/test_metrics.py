@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import struct
 import time
 
@@ -92,6 +93,35 @@ def test_cot_decimation_refinement():
     assert abs(fine - finer) / finer < 1e-3
 
 
+@pytest.fixture(scope="module")
+def short_walk():
+    """A default 0.8 s granular run."""
+    return sim.run(build_config({"sim.duration": 0.8}))
+
+
+@pytest.mark.parametrize("t_start", [None, -1.0, 0.4, 0.4 - 5e-13, 0.4 + 5e-13, 0.4005, 0.799])
+def test_cot_window_is_every_sample_at_or_after_t_start(short_walk, t_start):
+    # the window, a suffix of the time-ordered samples, holds every sample
+    # at or after t_start less 1e-12
+    t = np.asarray(short_walk.step_column("t"))
+    keep = t >= (t[0] if t_start is None else t_start) - 1e-12
+    energy = np.trapezoid(np.abs(np.asarray(short_walk.step_column("power"))[keep]), t[keep])
+    distance = np.trapezoid(np.asarray(short_walk.step_column("com_vx"))[keep], t[keep])
+    report = cot(short_walk, t_start=t_start)
+    assert report.distance == distance
+    assert report.cot == energy / (short_walk.meta["robot_weight"] * distance)
+
+
+@pytest.mark.parametrize("bad", [0.35, math.nan], ids=["decreasing", "nan"])
+def test_cot_rejects_sample_times_out_of_order(bad):
+    t = np.arange(11) * 0.1
+    t[5] = bad
+    traj = columnar_trajectory({"robot_weight": 2.0}, t=t, power=1.0, power_s=1.0,
+                               com_vx=1.0)
+    with pytest.raises(ValueError, match="^sample times must not decrease$"):
+        cot(traj)
+
+
 def test_cot_zero_distance_error():
     traj = synthetic_trajectory(power=1.0, v_x=0.0)
     with pytest.raises(ZeroDistanceError):
@@ -141,10 +171,22 @@ def test_nonfinite_input_rejected_naming_it(build, message):
 def test_resample_stance_shapes():
     from sandwalk import sim
     traj = sim.run(build_config({"sim.duration": 1.2}))
-    prof = resample_stance(traj, ["f_z", "z_s"], n_points=51)
-    assert len(prof["f_z"]) == 51
-    assert len(prof["z_s"]) == 51
-    assert prof["z_s"][0] < prof["z_s"][25]  # sinks into the stance
+    prof = resample_stance(traj, ["f_z", "z_s"])
+    assert len(prof["f_z"]) == 101
+    assert len(prof["z_s"]) == 101
+    assert prof["z_s"][0] < prof["z_s"][50]  # sinks into the stance
+
+
+def test_resample_stance_names_a_non_finite_phase(short_walk):
+    # a non-finite phase cannot be sorted or interpolated: the first one is
+    # named by its record and its line in the CSV file
+    at = 400 * len(SIM_RECORD_FIELDS) + SIM_RECORD_FIELDS.index("stance_phase")
+    for value in (math.nan, math.inf, -math.inf):
+        data = short_walk.data[:]
+        data[at] = data[at + len(SIM_RECORD_FIELDS)] = value
+        message = f"record 400 (CSV line 402) has the non-finite stance_phase {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resample_stance(Trajectory(data, {}), ["f_z"])
 
 
 # numpy is a dependency of the tests alone: the reductions in metrics are
@@ -229,15 +271,15 @@ def test_interp_is_numpy_interp(case):
                 assert_same_float(value, expected)
 
 
-def _numpy_resample_stance(traj, fields, n_points):
+def _numpy_resample_stance(traj, fields):
     """``resample_stance`` in numpy: the stances of the step counts past 0
     and before the last, of four rows or more, sorted by phase (stably),
-    interpolated onto ``np.linspace(0, 1, n_points)`` and averaged."""
+    interpolated onto ``np.linspace(0, 1, 101)`` and averaged."""
     table = np.asarray(traj.data).reshape(-1, len(SIM_RECORD_FIELDS))
     steps = table[:, SIM_RECORD_FIELDS.index("step_count")].astype(int)
     phase = table[:, SIM_RECORD_FIELDS.index("stance_phase")]
     columns = table[:, [SIM_RECORD_FIELDS.index(name) for name in fields]]
-    grid = np.linspace(0.0, 1.0, n_points)
+    grid = np.linspace(0.0, 1.0, 101)
     profiles = []
     for k in range(1, steps.max(initial=0)):
         sel = steps == k
@@ -253,22 +295,20 @@ def test_resample_stance_is_numpy_resampling(terrain_mode):
     from sandwalk import sim
     traj = sim.run(build_config({"sim.duration": 1.2, "sim.terrain_mode": terrain_mode}))
     fields = ["f_z", "z_s", "x_s", "power", "q_s1"]
-    for n_points in (2, 51, 101):
-        expected = _numpy_resample_stance(traj, fields, n_points)
-        got = resample_stance(traj, fields, n_points)
-        assert {name: np.asarray(got[name]).tobytes() for name in fields} == {
-            name: expected[name].tobytes() for name in fields}
+    expected = _numpy_resample_stance(traj, fields)
+    got = resample_stance(traj, fields)
+    assert {name: np.asarray(got[name]).tobytes() for name in fields} == {
+        name: expected[name].tobytes() for name in fields}
 
 
 def test_velocity_sweep_rows():
     base = build_config({"sim.duration": 0.8})
-    rows = velocity_sweep(base, [0.2], repeats=1, terrains=("granular",))
-    assert len(rows) == 1
-    assert rows[0].cot_std == 0.0
-    assert rows[0].n_ok == 1
-    assert rows[0].dimensionless_v == pytest.approx(
-        dimensionless_velocity(0.2, base.h_com)
-    )
+    rows = velocity_sweep(base, [0.2], repeats=1)
+    assert [row.terrain for row in rows] == ["granular", "rigid"]
+    for row in rows:
+        assert row.cot_std == 0.0
+        assert row.n_ok == 1
+        assert row.dimensionless_v == pytest.approx(dimensionless_velocity(0.2, base.h_com))
     with pytest.raises(ValueError):
         velocity_sweep(base, [], repeats=1)
 
@@ -293,26 +333,24 @@ def test_velocity_sweep_serial_matches_parallel():
 def test_velocity_sweep_counts_divergence_in_both_paths():
     wild = build_config({"sim.dt": 0.02, "sim.duration": 0.8})
     for jobs in (1, 2):
-        rows = velocity_sweep(wild, [0.2, 0.3], repeats=1,
-                              terrains=("granular",), jobs=jobs)
-        assert [(r.n_ok, r.n_failed) for r in rows] == [(0, 1), (0, 1)]
+        rows = velocity_sweep(wild, [0.2, 0.3], repeats=1, jobs=jobs)
+        assert [(r.n_ok, r.n_failed) for r in rows] == [(0, 1)] * 4
 
 
 def test_velocity_sweep_rows_without_a_run_compare_equal():
     # a cell whose runs all failed has a NaN CoT mean and spread; the row
     # holds the one math.nan, so it equals itself and its parallel twin
     wild = build_config({"sim.dt": 0.02, "sim.duration": 0.8})
-    serial = velocity_sweep(wild, [0.2], repeats=1, terrains=("rigid",), jobs=1)
-    assert [(r.n_ok, r.n_failed) for r in serial] == [(0, 1)]
-    assert serial[0].cot_mean is math.nan and serial[0].cot_std is math.nan
-    assert velocity_sweep(wild, [0.2], repeats=1, terrains=("rigid",), jobs=2) == serial
+    serial = velocity_sweep(wild, [0.2], repeats=1, jobs=1)
+    assert [(r.n_ok, r.n_failed) for r in serial] == [(0, 1), (0, 1)]
+    assert all(r.cot_mean is math.nan and r.cot_std is math.nan for r in serial)
+    assert velocity_sweep(wild, [0.2], repeats=1, jobs=2) == serial
 
 
 def test_velocity_sweep_records_why_runs_failed_in_both_paths():
     # a step far too long diverges in every run; both paths report when and why
     wild = build_config({"sim.dt": 0.02, "sim.duration": 0.8})
-    per_path = [velocity_sweep(wild, [0.2, 0.3], repeats=2, terrains=("granular",),
-                               jobs=jobs) for jobs in (1, 2, 3)]
+    per_path = [velocity_sweep(wild, [0.2, 0.3], repeats=2, jobs=jobs) for jobs in (1, 2, 3)]
     assert per_path[0] == per_path[1] == per_path[2]
     for row in per_path[0]:
         assert row.n_failed == len(row.failures) == 2
@@ -322,9 +360,8 @@ def test_velocity_sweep_records_why_runs_failed_in_both_paths():
             assert 0.0 < failure.t < 0.8
             assert failure.message.startswith(f"simulation diverged at t={failure.t:.6f} s")
     # a run without a failure records none
-    ok = velocity_sweep(build_config({"sim.duration": 0.8}), [0.2], repeats=1,
-                        terrains=("granular",))
-    assert ok[0].failures == ()
+    ok = velocity_sweep(build_config({"sim.duration": 0.8}), [0.2], repeats=1)
+    assert [row.failures for row in ok] == [(), ()]
 
 
 def test_sweep_cell_failure_without_a_time(monkeypatch):
@@ -468,11 +505,12 @@ def test_velocity_sweep_takes_each_run_once(monkeypatch):
     try:
         with _alarm(60, TimeoutError("the sweep's processes stalled")):
             rows = velocity_sweep(build_config({"sim.duration": 0.8}), [0.2], repeats=500,
-                                  terrains=("granular",), jobs=4)
+                                  jobs=4)
         taken = os.read(taken_r, 4096)
     finally:
         os.close(taken_r)
         os.close(taken_w)
     seeds = sorted(int.from_bytes(taken[i:i + 2], "little") for i in range(0, len(taken), 2))
-    assert seeds == list(range(500))
-    assert rows[0].n_ok == 500 and rows[0].cot_mean == np.mean(np.arange(500.0))
+    assert seeds == sorted(2 * list(range(500)))  # one run per seed on each terrain
+    for row in rows:
+        assert row.n_ok == 500 and row.cot_mean == np.mean(np.arange(500.0))

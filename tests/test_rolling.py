@@ -8,7 +8,6 @@ import pytest
 from sandwalk.rolling import (
     ContactOutsideSoleError,
     FootShape,
-    NoRotationError,
     effective_radius,
     lowest_point,
     orientation_angle,
@@ -134,8 +133,11 @@ def test_effective_radius_direct():
 
 
 def test_effective_radius_guard():
-    with pytest.raises(NoRotationError):
-        effective_radius((0.1, 0.0), 1e-6)
+    # below the 1e-4 rad/s rotation threshold the radius is infinite, the
+    # limit of |v| / |dtheta_r|, whether the foot translates or stands still
+    for v, rate in (((0.1, 0.0), 1e-6), ((0.0, 0.0), 0.0), ((0.0, -0.2), -9.9e-5)):
+        assert effective_radius(v, rate) == math.inf
+    assert effective_radius((0.0, 0.0), 1e-4) == 0.0
 
 
 def test_pure_roll_effective_radius_and_angle():

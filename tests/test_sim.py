@@ -205,6 +205,30 @@ def test_granular_stance_sinks_to_force_balance():
     assert z_eq <= z[-1] <= 1.25 * math.sqrt(3.0) * z_eq
 
 
+def test_stiff_sand_tends_to_rigid_ground():
+    # rigid ground is the stiff limit of the sand: at dt = 1 ms,
+    # semi-implicit, each 4x in terrain.zeta closes the CoT gap to rigid
+    # ground (measured 0.2157, 0.0284, 0.00876 and 0.00115 at 1, 4, 16 and
+    # 64 zeta) and halves the peak sinkage (ratios 2.007, 1.997, 1.972)
+    def walk(overrides):
+        cfg = build_config(overrides)
+        traj = sim.run(cfg)
+        return cot(traj, t_start=settle_time(cfg)).cot, max(traj.column("z_s"))
+
+    rigid_cot, rigid_sinkage = walk({"sim.terrain_mode": "rigid"})
+    assert rigid_sinkage == 0.0
+    zeta = tr.TerrainParams().zeta
+    gaps, sinkage = [], []
+    for scale in (1, 4, 16, 64):
+        sand_cot, peak = walk({"terrain.zeta": zeta * scale})
+        gaps.append(sand_cot - rigid_cot)
+        sinkage.append(peak)
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+    assert abs(gaps[-1]) < 0.005
+    ratios = [a / b for a, b in zip(sinkage, sinkage[1:])]
+    assert all(1.9 <= r <= 2.1 for r in ratios), ratios
+
+
 def test_momentum_impulse_consistency():
     cfg = build_config({"sim.duration": 1.6})
     traj = sim.run(cfg)
@@ -349,7 +373,7 @@ def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
         _, swing, _, _, swing_v, _ = sim._kinematics(cfg, ws.c0, q, dq)
         # swing and stance pairs swap, the trunk carries over, the intrusion
         # restarts from 0, at rest except for the landing skid on sand
-        assert new.stance is ws.stance.other
+        assert new.stance == 1 - ws.stance
         assert new.y[:7] == [q[2], q[3], q[0], q[1], q[4], 0.0, 0.0]
         slip = swing_v[0] if terrain_mode == "granular" else 0.0
         assert new.y[12:19] == [dq[2], dq[3], dq[0], dq[1], dq[4], slip, 0.0]
@@ -832,7 +856,7 @@ def test_trajectory_csv_header_only_loads_without_warning(tmp_path):
     assert caught == []
 
 
-@pytest.mark.parametrize("stance", list(gt.Side))
+@pytest.mark.parametrize("stance", [0, 1], ids=["left", "right"])
 def test_control_tables_match_gait_maps(stance):
     # the controller against the matrix S of the gait tests, the same for
     # both stance sides in stance-first order: q_a = S q_s with the hips in
