@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
         with _out_dir(args) as out:
             csv_path = out / "trajectory.csv"
             json_path = out / "trajectory.json"
-            traj.save_csv(csv_path, json_path)
+            writer.commit(csv_path, json_path, traj.meta)
             summary = {
                 "records": len(traj),
                 "final_com_x": float(traj.column("com_x")[-1]),

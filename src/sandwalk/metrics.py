@@ -6,8 +6,7 @@ import math
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add, le
+from operator import le
 from types import SimpleNamespace
 
 from . import sim as simulation
@@ -78,36 +77,25 @@ def dimensionless_velocity(v: float, h_com: float, g: float = 9.81) -> float:
 
 
 def _sum(values) -> float:
-    """``numpy.sum`` of the floats ``values``, bit for bit: +0.0 plus numpy's
-    pairwise sum.  That adds fewer than 8 terms left to right from -0.0; up
-    to 128 it keeps eight running sums, of the terms at each offset modulo
-    8, adds them in pairs and then the leftover terms one by one; above 128
-    it adds the sums of two parts, split at half the count rounded down to
-    a multiple of 8."""
-
-    def pairwise(a):
-        n = len(a)
-        if n < 8:
-            return reduce(add, a, -0.0)
-        if n <= 128:
-            m = n - n % 8
-            r = [reduce(add, a[j + 8:m:8], a[j]) for j in range(8)]
-            paired = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            return reduce(add, a[m:], paired)
-        half = n // 2 - n // 2 % 8
-        return pairwise(a[:half]) + pairwise(a[half:])
-
-    return 0.0 + pairwise(values)
+    """The sum of the float sequence ``values``, exact and rounded once
+    (``math.fsum``).  Where ``fsum`` raises, at a partial sum past the float
+    range or at inf - inf (only a hand-made trajectory file holds such
+    values), their IEEE sum from left to right, which is then inf or NaN."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values, 0.0)
 
 
 def _trapezoid(y, x) -> float:
-    """``numpy.trapezoid(y, x)`` of two float sequences, bit for bit."""
+    """The trapezoidal integral of the samples ``y`` at the points ``x``: the
+    sum of ``numpy.trapezoid``'s terms (x1 - x0) (y1 + y0) / 2."""
     return _sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])])
 
 
 def _std(values) -> float:
-    """``numpy.std`` of the floats ``values``, bit for bit: the root of the
-    mean squared deviation from their mean."""
+    """The root of the mean squared deviation of the floats ``values`` from
+    their mean."""
     mean = _sum(values) / len(values)
     return math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / len(values))
 
@@ -226,8 +214,7 @@ def resample_stance(trajectory: simulation.Trajectory,
         profiles.append([_interp(_PHASE_GRID, ph, [col[i] for i in rows]) for col in columns])
     if not profiles:
         raise ValueError("no complete stance available for resampling")
-    # numpy's mean over the stances: their sum in order from +0.0, over their count
-    return {name: [reduce(add, values, 0.0) / len(profiles) for values in zip(*series)]
+    return {name: [_sum(values) / len(profiles) for values in zip(*series)]
             for name, series in zip(fields, zip(*profiles))}
 
 

@@ -46,7 +46,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, t: float, detail: str = ""):
         super().__init__(f"simulation diverged at t={t:.6f} s {detail}".rstrip())
         self.t = t
-        self.detail = detail
 
 
 # the frontal model's values that a frontal.* key sets
@@ -735,7 +734,7 @@ def initial_state(cfg: SimConfig) -> WalkerState:
 def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
     """Simulate for the configured duration; deterministic given the config.
     Every ``_BLOCK`` steps, and after the last, ``writer`` is fed the rows
-    logged since it was last fed; the trajectory keeps it for ``save_csv``."""
+    logged since it was last fed."""
     ws = initial_state(cfg)
     # the last step of each decimation block writes the block's row; the
     # trailing steps of an incomplete block write none
@@ -763,4 +762,4 @@ def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
         "cycle_period": cfg.gait.cycle_period,
         "stance_duration": cfg.gait.stance_duration,
     }
-    return Trajectory(data, meta, samples, writer)
+    return Trajectory(data, meta, samples)

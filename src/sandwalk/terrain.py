@@ -111,8 +111,6 @@ def local_stress(
     bearing value of straight-down penetration.  Horizontal motion
     reversal mirrors the element, flipping the sign of alpha_x.
     """
-    if zeta == 0.0 or scale == 0.0:
-        return 0.0, 0.0
     k = zeta * scale * _STRESS_UNIT
     if math.isnan(gamma):
         g_pen = math.pi / 2  # static bearing at the penetration branch
@@ -168,9 +166,7 @@ def sagittal_forces(terrain: TerrainParams, depth: float, gamma: float) -> tuple
         sign = -1.0
         gamma = math.atan2(vz, -vx)
         vx, vz = math.cos(gamma), math.sin(gamma)
-    if k == 0.0:  # no stress factor (validation rejects it): local_stress's zeros
-        a_x = a_z = 0.0
-    elif vx >= 0.0:
+    if vx >= 0.0:
         a_x, a_z = _stresses(k, two_phi, cos_2phi, sin_2phi, math.atan2(-vz, vx))
     else:  # no direction: the static bearing of straight-down penetration
         a_x, a_z = 0.0, _stresses(k, two_phi, cos_2phi, sin_2phi, math.pi / 2)[1]

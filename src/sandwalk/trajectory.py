@@ -9,7 +9,7 @@ import tempfile
 from array import array
 from collections import namedtuple
 from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 
@@ -78,13 +78,11 @@ class Trajectory:
     of record i, and ``stance_leg`` holds 0 (left) or 1 (right).
     ``step_samples`` holds the ``STEP_FIELDS`` of every simulated step,
     logged or not, in the same layout; without it they are read off the
-    records.  ``writer`` is the ``TrajectoryWriter`` that ``run`` fed the
-    rows to, which ``save_csv`` commits."""
+    records."""
 
     data: array
     meta: dict
     step_samples: array | None = None
-    writer: TrajectoryWriter | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.data) % _WIDTH:
@@ -129,14 +127,8 @@ class Trajectory:
 
     def save_csv(self, path, json_path=None) -> None:
         """Write the rows to ``path`` as CSV and, given ``json_path``, to that
-        file as JSON too, from one formatting pass.  The first call on a
-        trajectory with a ``writer`` commits that writer, which must still be
-        open: the files are written from the text it formatted."""
-        writer, self.writer = self.writer, None
-        if writer is not None:
-            writer.commit(path, json_path, self.meta)
-        else:
-            _save(path, json_path, self.meta, self._text_blocks())
+        file as JSON too, from one formatting pass."""
+        _save(path, json_path, self.meta, self._text_blocks())
 
     def save_json(self, path) -> None:
         """Write the one JSON document {meta, columns, records} to ``path``."""
@@ -257,7 +249,7 @@ class TrajectoryWriter:
     """Formats the rows of a run into the text of its CSV and JSON files.
 
     A context manager around ``run(cfg, writer)``, which feeds it the rows
-    logged every ``_BLOCK`` steps, and the ``save_csv`` that commits it.
+    logged every ``_BLOCK`` steps, and ``commit``, which writes the files.
     Entering opens two unnamed temporary files and a ``Child`` that appends
     ``_format_block``'s text of each block fed to them; where the ``Child``
     forks, it formats while the run integrates, and otherwise over the fed

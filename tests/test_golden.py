@@ -1,10 +1,12 @@
-"""Behaviour contract: pinned trajectory file digests and effective configs.
+"""Behaviour contract: pinned trajectory file digests, summary CoTs and
+effective configs.
 
-The SHA-256 digests below hold for the libm they were recorded with
-(glibc, x86-64).  sandwalk imports no numpy: the step, the initial jitter
-(``sim._uniform``, numpy's PCG64 stream reproduced), the file I/O and the
-summary CoT are Python floats, so the bytes depend on libm alone, and this
-module passes with numpy unimportable.  Another libm may still change the
+The SHA-256 digests and summary values below hold for the libm they were
+recorded with (glibc, x86-64).  sandwalk imports no numpy: the step, the
+initial jitter (``sim._uniform``, numpy's PCG64 stream reproduced), the
+file I/O and the summary CoT (its sums are ``math.fsum``) are Python
+floats, so the bytes depend on libm alone, and this module passes with
+numpy unimportable.  Another libm may still change the
 last bits of a value and so the bytes.  A change that alters numerics on
 purpose must regenerate these values and say so, with the size of the
 change; a refactor must leave them untouched.
@@ -14,7 +16,7 @@ import hashlib
 
 import pytest
 
-from sandwalk import cli, sim
+from sandwalk import cli, metrics, sim
 from sandwalk.config import build_config, config_hash, flatten_config
 
 TRAJECTORY_SHA256 = {
@@ -34,6 +36,19 @@ TRAJECTORY_SHA256 = {
         "0c9ee8743fca90c81b57ad2eb7e90c71f729e8d1a046fe486e425a35ff44ee1c",
         "f74938eccb37b3cc029ff90b379a60b2c9b29f92d01a4581125f7808d3a30aba",
     ),
+}
+
+# (cot, cot_decoupled, distance) that metrics.cot reports from settle_time
+# on of the same runs, as float.hex: the summary of the command's manifest
+SUMMARY_HEX = {
+    ("granular", "semi_implicit"): ("0x1.caac905d9bd85p-1", "0x1.caac905d9bd85p-1",
+                                    "0x1.1ceacbbbbf379p-4"),
+    ("granular", "rk4"): ("0x1.ceba1ec6c8942p-1", "0x1.ceba1ec6c8942p-1",
+                          "0x1.1bf82a36c5cf4p-4"),
+    ("rigid", "semi_implicit"): ("0x1.2be752063a961p-1", "0x1.2be752063a961p-1",
+                                 "0x1.489930a4bca7dp-4"),
+    ("rigid", "rk4"): ("0x1.31fdff1ed952fp-1", "0x1.31fdff1ed9530p-1",
+                       "0x1.46cf2882118a4p-4"),
 }
 
 DEFAULT_FLAT = {
@@ -86,6 +101,11 @@ CONFIG_HASH = {
 }
 
 
+def _golden_config(terrain, integrator):
+    return build_config({"sim.duration": 0.8, "sim.seed": 0, "sim.decimation": 1,
+                         "sim.terrain_mode": terrain, "sim.integrator": integrator})
+
+
 def _digests(out) -> tuple[str, str]:
     """SHA-256 of trajectory.csv and trajectory.json in ``out``."""
     return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -94,9 +114,7 @@ def _digests(out) -> tuple[str, str]:
 
 @pytest.mark.parametrize("terrain,integrator", sorted(TRAJECTORY_SHA256))
 def test_trajectory_files_byte_identical(tmp_path, terrain, integrator):
-    traj = sim.run(build_config({"sim.duration": 0.8, "sim.seed": 0,
-                                 "sim.decimation": 1, "sim.terrain_mode": terrain,
-                                 "sim.integrator": integrator}))
+    traj = sim.run(_golden_config(terrain, integrator))
     traj.save_csv(tmp_path / "trajectory.csv")
     traj.save_json(tmp_path / "trajectory.json")
     assert _digests(tmp_path) == TRAJECTORY_SHA256[(terrain, integrator)]
@@ -109,6 +127,14 @@ def test_simulate_command_writes_the_golden_files(tmp_path, terrain, integrator)
                      "--decimation", "1", "--terrain", terrain,
                      "--set", f"sim.integrator={integrator}", "--out", str(tmp_path)]) == 0
     assert _digests(tmp_path) == TRAJECTORY_SHA256[(terrain, integrator)]
+
+
+@pytest.mark.parametrize("terrain,integrator", sorted(SUMMARY_HEX))
+def test_summary_cot_pinned(terrain, integrator):
+    cfg = _golden_config(terrain, integrator)
+    report = metrics.cot(sim.run(cfg), t_start=metrics.settle_time(cfg))
+    assert (report.cot.hex(), report.cot_decoupled.hex(),
+            report.distance.hex()) == SUMMARY_HEX[(terrain, integrator)]
 
 
 def test_flatten_default_config():

@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,29 @@ def test_cot_decimation_refinement():
     assert abs(fine - finer) / finer < 1e-3
 
 
+def exact_sum(terms) -> float:
+    """The sum of the float ``terms`` rounded once: ``float(sum(map(Fraction,
+    terms)))`` of finite terms, +-inf where that leaves the float range, and
+    with a term that is not finite, the sum in the extended reals: NaN with
+    a NaN or with both infinities among the terms, else their infinity."""
+    terms = [float(v) for v in terms]
+    if all(map(math.isfinite, terms)):
+        exact = sum(map(Fraction, terms))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+    if any(map(math.isnan, terms)) or {math.inf, -math.inf} <= set(terms):
+        return math.nan
+    return math.inf if math.inf in terms else -math.inf
+
+
+def exact_trapezoid(y, x) -> float:
+    """The exact sum of ``np.trapezoid(y, x)``'s terms, rounded once."""
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    return exact_sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+
+
 @pytest.fixture(scope="module")
 def short_walk():
     """A default 0.8 s granular run."""
@@ -105,8 +129,8 @@ def test_cot_window_is_every_sample_at_or_after_t_start(short_walk, t_start):
     # at or after t_start less 1e-12
     t = np.asarray(short_walk.step_column("t"))
     keep = t >= (t[0] if t_start is None else t_start) - 1e-12
-    energy = np.trapezoid(np.abs(np.asarray(short_walk.step_column("power"))[keep]), t[keep])
-    distance = np.trapezoid(np.asarray(short_walk.step_column("com_vx"))[keep], t[keep])
+    energy = exact_trapezoid(np.abs(np.asarray(short_walk.step_column("power"))[keep]), t[keep])
+    distance = exact_trapezoid(np.asarray(short_walk.step_column("com_vx"))[keep], t[keep])
     report = cot(short_walk, t_start=t_start)
     assert report.distance == distance
     assert report.cot == energy / (short_walk.meta["robot_weight"] * distance)
@@ -189,15 +213,17 @@ def test_resample_stance_names_a_non_finite_phase(short_walk):
             resample_stance(Trajectory(data, {}), ["f_z"])
 
 
-# numpy is a dependency of the tests alone: the reductions in metrics are
-# pinned to the numpy functions they stand for, bit for bit, over random
-# lengths up to 10,000 and with +-0.0, NaN and +-inf among the values
+# numpy is a dependency of the tests alone.  Every sum in metrics is pinned,
+# bit for bit, to the exact sum of its float terms rounded once, and
+# numpy's trapezoid terms and interpolation are the reference for metrics'
+# own, over random lengths up to 10,000 and with +-0.0, NaN and +-inf among
+# the values
 
 def _floats(rng, n, case):
     """``n`` floats of many magnitudes and both signs; in ``case`` 1 only
     +-0.0, in case 2 with three of +-0.0, NaN and +-inf among them, in case
     3 with one inf and one -inf, in case 4 up to the exponent limits, where
-    sums and products overflow and underflow."""
+    products overflow and underflow."""
     scale = 300.0 if case == 4 else 30.0
     values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-scale, scale, n)
     if case == 1:
@@ -210,8 +236,8 @@ def _floats(rng, n, case):
 
 
 def _lengths(rng):
-    """Every length up to 20, those around the pairwise sum's block of 128,
-    and random ones up to 300 and up to 10,000."""
+    """Every length up to 20, those around 128, and random ones up to 300
+    and up to 10,000."""
     return [*range(21), 127, 128, 129, 136, 137, *rng.integers(0, 300, 10),
             *rng.integers(0, 10_001, 10)]
 
@@ -231,18 +257,25 @@ def test_sums_are_numpy_sums(case):
     with np.errstate(all="ignore"):
         for n in _lengths(rng):
             values, x = _floats(rng, n, case), _floats(rng, n, case)
-            assert_same_float(metrics._sum(values.tolist()), np.sum(values))
+            total = exact_sum(values)
+            assert_same_float(metrics._sum(values.tolist()), total)
             assert_same_float(metrics._trapezoid(values.tolist(), x.tolist()),
-                              np.trapezoid(values, x))
+                              exact_trapezoid(values, x))
             if n:
-                assert_same_float(metrics._sum(values.tolist()) / n, np.mean(values))
-                assert_same_float(metrics._std(values.tolist()), np.std(values))
+                mean = total / n
+                assert_same_float(metrics._sum(values.tolist()) / n, mean)
+                assert_same_float(metrics._std(values.tolist()),
+                                  math.sqrt(exact_sum((values - mean) ** 2) / n))
             if n >= 2:
-                assert_same_float(rmse(values, x), np.sqrt(np.mean((values - x) ** 2)))
+                assert_same_float(rmse(values, x), math.sqrt(exact_sum((values - x) ** 2) / n))
         # numpy halves each trapezoid after the product, which here
         # overflows and there rounds a subnormal half-unit away
         for y, x in [([1e308, -0.5e308], [0.0, 4.0]), ([5e-324, 0.0], [0.0, 3.0])]:
-            assert_same_float(metrics._trapezoid(y, x), np.trapezoid(y, x))
+            assert_same_float(metrics._trapezoid(y, x), exact_trapezoid(y, x))
+    # math.fsum raises at a partial sum past the float range and at inf -
+    # inf, and the sum is then the IEEE one: inf and NaN
+    for values in [[1e308, 1e308], [-1e308, -1e308, 1.0], [math.inf, -math.inf]]:
+        assert_same_float(metrics._sum(values), exact_sum(values))
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -274,7 +307,8 @@ def test_interp_is_numpy_interp(case):
 def _numpy_resample_stance(traj, fields):
     """``resample_stance`` in numpy: the stances of the step counts past 0
     and before the last, of four rows or more, sorted by phase (stably),
-    interpolated onto ``np.linspace(0, 1, 101)`` and averaged."""
+    interpolated onto ``np.linspace(0, 1, 101)`` and averaged: the exact
+    sum over the stances, rounded once, over their count."""
     table = np.asarray(traj.data).reshape(-1, len(SIM_RECORD_FIELDS))
     steps = table[:, SIM_RECORD_FIELDS.index("step_count")].astype(int)
     phase = table[:, SIM_RECORD_FIELDS.index("stance_phase")]
@@ -287,7 +321,8 @@ def _numpy_resample_stance(traj, fields):
             order = np.argsort(phase[sel], kind="stable")
             profiles.append([np.interp(grid, phase[sel][order], col)
                              for col in columns[sel][order].T])
-    return dict(zip(fields, np.mean(np.array(profiles), axis=0)))
+    return {name: np.array([exact_sum(values) / len(profiles) for values in zip(*series)])
+            for name, series in zip(fields, zip(*profiles))}
 
 
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
