@@ -228,9 +228,11 @@ def _cmd_compare(args) -> int:
               if args.fields is not None else list(_DEFAULT_COMPARE_FIELDS))
     if not fields:
         raise cfgmod.ConfigError(f"empty field list '{args.fields}'")
-    for f in fields:
+    for k, f in enumerate(fields):
         if f not in SIM_RECORD_FIELDS or f == "stance_leg":
             raise cfgmod.ConfigError(f"unknown field name '{f}'")
+        if f in fields[:k]:
+            raise cfgmod.ConfigError(f"duplicate field name '{f}'")
     # the second file is read beside the first where a second CPU is free
     with Child(f"compare's reader of {args.traj_b}",
                lambda _: _stance_profiles(args.traj_b, fields),

@@ -272,6 +272,9 @@ def velocity_sweep(
     velocities = list(velocities)
     if not velocities:
         raise ValueError("empty velocity list")
+    for k, v in enumerate(velocities):
+        if v in velocities[:k]:
+            raise ValueError(f"duplicate velocity {v!r}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if jobs < 1:

@@ -18,6 +18,7 @@ constraint forces back off those rows.
 from __future__ import annotations
 
 import math
+import random
 import struct
 from array import array
 from dataclasses import dataclass, field, replace
@@ -657,63 +658,6 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: array | None,
     return ws
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uniform(seed: int, low: float, high: float, n: int) -> list[float]:
-    """``np.random.default_rng(seed).uniform(low, high, n).tolist()``, bit for
-    bit, without importing ``numpy.random``.
-
-    numpy's ``SeedSequence`` hashes the seed's 32-bit words into a pool of
-    four, mixes the pool and draws eight words from it; as four little-endian
-    64-bit words they give the 128-bit state and stream of a PCG64 generator
-    with XSL-RR 128/64 output (O'Neill 2014).  Each output's top 53 bits are
-    the double u in [0, 1), and a draw is ``low + (high - low) * u``.
-    """
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hash_a = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * 0x931E8875 & _M32
-        value = value * hash_a & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(word) for word in (words + [0] * 3)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_b, state = 0x8B51F9DD, []  # SeedSequence.generate_state(4, np.uint64)
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _M32
-        value = value * hash_b & _M32
-        state.append(value ^ value >> 16)
-    s0, s1, i0, i1 = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
-
-    # PCG64's seeding: from state 0, one step, add the seed, one more step
-    inc = (i0 << 65 | i1 << 1 | 1) & _M128
-    x = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-    draws = []
-    for _ in range(n):
-        x = (x * _PCG_MULT + inc) & _M128
-        xored, rot = (x >> 64 ^ x) & _M64, x >> 122
-        out = (xored >> rot | xored << (64 - rot)) & _M64
-        draws.append(low + (high - low) * ((out >> 11) * 2.0 ** -53))
-    return draws
-
-
 def initial_state(cfg: SimConfig) -> WalkerState:
     """On-reference starting state at the beginning of a left stance."""
     surface = cfg.terrain.sand_level
@@ -723,8 +667,8 @@ def initial_state(cfg: SimConfig) -> WalkerState:
 
     q, dq = _model_refs(ws, cfg, 0.0)
 
-    jitter = _uniform(cfg.seed, -cfg.initial_jitter, cfg.initial_jitter, 4)
-    q = [a + b for a, b in zip(q, jitter)] + [q[4]]
+    rng, a = random.Random(cfg.seed), cfg.initial_jitter
+    q = [q[j] + rng.uniform(-a, a) for j in range(4)] + [q[4]]
 
     ws.y = [*q, 0.0, 0.0, *_FRONTAL_POSTURE, 0.0, 0.0, 0.0, *dq, 0.0, 0.0] + [0.0] * 5
     ws.theta_r0 = rl.orientation_angle(cfg._sole, _contact(cfg, ws.y[1], ws.t))

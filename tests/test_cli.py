@@ -503,7 +503,9 @@ def test_compare_rejects_an_empty_field_list_before_reading(tmp_path, capsys, fi
     (("walk.csv", "empty.csv"), None, "{dir}/empty.csv: no complete stance available"),
     (("walk.csv", "walk.csv"), "bogus", "unknown field name 'bogus'"),
     (("walk.csv", "walk.csv"), "stance_leg", "unknown field name 'stance_leg'"),
-], ids=["rowless-first", "rowless-second", "bogus-field", "stance-leg-field"])
+    (("walk.csv", "walk.csv"), "f_z,z_s,f_z", "duplicate field name 'f_z'"),
+], ids=["rowless-first", "rowless-second", "bogus-field", "stance-leg-field",
+        "duplicate-field"])
 def test_compare_rejects_before_writing(tmp_path, capsys, inputs, fields, message):
     assert main(["simulate", "--set", "sim.duration=0.8", "--out", str(tmp_path)]) == 0
     (tmp_path / "trajectory.csv").rename(tmp_path / "walk.csv")
@@ -513,7 +515,7 @@ def test_compare_rejects_before_writing(tmp_path, capsys, inputs, fields, messag
                *(["--fields", fields] if fields else [])])
     assert rc == 2
     assert "error: " + message.format(dir=tmp_path) in capsys.readouterr().err
-    assert not (out / "rmse.csv").exists()
+    assert not out.exists()
 
 
 def test_compare_granular_vs_rigid_intrusion(tmp_path, writer_cpus):
@@ -796,6 +798,7 @@ def test_sweep_rejects_bad_velocity_before_any_cell(tmp_path, capsys, velocity, 
     (["--set", "sim.seed=-1", "--jobs", "1"], "invalid configuration: seed must be non-negative"),
     (["--jobs", "0"], "jobs must be >= 1"),
     (["--jobs", "-2"], "jobs must be >= 1"),
+    (["--velocities", "0.2,0.3,0.2", "--jobs", "1"], "duplicate velocity 0.2"),
 ])
 def test_sweep_rejects_bad_input_before_any_cell(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(metrics, "_sweep_cell", lambda cfg: pytest.fail("a cell ran"))

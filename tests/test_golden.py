@@ -3,11 +3,11 @@ effective configs.
 
 The SHA-256 digests and summary values below hold for the libm they were
 recorded with (glibc, x86-64).  sandwalk imports no numpy: the step, the
-initial jitter (``sim._uniform``, numpy's PCG64 stream reproduced), the
-file I/O and the summary CoT (its sums are ``math.fsum``) are Python
-floats, so the bytes depend on libm alone, and this module passes with
-numpy unimportable.  Another libm may still change the
-last bits of a value and so the bytes.  A change that alters numerics on
+initial jitter (``random.Random(seed).uniform``, whose integer seeding does
+not depend on hash randomization), the file I/O and the summary CoT (its
+sums are ``math.fsum``) are Python floats, so the bytes depend on libm
+alone, and this module passes with numpy unimportable.  Another libm may
+still change the last bits of a value and so the bytes.  A change that alters numerics on
 purpose must regenerate these values and say so, with the size of the
 change; a refactor must leave them untouched.
 """
@@ -21,34 +21,34 @@ from sandwalk.config import build_config, config_hash, flatten_config
 
 TRAJECTORY_SHA256 = {
     ("granular", "semi_implicit"): (
-        "8f8e6211576e8e83331af6f24b8ea3da0abb80396b2d733440e561f5efc5e727",
-        "f0ec387d93da323a2760dfe1b7badb12237708849dfa7c9f4b5f610de3f8ab82",
+        "5d39fb41abe970e8d5dca55bb02a82299633e20ac86670530150a1f134c6dca5",
+        "676910d2894ee0972407e444402d6880f38c3448b62f18cda20a3c6f65428e89",
     ),
     ("granular", "rk4"): (
-        "1ea040a6f60e0ba3f0588aff6f58e5eaea61dd19a215d544a0abff44ddee4a76",
-        "ef2e5710caf7e4152062b487b8c563e4845f6277885eadcd1778c5c60ef2b2fd",
+        "7c1ef00ad62d7e0671c32a6929d0f9ae626e92e1ca54a49bab8244e09f0e8572",
+        "dbd4bc0ee9b1ff83c2d181abb701aa003be93ba6b9d3763836c99d4bbf5889b2",
     ),
     ("rigid", "semi_implicit"): (
-        "d451c06f562fd746899dd109e9c77143f8538d3660c76c677089ea28b9266c9a",
-        "1b559cbcf4dda97e54c8a197914ac0069ca33fa19c21d18009002fa0d8660332",
+        "1f8d2adeb64af4153dca908527320315d9b46e9523313d428b935f763bc0f72b",
+        "738eb889dd1341cdc829a1fb7a79d2e4e19b72c0f4ebc85e28e36ed300b5527c",
     ),
     ("rigid", "rk4"): (
-        "0c9ee8743fca90c81b57ad2eb7e90c71f729e8d1a046fe486e425a35ff44ee1c",
-        "f74938eccb37b3cc029ff90b379a60b2c9b29f92d01a4581125f7808d3a30aba",
+        "21b5388f119adbad9c2ec378c98b697a3ea6caf5e293b495c693d3fc7dae86b9",
+        "66c59749d11c5eaa89d0d4ed8d52a2e1173d50084e95f86bd4bba2ccb7d60177",
     ),
 }
 
 # (cot, cot_decoupled, distance) that metrics.cot reports from settle_time
 # on of the same runs, as float.hex: the summary of the command's manifest
 SUMMARY_HEX = {
-    ("granular", "semi_implicit"): ("0x1.caac905d9bd85p-1", "0x1.caac905d9bd85p-1",
-                                    "0x1.1ceacbbbbf379p-4"),
-    ("granular", "rk4"): ("0x1.ceba1ec6c8942p-1", "0x1.ceba1ec6c8942p-1",
-                          "0x1.1bf82a36c5cf4p-4"),
-    ("rigid", "semi_implicit"): ("0x1.2be752063a961p-1", "0x1.2be752063a961p-1",
-                                 "0x1.489930a4bca7dp-4"),
-    ("rigid", "rk4"): ("0x1.31fdff1ed952fp-1", "0x1.31fdff1ed9530p-1",
-                       "0x1.46cf2882118a4p-4"),
+    ("granular", "semi_implicit"): ("0x1.caafccc4ca1d3p-1", "0x1.caafccc4ca1d3p-1",
+                                    "0x1.1ce844c12b9afp-4"),
+    ("granular", "rk4"): ("0x1.cebd64870b6b7p-1", "0x1.cebd64870b6b7p-1",
+                          "0x1.1bf5a13330e4cp-4"),
+    ("rigid", "semi_implicit"): ("0x1.2be75a00f50f3p-1", "0x1.2be75a00f50f3p-1",
+                                 "0x1.489933cd1cadfp-4"),
+    ("rigid", "rk4"): ("0x1.31fe05aab08f0p-1", "0x1.31fe05aab08f0p-1",
+                       "0x1.46cf2aee068d5p-4"),
 }
 
 DEFAULT_FLAT = {

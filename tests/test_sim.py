@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import random
 import signal
 import time
 import warnings
@@ -1370,13 +1371,21 @@ def test_initial_rates_are_the_right_difference():
 
 
 @pytest.mark.parametrize("amplitude", [2e-3, 0.0])
-def test_jitter_draw_is_numpys_default_rng_uniform(amplitude):
-    # the jitter is drawn in Python so that a run imports no numpy.random;
-    # the draws must be numpy's, bit for bit, at every seed width
-    for seed in (*range(1000), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**30):
-        expected = np.random.default_rng(seed).uniform(-amplitude, amplitude, 4).tolist()
-        drawn = sim._uniform(seed, -amplitude, amplitude, 4)
-        assert [x.hex() for x in drawn] == [x.hex() for x in expected], seed
+def test_jitter_draw_is_random_random_uniform(amplitude):
+    # the four leg angles are the jitter-free reference plus four
+    # uniform draws of the standard library's generator, bit for bit
+    states = {}
+    for seed in (0, 1, 2**64, 10**30):
+        clean = sim.initial_state(build_config({"sim.seed": seed, "sim.initial_jitter": 0.0}))
+        ws = sim.initial_state(build_config({"sim.seed": seed,
+                                             "sim.initial_jitter": amplitude}))
+        rng = random.Random(seed)
+        expected = [q + rng.uniform(-amplitude, amplitude) for q in clean.y[:4]]
+        assert [x.hex() for x in ws.y[:4]] == [x.hex() for x in expected], seed
+        if amplitude == 0.0:
+            assert ws == clean, seed
+        states[seed] = ws
+    assert (states[0] != states[1]) == (amplitude != 0.0)
 
 
 def test_merged_wedge_force_equals_two_face_blend():
