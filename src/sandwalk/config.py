@@ -2,7 +2,8 @@
 
 The text format is one ``section.key = value`` pair per line with ``#``
 comments; JSON files may be either flat ``{"sim.dt": ...}`` or nested
-``{"sim": {"dt": ...}}``.  Unknown keys are rejected by name.
+``{"sim": {"dt": ...}}``.  Unknown keys, and keys a file sets twice, are
+rejected by name.
 """
 
 from __future__ import annotations
@@ -103,24 +104,41 @@ def _parse_pair(pair: str, where: str = "") -> tuple[str, object]:
 
 
 def _parse_text(path) -> dict:
+    """Flat key dict of a text file; a key set on two lines is rejected."""
     with open(path) as fh:
         lines = [line.split("#", 1)[0].strip() for line in fh]
-    return dict(_parse_pair(line, f"{path}:{lineno}: ")
-                for lineno, line in enumerate(lines, start=1) if line)
+    flat: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
+    for lineno, line in enumerate(lines, start=1):
+        if line:
+            where = f"{path}:{lineno}: "
+            key, value = _parse_pair(line, where)
+            if key in set_on:
+                raise ConfigError(f"{where}'{key}' is already set on line {set_on[key]}")
+            flat[key], set_on[key] = value, lineno
+    return flat
 
 
 def _parse_json(path) -> dict:
+    """Flat key dict of a JSON object, flat or nested; a key set twice, by
+    a repeated name or by a flat and a nested spelling, is rejected."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            # an object loads as its (name, value) pairs in a tuple, which
+            # keeps a repeated name; an array loads as a list
+            data = json.load(fh, object_pairs_hook=tuple)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, tuple):
+        raise ConfigError(f"{path}: expected a JSON object")
     flat: dict[str, object] = {}
 
     def visit(prefix: str, node):
-        if isinstance(node, dict):
-            for k, v in node.items():
-                visit(f"{prefix}.{k}" if prefix else str(k), v)
+        if isinstance(node, tuple):
+            for k, v in node:
+                visit(f"{prefix}.{k}" if prefix else k, v)
+        elif prefix in flat:
+            raise ConfigError(f"{path}: duplicate configuration key '{prefix}'")
         else:
             flat[prefix] = _coerce(prefix, node, f"{path}: ")
 

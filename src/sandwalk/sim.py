@@ -11,7 +11,7 @@ standing in for the whole-body controller of the physical robot; all other
 coordinates integrate their forward dynamics under PD joint tracking.
 
 Granular mode drives the intrusion rows with the resistive terrain forces;
-rigid mode clamps the intrusion coordinates and reads the required
+rigid mode holds the intrusion coordinates at zero and reads the required
 constraint forces back off those rows.
 """
 
@@ -493,14 +493,12 @@ def _ode_step(method: str, y: list, acc, dt: float) -> list:
     return [x + w * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, stage: _StageTerms):
+def _flow(ws: WalkerState, cfg: SimConfig, stage: _StageTerms):
     """Control, one ODE step with the torques held, and the posture holds;
     rebinds ``ws.y`` to the post-step state.  Returns the control output,
     the stacked state at the control instant and the last evaluation: its
-    stacked state and ``_accelerations``' output.  That is the step's start
-    (rk4: its end, from a fifth evaluation that only a ``logged`` step
-    makes; otherwise the last stage).  ``stage`` is the run's
-    ``_StageTerms``."""
+    stacked state and ``_accelerations``' output (semi-implicit: the step's
+    start; rk4: its fourth stage).  ``stage`` is the run's ``_StageTerms``."""
     control = _control(ws, cfg)
     tau_s, tau_f = control[2:]
     start = ws.y
@@ -516,15 +514,11 @@ def _flow(ws: WalkerState, cfg: SimConfig, logged: bool, stage: _StageTerms):
         return last[1]
 
     y = _ode_step(cfg.integrator, start, acc, cfg.dt)
-    if logged and cfg.integrator == "rk4":
-        acc(y)
-        y = y.copy()  # the holds below leave the evaluated state as it was
-    # posture holds and mode clamps on (q_s, q_f, dq_s, dq_f) at offsets
-    # (0, 7, 12, 19); the frontal vertical coordinate mirrors the sagittal one
+    # posture holds on (q_s, q_f, dq_s, dq_f) at offsets (0, 7, 12, 19); the
+    # frontal vertical coordinate mirrors the sagittal one.  The rigid contact
+    # rows start at +0.0 and accelerate by the literal 0.0, so they stay there
     y[4], y[16] = cfg.gait.trunk_ref, 0.0
     y[7], y[8], y[19], y[20] = *_FRONTAL_POSTURE, 0.0, 0.0
-    if cfg.terrain_mode == "rigid":
-        y[5] = y[6] = y[17] = y[18] = y[10] = y[22] = 0.0
     y[11], y[23] = y[6], y[18]
     ws.t += cfg.dt
     ws.y = y
@@ -549,12 +543,7 @@ def _powers(control, start, last, stage: _StageTerms):
     instant, its ``last`` evaluation and the run's ``stage`` terms as that
     evaluation left them.
     Writes the reported hip torques, the crossbar holding demand plus the
-    swing-side PD, into the control output's torques.
-
-    The holding torque meets only the stance-hip and crossbar rates, which
-    the posture holds keep at +-0.0, so an unlogged rk4 step, whose last
-    evaluation is its fourth stage and not the fifth, gets the powers of a
-    logged one to the bit."""
+    swing-side PD, into the control output's torques."""
     tau_a, dq_a, tau_s, tau_f = control
     tau_bar = stage.holding_torque(last[1][7:])
     tau_a[0], tau_a[3] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
@@ -627,11 +616,11 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: array | None,
     """One fixed step: flow, divergence guard, contact check, record
     appended to ``out``, the step's ``STEP_FIELDS`` appended to ``samples``,
     touchdown event and jump.  A step without a row (``out`` is None) skips
-    the record, the contact angle, all but two axes of the kinematics and,
-    under rk4, the end-of-step force evaluation; it makes every check,
-    appends the same samples and takes the same event.  ``stage`` is the
-    run's ``_StageTerms``.  Returns ``ws`` advanced or the jumped state."""
-    control, start, last = _flow(ws, cfg, out is not None, stage)
+    the record, the contact angle and all but two axes of the kinematics;
+    it makes every check, appends the same samples and takes the same
+    event.  ``stage`` is the run's ``_StageTerms``.  Returns ``ws`` advanced
+    or the jumped state."""
+    control, start, last = _flow(ws, cfg, stage)
     y = ws.y
     # divergence guard on the stacked state; NaN fails the comparison too
     for x in y:

@@ -69,6 +69,23 @@ def test_unknown_config_key_named(tmp_path, capsys):
     assert "sim.warp_speed" in captured.err
 
 
+@pytest.mark.parametrize("name,text,message", [
+    ("run.cfg", "sim.seed = 1\nsim.seed = 2\n", "{path}:2: 'sim.seed' is already set on line 1"),
+    ("run.json", '{"sim.seed": 1, "sim": {"seed": 2}}',
+     "{path}: duplicate configuration key 'sim.seed'"),
+    ("run.json", "[1, 2]", "{path}: expected a JSON object"),
+])
+def test_rejected_config_file_exits_2(tmp_path, capsys, name, text, message):
+    # a flag that sets the same key after the file does not excuse it
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=cfg) + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "{dir}"],
     ["compare", "{dir}", "{dir}"],
@@ -520,12 +537,12 @@ def test_compare_rejects_before_writing(tmp_path, capsys, inputs, fields, messag
 
 def test_compare_granular_vs_rigid_intrusion(tmp_path, writer_cpus):
     cfg = tmp_path / "run.cfg"
-    write_config(cfg, "sim.duration = 1.2\n")
+    write_config(cfg)
     out_g = tmp_path / "g"
     out_r = tmp_path / "r"
-    main(["simulate", "--config", str(cfg), "--out", str(out_g)])
-    main(["simulate", "--config", str(cfg), "--out", str(out_r),
-          "--terrain", "rigid"])
+    run = ["simulate", "--config", str(cfg), "--set", "sim.duration=1.2"]
+    assert main([*run, "--out", str(out_g)]) == 0
+    assert main([*run, "--out", str(out_r), "--terrain", "rigid"]) == 0
     out = tmp_path / "cmp"
     paths = out_g / "trajectory.csv", out_r / "trajectory.csv"
     rc = main(["compare", *map(str, paths), "--out", str(out), "--fields", "z_s,x_s"])

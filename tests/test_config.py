@@ -129,3 +129,61 @@ def test_json_boolean_for_number_key_rejected(tmp_path, key, value):
     path.write_text(f'{{"{section}": {{"{name}": {value}}}}}')
     with pytest.raises(ConfigError, match=f"invalid value for '{key}': {value.title()}"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text,line,first", [
+    ("sim.seed = 1\nsim.seed = 2\n", 2, 1),
+    # the same value, a comment and blank lines between, spacing aside
+    ("sim.seed = 1\n# seed\n\n  sim.seed=1  # again\n", 4, 1),
+    ("sim.dt = 0.001\nsim.seed = 1\ngait.duty = 0.5\nsim.seed = 2\nsim.seed = 3\n", 4, 2),
+])
+def test_text_key_set_twice_rejected(tmp_path, text, line, first):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:{line}: 'sim.seed' is already set on line {first}"
+
+
+@pytest.mark.parametrize("text", [
+    '{"sim.seed": 1, "sim.seed": 2}',
+    '{"sim": {"seed": 1, "seed": 1}}',
+    '{"sim.seed": 1, "sim": {"seed": 2}}',
+    '{"sim": {"seed": 1}, "sim.seed": 2}',
+    '{"sim": {"seed": 1}, "sim": {"seed": 2}}',
+])
+def test_json_key_set_twice_rejected(tmp_path, text):
+    # a repeated name and a flat and a nested spelling set the key twice
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: duplicate configuration key 'sim.seed'"
+
+
+def test_json_section_named_twice_sets_each_key_once(tmp_path):
+    # a section spelled twice sets the union of its keys: no key is set twice
+    path = tmp_path / "run.json"
+    path.write_text('{"sim": {"seed": 4}, "gait.duty": 0.5, "sim": {"dt": 0.002}}')
+    cfg = load_config(path)
+    assert (cfg.seed, cfg.dt, cfg.gait.duty) == (4, 0.002, 0.5)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5", '"sim.seed"', "null", "[]"])
+def test_json_top_level_must_be_an_object(tmp_path, text):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: expected a JSON object"
+
+
+@pytest.mark.parametrize("suffix,text", [(".cfg", "sim.seed = 1\n"), (".json", '{"sim.seed": 1}')])
+def test_overrides_layer_over_the_file_last_wins(tmp_path, suffix, text):
+    # the file sets a key once; --set pairs and flags apply over it in order
+    path = tmp_path / f"run{suffix}"
+    path.write_text(text)
+    assert load_config(path).seed == 1
+    assert load_config(path, ["sim.seed=2"]).seed == 2
+    assert load_config(path, ["sim.seed=2", "sim.seed=3"]).seed == 3
+    assert load_config(None, ["sim.seed=3", "sim.seed=2"]).seed == 2

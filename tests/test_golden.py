@@ -25,16 +25,16 @@ TRAJECTORY_SHA256 = {
         "676910d2894ee0972407e444402d6880f38c3448b62f18cda20a3c6f65428e89",
     ),
     ("granular", "rk4"): (
-        "7c1ef00ad62d7e0671c32a6929d0f9ae626e92e1ca54a49bab8244e09f0e8572",
-        "dbd4bc0ee9b1ff83c2d181abb701aa003be93ba6b9d3763836c99d4bbf5889b2",
+        "bc16122d775313a60ea08635b8566bf3b693c8d9b2bc6ea7e0d56ed7e6246ebf",
+        "adfa68be95ff446d5947e14c689776817719be29f72371810ce26387378369f3",
     ),
     ("rigid", "semi_implicit"): (
         "1f8d2adeb64af4153dca908527320315d9b46e9523313d428b935f763bc0f72b",
         "738eb889dd1341cdc829a1fb7a79d2e4e19b72c0f4ebc85e28e36ed300b5527c",
     ),
     ("rigid", "rk4"): (
-        "21b5388f119adbad9c2ec378c98b697a3ea6caf5e293b495c693d3fc7dae86b9",
-        "66c59749d11c5eaa89d0d4ed8d52a2e1173d50084e95f86bd4bba2ccb7d60177",
+        "865eb0db9e15fb463e3619ff572f4d2e497fcd62d980b88be1db10df19634558",
+        "ac1639ecad8f4fa9a137502570e7e8afc7aeebb06fb85bfd4d6d1afa92a9f1c0",
     ),
 }
 

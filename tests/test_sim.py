@@ -60,11 +60,17 @@ def json_rows(traj):
 
 
 def test_rigid_mode_clamps_intrusion():
-    traj = run_cfg(**{"sim.duration": 1.2, "sim.terrain_mode": "rigid"})
-    assert np.abs(traj.column("z_s")).max() == 0.0
-    assert np.abs(traj.column("x_s")).max() == 0.0
-    assert np.abs(traj.column("y_s")).max() == 0.0
-    assert np.abs(traj.column("gamma")).max() == 0.0
+    # on rigid ground the contact coordinates start at +0.0 and accelerate by
+    # 0.0 under either integrator, so every row holds them at +0.0; the
+    # record reports the upward rate negated, as -0.0
+    zero = {"x_s": "0x0.0p+0", "y_s": "0x0.0p+0", "z_s": "0x0.0p+0", "dx_s": "0x0.0p+0",
+            "dy_s": "0x0.0p+0", "dz_s": "-0x0.0p+0", "gamma": "0x0.0p+0"}
+    for integrator in ("semi_implicit", "rk4"):
+        traj = run_cfg(**{"sim.duration": 1.2, "sim.terrain_mode": "rigid",
+                          "sim.integrator": integrator})
+        assert len(traj) == 1200
+        for name, hex_zero in zero.items():
+            assert set(map(float.hex, traj.column(name))) == {hex_zero}, (integrator, name)
 
 
 def test_rigid_vertical_force_scale():
@@ -94,8 +100,8 @@ def test_record_count_and_decimation():
 @pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
 def test_decimated_rows_are_the_undecimated_rows(integrator, terrain_mode):
     # a decimated run logs the last step of each block; the steps between
-    # build no row (and under rk4 skip the end-of-step force evaluation),
-    # yet the rows it keeps are those of the undecimated run bit for bit
+    # build no row, yet the rows it keeps are those of the undecimated run
+    # bit for bit
     keys = {"sim.duration": 0.8, "sim.integrator": integrator,
             "sim.terrain_mode": terrain_mode}
     full = rows_of(run_cfg(**keys))
@@ -121,12 +127,13 @@ def _inf_acceleration_at_call(monkeypatch, n):
     monkeypatch.setattr(sim, "_accelerations", acc)
 
 
-def test_nonfinite_end_of_an_unlogged_rk4_step_is_divergence(monkeypatch):
-    # with decimation 10, steps 1-4 make four evaluations each and are not
-    # logged; the fourth stage of step 5 (call 20) turns the end state
-    # infinite, no fifth evaluation reads it, and the guard after the step
-    # ends the run
-    cfg = build_config({"sim.integrator": "rk4", "sim.decimation": 10, "sim.duration": 0.4})
+@pytest.mark.parametrize("decimation", [1, 10])
+def test_nonfinite_end_of_an_rk4_step_is_divergence(monkeypatch, decimation):
+    # steps 1-4 make four evaluations each, logged or not; the fourth stage
+    # of step 5 (call 20) turns the end state infinite, no evaluation reads
+    # it, and the guard after the step ends the run
+    cfg = build_config({"sim.integrator": "rk4", "sim.decimation": decimation,
+                        "sim.duration": 0.4})
     _inf_acceleration_at_call(monkeypatch, 20)
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
         sim.run(cfg)
@@ -367,7 +374,7 @@ def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
     pre_touchdown = []
     for before, after in pairs:
         if after.step_count > before.step_count:  # replay the flow the jump followed
-            sim._flow(before, cfg, True, sim._StageTerms())
+            sim._flow(before, cfg, sim._StageTerms())
             pre_touchdown.append(before)
     assert len(mid_swing) >= 12 and len(pre_touchdown) == 3
     clamped = 0
@@ -985,7 +992,7 @@ def test_sand_block_solve_matches_lapack_on_random_blocks(equal_contact):
 
 
 @pytest.mark.parametrize("terrain_mode,integrator,decimation,calls", [
-    ("granular", "rk4", 10, 2400 * 4 + 240),  # four stages, a fifth per row
+    ("granular", "rk4", 10, 2400 * 4),  # four stages, logged or not
     ("granular", "semi_implicit", 1, 2400),
     ("rigid", "rk4", 10, 0),
     ("rigid", "semi_implicit", 1, 0),
@@ -1051,11 +1058,29 @@ def test_unlogged_step_computes_only_what_it_reads(monkeypatch, terrain_mode, in
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_rk4_step_evaluates_its_four_stages_logged_or_not(monkeypatch, terrain_mode):
+    # a logged rk4 step evaluates the dynamics as often as an unlogged one,
+    # once per stage
+    accelerations, calls = sim._accelerations, []
+
+    def counted(*args):
+        calls.append(None)
+        return accelerations(*args)
+
+    monkeypatch.setattr(sim, "_accelerations", counted)
+    for decimation in (1, 801):  # every step logged; no step logged
+        calls.clear()
+        traj = run_cfg(**{"sim.duration": 0.8, "sim.terrain_mode": terrain_mode,
+                          "sim.integrator": "rk4", "sim.decimation": decimation})
+        assert len(traj) == 800 // decimation
+        assert len(calls) == 4 * 800
+
+
 @pytest.mark.parametrize("law", ["sagittal_forces", "lateral_force"])
 def test_stage_hands_the_force_laws_floats(monkeypatch, law):
-    # every granular stage of a default rk4 run (four per step, a fifth per
-    # logged step) calls each force law once, with the run's terrain and two
-    # Python floats
+    # every granular stage of a default rk4 run (four per step) calls each
+    # force law once, with the run's terrain and two Python floats
     cfg = build_config({"sim.integrator": "rk4"})
     original, seen = getattr(tr, law), []
 
@@ -1065,7 +1090,7 @@ def test_stage_hands_the_force_laws_floats(monkeypatch, law):
 
     monkeypatch.setattr(tr, law, force_law)
     sim.run(cfg)
-    assert len(seen) == 2400 * 5
+    assert len(seen) == 2400 * 4
     assert set(seen) == {(cfg.terrain, float, float)}
 
 
@@ -1143,7 +1168,7 @@ def test_float_stage_terms_are_the_bytes_of_the_dense_assembly(monkeypatch):
                                list(map(float.hex, expected.tolist()))))
     assert mismatches[:2] == []
     # an rk4 run at decimation 10 meets the domain at every stage, four per
-    # step and a fifth on each logged step
+    # step
     assemble = dyn.assemble_sagittal
     trunk_rates = []
 
@@ -1153,7 +1178,7 @@ def test_float_stage_terms_are_the_bytes_of_the_dense_assembly(monkeypatch):
 
     monkeypatch.setattr(dyn, "assemble_sagittal", recorded)
     sim.run(build_config({"sim.integrator": "rk4", "sim.decimation": 10}))
-    assert len(trunk_rates) == 2400 * 4 + 240
+    assert len(trunk_rates) == 2400 * 4
     assert set(map(float.hex, trunk_rates)) == {"0x0.0p+0"}
 
 
