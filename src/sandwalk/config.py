@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from operator import attrgetter
+from pathlib import Path
 
 from . import dynamics as dyn
 from . import gait as gt
@@ -170,10 +171,11 @@ def build_config(flat: dict) -> simulation.SimConfig:
 
 
 def load_config(path=None, overrides=None) -> simulation.SimConfig:
-    """Configuration from an optional file plus key=value overrides."""
+    """Configuration from an optional file plus key=value overrides.  A file
+    whose suffix is .json in any case is read as JSON, any other as text."""
     flat: dict[str, object] = {}
     if path is not None:
-        parse = _parse_json if str(path).endswith(".json") else _parse_text
+        parse = _parse_json if Path(path).suffix.lower() == ".json" else _parse_text
         flat.update(parse(path))
     flat.update(_parse_pair(pair) for pair in overrides or [])
     return build_config(flat)

@@ -134,11 +134,13 @@ class SimConfig:
 @dataclass
 class WalkerState:
     """Full simulation state; a step rebinds its fields, never writing into
-    ``y``.  ``y`` is the stacked state as 24 floats: the sagittal
-    coordinates q_s at 0-6, the frontal q_f at 7-11, then their rates dq_s
-    at 12-18 and dq_f at 19-23.  ``stance`` is the record's ``stance_leg``
-    value: 0 for a left stance, 1 for a right one.  The latches ``c0`` and
-    ``liftoff`` are (x, z) float pairs."""
+    ``y``.  ``y`` is the stacked state as 18 floats: the sagittal
+    coordinates q_s at 0-6, the frontal swing-leg angle p3 at 7 and the
+    lateral slip y_s at 8, then their rates at 9-17 in the same order.  The
+    held frontal lean and crossbar are ``_FRONTAL_POSTURE`` at rest, and the
+    frontal vertical coordinate is the sagittal z.  ``stance`` is the
+    record's ``stance_leg`` value: 0 for a left stance, 1 for a right one.
+    The latches ``c0`` and ``liftoff`` are (x, z) float pairs."""
 
     t: float = 0.0
     stance: int = 0
@@ -149,7 +151,7 @@ class WalkerState:
     liftoff: tuple[float, float] = (0.0, 0.0)
     prev_swing_height: float = float("inf")
     r_latch: float = 0.0        # stance leg chord latched at touchdown [m]
-    y: list[float] = field(default_factory=lambda: [0.0] * 24)
+    y: list[float] = field(default_factory=lambda: [0.0] * 18)
 
 
 def detect_touchdown(prev_height: float, height: float, sand_level: float) -> bool:
@@ -203,8 +205,8 @@ def _swing_z_and_com_vx(cfg: SimConfig, c0, y) -> tuple[float, float]:
     links = cfg._links
     c1, c2, c3, c4, c5 = map(math.cos, y[:5])
     swing_z = _chain(links, c0[1] + y[6] + cfg.foot_radius, c1, c2, c3, c4, c5)[1]
-    return swing_z, _chain(links, y[17], c1 * y[12], c2 * y[13], c3 * y[14], c4 * y[15],
-                           c5 * y[16])[2]
+    return swing_z, _chain(links, y[14], c1 * y[9], c2 * y[10], c3 * y[11], c4 * y[12],
+                           c5 * y[13])[2]
 
 
 def _ik_clamped(leg, target, rate):
@@ -322,9 +324,9 @@ def _control(ws: WalkerState, cfg: SimConfig):
     (st_t, st_c, sw_t, sw_c, trunk), (dst_t, dst_c, dsw_t, dsw_c, d_trunk) = \
         _model_refs(ws, cfg, ws.t)
     y = ws.y
-    hip_st, hip_sw = gt.frontal_to_hip_angles(y[7:10])
-    dq_a = (-y[19] + y[20], y[12] - y[16], y[13] - y[12],
-            -y[20] + y[21], y[14] - y[16], y[15] - y[14])
+    # the stance hip joins the held lean and crossbar, so it is at rest
+    hip_st, hip_sw = gt.frontal_to_hip_angles((*_FRONTAL_POSTURE, y[7]))
+    dq_a = (0.0, y[9] - y[13], y[10] - y[9], y[16], y[11] - y[13], y[12] - y[11])
     tau = gt.track_joints(
         (_HIP_POSTURE[0], st_t - trunk, st_c - st_t, _HIP_POSTURE[1], sw_t - trunk, sw_c - sw_t),
         (0.0, dst_t - d_trunk, dst_c - dst_t, 0.0, dsw_t - d_trunk, dsw_c - dsw_t),
@@ -369,7 +371,7 @@ def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: fl
     return f_x * dx / hyp, f_z, tr.lateral_force(cfg.terrain, depth, y_slip)
 
 
-_FRONTAL_KEY = struct.Struct("6d").pack
+_FRONTAL_KEY = struct.Struct("2d").pack
 
 
 class _StageTerms:
@@ -377,13 +379,14 @@ class _StageTerms:
     what a stage derives from ``dyn.assemble_frontal``, kept for the last
     frontal configuration.  ``terms`` holds the stage's entries (D22, D23,
     D24, D33, the bias -C dq - G of rows 2 and 3, then C dq and G of row 3),
-    and ``held`` row 1 of D with C dq and G of row 1, for the holding torque.
-    The system depends only on the angles and rates q_f[:3], dq_f[:3], which
-    hold still between touchdowns, so a stage reassembles it only when their
-    bytes or the parameter object change.  The key is bytes, not floats: a
-    touchdown flips p3 between 0.0 and -0.0, and 0.0 == -0.0.  Each row of
-    C dq is summed in column order from +0.0 over the nonzero entries of C,
-    which sit in columns 0-2.  One per run."""
+    and ``held`` D12, D13, D14 with C dq and G of row 1, for the holding
+    torque.  The system depends only on the swing-leg angle p3 and its rate,
+    the lean and crossbar being held at rest, and these hold still between
+    touchdowns, so a stage reassembles it only when their bytes or the
+    parameter object change.  The key is bytes, not floats: a touchdown
+    flips p3 between 0.0 and -0.0, and 0.0 == -0.0.  With the lean and
+    crossbar rates at 0.0, the one nonzero product of a row of C dq is the
+    one with the swing-leg rate, added to +0.0.  One per run."""
 
     __slots__ = ("params", "key", "terms", "held")
 
@@ -391,29 +394,26 @@ class _StageTerms:
         self.params = self.key = self.terms = self.held = None
 
     def frontal(self, params: dyn.FrontalParams, y):
-        """The frontal stage terms at the stacked state ``y`` (24 floats, the
-        frontal angles at 7-9 and their rates at 19-21)."""
-        key = _FRONTAL_KEY(y[7], y[8], y[9], y[19], y[20], y[21])
+        """The frontal stage terms at the stacked state ``y`` (18 floats, p3
+        at 7 and its rate at 16)."""
+        p3, v3 = y[7], y[16]
+        key = _FRONTAL_KEY(p3, v3)
         if params is not self.params or key != self.key:
-            diag, d, c, g = dyn.assemble_frontal(params, y[7:10], y[19:22])
-            d01, _, _, _, d12, d13, d14, d23, d24 = d
-            _, _, c10, c12, c20, c21, c30, c31, c32, _, _, _ = c
-            v0, v1, v2 = y[19], y[20], y[21]
-            cdq1 = 0.0 + c10 * v0 + c12 * v2
-            cdq2 = 0.0 + c20 * v0 + c21 * v1
-            cdq3 = 0.0 + c30 * v0 + c31 * v1 + c32 * v2
+            diag, d, c, g = dyn.assemble_frontal(params, (*_FRONTAL_POSTURE, p3), (0.0, 0.0, v3))
+            _, _, _, _, d12, d13, d14, d23, d24 = d
+            c12, c32 = c[3], c[8]
+            cdq3 = 0.0 + c32 * v3
             self.params, self.key = params, key
-            self.terms = (diag[2], d23, d24, diag[3], -cdq2 - g[2], -cdq3 - g[3], cdq3, g[3])
-            self.held = d01, diag[1], d12, d13, d14, cdq1, g[1]
+            self.terms = (diag[2], d23, d24, diag[3], -g[2], -cdq3 - g[3], cdq3, g[3])
+            self.held = d12, d13, d14, 0.0 + c12 * v3, g[1]
         return self.terms
 
-    def holding_torque(self, qdd_f) -> float:
-        """Crossbar row residual at the frontal accelerations ``qdd_f`` (5
-        floats), under the last terms: the torque that holds the crossbar,
-        summed in column order from +0.0, then C dq and G."""
-        d10, d11, d12, d13, d14, cdq1, g1 = self.held
-        a0, a1, a2, a3, a4 = qdd_f
-        return 0.0 + d10 * a0 + d11 * a1 + d12 * a2 + d13 * a3 + d14 * a4 + cdq1 + g1
+    def holding_torque(self, qdd) -> float:
+        """Crossbar row residual at the accelerations ``qdd`` of
+        ``_accelerations``, under the last terms: the torque that holds the
+        crossbar, summed in column order from +0.0, then C dq and G."""
+        d12, d13, d14, cdq1, g1 = self.held
+        return 0.0 + d12 * qdd[7] + d13 * qdd[8] + d14 * qdd[6] + cdq1 + g1
 
 
 def _coriolis_rows(c, dq):
@@ -421,8 +421,8 @@ def _coriolis_rows(c, dq):
     ``dyn.assemble_sagittal`` (rows 2 and 3 are zero, row 4 is held).
     Each row is summed in numpy's order from +0.0, which gives the bytes of
     numpy's ``C @ dq`` as long as dq[4] is +0.0: a row then has at most two
-    nonzero products.  The trunk hold writes +0.0 there and the trunk
-    acceleration is 0.0, so every integrator stage meets that."""
+    nonzero products.  The trunk rate starts at +0.0 and its acceleration
+    is the literal 0.0, so every integrator stage meets that."""
     c01, c10, c50, c60, c51, c61, c54, c64 = c
     v0, v1, v4 = dq[0], dq[1], dq[4]
     return (0.0 + c01 * v1, 0.0 + c10 * v0, 0.0 + c50 * v0 + c51 * v1 + c54 * v4,
@@ -431,10 +431,10 @@ def _coriolis_rows(c, dq):
 
 def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
     """Reduced constrained accelerations of the stacked state ``y``, as a
-    list of 12, plus (f_x, f_y, f_z).  ``y`` is 24 floats: the 7 sagittal
-    and 5 frontal coordinates, then their rates, with the trunk rate y[16]
-    +0.0 (see ``_coriolis_rows``); ``stage`` is the run's ``_StageTerms``."""
-    dq_s = y[12:17]  # the sagittal rates that the assembly reads
+    list of 9, plus (f_x, f_y, f_z).  ``y`` is 18 floats (see
+    ``WalkerState``), with the trunk rate y[13] +0.0 (see
+    ``_coriolis_rows``); ``stage`` is the run's ``_StageTerms``."""
+    dq_s = y[9:14]  # the sagittal rates that the assembly reads
     diag, d, c, (g0, g1, _, _, _, g5, g6) = dyn.assemble_sagittal(cfg.sagittal, y, dq_s)
     c0, c1, c5, c6 = _coriolis_rows(c, dq_s)
     t0, t1, t2, t3 = tau_s
@@ -445,7 +445,7 @@ def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
     a2, a3 = t2 / diag[2], t3 / diag[3]
     granular = cfg.terrain_mode == "granular"
     if granular:
-        f_x, f_z, f_y = _grf_granular(cfg, max(0.0, -y[6]), y[17], y[18], y[10])
+        f_x, f_z, f_y = _grf_granular(cfg, max(0.0, -y[6]), y[14], y[15], y[8])
         a0, a1, a5, a6 = dyn.solve_sand_block(diag, d, (r0, r1, r5 + f_x, r6 + f_z))
     else:
         d01, d05, d06, d15, d16, _, _ = d
@@ -457,7 +457,8 @@ def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
         f_z = d06 * a0 + d16 * a1 + c6 + g6
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
-    # lateral slip dynamic; the crossbar holding torque is left to the record
+    # lateral slip dynamic, the vertical row the sagittal one; the crossbar
+    # holding torque is left to the record
     d22, d23, d24, d33, b2, b3, cdq3, g3 = stage.frontal(cfg.frontal, y)
     rf2 = b2 + tau_f[1]
     if granular:
@@ -466,8 +467,7 @@ def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
     else:
         p2, p3 = rf2 / d22, 0.0
         f_y = d23 * p2 + cdq3 + g3  # only row 2 accelerates
-    # the frontal vertical coordinate shares the sagittal one
-    return [a0, a1, a2, a3, 0.0, a5, a6, 0.0, 0.0, p2, p3, a6], f_x, f_y, f_z
+    return [a0, a1, a2, a3, 0.0, a5, a6, p2, p3], f_x, f_y, f_z
 
 
 def _ode_step(method: str, y: list, acc, dt: float) -> list:
@@ -494,11 +494,11 @@ def _ode_step(method: str, y: list, acc, dt: float) -> list:
 
 
 def _flow(ws: WalkerState, cfg: SimConfig, stage: _StageTerms):
-    """Control, one ODE step with the torques held, and the posture holds;
-    rebinds ``ws.y`` to the post-step state.  Returns the control output,
-    the stacked state at the control instant and the last evaluation: its
-    stacked state and ``_accelerations``' output (semi-implicit: the step's
-    start; rk4: its fourth stage).  ``stage`` is the run's ``_StageTerms``."""
+    """Control and one ODE step with the torques held; rebinds ``ws.y`` to
+    the post-step state.  Returns the control output, the stacked state at
+    the control instant and the last evaluation: its stacked state and
+    ``_accelerations``' output (semi-implicit: the step's start; rk4: its
+    fourth stage).  ``stage`` is the run's ``_StageTerms``."""
     control = _control(ws, cfg)
     tau_s, tau_f = control[2:]
     start = ws.y
@@ -513,15 +513,10 @@ def _flow(ws: WalkerState, cfg: SimConfig, stage: _StageTerms):
         last = y, *_accelerations(cfg, y, tau_s, tau_f, stage)
         return last[1]
 
-    y = _ode_step(cfg.integrator, start, acc, cfg.dt)
-    # posture holds on (q_s, q_f, dq_s, dq_f) at offsets (0, 7, 12, 19); the
-    # frontal vertical coordinate mirrors the sagittal one.  The rigid contact
-    # rows start at +0.0 and accelerate by the literal 0.0, so they stay there
-    y[4], y[16] = cfg.gait.trunk_ref, 0.0
-    y[7], y[8], y[19], y[20] = *_FRONTAL_POSTURE, 0.0, 0.0
-    y[11], y[23] = y[6], y[18]
+    # the trunk, and on rigid ground the contact rows, start at rest and
+    # accelerate by the literal 0.0, so the step keeps their bits
+    ws.y = _ode_step(cfg.integrator, start, acc, cfg.dt)
     ws.t += cfg.dt
-    ws.y = y
     return control, start, last
 
 
@@ -545,13 +540,15 @@ def _powers(control, start, last, stage: _StageTerms):
     Writes the reported hip torques, the crossbar holding demand plus the
     swing-side PD, into the control output's torques."""
     tau_a, dq_a, tau_s, tau_f = control
-    tau_bar = stage.holding_torque(last[1][7:])
+    tau_bar = stage.holding_torque(last[1])
     tau_a[0], tau_a[3] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
     joint_powers = list(map(mul, tau_a, dq_a))
     t0, t1, t2, t3 = tau_s
+    # the held crossbar does no work: the frontal power is the swing hip's,
+    # added to +0.0 so that a zero power is +0.0, as the other sums give
     return (joint_powers, math.fsum(joint_powers),
-            math.fsum((t0 * start[12], t1 * start[13], t2 * start[14], t3 * start[15])),
-            math.fsum((tau_bar * start[20], tau_f[1] * start[21])))
+            math.fsum((t0 * start[9], t1 * start[10], t2 * start[11], t3 * start[12])),
+            0.0 + tau_f[1] * start[16])
 
 
 def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
@@ -561,21 +558,21 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
     ``_powers`` gave them, its ``last`` evaluation and its contact point on
     the sole, kinematics and stance phase."""
     y, _, f_x, f_y, f_z = last
-    gamma = rl.velocity_angle(y[17], y[18]) if cfg.terrain_mode == "granular" else 0.0
+    gamma = rl.velocity_angle(y[14], y[15]) if cfg.terrain_mode == "granular" else 0.0
 
     s = ws.y
     # rolling bookkeeping on the stance foot; a still foot's infinite radius
     # saturates at the cap
     theta_r = rl.orientation_angle(cfg._sole, contact)
-    r_eff = min(rl.effective_radius((s[17], s[18]), s[13]), cfg.r_eff_cap)
+    r_eff = min(rl.effective_radius((s[14], s[15]), s[10]), cfg.r_eff_cap)
 
     joint_powers, power, power_s, power_f = powers
     hip, _, com, _, _, com_v = kinematics
     out.fromlist([  # SIM_RECORD_FIELDS order
         ws.t, ws.stance, phase, ws.step_count,
-        *s[:5], *s[12:17],
-        s[5], s[10], max(0.0, -s[6]), s[17], s[22], -s[18],
-        *s[7:10], *s[19:22],
+        *s[:5], *s[9:14],
+        s[5], s[8], max(0.0, -s[6]), s[14], s[17], -s[15],
+        *_FRONTAL_POSTURE, s[7], 0.0, 0.0, s[16],
         *_physical(tau_a, ws.stance),
         f_x, f_y, f_z,
         theta_r, theta_r - ws.theta_r0, gamma, r_eff,
@@ -586,24 +583,22 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
 
 def _jump(ws: WalkerState, cfg: SimConfig) -> WalkerState:
     """Touchdown jump map, pure in the pre-touchdown state ``ws``: the swing
-    pair becomes the stance pair, the frontal coordinates mirror about the new
-    stance hip, and the intrusion restarts under the swing foot, no higher than
+    pair becomes the stance pair, the frontal swing-leg angle mirrors about the
+    new stance hip, and the intrusion restarts under the swing foot, no higher than
     the surface and vertically at rest (the reset absorbs the contact transient)."""
     y, (c0_x, c0_z), r = ws.y, ws.c0, cfg.foot_radius
-    _, swing, _, _, swing_v, _ = _kinematics(cfg, ws.c0, y[:7], y[12:19])
+    _, swing, _, _, swing_v, _ = _kinematics(cfg, ws.c0, y[:7], y[9:16])
     slip_rate = swing_v[0] if cfg.terrain_mode == "granular" else 0.0  # landing skid
     c0 = (swing[0], min(swing[1] - r, cfg.terrain.sand_level))
     new = replace(
         ws, stance=1 - ws.stance, t_stance_start=ws.t, step_count=ws.step_count + 1,
         c0=c0, liftoff=(c0_x + y[5], c0_z + y[6] + r),  # old stance-foot center
         prev_swing_height=float("inf"),
-        y=[y[2], y[3], y[0], y[1], y[4], 0.0, 0.0,
-           0.0, math.pi - y[8], -y[9], 0.0, 0.0,
-           y[14], y[15], y[12], y[13], y[16], slip_rate, 0.0,
-           0.0, -y[20], -y[21], 0.0, 0.0])
+        y=[y[2], y[3], y[0], y[1], y[4], 0.0, 0.0, -y[7], 0.0,
+           y[11], y[12], y[9], y[10], y[13], slip_rate, 0.0, -y[16], 0.0])
     new.theta_r0 = rl.orientation_angle(cfg._sole, _contact(cfg, new.y[1], new.t))
     # latch the stance chord at touchdown
-    hip = _kinematics(cfg, c0, new.y[:7], new.y[12:19])[0]
+    hip = _kinematics(cfg, c0, new.y[:7], new.y[9:16])[0]
     new.r_latch = _clamp_chord(cfg, math.hypot(hip[0] - c0[0], hip[1] - (c0[1] + r)))
     return new
 
@@ -632,7 +627,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: array | None,
     if out is None:
         swing_z, com_vx = _swing_z_and_com_vx(cfg, ws.c0, y)
     else:
-        kinematics = _kinematics(cfg, ws.c0, y[:7], y[12:19])
+        kinematics = _kinematics(cfg, ws.c0, y[:7], y[9:16])
         _record(ws, cfg, control[0], last, powers, contact, kinematics, phase, out)
         swing_z, com_vx = kinematics[1][1], kinematics[5][0]
     _, power, power_s, power_f = powers
@@ -659,7 +654,7 @@ def initial_state(cfg: SimConfig) -> WalkerState:
     rng, a = random.Random(cfg.seed), cfg.initial_jitter
     q = [q[j] + rng.uniform(-a, a) for j in range(4)] + [q[4]]
 
-    ws.y = [*q, 0.0, 0.0, *_FRONTAL_POSTURE, 0.0, 0.0, 0.0, *dq, 0.0, 0.0] + [0.0] * 5
+    ws.y = [*q, 0.0, 0.0, 0.0, 0.0, *dq] + [0.0] * 4
     ws.theta_r0 = rl.orientation_angle(cfg._sole, _contact(cfg, ws.y[1], ws.t))
     return ws
 

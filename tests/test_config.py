@@ -187,3 +187,10 @@ def test_overrides_layer_over_the_file_last_wins(tmp_path, suffix, text):
     assert load_config(path, ["sim.seed=2"]).seed == 2
     assert load_config(path, ["sim.seed=2", "sim.seed=3"]).seed == 3
     assert load_config(None, ["sim.seed=3", "sim.seed=2"]).seed == 2
+
+
+@pytest.mark.parametrize("suffix", [".json", ".JSON", ".Json"])
+def test_json_suffix_in_any_case_reads_json(tmp_path, suffix):
+    path = tmp_path / f"run{suffix}"
+    path.write_text('{"sim.seed": 1}')
+    assert load_config(path).seed == 1

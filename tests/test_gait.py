@@ -46,7 +46,7 @@ SAGITTAL_MAP = np.array([
 def controlled(side, rng, trunk_rate=True, hip_rates=True):
     """The stacked state of the default config's start, on a ``side``
     stance (0 left, 1 right), with random sagittal rates (the trunk's only
-    if ``trunk_rate``) and, if ``hip_rates``, random frontal rates; and
+    if ``trunk_rate``) and, if ``hip_rates``, a random swing-leg rate p3'; and
     ``sim._control``'s output there (torques, measured actuator rates,
     tau_s, tau_f)."""
     cfg = sim.SimConfig()
@@ -54,8 +54,8 @@ def controlled(side, rng, trunk_rate=True, hip_rates=True):
     ws.stance = side
     y = np.array(ws.y)
     y[:5] += rng.uniform(-0.3, 0.3, 5)
-    y[12:17] = rng.uniform(-3.0, 3.0, 5) * [1, 1, 1, 1, trunk_rate]
-    y[19:22] = rng.uniform(-2.0, 2.0, 3) * hip_rates
+    y[9:14] = rng.uniform(-3.0, 3.0, 5) * [1, 1, 1, 1, trunk_rate]
+    y[16] = rng.uniform(-2.0, 2.0) * hip_rates
     ws.y = y.tolist()
     return y, sim._control(ws, cfg)
 
@@ -126,13 +126,13 @@ def test_ik_knee_backward_branch():
 def test_sagittal_map_linearity_and_constance():
     # the controller's measured actuator rates are dq_a = S dq_s on either
     # stance side, with the (stance, swing) hip rates -p1' + p2' and
-    # -p2' + p3' in rows 0 and 3
+    # -p2' + p3' in rows 0 and 3, where the held lean and crossbar rest
     rng = np.random.default_rng(22)
     for side in (0, 1):
         for _ in range(100):
             y, (_, dq_a, _, _) = controlled(side, rng)
-            expected = SAGITTAL_MAP @ y[12:17]
-            expected[[0, 3]] = -y[19] + y[20], -y[20] + y[21]
+            expected = SAGITTAL_MAP @ y[9:14]
+            expected[[0, 3]] = 0.0, y[16]
             assert np.abs(np.array(dq_a) - expected).max() < 1e-15
 
 
@@ -146,8 +146,8 @@ def test_sagittal_roundtrip():
         for _ in range(100):
             y, (tau_a, dq_a, tau_s, _) = controlled(side, rng)
             back = np.linalg.solve(np.vstack([SAGITTAL_MAP[rows], np.eye(5)[4]]),
-                                   [*np.array(dq_a)[rows], y[16]])
-            assert np.abs(back - y[12:17]).max() < 1e-12
+                                   [*np.array(dq_a)[rows], y[13]])
+            assert np.abs(back - y[9:14]).max() < 1e-12
             assert np.abs(np.array(tau_s) - (SAGITTAL_MAP.T @ tau_a)[:4]).max() < 1e-12
 
 
@@ -159,7 +159,7 @@ def test_power_invariance_on_actuated_subspace():
         for _ in range(100):
             y, (tau_a, dq_a, tau_s, _) = controlled(side, rng, trunk_rate=False,
                                                     hip_rates=False)
-            assert np.dot(tau_a, dq_a) == pytest.approx(np.dot(tau_s, y[12:16]), rel=1e-12,
+            assert np.dot(tau_a, dq_a) == pytest.approx(np.dot(tau_s, y[9:13]), rel=1e-12,
                                                         abs=1e-12)
 
 

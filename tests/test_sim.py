@@ -295,7 +295,7 @@ def test_divergence_guard():
 def test_nonfinite_stage_is_divergence(integrator, rate):
     cfg = build_config({"sim.integrator": integrator})
     ws = sim.initial_state(cfg)
-    ws.y[12] = rate  # dq_s[0]
+    ws.y[9] = rate  # dq_s[0]
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
         _step(ws, cfg)
     assert err.value.t == 0.0
@@ -358,7 +358,7 @@ def test_step_keeps_the_state_in_floats(terrain_mode, integrator):
     stage, samples = sim._StageTerms(), array("d")
     for i in range(600):  # past the first two touchdowns
         ws = sim._advance(ws, cfg, rows if i % 10 == 9 else None, stage, samples)
-        assert len(ws.y) == 24
+        assert len(ws.y) == 18
         assert all(type(x) is float for x in (*ws.y, *ws.c0, *ws.liftoff)), ws.t
     assert ws.step_count >= 2
 
@@ -383,18 +383,19 @@ def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
         new = sim._jump(ws, cfg)
         _assert_same_state(ws, snapshot)
         assert _shares_no_list(new, ws)
-        q, p, dq, dp = ws.y[:7], ws.y[7:12], ws.y[12:19], ws.y[19:]
+        q, p, dq, dp = ws.y[:7], ws.y[7:9], ws.y[9:16], ws.y[16:]
         _, swing, _, _, swing_v, _ = sim._kinematics(cfg, ws.c0, q, dq)
         # swing and stance pairs swap, the trunk carries over, the intrusion
         # restarts from 0, at rest except for the landing skid on sand
         assert new.stance == 1 - ws.stance
         assert new.y[:7] == [q[2], q[3], q[0], q[1], q[4], 0.0, 0.0]
         slip = swing_v[0] if terrain_mode == "granular" else 0.0
-        assert new.y[12:19] == [dq[2], dq[3], dq[0], dq[1], dq[4], slip, 0.0]
+        assert new.y[9:16] == [dq[2], dq[3], dq[0], dq[1], dq[4], slip, 0.0]
         assert (slip != 0.0) == (terrain_mode == "granular")
-        # the frontal angles mirror about the new stance hip
-        assert new.y[7:12] == [0.0, math.pi - p[1], -p[2], 0.0, 0.0]
-        assert new.y[19:] == [0.0, -dp[1], -dp[2], 0.0, 0.0]
+        # the swing-leg angle mirrors about the new stance hip, the lateral
+        # slip restarts at rest
+        assert new.y[7:9] == [-p[0], 0.0]
+        assert new.y[16:] == [-dp[0], 0.0]
         # the new contact sits under the landing foot, no higher than the sand
         assert new.c0 == (swing[0], min(swing[1] - r, level))
         clamped += new.c0[1] == level
@@ -443,7 +444,7 @@ def test_rigid_ground_holds_the_riding_mass_while_the_reported_com_walks(monkeyp
 
     def recorded(*args):
         ws = advance(*args)
-        contact.append(max(abs(ws.y[i]) for i in (5, 6, 17, 18)))
+        contact.append(max(abs(ws.y[i]) for i in (5, 6, 14, 15)))
         return ws
 
     monkeypatch.setattr(sim, "_advance", recorded)
@@ -468,8 +469,8 @@ def test_reported_com_through_every_jump(monkeypatch, terrain_mode, integrator, 
 
     def recorded(ws, cfg):
         new = jump(ws, cfg)
-        before = sim._kinematics(cfg, ws.c0, ws.y[:7], ws.y[12:19])[2]
-        after = sim._kinematics(cfg, new.c0, new.y[:7], new.y[12:19])[2]
+        before = sim._kinematics(cfg, ws.c0, ws.y[:7], ws.y[9:16])[2]
+        after = sim._kinematics(cfg, new.c0, new.y[:7], new.y[9:16])[2]
         jumps.append((after[0] - before[0], before[1] - after[1]))
         return new
 
@@ -888,31 +889,33 @@ def test_control_tables_match_gait_maps(stance):
         ws.stance = stance
         y = np.array(ws.y)
         y[:5] += rng.uniform(-0.3, 0.3, 5)       # q_s
-        y[12:17] = rng.uniform(-3.0, 3.0, 5)     # dq_s
-        y[7:10] += rng.uniform(-0.2, 0.2, 3)     # q_f
-        y[19:22] = rng.uniform(-2.0, 2.0, 3)     # dq_f
+        y[9:14] = rng.uniform(-3.0, 3.0, 5)      # dq_s
+        y[7] += rng.uniform(-0.2, 0.2)           # p3
+        y[16] = rng.uniform(-2.0, 2.0)           # p3'
         ws.y = y.tolist()
         tau, dq_a, tau_s, tau_f = sim._control(ws, cfg)
         refs, rates = sim._model_refs(ws, cfg, ws.t)
-        dp = y[19:22]
-        expected_dq_a = actuation(y[12:17], (-dp[0] + dp[1], -dp[1] + dp[2]))
+        # the held lean and crossbar rest at their posture
+        q_f, dq_f = (*sim._FRONTAL_POSTURE, y[7]), (0.0, 0.0, y[16])
+        expected_dq_a = actuation(y[9:14], (-dq_f[0] + dq_f[1], -dq_f[1] + dq_f[2]))
         expected_tau = gt.track_joints(
             actuation(refs, sim._HIP_POSTURE), actuation(rates, (0.0, 0.0)),
-            actuation(y[:5], gt.frontal_to_hip_angles(y[7:10])), expected_dq_a, *gains)
+            actuation(y[:5], gt.frontal_to_hip_angles(q_f)), expected_dq_a, *gains)
         assert np.allclose(dq_a, expected_dq_a, rtol=0.0, atol=1e-12)
         assert np.allclose(tau, expected_tau, rtol=0.0, atol=1e-9)
         assert np.allclose(tau_s, (SAGITTAL_MAP.T @ tau)[:4], rtol=0.0, atol=1e-12)
         assert tau_f == gt.hip_torques_to_frontal(tau[0], tau[3])
 
 
-# offsets of the state's parts in WalkerState.y
-_OFFSET = {"q_s": 0, "q_f": 7, "dq_s": 12, "dq_f": 19}
+# offsets of the state's parts in WalkerState.y: q_f and dq_f are the
+# frontal coordinates that move, (p3, y_s) and their rates
+_OFFSET = {"q_s": 0, "q_f": 7, "dq_s": 9, "dq_f": 16}
 
 
 @pytest.mark.parametrize("terrain_mode,coordinate,value,peak_y_s,peak_f_y", [
-    ("granular", ("q_f", 2), 0.02, 0.5902e-3, 0.9221),  # swing-leg angle p3
-    ("granular", ("dq_f", 3), 0.05, 4.921e-3, 7.033),   # lateral slip rate dy_s
-    ("rigid", ("q_f", 2), 0.02, 0.0, 27.96),            # slip clamped
+    ("granular", ("q_f", 0), 0.02, 0.5902e-3, 0.9221),  # swing-leg angle p3
+    ("granular", ("dq_f", 1), 0.05, 4.921e-3, 7.033),   # lateral slip rate dy_s
+    ("rigid", ("q_f", 0), 0.02, 0.0, 27.96),            # slip clamped
 ])
 def test_perturbed_frontal_plane_decays(terrain_mode, coordinate, value, peak_y_s, peak_f_y):
     # the unperturbed gait never moves the frontal plane; a perturbed start
@@ -1097,17 +1100,20 @@ def test_stage_hands_the_force_laws_floats(monkeypatch, law):
 def _random_stage(rng, granular):
     q = np.concatenate([rng.uniform(-0.8, 0.8, 5), rng.uniform(-0.02, 0.02, 1),
                         rng.uniform(-0.04, 0.0, 1) if granular else np.zeros(1),
-                        [0.0, math.pi / 2.0], rng.uniform(-0.3, 0.3, 1),
-                        rng.uniform(-0.01, 0.01, 1) if granular else np.zeros(1),
-                        np.zeros(1)])
-    q[11] = q[6]
-    dq = rng.uniform(-2.0, 2.0, 12)
-    dq[[4, 7, 8]] = 0.0
+                        rng.uniform(-0.3, 0.3, 1),
+                        rng.uniform(-0.01, 0.01, 1) if granular else np.zeros(1)])
+    dq = rng.uniform(-2.0, 2.0, 9)
+    dq[4] = 0.0
     if not granular:
-        dq[[5, 6, 10]] = 0.0
-    dq[11] = dq[6]
+        dq[[5, 6, 8]] = 0.0
     return (q.tolist(), dq.tolist(), rng.uniform(-20.0, 20.0, 4).tolist(),
             tuple(rng.uniform(-20.0, 20.0, 2).tolist()))
+
+
+def _frontal_state(q, dq):
+    """The five frontal coordinates and rates of a stage's (q, dq): the held
+    lean and crossbar at rest, p3, y_s and the sagittal z."""
+    return [*sim._FRONTAL_POSTURE, q[7], q[8], q[6]], [0.0, 0.0, dq[7], dq[8], dq[6]]
 
 
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
@@ -1122,12 +1128,13 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
         q, dq, tau_s, tau_f = _random_stage(rng, granular)
         qdd, _, f_y, _ = sim._accelerations(cfg, q + dq, tau_s, tau_f, sim._StageTerms())
         if granular:
-            d, c, g = frontal_matrices(cfg.frontal, q[7:], dq[7:])
-            rhs = -c @ dq[7:] - g
+            q_f, dq_f = _frontal_state(q, dq)
+            d, c, g = frontal_matrices(cfg.frontal, q_f, dq_f)
+            rhs = -c @ dq_f - g
             rhs[2] += tau_f[1]
             rhs[3] += f_y
             expected = np.linalg.solve(d[2:4, 2:4], rhs[2:4] - d[2:4, 4] * qdd[6])
-            got = qdd[9:11]
+            got = qdd[7:9]
         else:
             d, c, g = sagittal_matrices(cfg.sagittal, q[:7], dq[:7])
             rhs = -c @ dq[:7] - g
@@ -1196,9 +1203,10 @@ def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
     accelerations, f_y and tau_bar.  A product with a dense row sums all its
     columns; a running sum from +0.0 is never -0.0, so the zero entries of
     the row leave its bytes as they are."""
-    d_f, c_f, g_f = frontal_matrices(cfg.frontal, q[7:], dq[7:])
+    q_f, dq_f = _frontal_state(q, dq)
+    d_f, c_f, g_f = frontal_matrices(cfg.frontal, q_f, dq_f)
     d, g = d_f.tolist(), g_f.tolist()
-    cdq_f = [_ordered_dot(row, dq[7:]) for row in c_f.tolist()]
+    cdq_f = [_ordered_dot(row, dq_f) for row in c_f.tolist()]
     rhs_f = [-c - g for c, g in zip(cdq_f, g)]
     rhs_f[2] += tau_f[1]
     qdd_f = [0.0] * 5
@@ -1211,7 +1219,7 @@ def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
     else:
         qdd_f[2] = rhs_f[2] / d[2][2]
         f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g[3]
-    return np.array(qdd_s + qdd_f), f_y, _ordered_dot(d[1], qdd_f) + cdq_f[1] + g[1]
+    return np.array(qdd_s + qdd_f[2:4]), f_y, _ordered_dot(d[1], qdd_f) + cdq_f[1] + g[1]
 
 
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
@@ -1229,7 +1237,7 @@ def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
     def stage(q, dq, tau_s, tau_f):
         cfg = configs[next(calls) % 7 == 6]
         qdd, _, f_y, _ = sim._accelerations(cfg, q + dq, tau_s, tau_f, terms)
-        tau_bar = terms.holding_torque(qdd[7:])
+        tau_bar = terms.holding_torque(qdd)
         ref_qdd, ref_f_y, ref_tau_bar = _frontal_reference(
             cfg, q, dq, tau_f, qdd[:7], f_y if granular else None)
         got = np.array([*qdd, f_y, tau_bar]).tobytes()
@@ -1240,25 +1248,23 @@ def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
     for i in range(60):
         q, dq, tau_s, tau_f = _random_stage(rng, granular)
         stage(q, dq, tau_s, tau_f)
-        # the same frontal angles and rates (a reuse) with a new sagittal
-        # state, torques, slip and sign of dq_f[3:]
+        # the same swing-leg angle and rate (a reuse) with a new sagittal
+        # state, torques, slip and sign of the slip rate
         q2, dq2, tau_s2, tau_f2 = _random_stage(rng, granular)
-        q2[7:10], dq2[7:10] = q[7:10], dq[7:10]
-        dq2[10:] = [-v for v in dq2[10:]]
+        q2[7], dq2[7] = q[7], dq[7]
+        dq2[8] = -dq2[8]
         stage(q2, dq2, tau_s2, tau_f2)
-        # the same frontal angles at another swing-hip rate
-        dq2[9] = rng.uniform(-2.0, 2.0)
+        # the same swing-leg angle at another swing-hip rate
+        dq2[7] = rng.uniform(-2.0, 2.0)
         stage(q2, dq2, tau_s2, tau_f2)
-        # the held posture at rest, with p3 as 0.0 and then as -0.0 (a
-        # touchdown writes -p3) and the slip and vertical rates of both signs
-        # (they meet the zero columns of C); with a lean of -0.0, which the
-        # hold never writes, and -0.0 rates, every product of row 2 of C dq
-        # is -0.0
-        lean, rate = (0.0, -0.0)[i % 2], (0.0, -0.0)[i // 2 % 2]
+        # the swing leg at rest, with p3 as 0.0 and then as -0.0 (a
+        # touchdown writes -p3), its rate and the slip rate of both signs
+        # (the slip rate meets the zero columns of C)
+        rate = (0.0, -0.0)[i % 2]
         out = []
         for p3 in (0.0, -0.0):
-            for dy, dz in ((0.0, 0.3), (-0.0, -0.3)):
-                q2[7:10], dq2[7:12] = (lean, math.pi / 2.0, p3), (0.0, 0.0, rate, dy, dz)
+            for dy in (0.0, -0.0):
+                q2[7], dq2[7:9] = p3, (rate, dy)
                 out.append(stage(q2, dq2, tau_s2, (tau_f2[0], -0.0)))
         p3_reached += out[0] != out[2]
     # on rigid ground the sign of p3 reaches the output bytes (qdd_f[2]), so
@@ -1270,9 +1276,9 @@ def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
 def test_frontal_dynamics_reassembled_only_around_touchdowns(monkeypatch, terrain_mode,
                                                               integrator):
-    # the frontal angles and rates hold still between touchdowns; the jump
-    # writes -0.0 into p3 and the frontal rates, and the posture hold and the
-    # first stages of the next step write +0.0 back, so each touchdown brings
+    # the swing-leg angle and rate hold still between touchdowns; the jump
+    # writes -0.0 into both, and the first stages of the next step write
+    # +0.0 back, so each touchdown brings
     # at most 2 (semi-implicit) or 3 (rk4) new frontal configurations; the
     # count does not depend on an earlier run in the process
     cfg = build_config({"sim.duration": 0.8, "sim.terrain_mode": terrain_mode,
@@ -1391,8 +1397,8 @@ def test_initial_rates_are_the_right_difference():
     cfg = build_config({})
     ws = sim.initial_state(cfg)
     clean = sim.initial_state(build_config({"sim.initial_jitter": 0.0}))
-    assert np.abs(ws.y[12:17] - _one_sided_rates(clean, cfg, 0.0, -1e-7)).max() < 1e-5
-    assert ws.y[16] == 0.0  # dq_s[4]
+    assert np.abs(ws.y[9:14] - _one_sided_rates(clean, cfg, 0.0, -1e-7)).max() < 1e-5
+    assert ws.y[13] == 0.0  # dq_s[4]
 
 
 @pytest.mark.parametrize("amplitude", [2e-3, 0.0])
@@ -1431,31 +1437,50 @@ def test_merged_wedge_force_equals_two_face_blend():
                 assert f_y == tr.lateral_force(cfg.terrain, depth, 0.01)
 
 
-def _with_trunk_ref(cfg, value):
-    # GaitConfig rejects a non-finite trunk_ref, so set it past the check
-    gait = copy.copy(cfg.gait)
-    object.__setattr__(gait, "trunk_ref", value)
-    out = copy.copy(cfg)
-    object.__setattr__(out, "gait", gait)
-    return out
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e6])
 def test_divergence_guard_catches_held_coordinate(value):
-    # the trunk is posture-held after the integrator stages, so only the
-    # guard after the step sees it
-    cfg = build_config({})
-    ws = sim.initial_state(cfg)
-    with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
-        _step(ws, _with_trunk_ref(cfg, value))
-    assert err.value.t == pytest.approx(cfg.dt)
-    assert str(err.value) == f"simulation diverged at t={err.value.t:.6f} s"
+    # the trunk, the one held coordinate in the state, rests at its angle
+    # through the integrator stages: a non-finite angle fails the first
+    # stage's check, and a finite one past the limit passes every stage and
+    # fails the guard after the step
+    for integrator in ("semi_implicit", "rk4"):
+        cfg = build_config({"sim.integrator": integrator})
+        ws = sim.initial_state(cfg)
+        ws.y[4] = value
+        with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
+            _step(ws, cfg)
+        if math.isfinite(value):
+            assert err.value.t == pytest.approx(cfg.dt)
+            assert str(err.value) == f"simulation diverged at t={err.value.t:.6f} s"
+        else:
+            assert err.value.t == 0.0
+            assert "integrator stage" in str(err.value)
+
+
+@pytest.mark.parametrize("trunk_ref", [0.0, 0.05])
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_trunk_keeps_the_bits_of_its_reference(monkeypatch, terrain_mode, integrator, trunk_ref):
+    # no step writes the trunk: it starts at gait.trunk_ref at rest and its
+    # acceleration is the literal 0.0, so the state after every step holds
+    # the reference's bits and a rate of +0.0
+    advance, trunk = sim._advance, Counter()
+
+    def recorded(*args):
+        ws = advance(*args)
+        trunk[ws.y[4].hex(), ws.y[13].hex()] += 1
+        return ws
+
+    monkeypatch.setattr(sim, "_advance", recorded)
+    run_cfg(**{"sim.terrain_mode": terrain_mode, "sim.integrator": integrator,
+               "gait.trunk_ref": trunk_ref})
+    assert trunk == {(trunk_ref.hex(), "0x0.0p+0"): 2400}
 
 
 def test_divergence_guard_catches_rate_above_limit():
     cfg = build_config({})
     ws = sim.initial_state(cfg)
-    ws.y[12] = 2.0 * sim._DIVERGENCE_LIMIT  # dq_s[0]; finite, so the stage checks pass
+    ws.y[9] = 2.0 * sim._DIVERGENCE_LIMIT  # dq_s[0]; finite, so the stage checks pass
     with np.errstate(all="ignore"), pytest.raises(sim.DivergenceError) as err:
         _step(ws, cfg)
     assert str(err.value) == f"simulation diverged at t={err.value.t:.6f} s"
