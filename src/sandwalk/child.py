@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import tempfile
 import traceback
 from contextlib import suppress
 
@@ -134,21 +135,26 @@ def _received(fd: int):
 
 
 class Counter:
-    """A count that the processes forked while it is open share: a pipe
-    that holds its next value alone, so that a read takes the value (the
-    other processes wait) and the write of its successor hands it on."""
+    """The count 0, 1, ..., n - 1, each value taken once by one of the
+    processes forked while it is open: an unnamed temporary file that holds
+    the values, whose offset the processes share, so that one read takes a
+    value and moves the offset past it.  There is no step between a read
+    and a write for a process to die in: a killed one takes no value with
+    it but its own."""
+
+    def __init__(self, n: int):
+        self._n = n
 
     def __enter__(self) -> Counter:
-        self._r, self._w = os.pipe()
-        os.write(self._w, (0).to_bytes(8, "little"))
+        self._file = tempfile.TemporaryFile()
+        self._file.write(b"".join(i.to_bytes(8, "little") for i in range(self._n)))
+        self._file.seek(0)  # flushes the values, then rewinds the shared offset
         return self
 
     def __exit__(self, *exc_info) -> None:
-        os.close(self._r)
-        os.close(self._w)
+        self._file.close()
 
-    def take(self) -> int:
-        """The next value of the count."""
-        i = int.from_bytes(os.read(self._r, 8), "little")
-        os.write(self._w, (i + 1).to_bytes(8, "little"))
-        return i
+    def take(self) -> int | None:
+        """The next value of the count, or None once every value is taken."""
+        data = os.read(self._file.fileno(), 8)
+        return int.from_bytes(data, "little") if data else None

@@ -72,6 +72,8 @@ CONFIG_KEYS: dict[str, tuple[str, str]] = {
 
 # the one key whose file value (degrees) differs from its field (radians)
 _DEGREES_KEY = "terrain.phi_s_deg"
+# the fields that a key of another name sets, and that key
+_RENAMED = {"lam": "terrain.lambda", "phi_s": _DEGREES_KEY}
 
 
 def _coerce(key: str, raw, where: str = "") -> object:
@@ -167,7 +169,11 @@ def build_config(flat: dict) -> simulation.SimConfig:
             **parts[""], gait=gait, terrain=terrain, sagittal=sagittal,
             frontal_keys=tuple(parts["frontal"].items()))
     except ValueError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        message = str(exc)
+        field, must, rule = message.partition(" must ")
+        if must and field in _RENAMED:  # named as the key that set it, in its unit
+            message = _RENAMED[field] + must + rule.replace("(0, pi/2)", "(0, 90)")
+        raise ConfigError(f"invalid configuration: {message}") from exc
 
 
 def load_config(path=None, overrides=None) -> simulation.SimConfig:

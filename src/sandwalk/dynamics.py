@@ -211,7 +211,7 @@ def solve_sand_block(diag, d, r):
     The block is [[A, B], [B^T, diag(d55, d66)]] with A the stance-leg 2x2
     and B its coupling to the contact rows.  Rows 5 and 6 are eliminated
     onto the Schur complement S = A - B diag(d55, d66)^-1 B^T, which is
-    solved by Cramer's rule; rows 5 and 6 are then back-substituted.  D is
+    solved by ``solve2``; rows 5 and 6 are then back-substituted.  D is
     symmetric positive definite, so d55, d66 and S are too and no pivoting
     is needed.  Python floats throughout, in the order written here, so the
     bytes of the result depend on no BLAS or LAPACK kernel.
@@ -224,12 +224,15 @@ def solve_sand_block(diag, d, r):
     s00 = d00 - u05 * d05 - u06 * d06
     s01 = d01 - u05 * d15 - u06 * d16
     s11 = d11 - u15 * d15 - u16 * d16
-    s0 = r0 - u05 * r5 - u06 * r6
-    s1 = r1 - u15 * r5 - u16 * r6
-    det = s00 * s11 - s01 * s01
-    a0 = (s11 * s0 - s01 * s1) / det
-    a1 = (s00 * s1 - s01 * s0) / det
+    a0, a1 = solve2(s00, s01, s01, s11, r0 - u05 * r5 - u06 * r6, r1 - u15 * r5 - u16 * r6)
     return a0, a1, (r5 - d05 * a0 - d15 * a1) / d55, (r6 - d06 * a0 - d16 * a1) / d66
+
+
+def solve2(a, b, c, d, r0, r1) -> tuple[float, float]:
+    """Solution of the 2x2 system [[a, b], [c, d]] x = (r0, r1) by Cramer's
+    rule."""
+    det = a * d - b * c
+    return (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
 
 
 def sagittal_energy(params: SagittalParams, q, dq) -> tuple[float, float]:

@@ -23,7 +23,6 @@ __all__ = [
     "cycloid_swing",
     "leg_ik",
     "frontal_to_hip_angles",
-    "hip_torques_to_frontal",
     "frontal_torques_to_hips",
     "track_joints",
 ]
@@ -112,11 +111,6 @@ def frontal_to_hip_angles(q_f) -> tuple[float, float]:
     """
     p1, p2, p3 = q_f
     return -p1 + p2, math.pi - p2 + p3
-
-
-def hip_torques_to_frontal(tau1: float, tau4: float) -> tuple[float, float]:
-    """Frontal generalized torques: tau_f2 = tau1 - tau4, tau_f3 = tau4."""
-    return tau1 - tau4, tau4
 
 
 def frontal_torques_to_hips(tau_f2: float, tau_f3: float) -> tuple[float, float]:

@@ -243,7 +243,7 @@ def _sweep_runs(inbox, configs: list, counter: Counter) -> dict:
     takes from ``counter``, by index; as a ``Child``'s function it reads
     no inbox."""
     outcomes = {}
-    while (i := counter.take()) < len(configs):
+    while (i := counter.take()) is not None:
         outcomes[i] = _sweep_cell(configs[i])
     return outcomes
 
@@ -293,7 +293,7 @@ def velocity_sweep(
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     with ExitStack() as stack:
-        counter = stack.enter_context(Counter())
+        counter = stack.enter_context(Counter(len(configs)))
         workers = [stack.enter_context(Child(
             f"sweep worker {k}", _sweep_runs, configs, counter, errors=(Exception,)))
             for k in range(1, min(jobs, len(configs)))]

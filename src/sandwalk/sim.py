@@ -319,8 +319,9 @@ def _physical(v, stance: int):
 
 def _control(ws: WalkerState, cfg: SimConfig):
     """PD torques in stance-first actuator order (see ``_physical``), the
-    measured actuator rates and the torques' planar-model images.  A thigh
-    motor reads thigh minus trunk, a calf motor calf minus thigh."""
+    measured actuator rates, the sagittal generalized torques and the swing
+    hip's torque, which drives the frontal swing-leg row.  A thigh motor
+    reads thigh minus trunk, a calf motor calf minus thigh."""
     (st_t, st_c, sw_t, sw_c, trunk), (dst_t, dst_c, dsw_t, dsw_c, d_trunk) = \
         _model_refs(ws, cfg, ws.t)
     y = ws.y
@@ -333,7 +334,7 @@ def _control(ws: WalkerState, cfg: SimConfig):
         (hip_st, y[0] - y[4], y[1] - y[0], hip_sw, y[2] - y[4], y[3] - y[2]),
         dq_a, _KP, _KD, cfg.torque_limit)
     _, t1, t2, _, t4, t5 = tau
-    return tau, dq_a, (t1 - t2, t2, t4 - t5, t5), gt.hip_torques_to_frontal(tau[0], tau[3])
+    return tau, dq_a, (t1 - t2, t2, t4 - t5, t5), tau[3]
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +346,8 @@ def _control(ws: WalkerState, cfg: SimConfig):
 # frontal vertical row drop out; the sagittal swing rows 2 and 3 carry only
 # their diagonal entry and divide out.  What stays coupled is sagittal rows
 # (0, 1, 5, 6) on sand, which ``dyn.solve_sand_block`` solves through a 2x2
-# Schur complement, and two 2x2 blocks solved in closed form: sagittal rows
-# (0, 1) on rigid ground, frontal rows (2, 3) on sand.
-
-
-def _solve2(a, b, c, d, r0, r1) -> tuple[float, float]:
-    """Solution of the 2x2 system [[a, b], [c, d]] x = (r0, r1) by Cramer's
-    rule."""
-    det = a * d - b * c
-    return (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
+# Schur complement, and two 2x2 blocks that ``dyn.solve2`` solves: sagittal
+# rows (0, 1) on rigid ground, frontal rows (2, 3) on sand.
 
 
 _DIRECTION_FLOOR = 0.05  # m/s; regularizes the stress direction switch at rest
@@ -372,71 +366,57 @@ def _grf_granular(cfg: SimConfig, depth: float, dx: float, dz: float, y_slip: fl
 
 
 _FRONTAL_KEY = struct.Struct("2d").pack
+# the one entry of _frontal_terms' memo: the params of the last assembly
+# (held, so that their id cannot be recycled), the bytes of (p3, v3), the terms
+_frontal_memo: list = [None, b"", ()]
 
 
-class _StageTerms:
-    """What the integrator stages of one run carry from one to the next:
-    what a stage derives from ``dyn.assemble_frontal``, kept for the last
-    frontal configuration.  ``terms`` holds the stage's entries (D22, D23,
-    D24, D33, the bias -C dq - G of rows 2 and 3, then C dq and G of row 3),
-    and ``held`` D12, D13, D14 with C dq and G of row 1, for the holding
-    torque.  The system depends only on the swing-leg angle p3 and its rate,
-    the lean and crossbar being held at rest, and these hold still between
-    touchdowns, so a stage reassembles it only when their bytes or the
-    parameter object change.  The key is bytes, not floats: a touchdown
-    flips p3 between 0.0 and -0.0, and 0.0 == -0.0.  With the lean and
-    crossbar rates at 0.0, the one nonzero product of a row of C dq is the
-    one with the swing-leg rate, added to +0.0.  One per run."""
-
-    __slots__ = ("params", "key", "terms", "held")
-
-    def __init__(self):
-        self.params = self.key = self.terms = self.held = None
-
-    def frontal(self, params: dyn.FrontalParams, y):
-        """The frontal stage terms at the stacked state ``y`` (18 floats, p3
-        at 7 and its rate at 16)."""
-        p3, v3 = y[7], y[16]
-        key = _FRONTAL_KEY(p3, v3)
-        if params is not self.params or key != self.key:
-            diag, d, c, g = dyn.assemble_frontal(params, (*_FRONTAL_POSTURE, p3), (0.0, 0.0, v3))
-            _, _, _, _, d12, d13, d14, d23, d24 = d
-            c12, c32 = c[3], c[8]
-            cdq3 = 0.0 + c32 * v3
-            self.params, self.key = params, key
-            self.terms = (diag[2], d23, d24, diag[3], -g[2], -cdq3 - g[3], cdq3, g[3])
-            self.held = d12, d13, d14, 0.0 + c12 * v3, g[1]
-        return self.terms
-
-    def holding_torque(self, qdd) -> float:
-        """Crossbar row residual at the accelerations ``qdd`` of
-        ``_accelerations``, under the last terms: the torque that holds the
-        crossbar, summed in column order from +0.0, then C dq and G."""
-        d12, d13, d14, cdq1, g1 = self.held
-        return 0.0 + d12 * qdd[7] + d13 * qdd[8] + d14 * qdd[6] + cdq1 + g1
+def _frontal_terms(params: dyn.FrontalParams, p3: float, v3: float) -> tuple:
+    """What a stage takes from ``dyn.assemble_frontal`` at the swing-leg
+    angle p3 and rate v3, the lean and crossbar being held at rest: D22,
+    D23, D24, D33, the bias -C dq - G of rows 2 and 3, C dq and G of row 3,
+    then D12, D13, D14, C dq and G of row 1, for the crossbar holding
+    torque.  With the lean and crossbar rates at 0.0, the one nonzero
+    product of a row of C dq is the one with the swing-leg rate, added to
+    +0.0.  p3 and v3 hold still between touchdowns, so the terms of the last
+    call are kept and reassembled only when the params object or the bytes
+    of (p3, v3) change.  The key is bytes, not floats: a touchdown flips p3
+    between 0.0 and -0.0, and 0.0 == -0.0.  ``run`` empties the memo first."""
+    key = _FRONTAL_KEY(p3, v3)
+    memo = _frontal_memo
+    if params is not memo[0] or key != memo[1]:
+        diag, d, c, g = dyn.assemble_frontal(params, (*_FRONTAL_POSTURE, p3), (0.0, 0.0, v3))
+        _, _, _, _, d12, d13, d14, d23, d24 = d
+        cdq3 = 0.0 + c[8] * v3
+        memo[:] = params, key, (diag[2], d23, d24, diag[3], -g[2], -cdq3 - g[3], cdq3, g[3],
+                                d12, d13, d14, 0.0 + c[3] * v3, g[1])
+    return memo[2]
 
 
-def _coriolis_rows(c, dq):
+def _coriolis_rows(c, v0, v1):
     """Rows 0, 1, 5 and 6 of the sagittal C dq from the C entries ``c`` of
-    ``dyn.assemble_sagittal`` (rows 2 and 3 are zero, row 4 is held).
-    Each row is summed in numpy's order from +0.0, which gives the bytes of
-    numpy's ``C @ dq`` as long as dq[4] is +0.0: a row then has at most two
-    nonzero products.  The trunk rate starts at +0.0 and its acceleration
-    is the literal 0.0, so every integrator stage meets that."""
-    c01, c10, c50, c60, c51, c61, c54, c64 = c
-    v0, v1, v4 = dq[0], dq[1], dq[4]
-    return (0.0 + c01 * v1, 0.0 + c10 * v0, 0.0 + c50 * v0 + c51 * v1 + c54 * v4,
-            0.0 + c60 * v0 + c61 * v1 + c64 * v4)
+    ``dyn.assemble_sagittal`` and the stance-leg rates v0 and v1 (rows 2
+    and 3 are zero, row 4 is held).  Each row is summed in numpy's order
+    from +0.0, which gives the bytes of numpy's ``C @ dq`` as long as the
+    trunk rate dq[4] is +0.0: a row then has at most two nonzero products,
+    and the trunk products it drops (C54 and C64 times +0.0, each +-0.0)
+    leave a running sum from +0.0, which is never -0.0, as it is.  The
+    trunk rate starts at +0.0 and its acceleration is the literal 0.0, so
+    every integrator stage meets that."""
+    c01, c10, c50, c60, c51, c61, _, _ = c
+    return (0.0 + c01 * v1, 0.0 + c10 * v0, 0.0 + c50 * v0 + c51 * v1,
+            0.0 + c60 * v0 + c61 * v1)
 
 
-def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
+def _accelerations(cfg: SimConfig, y, tau_s, tau_f3):
     """Reduced constrained accelerations of the stacked state ``y``, as a
-    list of 9, plus (f_x, f_y, f_z).  ``y`` is 18 floats (see
-    ``WalkerState``), with the trunk rate y[13] +0.0 (see
-    ``_coriolis_rows``); ``stage`` is the run's ``_StageTerms``."""
+    list of 9, plus (f_x, f_y, f_z) and the torque that holds the crossbar,
+    under the sagittal torques ``tau_s`` and the swing hip's ``tau_f3``.
+    ``y`` is 18 floats (see ``WalkerState``), with the trunk rate y[13]
+    +0.0 (see ``_coriolis_rows``)."""
     dq_s = y[9:14]  # the sagittal rates that the assembly reads
     diag, d, c, (g0, g1, _, _, _, g5, g6) = dyn.assemble_sagittal(cfg.sagittal, y, dq_s)
-    c0, c1, c5, c6 = _coriolis_rows(c, dq_s)
+    c0, c1, c5, c6 = _coriolis_rows(c, y[9], y[10])
     t0, t1, t2, t3 = tau_s
     # the actuated rows, then the contact rows; the held trunk row drops out
     r0, r1 = -c0 - g0 + t0, -c1 - g1 + t1
@@ -449,7 +429,7 @@ def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
         a0, a1, a5, a6 = dyn.solve_sand_block(diag, d, (r0, r1, r5 + f_x, r6 + f_z))
     else:
         d01, d05, d06, d15, d16, _, _ = d
-        a0, a1 = _solve2(diag[0], d01, d01, diag[1], r0, r1)
+        a0, a1 = dyn.solve2(diag[0], d01, d01, diag[1], r0, r1)
         a5 = a6 = 0.0
         # constraint forces read back off the clamped contact rows, where
         # only the stance-leg rows 0 and 1 meet a nonzero D entry
@@ -457,17 +437,19 @@ def _accelerations(cfg: SimConfig, y, tau_s, tau_f, stage: _StageTerms):
         f_z = d06 * a0 + d16 * a1 + c6 + g6
 
     # frontal plane: lean and crossbar posture-held, swing-leg angle and
-    # lateral slip dynamic, the vertical row the sagittal one; the crossbar
-    # holding torque is left to the record
-    d22, d23, d24, d33, b2, b3, cdq3, g3 = stage.frontal(cfg.frontal, y)
-    rf2 = b2 + tau_f[1]
+    # lateral slip dynamic, the vertical row the sagittal one
+    d22, d23, d24, d33, b2, b3, cdq3, g3, d12, d13, d14, cdq1, g1 = \
+        _frontal_terms(cfg.frontal, y[7], y[16])
+    rf2 = b2 + tau_f3
     if granular:
         # D34 is zero: lateral slip and sinkage are orthogonal translations
-        p2, p3 = _solve2(d22, d23, d23, d33, rf2 - d24 * a6, b3 + f_y)
+        p2, p3 = dyn.solve2(d22, d23, d23, d33, rf2 - d24 * a6, b3 + f_y)
     else:
         p2, p3 = rf2 / d22, 0.0
         f_y = d23 * p2 + cdq3 + g3  # only row 2 accelerates
-    return [a0, a1, a2, a3, 0.0, a5, a6, p2, p3], f_x, f_y, f_z
+    # the held crossbar row's residual, summed in column order from +0.0
+    tau_bar = 0.0 + d12 * p2 + d13 * p3 + d14 * a6 + cdq1 + g1
+    return [a0, a1, a2, a3, 0.0, a5, a6, p2, p3], f_x, f_y, f_z, tau_bar
 
 
 def _ode_step(method: str, y: list, acc, dt: float) -> list:
@@ -493,14 +475,14 @@ def _ode_step(method: str, y: list, acc, dt: float) -> list:
     return [x + w * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-def _flow(ws: WalkerState, cfg: SimConfig, stage: _StageTerms):
+def _flow(ws: WalkerState, cfg: SimConfig):
     """Control and one ODE step with the torques held; rebinds ``ws.y`` to
     the post-step state.  Returns the control output, the stacked state at
     the control instant and the last evaluation: its stacked state and
     ``_accelerations``' output (semi-implicit: the step's start; rk4: its
-    fourth stage).  ``stage`` is the run's ``_StageTerms``."""
+    fourth stage)."""
     control = _control(ws, cfg)
-    tau_s, tau_f = control[2:]
+    tau_s, tau_f3 = control[2:]
     start = ws.y
     last = None
 
@@ -510,7 +492,7 @@ def _flow(ws: WalkerState, cfg: SimConfig, stage: _StageTerms):
         # is finite and below ~1e154, far past the divergence guard
         if not math.isfinite(sum(map(mul, y, y))):
             raise DivergenceError(ws.t, "(non-finite state in an integrator stage)")
-        last = y, *_accelerations(cfg, y, tau_s, tau_f, stage)
+        last = y, *_accelerations(cfg, y, tau_s, tau_f3)
         return last[1]
 
     # the trunk, and on rigid ground the contact rows, start at rest and
@@ -531,24 +513,22 @@ def _contact(cfg: SimConfig, pitch: float, t: float):
         raise DivergenceError(t, f"({exc})") from exc
 
 
-def _powers(control, start, last, stage: _StageTerms):
+def _powers(control, start, last):
     """Joint powers in stance-first actuator order, their sum and each
     plane's net power, with the rates at the control instant, from the
     step's control output, its stacked state ``start`` at the control
-    instant, its ``last`` evaluation and the run's ``stage`` terms as that
-    evaluation left them.
-    Writes the reported hip torques, the crossbar holding demand plus the
-    swing-side PD, into the control output's torques."""
-    tau_a, dq_a, tau_s, tau_f = control
-    tau_bar = stage.holding_torque(last[1])
-    tau_a[0], tau_a[3] = gt.frontal_torques_to_hips(tau_bar, tau_f[1])
+    instant and its ``last`` evaluation.  Writes the reported hip torques,
+    the last evaluation's crossbar holding torque plus the swing-side PD,
+    into the control output's torques."""
+    tau_a, dq_a, tau_s, tau_f3 = control
+    tau_a[0], tau_a[3] = gt.frontal_torques_to_hips(last[5], tau_f3)
     joint_powers = list(map(mul, tau_a, dq_a))
     t0, t1, t2, t3 = tau_s
     # the held crossbar does no work: the frontal power is the swing hip's,
     # added to +0.0 so that a zero power is +0.0, as the other sums give
     return (joint_powers, math.fsum(joint_powers),
             math.fsum((t0 * start[9], t1 * start[10], t2 * start[11], t3 * start[12])),
-            0.0 + tau_f[1] * start[16])
+            0.0 + tau_f3 * start[16])
 
 
 def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
@@ -557,7 +537,7 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
     step's stance-first actuator torques ``tau_a`` and ``powers`` as
     ``_powers`` gave them, its ``last`` evaluation and its contact point on
     the sole, kinematics and stance phase."""
-    y, _, f_x, f_y, f_z = last
+    y, _, f_x, f_y, f_z, _ = last
     gamma = rl.velocity_angle(y[14], y[15]) if cfg.terrain_mode == "granular" else 0.0
 
     s = ws.y
@@ -607,15 +587,14 @@ _DIVERGENCE_LIMIT = 1e6  # largest |state entry| the step lets through
 
 
 def _advance(ws: WalkerState, cfg: SimConfig, out: array | None,
-             stage: _StageTerms, samples: array) -> WalkerState:
+             samples: array) -> WalkerState:
     """One fixed step: flow, divergence guard, contact check, record
     appended to ``out``, the step's ``STEP_FIELDS`` appended to ``samples``,
     touchdown event and jump.  A step without a row (``out`` is None) skips
     the record, the contact angle and all but two axes of the kinematics;
     it makes every check, appends the same samples and takes the same
-    event.  ``stage`` is the run's ``_StageTerms``.  Returns ``ws`` advanced
-    or the jumped state."""
-    control, start, last = _flow(ws, cfg, stage)
+    event.  Returns ``ws`` advanced or the jumped state."""
+    control, start, last = _flow(ws, cfg)
     y = ws.y
     # divergence guard on the stacked state; NaN fails the comparison too
     for x in y:
@@ -623,7 +602,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: array | None,
             raise DivergenceError(ws.t)
     contact = _contact(cfg, y[1], ws.t)  # a contact off the sole ends the run
     phase = _stance_phase(ws, cfg, ws.t)
-    powers = _powers(control, start, last, stage)
+    powers = _powers(control, start, last)
     if out is None:
         swing_z, com_vx = _swing_z_and_com_vx(cfg, ws.c0, y)
     else:
@@ -668,12 +647,13 @@ def run(cfg: SimConfig, writer: TrajectoryWriter | None = None) -> Trajectory:
     # trailing steps of an incomplete block write none
     n_steps, k = cfg.steps, cfg.decimation
     check_memory(n_steps, n_steps // k)  # a dt far too small fails before the first step
-    stage = _StageTerms()
+    # a run assembles its own frontal terms, however many ran before it
+    _frontal_memo[:] = None, b"", ()
     data, samples = array("d"), array("d")
     fed = 0
     for start in range(0, n_steps, _BLOCK):
         for i in range(start, min(start + _BLOCK, n_steps)):
-            ws = _advance(ws, cfg, data if i % k == k - 1 else None, stage, samples)
+            ws = _advance(ws, cfg, data if i % k == k - 1 else None, samples)
         if writer is not None and len(data) > fed:
             writer.feed(data[fed:])
             fed = len(data)

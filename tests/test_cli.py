@@ -788,6 +788,10 @@ def test_rk4_divergence_at_an_unlogged_step_exits_3(tmp_path, capsys, monkeypatc
     ("sim.initial_jitter=-1", "initial_jitter must be non-negative"),
     ("sim.seed=-1", "seed must be non-negative"),
     ("sim.duration=inf", "duration must be finite"),
+    # a key whose field has another name is named as it was written, with
+    # its range in its own unit
+    ("terrain.lambda=-1", "terrain.lambda must be strictly positive"),
+    ("terrain.phi_s_deg=90", "terrain.phi_s_deg must lie in (0, 90)"),
 ])
 def test_simulate_rejects_bad_value_naming_the_field(tmp_path, capsys, setting, message):
     # the setting comes last, so that it wins over the short duration

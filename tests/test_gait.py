@@ -15,7 +15,6 @@ from sandwalk.gait import (
     cycloid_swing,
     frontal_to_hip_angles,
     frontal_torques_to_hips,
-    hip_torques_to_frontal,
     leg_ik,
     track_joints,
 )
@@ -167,15 +166,12 @@ def test_frontal_hip_relations():
     q1, q4 = frontal_to_hip_angles(np.array([0.0, 0.0, 0.0]))
     assert q1 == pytest.approx(0.0)
     assert q4 == pytest.approx(math.pi)
-    tf2, tf3 = hip_torques_to_frontal(2.0, 0.5)
-    assert tf2 == pytest.approx(1.5)
-    assert tf3 == pytest.approx(0.5)
     # round trips: the lean p1 recovers p2 = q1 + p1 and p3 = q4 - pi + p2
     p = np.array([0.05, 1.5, -0.2])
     q1, q4 = frontal_to_hip_angles(p)
     p2 = q1 + p[0]
     assert np.allclose([p2, q4 - math.pi + p2], p[1:])
-    assert frontal_torques_to_hips(tf2, tf3) == pytest.approx((2.0, 0.5))
+    assert frontal_torques_to_hips(1.5, 0.5) == pytest.approx((2.0, 0.5))
 
 
 def test_tracking_zero_error_and_saturation():

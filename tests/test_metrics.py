@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import re
+import signal
 import struct
 import time
 from fractions import Fraction
@@ -473,6 +474,31 @@ def test_velocity_sweep_raises_the_defect_of_a_worker(monkeypatch):
     monkeypatch.setattr(metrics, "_sweep_cell", cell)
     with pytest.raises(AttributeError, match="^a defect in a worker$"):
         velocity_sweep(build_config({"sim.duration": 0.8}), [0.2, 0.3], repeats=1, jobs=3)
+
+
+def test_velocity_sweep_names_a_worker_killed_as_it_takes_a_run(monkeypatch):
+    # a worker killed right after the read that takes its run's index: the
+    # caller takes the other runs and names the dead worker instead of
+    # waiting for it; the caller's first run waits until the worker has
+    # died, so that the worker takes a run
+    _forked(monkeypatch)
+    caller, read = os.getpid(), os.read
+
+    def killed_after_read(fd, n):
+        data = read(fd, n)
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return data
+
+    def cell(cfg):
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        return 1.0
+
+    monkeypatch.setattr(os, "read", killed_after_read)
+    monkeypatch.setattr(metrics, "_sweep_cell", cell)
+    with _alarm(20, AssertionError("the sweep hung on its killed worker")), \
+            pytest.raises(OSError, match="^sweep worker 1 exited with status -9$"):
+        velocity_sweep(build_config({"sim.duration": 0.8}), [0.2, 0.3], repeats=1, jobs=2)
 
 
 def test_velocity_sweep_without_a_second_cpu_runs_in_this_process(monkeypatch):

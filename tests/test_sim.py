@@ -39,7 +39,7 @@ def run_cfg(**kw):
 def _step(ws, cfg):
     """One logged step from a shallow copy of ``ws``: (state', record)."""
     row = array("d")
-    out = sim._advance(dataclasses.replace(ws), cfg, row, sim._StageTerms(), array("d"))
+    out = sim._advance(dataclasses.replace(ws), cfg, row, array("d"))
     return out, sim.Trajectory(row, {}).records[0]
 
 
@@ -318,11 +318,11 @@ def _walk(terrain_mode, n_steps):
     cfg = build_config({"sim.terrain_mode": terrain_mode})
     ws = sim.initial_state(cfg)
     rows = array("d")
-    stage, samples = sim._StageTerms(), array("d")
+    samples = array("d")
     pairs = []
     for _ in range(n_steps):
         before = copy.deepcopy(ws)
-        ws = sim._advance(ws, cfg, rows, stage, samples)
+        ws = sim._advance(ws, cfg, rows, samples)
         pairs.append((before, copy.deepcopy(ws)))
     return cfg, pairs
 
@@ -355,9 +355,9 @@ def test_step_keeps_the_state_in_floats(terrain_mode, integrator):
     cfg = build_config({"sim.terrain_mode": terrain_mode, "sim.integrator": integrator})
     ws = sim.initial_state(cfg)
     rows = array("d")
-    stage, samples = sim._StageTerms(), array("d")
+    samples = array("d")
     for i in range(600):  # past the first two touchdowns
-        ws = sim._advance(ws, cfg, rows if i % 10 == 9 else None, stage, samples)
+        ws = sim._advance(ws, cfg, rows if i % 10 == 9 else None, samples)
         assert len(ws.y) == 18
         assert all(type(x) is float for x in (*ws.y, *ws.c0, *ws.liftoff)), ws.t
     assert ws.step_count >= 2
@@ -374,7 +374,7 @@ def test_jump_is_a_pure_swap_of_the_legs(terrain_mode):
     pre_touchdown = []
     for before, after in pairs:
         if after.step_count > before.step_count:  # replay the flow the jump followed
-            sim._flow(before, cfg, sim._StageTerms())
+            sim._flow(before, cfg)
             pre_touchdown.append(before)
     assert len(mid_swing) >= 12 and len(pre_touchdown) == 3
     clamped = 0
@@ -873,7 +873,7 @@ def test_trajectory_csv_header_only_loads_without_warning(tmp_path):
 def test_control_tables_match_gait_maps(stance):
     # the controller against the matrix S of the gait tests, the same for
     # both stance sides in stance-first order: q_a = S q_s with the hips in
-    # rows 0 and 3, tau_s = S^T tau, tau_f from the hip rows, and the PD gains
+    # rows 0 and 3, tau_s = S^T tau, tau_f3 the swing hip's, and the PD gains
     # per (hip, thigh, calf) on either leg
     cfg = build_config({})
     rng = np.random.default_rng(3)
@@ -893,7 +893,7 @@ def test_control_tables_match_gait_maps(stance):
         y[7] += rng.uniform(-0.2, 0.2)           # p3
         y[16] = rng.uniform(-2.0, 2.0)           # p3'
         ws.y = y.tolist()
-        tau, dq_a, tau_s, tau_f = sim._control(ws, cfg)
+        tau, dq_a, tau_s, tau_f3 = sim._control(ws, cfg)
         refs, rates = sim._model_refs(ws, cfg, ws.t)
         # the held lean and crossbar rest at their posture
         q_f, dq_f = (*sim._FRONTAL_POSTURE, y[7]), (0.0, 0.0, y[16])
@@ -904,7 +904,7 @@ def test_control_tables_match_gait_maps(stance):
         assert np.allclose(dq_a, expected_dq_a, rtol=0.0, atol=1e-12)
         assert np.allclose(tau, expected_tau, rtol=0.0, atol=1e-9)
         assert np.allclose(tau_s, (SAGITTAL_MAP.T @ tau)[:4], rtol=0.0, atol=1e-12)
-        assert tau_f == gt.hip_torques_to_frontal(tau[0], tau[3])
+        assert tau_f3 == tau[3]
 
 
 # offsets of the state's parts in WalkerState.y: q_f and dq_f are the
@@ -928,9 +928,9 @@ def test_perturbed_frontal_plane_decays(terrain_mode, coordinate, value, peak_y_
     ws = sim.initial_state(cfg)
     name, i = coordinate
     ws.y[_OFFSET[name] + i] = value
-    data, stage, samples = array("d"), sim._StageTerms(), array("d")
+    data, samples = array("d"), array("d")
     for _ in range(round(cfg.duration / cfg.dt)):
-        ws = sim._advance(ws, cfg, data, stage, samples)
+        ws = sim._advance(ws, cfg, data, samples)
     traj = sim.Trajectory(data, {})
     assert np.abs(np.asarray(traj.column("y_s"))).max() == pytest.approx(peak_y_s, rel=1e-3)
     assert np.abs(np.asarray(traj.column("f_y"))).max() == pytest.approx(peak_f_y, rel=1e-3)
@@ -951,7 +951,7 @@ def test_closed_form_2x2_solve_matches_lapack():
         m = b @ b.T + 0.5 * np.eye(2)  # symmetric positive definite
         r = rng.uniform(-10.0, 10.0, 2)
         expected = np.linalg.solve(m, r)
-        got = np.array(sim._solve2(*m.ravel().tolist(), *r.tolist()))
+        got = np.array(dyn.solve2(*m.ravel().tolist(), *r.tolist()))
         worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
     assert worst < 1e-12
 
@@ -1106,8 +1106,7 @@ def _random_stage(rng, granular):
     dq[4] = 0.0
     if not granular:
         dq[[5, 6, 8]] = 0.0
-    return (q.tolist(), dq.tolist(), rng.uniform(-20.0, 20.0, 4).tolist(),
-            tuple(rng.uniform(-20.0, 20.0, 2).tolist()))
+    return q.tolist(), dq.tolist(), rng.uniform(-20.0, 20.0, 4).tolist(), rng.uniform(-20.0, 20.0)
 
 
 def _frontal_state(q, dq):
@@ -1125,13 +1124,13 @@ def test_reduced_2x2_rows_match_lapack(terrain_mode):
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(300):
-        q, dq, tau_s, tau_f = _random_stage(rng, granular)
-        qdd, _, f_y, _ = sim._accelerations(cfg, q + dq, tau_s, tau_f, sim._StageTerms())
+        q, dq, tau_s, tau_f3 = _random_stage(rng, granular)
+        qdd, _, f_y, _, _ = sim._accelerations(cfg, q + dq, tau_s, tau_f3)
         if granular:
             q_f, dq_f = _frontal_state(q, dq)
             d, c, g = frontal_matrices(cfg.frontal, q_f, dq_f)
             rhs = -c @ dq_f - g
-            rhs[2] += tau_f[1]
+            rhs[2] += tau_f3
             rhs[3] += f_y
             expected = np.linalg.solve(d[2:4, 2:4], rhs[2:4] - d[2:4, 4] * qdd[6])
             got = qdd[7:9]
@@ -1167,7 +1166,7 @@ def test_float_stage_terms_are_the_bytes_of_the_dense_assembly(monkeypatch):
     for q_i, dq_i in zip(q, dq):
         q_l, dq_l = q_i.tolist(), dq_i.tolist()
         diag, d, c, g = dyn.assemble_sagittal(p, q_l, dq_l)
-        got = np.array((*diag, *d, *d, *g, *sim._coriolis_rows(c, dq_l), 0.0, 0.0))
+        got = np.array((*diag, *d, *d, *g, *sim._coriolis_rows(c, dq_l[0], dq_l[1]), 0.0, 0.0))
         dense_d, dense_c, dense_g = sagittal_matrices(p, q_i, dq_i)
         expected = np.concatenate((dense_d.take(d_at), dense_g, (dense_c @ dq_i).take(cdq_at)))
         if got.tobytes() != expected.tobytes():
@@ -1197,7 +1196,7 @@ def _ordered_dot(row, v) -> float:
     return total
 
 
-def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
+def _frontal_reference(cfg, q, dq, tau_f3, qdd_s, f_y):
     """Frontal rows of a stage from a fresh dense ``frontal_matrices``, with the
     row arithmetic of a stage that reassembles at every call: the frontal
     accelerations, f_y and tau_bar.  A product with a dense row sums all its
@@ -1208,14 +1207,14 @@ def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
     d, g = d_f.tolist(), g_f.tolist()
     cdq_f = [_ordered_dot(row, dq_f) for row in c_f.tolist()]
     rhs_f = [-c - g for c, g in zip(cdq_f, g)]
-    rhs_f[2] += tau_f[1]
+    rhs_f[2] += tau_f3
     qdd_f = [0.0] * 5
     if cfg.terrain_mode == "granular":
         rhs_f[3] += f_y
         qdd_f[4] = qdd_s[6]
         assert d[3][4] == 0.0
-        qdd_f[2:4] = sim._solve2(*d[2][2:4], *d[3][2:4],
-                                 rhs_f[2] - d[2][4] * qdd_f[4], rhs_f[3])
+        qdd_f[2:4] = dyn.solve2(*d[2][2:4], *d[3][2:4],
+                                rhs_f[2] - d[2][4] * qdd_f[4], rhs_f[3])
     else:
         qdd_f[2] = rhs_f[2] / d[2][2]
         f_y = d[3][2] * qdd_f[2] + cdq_f[3] + g[3]
@@ -1224,39 +1223,37 @@ def _frontal_reference(cfg, q, dq, tau_f, qdd_s, f_y):
 
 @pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
 def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
-    # one _StageTerms across a stage sequence, as in a run: every stage's
-    # outputs are the bytes of a stage that reassembles; every seventh stage
-    # runs under other frontal parameters
+    # the memoized frontal terms across a stage sequence, as in a run: every
+    # stage's outputs are the bytes of a stage that reassembles; every
+    # seventh stage runs under other frontal parameters
     configs = [build_config({"sim.terrain_mode": terrain_mode, "frontal.b": b})
                for b in (0.2, 0.3)]
     granular = terrain_mode == "granular"
-    terms = sim._StageTerms()
     rng = np.random.default_rng(3)
     calls = itertools.count()
 
-    def stage(q, dq, tau_s, tau_f):
+    def stage(q, dq, tau_s, tau_f3):
         cfg = configs[next(calls) % 7 == 6]
-        qdd, _, f_y, _ = sim._accelerations(cfg, q + dq, tau_s, tau_f, terms)
-        tau_bar = terms.holding_torque(qdd)
+        qdd, _, f_y, _, tau_bar = sim._accelerations(cfg, q + dq, tau_s, tau_f3)
         ref_qdd, ref_f_y, ref_tau_bar = _frontal_reference(
-            cfg, q, dq, tau_f, qdd[:7], f_y if granular else None)
+            cfg, q, dq, tau_f3, qdd[:7], f_y if granular else None)
         got = np.array([*qdd, f_y, tau_bar]).tobytes()
         assert got == np.array([*ref_qdd, ref_f_y, ref_tau_bar]).tobytes()
         return got
 
     p3_reached = 0
     for i in range(60):
-        q, dq, tau_s, tau_f = _random_stage(rng, granular)
-        stage(q, dq, tau_s, tau_f)
+        q, dq, tau_s, tau_f3 = _random_stage(rng, granular)
+        stage(q, dq, tau_s, tau_f3)
         # the same swing-leg angle and rate (a reuse) with a new sagittal
         # state, torques, slip and sign of the slip rate
-        q2, dq2, tau_s2, tau_f2 = _random_stage(rng, granular)
+        q2, dq2, tau_s2, tau_f3 = _random_stage(rng, granular)
         q2[7], dq2[7] = q[7], dq[7]
         dq2[8] = -dq2[8]
-        stage(q2, dq2, tau_s2, tau_f2)
+        stage(q2, dq2, tau_s2, tau_f3)
         # the same swing-leg angle at another swing-hip rate
         dq2[7] = rng.uniform(-2.0, 2.0)
-        stage(q2, dq2, tau_s2, tau_f2)
+        stage(q2, dq2, tau_s2, tau_f3)
         # the swing leg at rest, with p3 as 0.0 and then as -0.0 (a
         # touchdown writes -p3), its rate and the slip rate of both signs
         # (the slip rate meets the zero columns of C)
@@ -1265,7 +1262,7 @@ def test_reused_frontal_terms_give_the_bytes_of_a_fresh_assembly(terrain_mode):
         for p3 in (0.0, -0.0):
             for dy in (0.0, -0.0):
                 q2[7], dq2[7:9] = p3, (rate, dy)
-                out.append(stage(q2, dq2, tau_s2, (tau_f2[0], -0.0)))
+                out.append(stage(q2, dq2, tau_s2, -0.0))
         p3_reached += out[0] != out[2]
     # on rigid ground the sign of p3 reaches the output bytes (qdd_f[2]), so
     # a key that merged 0.0 and -0.0 would fail above
@@ -1303,6 +1300,29 @@ def test_frontal_dynamics_reassembled_only_around_touchdowns(monkeypatch, terrai
     assemblies, touchdowns = per_run[0]
     assert touchdowns >= 3
     assert 1 <= assemblies <= 1 + (2 if integrator == "semi_implicit" else 3) * touchdowns
+
+
+@pytest.mark.parametrize("terrain_mode", ["granular", "rigid"])
+def test_frontal_memo_does_not_leak_between_runs(monkeypatch, terrain_mode):
+    # run A, then B under other frontal parameters, then A again in one
+    # process: both runs of A write the same rows and step samples and
+    # assemble the frontal dynamics as often
+    a, b = (build_config({"sim.duration": 0.8, "sim.terrain_mode": terrain_mode,
+                          "frontal.b": hip}) for hip in (0.12, 0.3))
+    assemble, assembled = dyn.assemble_frontal, []
+
+    def counted(*args):
+        assembled.append(None)
+        return assemble(*args)
+
+    monkeypatch.setattr(dyn, "assemble_frontal", counted)
+    runs = []
+    for cfg in (a, b, a):
+        assembled.clear()
+        traj = sim.run(cfg)
+        runs.append((traj.data.tobytes(), traj.step_samples.tobytes(), len(assembled)))
+    assert runs[0] == runs[2]
+    assert runs[0][:2] != runs[1][:2]
 
 
 @pytest.mark.parametrize("method", ["semi_implicit", "rk4"])
@@ -1351,7 +1371,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
     h = 1e-7
     ws = sim.initial_state(cfg)
     rows = array("d")
-    stage, samples = sim._StageTerms(), array("d")
+    samples = array("d")
     worst = 0.0
     starts = 0
     for _ in range(round(cfg.duration / cfg.dt)):
@@ -1363,7 +1383,7 @@ def test_reference_rates_match_one_sided_difference(terrain_mode):
             held = copy.copy(ws)
             held.t_stance_start = ws.t + 1.0
             assert sim._model_refs(held, cfg, ws.t) == (refs, rates)
-        ws = sim._advance(ws, cfg, rows, stage, samples)
+        ws = sim._advance(ws, cfg, rows, samples)
     assert starts >= 10
     assert worst < 1e-5
 
