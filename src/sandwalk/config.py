@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from operator import attrgetter
 from pathlib import Path
 
@@ -72,8 +73,8 @@ CONFIG_KEYS: dict[str, tuple[str, str]] = {
 
 # the one key whose file value (degrees) differs from its field (radians)
 _DEGREES_KEY = "terrain.phi_s_deg"
-# the fields that a key of another name sets, and that key
-_RENAMED = {"lam": "terrain.lambda", "phi_s": _DEGREES_KEY}
+# the field that each key sets -> that key; no two parts share a field name
+_KEY_OF = {path.rpartition(".")[2]: key for key, (path, _) in CONFIG_KEYS.items()}
 
 
 def _coerce(key: str, raw, where: str = "") -> object:
@@ -170,9 +171,11 @@ def build_config(flat: dict) -> simulation.SimConfig:
             frontal_keys=tuple(parts["frontal"].items()))
     except ValueError as exc:
         message = str(exc)
-        field, must, rule = message.partition(" must ")
-        if must and field in _RENAMED:  # named as the key that set it, in its unit
-            message = _RENAMED[field] + must + rule.replace("(0, pi/2)", "(0, 90)")
+        if message.partition(" must ")[0] in _KEY_OF:
+            # each field a field-led message names is named as the key that
+            # sets it, in that key's unit
+            message = re.sub(r"\w+", lambda m: _KEY_OF.get(m[0], m[0]),
+                             message.replace("(0, pi/2)", "(0, 90)"))
         raise ConfigError(f"invalid configuration: {message}") from exc
 
 
@@ -187,10 +190,23 @@ def load_config(path=None, overrides=None) -> simulation.SimConfig:
     return build_config(flat)
 
 
+def _degrees(radians: float) -> float:
+    """The angle in degrees as the shortest decimal whose ``math.radians``
+    gives back the bits of ``radians``, so that a written configuration
+    reloads to the same run (``math.degrees`` alone misses some by an ulp:
+    48 comes back as 48.00000000000001).  The candidates are the roundings
+    of ``math.degrees`` and its neighbours within 4 ulps; an angle that none
+    of them gives back is ``math.degrees``."""
+    d = math.degrees(radians)
+    candidates = [round(d, k) for k in range(17)] + [d + k * math.ulp(d) for k in range(-4, 5)]
+    exact = [c for c in candidates if math.radians(c) == radians]
+    return min(exact, key=lambda c: len(repr(c))) if exact else d
+
+
 def flatten_config(cfg: simulation.SimConfig) -> dict:
     """Effective configuration as the flat key dict."""
     flat = {key: attrgetter(path)(cfg) for key, (path, _) in CONFIG_KEYS.items()}
-    flat[_DEGREES_KEY] = math.degrees(flat[_DEGREES_KEY])
+    flat[_DEGREES_KEY] = _degrees(flat[_DEGREES_KEY])
     return flat
 
 

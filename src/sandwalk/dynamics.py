@@ -80,9 +80,9 @@ class SagittalParams:
     def __post_init__(self) -> None:
         check_ranges(self, ("m_b", "m_t", "m_c", "l_t", "l_c", "l_b", "a_1", "a_2", "g"))
         if self.a_1 > self.l_t:
-            raise ValueError("a_1 must not exceed the thigh length")
+            raise ValueError("a_1 must not exceed l_t, the thigh length")
         if self.a_2 > self.l_c:
-            raise ValueError("a_2 must not exceed the calf length")
+            raise ValueError("a_2 must not exceed l_c, the calf length")
 
     @property
     def total_riding_mass(self) -> float:
@@ -132,7 +132,7 @@ class FrontalParams:
     def __post_init__(self) -> None:
         check_ranges(self, ("m_b", "m_1", "m_2", "l_1", "d_1", "d_2", "b", "g"))
         if self.d_1 > self.l_1:
-            raise ValueError("d_1 must not exceed the stance leg length")
+            raise ValueError("d_1 must not exceed l_1, the stance leg length")
 
     @property
     def total_mass(self) -> float:

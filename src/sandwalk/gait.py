@@ -1,4 +1,4 @@
-"""Gait references, the hip maps and joint tracking.
+"""Gait references, the hip angle map and joint tracking.
 
 The six joint motors are relative angles: thigh motors measure
 thigh-absolute minus trunk-absolute, calf (knee) motors calf-absolute minus
@@ -23,7 +23,6 @@ __all__ = [
     "cycloid_swing",
     "leg_ik",
     "frontal_to_hip_angles",
-    "frontal_torques_to_hips",
     "track_joints",
 ]
 
@@ -111,11 +110,6 @@ def frontal_to_hip_angles(q_f) -> tuple[float, float]:
     """
     p1, p2, p3 = q_f
     return -p1 + p2, math.pi - p2 + p3
-
-
-def frontal_torques_to_hips(tau_f2: float, tau_f3: float) -> tuple[float, float]:
-    """Hip actuator torques realizing given frontal generalized torques."""
-    return tau_f2 + tau_f3, tau_f3
 
 
 def track_joints(q_ref, dq_ref, q, dq, kp, kd, limit: float) -> list[float]:

@@ -90,7 +90,7 @@ class SimConfig:
             "m_b": p.m_b, "m_1": leg_mass, "m_2": leg_mass,
             "l_1": leg_length + self.foot_radius, "d_1": 0.5 * leg_length, "g": p.g, **keys}))
         if not self.duration >= self.gait.cycle_period:
-            raise ValueError("duration must cover at least one gait cycle")
+            raise ValueError("duration must be at least cycle_period, one gait cycle")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError("the step count duration / dt must be finite")
         if self.integrator not in ("semi_implicit", "rk4"):
@@ -318,10 +318,12 @@ def _physical(v, stance: int):
 
 
 def _control(ws: WalkerState, cfg: SimConfig):
-    """PD torques in stance-first actuator order (see ``_physical``), the
-    measured actuator rates, the sagittal generalized torques and the swing
-    hip's torque, which drives the frontal swing-leg row.  A thigh motor
-    reads thigh minus trunk, a calf motor calf minus thigh."""
+    """The step's actuation at the control instant: the PD torques in
+    stance-first actuator order (see ``_physical``), the sagittal generalized
+    torques, the swing hip's torque, which drives the frontal swing-leg row,
+    then the joint powers with the measured actuator rates, their sum and
+    each plane's net power.  A thigh motor reads thigh minus trunk, a calf
+    motor calf minus thigh."""
     (st_t, st_c, sw_t, sw_c, trunk), (dst_t, dst_c, dsw_t, dsw_c, d_trunk) = \
         _model_refs(ws, cfg, ws.t)
     y = ws.y
@@ -333,8 +335,13 @@ def _control(ws: WalkerState, cfg: SimConfig):
         (0.0, dst_t - d_trunk, dst_c - dst_t, 0.0, dsw_t - d_trunk, dsw_c - dsw_t),
         (hip_st, y[0] - y[4], y[1] - y[0], hip_sw, y[2] - y[4], y[3] - y[2]),
         dq_a, _KP, _KD, cfg.torque_limit)
-    _, t1, t2, _, t4, t5 = tau
-    return tau, dq_a, (t1 - t2, t2, t4 - t5, t5), tau[3]
+    _, t1, t2, tau_f3, t4, t5 = tau
+    tau_s = (t1 - t2, t2, t4 - t5, t5)
+    powers = list(map(mul, tau, dq_a))
+    # the held crossbar does no work: the frontal power is the swing hip's,
+    # added to +0.0 so that a zero power is +0.0, as the other sums give
+    return (tau, tau_s, tau_f3, powers, math.fsum(powers),
+            math.fsum(map(mul, tau_s, y[9:13])), 0.0 + tau_f3 * y[16])
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +484,11 @@ def _ode_step(method: str, y: list, acc, dt: float) -> list:
 
 def _flow(ws: WalkerState, cfg: SimConfig):
     """Control and one ODE step with the torques held; rebinds ``ws.y`` to
-    the post-step state.  Returns the control output, the stacked state at
-    the control instant and the last evaluation: its stacked state and
-    ``_accelerations``' output (semi-implicit: the step's start; rk4: its
-    fourth stage)."""
+    the post-step state.  Returns the control output and the last
+    evaluation: its stacked state and ``_accelerations``' output
+    (semi-implicit: the step's start; rk4: its fourth stage)."""
     control = _control(ws, cfg)
-    tau_s, tau_f3 = control[2:]
-    start = ws.y
+    _, tau_s, tau_f3 = control[:3]
     last = None
 
     def acc(y):
@@ -497,9 +502,9 @@ def _flow(ws: WalkerState, cfg: SimConfig):
 
     # the trunk, and on rigid ground the contact rows, start at rest and
     # accelerate by the literal 0.0, so the step keeps their bits
-    ws.y = _ode_step(cfg.integrator, start, acc, cfg.dt)
+    ws.y = _ode_step(cfg.integrator, ws.y, acc, cfg.dt)
     ws.t += cfg.dt
-    return control, start, last
+    return control, last
 
 
 def _contact(cfg: SimConfig, pitch: float, t: float):
@@ -513,31 +518,14 @@ def _contact(cfg: SimConfig, pitch: float, t: float):
         raise DivergenceError(t, f"({exc})") from exc
 
 
-def _powers(control, start, last):
-    """Joint powers in stance-first actuator order, their sum and each
-    plane's net power, with the rates at the control instant, from the
-    step's control output, its stacked state ``start`` at the control
-    instant and its ``last`` evaluation.  Writes the reported hip torques,
-    the last evaluation's crossbar holding torque plus the swing-side PD,
-    into the control output's torques."""
-    tau_a, dq_a, tau_s, tau_f3 = control
-    tau_a[0], tau_a[3] = gt.frontal_torques_to_hips(last[5], tau_f3)
-    joint_powers = list(map(mul, tau_a, dq_a))
-    t0, t1, t2, t3 = tau_s
-    # the held crossbar does no work: the frontal power is the swing hip's,
-    # added to +0.0 so that a zero power is +0.0, as the other sums give
-    return (joint_powers, math.fsum(joint_powers),
-            math.fsum((t0 * start[9], t1 * start[10], t2 * start[11], t3 * start[12])),
-            0.0 + tau_f3 * start[16])
-
-
-def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
+def _record(ws: WalkerState, cfg: SimConfig, control, last,
             contact, kinematics, phase: float, out) -> None:
-    """Append the post-step record of ``ws`` to ``out``, from the
-    step's stance-first actuator torques ``tau_a`` and ``powers`` as
-    ``_powers`` gave them, its ``last`` evaluation and its contact point on
-    the sole, kinematics and stance phase."""
-    y, _, f_x, f_y, f_z, _ = last
+    """Append the post-step record of ``ws`` to ``out``, from the step's
+    ``_control`` output, its ``last`` evaluation and its contact point on
+    the sole, kinematics and stance phase.  The stance hip reports the
+    torque that holds the crossbar plus the swing hip's."""
+    tau_a, _, tau_f3, powers, power, power_s, power_f = control
+    y, _, f_x, f_y, f_z, tau_bar = last
     gamma = rl.velocity_angle(y[14], y[15]) if cfg.terrain_mode == "granular" else 0.0
 
     s = ws.y
@@ -546,17 +534,16 @@ def _record(ws: WalkerState, cfg: SimConfig, tau_a, last, powers,
     theta_r = rl.orientation_angle(cfg._sole, contact)
     r_eff = min(rl.effective_radius((s[14], s[15]), s[10]), cfg.r_eff_cap)
 
-    joint_powers, power, power_s, power_f = powers
     hip, _, com, _, _, com_v = kinematics
     out.fromlist([  # SIM_RECORD_FIELDS order
         ws.t, ws.stance, phase, ws.step_count,
         *s[:5], *s[9:14],
         s[5], s[8], max(0.0, -s[6]), s[14], s[17], -s[15],
         *_FRONTAL_POSTURE, s[7], 0.0, 0.0, s[16],
-        *_physical(tau_a, ws.stance),
+        *_physical((tau_bar + tau_f3, *tau_a[1:]), ws.stance),
         f_x, f_y, f_z,
         theta_r, theta_r - ws.theta_r0, gamma, r_eff,
-        power, math.fsum(map(abs, joint_powers)), power_s, power_f,
+        power, math.fsum(map(abs, powers)), power_s, power_f,
         *com, *com_v, *hip,
     ])
 
@@ -594,7 +581,7 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: array | None,
     the record, the contact angle and all but two axes of the kinematics;
     it makes every check, appends the same samples and takes the same
     event.  Returns ``ws`` advanced or the jumped state."""
-    control, start, last = _flow(ws, cfg)
+    control, last = _flow(ws, cfg)
     y = ws.y
     # divergence guard on the stacked state; NaN fails the comparison too
     for x in y:
@@ -602,15 +589,13 @@ def _advance(ws: WalkerState, cfg: SimConfig, out: array | None,
             raise DivergenceError(ws.t)
     contact = _contact(cfg, y[1], ws.t)  # a contact off the sole ends the run
     phase = _stance_phase(ws, cfg, ws.t)
-    powers = _powers(control, start, last)
     if out is None:
         swing_z, com_vx = _swing_z_and_com_vx(cfg, ws.c0, y)
     else:
         kinematics = _kinematics(cfg, ws.c0, y[:7], y[9:16])
-        _record(ws, cfg, control[0], last, powers, contact, kinematics, phase, out)
+        _record(ws, cfg, control, last, contact, kinematics, phase, out)
         swing_z, com_vx = kinematics[1][1], kinematics[5][0]
-    _, power, power_s, power_f = powers
-    samples.extend((ws.t, power, power_s, power_f, com_vx))
+    samples.extend((ws.t, *control[4:], com_vx))
     # touchdown event: the swing-foot height crossing the surface, armed past
     # the swing apex and forced at the schedule boundary
     height = swing_z - cfg.foot_radius

@@ -723,7 +723,7 @@ def test_sweep_rows_and_empty_list(tmp_path, capsys):
                "--set", "robot.foot_radius=-0.01", "--repeats", "1", "--jobs", "1"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "invalid configuration: foot_radius must be strictly positive" in captured.err
+    assert "invalid configuration: robot.foot_radius must be strictly positive" in captured.err
 
 
 def test_sweep_manifest_records_what_ran(tmp_path):
@@ -788,17 +788,19 @@ def test_rk4_divergence_at_an_unlogged_step_exits_3(tmp_path, capsys, monkeypatc
     ("sim.initial_jitter=-1", "initial_jitter must be non-negative"),
     ("sim.seed=-1", "seed must be non-negative"),
     ("sim.duration=inf", "duration must be finite"),
-    # a key whose field has another name is named as it was written, with
-    # its range in its own unit
+    # a key whose field has another name, with its range in its own unit
     ("terrain.lambda=-1", "terrain.lambda must be strictly positive"),
     ("terrain.phi_s_deg=90", "terrain.phi_s_deg must lie in (0, 90)"),
 ])
 def test_simulate_rejects_bad_value_naming_the_field(tmp_path, capsys, setting, message):
-    # the setting comes last, so that it wins over the short duration
+    # the setting comes last, so that it wins over the short duration; the
+    # diagnostic names the key that was set, the field's rule after it
     rc = main(["simulate", "--set", "sim.duration=0.4", "--set", setting,
                "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert f"invalid configuration: {message}" in capsys.readouterr().err
+    key = setting.partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration: {key} must {message.partition(' must ')[2]}\n")
 
 
 @pytest.mark.parametrize("velocity,message", [
@@ -816,7 +818,8 @@ def test_sweep_rejects_bad_velocity_before_any_cell(tmp_path, capsys, velocity, 
 
 
 @pytest.mark.parametrize("args,message", [
-    (["--set", "sim.seed=-1", "--jobs", "1"], "invalid configuration: seed must be non-negative"),
+    (["--set", "sim.seed=-1", "--jobs", "1"],
+     "invalid configuration: sim.seed must be non-negative"),
     (["--jobs", "0"], "jobs must be >= 1"),
     (["--jobs", "-2"], "jobs must be >= 1"),
     (["--velocities", "0.2,0.3,0.2", "--jobs", "1"], "duplicate velocity 0.2"),

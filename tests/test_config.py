@@ -2,13 +2,22 @@
 out-of-range values are rejected when the configuration is built."""
 
 import dataclasses
+import math
+import random
 import re
 from collections import Counter
 
 import pytest
 
 from sandwalk import sim
-from sandwalk.config import CONFIG_KEYS, ConfigError, build_config, flatten_config, load_config
+from sandwalk.config import (
+    CONFIG_KEYS,
+    ConfigError,
+    build_config,
+    flatten_config,
+    load_config,
+    write_config,
+)
 from sandwalk.dynamics import FrontalParams, SagittalParams
 from sandwalk.gait import GaitConfig
 from sandwalk.sim import SimConfig
@@ -35,16 +44,16 @@ def test_simconfig_defaults_match_build_config():
 ])
 @pytest.mark.parametrize("value", ["0", "-0.01"])
 def test_nonpositive_robot_and_com_inputs_rejected(key, field, value):
-    with pytest.raises(ConfigError, match=f"invalid configuration: {field} must be"):
+    # the configuration object names its field, the diagnostic the key that set it
+    with pytest.raises(ConfigError, match=f"^invalid configuration: {re.escape(key)} must be") \
+            as err:
         load_config(None, [f"{key}={value}"])
+    assert str(err.value.__cause__).startswith(f"{field} must be")
 
 
 @pytest.mark.parametrize("key,value", BAD_VALUES)
 def test_bad_value_rejected_naming_the_field(key, value):
-    # a field that a key of another name sets is named by that key
-    field = CONFIG_KEYS[key][0].rpartition(".")[2]
-    name = field if key.endswith(f".{field}") else re.escape(key)
-    with pytest.raises(ConfigError, match=f"invalid configuration: {name} must"):
+    with pytest.raises(ConfigError, match=f"invalid configuration: {re.escape(key)} must"):
         load_config(None, [f"{key}={value}"])
 
 
@@ -197,3 +206,48 @@ def test_json_suffix_in_any_case_reads_json(tmp_path, suffix):
     path = tmp_path / f"run{suffix}"
     path.write_text('{"sim.seed": 1}')
     assert load_config(path).seed == 1
+
+
+@pytest.mark.parametrize("key,value,message", [
+    # a value derived from another key is named by its own key next to the
+    # key that was set
+    ("frontal.l_1", "0.1", "frontal.d_1 must not exceed frontal.l_1, the stance leg length"),
+    ("frontal.d_1", "0.5", "frontal.d_1 must not exceed frontal.l_1, the stance leg length"),
+    ("robot.a_1", "0.2", "robot.a_1 must not exceed robot.l_t, the thigh length"),
+    ("robot.l_t", "0.05", "robot.a_1 must not exceed robot.l_t, the thigh length"),
+    ("robot.a_2", "0.3", "robot.a_2 must not exceed robot.l_c, the calf length"),
+    ("sim.duration", "0.3", "sim.duration must be at least gait.cycle_period, one gait cycle"),
+    ("sim.decimation", "0", "sim.decimation must be >= 1"),
+    ("gait.duty", "1", "gait.duty must lie in (0, 1)"),
+    ("terrain.phi_s_deg", "0", "terrain.phi_s_deg must lie in (0, 90)"),
+])
+def test_rejected_value_named_by_its_key(key, value, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(None, [f"{key}={value}"])
+    assert str(err.value) == f"invalid configuration: {message}"
+
+
+# degree values that math.degrees does not give back from math.radians:
+# every such integer in (0, 90) and some of the 49 such tenths
+LOSSY_DEGREES = [3.0, 6.0, 12.0, 24.0, 48.0, 57.0, 1.5, 2.3, 4.6, 9.2, 10.6, 11.3]
+
+
+@pytest.mark.parametrize("degrees", [*LOSSY_DEGREES, 38.0, 35.0, 0.001, 89.999])
+def test_written_configuration_reloads_to_the_same_configuration(tmp_path, degrees):
+    cfg = build_config({"terrain.phi_s_deg": degrees})
+    flat = flatten_config(cfg)
+    assert flat["terrain.phi_s_deg"] == degrees
+    path = tmp_path / "run.cfg"
+    write_config(path, flat)
+    assert load_config(path) == cfg
+
+
+def test_flattened_friction_angle_gives_back_its_bits():
+    for degrees in LOSSY_DEGREES:
+        assert math.radians(math.degrees(math.radians(degrees))) != math.radians(degrees)
+    rng = random.Random(5)
+    for _ in range(2000):
+        cfg = build_config({"terrain.phi_s_deg": rng.uniform(1e-3, 90.0 - 1e-3)})
+        flat = flatten_config(cfg)
+        assert build_config(flat) == cfg
+        assert math.radians(flat["terrain.phi_s_deg"]) == cfg.terrain.phi_s

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sandwalk import gait as gt
 from sandwalk import sim
 from sandwalk.gait import (
     KD,
@@ -14,7 +15,6 @@ from sandwalk.gait import (
     UnreachableTargetError,
     cycloid_swing,
     frontal_to_hip_angles,
-    frontal_torques_to_hips,
     leg_ik,
     track_joints,
 )
@@ -42,12 +42,26 @@ SAGITTAL_MAP = np.array([
 ])
 
 
+def control_and_rates(ws, cfg):
+    """``sim._control``'s output at ``ws`` and the measured actuator rates
+    that it passes to ``gait.track_joints``."""
+    rates = []
+
+    def tracked(q_ref, dq_ref, q, dq, *gains):
+        rates.append(dq)
+        return track_joints(q_ref, dq_ref, q, dq, *gains)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gt, "track_joints", tracked)
+        control = sim._control(ws, cfg)
+    return control, rates[0]
+
+
 def controlled(side, rng, trunk_rate=True, hip_rates=True):
     """The stacked state of the default config's start, on a ``side``
     stance (0 left, 1 right), with random sagittal rates (the trunk's only
     if ``trunk_rate``) and, if ``hip_rates``, a random swing-leg rate p3'; and
-    ``sim._control``'s output there (torques, measured actuator rates,
-    tau_s, tau_f)."""
+    ``control_and_rates`` there."""
     cfg = sim.SimConfig()
     ws = sim.initial_state(cfg)
     ws.stance = side
@@ -56,7 +70,7 @@ def controlled(side, rng, trunk_rate=True, hip_rates=True):
     y[9:14] = rng.uniform(-3.0, 3.0, 5) * [1, 1, 1, 1, trunk_rate]
     y[16] = rng.uniform(-2.0, 2.0) * hip_rates
     ws.y = y.tolist()
-    return y, sim._control(ws, cfg)
+    return y, *control_and_rates(ws, cfg)
 
 
 def test_cycloid_endpoints_and_apex():
@@ -129,7 +143,7 @@ def test_sagittal_map_linearity_and_constance():
     rng = np.random.default_rng(22)
     for side in (0, 1):
         for _ in range(100):
-            y, (_, dq_a, _, _) = controlled(side, rng)
+            y, _, dq_a = controlled(side, rng)
             expected = SAGITTAL_MAP @ y[9:14]
             expected[[0, 3]] = 0.0, y[16]
             assert np.abs(np.array(dq_a) - expected).max() < 1e-15
@@ -143,7 +157,7 @@ def test_sagittal_roundtrip():
     rows = [1, 2, 4, 5]  # the thighs and calves
     for side in (0, 1):
         for _ in range(100):
-            y, (tau_a, dq_a, tau_s, _) = controlled(side, rng)
+            y, (tau_a, tau_s, *_), dq_a = controlled(side, rng)
             back = np.linalg.solve(np.vstack([SAGITTAL_MAP[rows], np.eye(5)[4]]),
                                    [*np.array(dq_a)[rows], y[13]])
             assert np.abs(back - y[9:14]).max() < 1e-12
@@ -156,10 +170,11 @@ def test_power_invariance_on_actuated_subspace():
     rng = np.random.default_rng(24)
     for side in (0, 1):
         for _ in range(100):
-            y, (tau_a, dq_a, tau_s, _) = controlled(side, rng, trunk_rate=False,
-                                                    hip_rates=False)
-            assert np.dot(tau_a, dq_a) == pytest.approx(np.dot(tau_s, y[9:13]), rel=1e-12,
-                                                        abs=1e-12)
+            y, (tau_a, tau_s, _, _, power, power_s, _), dq_a = controlled(
+                side, rng, trunk_rate=False, hip_rates=False)
+            assert power == pytest.approx(np.dot(tau_a, dq_a), rel=1e-12, abs=1e-12)
+            assert power_s == pytest.approx(np.dot(tau_s, y[9:13]), rel=1e-12, abs=1e-12)
+            assert power == pytest.approx(power_s, rel=1e-12, abs=1e-12)
 
 
 def test_frontal_hip_relations():
@@ -171,7 +186,6 @@ def test_frontal_hip_relations():
     q1, q4 = frontal_to_hip_angles(p)
     p2 = q1 + p[0]
     assert np.allclose([p2, q4 - math.pi + p2], p[1:])
-    assert frontal_torques_to_hips(1.5, 0.5) == pytest.approx((2.0, 0.5))
 
 
 def test_tracking_zero_error_and_saturation():

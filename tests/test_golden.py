@@ -153,3 +153,41 @@ def test_flatten_derived_frontal_defaults():
 def test_config_hash_pinned():
     assert {"default": config_hash(build_config({})),
             "every key": config_hash(build_config(EVERY_KEY))} == CONFIG_HASH
+
+
+# SHA-256 of the step's row bytes then its step-sample bytes for the
+# default 2.4 s run started with one frontal coordinate perturbed (the
+# offset into WalkerState.y and the value it is set to): the runs above hold
+# the frontal plane at rest, these move q_f3, y_s, f_y, power_f and the
+# hip torques
+PERTURBED = {"p3": (7, 0.02), "dy_s": (17, 0.05)}
+PERTURBED_SHA256 = {
+    ("granular", "semi_implicit", "p3"):
+        "4bfd809ae35d4fc33cb2927b7a3258acaaae897a83b5e79174c43405edd519d1",
+    ("granular", "rk4", "p3"):
+        "c82529f2ccf22eebb1243c35838ac1d117b142d376792678d19aee2fbca3cad1",
+    ("granular", "semi_implicit", "dy_s"):
+        "dc5f899a3bb6425c41b336ae76316a9b20a3f29bd35405b09e34ad84a1a02ab4",
+    ("granular", "rk4", "dy_s"):
+        "4b17e4f0e1d5338d775b94ea7029d9298a4ee875c83f1826db89f67282db80db",
+    ("rigid", "semi_implicit", "p3"):
+        "81efb353c7aa36c0f2511adb8cbe876c2357836549a6e6c95954b2d4346a5a99",
+    ("rigid", "rk4", "p3"):
+        "d3d30892f90b41999daf5d00010c48daa8912e653e950d7a4ebbcf544544b547",
+}
+
+
+@pytest.mark.parametrize("terrain,integrator,coordinate", sorted(PERTURBED_SHA256))
+def test_perturbed_frontal_runs_byte_identical(monkeypatch, terrain, integrator, coordinate):
+    at, value = PERTURBED[coordinate]
+    start = sim.initial_state
+
+    def perturbed(cfg):
+        ws = start(cfg)
+        ws.y[at] = value
+        return ws
+
+    monkeypatch.setattr(sim, "initial_state", perturbed)
+    traj = sim.run(build_config({"sim.terrain_mode": terrain, "sim.integrator": integrator}))
+    digest = hashlib.sha256(traj.data.tobytes() + traj.step_samples.tobytes()).hexdigest()
+    assert digest == PERTURBED_SHA256[(terrain, integrator, coordinate)]

@@ -29,7 +29,7 @@ from sandwalk.config import build_config
 from sandwalk.metrics import cot, settle_time
 
 from test_dynamics import frontal_matrices, integrate_free, sagittal_matrices
-from test_gait import SAGITTAL_MAP, leg_fk
+from test_gait import SAGITTAL_MAP, control_and_rates, leg_fk
 
 
 def run_cfg(**kw):
@@ -893,7 +893,7 @@ def test_control_tables_match_gait_maps(stance):
         y[7] += rng.uniform(-0.2, 0.2)           # p3
         y[16] = rng.uniform(-2.0, 2.0)           # p3'
         ws.y = y.tolist()
-        tau, dq_a, tau_s, tau_f3 = sim._control(ws, cfg)
+        (tau, tau_s, tau_f3, *_), dq_a = control_and_rates(ws, cfg)
         refs, rates = sim._model_refs(ws, cfg, ws.t)
         # the held lean and crossbar rest at their posture
         q_f, dq_f = (*sim._FRONTAL_POSTURE, y[7]), (0.0, 0.0, y[16])
