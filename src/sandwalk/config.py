@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from operator import attrgetter
 from pathlib import Path
@@ -46,7 +45,7 @@ CONFIG_KEYS: dict[str, tuple[str, str]] = {
     "gait.v_target": ("gait.v_target", "commanded forward speed [m/s]"),
     "gait.hip_height": ("gait.hip_height", "hip reference height above surface [m]"),
     "gait.trunk_ref": ("gait.trunk_ref", "trunk posture reference [rad]"),
-    "terrain.phi_s_deg": ("terrain.phi_s", "internal friction angle [deg]"),
+    "terrain.phi_s_deg": ("terrain.phi_s_deg", "internal friction angle [deg]"),
     "terrain.zeta": ("terrain.zeta", "local stress scaling factor"),
     "terrain.lambda": ("terrain.lam", "bulldozing saturation length [m]"),
     "terrain.width": ("terrain.width", "foot width [m]"),
@@ -62,17 +61,11 @@ CONFIG_KEYS: dict[str, tuple[str, str]] = {
     "robot.a_2": ("sagittal.a_2", "knee to calf CoM [m]"),
     "robot.g": ("sagittal.g", "gravity [m/s^2]"),
     "robot.foot_radius": ("foot_radius", "sole radius [m]"),
-    "frontal.m_1": ("frontal.m_1", "stance leg mass [kg]"),
-    "frontal.m_2": ("frontal.m_2", "swing leg mass [kg]"),
-    "frontal.l_1": ("frontal.l_1", "contact to stance hip [m]"),
-    "frontal.d_1": ("frontal.d_1", "contact to stance-leg CoM [m]"),
-    "frontal.d_2": ("frontal.d_2", "swing hip to swing-leg CoM [m]"),
-    "frontal.b": ("frontal.b", "hip spacing [m]"),
+    "frontal.d_2": ("swing_com", "swing hip to swing-leg CoM [m]"),
+    "frontal.b": ("hip_spacing", "hip spacing [m]"),
     "control.torque_limit": ("torque_limit", "actuator torque saturation [N m]"),
 }
 
-# the one key whose file value (degrees) differs from its field (radians)
-_DEGREES_KEY = "terrain.phi_s_deg"
 # the field that each key sets -> that key; no two parts share a field name
 _KEY_OF = {path.rpartition(".")[2]: key for key, (path, _) in CONFIG_KEYS.items()}
 
@@ -151,31 +144,24 @@ def _parse_json(path) -> dict:
 
 
 def build_config(flat: dict) -> simulation.SimConfig:
-    """SimConfig from a validated flat key dict (missing keys -> defaults).
-
-    Unset frontal keys are derived from the robot keys (see SimConfig).
-    """
-    parts = {part: {} for part in ("", "gait", "terrain", "sagittal", "frontal")}
+    """SimConfig from a validated flat key dict (missing keys -> defaults)."""
+    parts = {part: {} for part in ("", "gait", "terrain", "sagittal")}
     for key, value in flat.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
         part, _, name = CONFIG_KEYS[key][0].rpartition(".")
-        parts[part][name] = math.radians(value) if key == _DEGREES_KEY else value
+        parts[part][name] = value
 
     try:
         gait = gt.GaitConfig(**parts["gait"])
         terrain = tr.TerrainParams(**parts["terrain"])
         sagittal = dyn.SagittalParams(**parts["sagittal"])
-        return simulation.SimConfig(
-            **parts[""], gait=gait, terrain=terrain, sagittal=sagittal,
-            frontal_keys=tuple(parts["frontal"].items()))
+        return simulation.SimConfig(**parts[""], gait=gait, terrain=terrain, sagittal=sagittal)
     except ValueError as exc:
         message = str(exc)
         if message.partition(" must ")[0] in _KEY_OF:
-            # each field a field-led message names is named as the key that
-            # sets it, in that key's unit
-            message = re.sub(r"\w+", lambda m: _KEY_OF.get(m[0], m[0]),
-                             message.replace("(0, pi/2)", "(0, 90)"))
+            # each field a field-led message names is named as the key that sets it
+            message = re.sub(r"\w+", lambda m: _KEY_OF.get(m[0], m[0]), message)
         raise ConfigError(f"invalid configuration: {message}") from exc
 
 
@@ -190,24 +176,9 @@ def load_config(path=None, overrides=None) -> simulation.SimConfig:
     return build_config(flat)
 
 
-def _degrees(radians: float) -> float:
-    """The angle in degrees as the shortest decimal whose ``math.radians``
-    gives back the bits of ``radians``, so that a written configuration
-    reloads to the same run (``math.degrees`` alone misses some by an ulp:
-    48 comes back as 48.00000000000001).  The candidates are the roundings
-    of ``math.degrees`` and its neighbours within 4 ulps; an angle that none
-    of them gives back is ``math.degrees``."""
-    d = math.degrees(radians)
-    candidates = [round(d, k) for k in range(17)] + [d + k * math.ulp(d) for k in range(-4, 5)]
-    exact = [c for c in candidates if math.radians(c) == radians]
-    return min(exact, key=lambda c: len(repr(c))) if exact else d
-
-
 def flatten_config(cfg: simulation.SimConfig) -> dict:
     """Effective configuration as the flat key dict."""
-    flat = {key: attrgetter(path)(cfg) for key, (path, _) in CONFIG_KEYS.items()}
-    flat[_DEGREES_KEY] = _degrees(flat[_DEGREES_KEY])
-    return flat
+    return {key: attrgetter(path)(cfg) for key, (path, _) in CONFIG_KEYS.items()}
 
 
 _DEFAULTS = flatten_config(simulation.SimConfig())

@@ -5,13 +5,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import le
 from types import SimpleNamespace
 
 from . import sim as simulation
 from .child import Child, Counter
-from .config import ConfigError
+from .config import build_config, flatten_config
 from .dynamics import check_ranges
 from .trajectory import check_memory
 
@@ -285,12 +285,11 @@ def velocity_sweep(
              for terrain_mode in ("granular", "rigid")]
     check_memory(base.steps, 0)  # a sweep run logs no record; checked before any run
     decimation = sweep_decimation(base)
-    try:  # each speed passes the checks of its config key before any run starts
-        configs = [replace(base, terrain_mode=terrain_mode, seed=seed, decimation=decimation,
-                           gait=replace(base.gait, v_target=v))
-                   for v, terrain_mode in cells for seed in seeds]
-    except ValueError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    flat = flatten_config(base)
+    # each speed passes the checks of its config key before any run starts
+    configs = [build_config({**flat, "gait.v_target": v, "sim.terrain_mode": terrain_mode,
+                             "sim.seed": seed, "sim.decimation": decimation})
+               for v, terrain_mode in cells for seed in seeds]
 
     with ExitStack() as stack:
         counter = stack.enter_context(Counter(len(configs)))

@@ -49,17 +49,12 @@ class DivergenceError(RuntimeError):
         self.t = t
 
 
-# the frontal model's values that a frontal.* key sets
-_FRONTAL_KEYS = frozenset(("m_1", "m_2", "l_1", "d_1", "d_2", "b"))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """A run's settings, each set by one configuration key.  The frontal model
     is derived from the robot (each leg weighs m_t + m_c, the stance leg
-    reaches l_t + l_c + foot_radius with its CoM at mid-leg) with the values
-    in ``frontal_keys``, the (name, value) pairs of the frontal.* keys that
-    were set, over it; ``replace`` derives it anew from the new robot."""
+    reaches l_t + l_c + foot_radius with its CoM at mid-leg) and from the
+    frontal model's own hip spacing and swing-leg CoM."""
 
     dt: float = 1e-3
     duration: float = 2.4
@@ -72,23 +67,17 @@ class SimConfig:
     h_com: float = 0.40                    # CoM height used for dimensionless speed [m]
     r_eff_cap: float = 10.0                # effective-radius saturation for logs [m]
     torque_limit: float = 60.0             # actuator torque saturation [N m]
+    hip_spacing: float = dyn.FrontalParams.b    # frontal crossbar length [m]
+    swing_com: float = dyn.FrontalParams.d_2    # swing hip to swing-leg CoM [m]
     gait: gt.GaitConfig = field(default_factory=gt.GaitConfig)
     terrain: tr.TerrainParams = field(default_factory=tr.TerrainParams)
     sagittal: dyn.SagittalParams = field(default_factory=dyn.SagittalParams)
-    frontal_keys: tuple[tuple[str, float], ...] = field(default=(), compare=False)
-    frontal: dyn.FrontalParams = field(init=False)
 
     def __post_init__(self) -> None:
-        dyn.check_ranges(self, ("dt", "foot_radius", "h_com", "r_eff_cap", "torque_limit"),
+        dyn.check_ranges(self, ("dt", "foot_radius", "h_com", "r_eff_cap", "torque_limit",
+                                "hip_spacing", "swing_com"),
                          ("initial_jitter", "seed"), bounded=("duration",))
-        keys = dict(self.frontal_keys)
-        if not keys.keys() <= _FRONTAL_KEYS:
-            raise ValueError(f"frontal_keys may set only {', '.join(sorted(_FRONTAL_KEYS))}")
-        p = self.sagittal
-        leg_mass, leg_length = p.m_t + p.m_c, p.l_t + p.l_c
-        object.__setattr__(self, "frontal", dyn.FrontalParams(**{
-            "m_b": p.m_b, "m_1": leg_mass, "m_2": leg_mass,
-            "l_1": leg_length + self.foot_radius, "d_1": 0.5 * leg_length, "g": p.g, **keys}))
+        self.frontal  # builds, and so checks, the derived frontal model
         if not self.duration >= self.gait.cycle_period:
             raise ValueError("duration must be at least cycle_period, one gait cycle")
         if not math.isfinite(self.duration / self.dt):
@@ -99,6 +88,15 @@ class SimConfig:
             raise ValueError(f"unknown terrain mode '{self.terrain_mode}'")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
+
+    @cached_property
+    def frontal(self) -> dyn.FrontalParams:
+        """The frontal model of this robot."""
+        p = self.sagittal
+        leg_mass, leg_length = p.m_t + p.m_c, p.l_t + p.l_c
+        return dyn.FrontalParams(
+            m_b=p.m_b, m_1=leg_mass, m_2=leg_mass, l_1=leg_length + self.foot_radius,
+            d_1=0.5 * leg_length, d_2=self.swing_com, b=self.hip_spacing, g=p.g)
 
     @cached_property
     def steps(self) -> int:

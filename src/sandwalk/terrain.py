@@ -52,7 +52,7 @@ _C01, _C11, _CM11, _D10 = 0.253, -0.124, 0.007, 0.088
 class TerrainParams:
     """Granular media description."""
 
-    phi_s: float = math.radians(38.0)  # internal friction angle [rad]
+    phi_s_deg: float = 38.0            # internal friction angle [deg]
     zeta: float = 1.36                 # calibrated local-stress scaling factor
     lam: float = 0.03                  # bulldozing saturation length [m]
     width: float = 0.05                # foot width [m]
@@ -60,11 +60,16 @@ class TerrainParams:
     alpha_scale: float = 8.0           # media stiffness relative to the generic table
 
     def __post_init__(self) -> None:
-        check_ranges(self, ("zeta", "lam", "width", "alpha_scale"), bounded=("phi_s",))
-        if not 0.0 < self.phi_s < math.pi / 2:
-            raise ValueError("phi_s must lie in (0, pi/2)")
+        check_ranges(self, ("zeta", "lam", "width", "alpha_scale"), bounded=("phi_s_deg",))
+        if not 0.0 < self.phi_s_deg < 90.0:
+            raise ValueError("phi_s_deg must lie in (0, 90)")
         if not math.isfinite(self.sand_level):
             raise ValueError("sand_level must be finite")
+
+    @cached_property
+    def phi_s(self) -> float:
+        """The internal friction angle in radians."""
+        return math.radians(self.phi_s_deg)
 
     @cached_property
     def _wedge(self) -> tuple[float, float, float, float, float]:

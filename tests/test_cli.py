@@ -804,9 +804,9 @@ def test_simulate_rejects_bad_value_naming_the_field(tmp_path, capsys, setting, 
 
 
 @pytest.mark.parametrize("velocity,message", [
-    ("inf", "v_target must be finite"),
-    ("-inf", "v_target must be finite"),
-    ("nan", "v_target must be non-negative"),
+    ("inf", "gait.v_target must be finite"),
+    ("-inf", "gait.v_target must be finite"),
+    ("nan", "gait.v_target must be non-negative"),
 ])
 def test_sweep_rejects_bad_velocity_before_any_cell(tmp_path, capsys, velocity, message):
     out = tmp_path / "o"

@@ -72,25 +72,22 @@ def test_infinite_field_rejected_when_built_directly(cls, field, value):
 
 
 def test_every_setting_is_one_configuration_key():
-    # each value field of SimConfig and of its gait, terrain and sagittal
-    # parts is set by exactly one key; the frontal.* keys set the frontal
-    # model through frontal_keys, which takes no other name
+    # every field of SimConfig is an init field, and each, like each init
+    # field of its gait, terrain and sagittal parts, is set by exactly one
+    # key; the frontal model is derived, not a field
     paths = []
     for f in dataclasses.fields(SimConfig):
         if f.name in ("gait", "terrain", "sagittal"):
             paths += [f"{f.name}.{g.name}" for g in dataclasses.fields(f.default_factory)
                       if g.init]
-        elif f.name == "frontal_keys":
-            paths += [f"frontal.{name}" for name in ("m_1", "m_2", "l_1", "d_1", "d_2", "b")]
-        elif f.init:
+        else:
+            assert f.init
             paths.append(f.name)
     key_paths = Counter(path for path, _ in CONFIG_KEYS.values())
     assert key_paths == Counter(paths) and set(key_paths.values()) == {1}
     for flat in ({}, EVERY_KEY, ROBOT_ONLY):
         cfg = build_config(flat)
         assert build_config(flatten_config(cfg)) == cfg
-    with pytest.raises(ValueError, match="^frontal_keys may set only "):
-        SimConfig(frontal_keys=(("m_b", 3.0),))
 
 
 def test_configurations_compare_and_hash():
@@ -99,22 +96,22 @@ def test_configurations_compare_and_hash():
     assert dataclasses.replace(cfg, torque_limit=60.0) == cfg
     assert hash(cfg) == hash(SimConfig())
     assert dataclasses.replace(cfg, torque_limit=50.0) != cfg
-    # a frontal.* key set to the derived value gives the same settings
-    same = SimConfig(frontal_keys=(("b", 0.12), ("m_1", 1.5)))
+    # a frontal key set to its default gives the same settings
+    same = build_config({"frontal.b": 0.12, "frontal.d_2": 0.2})
     assert same == cfg and hash(same) == hash(cfg)
-    assert SimConfig(frontal_keys=(("b", 0.11),)) != cfg
+    assert build_config({"frontal.b": 0.11}) != cfg
 
 
 def test_replace_derives_the_frontal_model_of_the_new_robot():
-    # a frontal model that no frontal.* key set follows the sagittal model
-    # and foot radius of the config that replace builds
+    # the frontal model follows the sagittal model and foot radius of the
+    # config that replace builds
     changed = dict(sagittal=SagittalParams(m_b=7.0), foot_radius=0.05, duration=0.4)
     replaced = dataclasses.replace(SimConfig(), **changed)
     built = SimConfig(**changed)
     assert replaced == built and hash(replaced) == hash(built)
     assert (replaced.frontal.m_b, replaced.frontal.l_1) == (7.0, built.frontal.l_1)
     assert sim.run(replaced).data.tobytes() == sim.run(built).data.tobytes()
-    # the frontal.* keys that were set keep their values over the model
+    # the frontal keys that were set keep their values over the model
     # derived from the new robot, as when the config is built with both
     replaced = dataclasses.replace(build_config({"frontal.b": 0.11}),
                                    sagittal=SagittalParams(m_b=7.0))
@@ -209,10 +206,7 @@ def test_json_suffix_in_any_case_reads_json(tmp_path, suffix):
 
 
 @pytest.mark.parametrize("key,value,message", [
-    # a value derived from another key is named by its own key next to the
-    # key that was set
-    ("frontal.l_1", "0.1", "frontal.d_1 must not exceed frontal.l_1, the stance leg length"),
-    ("frontal.d_1", "0.5", "frontal.d_1 must not exceed frontal.l_1, the stance leg length"),
+    # a value checked against another key is named next to that key
     ("robot.a_1", "0.2", "robot.a_1 must not exceed robot.l_t, the thigh length"),
     ("robot.l_t", "0.05", "robot.a_1 must not exceed robot.l_t, the thigh length"),
     ("robot.a_2", "0.3", "robot.a_2 must not exceed robot.l_c, the calf length"),
@@ -243,11 +237,25 @@ def test_written_configuration_reloads_to_the_same_configuration(tmp_path, degre
 
 
 def test_flattened_friction_angle_gives_back_its_bits():
+    # the angle is stored in degrees, as its key writes it: stored in
+    # radians, the lossy angles would not come back from math.degrees
     for degrees in LOSSY_DEGREES:
         assert math.radians(math.degrees(math.radians(degrees))) != math.radians(degrees)
     rng = random.Random(5)
     for _ in range(2000):
-        cfg = build_config({"terrain.phi_s_deg": rng.uniform(1e-3, 90.0 - 1e-3)})
+        degrees = rng.uniform(1e-3, 90.0 - 1e-3)
+        cfg = build_config({"terrain.phi_s_deg": degrees})
         flat = flatten_config(cfg)
-        assert build_config(flat) == cfg
-        assert math.radians(flat["terrain.phi_s_deg"]) == cfg.terrain.phi_s
+        assert flat["terrain.phi_s_deg"] == degrees and build_config(flat) == cfg
+        assert cfg.terrain.phi_s == math.radians(degrees)
+
+
+def test_configuration_built_in_python_writes_back_to_itself(tmp_path):
+    # every init field is a key's value in the key's unit, so a written
+    # configuration reloads to the same one, whatever angle it holds
+    cfg = SimConfig(hip_spacing=0.11, swing_com=0.19, sagittal=SagittalParams(m_t=0.9),
+                    terrain=TerrainParams(phi_s_deg=80.00000000001266))
+    path = tmp_path / "run.cfg"
+    write_config(path, flatten_config(cfg))
+    assert load_config(path) == cfg
+    assert (cfg.frontal.b, cfg.frontal.d_2, cfg.frontal.m_1) == (0.11, 0.19, 1.4)

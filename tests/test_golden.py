@@ -61,9 +61,7 @@ DEFAULT_FLAT = {
     "terrain.width": 0.05, "terrain.sand_level": 0.0, "terrain.alpha_scale": 8.0,
     "robot.m_b": 5.0, "robot.m_t": 1.0, "robot.m_c": 0.5, "robot.l_t": 0.14,
     "robot.l_c": 0.28, "robot.l_b": 0.15, "robot.a_1": 0.07, "robot.a_2": 0.13,
-    "robot.g": 9.81, "robot.foot_radius": 0.04,
-    "frontal.m_1": 1.5, "frontal.m_2": 1.5, "frontal.l_1": 0.46,
-    "frontal.d_1": 0.21000000000000002, "frontal.d_2": 0.2, "frontal.b": 0.12,
+    "robot.g": 9.81, "robot.foot_radius": 0.04, "frontal.d_2": 0.2, "frontal.b": 0.12,
     "control.torque_limit": 60.0,
 }
 
@@ -77,27 +75,24 @@ EVERY_KEY = {
     "terrain.width": 0.06, "terrain.sand_level": 0.01, "terrain.alpha_scale": 6.0,
     "robot.m_b": 4.5, "robot.m_t": 0.9, "robot.m_c": 0.45, "robot.l_t": 0.15,
     "robot.l_c": 0.27, "robot.l_b": 0.16, "robot.a_1": 0.075, "robot.a_2": 0.12,
-    "robot.g": 9.8, "robot.foot_radius": 0.035,
-    "frontal.m_1": 1.4, "frontal.m_2": 1.3, "frontal.l_1": 0.45,
-    "frontal.d_1": 0.22, "frontal.d_2": 0.19, "frontal.b": 0.11,
+    "robot.g": 9.8, "robot.foot_radius": 0.035, "frontal.d_2": 0.19, "frontal.b": 0.11,
     "control.torque_limit": 50.0,
 }
 
-# robot geometry set, frontal keys left to their derived defaults
+# robot geometry set, frontal keys left to their defaults; the frontal
+# model's m_1, m_2, l_1 and d_1 that it derives from the robot
 ROBOT_ONLY = {key: EVERY_KEY[key] for key in (
     "robot.m_b", "robot.m_t", "robot.m_c", "robot.l_t", "robot.l_c", "robot.g",
     "robot.foot_radius")}
-ROBOT_ONLY_FRONTAL = {
-    "frontal.m_1": 1.35, "frontal.m_2": 1.35, "frontal.l_1": 0.45500000000000007,
-    "frontal.d_1": 0.21000000000000002, "frontal.d_2": 0.2, "frontal.b": 0.12,
-}
+ROBOT_ONLY_FRONTAL = {"frontal.d_2": 0.2, "frontal.b": 0.12}
+ROBOT_ONLY_DERIVED = (1.35, 1.35, 0.45500000000000007, 0.21000000000000002)
 
 
 # config_hash of build_config({}) and of build_config(EVERY_KEY): the hash
 # that every manifest records, pinned against a change of where a setting lives
 CONFIG_HASH = {
-    "default": "6865fc6fcea2c1d14f051fa8fa3562143555fbd9602e77458447d39a11e46560",
-    "every key": "323b4459f8c1ffe45077d63d0cd1a570b392b1da4bbe834beb821aac9a5387fb",
+    "default": "4cf4ccbd03983085323f072ea92105f70677c84053f6ee13643ff08e091c99f7",
+    "every key": "34ea9d2e642bb3a900b996681bd89caf4bc040d444b9ba88dbfb5942490a1ad1",
 }
 
 
@@ -146,8 +141,11 @@ def test_flatten_config_setting_every_key():
 
 
 def test_flatten_derived_frontal_defaults():
-    flat = flatten_config(build_config(ROBOT_ONLY))
+    cfg = build_config(ROBOT_ONLY)
+    flat = flatten_config(cfg)
     assert {k: v for k, v in flat.items() if k.startswith("frontal.")} == ROBOT_ONLY_FRONTAL
+    p = cfg.frontal
+    assert (p.m_1, p.m_2, p.l_1, p.d_1) == ROBOT_ONLY_DERIVED
 
 
 def test_config_hash_pinned():

@@ -81,6 +81,22 @@ def test_rigid_vertical_force_scale():
     assert 0.5 * riding_weight < fz.mean() < 1.5 * riding_weight
 
 
+@pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
+def test_rigid_mean_vertical_force_is_the_riding_weight(integrator):
+    # pins a known gap, not a target (ROADMAP item 13): the swing rows carry
+    # no gravity and no coupling to the contact rows, so the swing leg's
+    # weight never reaches the ground, and over the CoT window of the
+    # default rigid run the mean f_z is the riding weight M_s g (trunk plus
+    # stance thigh and calf), not the robot's weight M g
+    cfg = build_config({"sim.terrain_mode": "rigid", "sim.integrator": integrator})
+    traj = sim.run(cfg)
+    t = np.asarray(traj.column("t"))
+    fz = np.asarray(traj.column("f_z"))[t >= settle_time(cfg)]
+    p = cfg.sagittal
+    assert fz.mean() / (p.total_mass * p.g) == pytest.approx(
+        (p.m_b + p.m_t + p.m_c) / p.total_mass, abs=1e-3)
+
+
 def test_determinism_identical_records():
     cfg = build_config({"sim.duration": 0.8, "sim.seed": 3})
     a = sim.run(cfg)

@@ -154,7 +154,7 @@ def test_wedge_law_is_the_bytes_of_the_stress_composition():
     # bytes, signed zeros included
     no_stress = copy.copy(TerrainParams())
     object.__setattr__(no_stress, "zeta", 0.0)
-    terrains = [TerrainParams(), TerrainParams(phi_s=math.radians(25.0), zeta=0.7,
+    terrains = [TerrainParams(), TerrainParams(phi_s_deg=25.0, zeta=0.7,
                                                width=0.08, alpha_scale=3.0), no_stress]
     gammas = [*np.linspace(-math.pi, math.pi, 41).tolist(), -math.pi / 2, math.pi / 2,
               0.0, -0.0, math.nan]
